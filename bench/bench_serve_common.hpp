@@ -266,16 +266,23 @@ inline RunResult run_trace(
     const std::function<void(SessionId, std::int64_t, std::span<const half>)>&
         on_decode = {}) {
   Engine engine(cfg);
-  if (on_decode) engine.on_decode_output = on_decode;
+  if (on_decode) {
+    // Decoded rows are the output rows past the prompt.
+    engine.on_output_row = [&](SessionId id, std::int64_t pos,
+                               std::span<const half> row) {
+      if (pos >= engine.session(id).request.prompt_len) on_decode(id, pos, row);
+    };
+  }
   std::int64_t decode_steps = 0;
   std::map<SessionId, double> last_token_at;
   std::vector<double> decode_gaps;
-  engine.on_step = [&](const StepEvent& ev) {
+  engine.on_step = [&](const StepOutcome& ev, std::int64_t,
+                       double duration_us, std::int64_t) {
     if (!ev.decodes.empty()) ++decode_steps;
     // Tokens land at the end of the step; the gap between a session's
     // consecutive tokens includes everything that delayed it — co-scheduled
     // prefill work in the same step, steps it sat out, preemption exile.
-    const double token_at = ev.start_us + ev.duration_us;
+    const double token_at = ev.start_us + duration_us;
     for (const auto id : ev.decodes) {
       const auto it = last_token_at.find(id);
       if (it != last_token_at.end()) decode_gaps.push_back(token_at - it->second);

@@ -974,7 +974,6 @@ Entry bench_serve_cluster_scaling(bool quick) {
     ccfg.devices = n;
     ccfg.engine = cfg;
     ccfg.link = stof::cluster::nvlink_like();
-    ccfg.model_layers = 1;
     runs[n] = sb::run_cluster_trace(ccfg, trace);
     if (runs[n].digests != reference.digests) {
       std::cerr << "serve_cluster_scaling: N=" << n
@@ -1001,7 +1000,6 @@ Entry bench_serve_cluster_scaling(bool quick) {
     stof::cluster::ClusterConfig ccfg;
     ccfg.devices = 8;
     ccfg.engine = cfg;
-    ccfg.model_layers = 1;
     const auto instrumented = sb::run_cluster_trace(ccfg, trace);
     e.counters = stof::telemetry::global_registry().counters();
     e.counters["cluster.collective.us"] =

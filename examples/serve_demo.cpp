@@ -58,13 +58,14 @@ int main() {
   };
 
   serve::Engine engine(cfg);
-  engine.on_step = [&](const serve::StepEvent& ev) {
+  engine.on_step = [&](const serve::StepOutcome& ev, std::int64_t step,
+                       double duration_us, std::int64_t kv_used_blocks) {
     std::printf(
         "step %3lld  t=%8.1fus  +%6.1fus  prefill[%-8s] decode[%-11s]"
         "  kv %2lld/%lld%s\n",
-        static_cast<long long>(ev.step), ev.start_us, ev.duration_us,
+        static_cast<long long>(step), ev.start_us, duration_us,
         id_list(ev.prefills).c_str(), id_list(ev.decodes).c_str(),
-        static_cast<long long>(ev.kv_used_blocks),
+        static_cast<long long>(kv_used_blocks),
         static_cast<long long>(cfg.kv_blocks),
         ev.evicted.empty()
             ? ""

@@ -12,7 +12,6 @@ namespace stof::cluster {
 
 void ClusterConfig::validate() const {
   STOF_EXPECTS(devices >= 1, "a cluster needs at least one device");
-  STOF_EXPECTS(model_layers >= 1);
   STOF_EXPECTS(engine.total_heads == 0 && engine.head_offset == 0,
                "the template engine config must be unsharded");
   STOF_EXPECTS(engine.heads >= devices,
@@ -202,12 +201,12 @@ bool Cluster::step() {
     const CollectiveCost cost = collective_cost(
         CollectiveOp::kAllReduce, config_.link, config_.devices, payload);
     // With a real ModelSpec the collective count comes from it (T5 adds a
-    // third all-reduce per layer for cross-attention out-proj); otherwise
-    // fall back to the analytic model_layers knob.
+    // third all-reduce per layer for cross-attention out-proj); an
+    // attention-only cluster charges one layer's two all-reduces
+    // (attention out-proj + FFN down-proj).
     const serve::ModelSpec& ms = config_.engine.model;
     const std::int64_t calls =
-        ms.enabled() ? ms.collectives_per_layer() * ms.layers
-                     : 2 * config_.model_layers;
+        ms.enabled() ? ms.collectives_per_layer() * ms.layers : 2;
     for (std::int64_t c = 0; c < calls; ++c) {
       for (auto& e : engines_) {
         charge_collective(e->stream_mut(), cost);

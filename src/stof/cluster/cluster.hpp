@@ -46,11 +46,6 @@ struct ClusterConfig {
   /// which the cluster splits into contiguous per-device shards.
   serve::EngineConfig engine;
   LinkSpec link = nvlink_like();
-  /// Transformer layers the collective model charges per step (each layer
-  /// contributes two all-reduces: attention out-proj + FFN down-proj).
-  /// Ignored when `engine.model` is enabled — the ModelSpec then supplies
-  /// both the layer count and the per-layer collective count.
-  std::int64_t model_layers = 1;
   /// Assert every step that all shards executed identical plans and
   /// produced aligned output-row streams (cheap; on by default).
   bool check_lockstep = true;

@@ -515,8 +515,14 @@ gpusim::KernelCost blockwise_cost(const MhaDims& dims,
            ? valid
            : std::min(static_cast<double>(mask.unique_part_masks()), part)) *
       bm * bn;
-  const double metadata_bytes =
-      static_cast<double>(mask.storage_bytes());
+  // Metadata: the stored column lists and bitmaps, but the three row-
+  // pointer arrays only over the block rows this launch runs — a window
+  // (or a short varlen element) never reads the pointers of rows past it.
+  constexpr std::size_t kRowPtrBytes = 3 * sizeof(std::int64_t);
+  const double metadata_bytes = static_cast<double>(
+      mask.storage_bytes() -
+      kRowPtrBytes * static_cast<std::size_t>(
+                         mask.rows() - (q_block_end - q_block_begin)));
   c.gmem_read_bytes = instances * window_tokens * d * kElem +
                       kv_dram + instances * unique_bitmap_bytes +
                       metadata_bytes;

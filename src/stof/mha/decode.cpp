@@ -141,26 +141,18 @@ void PagedSeq::validate(std::int64_t heads, std::int64_t head_size) const {
                "block_tokens must be a power of two");
   const std::int64_t need =
       (context_len + block_tokens - 1) / block_tokens;
-  STOF_EXPECTS(static_cast<std::int64_t>(k_blocks.size()) >= need &&
-                   static_cast<std::int64_t>(v_blocks.size()) >= need,
+  const auto covers = [need](const auto&... spans) {
+    return ((static_cast<std::int64_t>(spans.size()) >= need) && ...);
+  };
+  STOF_EXPECTS(covers(k_blocks, v_blocks),
                "not enough KV blocks for context_len");
-  STOF_EXPECTS(kf_blocks.empty() == vf_blocks.empty(),
-               "float sidecar views come in K/V pairs");
-  if (!kf_blocks.empty()) {
-    STOF_EXPECTS(static_cast<std::int64_t>(kf_blocks.size()) >= need &&
-                     static_cast<std::int64_t>(vf_blocks.size()) >= need,
+  if (const auto* f32 = std::get_if<KvFloatPages>(&sidecar)) {
+    STOF_EXPECTS(covers(f32->k_blocks, f32->v_blocks),
                  "not enough float KV blocks for context_len");
-  }
-  STOF_EXPECTS(k8_blocks.empty() == v8_blocks.empty() &&
-                   k8_blocks.empty() == k8_scales.empty() &&
-                   k8_blocks.empty() == v8_scales.empty(),
-               "int8 sidecar views come as k/v blocks plus scales");
-  if (!k8_blocks.empty()) {
-    STOF_EXPECTS(static_cast<std::int64_t>(k8_blocks.size()) >= need &&
-                     static_cast<std::int64_t>(v8_blocks.size()) >= need &&
-                     static_cast<std::int64_t>(k8_scales.size()) >= need &&
-                     static_cast<std::int64_t>(v8_scales.size()) >= need,
-                 "not enough int8 KV blocks for context_len");
+  } else if (const auto* i8 = std::get_if<KvInt8Pages>(&sidecar)) {
+    STOF_EXPECTS(
+        covers(i8->k_blocks, i8->v_blocks, i8->k_scales, i8->v_scales),
+        "not enough int8 KV blocks for context_len");
   }
   std::int32_t prev = -1;
   for (const auto c : cols) {
@@ -199,8 +191,12 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     // so every score and PV term below is the same float either way; the
     // INT8 sidecar trades a quantization error bound for halved panel
     // bytes and is gated by the serving engine's kv-precision policy.
-    const bool int8_tier = use_packed && !seq.k8_blocks.empty();
-    const bool sidecar = !int8_tier && use_packed && !seq.kf_blocks.empty();
+    const KvInt8Pages* const i8 =
+        use_packed ? std::get_if<KvInt8Pages>(&seq.sidecar) : nullptr;
+    const KvFloatPages* const f32 =
+        use_packed ? std::get_if<KvFloatPages>(&seq.sidecar) : nullptr;
+    const bool int8_tier = i8 != nullptr;
+    const bool sidecar = f32 != nullptr;
 
     float m = -std::numeric_limits<float>::infinity();
     float l = 0;
@@ -261,9 +257,8 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       // the scalar running max bit-for-bit).
       float row_max = -std::numeric_limits<float>::infinity();
       if (int8_tier) {
-        const std::int8_t* k8_blk =
-            seq.k8_blocks[static_cast<std::size_t>(bj)];
-        const float* k8s = seq.k8_scales[static_cast<std::size_t>(bj)];
+        const std::int8_t* k8_blk = i8->k_blocks[static_cast<std::size_t>(bj)];
+        const float* k8s = i8->k_scales[static_cast<std::size_t>(bj)];
         for (std::int64_t c = 0; c < nb; ++c) {
           const auto local =
               static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
@@ -276,7 +271,7 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
         }
         row_max = kt.reduce_max(w_buf.data(), nb);
       } else if (sidecar) {
-        const float* kf_blk = seq.kf_blocks[static_cast<std::size_t>(bj)];
+        const float* kf_blk = f32->k_blocks[static_cast<std::size_t>(bj)];
         kt.dot_rows(q_row.data(), kf_blk + h * d, heads * d, col_buf.data(),
                     w_buf.data(), nb, d);
         kt.scale_inplace(w_buf.data(), scale, nb);
@@ -327,8 +322,8 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
         std::fill(pv.begin(), pv.end(), 0.0f);
         if (int8_tier) {
           const std::int8_t* v8_blk =
-              seq.v8_blocks[static_cast<std::size_t>(bj)];
-          const float* v8s = seq.v8_scales[static_cast<std::size_t>(bj)];
+              i8->v_blocks[static_cast<std::size_t>(bj)];
+          const float* v8s = i8->v_scales[static_cast<std::size_t>(bj)];
           for (std::int64_t c = 0; c < nb; ++c) {
             const auto local = static_cast<std::int64_t>(
                 col_buf[static_cast<std::size_t>(c)]);
@@ -336,7 +331,7 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
                        w_buf[static_cast<std::size_t>(c)] * v8s[local], d);
           }
         } else if (sidecar) {
-          const float* vf_blk = seq.vf_blocks[static_cast<std::size_t>(bj)];
+          const float* vf_blk = f32->v_blocks[static_cast<std::size_t>(bj)];
           for (std::int64_t c = 0; c < nb; ++c) {
             const auto local = static_cast<std::int64_t>(
                 col_buf[static_cast<std::size_t>(c)]);
@@ -385,36 +380,6 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
   return out;
 }
 
-gpusim::KernelCost decode_batched_cost(std::int64_t heads,
-                                       std::int64_t head_size,
-                                       std::span<const std::int64_t> valid_cols,
-                                       const gpusim::DeviceSpec& dev) {
-  STOF_EXPECTS(heads > 0 && head_size > 0 && !valid_cols.empty());
-  const double d = static_cast<double>(head_size);
-  const double h = static_cast<double>(heads);
-  constexpr double kElem = 2.0;
-  const std::int64_t instances =
-      static_cast<std::int64_t>(valid_cols.size()) * heads;
-
-  gpusim::KernelCost c;
-  // Same per-instance model as decode_cost, summed over the ragged batch:
-  // one warp per (sequence, head), packed half2 CUDA-core math.
-  for (const auto valid_i : valid_cols) {
-    STOF_EXPECTS(valid_i >= 0);
-    const double valid = static_cast<double>(valid_i);
-    c.cuda_flops += 0.5 * h * valid * (4.0 * d + 6.0);
-    c.gmem_read_bytes += h * (d * kElem + 2.0 * valid * d * kElem) +
-                         valid * sizeof(std::int32_t);
-    c.gmem_write_bytes += h * d * kElem;
-  }
-  const auto occ = gpusim::occupancy(dev, 0, /*num_warps=*/4);
-  c.occupancy = occ.fraction;
-  c.blocks_per_sm = std::max(1, occ.blocks_per_sm);
-  c.grid_blocks = (instances + 3) / 4;
-  c.overlap = 0.85;  // pure streaming
-  return c;
-}
-
 gpusim::KernelCost decode_verify_cost(std::int64_t heads,
                                       std::int64_t head_size,
                                       std::span<const std::int64_t> valid_cols,
@@ -436,8 +401,8 @@ gpusim::KernelCost decode_verify_cost(std::int64_t heads,
       const std::int64_t valid_i = valid_cols[row++];
       STOF_EXPECTS(valid_i >= 0);
       const double valid = static_cast<double>(valid_i);
-      // Per-row math and q/output/column-list traffic: identical to the
-      // plain batched decode model.
+      // Per-row math and q/output/column-list traffic: one warp per
+      // (row, head), packed half2 CUDA-core math.
       c.cuda_flops += 0.5 * h * valid * (4.0 * d + 6.0);
       c.gmem_read_bytes += h * d * kElem + valid * sizeof(std::int32_t);
       c.gmem_write_bytes += h * d * kElem;

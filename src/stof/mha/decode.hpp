@@ -10,6 +10,7 @@
 #pragma once
 
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "stof/gpusim/cost.hpp"
@@ -56,6 +57,37 @@ gpusim::KernelCost decode_cost(const DecodeDims& dims,
 
 // ---- Batched ragged decode over a paged KV-cache (serving extension) ------
 
+/// Exact FP32 copies of a sequence's KV pages (the KV pool's float-panel
+/// sidecar).  Each float block mirrors its half block's layout and covers
+/// at least the first context_len rows; the conversion is exact, so the
+/// packed path reading these instead of converting half loads is
+/// bit-identical.
+struct KvFloatPages {
+  std::span<const float* const> k_blocks;
+  std::span<const float* const> v_blocks;
+};
+
+/// INT8-quantized views of a sequence's KV pages (the KV pool's INT8
+/// sidecar tier).  Each int8 block mirrors its half block's layout; the
+/// matching scales span holds one symmetric scale per token row (a
+/// heads*head_size quantization group), so codes depend only on that
+/// row's values and decode stays deterministic under incremental page
+/// fill.  The packed path then runs the whole step in INT8 — scores and PV
+/// in exact int32 dot products with a float epilogue — which is
+/// deterministic across ISAs but *not* bit-identical to FP32; the serving
+/// engine gates it behind an explicit kv-precision policy.
+struct KvInt8Pages {
+  std::span<const std::int8_t* const> k_blocks;
+  std::span<const std::int8_t* const> v_blocks;
+  std::span<const float* const> k_scales;  ///< per block: block_tokens scales
+  std::span<const float* const> v_scales;  ///< per block: block_tokens scales
+};
+
+/// The sidecar tier a paged decode reads besides the half pages: none (the
+/// half pages only — the scalar reference path), exact FP32 pages, or INT8
+/// pages with scales.  Sidecars are read by the packed path only.
+using KvSidecar = std::variant<std::monostate, KvFloatPages, KvInt8Pages>;
+
 /// One sequence's view of a paged KV-cache for a batched decode step.
 ///
 /// Block i holds positions [i*block_tokens, (i+1)*block_tokens); each block
@@ -68,28 +100,7 @@ struct PagedSeq {
   std::span<const half* const> v_blocks;
   /// Attendable positions, ascending, all in [0, context_len).
   std::span<const std::int32_t> cols;
-  /// Optional pre-converted FP32 views of the same blocks (the KV pool's
-  /// float-panel sidecar).  When present (both or neither), the packed
-  /// path reads these instead of converting half loads element-wise —
-  /// the conversion is exact, so outputs are unchanged bit-for-bit.
-  /// Each float block mirrors its half block's layout and must cover at
-  /// least the first context_len rows.
-  std::span<const float* const> kf_blocks;
-  std::span<const float* const> vf_blocks;
-  /// Optional INT8-quantized views of the same blocks (the KV pool's INT8
-  /// sidecar tier).  Each int8 block mirrors its half block's layout; the
-  /// matching scales span holds one symmetric scale per token row (a
-  /// heads*head_size quantization group), so codes depend only on that
-  /// row's values and decode stays deterministic under incremental page
-  /// fill.  When present (all four or none), the packed path runs the
-  /// whole step in INT8 — scores and PV in exact int32 dot products with a
-  /// float epilogue — which is deterministic across ISAs but *not*
-  /// bit-identical to FP32; the serving engine gates it behind an explicit
-  /// kv-precision policy.  Takes precedence over the float sidecar.
-  std::span<const std::int8_t* const> k8_blocks;
-  std::span<const std::int8_t* const> v8_blocks;
-  std::span<const float* const> k8_scales;  ///< per block: block_tokens scales
-  std::span<const float* const> v8_scales;  ///< per block: block_tokens scales
+  KvSidecar sidecar = {};
 
   void validate(std::int64_t heads, std::int64_t head_size) const;
 };
@@ -110,23 +121,17 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
                                std::span<const PagedSeq> seqs,
                                const TensorH& q);
 
-/// Simulated cost of one batched paged-decode kernel launch over sequences
-/// with the given attended-column counts (one warp per (seq, head)).
-gpusim::KernelCost decode_batched_cost(std::int64_t heads,
-                                       std::int64_t head_size,
-                                       std::span<const std::int64_t> valid_cols,
-                                       const gpusim::DeviceSpec& dev);
-
-/// Simulated cost of one speculative *verification* launch: sequence s
-/// contributes `seq_rows[s]` consecutive query rows (the true token plus
+/// Simulated cost of one batched paged-decode launch, which is a
+/// speculative *verification* round in general: sequence s contributes `seq_rows[s]` consecutive query rows (the true token plus
 /// its drafts), with `valid_cols` holding the per-row attended-column
 /// counts flattened in the same order (sum(seq_rows) == valid_cols.size()).
-/// Math and q/output traffic are charged per row, exactly as
-/// decode_batched_cost; KV-page DRAM traffic is charged once per sequence
-/// at the row maximum — the verify rows attend nested prefixes of the same
+/// Math and q/output traffic are charged per row, one warp per (row,
+/// head); KV-page DRAM traffic is charged once per sequence at the row
+/// maximum — the verify rows attend nested prefixes of the same
 /// context, so rows past the first are L2/SMEM hits, which is the
 /// bandwidth saving that makes one k-row verification launch cheaper than
-/// k sequential decode launches.
+/// k sequential decode launches.  With every `seq_rows` entry 1 this is
+/// the plain batched decode step's cost.
 gpusim::KernelCost decode_verify_cost(std::int64_t heads,
                                       std::int64_t head_size,
                                       std::span<const std::int64_t> valid_cols,

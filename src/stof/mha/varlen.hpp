@@ -33,7 +33,7 @@ namespace stof::mha {
 struct VarlenBatch {
   std::int64_t seq_len = 0;             ///< padded length
   std::vector<std::int64_t> lengths;    ///< valid tokens per batch element
-  std::vector<std::int64_t> q_begins;   ///< first query row per element
+  std::vector<std::int64_t> q_begins = {};  ///< first query row per element
 
   [[nodiscard]] std::int64_t batch() const {
     return static_cast<std::int64_t>(lengths.size());

@@ -155,14 +155,10 @@ void Engine::fill_token_local(std::uint64_t seed, std::int64_t pos,
               dst.size() * sizeof(half));
 }
 
-void Engine::fold_digest(Session& s, std::span<const half> bytes) {
-  s.digest = fnv1a64(bytes.data(), bytes.size_bytes(), s.digest);
-}
-
 void Engine::fold_output_row(Session& s, std::int64_t pos,
                              std::span<const half> digest_row,
                              std::span<const half> raw_row) {
-  fold_digest(s, digest_row);
+  s.digest = fnv1a64(digest_row.data(), digest_row.size_bytes(), s.digest);
   if (on_output_row) on_output_row(s.request.id, pos, raw_row);
 }
 
@@ -201,139 +197,19 @@ void Engine::maybe_publish_prefix(Session& s) {
                        s.template_page_digest_ok);
 }
 
-double Engine::run_prefills(const std::vector<SessionId>& ids,
-                            StepOutcome& outcome) {
-  if (ids.empty()) return 0;
-  telemetry::count("serve.requests.admitted",
-                   static_cast<std::int64_t>(ids.size()));
-  // One ragged varlen launch per mask kind, preserving admission order.
-  std::vector<std::pair<masks::PatternKind, std::vector<SessionId>>> groups;
-  for (const auto id : ids) {
-    const auto kind = table_.at(id).request.mask_kind;
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const auto& g) { return g.first == kind; });
-    if (it == groups.end()) {
-      groups.emplace_back(kind, std::vector<SessionId>{id});
-    } else {
-      it->second.push_back(id);
-    }
-  }
-
-  const std::int64_t heads = config_.heads;
-  const std::int64_t d = config_.head_size;
-  const std::int64_t seq = config_.max_seq_len;
-  std::vector<half> tok(static_cast<std::size_t>(heads * d));
-  double us = 0;
-
-  for (const auto& [kind, group] : groups) {
-    const auto n = static_cast<std::int64_t>(group.size());
-    const mha::MhaDims dims{n, heads, seq, d};
-    TensorH q(dims.qkv_shape()), k(dims.qkv_shape()), v(dims.qkv_shape());
-    std::vector<std::int64_t> lengths;
-    lengths.reserve(group.size());
-    for (std::int64_t b = 0; b < n; ++b) {
-      const Session& s = table_.at(group[static_cast<std::size_t>(b)]);
-      const std::int64_t len = s.total_len();
-      lengths.push_back(len);
-      for (std::int64_t pos = 0; pos < len; ++pos) {
-        for (int ch = 0; ch < 3; ++ch) {
-          TensorH& dst = ch == 0 ? q : (ch == 1 ? k : v);
-          fill_token_local(token_seed(s.request, pos), pos,
-                           static_cast<TokenChannel>(ch), tok);
-          for (std::int64_t h = 0; h < heads; ++h) {
-            std::memcpy(&dst.at(b * heads + h, pos, 0), &tok[static_cast<
-                            std::size_t>(h * d)],
-                        static_cast<std::size_t>(d) * sizeof(half));
-          }
-        }
-      }
-    }
-    const masks::Mask& mask = mask_for(kind);
-    const mha::VarlenBatch batch{seq, lengths};
-    const TensorH out = mha::varlen_attention(dims, q, k, v, mask, batch,
-                                              config_.prefill_params);
-    us += stream_.launch(
-        "serve.prefill",
-        mha::varlen_cost(dims, mask, batch, config_.prefill_params,
-                         config_.device));
-
-    for (std::int64_t b = 0; b < n; ++b) {
-      const SessionId id = group[static_cast<std::size_t>(b)];
-      Session& s = table_.at(id);
-      const std::int64_t len = s.total_len();
-      // Ingest the context into the KV pool (admission reserved blocks).
-      for (std::int64_t pos = 0; pos < len; ++pos) {
-        auto slot = pool_.append_token(id);
-        STOF_CHECK(slot.has_value(), "admission must reserve prefill blocks");
-        for (std::int64_t h = 0; h < heads; ++h) {
-          std::memcpy(slot->k + h * d, &k.at(b * heads + h, pos, 0),
-                      static_cast<std::size_t>(d) * sizeof(half));
-          std::memcpy(slot->v + h * d, &v.at(b * heads + h, pos, 0),
-                      static_cast<std::size_t>(d) * sizeof(half));
-        }
-      }
-      s.cached_tokens = len;
-      // Prompt outputs are digested exactly once, in position order; a
-      // resumed session's re-prefill recomputes the same bits but must not
-      // re-fold the positions already in the digest.  The undigested rows
-      // gather into one contiguous batch so the model head (when active)
-      // transforms them in a single pass; the raw attention rows still
-      // feed the shard hook.
-      const std::int64_t hd = heads * d;
-      const std::int64_t fold_begin = s.prompt_digested_tokens;
-      const std::int64_t fold_n = s.request.prompt_len - fold_begin;
-      if (fold_n > 0) {
-        std::vector<half> raw(static_cast<std::size_t>(fold_n * hd));
-        for (std::int64_t j = 0; j < fold_n; ++j) {
-          const std::int64_t pos = fold_begin + j;
-          for (std::int64_t h = 0; h < heads; ++h) {
-            std::memcpy(&raw[static_cast<std::size_t>(j * hd + h * d)],
-                        out.data()
-                            .subspan(static_cast<std::size_t>(
-                                         ((b * heads + h) * seq + pos) * d),
-                                     static_cast<std::size_t>(d))
-                            .data(),
-                        static_cast<std::size_t>(d) * sizeof(half));
-          }
-        }
-        const TensorH folded = transform_for_digest(raw, fold_n);
-        for (std::int64_t j = 0; j < fold_n; ++j) {
-          const std::int64_t pos = fold_begin + j;
-          const std::span<const half> raw_row{
-              raw.data() + j * hd, static_cast<std::size_t>(hd)};
-          const std::span<const half> dig_row =
-              folded.data().empty()
-                  ? raw_row
-                  : folded.data().subspan(static_cast<std::size_t>(j * hd),
-                                          static_cast<std::size_t>(hd));
-          fold_output_row(s, pos, dig_row, raw_row);
-          capture_template_digest(s, pos);
-        }
-      }
-      s.prompt_digested_tokens = s.request.prompt_len;
-      maybe_publish_prefix(s);
-      s.phase = SessionPhase::kDecoding;
-      s.last_touch_step = step_count_;
-      stats_.prefill_tokens += len;
-      outcome.prefill_tokens += len;
-      telemetry::count("serve.prefill.tokens", len);
-    }
-  }
-  return us;
-}
-
-double Engine::run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
-                                  StepOutcome& outcome) {
-  if (chunks.empty()) return 0;
+double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
+                                   StepOutcome& outcome) {
+  if (windows.empty()) return 0;
   // One ragged varlen launch per mask kind, preserving plan order.  Each
-  // chunk is an element of length `end` with query window [begin, end):
+  // window is an element of length `end` with query window [begin, end):
   // the kernel runs only the block rows covering the window, against the
   // same effective mask a one-shot prefill of length `end` would use —
   // every window row's streaming-softmax chain is identical to the
   // one-shot pass, which is what keeps chunked KV pages and digests
-  // bit-identical to whole prefills.
+  // bit-identical to whole prefills.  A whole prefill is the window
+  // [cached, total), so it too is charged only for the rows it serves.
   std::vector<std::pair<masks::PatternKind, std::vector<PrefillChunk>>> groups;
-  for (const auto& chunk : chunks) {
+  for (const auto& chunk : windows) {
     const auto kind = table_.at(chunk.id).request.mask_kind;
     auto it = std::find_if(groups.begin(), groups.end(),
                            [&](const auto& g) { return g.first == kind; });
@@ -368,23 +244,16 @@ double Engine::run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
       // kernel reads: the window, extended down to its block boundary.
       const std::int64_t q_lo = (chunk.begin / bm) * bm;
       for (std::int64_t pos = 0; pos < chunk.end; ++pos) {
-        for (int ch = 1; ch < 3; ++ch) {
-          TensorH& dst = ch == 1 ? k : v;
+        // Channels in TokenChannel order: query (window rows only), K, V.
+        for (int ch = pos < q_lo ? 1 : 0; ch < 3; ++ch) {
           fill_token_local(token_seed(s.request, pos), pos,
                            static_cast<TokenChannel>(ch), tok);
+          TensorH& dst = ch == 0 ? q : (ch == 1 ? k : v);
           for (std::int64_t h = 0; h < heads; ++h) {
             std::memcpy(&dst.at(b * heads + h, pos, 0),
                         &tok[static_cast<std::size_t>(h * d)],
                         static_cast<std::size_t>(d) * sizeof(half));
           }
-        }
-        if (pos < q_lo) continue;
-        fill_token_local(token_seed(s.request, pos), pos,
-                         TokenChannel::kQuery, tok);
-        for (std::int64_t h = 0; h < heads; ++h) {
-          std::memcpy(&q.at(b * heads + h, pos, 0),
-                      &tok[static_cast<std::size_t>(h * d)],
-                      static_cast<std::size_t>(d) * sizeof(half));
         }
       }
     }
@@ -402,11 +271,6 @@ double Engine::run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
       Session& s = table_.at(chunk.id);
       STOF_CHECK(s.cached_tokens == chunk.begin,
                  "chunk must resume at the session's cached prefix");
-      // A session admitted with an adopted shared prefix starts chunking at
-      // the adoption boundary, not zero.
-      if (chunk.begin == s.adopted_tokens) {
-        telemetry::count("serve.requests.admitted");
-      }
       // Ingest the chunk's positions into the KV pool (the scheduler sized
       // the chunk to the blocks available this step).
       for (std::int64_t pos = chunk.begin; pos < chunk.end; ++pos) {
@@ -423,9 +287,9 @@ double Engine::run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
       // Fold the chunk's prompt rows exactly once, in position order.  A
       // re-prefilled chunk (preempt mid-prefill, or a preempted decoder
       // rebuilding context past its prompt) recomputes rows already
-      // folded; they are skipped, never re-folded.  As in run_prefills,
-      // the rows batch up for one model-head pass; per-row purity of the
-      // head keeps chunked digests byte-identical to whole prefills.
+      // folded; they are skipped, never re-folded.  The rows batch up for
+      // one model-head pass; per-row purity of the head keeps chunked
+      // digests byte-identical to whole prefills.
       const std::int64_t hd = heads * d;
       const std::int64_t fold_end =
           std::min(chunk.end, s.request.prompt_len);
@@ -470,10 +334,7 @@ double Engine::run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
       s.last_touch_step = step_count_;
       stats_.prefill_tokens += chunk.tokens();
       outcome.prefill_tokens += chunk.tokens();
-      ++stats_.prefill_chunks;
       telemetry::count("serve.prefill.tokens", chunk.tokens());
-      telemetry::count("serve.sched.chunks_emitted");
-      telemetry::count("serve.sched.chunk_tokens", chunk.tokens());
     }
   }
   return us;
@@ -493,90 +354,8 @@ void Engine::commit_decoded(SessionId id, std::int64_t committed,
   }
 }
 
-double Engine::run_decodes(const std::vector<SessionId>& ids,
-                           StepOutcome& outcome) {
-  if (ids.empty()) return 0;
-  const std::int64_t heads = config_.heads;
-  const std::int64_t d = config_.head_size;
-  const auto n = static_cast<std::int64_t>(ids.size());
-
-  TensorH q(Shape{n * heads, 1, d});
-  std::vector<mha::PagedSeq> seqs(ids.size());
-  std::vector<std::int64_t> valid;
-  valid.reserve(ids.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const SessionId id = ids[static_cast<std::size_t>(i)];
-    Session& s = table_.at(id);
-    const std::int64_t pos = s.total_len();
-    auto slot = pool_.append_token(id);
-    STOF_CHECK(slot.has_value(), "scheduler must reserve decode blocks");
-    fill_token_local(s.request.seed, pos, TokenChannel::kKey,
-                     {slot->k, static_cast<std::size_t>(heads * d)});
-    fill_token_local(s.request.seed, pos, TokenChannel::kValue,
-                     {slot->v, static_cast<std::size_t>(heads * d)});
-    s.cached_tokens = pos + 1;
-    fill_token_local(s.request.seed, pos, TokenChannel::kQuery,
-                     q.data().subspan(static_cast<std::size_t>(i * heads * d),
-                                      static_cast<std::size_t>(heads * d)));
-    const auto& cols = cols_for(s.request.mask_kind, pos);
-    mha::PagedSeq& seq = seqs[static_cast<std::size_t>(i)];
-    seq = mha::PagedSeq{pos + 1, config_.block_tokens, pool_.k_blocks(id),
-                        pool_.v_blocks(id), cols};
-    if (packed_execution_enabled()) {
-      if (config_.kv_precision == core::PanelPrecision::kInt8) {
-        // INT8 sidecar: quantize only the newly appended rows (quantize-
-        // once per page generation) and let the decode kernel run int8
-        // dot products against the code pages.
-        pool_.ensure_int8_panels(id);
-        seq.k8_blocks = pool_.k_int8_blocks(id);
-        seq.v8_blocks = pool_.v_int8_blocks(id);
-        seq.k8_scales = pool_.k_int8_scales(id);
-        seq.v8_scales = pool_.v_int8_scales(id);
-      } else {
-        // Bring the pool's float-panel sidecar up to date (only the newly
-        // appended rows convert — everything older is already cached) and
-        // let the decode kernel read FP32 pages directly.
-        pool_.ensure_float_panels(id);
-        seq.kf_blocks = pool_.k_float_blocks(id);
-        seq.vf_blocks = pool_.v_float_blocks(id);
-      }
-    }
-    valid.push_back(static_cast<std::int64_t>(cols.size()));
-  }
-
-  const TensorH out = mha::decode_attention_paged(heads, d, seqs, q);
-  const double us = stream_.launch(
-      "serve.decode",
-      mha::decode_batched_cost(heads, d, valid, config_.device));
-
-  // One model-head pass over the whole decode batch (out is n contiguous
-  // heads*d rows); the hooks still see the raw attention rows.
-  const std::int64_t hd = heads * d;
-  const TensorH folded = transform_for_digest(out.data(), n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const SessionId id = ids[static_cast<std::size_t>(i)];
-    Session& s = table_.at(id);
-    const std::int64_t pos = s.total_len();
-    const auto out_row =
-        out.data().subspan(static_cast<std::size_t>(i * hd),
-                           static_cast<std::size_t>(hd));
-    const auto dig_row =
-        folded.data().empty()
-            ? out_row
-            : folded.data().subspan(static_cast<std::size_t>(i * hd),
-                                    static_cast<std::size_t>(hd));
-    if (on_decode_output) on_decode_output(id, pos, out_row);
-    fold_output_row(s, pos, dig_row, out_row);
-    commit_decoded(id, 1, outcome);
-  }
-  stats_.decode_tokens += n;
-  outcome.decode_rows += n;
-  telemetry::count("serve.decode.tokens", n);
-  return us;
-}
-
-double Engine::run_decodes_spec(const std::vector<SessionId>& ids,
-                                StepOutcome& outcome) {
+double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
+                                 StepOutcome& outcome) {
   if (ids.empty()) return 0;
   const std::int64_t heads = config_.heads;
   const std::int64_t d = config_.head_size;
@@ -586,7 +365,9 @@ double Engine::run_decodes_spec(const std::vector<SessionId>& ids,
   // 1..rows-1 are draft proposals.  The accepted run is the leading stretch
   // of drafts whose per-position coin says the draft matched the true
   // stream; accepted rows carry the true token bits (the draft *was* the
-  // true token), rejected rows carry a salted embedding.
+  // true token), rejected rows carry a salted embedding.  Without drafts
+  // (k == 0) every round is the plain decode of one token: rows == 1,
+  // accept == 0, the unsalted seed, and no draft launch.
   struct Round {
     SessionId id = 0;
     std::int64_t pos = 0;     ///< position of row 0 (the true token)
@@ -625,7 +406,11 @@ double Engine::run_decodes_spec(const std::vector<SessionId>& ids,
   }
 
   std::int64_t total_rows = 0;
-  for (const auto& r : rounds) total_rows += r.rows;
+  std::int64_t committed = 0;
+  for (const auto& r : rounds) {
+    total_rows += r.rows;
+    committed += r.accept + 1;
+  }
   TensorH q(Shape{total_rows * heads, 1, d});
   std::vector<mha::PagedSeq> seqs(static_cast<std::size_t>(total_rows));
   std::vector<std::int64_t> valid, seq_rows, draft_valid;
@@ -634,13 +419,11 @@ double Engine::run_decodes_spec(const std::vector<SessionId>& ids,
   std::int64_t row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
-    if (packed_execution_enabled()) {
-      if (config_.kv_precision == core::PanelPrecision::kInt8) {
-        pool_.ensure_int8_panels(r.id);
-      } else {
-        pool_.ensure_float_panels(r.id);
-      }
-    }
+    // The packed path reads the pool's sidecar tier: only the rows appended
+    // since the last refresh convert, everything older is already cached.
+    const mha::KvSidecar sidecar =
+        packed_execution_enabled() ? pool_.sidecar(r.id, config_.kv_precision)
+                                   : mha::KvSidecar{};
     for (std::int64_t j = 0; j < r.rows; ++j, ++row) {
       const std::int64_t pos = r.pos + j;
       const std::uint64_t seed = j <= r.accept
@@ -654,20 +437,9 @@ double Engine::run_decodes_spec(const std::vector<SessionId>& ids,
       // the same pages but are never in its column list, so an accepted
       // row's output is bit-identical to the sequential decode of pos.
       const auto& cols = cols_for(s.request.mask_kind, pos);
-      mha::PagedSeq& seq = seqs[static_cast<std::size_t>(row)];
-      seq = mha::PagedSeq{pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
-                          pool_.v_blocks(r.id), cols};
-      if (packed_execution_enabled()) {
-        if (config_.kv_precision == core::PanelPrecision::kInt8) {
-          seq.k8_blocks = pool_.k_int8_blocks(r.id);
-          seq.v8_blocks = pool_.v_int8_blocks(r.id);
-          seq.k8_scales = pool_.k_int8_scales(r.id);
-          seq.v8_scales = pool_.v_int8_scales(r.id);
-        } else {
-          seq.kf_blocks = pool_.k_float_blocks(r.id);
-          seq.vf_blocks = pool_.v_float_blocks(r.id);
-        }
-      }
+      seqs[static_cast<std::size_t>(row)] = mha::PagedSeq{
+          pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
+          pool_.v_blocks(r.id), cols, sidecar};
       valid.push_back(static_cast<std::int64_t>(cols.size()));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {
@@ -680,68 +452,59 @@ double Engine::run_decodes_spec(const std::vector<SessionId>& ids,
   const TensorH out = mha::decode_attention_paged(heads, d, seqs, q);
   double us = 0;
   if (!draft_valid.empty()) {
+    const std::vector<std::int64_t> one_row_each(draft_valid.size(), 1);
     us += stream_.launch(
         "serve.spec.draft",
-        mha::decode_batched_cost(config_.spec_draft_heads, d, draft_valid,
-                                 config_.device));
+        mha::decode_verify_cost(config_.spec_draft_heads, d, draft_valid,
+                                one_row_each, config_.device));
   }
   us += stream_.launch(
       "serve.decode",
       mha::decode_verify_cost(heads, d, valid, seq_rows, config_.device));
 
-  // Gather every committed row into one model-head batch (rejected rows
-  // roll back and never fold); fold_slot maps a global verify row to its
-  // slot in the transformed batch.  Committed rows are bit-identical to
-  // plain decode rows, and the head is per-row pure, so speculative
-  // digests stay byte-identical to non-speculative runs.
-  const std::int64_t hd = heads * d;
+  // Every committed row enters one model-head batch, in row order;
+  // rejected rows roll back and never fold.  A round's committed rows are
+  // its leading ones, so with no rejected row (always, without drafts) the
+  // batch is `out` itself, and otherwise a copy of each round's leading
+  // run.  Committed rows are bit-identical to plain decode rows, and the
+  // head is per-row pure, so speculative digests stay byte-identical to
+  // non-speculative runs.
+  const auto hd = static_cast<std::size_t>(heads * d);
   TensorH folded;
-  std::vector<std::int64_t> fold_slot;
-  if (model_digest_active()) {
-    fold_slot.assign(static_cast<std::size_t>(total_rows), -1);
-    std::int64_t r0 = 0;
-    std::int64_t nfold = 0;
+  if (committed == total_rows) {
+    folded = transform_for_digest(out.data(), total_rows);
+  } else if (model_digest_active()) {
+    std::vector<half> raw;
+    raw.reserve(static_cast<std::size_t>(committed) * hd);
+    row = 0;
     for (const auto& r : rounds) {
-      for (std::int64_t j = 0; j <= r.accept; ++j) {
-        fold_slot[static_cast<std::size_t>(r0 + j)] = nfold++;
-      }
-      r0 += r.rows;
+      const auto lead =
+          out.data().subspan(static_cast<std::size_t>(row) * hd,
+                             static_cast<std::size_t>(r.accept + 1) * hd);
+      raw.insert(raw.end(), lead.begin(), lead.end());
+      row += r.rows;
     }
-    std::vector<half> raw(static_cast<std::size_t>(nfold * hd));
-    for (std::int64_t g = 0; g < total_rows; ++g) {
-      const std::int64_t slot = fold_slot[static_cast<std::size_t>(g)];
-      if (slot < 0) continue;
-      std::memcpy(&raw[static_cast<std::size_t>(slot * hd)],
-                  out.data().data() + g * hd,
-                  static_cast<std::size_t>(hd) * sizeof(half));
-    }
-    folded = transform_for_digest(raw, nfold);
+    folded = transform_for_digest(raw, committed);
   }
 
-  std::int64_t committed = 0, drafted = 0, accepted = 0, rollbacks = 0;
+  std::int64_t drafted = 0, accepted = 0, rollbacks = 0;
+  std::size_t fold_row = 0;  ///< committed-row index into `folded`
   row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
     const std::int64_t commit = r.accept + 1;
-    for (std::int64_t j = 0; j < commit; ++j) {
-      const auto out_row = out.data().subspan(
-          static_cast<std::size_t>((row + j) * hd),
-          static_cast<std::size_t>(hd));
-      const auto dig_row =
-          folded.data().empty()
-              ? out_row
-              : folded.data().subspan(
-                    static_cast<std::size_t>(
-                        fold_slot[static_cast<std::size_t>(row + j)] * hd),
-                    static_cast<std::size_t>(hd));
-      if (on_decode_output) on_decode_output(r.id, r.pos + j, out_row);
+    for (std::int64_t j = 0; j < commit; ++j, ++fold_row) {
+      const auto out_row =
+          out.data().subspan(static_cast<std::size_t>(row + j) * hd, hd);
+      const auto dig_row = folded.data().empty()
+                               ? out_row
+                               : folded.data().subspan(fold_row * hd, hd);
       fold_output_row(s, r.pos + j, dig_row, out_row);
     }
     row += r.rows;
     if (commit < r.rows) pool_.truncate(r.id, r.pos + commit);
     s.cached_tokens = r.pos + commit;
     commit_decoded(r.id, commit, outcome);
-    committed += commit;
     drafted += r.rows - 1;
     accepted += r.accept;
     rollbacks += r.rows - commit;
@@ -770,27 +533,30 @@ std::optional<StepOutcome> Engine::execute_step() {
                      static_cast<std::int64_t>(plan.evicted.size()));
   }
 
-  // A whole-prefill admission that adopted a shared prefix only computes
-  // the unshared suffix: route it through the chunked path as one
-  // [cached, total) window, whose kernel rows and digest folds resume
-  // exactly where the adoption left off.
-  std::vector<SessionId> fresh;
+  // Every prefill runs as a query window: a whole-prefill admission is the
+  // window [cached, total) — [0, total) when fresh, the unshared suffix
+  // when it adopted a shared prefix — and a chunk is its own window.
+  // Admission and chunk counters follow the plan, not the runner.
   std::vector<PrefillChunk> windows;
+  windows.reserve(plan.prefills.size() + plan.chunks.size());
   for (const SessionId id : plan.prefills) {
     const Session& s = table_.at(id);
-    if (s.cached_tokens > 0) {
-      windows.push_back(PrefillChunk{id, s.cached_tokens, s.total_len()});
-    } else {
-      fresh.push_back(id);
-    }
+    windows.push_back(PrefillChunk{id, s.cached_tokens, s.total_len()});
   }
+  std::int64_t admitted = static_cast<std::int64_t>(plan.prefills.size());
+  for (const auto& chunk : plan.chunks) {
+    // A session admitted with an adopted shared prefix starts chunking at
+    // the adoption boundary, not zero.
+    if (chunk.begin == table_.at(chunk.id).adopted_tokens) ++admitted;
+    ++stats_.prefill_chunks;
+    telemetry::count("serve.sched.chunks_emitted");
+    telemetry::count("serve.sched.chunk_tokens", chunk.tokens());
+  }
+  if (admitted > 0) telemetry::count("serve.requests.admitted", admitted);
   windows.insert(windows.end(), plan.chunks.begin(), plan.chunks.end());
 
-  double us = run_prefills(fresh, outcome);
-  us += run_prefill_chunks(windows, outcome);
-  us += config_.spec_draft_tokens > 0
-            ? run_decodes_spec(plan.decodes, outcome)
-            : run_decodes(plan.decodes, outcome);
+  double us = run_prefill_windows(windows, outcome);
+  us += run_decode_rounds(plan.decodes, outcome);
   // Model execution: the step's activation rows (prefill tokens + decode
   // rows, one packed batch in a real server) run the per-layer non-MHA
   // pipeline — charged tuned-fused or launch-per-op onto this stream.
@@ -845,18 +611,7 @@ void Engine::finalize_step(const StepOutcome& outcome, double step_us) {
   telemetry::observe("serve.kv.used_blocks",
                      static_cast<double>(pool_.used_blocks()));
 
-  if (on_step) {
-    StepEvent ev;
-    ev.step = step_count_ - 1;
-    ev.start_us = outcome.start_us;
-    ev.duration_us = step_us;
-    ev.evicted = outcome.evicted;
-    ev.prefills = outcome.prefills;
-    ev.chunks = outcome.chunks;
-    ev.decodes = outcome.decodes;
-    ev.kv_used_blocks = pool_.used_blocks();
-    on_step(ev);
-  }
+  if (on_step) on_step(outcome, step_count_ - 1, step_us, pool_.used_blocks());
 }
 
 bool Engine::step() {

@@ -2,12 +2,15 @@
 //
 // The engine owns the session table, the paged KV pool, a scheduler, and a
 // gpusim::Stream, and advances in discrete steps.  Each step executes the
-// scheduler's plan with the library's real kernels:
-//   * admitted prefills are packed per mask kind into one ragged
-//     mha::varlen_attention batch (one "serve.prefill" launch per kind);
-//   * every active session decodes one token through a single batched
-//     mha::decode_attention_paged call over the KV pool's pages (one
-//     "serve.decode" launch).
+// scheduler's plan with the library's real kernels, one path per phase:
+//   * every prefill — a whole admission or a chunk — is a query window
+//     [begin, end) of its session's context, packed per mask kind into one
+//     ragged mha::varlen_attention batch (one "serve.prefill" launch per
+//     kind) and charged for the window's rows only;
+//   * every decoding session runs one verify round — its true token plus
+//     any speculative drafts, so plain decode is a round with zero drafts —
+//     through a single batched mha::decode_attention_paged call over the
+//     KV pool's pages (one "serve.decode" launch).
 // The engine clock is *simulated* time: it advances by the Stream's
 // estimate of each step's launches, so throughput and latency numbers are
 // deterministic functions of the trace and the device model — the repo's
@@ -80,7 +83,7 @@ struct EngineConfig {
   /// launch.  The longest accepted draft prefix plus the guaranteed true
   /// token commit; rejected KV slots roll back exactly (KvPool::truncate),
   /// so per-session outputs and digests are byte-identical to plain
-  /// decoding.  0 disables (the legacy decode path, bit-for-bit).
+  /// decoding.  0 disables drafting: every round is one true token.
   std::int64_t spec_draft_tokens = 0;
   std::int64_t spec_draft_heads = 1;
   std::int64_t spec_draft_window = 64;
@@ -128,18 +131,6 @@ struct EngineConfig {
   }
 };
 
-/// Per-step notification for observers (examples, debugging).
-struct StepEvent {
-  std::int64_t step = 0;
-  double start_us = 0;     ///< sim clock when the step began
-  double duration_us = 0;  ///< simulated time of the step's launches
-  std::vector<SessionId> evicted;
-  std::vector<SessionId> prefills;
-  std::vector<PrefillChunk> chunks;  ///< chunked-prefill slices this step
-  std::vector<SessionId> decodes;
-  std::int64_t kv_used_blocks = 0;
-};
-
 /// Everything one executed (but not yet finalized) step produced: the
 /// plan that ran, the device's simulated kernel time, and the session
 /// transitions that must be stamped once the step's *cluster-wide*
@@ -147,7 +138,8 @@ struct StepEvent {
 /// device time; cluster::Cluster executes every shard first, prices the
 /// step's collectives, and finalizes all shards with the common
 /// max(device times) + collective time — reusing this one accounting path
-/// instead of copy-pasting a fourth per-step time/stats variant.
+/// instead of copy-pasting a fourth per-step time/stats variant.  The
+/// finalized outcome is also what Engine::on_step observers receive.
 struct StepOutcome {
   double start_us = 0;  ///< sim clock when the step began
   double us = 0;        ///< this device's simulated kernel time
@@ -195,7 +187,7 @@ class Engine {
   /// Second half of step(): advance the clock by `step_us` (the cluster-
   /// wide step duration — for a lone engine just `outcome.us`), stamp
   /// first-token / finish / deadline statistics, and emit step telemetry
-  /// and the on_step event.
+  /// and the on_step notification.
   void finalize_step(const StepOutcome& outcome, double step_us);
 
   /// Run steps until no work remains.
@@ -225,15 +217,12 @@ class Engine {
   /// has no model.
   [[nodiscard]] ModelRuntime* model_runtime() { return model_.get(); }
 
-  /// Invoked after every executed step (not for empty plans).
-  std::function<void(const StepEvent&)> on_step;
-
-  /// Invoked for every decoded token's attention output (heads * head_size
-  /// halfs, position = the decoded token's index) as it is folded into the
-  /// session digest.  Benchmarks use it to measure the INT8 KV tier's
-  /// output error against an FP32 reference run of the same trace.
-  std::function<void(SessionId, std::int64_t, std::span<const half>)>
-      on_decode_output;
+  /// Invoked after every executed step (not for empty plans) with the
+  /// step's outcome, its index, its duration (the `step_us` it was
+  /// finalized with) and the KV blocks in use after it.
+  std::function<void(const StepOutcome&, std::int64_t step,
+                     double duration_us, std::int64_t kv_used_blocks)>
+      on_step;
 
   /// Invoked for EVERY attention-output row (prefill and decode alike) at
   /// the exact point it is folded into the session digest, in fold order:
@@ -257,25 +246,22 @@ class Engine {
   /// bytes equal heads [head_offset, ...) of a single-device run.
   void fill_token_local(std::uint64_t seed, std::int64_t pos,
                         TokenChannel channel, std::span<half> dst);
-  double run_prefills(const std::vector<SessionId>& ids,
-                      StepOutcome& outcome);
-  double run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
-                            StepOutcome& outcome);
-  double run_decodes(const std::vector<SessionId>& ids,
-                     StepOutcome& outcome);
-  /// Draft-and-verify decode round (spec_draft_tokens > 0): every selected
-  /// session appends its true token plus up to k draft slots and all rows
-  /// verify in one batched paged-decode launch; the longest accepted
-  /// prefix commits, the rest rolls back via KvPool::truncate.
-  double run_decodes_spec(const std::vector<SessionId>& ids,
-                          StepOutcome& outcome);
-  /// Shared post-decode bookkeeping for the plain and speculative paths:
-  /// count the committed tokens, stamp last_touch, and record first-token
-  /// / completion transitions into `outcome` (times are stamped later by
-  /// finalize_step, once the step's full duration is known).
+  /// Prefill every window [begin, end): ingest its K/V rows into the pool
+  /// and fold its prompt rows into the session digest exactly once.
+  double run_prefill_windows(const std::vector<PrefillChunk>& windows,
+                             StepOutcome& outcome);
+  /// One verify round per decoding session: it appends its true token
+  /// plus up to spec_draft_tokens draft slots and all rows verify in one
+  /// batched paged-decode launch; the longest accepted prefix commits, the
+  /// rest rolls back via KvPool::truncate.
+  double run_decode_rounds(const std::vector<SessionId>& ids,
+                           StepOutcome& outcome);
+  /// Post-round bookkeeping: count the committed tokens, stamp
+  /// last_touch, and record first-token / completion transitions into
+  /// `outcome` (times are stamped later by finalize_step, once the step's
+  /// full duration is known).
   void commit_decoded(SessionId id, std::int64_t committed,
                       StepOutcome& outcome);
-  void fold_digest(Session& s, std::span<const half> bytes);
   /// Fold one attention-output row (position `pos`, local heads wide):
   /// `digest_row` enters the session digest, `raw_row` (the untransformed
   /// attention output) fires the on_output_row shard hook — the cluster

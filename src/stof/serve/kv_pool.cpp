@@ -264,9 +264,9 @@ bool KvPool::cow_tail(SessionBlocks& sb) {
   sb.k_ptrs.back() = k_base(fresh);
   sb.v_ptrs.back() = v_base(fresh);
   sb.cow_pending = false;
-  // Sidecar state for the tail page is per-ensure anyway: the tail is
-  // partial, so converted_blocks/_i8 never cover it and the next ensure
-  // re-resolves the page under the fresh block's key.
+  // Sidecar state for the tail page is per-refresh anyway: the tail is
+  // partial, so neither tier's converted_blocks covers it and the next
+  // sidecar() call re-resolves the page under the fresh block's key.
   peak_used_ = std::max(peak_used_, used_blocks());
   telemetry::count("serve.prefix.cow_copies", 1);
   return true;
@@ -422,24 +422,9 @@ void KvPool::truncate(SessionId id, std::int64_t new_tokens) {
     sb.k_ptrs.pop_back();
     sb.v_ptrs.pop_back();
   }
-  const auto clamp = [keep](auto& v) {
-    if (static_cast<std::int64_t>(v.size()) > keep) {
-      v.resize(static_cast<std::size_t>(keep));
-    }
-  };
-  clamp(sb.kf_ptrs);
-  clamp(sb.vf_ptrs);
-  clamp(sb.kf_refs);
-  clamp(sb.vf_refs);
-  clamp(sb.k8_ptrs);
-  clamp(sb.v8_ptrs);
-  clamp(sb.k8_scale_ptrs);
-  clamp(sb.v8_scale_ptrs);
-  clamp(sb.k8_refs);
-  clamp(sb.v8_refs);
   const std::int64_t full = new_tokens / config_.block_tokens;
-  sb.converted_blocks = std::min(sb.converted_blocks, full);
-  sb.converted_blocks_i8 = std::min(sb.converted_blocks_i8, full);
+  sb.f32.truncate(keep, full);
+  sb.i8.truncate(keep, full);
   sb.tokens = new_tokens;
   if (new_tokens % config_.block_tokens != 0) {
     // The surviving tail lost rows; future appends rewrite them with
@@ -513,89 +498,40 @@ std::span<const half* const> KvPool::v_blocks(SessionId id) const {
   return it->second.v_ptrs;
 }
 
-void KvPool::ensure_float_panels(SessionId id) {
+mha::KvSidecar KvPool::sidecar(SessionId id, core::PanelPrecision tier) {
   const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return;
-  SessionBlocks& sb = it->second;
-  const std::int64_t bt = config_.block_tokens;
-  const std::int64_t block_elems = config_.block_elems();
-  const auto nblocks = static_cast<std::int64_t>(sb.block_ids.size());
-  sb.kf_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.vf_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.kf_refs.resize(static_cast<std::size_t>(nblocks));
-  sb.vf_refs.resize(static_cast<std::size_t>(nblocks));
-  std::int64_t sidecar_elems = 0;
-  // Leading `converted_blocks` pages are full and pinned — their half rows
-  // can no longer change while this session holds them, so only the tail
-  // (partially filled or newly allocated pages) is visited.  This is the
-  // skip-prefix step that makes per-decode conversion O(new rows).
-  for (std::int64_t p = sb.converted_blocks; p < nblocks; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    const std::int32_t block = sb.block_ids[pi];
-    const auto bi = static_cast<std::size_t>(block);
-    const std::int64_t filled = std::min(bt, sb.tokens - p * bt);
-    const std::int64_t valid =
-        filled * config_.heads * config_.head_size;
-    const half* ks = k_base(block);
-    const half* vs = v_base(block);
-    const auto k_convert = [ks](std::int64_t lo, std::int64_t hi,
-                                float* dst) {
-      packed::half_to_float({ks + lo, static_cast<std::size_t>(hi - lo)},
-                            {dst + lo, static_cast<std::size_t>(hi - lo)});
-    };
-    const auto v_convert = [vs](std::int64_t lo, std::int64_t hi,
-                                float* dst) {
-      packed::half_to_float({vs + lo, static_cast<std::size_t>(hi - lo)},
-                            {dst + lo, static_cast<std::size_t>(hi - lo)});
-    };
-    sb.kf_refs[pi] = registry_->get_or_convert(
-        {k_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
-        valid, k_convert);
-    sb.vf_refs[pi] = registry_->get_or_convert(
-        {v_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
-        valid, v_convert);
-    sb.kf_ptrs[pi] = sb.kf_refs[pi].data();
-    sb.vf_ptrs[pi] = sb.vf_refs[pi].data();
-    sidecar_elems += sb.kf_refs[pi].converted_elems +
-                     sb.vf_refs[pi].converted_elems;
-  }
-  // Decode-sidecar traffic alone (prefill panels excluded): float views
-  // write 2 bytes/elem, mirroring exec.panelcache.bytes_converted units.
-  if (sidecar_elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted", 2 * sidecar_elems);
-  }
-  while (sb.converted_blocks < nblocks &&
-         (sb.converted_blocks + 1) * bt <= sb.tokens) {
-    ++sb.converted_blocks;
-  }
-}
-
-void KvPool::ensure_int8_panels(SessionId id) {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return;
+  if (it == by_session_.end()) return {};
   SessionBlocks& sb = it->second;
   const std::int64_t bt = config_.block_tokens;
   const std::int64_t block_elems = config_.block_elems();
   const std::int64_t row = config_.heads * config_.head_size;
   const auto nblocks = static_cast<std::int64_t>(sb.block_ids.size());
-  sb.k8_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.v8_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.k8_scale_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.v8_scale_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.k8_refs.resize(static_cast<std::size_t>(nblocks));
-  sb.v8_refs.resize(static_cast<std::size_t>(nblocks));
-  std::int64_t sidecar_elems = 0;
-  // Same skip-prefix scheme as the float sidecar.  One scale per token row
-  // keeps extension exact: a row's codes never depend on later rows, so
-  // quantize-once over a filling tail page equals a fresh full quantize.
-  for (std::int64_t p = sb.converted_blocks_i8; p < nblocks; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    const std::int32_t block = sb.block_ids[pi];
-    const auto bi = static_cast<std::size_t>(block);
-    const std::int64_t filled = std::min(bt, sb.tokens - p * bt);
-    const std::int64_t valid = filled * row;
-    const half* ks = k_base(block);
-    const half* vs = v_base(block);
+  // Leading `converted_blocks` pages are full and pinned — their half rows
+  // can no longer change while this session holds them, so only the tail
+  // (partially filled or newly allocated pages) is visited.  This is the
+  // skip-prefix step that makes per-decode conversion O(new rows).
+  // `resolve(p, block, valid_elems)` pins page p's panels and
+  // returns the elements it converted.
+  const auto refresh = [&](auto& pages, const auto& resolve) {
+    pages.resize(nblocks);
+    std::int64_t converted = 0;
+    for (std::int64_t p = pages.converted_blocks; p < nblocks; ++p) {
+      const std::int32_t block = sb.block_ids[static_cast<std::size_t>(p)];
+      const std::int64_t filled = std::min(bt, sb.tokens - p * bt);
+      converted += resolve(static_cast<std::size_t>(p), block, filled * row);
+    }
+    while (pages.converted_blocks < nblocks &&
+           (pages.converted_blocks + 1) * bt <= sb.tokens) {
+      ++pages.converted_blocks;
+    }
+    return converted;
+  };
+
+  if (tier == core::PanelPrecision::kInt8) {
+    auto& pages = sb.i8;
+    // One scale per token row keeps extension exact: a row's codes never
+    // depend on later rows, so quantize-once over a filling tail page
+    // equals a fresh full quantize.
     const auto quant = [row](const half* src) {
       return [src, row](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
                         float* scales) {
@@ -603,66 +539,57 @@ void KvPool::ensure_int8_panels(SessionId id) {
                                row, codes + lo, scales + lo / row);
       };
     };
-    sb.k8_refs[pi] = registry_->get_or_convert_int8(
-        {k_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
-        block_gen_[bi], block_elems, valid, row, quant(ks));
-    sb.v8_refs[pi] = registry_->get_or_convert_int8(
-        {v_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
-        block_gen_[bi], block_elems, valid, row, quant(vs));
-    sb.k8_ptrs[pi] = sb.k8_refs[pi].data();
-    sb.v8_ptrs[pi] = sb.v8_refs[pi].data();
-    sb.k8_scale_ptrs[pi] = sb.k8_refs[pi].scale_data();
-    sb.v8_scale_ptrs[pi] = sb.v8_refs[pi].scale_data();
-    sidecar_elems += sb.k8_refs[pi].converted_elems +
-                     sb.v8_refs[pi].converted_elems;
+    const std::int64_t elems = refresh(pages, [&](std::size_t pi,
+                                                  std::int32_t block,
+                                                  std::int64_t valid) {
+      const auto bi = static_cast<std::size_t>(block);
+      pages.k_refs[pi] = registry_->get_or_convert_int8(
+          {k_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
+          block_gen_[bi], block_elems, valid, row, quant(k_base(block)));
+      pages.v_refs[pi] = registry_->get_or_convert_int8(
+          {v_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
+          block_gen_[bi], block_elems, valid, row, quant(v_base(block)));
+      pages.k_ptrs[pi] = pages.k_refs[pi].data();
+      pages.v_ptrs[pi] = pages.v_refs[pi].data();
+      pages.k_scales[pi] = pages.k_refs[pi].scale_data();
+      pages.v_scales[pi] = pages.v_refs[pi].scale_data();
+      return pages.k_refs[pi].converted_elems +
+             pages.v_refs[pi].converted_elems;
+    });
+    // INT8 codes are 1 byte/elem — half the float sidecar's traffic for the
+    // same appended rows, which is the tier's headline saving.
+    if (elems > 0) telemetry::count("serve.kv.sidecar_bytes_converted", elems);
+    return mha::KvInt8Pages{pages.k_ptrs, pages.v_ptrs, pages.k_scales,
+                            pages.v_scales};
   }
-  // INT8 codes are 1 byte/elem — half the float sidecar's traffic for the
-  // same appended rows, which is the tier's headline saving.
-  if (sidecar_elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted", sidecar_elems);
+
+  auto& pages = sb.f32;
+  const auto convert = [](const half* src) {
+    return [src](std::int64_t lo, std::int64_t hi, float* dst) {
+      packed::half_to_float({src + lo, static_cast<std::size_t>(hi - lo)},
+                            {dst + lo, static_cast<std::size_t>(hi - lo)});
+    };
+  };
+  const std::int64_t elems = refresh(pages, [&](std::size_t pi,
+                                                std::int32_t block,
+                                                std::int64_t valid) {
+    const auto bi = static_cast<std::size_t>(block);
+    pages.k_refs[pi] = registry_->get_or_convert(
+        {k_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
+        valid, convert(k_base(block)));
+    pages.v_refs[pi] = registry_->get_or_convert(
+        {v_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
+        valid, convert(v_base(block)));
+    pages.k_ptrs[pi] = pages.k_refs[pi].data();
+    pages.v_ptrs[pi] = pages.v_refs[pi].data();
+    return pages.k_refs[pi].converted_elems + pages.v_refs[pi].converted_elems;
+  });
+  // Decode-sidecar traffic alone (prefill panels excluded): float views
+  // write 2 bytes/elem, mirroring exec.panelcache.bytes_converted units.
+  if (elems > 0) {
+    telemetry::count("serve.kv.sidecar_bytes_converted", 2 * elems);
   }
-  while (sb.converted_blocks_i8 < nblocks &&
-         (sb.converted_blocks_i8 + 1) * bt <= sb.tokens) {
-    ++sb.converted_blocks_i8;
-  }
-}
-
-std::span<const std::int8_t* const> KvPool::k_int8_blocks(
-    SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.k8_ptrs;
-}
-
-std::span<const std::int8_t* const> KvPool::v_int8_blocks(
-    SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.v8_ptrs;
-}
-
-std::span<const float* const> KvPool::k_int8_scales(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.k8_scale_ptrs;
-}
-
-std::span<const float* const> KvPool::v_int8_scales(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.v8_scale_ptrs;
-}
-
-std::span<const float* const> KvPool::k_float_blocks(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.kf_ptrs;
-}
-
-std::span<const float* const> KvPool::v_float_blocks(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.vf_ptrs;
+  return mha::KvFloatPages{pages.k_ptrs, pages.v_ptrs};
 }
 
 void KvPool::release(SessionId id) {

@@ -35,12 +35,15 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/core/checksum.hpp"
 #include "stof/core/half.hpp"
+#include "stof/core/kernels.hpp"
 #include "stof/core/panel_cache_registry.hpp"
+#include "stof/mha/decode.hpp"
 #include "stof/serve/request.hpp"
 
 namespace stof::serve {
@@ -146,13 +149,13 @@ class PrefixIndex {
 
 /// Bounded paged KV-cache with per-session block lists.
 ///
-/// Float-panel sidecar: ensure_float_panels() materialises FP32 views of a
-/// session's KV pages through the cross-call PanelCacheRegistry, converting
-/// only pages (or page suffixes) appended since the last call — per-step
+/// Sidecar tiers: sidecar() materialises FP32 or INT8 views of a session's
+/// KV pages through the cross-call PanelCacheRegistry, converting only
+/// pages (or page suffixes) appended since the last call — per-step
 /// conversion work is O(new tokens), not O(prefix).  Fully converted leading
 /// pages are pinned (PanelRef) and skipped on later calls.  release()
 /// invalidates the registry entries and bumps each page's generation, so a
-/// recycled page can never serve another session's stale floats; a preempted
+/// recycled page can never serve another session's stale panels; a preempted
 /// session that recomputes its prefix therefore stays bit-identical.
 class KvPool {
  public:
@@ -279,68 +282,63 @@ class KvPool {
   [[nodiscard]] std::span<const half* const> k_blocks(SessionId id) const;
   [[nodiscard]] std::span<const half* const> v_blocks(SessionId id) const;
 
-  /// Bring the session's float-panel sidecar up to date with its half
-  /// pages: converts only rows not already covered by the registry (new
-  /// pages, or the growing suffix of the tail page).  After this call,
-  /// k_float_blocks()/v_float_blocks() cover every cached token of `id`.
-  /// No-op for sessions that hold nothing.
-  void ensure_float_panels(SessionId id);
-
-  /// Per-block FP32 views matching k_blocks()/v_blocks(), valid until the
-  /// next ensure_float_panels() or release() for this id.  Empty until
-  /// ensure_float_panels() has run for the session.
-  [[nodiscard]] std::span<const float* const> k_float_blocks(
-      SessionId id) const;
-  [[nodiscard]] std::span<const float* const> v_float_blocks(
-      SessionId id) const;
-
-  /// INT8 twin of ensure_float_panels: per-block code panels with one
-  /// symmetric scale per token row (scale group = heads * head_size), so a
-  /// row's codes depend only on that row's values and the quantize-once
-  /// extension of a filling tail page is exact.  Converts 1 byte per new
-  /// element instead of the float sidecar's 2 — the INT8 tier's traffic
-  /// saving.  A session uses either sidecar, per EngineConfig::kv_precision.
-  void ensure_int8_panels(SessionId id);
-
-  /// Per-block INT8 views matching k_blocks()/v_blocks(): codes plus one
-  /// scale per token row of each block.  Valid until the next
-  /// ensure_int8_panels() or release(); empty until the first ensure.
-  [[nodiscard]] std::span<const std::int8_t* const> k_int8_blocks(
-      SessionId id) const;
-  [[nodiscard]] std::span<const std::int8_t* const> v_int8_blocks(
-      SessionId id) const;
-  [[nodiscard]] std::span<const float* const> k_int8_scales(
-      SessionId id) const;
-  [[nodiscard]] std::span<const float* const> v_int8_scales(
-      SessionId id) const;
+  /// Bring `id`'s sidecar for `tier` up to date with its half pages and
+  /// return that view: converts only rows not already covered by the
+  /// registry (new pages, or the growing suffix of the tail page), so the
+  /// view covers every cached token of `id`.  kFloat32 pages are exact
+  /// FP32 copies; kInt8 pages hold codes plus one symmetric scale per token
+  /// row (scale group = heads * head_size), so a row's codes depend only
+  /// on that row's values and the quantize-once extension of a filling
+  /// tail page is exact — 1 converted byte per new element instead of the
+  /// float tier's 2.  The view is valid until the next sidecar() or
+  /// release() for this id; an empty view for sessions that hold nothing.
+  [[nodiscard]] mha::KvSidecar sidecar(SessionId id,
+                                       core::PanelPrecision tier);
 
   /// Return every block held by `id` to the free list (preemption or
-  /// completion) and invalidate its float panels.  No-op for sessions that
+  /// completion) and invalidate its sidecar panels.  No-op for sessions that
   /// hold nothing.
   void release(SessionId id);
 
  private:
+  /// One sidecar tier's per-block state, filled by sidecar().
+  template <typename Ref, typename Elem>
+  struct TierPages {
+    std::vector<Ref> k_refs;  ///< pins keeping the panel buffers alive
+    std::vector<Ref> v_refs;
+    std::vector<const Elem*> k_ptrs;
+    std::vector<const Elem*> v_ptrs;
+    std::vector<const float*> k_scales;  ///< INT8 tier only
+    std::vector<const float*> v_scales;
+    /// Leading blocks whose panels are full and pinned — skipped on the
+    /// next refresh (their half content can no longer change while held).
+    std::int64_t converted_blocks = 0;
+
+    void resize(std::int64_t blocks) {
+      const auto n = static_cast<std::size_t>(blocks);
+      k_refs.resize(n);
+      v_refs.resize(n);
+      k_ptrs.resize(n);
+      v_ptrs.resize(n);
+      if constexpr (std::is_same_v<Elem, std::int8_t>) {
+        k_scales.resize(n);
+        v_scales.resize(n);
+      }
+    }
+    /// Drop the state of blocks past `keep`; at most `full` stay converted.
+    void truncate(std::int64_t keep, std::int64_t full) {
+      if (static_cast<std::int64_t>(k_refs.size()) > keep) resize(keep);
+      converted_blocks = std::min(converted_blocks, full);
+    }
+  };
+
   struct SessionBlocks {
     std::vector<std::int32_t> block_ids;
     std::vector<const half*> k_ptrs;
     std::vector<const half*> v_ptrs;
     std::int64_t tokens = 0;
-    // Float-panel sidecar state (filled by ensure_float_panels).
-    std::vector<const float*> kf_ptrs;
-    std::vector<const float*> vf_ptrs;
-    std::vector<core::PanelRef> kf_refs;  ///< pins keeping buffers alive
-    std::vector<core::PanelRef> vf_refs;
-    /// Leading blocks whose panels are full and pinned — skipped on the
-    /// next ensure (their half content can no longer change while held).
-    std::int64_t converted_blocks = 0;
-    // INT8 sidecar state (filled by ensure_int8_panels).
-    std::vector<const std::int8_t*> k8_ptrs;
-    std::vector<const std::int8_t*> v8_ptrs;
-    std::vector<const float*> k8_scale_ptrs;
-    std::vector<const float*> v8_scale_ptrs;
-    std::vector<core::Int8PanelRef> k8_refs;
-    std::vector<core::Int8PanelRef> v8_refs;
-    std::int64_t converted_blocks_i8 = 0;
+    TierPages<core::PanelRef, float> f32;
+    TierPages<core::Int8PanelRef, std::int8_t> i8;
     /// Force copy-on-write on the next partial-tail append even if the
     /// tail's refcount has dropped back to 1.  Set when the session adopts
     /// (or truncates onto) a shared partial page: the page's registry

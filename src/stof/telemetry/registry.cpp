@@ -1,5 +1,7 @@
 #include "stof/telemetry/registry.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace stof::telemetry {
@@ -14,6 +16,20 @@ void write_double(std::ostream& os, double v) {
   tmp.precision(17);
   tmp << v;
   os << tmp.str();
+}
+
+constexpr int kSumFractionBits = 64;
+constexpr ExactSum kExactSumMax = ~(ExactSum{1} << 127);
+
+/// Add `delta` to a histogram's exact sum, saturating instead of wrapping,
+/// and refresh the rounded double.
+void add_exact(HistogramCell& cell, ExactSum delta) {
+  ExactSum next = 0;
+  if (__builtin_add_overflow(cell.exact_sum, delta, &next)) {
+    next = delta > 0 ? kExactSumMax : -kExactSumMax;
+  }
+  cell.exact_sum = next;
+  cell.sum = std::ldexp(static_cast<double>(next), -kSumFractionBits);
 }
 
 void write_escaped(std::ostream& os, const std::string& s) {
@@ -70,7 +86,11 @@ void Registry::observe(std::string_view name, double value) {
   HistogramCell& cell = it->second;
   ++cell.buckets[log2_bucket(value)];
   ++cell.count;
-  cell.sum += value;
+  if (std::isfinite(value)) {
+    const double clamped = std::clamp(value, -0x1p62, 0x1p62);
+    add_exact(cell, static_cast<ExactSum>(
+                        std::ldexp(clamped, kSumFractionBits)));
+  }
 }
 
 void Registry::add_duration_us(std::string_view name, double us,
@@ -168,7 +188,7 @@ void Registry::merge_into(Registry& dst) const {
       it->second.buckets[b] += cell.buckets[b];
     }
     it->second.count += cell.count;
-    it->second.sum += cell.sum;
+    add_exact(it->second, cell.exact_sum);
   }
   for (const auto& [name, cell] : timers) {
     dst.add_duration_us(name, cell.total_us, cell.count);

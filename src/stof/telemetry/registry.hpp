@@ -10,9 +10,9 @@
 //
 // Counters, histograms, and timer *counts* are deterministic given a fixed
 // seed: they record *what the simulation did*, which is a pure function of
-// its inputs, and every mutation is commutative (sums and bucket counts),
-// so concurrent recording from stof::parallel workers cannot change the
-// final state.  Timer durations are host wall time and are the only
+// its inputs, and every mutation is commutative and associative (integer
+// sums, bucket counts, and fixed-point histogram sums), so concurrent
+// recording from stof::parallel workers cannot change the final state.  Timer durations are host wall time and are the only
 // nondeterministic content; dump_json() can exclude them so snapshots of
 // identical runs compare byte-for-byte.
 //
@@ -35,10 +35,19 @@ namespace stof::telemetry {
 /// (bucket 0 collects v < 1); values beyond 2^62 land in the last bucket.
 inline constexpr int kHistogramBuckets = 64;
 
+/// 64.64 fixed-point accumulator for exact, order-independent sums.
+__extension__ typedef __int128 ExactSum;
+
 struct HistogramCell {
   std::uint64_t buckets[kHistogramBuckets] = {};
   std::uint64_t count = 0;
+  /// Sum of the observed values: `exact_sum` rounded once to double.
   double sum = 0;
+  /// The sum in 64.64 fixed point.  Integer addition is associative, so
+  /// the sum does not depend on the order observations arrive in (the
+  /// tuner records from parallel workers).  Every value in [2^-12, 2^62)
+  /// adds exactly; larger magnitudes saturate, non-finite values add 0.
+  ExactSum exact_sum = 0;
 };
 
 struct TimerCell {

@@ -249,7 +249,6 @@ TEST(Cluster, ShardClocksAgreeAndCollectivesAppearOnEveryTimeline) {
   ClusterConfig ccfg;
   ccfg.devices = 4;
   ccfg.engine = base_config(8, 48);
-  ccfg.model_layers = 2;
   Cluster cluster(ccfg);
   replay(cluster, mixed_trace(601, 8));
   const double t0 = cluster.engine(0).sim_time_us();

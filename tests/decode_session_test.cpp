@@ -79,9 +79,7 @@ void expect_chain_matches_full_pass(const Fixture& f,
     PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
                  cols};
     if (registry != nullptr) {
-      pool.ensure_float_panels(0);
-      seq.kf_blocks = pool.k_float_blocks(0);
-      seq.vf_blocks = pool.v_float_blocks(0);
+      seq.sidecar = pool.sidecar(0, core::PanelPrecision::kFloat32);
     }
     const TensorH step =
         decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
@@ -155,10 +153,8 @@ TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
     for (std::int64_t j = 0; j < ctx; ++j) {
       if (f.mask.at(ctx - 1, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
-    pool.ensure_float_panels(0);
-    PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0), cols};
-    seq.kf_blocks = pool.k_float_blocks(0);
-    seq.vf_blocks = pool.v_float_blocks(0);
+    const PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
+                       cols, pool.sidecar(0, core::PanelPrecision::kFloat32)};
     return decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
   };
 
@@ -198,14 +194,13 @@ TEST(DecodeSession, ReusedPagesNeverServeStalePanels) {
   };
 
   ingest(0, a);
-  pool.ensure_float_panels(0);
-  const float a_first = pool.k_float_blocks(0)[0][0];
+  const float a_first = std::get<KvFloatPages>(
+      pool.sidecar(0, core::PanelPrecision::kFloat32)).k_blocks[0][0];
   pool.release(0);
 
   ingest(1, b);  // reuses the same physical blocks (free list recycles)
-  pool.ensure_float_panels(1);
-  const auto kf = pool.k_float_blocks(1);
-  const auto vf = pool.v_float_blocks(1);
+  const auto [kf, vf] = std::get<KvFloatPages>(
+      pool.sidecar(1, core::PanelPrecision::kFloat32));
   ASSERT_EQ(kf.size(), 2u);
   // Every sidecar element equals the exact conversion of B's half data.
   const auto kh = pool.k_blocks(1);
@@ -310,8 +305,9 @@ TEST(DecodeSession, BatchedCostScalesWithContextAndBatch) {
   const auto dev = gpusim::a100();
   const std::int64_t one_ctx[] = {128};
   const std::int64_t many_ctx[] = {128, 128, 128, 128, 128, 128, 128, 128};
-  const auto c1 = decode_batched_cost(4, 64, one_ctx, dev);
-  const auto c8 = decode_batched_cost(4, 64, many_ctx, dev);
+  const std::int64_t one_row_each[] = {1, 1, 1, 1, 1, 1, 1, 1};
+  const auto c1 = decode_verify_cost(4, 64, one_ctx, {one_row_each, 1}, dev);
+  const auto c8 = decode_verify_cost(4, 64, many_ctx, one_row_each, dev);
   EXPECT_EQ(c1.launches, 1);
   EXPECT_EQ(c8.launches, 1);
   EXPECT_NEAR(c8.cuda_flops, 8.0 * c1.cuda_flops, 1e-6);

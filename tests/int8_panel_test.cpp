@@ -267,9 +267,10 @@ TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
       slot->k[e] = half(rng.uniform(-1.0f, 1.0f));
       slot->v[e] = half(rng.uniform(-1.0f, 1.0f));
     }
-    pool.ensure_int8_panels(id);
-    const auto kb = pool.k_int8_blocks(id);
-    const auto ks = pool.k_int8_scales(id);
+    const auto view =
+        std::get<mha::KvInt8Pages>(pool.sidecar(id, PanelPrecision::kInt8));
+    const auto kb = view.k_blocks;
+    const auto ks = view.k_scales;
     ASSERT_EQ(kb.size(), static_cast<std::size_t>(pool.blocks(id)));
     if (t == 0) {
       first_row_codes.assign(kb[0], kb[0] + row);
@@ -297,8 +298,9 @@ TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
     slot->k[e] = half(0.5f);
     slot->v[e] = half(0.5f);
   }
-  pool.ensure_int8_panels(other);
-  const auto kb = pool.k_int8_blocks(other);
+  const auto kb =
+      std::get<mha::KvInt8Pages>(pool.sidecar(other, PanelPrecision::kInt8))
+          .k_blocks;
   EXPECT_EQ(kb[0][0], 127);  // constant row quantizes to the full code
 }
 

@@ -214,11 +214,9 @@ TEST(PanelCacheRegistry, DecodeConversionWorkIsConstantPerStep) {
     for (std::int64_t j = 0; j <= pos; ++j) {
       cols.push_back(static_cast<std::int32_t>(j));
     }
-    pool.ensure_float_panels(0);
-    mha::PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
-                      pool.v_blocks(0), cols};
-    seq.kf_blocks = pool.k_float_blocks(0);
-    seq.vf_blocks = pool.v_float_blocks(0);
+    const mha::PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
+                            pool.v_blocks(0), cols,
+                            pool.sidecar(0, PanelPrecision::kFloat32)};
     const mha::PagedSeq plain{pos + 1, kBlockTokens, plain_pool.k_blocks(0),
                               plain_pool.v_blocks(0), cols};
 

@@ -117,7 +117,8 @@ EngineConfig fuzz_config(SchedulerMode mode, std::int64_t chunk_tokens,
 std::map<SessionId, std::uint64_t> replay_checked(
     Engine& engine, const std::vector<Request>& trace, bool shared = false) {
   std::vector<SessionId> submitted;
-  engine.on_step = [&](const StepEvent& ev) {
+  engine.on_step = [&](const StepOutcome& ev, std::int64_t step, double,
+                       std::int64_t kv_used_blocks) {
     // KV conservation: block refcounts equal their owners (sessions plus
     // tree nodes), the free list is exactly the unreferenced blocks, and
     // retired sessions hold nothing.
@@ -134,12 +135,12 @@ std::map<SessionId, std::uint64_t> replay_checked(
     if (!shared) {
       EXPECT_EQ(held, engine.pool().used_blocks()) << "KV pool leak";
     }
-    EXPECT_LE(ev.kv_used_blocks, engine.pool().total_blocks());
+    EXPECT_LE(kv_used_blocks, engine.pool().total_blocks());
     // A non-empty plan must do real work: evictions alone make no forward
     // progress and would spin the engine forever.
     EXPECT_TRUE(!ev.prefills.empty() || !ev.chunks.empty() ||
                 !ev.decodes.empty())
-        << "step " << ev.step << " planned only evictions";
+        << "step " << step << " planned only evictions";
     for (const auto& c : ev.chunks) {
       EXPECT_LT(c.begin, c.end);
       EXPECT_LE(c.end, engine.session(c.id).request.target_len());

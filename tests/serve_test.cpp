@@ -198,9 +198,10 @@ TEST(ServeEngine, StepEventsDescribeBatchComposition) {
   Engine engine(small_config(SchedulerMode::kContinuous, 16));
   std::int64_t decode_tokens = 0;
   std::int64_t prefills = 0;
-  engine.on_step = [&](const StepEvent& ev) {
-    EXPECT_GT(ev.duration_us, 0.0);
-    EXPECT_LE(ev.kv_used_blocks, 16);
+  engine.on_step = [&](const StepOutcome& ev, std::int64_t,
+                       double duration_us, std::int64_t kv_used_blocks) {
+    EXPECT_GT(duration_us, 0.0);
+    EXPECT_LE(kv_used_blocks, 16);
     decode_tokens += static_cast<std::int64_t>(ev.decodes.size());
     prefills += static_cast<std::int64_t>(ev.prefills.size());
   };
@@ -210,6 +211,40 @@ TEST(ServeEngine, StepEventsDescribeBatchComposition) {
   EXPECT_EQ(decode_tokens, engine.stats().decode_tokens);
   EXPECT_EQ(prefills, 2);
   EXPECT_EQ(engine.stats().finished, 2);
+}
+
+TEST(ServeEngine, WholePrefillChargesOnlyTheTokensServed) {
+  // Whole prefills run as [0, len) windows, so neither their kernel rows
+  // nor their simulated cost may depend on the configured max_seq_len.
+  // Causal masks keep the attended set independent of max_seq_len too.
+  auto trace = mixed_trace();
+  for (auto& r : trace) r.mask_kind = masks::PatternKind::kCausal;
+  const auto prefill_us = [](const Engine& engine) {
+    double us = 0;
+    for (const auto& rec : engine.stream().records()) {
+      if (rec.name == "serve.prefill") us += rec.time_us;
+    }
+    return us;
+  };
+  for (const auto mode : {SchedulerMode::kSerial, SchedulerMode::kContinuous}) {
+    EngineConfig short_cfg = small_config(mode, 64);
+    short_cfg.scheduler.prefill_token_budget = 1024;
+    short_cfg.max_seq_len = 256;
+    EngineConfig long_cfg = short_cfg;
+    long_cfg.max_seq_len = 1024;
+    Engine short_max(short_cfg);
+    Engine long_max(long_cfg);
+    replay(short_max, trace);
+    replay(long_max, trace);
+    EXPECT_GT(prefill_us(short_max), 0.0);
+    EXPECT_EQ(prefill_us(short_max), prefill_us(long_max))
+        << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(short_max.stats().prefill_chunks, 0);
+    for (const auto& r : trace) {
+      EXPECT_EQ(short_max.session(r.id).digest, long_max.session(r.id).digest)
+          << "mode " << static_cast<int>(mode) << " session " << r.id;
+    }
+  }
 }
 
 // ---- Chunked prefill: bit-identity to one-shot prefills -------------------
@@ -247,7 +282,8 @@ TEST(ServeChunkedPrefill, ChunkSizeSweepKeepsDigestsBitIdentical) {
 TEST(ServeChunkedPrefill, InterleavesChunksWithDecodesInOneStep) {
   Engine engine(chunked_config(16, 8));
   bool interleaved = false;
-  engine.on_step = [&](const StepEvent& ev) {
+  engine.on_step = [&](const StepOutcome& ev, std::int64_t, double,
+                       std::int64_t) {
     if (!ev.chunks.empty() && !ev.decodes.empty()) interleaved = true;
     for (const auto& c : ev.chunks) EXPECT_LT(c.begin, c.end);
   };
@@ -277,7 +313,8 @@ TEST(ServeChunkedPrefill, PreemptMidPrefillRecomputesBitIdentically) {
   Engine chunked(chunked_config(4, 32));
   std::map<SessionId, std::int64_t> prefill_progress;
   bool mid_prefill_eviction = false;
-  chunked.on_step = [&](const StepEvent& ev) {
+  chunked.on_step = [&](const StepOutcome& ev, std::int64_t, double,
+                        std::int64_t) {
     for (const auto id : ev.evicted) {
       const auto it = prefill_progress.find(id);
       if (it != prefill_progress.end() &&
@@ -339,7 +376,8 @@ TEST(ServeScheduling, AdmissionOrdersPriorityFirstThenDeadline) {
   cfg.scheduler.max_prefills_per_step = 1;
   Engine engine(cfg);
   std::vector<SessionId> first_chunk_order;
-  engine.on_step = [&](const StepEvent& ev) {
+  engine.on_step = [&](const StepOutcome& ev, std::int64_t, double,
+                       std::int64_t) {
     for (const auto& c : ev.chunks) {
       if (c.begin == 0) first_chunk_order.push_back(c.id);
     }

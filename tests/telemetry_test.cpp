@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -49,6 +50,37 @@ TEST(Registry, HistogramBucketsFollowLog2Scheme) {
   EXPECT_DOUBLE_EQ(h.sum, 7.0);
   EXPECT_EQ(h.buckets[0], 1u);
   EXPECT_EQ(h.buckets[2], 2u);
+}
+
+TEST(Registry, HistogramSumIsIndependentOfObservationOrder) {
+  // Parallel workers observe (and per-worker registries merge) in whatever
+  // order their threads arrive, so the dumped sum must not depend on it.
+  const auto dump_of = [](const std::vector<double>& values) {
+    Registry r;
+    for (const double v : values) r.observe("t", v);
+    return r.dump_json();
+  };
+  // In double arithmetic these three sum differently forward and backward.
+  ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
+  EXPECT_EQ(dump_of({0.1, 0.2, 0.3}), dump_of({0.3, 0.2, 0.1}));
+
+  // Merging two workers regroups the additions: in double arithmetic the
+  // even half's sum plus the odd half's differs from the running sum.
+  const std::vector<double> values = {0.1, 0.2, 0.3, 1e-3, 2.5,
+                                      8598.5132422039642};
+  Registry odd;
+  Registry even;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    (i % 2 == 0 ? even : odd).observe("t", values[i]);
+  }
+  Registry odd_first;
+  odd.merge_into(odd_first);
+  even.merge_into(odd_first);
+  Registry even_first;
+  even.merge_into(even_first);
+  odd.merge_into(even_first);
+  EXPECT_EQ(odd_first.dump_json(), even_first.dump_json());
+  EXPECT_EQ(odd_first.dump_json(), dump_of(values));
 }
 
 TEST(Registry, TimersAccumulateDurationAndCalls) {
