@@ -64,7 +64,7 @@ inline std::vector<Request> make_trace(const TraceConfig& t) {
 /// Bursty two-tenant trace for the SLO benches: tenant 0 submits a steady
 /// stream of short-prompt, decode-heavy "interactive" requests at high
 /// priority, while tenant 1 drops clustered bursts of near-max-context
-/// "batch" prompts at low priority.  Under a FIFO whole-prefill schedule
+/// "batch" prompts at low priority.  Under a whole-prefill schedule
 /// each burst stalls every in-flight decode for several full prefills —
 /// the head-of-line blocking that chunked prefill + priorities exist to
 /// bound.  Returned sorted by arrival time (run_trace submits in order).

@@ -357,8 +357,9 @@ Entry bench_serve_entry(bool quick) {
 /// Burst-SLO serving entry: a bursty two-tenant trace (steady high-priority
 /// interactive decodes + clustered low-priority near-max-context prompts)
 /// replayed under two schedules:
-///   scalar_ms = p99 decode inter-token gap under FIFO whole-prefill
-///               continuous batching (the pre-SLO scheduler), in sim ms;
+///   scalar_ms = p99 decode inter-token gap under whole-prefill
+///               continuous batching (priority-ordered admission, no
+///               chunking, no fairness), in sim ms;
 ///   packed_ms = the same p99 under the SLO schedule — chunked prefill
 ///               (bounded per-step prefill budget), priorities, and WDRR
 ///               fairness.
@@ -366,8 +367,8 @@ Entry bench_serve_entry(bool quick) {
 ///   * bit_identical — per-session digests agree across the two schedules
 ///     (chunking/priorities must not change a single output byte);
 ///   * aux_ok — p99 improves >= 2x AND generated-token throughput stays
-///     within 10% of the FIFO schedule (chunking must not buy latency with
-///     makespan).
+///     within 10% of the whole-prefill schedule (chunking must not buy
+///     latency with makespan).
 Entry bench_serve_burst_p99(bool quick) {
   namespace sb = stof::serve::bench;
   sb::BurstTraceConfig tc;
@@ -380,33 +381,34 @@ Entry bench_serve_burst_p99(bool quick) {
   }
   const auto trace = sb::make_burst_trace(tc);
 
-  // Shape notes (simulated a100).  The FIFO burst step admits every burst
-  // prompt at once, and its cost is DRAM-bound: ~24 causal prompts of ~580
-  // tokens read ~1.1 GB of KV in one step (~720 us) while every interactive
-  // decode waits.  Chunking conserves those DRAM bytes (each row's prefix
-  // is read exactly once either way), so a bounded per-step chunk budget
-  // caps the decode gap without giving back throughput — as long as the
-  // chunk grids stay wave-saturated (heads 16 keeps the per-step grid in
-  // the thousands of blocks) and the per-launch overhead stays amortized
-  // (chunk_tokens is the *aggregate* per-step budget, so one step carries
-  // a couple of whole prompts, not one sliver each).
-  auto fifo_cfg = sb::serve_config(stof::serve::SchedulerMode::kContinuous);
-  fifo_cfg.heads = 16;
-  fifo_cfg.max_seq_len = 640;
-  fifo_cfg.kv_blocks = 1280;
-  // FIFO deliberately swallows a whole burst per step — that head-of-line
-  // blocking is the baseline the SLO schedule is gated against.
-  fifo_cfg.scheduler.prefill_token_budget = 16384;
-  fifo_cfg.scheduler.max_prefills_per_step = 32;
+  // Shape notes (simulated a100).  The whole-prefill burst step admits
+  // every burst prompt at once, and its cost is DRAM-bound: ~24 causal
+  // prompts of ~580 tokens read ~1.1 GB of KV in one step (~720 us) while
+  // every interactive decode waits.  Chunking conserves those DRAM bytes
+  // (each row's prefix is read exactly once either way), so a bounded
+  // per-step chunk budget caps the decode gap without giving back
+  // throughput — as long as the chunk grids stay wave-saturated (heads 16
+  // keeps the per-step grid in the thousands of blocks) and the per-launch
+  // overhead stays amortized (chunk_tokens is the *aggregate* per-step
+  // budget, so one step carries a couple of whole prompts, not one sliver
+  // each).
+  auto whole_cfg = sb::serve_config(stof::serve::SchedulerMode::kContinuous);
+  whole_cfg.heads = 16;
+  whole_cfg.max_seq_len = 640;
+  whole_cfg.kv_blocks = 1280;
+  // Whole prefill deliberately swallows a whole burst per step — that
+  // head-of-line blocking is the baseline the SLO schedule is gated against.
+  whole_cfg.scheduler.prefill_token_budget = 16384;
+  whole_cfg.scheduler.max_prefills_per_step = 32;
   // A modest decode batch spreads the post-burst decode DRAM mass across
   // steps instead of folding it into one monster gap sample.
-  fifo_cfg.scheduler.max_decode_batch = 8;
-  auto slo_cfg = fifo_cfg;
+  whole_cfg.scheduler.max_decode_batch = 8;
+  auto slo_cfg = whole_cfg;
   slo_cfg.scheduler.chunk_tokens = quick ? 384 : 1152;
   slo_cfg.scheduler.fairness_quantum_tokens = 16384;
   slo_cfg.scheduler.tenant_weights = {{0, 3}, {1, 1}};
 
-  const auto fifo = sb::run_trace(fifo_cfg, trace);
+  const auto whole = sb::run_trace(whole_cfg, trace);
   const auto slo = sb::run_trace(slo_cfg, trace);
 
   Entry e;
@@ -414,18 +416,18 @@ Entry bench_serve_burst_p99(bool quick) {
   e.shape = std::to_string(tc.interactive_sessions) + " interactive + " +
             std::to_string(tc.bursts) + "x" + std::to_string(tc.burst_size) +
             " burst prompts, heads 16, max_seq 640, p99 decode gap in "
-            "simulated ms (FIFO whole-prefill vs chunked+priority+WDRR)";
-  e.scalar_ms = fifo.p99_decode_gap_us / 1000.0;
+            "simulated ms (whole-prefill vs chunked+priority+WDRR)";
+  e.scalar_ms = whole.p99_decode_gap_us / 1000.0;
   e.packed_ms = slo.p99_decode_gap_us / 1000.0;
-  e.bit_identical = sb::digests_match(fifo, slo);
+  e.bit_identical = sb::digests_match(whole, slo);
   if (e.speedup() < 2.0) {
     std::cerr << e.name << ": p99 decode gap improved only " << e.speedup()
               << "x (gate: >= 2x)\n";
     e.aux_ok = false;
   }
-  if (slo.tokens_per_s < 0.9 * fifo.tokens_per_s) {
+  if (slo.tokens_per_s < 0.9 * whole.tokens_per_s) {
     std::cerr << e.name << ": SLO schedule throughput " << slo.tokens_per_s
-              << " tok/s vs FIFO " << fifo.tokens_per_s
+              << " tok/s vs whole-prefill " << whole.tokens_per_s
               << " (gate: within 10%)\n";
     e.aux_ok = false;
   }
@@ -444,9 +446,9 @@ Entry bench_serve_burst_p99(bool quick) {
     e.counters["serve.derived.p50_decode_gap_us"] =
         std::llround(r.p50_decode_gap_us);
     e.counters["serve.derived.fifo_p99_decode_gap_us"] =
-        std::llround(fifo.p99_decode_gap_us);
+        std::llround(whole.p99_decode_gap_us);
     e.counters["serve.derived.fifo_tokens_per_s"] =
-        std::llround(fifo.tokens_per_s);
+        std::llround(whole.tokens_per_s);
   }
   return e;
 }

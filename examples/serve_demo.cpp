@@ -38,6 +38,19 @@ std::string id_list(const std::vector<serve::SessionId>& ids) {
   return out;
 }
 
+/// Prefill windows as id[begin,end): a whole prefill spans its context,
+/// a chunk a slice of it.
+std::string window_list(const std::vector<serve::PrefillChunk>& windows) {
+  if (windows.empty()) return "-";
+  std::string out;
+  for (const auto& w : windows) {
+    if (!out.empty()) out += ',';
+    out += 's' + std::to_string(w.id) + '[' + std::to_string(w.begin) + ',' +
+           std::to_string(w.end) + ')';
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -61,10 +74,10 @@ int main() {
   engine.on_step = [&](const serve::StepOutcome& ev, std::int64_t step,
                        double duration_us, std::int64_t kv_used_blocks) {
     std::printf(
-        "step %3lld  t=%8.1fus  +%6.1fus  prefill[%-8s] decode[%-11s]"
+        "step %3lld  t=%8.1fus  +%6.1fus  prefill[%-16s] decode[%-11s]"
         "  kv %2lld/%lld%s\n",
         static_cast<long long>(step), ev.start_us, duration_us,
-        id_list(ev.prefills).c_str(), id_list(ev.decodes).c_str(),
+        window_list(ev.prefills).c_str(), id_list(ev.decodes).c_str(),
         static_cast<long long>(kv_used_blocks),
         static_cast<long long>(cfg.kv_blocks),
         ev.evicted.empty()

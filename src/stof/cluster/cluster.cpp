@@ -178,7 +178,6 @@ bool Cluster::step() {
     STOF_CHECK(o.has_value(), "shard schedulers diverged (empty vs not)");
     if (config_.check_lockstep) {
       STOF_CHECK(o->prefills.size() == outcomes[0]->prefills.size() &&
-                     o->chunks.size() == outcomes[0]->chunks.size() &&
                      o->decodes.size() == outcomes[0]->decodes.size() &&
                      o->evicted.size() == outcomes[0]->evicted.size(),
                  "shard schedulers diverged (plan shapes)");

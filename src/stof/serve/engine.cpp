@@ -521,7 +521,7 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
 }
 
 std::optional<StepOutcome> Engine::execute_step() {
-  StepPlan plan = scheduler_.plan_step(table_, pool_, step_count_);
+  StepPlan plan = scheduler_.plan_step(table_, pool_);
   if (plan.empty()) return std::nullopt;
 
   StepOutcome outcome;
@@ -533,29 +533,21 @@ std::optional<StepOutcome> Engine::execute_step() {
                      static_cast<std::int64_t>(plan.evicted.size()));
   }
 
-  // Every prefill runs as a query window: a whole-prefill admission is the
-  // window [cached, total) — [0, total) when fresh, the unshared suffix
-  // when it adopted a shared prefix — and a chunk is its own window.
-  // Admission and chunk counters follow the plan, not the runner.
-  std::vector<PrefillChunk> windows;
-  windows.reserve(plan.prefills.size() + plan.chunks.size());
-  for (const SessionId id : plan.prefills) {
-    const Session& s = table_.at(id);
-    windows.push_back(PrefillChunk{id, s.cached_tokens, s.total_len()});
-  }
-  std::int64_t admitted = static_cast<std::int64_t>(plan.prefills.size());
-  for (const auto& chunk : plan.chunks) {
-    // A session admitted with an adopted shared prefix starts chunking at
-    // the adoption boundary, not zero.
-    if (chunk.begin == table_.at(chunk.id).adopted_tokens) ++admitted;
+  // Admission and chunk counters follow the plan, not the runner.  A
+  // window that starts at the session's adoption boundary (0 when nothing
+  // was adopted) is an admission; chunk counters stay 0 for whole prefills.
+  const bool chunked = scheduler_.config().chunked();
+  std::int64_t admitted = 0;
+  for (const auto& w : plan.prefills) {
+    if (w.begin == table_.at(w.id).adopted_tokens) ++admitted;
+    if (!chunked) continue;
     ++stats_.prefill_chunks;
     telemetry::count("serve.sched.chunks_emitted");
-    telemetry::count("serve.sched.chunk_tokens", chunk.tokens());
+    telemetry::count("serve.sched.chunk_tokens", w.tokens());
   }
   if (admitted > 0) telemetry::count("serve.requests.admitted", admitted);
-  windows.insert(windows.end(), plan.chunks.begin(), plan.chunks.end());
 
-  double us = run_prefill_windows(windows, outcome);
+  double us = run_prefill_windows(plan.prefills, outcome);
   us += run_decode_rounds(plan.decodes, outcome);
   // Model execution: the step's activation rows (prefill tokens + decode
   // rows, one packed batch in a real server) run the per-layer non-MHA
@@ -568,7 +560,6 @@ std::optional<StepOutcome> Engine::execute_step() {
   outcome.us = us;
   outcome.evicted = std::move(plan.evicted);
   outcome.prefills = std::move(plan.prefills);
-  outcome.chunks = std::move(plan.chunks);
   outcome.decodes = std::move(plan.decodes);
   return outcome;
 }
@@ -602,11 +593,9 @@ void Engine::finalize_step(const StepOutcome& outcome, double step_us) {
                      static_cast<double>(outcome.decodes.size()));
   telemetry::observe("serve.batch.prefill_size",
                      static_cast<double>(outcome.prefills.size()));
-  if (!outcome.chunks.empty()) {
-    std::int64_t chunk_tokens = 0;
-    for (const auto& c : outcome.chunks) chunk_tokens += c.tokens();
+  if (scheduler_.config().chunked() && !outcome.prefills.empty()) {
     telemetry::observe("serve.batch.chunk_tokens",
-                       static_cast<double>(chunk_tokens));
+                       static_cast<double>(outcome.prefill_tokens));
   }
   telemetry::observe("serve.kv.used_blocks",
                      static_cast<double>(pool_.used_blocks()));

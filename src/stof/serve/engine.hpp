@@ -144,8 +144,7 @@ struct StepOutcome {
   double start_us = 0;  ///< sim clock when the step began
   double us = 0;        ///< this device's simulated kernel time
   std::vector<SessionId> evicted;
-  std::vector<SessionId> prefills;
-  std::vector<PrefillChunk> chunks;
+  std::vector<PrefillChunk> prefills;  ///< prefill windows, in grant order
   std::vector<SessionId> decodes;
   std::vector<SessionId> first_token;  ///< produced their first token
   std::vector<SessionId> finished;     ///< completed this step

@@ -8,13 +8,9 @@
 
 namespace stof::serve {
 
-StepPlan Scheduler::plan_step(SessionTable& table, KvPool& pool,
-                              std::int64_t step) {
-  if (config_.mode == SchedulerMode::kSerial) {
-    return plan_serial(table, pool);
-  }
-  return config_.chunk_tokens > 0 ? plan_chunked(table, pool, step)
-                                  : plan_continuous(table, pool, step);
+StepPlan Scheduler::plan_step(SessionTable& table, KvPool& pool) {
+  return config_.mode == SchedulerMode::kSerial ? plan_serial(table, pool)
+                                                : plan_continuous(table, pool);
 }
 
 SessionId Scheduler::pick_victim(const SessionTable& table,
@@ -54,10 +50,10 @@ void Scheduler::evict(SessionTable& table, KvPool& pool, StepPlan& plan,
   ++s.preemptions;
   waiting_.push_front(victim);
   plan.evicted.push_back(victim);
-  std::erase(chunking_, victim);
-  // A victim may already hold a chunk grant in this step's plan (priority
-  // preemption runs after ongoing chunks were assigned); withdraw it.
-  std::erase_if(plan.chunks,
+  std::erase(prefilling_, victim);
+  // A victim may already hold a window in this step's plan (priority
+  // preemption runs after ongoing prefills were granted); withdraw it.
+  std::erase_if(plan.prefills,
                 [&](const PrefillChunk& c) { return c.id == victim; });
 }
 
@@ -108,121 +104,25 @@ std::vector<SessionId> Scheduler::admission_order(
   return order;
 }
 
-StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool,
-                                    std::int64_t step) {
-  (void)step;
-  StepPlan plan;
-
-  // Decode set: every active session, least-recently-decoded first so the
-  // batch cap (when it binds) round-robins instead of starving high ids.
-  std::vector<SessionId> decoding = table.ids_in_phase(SessionPhase::kDecoding);
-  std::stable_sort(decoding.begin(), decoding.end(),
-                   [&](SessionId a, SessionId b) {
-                     return table.at(a).last_touch_step <
-                            table.at(b).last_touch_step;
-                   });
-  std::vector<SessionId> selected(
-      decoding.begin(),
-      decoding.begin() +
-          std::min<std::size_t>(decoding.size(),
-                                static_cast<std::size_t>(
-                                    config_.max_decode_batch)));
-
-  // KV pressure: reserve every allocation the selected decoders' appends
-  // will make this step (decode_appends slots each — fresh tail pages plus
-  // a possible CoW copy of a shared partial tail).  Tree-only pages count
-  // as obtainable (acquire reclaims them LRU-first), so the comparison is
-  // against allocatable, not free.  Preempt lowest-priority-idlest
-  // sessions until the pool can back them all; a victim re-queues at the
-  // *front* (it keeps its FIFO seniority) and re-prefills its full context
-  // on re-admission.
-  const auto blocks_needed = [&] {
-    std::int64_t n = 0;
-    for (const auto id : selected) {
-      n += pool.append_reserve_blocks(id, config_.decode_appends);
-    }
-    return n;
-  };
-  while (pool.allocatable_blocks() < blocks_needed() && !decoding.empty()) {
-    const SessionId victim = pick_victim(table, decoding);
-    evict(table, pool, plan, victim);
-    std::erase(decoding, victim);
-    std::erase(selected, victim);
-  }
-  std::sort(selected.begin(), selected.end());
-
-  // Admission: strict FIFO from the wait queue, bounded by the per-step
-  // prefill count/token budgets and by whole-context KV reservations on
-  // top of the blocks the decode set will consume.  Head-of-line blocking
-  // is intentional — skipping ahead would reorder first-token latencies.
-  // A prefix match discounts both the reservation (the matched full pages
-  // are already resident) and the token budget (only the suffix is
-  // prefilled); matched pages that were tree-only stop being reclaimable
-  // once adopted, so the availability estimate subtracts the whole match —
-  // conservative, never over-admitting.
-  std::int64_t reserved = blocks_needed();
-  std::int64_t admitted_tokens = 0;
-  while (!waiting_.empty() &&
-         static_cast<std::int64_t>(plan.prefills.size()) <
-             config_.max_prefills_per_step) {
-    const SessionId id = waiting_.front();
-    Session& s = table.at(id);
-    const PrefixMatch m = admission_match(pool, s);
-    const std::int64_t need = pool.blocks_for(s.total_len()) - m.full_pages;
-    const std::int64_t prefill_tokens = s.total_len() - m.tokens;
-    const std::int64_t avail =
-        pool.free_blocks() +
-        std::max<std::int64_t>(0, pool.reclaimable_blocks() - m.pages());
-    if (admitted_tokens + prefill_tokens > config_.prefill_token_budget) break;
-    if (need > avail - reserved) break;
-    waiting_.pop_front();
-    admit_with_prefix(s, pool);
-    plan.prefills.push_back(id);
-    reserved += need;
-    admitted_tokens += prefill_tokens;
-  }
-  plan.decodes = std::move(selected);
-  return plan;
-}
-
-StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
-                                 std::int64_t step) {
-  (void)step;
+StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool) {
   StepPlan plan;
 
   // Sessions whose prefix completed moved to kDecoding; evicted ones went
-  // back to kQueued.  Either way they leave the chunking line.
-  std::erase_if(chunking_, [&](SessionId id) {
+  // back to kQueued.  Either way they leave the prefilling line.
+  std::erase_if(prefilling_, [&](SessionId id) {
     return table.at(id).phase != SessionPhase::kPrefilling;
   });
 
-  // Decode set: same policy as the whole-prefill planner.
-  std::vector<SessionId> decoding = table.ids_in_phase(SessionPhase::kDecoding);
-  std::stable_sort(decoding.begin(), decoding.end(),
+  // Decode set: every active session, least-recently-decoded first so the
+  // batch cap (when it binds) round-robins instead of starving high ids.
+  std::vector<SessionId> selected = table.ids_in_phase(SessionPhase::kDecoding);
+  std::stable_sort(selected.begin(), selected.end(),
                    [&](SessionId a, SessionId b) {
                      return table.at(a).last_touch_step <
                             table.at(b).last_touch_step;
                    });
-  std::vector<SessionId> selected(
-      decoding.begin(),
-      decoding.begin() +
-          std::min<std::size_t>(decoding.size(),
-                                static_cast<std::size_t>(
-                                    config_.max_decode_batch)));
-
-  // Anyone holding KV blocks — decoders and mid-prefill sessions alike —
-  // is a preemption candidate.
-  const auto residents = [&] {
-    std::vector<SessionId> r;
-    for (const auto& [id, s] : table) {
-      if ((s.phase == SessionPhase::kDecoding ||
-           s.phase == SessionPhase::kPrefilling) &&
-          pool.blocks(id) > 0) {
-        r.push_back(id);
-      }
-    }
-    return r;
-  };
+  selected.resize(std::min<std::size_t>(
+      selected.size(), static_cast<std::size_t>(config_.max_decode_batch)));
   const auto decode_blocks_needed = [&] {
     std::int64_t n = 0;
     for (const auto id : selected) {
@@ -231,93 +131,105 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
     return n;
   };
 
-  std::int64_t budget = config_.chunk_tokens;
-  std::int64_t reserved_chunks = 0;
+  // Whole-prefill mode spends prefill_token_budget on atomic grants: a
+  // session gets its whole window [cached, total) or nothing.  Chunked mode
+  // spends chunk_tokens on slices of any non-empty length.
+  const bool atomic = !config_.chunked();
+  const auto min_grant = [&](std::int64_t left) { return atomic ? left : 1; };
+  std::int64_t budget =
+      atomic ? config_.prefill_token_budget : config_.chunk_tokens;
+  std::int64_t reserved_windows = 0;
   const std::int64_t block_tokens = pool.config().block_tokens;
 
-  // Evicting a victim whose chunk was already granted this step withdraws
-  // the chunk (evict() erases it from the plan); the withdrawn tokens go
-  // back into the step budget and the withdrawn blocks back into the
+  // Evicting a victim whose window was already granted this step withdraws
+  // it (evict() erases it from the plan); the withdrawn tokens go back
+  // into the step budget and the withdrawn blocks back into the
   // reservation count, so later grants can use the headroom the victim
   // gave up.  Must read pool.usable_blocks(victim) before evict() releases
   // them (usable, matching what the grant charged: a shared partial tail
-  // never counted as a block the chunk could reuse).
+  // never counted as a block the window could reuse).
   const auto evict_refunded = [&](SessionId victim) {
-    for (const auto& c : plan.chunks) {
-      if (c.id == victim) {
-        budget += c.tokens();
-        reserved_chunks -= pool.blocks_for(c.end) - pool.usable_blocks(victim);
+    for (const auto& w : plan.prefills) {
+      if (w.id == victim) {
+        budget += w.tokens();
+        reserved_windows -= pool.blocks_for(w.end) - pool.usable_blocks(victim);
         break;
       }
     }
     evict(table, pool, plan, victim);
   };
 
+  // Preempt residents (anyone holding KV blocks — decoders and mid-prefill
+  // sessions alike) that `eligible` accepts, pick_victim's choice first,
+  // until `satisfied()`.  False when the candidates run out first.
+  const auto preempt_until = [&](const auto& satisfied, const auto& eligible) {
+    while (!satisfied()) {
+      std::vector<SessionId> cands;
+      for (const auto& [id, s] : table) {
+        if ((s.phase == SessionPhase::kDecoding ||
+             s.phase == SessionPhase::kPrefilling) &&
+            pool.blocks(id) > 0 && eligible(id)) {
+          cands.push_back(id);
+        }
+      }
+      if (cands.empty()) return false;
+      const SessionId victim = pick_victim(table, cands);
+      evict_refunded(victim);
+      std::erase(selected, victim);
+    }
+    return true;
+  };
+  const auto outranked_by = [&](const Session& s) {
+    return [&table, p = s.request.priority](SessionId cand) {
+      return table.at(cand).request.priority < p;
+    };
+  };
+
   // KV pressure from the decode batch (against allocatable: tree-only
   // pages are reclaimed by allocation before anyone is preempted).
-  while (pool.allocatable_blocks() < decode_blocks_needed()) {
-    const auto cands = residents();
-    if (cands.empty()) break;
-    const SessionId victim = pick_victim(table, cands);
-    evict_refunded(victim);
-    std::erase(decoding, victim);
-    std::erase(selected, victim);
-  }
+  preempt_until(
+      [&] { return pool.allocatable_blocks() >= decode_blocks_needed(); },
+      [](SessionId) { return true; });
 
-  // Grant one chunk of up to `budget` tokens, shrunk to the KV blocks
-  // available this step; a starved chunk may preempt strictly-lower-
-  // priority residents to free one.  Returns true if any tokens were
-  // granted.
-  const auto assign_chunk = [&](SessionId id) {
+  // Grant one window of up to `budget` tokens, shrunk to the KV blocks
+  // available this step (never below min_grant); a starved window may
+  // preempt strictly-lower-priority residents.  Returns true if granted.
+  const auto grant_window = [&](SessionId id) {
     Session& s = table.at(id);
     // A grant for an earlier (higher-priority) session may have preempted
     // this one — mid-prefill residents are victims — sending it back to
     // the wait queue with its KV released.  Granting anyway would hand
     // blocks to a kQueued session that is also in plan.evicted, leaking
-    // KV outside residents()/preemption.  Skip anything not mid-prefill.
+    // KV outside preemption's view.  Skip anything not mid-prefill.
     if (s.phase != SessionPhase::kPrefilling) return false;
     const std::int64_t have = s.cached_tokens;
+    const std::int64_t least = min_grant(s.total_len() - have);
     const std::int64_t want = std::min(s.total_len() - have, budget);
-    if (want <= 0) return false;
-    const auto granted_now = [&] {
+    if (want < least) return false;
+    std::int64_t granted = 0;
+    const auto grantable = [&] {
       const std::int64_t avail =
           pool.allocatable_blocks() - decode_blocks_needed() -
-          reserved_chunks;
+          reserved_windows;
       // usable, not blocks: a shared partial tail is CoW'd by the first
       // append, so it does not save an allocation.
-      const std::int64_t cap =
-          (pool.usable_blocks(id) + avail) * block_tokens - have;
-      return std::min(want, cap);
+      granted = std::min(
+          want, (pool.usable_blocks(id) + avail) * block_tokens - have);
+      return granted >= least;
     };
-    std::int64_t granted = granted_now();
-    while (granted <= 0) {
-      std::vector<SessionId> cands;
-      for (const auto cand : residents()) {
-        if (cand != id &&
-            table.at(cand).request.priority < s.request.priority) {
-          cands.push_back(cand);
-        }
-      }
-      if (cands.empty()) break;
-      const SessionId victim = pick_victim(table, cands);
-      evict_refunded(victim);
-      std::erase(decoding, victim);
-      std::erase(selected, victim);
-      granted = granted_now();
-    }
-    if (granted <= 0) return false;
-    plan.chunks.push_back(PrefillChunk{id, have, have + granted});
+    if (!preempt_until(grantable, outranked_by(s))) return false;
+    plan.prefills.push_back(PrefillChunk{id, have, have + granted});
     budget -= granted;
-    reserved_chunks +=
+    reserved_windows +=
         pool.blocks_for(have + granted) - pool.usable_blocks(id);
     return true;
   };
 
   // Ongoing prefills continue first, in admission order.
-  for (const auto id : std::vector<SessionId>(chunking_.begin(),
-                                              chunking_.end())) {
+  for (const auto id : std::vector<SessionId>(prefilling_.begin(),
+                                              prefilling_.end())) {
     if (budget <= 0) break;
-    assign_chunk(id);
+    grant_window(id);
   }
 
   // Fairness top-up: each tenant with queued work earns quantum * weight
@@ -337,15 +249,30 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
     }
   }
 
+  // Admit `id` into the prefilling line, adopt its shared prefix, charge
+  // its tenant once, and grant its first window.
+  const auto admit = [&](SessionId id) {
+    Session& s = table.at(id);
+    std::erase(waiting_, id);
+    s.phase = SessionPhase::kPrefilling;
+    prefilling_.push_back(id);
+    admit_with_prefix(s, pool);
+    if (fair && !s.deficit_charged) {
+      deficit_[s.request.tenant] -= s.request.target_len();
+      s.deficit_charged = true;
+    }
+    grant_window(id);
+  };
+
   // Admission: priority-then-deadline-then-FIFO order, bounded by the
   // in-flight prefill cap.  A tenant whose deficit cannot cover the
   // session's target length waits (others may pass — its credit grows
   // every step, so the wait is bounded); if the ordered head cannot get
-  // its first chunk's KV, nobody overtakes it on KV grounds.
+  // its first window's budget or KV, nobody overtakes it.
   const auto order = admission_order(table);
   for (const auto id : order) {
     if (budget <= 0) break;
-    if (static_cast<std::int64_t>(chunking_.size()) >=
+    if (static_cast<std::int64_t>(prefilling_.size()) >=
         config_.max_prefills_per_step) {
       break;
     }
@@ -356,75 +283,35 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
       continue;
     }
     const PrefixMatch m = admission_match(pool, s);
-    const auto chunk_avail = [&] {
-      // Adopting the match turns its tree-only pages non-reclaimable, so
-      // subtract the whole match from the headroom estimate (conservative).
-      return pool.allocatable_blocks() - m.pages() - decode_blocks_needed() -
-             reserved_chunks;
+    const std::int64_t first_end = std::min(m.tokens + budget, s.total_len());
+    if (first_end - m.tokens < min_grant(s.total_len() - m.tokens)) break;
+    const std::int64_t first_need = pool.blocks_for(first_end) - m.full_pages;
+    // Adopting the match turns its tree-only pages non-reclaimable, so the
+    // headroom estimate subtracts the whole match (conservative).  A
+    // blocked arrival may preempt strictly-lower-priority residents.
+    const auto fits = [&] {
+      return first_need <= pool.allocatable_blocks() - m.pages() -
+                               decode_blocks_needed() - reserved_windows;
     };
-    const std::int64_t first_need =
-        pool.blocks_for(std::min(m.tokens + budget, s.total_len())) -
-        m.full_pages;
-    // A blocked high-priority arrival may preempt strictly-lower-priority
-    // residents for its first chunk's blocks.
-    while (first_need > chunk_avail()) {
-      std::vector<SessionId> cands;
-      for (const auto cand : residents()) {
-        if (table.at(cand).request.priority < s.request.priority) {
-          cands.push_back(cand);
-        }
-      }
-      if (cands.empty()) break;
-      const SessionId victim = pick_victim(table, cands);
-      evict_refunded(victim);
-      std::erase(decoding, victim);
-      std::erase(selected, victim);
-    }
-    if (first_need > chunk_avail()) break;
-    std::erase(waiting_, id);
-    s.phase = SessionPhase::kPrefilling;
-    chunking_.push_back(id);
-    admit_with_prefix(s, pool);
-    if (fair && !s.deficit_charged) {
-      deficit_[s.request.tenant] -= s.request.target_len();
-      s.deficit_charged = true;
-    }
-    assign_chunk(id);
+    if (!preempt_until(fits, outranked_by(s))) break;
+    admit(id);
   }
 
   // Work conservation: the engine must never idle while work is queued.
-  if (plan.prefills.empty() && plan.chunks.empty() && plan.decodes.empty() &&
-      selected.empty()) {
-    if (!chunking_.empty()) {
+  if (plan.prefills.empty() && selected.empty()) {
+    if (!prefilling_.empty()) {
       // Every free block is held by other residents; force-evict
-      // (ignoring priority) until the line's head can take one token.
-      const SessionId head = chunking_.front();
-      while (!assign_chunk(head)) {
-        std::vector<SessionId> cands;
-        for (const auto cand : residents()) {
-          if (cand != head) cands.push_back(cand);
-        }
-        if (cands.empty()) break;
-        evict_refunded(pick_victim(table, cands));
-      }
+      // (ignoring priority) until the line's head gets its window.
+      const SessionId head = prefilling_.front();
+      preempt_until([&] { return grant_window(head); },
+                    [&](SessionId cand) { return cand != head; });
     } else if (!waiting_.empty()) {
       // Everyone was deficit-gated: force-admit the ordered head anyway
       // (the charge still applies, so its tenant repays over time).
       for (const auto id : order) {
         if (table.at(id).phase != SessionPhase::kQueued) continue;
-        Session& s = table.at(id);
-        std::erase(waiting_, id);
-        s.phase = SessionPhase::kPrefilling;
-        chunking_.push_back(id);
-        admit_with_prefix(s, pool);
-        if (fair) {
-          telemetry::count("serve.sched.forced_admissions");
-          if (!s.deficit_charged) {
-            deficit_[s.request.tenant] -= s.request.target_len();
-            s.deficit_charged = true;
-          }
-        }
-        assign_chunk(id);
+        if (fair) telemetry::count("serve.sched.forced_admissions");
+        admit(id);
         break;
       }
     }
@@ -462,8 +349,9 @@ StepPlan Scheduler::plan_serial(SessionTable& table, KvPool& pool) {
     STOF_CHECK(pool.blocks_for(s.total_len()) - m.full_pages <= avail,
                "pool too small for a single context");
     waiting_.pop_front();
+    s.phase = SessionPhase::kPrefilling;
     admit_with_prefix(s, pool);
-    plan.prefills.push_back(id);
+    plan.prefills.push_back(PrefillChunk{id, s.cached_tokens, s.total_len()});
   }
   return plan;
 }

@@ -1,35 +1,35 @@
 // Continuous-batching scheduler.
 //
 // Each engine step the scheduler turns the current session/pool state into
-// a StepPlan: which queued sessions to admit, which prefill work to run
-// (whole prompts, or bounded-token chunks interleaved with decodes), which
-// active sessions decode one token (all of them, batched into a single
-// kernel), and which sessions to preempt when the KV pool cannot back
-// every decoder's next token.  The plan is a pure function of (table,
-// pool, queue, deficit) state, so a seeded trace replays deterministically.
+// a StepPlan: which sessions to preempt when the KV pool cannot back every
+// decoder's next token, which prefill windows [begin, end) to run, and
+// which active sessions decode one token (all of them, batched into a
+// single kernel).  The plan is a pure function of (table, pool, queue,
+// deficit) state, so a seeded trace replays deterministically.
 //
-// Two modes share the engine:
-//   kContinuous — the real policy: admit up to a prefill budget per step,
-//     decode every active session together, evict under KV pressure
-//     (released sessions re-queue at the front and re-prefill their full
-//     context on re-admission).  With `chunk_tokens == 0` prompts prefill
-//     whole in their admission step (head-of-line blocking: a long prompt
-//     stalls every decoder — the p99 killer this scheduler's chunked mode
-//     exists to fix).  With `chunk_tokens > 0` prompts are split into
-//     bounded-token chunks that ride the same step as the decode batch;
-//     sessions park in kPrefilling between chunks.
-//   kSerial — the baseline the bench compares against: strict FIFO, one
-//     session at a time, prefill then token-by-token decode to completion
-//     before the next request is admitted.  Same engine, same kernels,
-//     same per-session numerics — only the packing differs.
+// kContinuous runs one planner.  Admission walks the wait queue priority-
+// first, earliest deadline next, queue position last; admitted sessions
+// enter kPrefilling and receive prefill windows out of a per-step token
+// budget.  With `chunk_tokens > 0` the budget is chunk_tokens and a window
+// may be any non-empty slice, so long prompts ride several steps beside
+// the decode batch.  With `chunk_tokens == 0` the budget is
+// prefill_token_budget and every grant is atomic: a session gets its whole
+// window [cached, total) in its admission step or nothing, and an ordered
+// head that cannot get it blocks the line (head-of-line blocking: a long
+// prompt stalls every decoder — the p99 killer chunking exists to fix).
+// Sessions evicted under KV pressure re-queue at the front and re-prefill
+// their full context on re-admission.
 //
-// SLO machinery (all off by default, and exactly the legacy policy when
-// off):
+// kSerial is the baseline the bench compares against: strict FIFO, one
+// session at a time, a whole prefill then token-by-token decode to
+// completion before the next request is admitted.  Same engine, same
+// kernels, same per-session numerics — only the packing differs.
+//
+// SLO machinery, in both kContinuous modes (all off by default):
 //   * Priorities: preemption victims are chosen lowest-priority-first
-//     (ties: idlest last_touch_step, then youngest id — the legacy LRU
-//     order), and admission orders the wait queue priority-first, earliest
-//     deadline next, queue position last.  A chunk that cannot get a KV
-//     block may preempt a strictly-lower-priority resident.
+//     (ties: idlest last_touch_step, then youngest id — the LRU order),
+//     and a window that cannot get its KV blocks may preempt strictly-
+//     lower-priority residents.
 //   * Fairness: with `fairness_quantum_tokens > 0`, admission runs
 //     weighted deficit round-robin over tenants — each planning step tops
 //     up every tenant with queued work by quantum * weight tokens, and
@@ -58,8 +58,8 @@ struct SchedulerConfig {
   std::int64_t prefill_token_budget = 1024;  ///< prompt tokens per step
   std::int64_t max_decode_batch = 256;  ///< decode sequences per step
   /// Chunked prefill: > 0 caps the prefill tokens packed into one step's
-  /// varlen batch and lets prompts resume across steps.  0 keeps the
-  /// legacy whole-prefill policy bit-for-bit.
+  /// varlen batch and lets prompts resume across steps.  0 prefills every
+  /// prompt whole, as one atomic grant under prefill_token_budget.
   std::int64_t chunk_tokens = 0;
   /// Weighted-deficit-round-robin quantum (tokens topped up per tenant per
   /// planning step, scaled by tenant weight).  0 disables fairness.
@@ -76,6 +76,12 @@ struct SchedulerConfig {
   /// appends can never fail mid-batch).
   std::int64_t decode_appends = 1;
 
+  /// True when prefills are split into chunks; otherwise every prefill is
+  /// one whole-context window.
+  [[nodiscard]] bool chunked() const {
+    return mode == SchedulerMode::kContinuous && chunk_tokens > 0;
+  }
+
   void validate(std::int64_t max_seq_len) const {
     STOF_EXPECTS(max_prefills_per_step >= 1 && max_decode_batch >= 1);
     STOF_EXPECTS(chunk_tokens >= 0 && fairness_quantum_tokens >= 0);
@@ -91,8 +97,8 @@ struct SchedulerConfig {
   }
 };
 
-/// One bounded slice of a session's prefill: ingest positions
-/// [begin, end) of its context this step.
+/// One prefill window: ingest positions [begin, end) of a session's
+/// context this step — a whole prefill [cached, total) or a chunk of it.
 struct PrefillChunk {
   SessionId id = 0;
   std::int64_t begin = 0;
@@ -103,14 +109,12 @@ struct PrefillChunk {
 
 /// One step's worth of scheduling decisions, in execution order.
 struct StepPlan {
-  std::vector<SessionId> evicted;   ///< preempted before this step's work
-  std::vector<SessionId> prefills;  ///< whole-prefill admissions, FIFO order
-  std::vector<PrefillChunk> chunks;  ///< chunked prefill slices, in order
-  std::vector<SessionId> decodes;   ///< decode one token, ascending id
+  std::vector<SessionId> evicted;      ///< preempted before this step's work
+  std::vector<PrefillChunk> prefills;  ///< prefill windows, in grant order
+  std::vector<SessionId> decodes;      ///< decode one token, ascending id
 
   [[nodiscard]] bool empty() const {
-    return evicted.empty() && prefills.empty() && chunks.empty() &&
-           decodes.empty();
+    return evicted.empty() && prefills.empty() && decodes.empty();
   }
 };
 
@@ -136,12 +140,10 @@ class Scheduler {
   /// Compute this step's plan.  Mutates the wait queue (admissions pop,
   /// evictions push front) and sets evicted sessions back to kQueued with
   /// their KV released; the engine applies the rest of the plan.
-  StepPlan plan_step(SessionTable& table, KvPool& pool, std::int64_t step);
+  StepPlan plan_step(SessionTable& table, KvPool& pool);
 
  private:
-  StepPlan plan_continuous(SessionTable& table, KvPool& pool,
-                           std::int64_t step);
-  StepPlan plan_chunked(SessionTable& table, KvPool& pool, std::int64_t step);
+  StepPlan plan_continuous(SessionTable& table, KvPool& pool);
   StepPlan plan_serial(SessionTable& table, KvPool& pool);
 
   /// Pick the preemption victim among `candidates`: lowest priority first,
@@ -183,9 +185,9 @@ class Scheduler {
 
   SchedulerConfig config_;
   std::deque<SessionId> waiting_;
-  /// Sessions mid-chunked-prefill, in admission order; pruned each plan to
-  /// those still kPrefilling.
-  std::deque<SessionId> chunking_;
+  /// Sessions mid-prefill, in admission order; pruned each plan to those
+  /// still kPrefilling (whole prefills leave it in their admission step).
+  std::deque<SessionId> prefilling_;
   /// Weighted-deficit-round-robin token accounts, by tenant.
   std::map<std::int32_t, std::int64_t> deficit_;
 };

@@ -102,10 +102,8 @@ EngineConfig fuzz_config(SchedulerMode mode, std::int64_t chunk_tokens,
   cfg.scheduler.prefill_token_budget = 128;
   cfg.scheduler.max_decode_batch = 16;
   cfg.scheduler.chunk_tokens = chunk_tokens;
-  if (chunk_tokens > 0) {
-    cfg.scheduler.fairness_quantum_tokens = 24;
-    cfg.scheduler.tenant_weights = {{0, 1}, {1, 2}, {2, 1}, {3, 3}};
-  }
+  cfg.scheduler.fairness_quantum_tokens = 24;
+  cfg.scheduler.tenant_weights = {{0, 1}, {1, 2}, {2, 1}, {3, 3}};
   return cfg;
 }
 
@@ -138,12 +136,15 @@ std::map<SessionId, std::uint64_t> replay_checked(
     EXPECT_LE(kv_used_blocks, engine.pool().total_blocks());
     // A non-empty plan must do real work: evictions alone make no forward
     // progress and would spin the engine forever.
-    EXPECT_TRUE(!ev.prefills.empty() || !ev.chunks.empty() ||
-                !ev.decodes.empty())
+    EXPECT_TRUE(!ev.prefills.empty() || !ev.decodes.empty())
         << "step " << step << " planned only evictions";
-    for (const auto& c : ev.chunks) {
-      EXPECT_LT(c.begin, c.end);
-      EXPECT_LE(c.end, engine.session(c.id).request.target_len());
+    for (const auto& w : ev.prefills) {
+      EXPECT_LT(w.begin, w.end);
+      EXPECT_LE(w.end, engine.session(w.id).request.target_len());
+      // Whole prefills are atomic grants of the whole context.
+      if (!engine.config().scheduler.chunked()) {
+        EXPECT_EQ(w.end, engine.session(w.id).total_len());
+      }
     }
   };
 
@@ -212,14 +213,18 @@ TEST(SchedulerFuzz, Int8KvDigestsMatchAcrossModes) {
 
 TEST(SchedulerFuzz, TightPoolForcesPreemptionWithoutDivergence) {
   // The smallest legal pool (one max context) under a hostile trace: the
-  // run must preempt, and still match serial byte for byte.
+  // run must preempt, and still match serial byte for byte — chunked, and
+  // with atomic whole-context grants.
   const auto trace = fuzz_trace(101, 20);
   Engine serial(fuzz_config(SchedulerMode::kSerial, 0, 4));
   Engine tight(fuzz_config(SchedulerMode::kContinuous, 16, 4));
+  Engine whole(fuzz_config(SchedulerMode::kContinuous, 0, 4));
   const auto serial_digests = replay_checked(serial, trace);
-  const auto tight_digests = replay_checked(tight, trace);
-  EXPECT_EQ(serial_digests, tight_digests);
+  EXPECT_EQ(serial_digests, replay_checked(tight, trace));
   EXPECT_GT(tight.stats().preemptions, 0) << "pool was not tight enough";
+  EXPECT_EQ(serial_digests, replay_checked(whole, trace));
+  EXPECT_GT(whole.stats().preemptions, 0) << "pool was not tight enough";
+  EXPECT_EQ(whole.stats().prefill_chunks, 0);
 }
 
 TEST(SchedulerFuzz, SharedPrefixDigestsMatchAcrossModesAndSharing) {

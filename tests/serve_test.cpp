@@ -204,6 +204,11 @@ TEST(ServeEngine, StepEventsDescribeBatchComposition) {
     EXPECT_LE(kv_used_blocks, 16);
     decode_tokens += static_cast<std::int64_t>(ev.decodes.size());
     prefills += static_cast<std::int64_t>(ev.prefills.size());
+    // Whole-prefill mode: each window is its session's whole context.
+    for (const auto& w : ev.prefills) {
+      EXPECT_EQ(w.begin, 0);
+      EXPECT_EQ(w.end, engine.session(w.id).request.prompt_len);
+    }
   };
   engine.submit({0, 8, 4, 1, masks::PatternKind::kCausal, 0.0});
   engine.submit({1, 8, 4, 2, masks::PatternKind::kCausal, 0.0});
@@ -284,8 +289,8 @@ TEST(ServeChunkedPrefill, InterleavesChunksWithDecodesInOneStep) {
   bool interleaved = false;
   engine.on_step = [&](const StepOutcome& ev, std::int64_t, double,
                        std::int64_t) {
-    if (!ev.chunks.empty() && !ev.decodes.empty()) interleaved = true;
-    for (const auto& c : ev.chunks) EXPECT_LT(c.begin, c.end);
+    if (!ev.prefills.empty() && !ev.decodes.empty()) interleaved = true;
+    for (const auto& c : ev.prefills) EXPECT_LT(c.begin, c.end);
   };
   engine.submit({0, 8, 12, 1, masks::PatternKind::kCausal, 0.0});
   engine.submit({1, 40, 4, 2, masks::PatternKind::kCausal, 0.0});
@@ -323,7 +328,7 @@ TEST(ServeChunkedPrefill, PreemptMidPrefillRecomputesBitIdentically) {
       }
       prefill_progress[id] = 0;
     }
-    for (const auto& c : ev.chunks) prefill_progress[c.id] = c.end;
+    for (const auto& c : ev.prefills) prefill_progress[c.id] = c.end;
   };
   chunked.submit(r0);
   chunked.step();  // r0's first chunk lands before r1 exists
@@ -378,7 +383,7 @@ TEST(ServeScheduling, AdmissionOrdersPriorityFirstThenDeadline) {
   std::vector<SessionId> first_chunk_order;
   engine.on_step = [&](const StepOutcome& ev, std::int64_t, double,
                        std::int64_t) {
-    for (const auto& c : ev.chunks) {
+    for (const auto& c : ev.prefills) {
       if (c.begin == 0) first_chunk_order.push_back(c.id);
     }
   };
@@ -451,7 +456,7 @@ TEST(ServeScheduling, FairnessShieldsMinorityTenantFromFlood) {
 //
 // These drive Scheduler::plan_step directly against a hand-built
 // table/pool and apply each plan with the same bookkeeping Engine::step
-// performs (ingest chunk tokens, decode one token per selected session,
+// performs (ingest prefill windows, decode one token per selected session,
 // retire finished sessions) — no kernels, so single-step planner states
 // (exact free-block counts, budget remainders) can be pinned.
 
@@ -470,20 +475,21 @@ struct PlannerHarness {
     sched.enqueue(r.id);
   }
 
-  [[nodiscard]] StepPlan plan() { return sched.plan_step(table, pool, step); }
+  [[nodiscard]] StepPlan plan() { return sched.plan_step(table, pool); }
 
   // Apply a plan the way the engine does, checking the invariants its
-  // ingest path relies on: chunks go only to mid-prefill sessions resuming
-  // at their cached prefix, and evicted sessions hold no KV.
+  // ingest path relies on: windows, whole or chunked, go only to
+  // mid-prefill sessions resuming at their cached prefix, and evicted
+  // sessions hold no KV.
   void apply(const StepPlan& plan) {
     for (const auto id : plan.evicted) {
       EXPECT_EQ(table.at(id).phase, SessionPhase::kQueued);
       EXPECT_EQ(pool.blocks(id), 0);
     }
-    for (const auto& c : plan.chunks) {
+    for (const auto& c : plan.prefills) {
       Session& s = table.at(c.id);
       EXPECT_EQ(s.phase, SessionPhase::kPrefilling)
-          << "chunk granted to session " << c.id << " outside prefill";
+          << "window granted to session " << c.id << " outside prefill";
       EXPECT_EQ(s.cached_tokens, c.begin);
       for (std::int64_t t = c.begin; t < c.end; ++t) {
         ASSERT_TRUE(pool.append_token(c.id).has_value());
@@ -555,9 +561,9 @@ TEST(SchedulerPlan, MidStepPreemptionNeverGrantsChunksToEvictedSessions) {
   StepPlan p = h.plan();
   ASSERT_EQ(p.evicted.size(), 1u);
   EXPECT_EQ(p.evicted[0], 0);
-  ASSERT_EQ(p.chunks.size(), 2u);
-  EXPECT_EQ(p.chunks[0].id, 1);
-  EXPECT_EQ(p.chunks[1].id, 2);
+  ASSERT_EQ(p.prefills.size(), 2u);
+  EXPECT_EQ(p.prefills[0].id, 1);
+  EXPECT_EQ(p.prefills[1].id, 2);
   h.apply(p);
   ASSERT_EQ(h.pool.free_blocks(), 0);
 
@@ -567,10 +573,10 @@ TEST(SchedulerPlan, MidStepPreemptionNeverGrantsChunksToEvictedSessions) {
   p = h.plan();
   ASSERT_EQ(p.evicted.size(), 1u);
   EXPECT_EQ(p.evicted[0], 2);
-  ASSERT_EQ(p.chunks.size(), 1u);
-  EXPECT_EQ(p.chunks[0].id, 1);
-  EXPECT_EQ(p.chunks[0].begin, 20);
-  EXPECT_EQ(p.chunks[0].end, 28);
+  ASSERT_EQ(p.prefills.size(), 1u);
+  EXPECT_EQ(p.prefills[0].id, 1);
+  EXPECT_EQ(p.prefills[0].begin, 20);
+  EXPECT_EQ(p.prefills[0].end, 28);
   EXPECT_EQ(h.table.at(2).phase, SessionPhase::kQueued);
   EXPECT_EQ(h.pool.blocks(2), 0);
   h.apply(p);
@@ -603,9 +609,9 @@ TEST(SchedulerPlan, WithdrawnChunkRefundsStepBudget) {
   const StepPlan p = h.plan();
   ASSERT_EQ(p.evicted.size(), 1u);
   EXPECT_EQ(p.evicted[0], 0);
-  ASSERT_EQ(p.chunks.size(), 1u);
-  EXPECT_EQ(p.chunks[0].id, 1);
-  EXPECT_EQ(p.chunks[0].tokens(), 16)
+  ASSERT_EQ(p.prefills.size(), 1u);
+  EXPECT_EQ(p.prefills[0].id, 1);
+  EXPECT_EQ(p.prefills[0].tokens(), 16)
       << "withdrawn chunk's tokens were not refunded to the step budget";
   h.apply(p);
   h.run_until_drained(100);
@@ -644,7 +650,7 @@ TEST(SchedulerPlan, TenantChargedOncePerSessionAcrossPreemption) {
   std::int64_t readmit_step = -1;
   for (int i = 0; i < 10 && readmit_step < 0; ++i) {
     p = h.plan();
-    for (const auto& c : p.chunks) {
+    for (const auto& c : p.prefills) {
       if (c.id == 0) readmit_step = h.step;
     }
     h.apply(p);
@@ -654,6 +660,96 @@ TEST(SchedulerPlan, TenantChargedOncePerSessionAcrossPreemption) {
   // charged a second time (buggy accounting would read 24 lower).
   EXPECT_EQ(h.sched.tenant_deficit(0), 76 + 100 * (readmit_step - 1));
   h.run_until_drained(100);
+}
+
+TEST(SchedulerPlan, WholePrefillAdmitsInPriorityOrder) {
+  // Whole-prefill mode with a token budget for exactly one context: the
+  // later, higher-priority arrival takes the step's only whole window.
+  SchedulerConfig cfg;
+  cfg.prefill_token_budget = 16;
+  PlannerHarness h(cfg, /*num_blocks=*/16, /*block_tokens=*/4);
+
+  const Request low{0, 16, 4, 1, masks::PatternKind::kCausal, 0.0,
+                    /*tenant=*/0, /*priority=*/0};
+  const Request high{1, 16, 4, 2, masks::PatternKind::kCausal, 0.0,
+                     /*tenant=*/0, /*priority=*/5};
+  h.submit(low);
+  h.submit(high);
+  const StepPlan p = h.plan();
+  ASSERT_EQ(p.prefills.size(), 1u);
+  EXPECT_EQ(p.prefills[0].id, 1);
+  EXPECT_EQ(p.prefills[0].begin, 0);
+  EXPECT_EQ(p.prefills[0].end, 16);
+  EXPECT_EQ(h.table.at(0).phase, SessionPhase::kQueued);
+  h.apply(p);
+  EXPECT_EQ(h.table.at(1).phase, SessionPhase::kDecoding)
+      << "a whole prefill leaves kPrefilling in its admission step";
+  h.run_until_drained(100);
+  EXPECT_EQ(h.pool.free_blocks(), 16);
+}
+
+TEST(SchedulerPlan, WholePrefillDefersTenantThatCannotAfford) {
+  // Whole-prefill mode honours WDRR: one quantum (8 tokens) cannot cover
+  // tenant 0's 24-token session, so it waits while tenant 1's 8-token
+  // session passes it.
+  telemetry::ScopedTelemetry scoped(true);
+  telemetry::global_registry().reset();
+  SchedulerConfig cfg;
+  cfg.fairness_quantum_tokens = 8;
+  PlannerHarness h(cfg, /*num_blocks=*/16, /*block_tokens=*/4);
+
+  const Request big{0, 16, 8, 1, masks::PatternKind::kCausal, 0.0,
+                    /*tenant=*/0};  // target_len 24
+  const Request small{1, 4, 4, 2, masks::PatternKind::kCausal, 0.0,
+                      /*tenant=*/1};  // target_len 8
+  h.submit(big);
+  h.submit(small);
+  const StepPlan p = h.plan();
+  ASSERT_EQ(p.prefills.size(), 1u);
+  EXPECT_EQ(p.prefills[0].id, 1);
+  EXPECT_EQ(p.prefills[0].end, 4);
+  EXPECT_EQ(h.table.at(0).phase, SessionPhase::kQueued);
+  EXPECT_EQ(
+      telemetry::global_registry().counter("serve.sched.deficit_deferrals"),
+      1);
+  h.apply(p);
+  h.run_until_drained(100);
+  EXPECT_EQ(h.pool.free_blocks(), 16);
+  telemetry::global_registry().reset();
+}
+
+TEST(SchedulerPlan, WholePrefillNeverGrantsPartialWindow) {
+  // KV for only part of the head's context: whole-prefill mode grants no
+  // partial window, and the blocked head keeps a smaller request that
+  // would fit from overtaking it.
+  SchedulerConfig cfg;
+  PlannerHarness h(cfg, /*num_blocks=*/4, /*block_tokens=*/4);
+
+  h.submit({0, 8, 4, 1, masks::PatternKind::kCausal, 0.0});
+  h.apply(h.plan());  // 2 of 4 blocks held, decoding
+  h.submit({1, 12, 2, 2, masks::PatternKind::kCausal, 0.0});  // 3 blocks
+  h.submit({2, 2, 2, 3, masks::PatternKind::kCausal, 0.0});   // 1 block
+  // The decoder's next token reserves a third block; one is left, so the
+  // head could take a 4-token slice but not its 12-token window.
+  const StepPlan p = h.plan();
+  EXPECT_TRUE(p.prefills.empty());
+  EXPECT_TRUE(p.evicted.empty());
+  ASSERT_EQ(p.decodes.size(), 1u);
+  EXPECT_EQ(h.table.at(1).phase, SessionPhase::kQueued);
+  EXPECT_EQ(h.table.at(2).phase, SessionPhase::kQueued);
+  h.apply(p);
+
+  for (int i = 0; i < 100 && !h.drained(); ++i) {
+    const StepPlan q = h.plan();
+    ASSERT_FALSE(q.empty());
+    for (const auto& w : q.prefills) {
+      EXPECT_EQ(w.begin, h.table.at(w.id).cached_tokens);
+      EXPECT_EQ(w.end, h.table.at(w.id).total_len()) << "partial window";
+    }
+    h.apply(q);
+  }
+  EXPECT_TRUE(h.drained());
+  EXPECT_EQ(h.pool.free_blocks(), 4);
 }
 
 TEST(ServeEngine, RejectsOversizedRequests) {
