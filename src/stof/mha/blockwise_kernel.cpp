@@ -58,6 +58,40 @@ TaskState make_state(ScratchArena& arena, std::int64_t rows, std::int64_t d,
                    arena.alloc_zeroed(rows * d), arena.alloc(rows * bn)};
 }
 
+/// Entries of a CSR list in block rows [begin, end).
+std::int64_t rows_between(const std::vector<std::int64_t>& row_ptr,
+                          std::int64_t begin, std::int64_t end) {
+  return row_ptr[static_cast<std::size_t>(end)] -
+         row_ptr[static_cast<std::size_t>(begin)];
+}
+
+/// Walks one block row's load list in order, pairing each loaded block
+/// with its bitmap: the part list is a sorted subsequence of the load list,
+/// so one cursor over it replaces a per-block binary search.
+class RowBlocks {
+ public:
+  RowBlocks(const sparse::BsrMask& mask, std::int64_t bi)
+      : mask_(mask),
+        part_(mask.part_row_ptr()[static_cast<std::size_t>(bi)]),
+        part_end_(mask.part_row_ptr()[static_cast<std::size_t>(bi) + 1]) {}
+
+  /// Bitmap of load entry `bj` (visited in load order), or nullptr for a
+  /// full block.
+  const std::vector<std::uint8_t>* bitmap(std::int64_t bj) {
+    if (part_ == part_end_ ||
+        mask_.part_col_idx()[static_cast<std::size_t>(part_)] != bj) {
+      return nullptr;
+    }
+    const auto id = mask_.part_mask_id()[static_cast<std::size_t>(part_++)];
+    return &mask_.part_masks()[static_cast<std::size_t>(id)];
+  }
+
+ private:
+  const sparse::BsrMask& mask_;
+  std::int64_t part_;
+  std::int64_t part_end_;
+};
+
 }  // namespace
 
 TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
@@ -98,19 +132,9 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     std::int64_t full = mask.full_count();
     std::int64_t part = mask.part_count();
     if (windowed) {
-      const auto& ptr = mask.load_row_ptr();
-      const auto& idx = mask.load_col_idx();
-      valid = ptr[static_cast<std::size_t>(q_block_end)] -
-              ptr[static_cast<std::size_t>(q_block_begin)];
-      full = part = 0;
-      for (std::int64_t bi = q_block_begin; bi < q_block_end; ++bi) {
-        for (std::int64_t it = ptr[static_cast<std::size_t>(bi)];
-             it < ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
-          const auto kind =
-              mask.block_kind(bi, idx[static_cast<std::size_t>(it)]);
-          (kind == sparse::BlockKind::kPart ? part : full) += 1;
-        }
-      }
+      valid = rows_between(mask.load_row_ptr(), q_block_begin, q_block_end);
+      part = rows_between(mask.part_row_ptr(), q_block_begin, q_block_end);
+      full = valid - part;
     }
     const std::int64_t total = q_blocks * mask.cols();
     telemetry::count("sim.mha.blockwise_calls");
@@ -207,16 +231,14 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
       }
       std::int64_t full_fast_blocks = 0;
 
+      RowBlocks row_blocks(mask, bi);
       for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
            it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
         const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
         const std::int64_t col_lo = bj * bn;
         const std::int64_t col_hi = std::min(n, col_lo + bn);
         const std::int64_t cols = col_hi - col_lo;
-        const sparse::BlockKind kind = mask.block_kind(bi, bj);
-        const std::vector<std::uint8_t>* bitmap =
-            kind == sparse::BlockKind::kPart ? &mask.part_bitmap(bi, bj)
-                                             : nullptr;
+        const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
 
         // S = (Q_i K_j^T): zero the score window, then accumulate with the
         // register-tiled saxpy micro-kernel over the transposed K panel —
@@ -364,16 +386,14 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     }
 
     // ---- Scalar reference path: per-element conversions via at(). ----
+    RowBlocks row_blocks(mask, bi);
     for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
          it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
       const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
       const std::int64_t col_lo = bj * bn;
       const std::int64_t col_hi = std::min(n, col_lo + bn);
       const std::int64_t cols = col_hi - col_lo;
-      const sparse::BlockKind kind = mask.block_kind(bi, bj);
-      const std::vector<std::uint8_t>* bitmap =
-          kind == sparse::BlockKind::kPart ? &mask.part_bitmap(bi, bj)
-                                           : nullptr;
+      const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
 
       // S = (Q_i K_j^T) * scale — the first wmma tile GEMM.
       for (std::int64_t r = 0; r < rows; ++r) {
@@ -469,20 +489,10 @@ gpusim::KernelCost blockwise_cost(const MhaDims& dims,
   // to the window's token rows; K/V, bitmap, and metadata traffic follow
   // the windowed block population.
   if (windowed) {
-    const auto& ptr = mask.load_row_ptr();
-    const auto& idx = mask.load_col_idx();
-    valid_blocks = ptr[static_cast<std::size_t>(q_block_end)] -
-                   ptr[static_cast<std::size_t>(q_block_begin)];
-    part_blocks = 0;
-    for (std::int64_t bi = q_block_begin; bi < q_block_end; ++bi) {
-      for (std::int64_t it = ptr[static_cast<std::size_t>(bi)];
-           it < ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
-        if (mask.block_kind(bi, idx[static_cast<std::size_t>(it)]) ==
-            sparse::BlockKind::kPart) {
-          ++part_blocks;
-        }
-      }
-    }
+    valid_blocks =
+        rows_between(mask.load_row_ptr(), q_block_begin, q_block_end);
+    part_blocks =
+        rows_between(mask.part_row_ptr(), q_block_begin, q_block_end);
   }
   const double window_tokens =
       windowed ? static_cast<double>(

@@ -6,7 +6,6 @@
 
 #include "stof/core/packed.hpp"
 #include "stof/mha/panel_cache.hpp"
-#include "stof/sparse/bsr_mask.hpp"
 
 namespace stof::mha {
 
@@ -21,9 +20,33 @@ masks::Mask effective_mask(const masks::Mask& base, std::int64_t len) {
   return m;
 }
 
+namespace {
+
+/// Each unique length's BSR, derived from the base BSR in O(blocks) —
+/// equal lengths share one.
+std::map<std::int64_t, sparse::BsrMask> prefixes_by_length(
+    const sparse::BsrMask& base, const VarlenBatch& batch) {
+  std::map<std::int64_t, sparse::BsrMask> out;
+  for (const auto len : batch.lengths) {
+    if (!out.contains(len)) out.emplace(len, base.prefix(len));
+  }
+  return out;
+}
+
+void expect_base_matches(const MhaDims& dims, const sparse::BsrMask& base,
+                         const BlockwiseParams& params) {
+  STOF_EXPECTS(base.seq_len() == dims.seq_len,
+               "base BSR must match dims.seq_len");
+  STOF_EXPECTS(base.block_m() == params.block_m &&
+                   base.block_n() == params.block_n,
+               "base BSR block sizes must match params");
+}
+
+}  // namespace
+
 TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
                          const TensorH& k, const TensorH& v,
-                         const masks::Mask& base_mask,
+                         const sparse::BsrMask& base_bsr,
                          const VarlenBatch& batch,
                          const BlockwiseParams& params) {
   dims.validate();
@@ -31,18 +54,9 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   STOF_EXPECTS(batch.batch() == dims.batch,
                "batch lengths must match dims.batch");
   STOF_EXPECTS(batch.seq_len == dims.seq_len);
-  STOF_EXPECTS(base_mask.seq_len() == dims.seq_len);
+  expect_base_matches(dims, base_bsr, params);
   TensorH out = make_output(dims, q, k, v);
-
-  // Equal lengths share one BSR analysis.
-  std::map<std::int64_t, sparse::BsrMask> bsr_by_len;
-  for (const auto len : batch.lengths) {
-    if (!bsr_by_len.contains(len)) {
-      bsr_by_len.emplace(len, sparse::BsrMask::build(
-                                  effective_mask(base_mask, len),
-                                  params.block_m, params.block_n));
-    }
-  }
+  const auto bsr_by_len = prefixes_by_length(base_bsr, batch);
 
   // Packed mode: convert the whole batch's K/V panels once (through the
   // cross-call registry, keyed on the parent tensors) and hand them to
@@ -99,7 +113,7 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
 }
 
 gpusim::KernelCost varlen_cost(const MhaDims& dims,
-                               const masks::Mask& base_mask,
+                               const sparse::BsrMask& base_bsr,
                                const VarlenBatch& batch,
                                const BlockwiseParams& params,
                                const gpusim::DeviceSpec& dev) {
@@ -107,6 +121,8 @@ gpusim::KernelCost varlen_cost(const MhaDims& dims,
   batch.validate();
   STOF_EXPECTS(batch.batch() == dims.batch);
   STOF_EXPECTS(batch.seq_len == dims.seq_len);
+  expect_base_matches(dims, base_bsr, params);
+  const auto bsr_by_len = prefixes_by_length(base_bsr, batch);
 
   // Accumulate per-element work using a single-element cost each, dedup by
   // (length, query window); launch overhead is paid once (one fused varlen
@@ -125,8 +141,6 @@ gpusim::KernelCost varlen_cost(const MhaDims& dims,
     const std::int64_t q_begin = batch.q_begin(b);
     auto it = cost_by_len.find({len, q_begin});
     if (it == cost_by_len.end()) {
-      const auto bsr = sparse::BsrMask::build(effective_mask(base_mask, len),
-                                              params.block_m, params.block_n);
       std::int64_t qb_lo = 0;
       std::int64_t qb_hi = -1;
       if (!batch.q_begins.empty()) {
@@ -135,8 +149,8 @@ gpusim::KernelCost varlen_cost(const MhaDims& dims,
       }
       it = cost_by_len
                .emplace(std::pair{len, q_begin},
-                        blockwise_cost(per_element, bsr, params, dev, qb_lo,
-                                       qb_hi))
+                        blockwise_cost(per_element, bsr_by_len.at(len),
+                                       params, dev, qb_lo, qb_hi))
                .first;
     }
     const auto& c = it->second;

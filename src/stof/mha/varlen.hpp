@@ -7,6 +7,11 @@
 // each batch element's effective mask is the base pattern intersected with
 // its valid square, and the block-sparse kernel skips the padded blocks
 // like any other empty block.
+//
+// Callers pass the base pattern as a BSR mask analysed once (at the
+// kernel's block size); each unique length's BSR is derived from it with
+// BsrMask::prefix in O(blocks), so no dense effective mask is built and no
+// O(seq_len^2) BSR analysis runs per call.
 #pragma once
 
 #include <vector>
@@ -16,6 +21,7 @@
 #include "stof/masks/mask.hpp"
 #include "stof/mha/attention.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
+#include "stof/sparse/bsr_mask.hpp"
 
 namespace stof::mha {
 
@@ -68,22 +74,28 @@ struct VarlenBatch {
 
 /// The base pattern restricted to one element's valid square:
 /// mask(i, j) and i < len and j < len.  len == 0 yields the empty mask.
+/// The dense reference for BsrMask::prefix: base_bsr.prefix(len) equals
+/// BsrMask::build(effective_mask(base, len), ...).
 masks::Mask effective_mask(const masks::Mask& base, std::int64_t len);
 
 /// Variable-length attention: Q/K/V are padded (batch*heads, seq, d);
 /// padded query rows produce zero output; padded keys are never attended.
 /// Functionally equals per-element attention under each effective mask.
+/// `base_bsr` is the base pattern's BSR at (params.block_m x
+/// params.block_n) over dims.seq_len; each unique length runs against
+/// base_bsr.prefix(len).
 TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
                          const TensorH& k, const TensorH& v,
-                         const masks::Mask& base_mask,
+                         const sparse::BsrMask& base_bsr,
                          const VarlenBatch& batch,
                          const BlockwiseParams& params = {16, 16});
 
 /// Simulated cost: one fused kernel whose work set is the union of the
-/// per-element valid blocks (lengths deduplicated — equal lengths share a
-/// BSR analysis).
+/// per-element valid blocks (lengths deduplicated — equal lengths share
+/// one derived BSR, equal (length, q_begin) pairs one cost).  Same
+/// `base_bsr` contract as varlen_attention.
 gpusim::KernelCost varlen_cost(const MhaDims& dims,
-                               const masks::Mask& base_mask,
+                               const sparse::BsrMask& base_bsr,
                                const VarlenBatch& batch,
                                const BlockwiseParams& params,
                                const gpusim::DeviceSpec& dev);

@@ -99,7 +99,7 @@ bool Engine::idle() const {
          table_.ids_in_phase(SessionPhase::kDecoding).empty();
 }
 
-const masks::Mask& Engine::mask_for(masks::PatternKind kind) {
+sparse::BsrCache& Engine::mask_for(masks::PatternKind kind) {
   auto it = mask_cache_.find(kind);
   if (it == mask_cache_.end()) {
     // Serving is autoregressive: every pattern is intersected with the
@@ -108,7 +108,7 @@ const masks::Mask& Engine::mask_for(masks::PatternKind kind) {
     const masks::Mask base =
         masks::MaskSpec{.kind = kind, .seq_len = config_.max_seq_len}.build();
     it = mask_cache_
-             .emplace(kind, base & masks::causal(config_.max_seq_len))
+             .try_emplace(kind, base & masks::causal(config_.max_seq_len))
              .first;
   }
   return it->second;
@@ -122,7 +122,7 @@ const std::vector<std::int32_t>& Engine::cols_for(masks::PatternKind kind,
   }
   auto& entry = rows[static_cast<std::size_t>(row)];
   if (!entry) {
-    const masks::Mask& mask = mask_for(kind);
+    const masks::Mask& mask = mask_for(kind).mask();
     std::vector<std::int32_t> cols;
     for (std::int64_t j = 0; j <= row; ++j) {
       if (mask.at(row, j)) cols.push_back(static_cast<std::int32_t>(j));
@@ -223,7 +223,8 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
   const std::int64_t heads = config_.heads;
   const std::int64_t d = config_.head_size;
   const std::int64_t seq = config_.max_seq_len;
-  const std::int64_t bm = config_.prefill_params.block_m;
+  const mha::BlockwiseParams& params = config_.prefill_params;
+  const std::int64_t bm = params.block_m;
   std::vector<half> tok(static_cast<std::size_t>(heads * d));
   double us = 0;
 
@@ -257,14 +258,14 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
         }
       }
     }
-    const masks::Mask& mask = mask_for(kind);
+    const sparse::BsrMask& base =
+        mask_for(kind).at(params.block_m, params.block_n);
     const mha::VarlenBatch batch{seq, lengths, q_begins};
-    const TensorH out = mha::varlen_attention(dims, q, k, v, mask, batch,
-                                              config_.prefill_params);
+    const TensorH out =
+        mha::varlen_attention(dims, q, k, v, base, batch, params);
     us += stream_.launch(
         "serve.prefill",
-        mha::varlen_cost(dims, mask, batch, config_.prefill_params,
-                         config_.device));
+        mha::varlen_cost(dims, base, batch, params, config_.device));
 
     for (std::int64_t b = 0; b < n; ++b) {
       const auto& chunk = group[static_cast<std::size_t>(b)];

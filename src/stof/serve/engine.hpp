@@ -6,7 +6,8 @@
 //   * every prefill — a whole admission or a chunk — is a query window
 //     [begin, end) of its session's context, packed per mask kind into one
 //     ragged mha::varlen_attention batch (one "serve.prefill" launch per
-//     kind) and charged for the window's rows only;
+//     kind) against the kind's base BSR, built once on the kind's first
+//     prefill, and charged for the window's rows only;
 //   * every decoding session runs one verify round — its true token plus
 //     any speculative drafts, so plain decode is a round with zero drafts —
 //     through a single batched mha::decode_attention_paged call over the
@@ -38,6 +39,7 @@
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/serve/model_runtime.hpp"
 #include "stof/serve/scheduler.hpp"
+#include "stof/sparse/bsr_cache.hpp"
 
 namespace stof::serve {
 
@@ -234,7 +236,10 @@ class Engine {
       on_output_row;
 
  private:
-  [[nodiscard]] const masks::Mask& mask_for(masks::PatternKind kind);
+  /// The kind's serving mask (pattern & causal at max_seq_len), built on
+  /// first use: `.mask()` feeds decode's column lists, `.at(block_m,
+  /// block_n)` is prefill's base BSR, analysed on the kind's first prefill.
+  [[nodiscard]] sparse::BsrCache& mask_for(masks::PatternKind kind);
   [[nodiscard]] const std::vector<std::int32_t>& cols_for(
       masks::PatternKind kind, std::int64_t row);
 
@@ -297,7 +302,7 @@ class Engine {
   double clock_us_ = 0;
   std::int64_t step_count_ = 0;
   EngineStats stats_;
-  std::map<masks::PatternKind, masks::Mask> mask_cache_;
+  std::map<masks::PatternKind, sparse::BsrCache> mask_cache_;
   /// Scratch row for fill_token_local (full-width token row).
   std::vector<half> token_stage_;
   /// cols_cache_[kind][row]: attendable context positions for a token

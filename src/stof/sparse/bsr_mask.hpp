@@ -37,6 +37,20 @@ class BsrMask {
   static BsrMask build(const masks::Mask& mask, std::int64_t block_m,
                        std::int64_t block_n);
 
+  /// BSR of this mask restricted to its leading len x len square — the
+  /// same seq_len, block sizes and rows() as this mask, with every element
+  /// at row or column >= len invalid.  Equal, array for array, to
+  /// build(<this mask with rows/cols >= len cleared>, block_m, block_n),
+  /// but derived in O(blocks) from this BSR: block rows from ceil(len /
+  /// BLOCK_M) on are empty, unclipped blocks keep their kind and bitmap,
+  /// and only blocks the len boundary cuts re-derive a bitmap (and are
+  /// classified against seq_len's in-range count, as build() does).  Part
+  /// bitmaps are deduplicated in first-occurrence order, so part_masks()
+  /// and storage_bytes() match build() too.  Serving derives each ragged
+  /// batch element's BSR this way from one base BSR per mask kind.
+  /// Requires 0 <= len <= seq_len().
+  [[nodiscard]] BsrMask prefix(std::int64_t len) const;
+
   [[nodiscard]] std::int64_t seq_len() const { return seq_len_; }
   [[nodiscard]] std::int64_t block_m() const { return block_m_; }
   [[nodiscard]] std::int64_t block_n() const { return block_n_; }

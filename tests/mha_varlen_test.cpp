@@ -14,6 +14,12 @@ struct Inputs {
   TensorH q, k, v;
 };
 
+/// The base BSR the varlen API takes, at the given kernel block size.
+sparse::BsrMask bsr(const masks::Mask& base,
+                    const BlockwiseParams& p = {16, 16}) {
+  return sparse::BsrMask::build(base, p.block_m, p.block_n);
+}
+
 Inputs make_inputs(const MhaDims& dims, std::uint64_t seed) {
   Rng rng(seed);
   Inputs in{TensorH(dims.qkv_shape()), TensorH(dims.qkv_shape()),
@@ -62,7 +68,7 @@ TEST(VarlenAttention, MatchesPerElementReference) {
                         .build();
   const VarlenBatch batch{48, {48, 30, 12}};
   const TensorH got =
-      varlen_attention(dims, in.q, in.k, in.v, base, batch);
+      varlen_attention(dims, in.q, in.k, in.v, bsr(base), batch);
 
   // Reference: each batch element independently, under its own mask.
   for (std::int64_t b = 0; b < 3; ++b) {
@@ -98,7 +104,7 @@ TEST(VarlenAttention, PaddedRowsAreZero) {
   const Inputs in = make_inputs(dims, 9);
   const VarlenBatch batch{32, {32, 10}};
   const TensorH out = varlen_attention(dims, in.q, in.k, in.v,
-                                       masks::dense(32), batch);
+                                       bsr(masks::dense(32)), batch);
   // Element 1: rows >= 10 are padding -> zero output.
   for (std::int64_t h = 0; h < 2; ++h) {
     for (std::int64_t s = 10; s < 32; ++s) {
@@ -116,7 +122,8 @@ TEST(VarlenAttention, FullLengthsEqualRegularAttention) {
                                     .seq_len = 32}
                         .build();
   const VarlenBatch batch{32, {32, 32}};
-  const TensorH a = varlen_attention(dims, in.q, in.k, in.v, base, batch);
+  const TensorH a =
+      varlen_attention(dims, in.q, in.k, in.v, bsr(base), batch);
   const TensorH b = reference_attention(dims, in.q, in.k, in.v, base);
   EXPECT_LT(max_abs_diff(a, b), 4e-3);
 }
@@ -125,8 +132,8 @@ TEST(VarlenAttention, RejectsMismatchedBatch) {
   const MhaDims dims{2, 2, 32, 8};
   const Inputs in = make_inputs(dims, 13);
   const VarlenBatch wrong{32, {32}};  // one length for batch of two
-  EXPECT_THROW(varlen_attention(dims, in.q, in.k, in.v, masks::dense(32),
-                                wrong),
+  EXPECT_THROW(varlen_attention(dims, in.q, in.k, in.v,
+                                bsr(masks::dense(32)), wrong),
                Error);
 }
 
@@ -141,9 +148,9 @@ TEST(VarlenCost, ShortSequencesCostLessThanPadded) {
   const VarlenBatch varlen{1024, {1024, 256, 128, 128, 128, 128, 64, 64}};
   const VarlenBatch padded{1024, std::vector<std::int64_t>(8, 1024)};
   const double t_varlen = gpusim::estimate_time_us(
-      varlen_cost(dims, base, varlen, p, dev), dev);
+      varlen_cost(dims, bsr(base, p), varlen, p, dev), dev);
   const double t_padded = gpusim::estimate_time_us(
-      varlen_cost(dims, base, padded, p, dev), dev);
+      varlen_cost(dims, bsr(base, p), padded, p, dev), dev);
   EXPECT_LT(t_varlen, 0.5 * t_padded);
 }
 
@@ -157,7 +164,7 @@ TEST(VarlenCost, PaddedBatchMatchesRegularKernel) {
                         .build();
   const BlockwiseParams p{64, 64, 4};
   const VarlenBatch full{512, std::vector<std::int64_t>(4, 512)};
-  const auto varlen = varlen_cost(dims, base, full, p, dev);
+  const auto varlen = varlen_cost(dims, bsr(base, p), full, p, dev);
   const auto regular = blockwise_cost(
       dims, sparse::BsrMask::build(base, 64, 64), p, dev);
   EXPECT_NEAR(varlen.tc_flops, regular.tc_flops, 1.0);
@@ -167,8 +174,9 @@ TEST(VarlenCost, PaddedBatchMatchesRegularKernel) {
 TEST(VarlenCost, SingleLaunchRegardlessOfBatch) {
   const MhaDims dims{16, 12, 256, 64};
   const VarlenBatch batch{256, std::vector<std::int64_t>(16, 128)};
-  const auto c = varlen_cost(dims, masks::dense(256), batch,
-                             BlockwiseParams{64, 64, 4}, gpusim::a100());
+  const BlockwiseParams p{64, 64, 4};
+  const auto c =
+      varlen_cost(dims, bsr(masks::dense(256), p), batch, p, gpusim::a100());
   EXPECT_EQ(c.launches, 1);
 }
 

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
+#include "stof/mha/varlen.hpp"
 #include "stof/sparse/bsr_mask.hpp"
 #include "stof/sparse/flashmask_format.hpp"
 #include "stof/sparse/rowwise_mask.hpp"
@@ -175,6 +179,75 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "x" +
              std::to_string(std::get<2>(info.param));
     });
+
+// ---- BSR prefix: the O(blocks) length restriction ---------------------------
+
+/// Every BSR array of `got` equals `want`'s.
+void expect_same_bsr(const BsrMask& got, const BsrMask& want) {
+  EXPECT_EQ(got.seq_len(), want.seq_len());
+  EXPECT_EQ(got.block_m(), want.block_m());
+  EXPECT_EQ(got.block_n(), want.block_n());
+  EXPECT_EQ(got.full_row_ptr(), want.full_row_ptr());
+  EXPECT_EQ(got.full_col_idx(), want.full_col_idx());
+  EXPECT_EQ(got.part_row_ptr(), want.part_row_ptr());
+  EXPECT_EQ(got.part_col_idx(), want.part_col_idx());
+  EXPECT_EQ(got.part_mask_id(), want.part_mask_id());
+  EXPECT_EQ(got.part_masks(), want.part_masks());
+  EXPECT_EQ(got.load_row_ptr(), want.load_row_ptr());
+  EXPECT_EQ(got.load_col_idx(), want.load_col_idx());
+  EXPECT_EQ(got.storage_bytes(), want.storage_bytes());
+}
+
+/// Every buildable PatternKind, plus a random element mask standing in for
+/// kCustom (arbitrary bitmaps, so clipped bitmaps collide with unclipped
+/// ones in the dedup table).
+std::vector<Mask> prefix_test_masks(std::int64_t seq) {
+  std::vector<Mask> out;
+  for (const auto kind :
+       {PatternKind::kDense, PatternKind::kCausal, PatternKind::kSlidingWindow,
+        PatternKind::kDilated, PatternKind::kGlobal, PatternKind::kRandom,
+        PatternKind::kLongformer, PatternKind::kBigBird,
+        PatternKind::kStrided}) {
+    out.push_back(MaskSpec{.kind = kind, .seq_len = seq}.build());
+  }
+  Rng rng(static_cast<std::uint64_t>(seq));
+  Mask custom(seq);
+  for (std::int64_t i = 0; i < seq; ++i) {
+    for (std::int64_t j = 0; j < seq; ++j) {
+      if (rng.bernoulli(0.3)) custom.set(i, j);
+    }
+  }
+  out.push_back(std::move(custom));
+  return out;
+}
+
+TEST(BsrMask, PrefixEqualsBuildOfEffectiveMask) {
+  const std::pair<std::int64_t, std::int64_t> blocks[] = {
+      {16, 16}, {32, 16}, {16, 64}};
+  std::int64_t cases = 0;
+  for (const std::int64_t seq : {37, 64, 200}) {
+    for (const Mask& raw : prefix_test_masks(seq)) {
+      for (const Mask& base : {raw, raw & masks::causal(seq)}) {
+        for (const auto& [bm, bn] : blocks) {
+          const BsrMask full = BsrMask::build(base, bm, bn);
+          for (std::int64_t len = 0; len <= seq; ++len) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seq=" << seq << " block=" << bm << "x" << bn
+                         << " len=" << len);
+            expect_same_bsr(
+                full.prefix(len),
+                BsrMask::build(mha::effective_mask(base, len), bm, bn));
+            ++cases;
+          }
+          EXPECT_THROW((void)full.prefix(-1), Error);
+          EXPECT_THROW((void)full.prefix(seq + 1), Error);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 10 * 2 * 3 * (38 + 65 + 201));
+}
 
 // ---- Row-wise format --------------------------------------------------------
 

@@ -1,7 +1,9 @@
 // Randomized ragged-batch fuzzing for varlen attention (serving admission
 // batches): random lengths including the 0- and 1-token edge cases, random
 // mask patterns, checked element-by-element against per-sequence reference
-// attention under each sequence's effective mask.
+// attention under each sequence's effective mask.  The varlen cost on the
+// base BSR is checked field for field against per-element BSRs built from
+// the dense effective masks.
 #include <gtest/gtest.h>
 
 #include "stof/core/rng.hpp"
@@ -21,6 +23,10 @@ masks::Mask random_base(Rng& rng, std::int64_t seq) {
                          .seq_len = seq,
                          .seed = rng.next_u64()}
       .build();
+}
+
+sparse::BsrMask bsr16(const masks::Mask& base) {
+  return sparse::BsrMask::build(base, 16, 16);
 }
 
 TEST(VarlenFuzz, RandomRaggedBatchesMatchPerSequenceReference) {
@@ -54,7 +60,7 @@ TEST(VarlenFuzz, RandomRaggedBatchesMatchPerSequenceReference) {
     const VarlenBatch batch{seq, lengths};
     batch.validate();
 
-    const TensorH got = varlen_attention(dims, q, k, v, base, batch);
+    const TensorH got = varlen_attention(dims, q, k, v, bsr16(base), batch);
 
     for (std::int64_t b = 0; b < batch_n; ++b) {
       const std::int64_t len = lengths[static_cast<std::size_t>(b)];
@@ -99,7 +105,7 @@ TEST(VarlenFuzz, AllZeroLengthBatchIsAllZeros) {
   v.fill_random(rng);
   const VarlenBatch batch{32, {0, 0, 0}};
   const TensorH out =
-      varlen_attention(dims, q, k, v, masks::dense(32), batch);
+      varlen_attention(dims, q, k, v, bsr16(masks::dense(32)), batch);
   for (std::int64_t i = 0; i < out.numel(); ++i) {
     ASSERT_EQ(float(out.data()[static_cast<std::size_t>(i)]), 0.0f);
   }
@@ -108,10 +114,116 @@ TEST(VarlenFuzz, AllZeroLengthBatchIsAllZeros) {
 TEST(VarlenFuzz, CostAcceptsZeroLengths) {
   const MhaDims dims{3, 2, 64, 16};
   const VarlenBatch batch{64, {64, 0, 1}};
-  const auto c = varlen_cost(dims, masks::dense(64), batch,
+  const auto c = varlen_cost(dims, bsr16(masks::dense(64)), batch,
                              BlockwiseParams{16, 16}, gpusim::a100());
   EXPECT_EQ(c.launches, 1);
   EXPECT_GT(c.tc_flops, 0.0);
+}
+
+/// varlen_cost's contract spelled out with the dense oracle: one fused
+/// launch summing blockwise_cost over every element, each against the BSR
+/// built from its effective mask and restricted to its query window.
+gpusim::KernelCost reference_cost(const MhaDims& dims, const masks::Mask& base,
+                                  const VarlenBatch& batch,
+                                  const BlockwiseParams& p,
+                                  const gpusim::DeviceSpec& dev) {
+  const MhaDims one{1, dims.heads, dims.seq_len, dims.head_size};
+  gpusim::KernelCost total;
+  total.grid_blocks = 0;
+  for (std::int64_t b = 0; b < batch.batch(); ++b) {
+    const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
+    const auto bsr = sparse::BsrMask::build(effective_mask(base, len),
+                                            p.block_m, p.block_n);
+    std::int64_t qb_lo = 0;
+    std::int64_t qb_hi = -1;
+    if (!batch.q_begins.empty()) {
+      qb_lo = batch.q_begin(b) / p.block_m;
+      qb_hi = (len + p.block_m - 1) / p.block_m;
+    }
+    const auto c = blockwise_cost(one, bsr, p, dev, qb_lo, qb_hi);
+    total.tc_flops += c.tc_flops;
+    total.cuda_flops += c.cuda_flops;
+    total.gmem_read_bytes += c.gmem_read_bytes;
+    total.gmem_write_bytes += c.gmem_write_bytes;
+    total.smem_bytes += c.smem_bytes;
+    total.grid_blocks += c.grid_blocks;
+    total.occupancy = c.occupancy;
+    total.blocks_per_sm = c.blocks_per_sm;
+  }
+  total.launches = 1;
+  return total;
+}
+
+TEST(VarlenFuzz, CostOnBaseBsrEqualsPerElementBuildReference) {
+  Rng rng(20261017);
+  const BlockwiseParams shapes[] = {{16, 16}, {32, 16}, {16, 64}};
+  const auto dev = gpusim::a100();
+  for (int iter = 0; iter < 24; ++iter) {
+    const std::int64_t seq =
+        40 + static_cast<std::int64_t>(rng.next_below(100));
+    const auto batch_n = static_cast<std::int64_t>(1 + rng.next_below(6));
+    const BlockwiseParams p = shapes[rng.next_below(std::size(shapes))];
+    masks::Mask base = random_base(rng, seq);
+    if (rng.bernoulli(0.5)) base = base & masks::causal(seq);
+
+    VarlenBatch batch{seq, {}};
+    for (std::int64_t b = 0; b < batch_n; ++b) {
+      // Repeat lengths now and then so the per-length dedup is exercised.
+      const std::int64_t len =
+          b > 0 && rng.bernoulli(0.3)
+              ? batch.lengths.back()
+              : static_cast<std::int64_t>(
+                    rng.next_below(static_cast<std::uint64_t>(seq) + 1));
+      batch.lengths.push_back(len);
+    }
+    if (iter % 2 == 1) {  // query windows: the chunked-prefill shape
+      for (const auto len : batch.lengths) {
+        batch.q_begins.push_back(static_cast<std::int64_t>(
+            rng.next_below(static_cast<std::uint64_t>(len) + 1)));
+      }
+    }
+    batch.validate();
+
+    const MhaDims dims{batch_n, 2, seq, 32};
+    const auto got = varlen_cost(
+        dims, sparse::BsrMask::build(base, p.block_m, p.block_n), batch, p,
+        dev);
+    const auto want = reference_cost(dims, base, batch, p, dev);
+    SCOPED_TRACE(::testing::Message() << "iter=" << iter);
+    EXPECT_EQ(got.tc_flops, want.tc_flops);
+    EXPECT_EQ(got.cuda_flops, want.cuda_flops);
+    EXPECT_EQ(got.gmem_read_bytes, want.gmem_read_bytes);
+    EXPECT_EQ(got.gmem_write_bytes, want.gmem_write_bytes);
+    EXPECT_EQ(got.smem_bytes, want.smem_bytes);
+    EXPECT_EQ(got.grid_blocks, want.grid_blocks);
+    EXPECT_EQ(got.occupancy, want.occupancy);
+    EXPECT_EQ(got.blocks_per_sm, want.blocks_per_sm);
+    EXPECT_EQ(got.launches, want.launches);
+  }
+}
+
+TEST(VarlenFuzz, RejectsBaseBsrThatDoesNotMatchTheLaunch) {
+  const MhaDims dims{2, 1, 64, 16};
+  Rng rng(3);
+  TensorH q(dims.qkv_shape()), k(dims.qkv_shape()), v(dims.qkv_shape());
+  q.fill_random(rng);
+  k.fill_random(rng);
+  v.fill_random(rng);
+  const VarlenBatch batch{64, {64, 20}};
+  const BlockwiseParams p{16, 16};
+  const auto dev = gpusim::a100();
+  const auto base = masks::causal(64);
+  const sparse::BsrMask wrong_blocks[] = {
+      sparse::BsrMask::build(base, 32, 16),   // block_m differs
+      sparse::BsrMask::build(base, 16, 32),   // block_n differs
+      bsr16(masks::causal(48)),               // seq_len differs
+  };
+  for (const auto& bsr : wrong_blocks) {
+    EXPECT_THROW(varlen_attention(dims, q, k, v, bsr, batch, p), Error);
+    EXPECT_THROW(varlen_cost(dims, bsr, batch, p, dev), Error);
+  }
+  // The matching base is accepted.
+  EXPECT_NO_THROW(varlen_cost(dims, bsr16(base), batch, p, dev));
 }
 
 }  // namespace
