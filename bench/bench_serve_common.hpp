@@ -266,18 +266,20 @@ inline RunResult run_trace(
     const std::function<void(SessionId, std::int64_t, std::span<const half>)>&
         on_decode = {}) {
   Engine engine(cfg);
-  if (on_decode) {
-    // Decoded rows are the output rows past the prompt.
-    engine.on_output_row = [&](SessionId id, std::int64_t pos,
-                               std::span<const half> row) {
-      if (pos >= engine.session(id).request.prompt_len) on_decode(id, pos, row);
-    };
-  }
   std::int64_t decode_steps = 0;
   std::map<SessionId, double> last_token_at;
   std::vector<double> decode_gaps;
   engine.on_step = [&](const StepOutcome& ev, std::int64_t,
                        double duration_us, std::int64_t) {
+    if (on_decode) {
+      // Decoded rows are the committed output rows past the prompt.
+      for (std::size_t r = 0; r < ev.rows.size(); ++r) {
+        const auto& key = ev.rows.keys[r];
+        if (key.pos >= engine.session(key.id).request.prompt_len) {
+          on_decode(key.id, key.pos, ev.rows.row(r));
+        }
+      }
+    }
     if (!ev.decodes.empty()) ++decode_steps;
     // Tokens land at the end of the step; the gap between a session's
     // consecutive tokens includes everything that delayed it — co-scheduled

@@ -20,34 +20,26 @@ void ClusterConfig::validate() const {
   engine.validate();
 }
 
-Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+Cluster::Cluster(const ClusterConfig& config)
+    : config_(config), digest_folder_(config.engine.block_tokens) {
   config_.validate();
   const std::int64_t total = config_.engine.heads;
   engines_.reserve(static_cast<std::size_t>(config_.devices));
-  pending_rows_.resize(static_cast<std::size_t>(config_.devices));
   for (int dev = 0; dev < config_.devices; ++dev) {
     serve::EngineConfig ec = config_.engine;
-    if (config_.devices > 1) {
-      const HeadRange hr = head_range(total, config_.devices, dev);
-      ec.heads = hr.count;
-      ec.head_offset = hr.begin;
-      ec.total_heads = total;
-      // The draft pass is a cost-model-only narrow decode; keep it inside
-      // the shard's head range.
-      ec.spec_draft_heads = std::min(ec.spec_draft_heads, hr.count);
-    }
+    const HeadRange hr = head_range(total, config_.devices, dev);
+    ec.heads = hr.count;
+    ec.head_offset = hr.begin;
+    ec.total_heads = total;
+    // The draft pass is a cost-model-only narrow decode; keep it inside
+    // the shard's head range.
+    ec.spec_draft_heads = std::min(ec.spec_draft_heads, hr.count);
     engines_.push_back(std::make_unique<serve::Engine>(ec));
-    engines_.back()->on_output_row = [this, dev](serve::SessionId id,
-                                                 std::int64_t pos,
-                                                 std::span<const half> row) {
-      pending_rows_[static_cast<std::size_t>(dev)].push_back(
-          OutputRow{id, pos, {row.begin(), row.end()}});
-    };
   }
   if (config_.engine.model.enabled()) {
-    // Sharded engines run the model cost-only (no weights) and publish RAW
-    // shard rows; the cluster owns the full-width layer head so its digests
-    // match an unsharded engine's transformed digests byte for byte.
+    // Shards run the model cost-only (no weights); the cluster owns the
+    // full-width layer head, so its digests match an unsharded engine's
+    // byte for byte.
     model_head_ = std::make_unique<serve::ModelRuntime>(
         config_.engine.model, config_.engine.heads, config_.engine.head_size,
         config_.engine.device, /*with_weights=*/true);
@@ -65,98 +57,32 @@ void Cluster::advance_to(double us) {
   for (auto& e : engines_) e->advance_to(us);
 }
 
-std::uint64_t Cluster::prefix_chain_key(const serve::Request& r,
-                                        std::int64_t tokens) const {
-  const std::int64_t bt = config_.engine.block_tokens;
-  std::uint64_t h = kFnv1aOffset;
-  for (std::int64_t b = 0; b * bt < tokens; ++b) {
-    const std::int64_t end = std::min((b + 1) * bt, tokens);
-    const std::uint64_t pk = serve::PrefixIndex::page_key(r, b * bt, end);
-    h = fnv1a64(&pk, sizeof(pk), h);
+void Cluster::fold_rows(
+    const std::vector<std::optional<serve::StepOutcome>>& outcomes) {
+  // Shard d holds heads [head_range(d).begin, ...): device-order
+  // concatenation is the row a single-device engine commits.
+  const serve::OutputRows& ref = outcomes[0]->rows;
+  for (const auto& o : outcomes) {
+    STOF_CHECK(o->rows.size() == ref.size(),
+               "shards must commit the same output rows each step");
   }
-  // page_key covers token content only; the folded OUTPUTS also depend on
-  // the attention pattern, so the chain value must too.
-  const int mk = static_cast<int>(r.mask_kind);
-  return fnv1a64(&mk, sizeof(mk), h);
-}
-
-void Cluster::drain_output_rows() {
-  const auto& ref = pending_rows_[0];
-  if (config_.check_lockstep) {
-    for (const auto& dev_rows : pending_rows_) {
-      STOF_CHECK(dev_rows.size() == ref.size(),
-                 "shards must fold the same output rows each step");
-    }
-  }
-  // Assemble the step's full-width rows first: shard d holds heads
-  // [head_range(d).begin, ...), so device-order concatenation is the
-  // (head, dim) row a single-device engine folds for each position.
-  const std::int64_t width = config_.engine.heads * config_.engine.head_size;
-  std::vector<half> full(ref.size() * static_cast<std::size_t>(width));
+  serve::OutputRows full{config_.engine.heads * config_.engine.head_size,
+                         {}, {}};
   for (std::size_t j = 0; j < ref.size(); ++j) {
-    std::size_t off = j * static_cast<std::size_t>(width);
-    for (auto& dev_rows : pending_rows_) {
-      const OutputRow& row = dev_rows[j];
-      if (config_.check_lockstep) {
-        STOF_CHECK(row.id == ref[j].id && row.pos == ref[j].pos,
-                   "shard output-row streams diverged");
-      }
-      std::copy(row.bytes.begin(), row.bytes.end(), full.begin() + off);
-      off += row.bytes.size();
-    }
-    STOF_CHECK(off == (j + 1) * static_cast<std::size_t>(width),
-               "shard rows must tile the model width exactly");
-  }
-  // With a model configured, apply the layer head to the assembled
-  // full-width rows before folding.  The head is per-row pure, so one
-  // batched call matches an unsharded engine's per-step transforms bit
-  // for bit regardless of how that engine batched them.
-  if (model_head_ != nullptr && !ref.empty()) {
-    TensorH t(Shape{static_cast<std::int64_t>(ref.size()), width});
-    std::copy(full.begin(), full.end(), t.data().begin());
-    model_head_->transform_rows(t);
-    std::copy(t.data().begin(), t.data().end(), full.begin());
-  }
-  for (std::size_t j = 0; j < ref.size(); ++j) {
-    const serve::SessionId id = ref[j].id;
-    const std::int64_t pos = ref[j].pos;
-    auto it = digests_.find(id);
-    if (it == digests_.end()) {
-      // First folded row of this session.  A session that adopted a shared
-      // prefix starts folding at the adoption boundary (possibly re-set by
-      // eviction/re-admission cycles): positions [0, pos) were never
-      // computed here, so seed the cluster digest with the chain value
-      // recorded when the donor's template rows were folded.  The key is
-      // pure template content, so any earlier session with the same
-      // template works as the donor — and `pos` is always a published
-      // boundary (page multiple or template end) when nonzero.
-      std::uint64_t init = kFnv1aOffset;  // matches Session::digest's start
-      const serve::Session& s = engines_[0]->session(id);
-      if (pos > 0) {
-        STOF_CHECK(pos <= s.request.template_len,
-                   "a first fold past 0 must sit inside an adopted template");
-        const auto cit =
-            prefix_chain_.find(prefix_chain_key(s.request, pos));
-        STOF_CHECK(cit != prefix_chain_.end(),
-                   "adopted prefix must have a recorded cluster chain value");
-        init = cit->second;
-      }
-      it = digests_.emplace(id, init).first;
-    }
-    it->second = fnv1a64(
-        full.data() + j * static_cast<std::size_t>(width),
-        static_cast<std::size_t>(width) * sizeof(half), it->second);
-    // Record the chain value at template page boundaries — the points a
-    // later session can adopt up to.
-    const serve::Request& r = engines_[0]->session(id).request;
-    if (r.template_len > 0 && pos < r.template_len) {
-      const std::int64_t bt = config_.engine.block_tokens;
-      if ((pos + 1) % bt == 0 || pos + 1 == r.template_len) {
-        prefix_chain_[prefix_chain_key(r, pos + 1)] = it->second;
-      }
+    const auto [id, pos] = ref.keys[j];
+    auto dst = full.add(id, pos).begin();
+    for (const auto& o : outcomes) {
+      STOF_CHECK(!config_.check_lockstep || (o->rows.keys[j].id == id &&
+                                             o->rows.keys[j].pos == pos),
+                 "shard output-row streams diverged");
+      dst = std::ranges::copy(o->rows.row(j), dst).out;
     }
   }
-  for (auto& dev_rows : pending_rows_) dev_rows.clear();
+  digest_folder_.fold(full, model_head_.get(), [this](serve::SessionId id) {
+    auto& digest = digests_.try_emplace(id, kFnv1aOffset).first->second;
+    return serve::DigestChain{&engines_[0]->session(id).request, &digest,
+                              &folded_[id]};
+  });
 }
 
 bool Cluster::step() {
@@ -219,7 +145,7 @@ bool Cluster::step() {
   for (std::size_t i = 0; i < engines_.size(); ++i) {
     engines_[i]->finalize_step(*outcomes[i], step_us);
   }
-  drain_output_rows();
+  fold_rows(outcomes);
 
   if (telemetry::enabled()) {
     telemetry::count("cluster.steps");

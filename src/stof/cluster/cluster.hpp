@@ -6,7 +6,8 @@
 // [head_range(i).begin, head_range(i).end) of the model, with its own KV
 // pool (holding only its heads' pages), its own gpusim timeline, and its
 // own panel-cache sidecars — so paged decode, chunked prefill, prefix
-// sharing, and speculative decoding all shard without modification.
+// sharing, and speculative decoding all shard without modification.  Every
+// engine is a shard, a one-device cluster included.
 //
 // Scheduling is lock-step: scheduler plans are pure functions of the
 // session table and the pool's BLOCK accounting, and the head count only
@@ -20,10 +21,10 @@
 //   3. finalize_step() everywhere with the common duration
 //      max(shard kernel times) + collective time — so shard clocks, TTFT,
 //      and deadline accounting agree across the cluster;
-//   4. gather each shard's attention-output rows (the Engine's
-//      on_output_row hook) and fold them in fixed shard order into
-//      per-session CLUSTER digests, which are byte-comparable to a
-//      single-device engine's digests on the same trace.
+//   4. assemble full-width rows from the shards' StepOutcome rows in
+//      device order and fold them with a serve::DigestFolder (the one an
+//      unsharded engine runs) into per-session CLUSTER digests, byte-
+//      comparable to a single-device engine's.  Shards fold nothing.
 //
 // Collective traffic per step is modeled Megatron-style: 2 all-reduces
 // per transformer layer over the step's activation rows
@@ -80,6 +81,11 @@ class Cluster {
   [[nodiscard]] const serve::Engine& engine(int device) const {
     return *engines_.at(static_cast<std::size_t>(device));
   }
+  /// Mutable shard, for observers such as Engine::on_step (stepping a
+  /// shard directly breaks lock-step).
+  [[nodiscard]] serve::Engine& engine(int device) {
+    return *engines_.at(static_cast<std::size_t>(device));
+  }
   /// Shard 0's engine stats; lock-step execution keeps every shard's
   /// session/step counters identical, so one shard speaks for all.
   [[nodiscard]] const serve::EngineStats& stats() const {
@@ -98,34 +104,18 @@ class Cluster {
   [[nodiscard]] double collective_us() const { return collective_us_; }
 
  private:
-  struct OutputRow {
-    serve::SessionId id = 0;
-    std::int64_t pos = 0;
-    std::vector<half> bytes;  ///< this shard's heads × head_size halfs
-  };
-
-  /// Pure content key of "the first `tokens` positions of this request's
-  /// template" (page-key chain + mask kind): indexes the cluster-digest
-  /// chain values that seed prefix-adopting sessions.
-  [[nodiscard]] std::uint64_t prefix_chain_key(const serve::Request& r,
-                                               std::int64_t tokens) const;
-
-  /// Fold the step's gathered shard rows into the cluster digests.
-  void drain_output_rows();
+  /// Fold the step's shard rows, assembled to full width, into digests_.
+  void fold_rows(
+      const std::vector<std::optional<serve::StepOutcome>>& outcomes);
 
   ClusterConfig config_;
   std::vector<std::unique_ptr<serve::Engine>> engines_;
-  /// Full-width numeric model head (engine.model enabled only): shards
-  /// fold raw local rows, so the cluster applies the layer head to the
-  /// assembled full-width row before folding — reproducing an unsharded
-  /// engine's transformed digest bit for bit at every device count.
+  /// Full-width numeric model head (engine.model enabled only), applied to
+  /// the assembled rows as an unsharded engine applies its own.
   std::unique_ptr<serve::ModelRuntime> model_head_;
-  std::vector<std::vector<OutputRow>> pending_rows_;  ///< per device
+  serve::DigestFolder digest_folder_;
   std::map<serve::SessionId, std::uint64_t> digests_;
-  /// Digest chain value after folding the first `key`'s tokens of a shared
-  /// template — pure functions of template content, so entries are never
-  /// invalidated.
-  std::map<std::uint64_t, std::uint64_t> prefix_chain_;
+  std::map<serve::SessionId, std::int64_t> folded_;  ///< folded positions
   double collective_us_ = 0;
 };
 

@@ -65,33 +65,6 @@ std::int64_t rows_between(const std::vector<std::int64_t>& row_ptr,
          row_ptr[static_cast<std::size_t>(begin)];
 }
 
-/// Walks one block row's load list in order, pairing each loaded block
-/// with its bitmap: the part list is a sorted subsequence of the load list,
-/// so one cursor over it replaces a per-block binary search.
-class RowBlocks {
- public:
-  RowBlocks(const sparse::BsrMask& mask, std::int64_t bi)
-      : mask_(mask),
-        part_(mask.part_row_ptr()[static_cast<std::size_t>(bi)]),
-        part_end_(mask.part_row_ptr()[static_cast<std::size_t>(bi) + 1]) {}
-
-  /// Bitmap of load entry `bj` (visited in load order), or nullptr for a
-  /// full block.
-  const std::vector<std::uint8_t>* bitmap(std::int64_t bj) {
-    if (part_ == part_end_ ||
-        mask_.part_col_idx()[static_cast<std::size_t>(part_)] != bj) {
-      return nullptr;
-    }
-    const auto id = mask_.part_mask_id()[static_cast<std::size_t>(part_++)];
-    return &mask_.part_masks()[static_cast<std::size_t>(id)];
-  }
-
- private:
-  const sparse::BsrMask& mask_;
-  std::int64_t part_;
-  std::int64_t part_end_;
-};
-
 }  // namespace
 
 TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
@@ -231,7 +204,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
       }
       std::int64_t full_fast_blocks = 0;
 
-      RowBlocks row_blocks(mask, bi);
+      sparse::BsrMask::RowBlocks row_blocks(mask, bi);
       for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
            it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
         const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
@@ -386,7 +359,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     }
 
     // ---- Scalar reference path: per-element conversions via at(). ----
-    RowBlocks row_blocks(mask, bi);
+    sparse::BsrMask::RowBlocks row_blocks(mask, bi);
     for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
          it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
       const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];

@@ -65,12 +65,13 @@ Engine::Engine(const EngineConfig& config)
       pool_(KvPoolConfig{config.kv_blocks, config.block_tokens, config.heads,
                          config.head_size}),
       scheduler_(effective_scheduler(config)),
-      stream_(config.device) {
+      stream_(config.device),
+      digests_(config.block_tokens) {
   config_.validate();
   if (config_.model.enabled()) {
     // A tensor-parallel shard charges the shard-width slice of every layer
-    // GEMM but never folds transformed rows (the cluster owns the
-    // full-width model head), so it skips the numeric weights.
+    // GEMM but folds nothing (the cluster owns the full-width model head),
+    // so it skips the numeric weights.
     model_ = std::make_unique<ModelRuntime>(
         config_.model, config_.heads, config_.head_size, config_.device,
         /*with_weights=*/config_.total_heads == 0);
@@ -94,12 +95,12 @@ SessionId Engine::submit(const Request& request) {
 }
 
 bool Engine::idle() const {
-  return scheduler_.queue_empty() &&
-         table_.ids_in_phase(SessionPhase::kPrefilling).empty() &&
-         table_.ids_in_phase(SessionPhase::kDecoding).empty();
+  // Queued sessions are exactly the wait queue's, so with it empty the
+  // engine is idle iff every submitted session has finished.
+  return scheduler_.queue_empty() && stats_.finished == stats_.submitted;
 }
 
-sparse::BsrCache& Engine::mask_for(masks::PatternKind kind) {
+const sparse::BsrMask& Engine::base_bsr(masks::PatternKind kind) {
   auto it = mask_cache_.find(kind);
   if (it == mask_cache_.end()) {
     // Serving is autoregressive: every pattern is intersected with the
@@ -111,30 +112,13 @@ sparse::BsrCache& Engine::mask_for(masks::PatternKind kind) {
              .try_emplace(kind, base & masks::causal(config_.max_seq_len))
              .first;
   }
-  return it->second;
-}
-
-const std::vector<std::int32_t>& Engine::cols_for(masks::PatternKind kind,
-                                                  std::int64_t row) {
-  auto& rows = cols_cache_[kind];
-  if (rows.empty()) {
-    rows.resize(static_cast<std::size_t>(config_.max_seq_len));
-  }
-  auto& entry = rows[static_cast<std::size_t>(row)];
-  if (!entry) {
-    const masks::Mask& mask = mask_for(kind).mask();
-    std::vector<std::int32_t> cols;
-    for (std::int64_t j = 0; j <= row; ++j) {
-      if (mask.at(row, j)) cols.push_back(static_cast<std::int32_t>(j));
-    }
-    entry = std::move(cols);
-  }
-  return *entry;
+  const mha::BlockwiseParams& params = config_.prefill_params;
+  return it->second.at(params.block_m, params.block_n);
 }
 
 void Engine::fill_token_local(std::uint64_t seed, std::int64_t pos,
                               TokenChannel channel, std::span<half> dst) {
-  if (config_.total_heads == 0) {
+  if (config_.heads == config_.model_heads()) {
     fill_token(seed, pos, channel, dst);
     return;
   }
@@ -153,48 +137,6 @@ void Engine::fill_token_local(std::uint64_t seed, std::int64_t pos,
                   static_cast<std::size_t>(config_.head_offset *
                                            config_.head_size),
               dst.size() * sizeof(half));
-}
-
-void Engine::fold_output_row(Session& s, std::int64_t pos,
-                             std::span<const half> digest_row,
-                             std::span<const half> raw_row) {
-  s.digest = fnv1a64(digest_row.data(), digest_row.size_bytes(), s.digest);
-  if (on_output_row) on_output_row(s.request.id, pos, raw_row);
-}
-
-TensorH Engine::transform_for_digest(std::span<const half> rows,
-                                     std::int64_t count) {
-  if (!model_digest_active() || count == 0) return {};
-  TensorH t(Shape{count, config_.heads * config_.head_size});
-  std::memcpy(t.data().data(), rows.data(), t.data().size_bytes());
-  model_->transform_rows(t);
-  return t;
-}
-
-void Engine::capture_template_digest(Session& s, std::int64_t pos) {
-  const std::int64_t tl = s.request.template_len;
-  if (tl <= 0 || pos >= tl) return;
-  const std::int64_t bt = config_.block_tokens;
-  // Chain values are recorded where a page completes (or the template
-  // ends): exactly the points publish_prefix() stores alongside pages, so
-  // an adopter can start its digest mid-stream.
-  if ((pos + 1) % bt != 0 && pos + 1 != tl) return;
-  const auto pages = static_cast<std::size_t>((tl + bt - 1) / bt);
-  if (s.template_page_digest.size() != pages) {
-    s.template_page_digest.assign(pages, 0);
-    s.template_page_digest_ok.assign(pages, 0);
-  }
-  const auto q = static_cast<std::size_t>(pos / bt);
-  s.template_page_digest[q] = s.digest;
-  s.template_page_digest_ok[q] = 1;
-}
-
-void Engine::maybe_publish_prefix(Session& s) {
-  if (!scheduler_.config().prefix_sharing || s.request.template_len <= 0) {
-    return;
-  }
-  pool_.publish_prefix(s.request.id, s.request, s.template_page_digest,
-                       s.template_page_digest_ok);
 }
 
 double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
@@ -258,8 +200,7 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
         }
       }
     }
-    const sparse::BsrMask& base =
-        mask_for(kind).at(params.block_m, params.block_n);
+    const sparse::BsrMask& base = base_bsr(kind);
     const mha::VarlenBatch batch{seq, lengths, q_begins};
     const TensorH out =
         mha::varlen_attention(dims, q, k, v, base, batch, params);
@@ -273,63 +214,32 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
       STOF_CHECK(s.cached_tokens == chunk.begin,
                  "chunk must resume at the session's cached prefix");
       // Ingest the chunk's positions into the KV pool (the scheduler sized
-      // the chunk to the blocks available this step).
+      // the chunk to the blocks available this step) and commit the output
+      // row of every position not folded yet.  A re-prefilled window
+      // (preempt mid-prefill, or a preempted decoder rebuilding its
+      // context) recomputes folded rows but never re-commits them.
       for (std::int64_t pos = chunk.begin; pos < chunk.end; ++pos) {
         auto slot = pool_.append_token(chunk.id);
         STOF_CHECK(slot.has_value(), "scheduler must size chunks to the pool");
+        const std::span<half> row = pos >= s.folded_tokens
+                                        ? outcome.rows.add(chunk.id, pos)
+                                        : std::span<half>{};
         for (std::int64_t h = 0; h < heads; ++h) {
-          std::memcpy(slot->k + h * d, &k.at(b * heads + h, pos, 0),
-                      static_cast<std::size_t>(d) * sizeof(half));
-          std::memcpy(slot->v + h * d, &v.at(b * heads + h, pos, 0),
-                      static_cast<std::size_t>(d) * sizeof(half));
+          const auto dh = static_cast<std::size_t>(d) * sizeof(half);
+          std::memcpy(slot->k + h * d, &k.at(b * heads + h, pos, 0), dh);
+          std::memcpy(slot->v + h * d, &v.at(b * heads + h, pos, 0), dh);
+          if (!row.empty()) {
+            std::memcpy(&row[static_cast<std::size_t>(h * d)],
+                        &out.at(b * heads + h, pos, 0), dh);
+          }
         }
       }
       s.cached_tokens = chunk.end;
-      // Fold the chunk's prompt rows exactly once, in position order.  A
-      // re-prefilled chunk (preempt mid-prefill, or a preempted decoder
-      // rebuilding context past its prompt) recomputes rows already
-      // folded; they are skipped, never re-folded.  The rows batch up for
-      // one model-head pass; per-row purity of the head keeps chunked
-      // digests byte-identical to whole prefills.
-      const std::int64_t hd = heads * d;
-      const std::int64_t fold_end =
-          std::min(chunk.end, s.request.prompt_len);
-      const std::int64_t fold_begin =
-          std::max(chunk.begin, s.prompt_digested_tokens);
-      const std::int64_t fold_n = fold_end - fold_begin;
-      if (fold_n > 0) {
-        std::vector<half> raw(static_cast<std::size_t>(fold_n * hd));
-        for (std::int64_t j = 0; j < fold_n; ++j) {
-          const std::int64_t pos = fold_begin + j;
-          for (std::int64_t h = 0; h < heads; ++h) {
-            std::memcpy(&raw[static_cast<std::size_t>(j * hd + h * d)],
-                        out.data()
-                            .subspan(static_cast<std::size_t>(
-                                         ((b * heads + h) * seq + pos) * d),
-                                     static_cast<std::size_t>(d))
-                            .data(),
-                        static_cast<std::size_t>(d) * sizeof(half));
-          }
-        }
-        const TensorH folded = transform_for_digest(raw, fold_n);
-        for (std::int64_t j = 0; j < fold_n; ++j) {
-          const std::int64_t pos = fold_begin + j;
-          const std::span<const half> raw_row{
-              raw.data() + j * hd, static_cast<std::size_t>(hd)};
-          const std::span<const half> dig_row =
-              folded.data().empty()
-                  ? raw_row
-                  : folded.data().subspan(static_cast<std::size_t>(j * hd),
-                                          static_cast<std::size_t>(hd));
-          fold_output_row(s, pos, dig_row, raw_row);
-          capture_template_digest(s, pos);
-        }
-      }
-      s.prompt_digested_tokens = std::max(s.prompt_digested_tokens, fold_end);
       if (s.cached_tokens == s.total_len()) {
-        STOF_CHECK(s.prompt_digested_tokens == s.request.prompt_len,
-                   "prefix completion must have digested the whole prompt");
-        maybe_publish_prefix(s);
+        // Publish the freshly prefilled template pages to the prefix tree.
+        if (scheduler_.config().prefix_sharing) {
+          pool_.publish_prefix(chunk.id, s.request);
+        }
         s.phase = SessionPhase::kDecoding;
       }
       s.last_touch_step = step_count_;
@@ -339,20 +249,6 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
     }
   }
   return us;
-}
-
-void Engine::commit_decoded(SessionId id, std::int64_t committed,
-                            StepOutcome& outcome) {
-  Session& s = table_.at(id);
-  const bool had_none = s.generated == 0;
-  s.generated += committed;
-  s.last_touch_step = step_count_;
-  if (had_none && committed > 0) outcome.first_token.push_back(id);
-  if (s.done()) {
-    s.phase = SessionPhase::kFinished;
-    pool_.release(id);
-    outcome.finished.push_back(id);
-  }
 }
 
 double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
@@ -377,6 +273,10 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
   };
   std::vector<Round> rounds;
   rounds.reserve(ids.size());
+  // Each row's attendable columns, read from its kind's base BSR (looked
+  // up once per kind per launch).
+  std::vector<std::vector<std::int32_t>> cols;
+  std::map<masks::PatternKind, const sparse::BsrMask*> bsrs;
 
   // Append every round's KV rows first: PagedSeq spans point into the
   // pool's per-session block-pointer vectors, which must be quiescent by
@@ -390,7 +290,10 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
            spec_coin(s.request, r.pos + r.accept + 1, config_.spec_accept_pct)) {
       ++r.accept;
     }
+    const sparse::BsrMask*& bsr = bsrs[s.request.mask_kind];
+    if (bsr == nullptr) bsr = &base_bsr(s.request.mask_kind);
     for (std::int64_t j = 0; j < r.rows; ++j) {
+      bsr->row_cols(r.pos + j, cols.emplace_back());
       const std::uint64_t seed = j <= r.accept
                                      ? s.request.seed
                                      : (s.request.seed ^ kSpecDraftSalt);
@@ -437,11 +340,11 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
       // Row j attends [0, pos + 1): later (rejected) draft slots live in
       // the same pages but are never in its column list, so an accepted
       // row's output is bit-identical to the sequential decode of pos.
-      const auto& cols = cols_for(s.request.mask_kind, pos);
+      const auto& row_cols = cols[static_cast<std::size_t>(row)];
       seqs[static_cast<std::size_t>(row)] = mha::PagedSeq{
           pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
-          pool_.v_blocks(r.id), cols, sidecar};
-      valid.push_back(static_cast<std::int64_t>(cols.size()));
+          pool_.v_blocks(r.id), row_cols, sidecar};
+      valid.push_back(static_cast<std::int64_t>(row_cols.size()));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {
         draft_valid.push_back(std::min(pos, config_.spec_draft_window));
@@ -463,49 +366,34 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
       "serve.decode",
       mha::decode_verify_cost(heads, d, valid, seq_rows, config_.device));
 
-  // Every committed row enters one model-head batch, in row order;
-  // rejected rows roll back and never fold.  A round's committed rows are
-  // its leading ones, so with no rejected row (always, without drafts) the
-  // batch is `out` itself, and otherwise a copy of each round's leading
-  // run.  Committed rows are bit-identical to plain decode rows, and the
-  // head is per-row pure, so speculative digests stay byte-identical to
-  // non-speculative runs.
+  // A round's committed rows are its leading ones, bit-identical to plain
+  // decode rows; rejected rows roll back and are never committed, so
+  // speculative digests stay byte-identical to non-speculative runs.
   const auto hd = static_cast<std::size_t>(heads * d);
-  TensorH folded;
-  if (committed == total_rows) {
-    folded = transform_for_digest(out.data(), total_rows);
-  } else if (model_digest_active()) {
-    std::vector<half> raw;
-    raw.reserve(static_cast<std::size_t>(committed) * hd);
-    row = 0;
-    for (const auto& r : rounds) {
-      const auto lead =
-          out.data().subspan(static_cast<std::size_t>(row) * hd,
-                             static_cast<std::size_t>(r.accept + 1) * hd);
-      raw.insert(raw.end(), lead.begin(), lead.end());
-      row += r.rows;
-    }
-    folded = transform_for_digest(raw, committed);
-  }
-
   std::int64_t drafted = 0, accepted = 0, rollbacks = 0;
-  std::size_t fold_row = 0;  ///< committed-row index into `folded`
   row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
     const std::int64_t commit = r.accept + 1;
-    for (std::int64_t j = 0; j < commit; ++j, ++fold_row) {
-      const auto out_row =
-          out.data().subspan(static_cast<std::size_t>(row + j) * hd, hd);
-      const auto dig_row = folded.data().empty()
-                               ? out_row
-                               : folded.data().subspan(fold_row * hd, hd);
-      fold_output_row(s, r.pos + j, dig_row, out_row);
+    for (std::int64_t j = 0; j < commit; ++j) {
+      std::ranges::copy(
+          out.data().subspan(static_cast<std::size_t>(row + j) * hd, hd),
+          outcome.rows.add(r.id, r.pos + j).begin());
     }
     row += r.rows;
     if (commit < r.rows) pool_.truncate(r.id, r.pos + commit);
     s.cached_tokens = r.pos + commit;
-    commit_decoded(r.id, commit, outcome);
+    // Transitions are recorded here and stamped by finalize_step, once the
+    // step's full duration is known.
+    if (s.generated == 0) outcome.first_token.push_back(r.id);
+    s.generated += commit;
+    s.last_touch_step = step_count_;
+    if (s.done()) {
+      s.phase = SessionPhase::kFinished;
+      ++stats_.finished;
+      pool_.release(r.id);
+      outcome.finished.push_back(r.id);
+    }
     drafted += r.rows - 1;
     accepted += r.accept;
     rollbacks += r.rows - commit;
@@ -527,6 +415,7 @@ std::optional<StepOutcome> Engine::execute_step() {
 
   StepOutcome outcome;
   outcome.start_us = clock_us_;
+  outcome.rows.width = config_.heads * config_.head_size;
 
   stats_.preemptions += static_cast<std::int64_t>(plan.evicted.size());
   if (!plan.evicted.empty()) {
@@ -558,6 +447,18 @@ std::optional<StepOutcome> Engine::execute_step() {
     const std::int64_t rows = outcome.prefill_tokens + outcome.decode_rows;
     if (rows > 0) us += model_->charge_step(stream_, rows);
   }
+  // Fold the step's rows into session digests; a shard only advances each
+  // session's folded mark and leaves the folding to its cluster.
+  if (config_.total_heads > 0) {
+    for (const auto& key : outcome.rows.keys) {
+      table_.at(key.id).folded_tokens = key.pos + 1;
+    }
+  } else {
+    digests_.fold(outcome.rows, model_.get(), [this](SessionId id) {
+      Session& s = table_.at(id);
+      return DigestChain{&s.request, &s.digest, &s.folded_tokens};
+    });
+  }
   outcome.us = us;
   outcome.evicted = std::move(plan.evicted);
   outcome.prefills = std::move(plan.prefills);
@@ -576,7 +477,6 @@ void Engine::finalize_step(const StepOutcome& outcome, double step_us) {
   for (const auto id : outcome.finished) {
     Session& s = table_.at(id);
     s.finish_us = clock_us_;
-    ++stats_.finished;
     if (s.request.deadline_us > 0 && s.finish_us > s.request.deadline_us) {
       ++stats_.deadline_misses;
       telemetry::count("serve.sched.deadline_misses");

@@ -21,10 +21,11 @@
 // (session seed, position, channel) — fill_token() below.  That makes
 // preemption recovery exact: a victim's KV pages are dropped and its full
 // context re-prefilled later from the token function, reproducing the
-// same bits.  Each position's attention output is folded into the
-// session's FNV-1a digest exactly once, in position order, so two runs
-// (e.g. serial vs continuous scheduling) produce equal digests iff every
-// per-session output byte matches.
+// same bits.  The runners commit each position's attention-output row
+// once, in position order, to the step's OutputRows, which an unsharded
+// engine folds into session digests at the end of execute_step (a shard
+// leaves that to its cluster) — so two runs (e.g. serial vs continuous)
+// produce equal digests iff every per-session output byte matches.
 #pragma once
 
 #include <functional>
@@ -38,6 +39,7 @@
 #include "stof/gpusim/timeline.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/serve/model_runtime.hpp"
+#include "stof/serve/output_digest.hpp"
 #include "stof/serve/scheduler.hpp"
 #include "stof/sparse/bsr_cache.hpp"
 
@@ -99,8 +101,8 @@ struct EngineConfig {
   /// the layer costs are charged per fused segment (or per detached op,
   /// model.fused == false) on the gpusim timeline, and session digests
   /// fold the layer head's transform of each attention-output row instead
-  /// of the raw row.  kNone (default) preserves attention-only serving
-  /// bit for bit.
+  /// of the raw row — one head pass over the step's committed rows.  kNone
+  /// (default) preserves attention-only serving bit for bit.
   ModelSpec model;
   SchedulerConfig scheduler;
   gpusim::DeviceSpec device = gpusim::a100();
@@ -134,14 +136,11 @@ struct EngineConfig {
 };
 
 /// Everything one executed (but not yet finalized) step produced: the
-/// plan that ran, the device's simulated kernel time, and the session
-/// transitions that must be stamped once the step's *cluster-wide*
-/// duration is known.  Engine::step() finalizes immediately with the
-/// device time; cluster::Cluster executes every shard first, prices the
-/// step's collectives, and finalizes all shards with the common
-/// max(device times) + collective time — reusing this one accounting path
-/// instead of copy-pasting a fourth per-step time/stats variant.  The
-/// finalized outcome is also what Engine::on_step observers receive.
+/// plan that ran, the device's simulated kernel time, the committed output
+/// rows, and the session transitions that must be stamped once the step's
+/// *cluster-wide* duration is known (Engine::step() finalizes with the
+/// device time; cluster::Cluster with max(device times) + collective
+/// time).  Engine::on_step observers receive the finalized outcome.
 struct StepOutcome {
   double start_us = 0;  ///< sim clock when the step began
   double us = 0;        ///< this device's simulated kernel time
@@ -152,6 +151,9 @@ struct StepOutcome {
   std::vector<SessionId> finished;     ///< completed this step
   std::int64_t prefill_tokens = 0;  ///< prompt positions ingested
   std::int64_t decode_rows = 0;     ///< decode query rows (incl. drafts)
+  /// Raw attention-output rows (local heads wide) of every position not
+  /// folded before, once each, in fold order.
+  OutputRows rows;
 };
 
 struct EngineStats {
@@ -225,23 +227,11 @@ class Engine {
                      double duration_us, std::int64_t kv_used_blocks)>
       on_step;
 
-  /// Invoked for EVERY attention-output row (prefill and decode alike) at
-  /// the exact point it is folded into the session digest, in fold order:
-  /// (session, position, heads * head_size halfs).  The cluster runtime
-  /// installs this on each shard to gather the per-shard head slices and
-  /// re-fold them in fixed shard order, reproducing the single-device
-  /// digest bit-for-bit.  Only locally folded rows fire: prefix-adopted
-  /// positions are never recomputed, so they fire on no shard.
-  std::function<void(SessionId, std::int64_t, std::span<const half>)>
-      on_output_row;
-
  private:
-  /// The kind's serving mask (pattern & causal at max_seq_len), built on
-  /// first use: `.mask()` feeds decode's column lists, `.at(block_m,
-  /// block_n)` is prefill's base BSR, analysed on the kind's first prefill.
-  [[nodiscard]] sparse::BsrCache& mask_for(masks::PatternKind kind);
-  [[nodiscard]] const std::vector<std::int32_t>& cols_for(
-      masks::PatternKind kind, std::int64_t row);
+  /// The kind's base BSR (pattern & causal at max_seq_len, prefill block
+  /// size), built on first use: prefill derives each element's BSR from
+  /// it, decode reads each row's columns from it.
+  [[nodiscard]] const sparse::BsrMask& base_bsr(masks::PatternKind kind);
 
   /// Shard-aware token embedding: fills `dst` (heads * head_size halfs,
   /// the LOCAL head range) by generating the full model_heads() row of the
@@ -251,7 +241,7 @@ class Engine {
   void fill_token_local(std::uint64_t seed, std::int64_t pos,
                         TokenChannel channel, std::span<half> dst);
   /// Prefill every window [begin, end): ingest its K/V rows into the pool
-  /// and fold its prompt rows into the session digest exactly once.
+  /// and commit the output rows of its not-yet-folded positions.
   double run_prefill_windows(const std::vector<PrefillChunk>& windows,
                              StepOutcome& outcome);
   /// One verify round per decoding session: it appends its true token
@@ -260,37 +250,6 @@ class Engine {
   /// rest rolls back via KvPool::truncate.
   double run_decode_rounds(const std::vector<SessionId>& ids,
                            StepOutcome& outcome);
-  /// Post-round bookkeeping: count the committed tokens, stamp
-  /// last_touch, and record first-token / completion transitions into
-  /// `outcome` (times are stamped later by finalize_step, once the step's
-  /// full duration is known).
-  void commit_decoded(SessionId id, std::int64_t committed,
-                      StepOutcome& outcome);
-  /// Fold one attention-output row (position `pos`, local heads wide):
-  /// `digest_row` enters the session digest, `raw_row` (the untransformed
-  /// attention output) fires the on_output_row shard hook — the cluster
-  /// gathers raw shard slices and applies the model head at full width.
-  void fold_output_row(Session& s, std::int64_t pos,
-                       std::span<const half> digest_row,
-                       std::span<const half> raw_row);
-  /// True when session digests fold model-head-transformed rows: a model
-  /// is configured and this engine sees full-width rows (unsharded).  A
-  /// tensor-parallel shard folds raw local rows; the cluster owns the
-  /// full-width transform.
-  [[nodiscard]] bool model_digest_active() const {
-    return model_ != nullptr && config_.total_heads == 0;
-  }
-  /// Copy of `rows` (n x heads*head_size) with the layer head applied, for
-  /// digest folding; returns an empty tensor when model_digest_active()
-  /// is false (callers then fold the raw rows).
-  [[nodiscard]] TensorH transform_for_digest(std::span<const half> rows,
-                                             std::int64_t count);
-  /// Record the digest chain value after folding template position `pos`
-  /// (page boundaries and the template end) for later publish_prefix().
-  void capture_template_digest(Session& s, std::int64_t pos);
-  /// Insert the session's freshly prefilled template pages into the pool's
-  /// prefix tree (no-op when sharing is off or the prompt is untemplated).
-  void maybe_publish_prefix(Session& s);
 
   EngineConfig config_;
   SessionTable table_;
@@ -303,13 +262,9 @@ class Engine {
   std::int64_t step_count_ = 0;
   EngineStats stats_;
   std::map<masks::PatternKind, sparse::BsrCache> mask_cache_;
+  DigestFolder digests_;
   /// Scratch row for fill_token_local (full-width token row).
   std::vector<half> token_stage_;
-  /// cols_cache_[kind][row]: attendable context positions for a token
-  /// decoded at `row` (empty-but-computed rows flagged separately).
-  std::map<masks::PatternKind,
-           std::vector<std::optional<std::vector<std::int32_t>>>>
-      cols_cache_;
 };
 
 }  // namespace stof::serve

@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 
+#include "stof/core/checksum.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/tensor.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -311,7 +312,6 @@ PrefixMatch KvPool::match_prefix(const Request& r,
     } else {
       m.partial = true;
     }
-    m.digest_after = n.digest_after;
   }
   return m;
 }
@@ -336,7 +336,6 @@ PrefixMatch KvPool::adopt_prefix(SessionId id, const Request& r,
     } else {
       m.partial = true;
     }
-    m.digest_after = n.digest_after;
   }
   sb.tokens = m.tokens;
   // Adopted partial tails must CoW on first append even if every other
@@ -352,9 +351,7 @@ PrefixMatch KvPool::adopt_prefix(SessionId id, const Request& r,
   return m;
 }
 
-void KvPool::publish_prefix(SessionId id, const Request& r,
-                            std::span<const std::uint64_t> page_digests,
-                            std::span<const std::uint8_t> page_digest_ok) {
+void KvPool::publish_prefix(SessionId id, const Request& r) {
   if (r.template_len <= 0) return;
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return;
@@ -385,14 +382,11 @@ void KvPool::publish_prefix(SessionId id, const Request& r,
     const std::int64_t end = std::min(covered + bt, r.template_len);
     if (end - covered <= frozen_valid) break;  // no gain over frozen leaf
     frozen_valid = 0;
-    const auto qi = static_cast<std::size_t>(q);
-    if (qi >= page_digest_ok.size() || page_digest_ok[qi] == 0) break;
-    const std::int32_t block = sb.block_ids[qi];
+    const std::int32_t block = sb.block_ids[static_cast<std::size_t>(q)];
     PrefixIndex::Node node;
     node.block = block;
     node.valid_tokens = end - covered;
     node.page_key = PrefixIndex::page_key(r, covered, end);
-    node.digest_after = page_digests[qi];
     node.last_use = prefix_clock_;
     parent = prefix_.insert(parent, mk, std::move(node));
     ++block_refs_[static_cast<std::size_t>(block)];

@@ -17,8 +17,8 @@
 // On admission the scheduler matches a request's template prefix against
 // the tree and adopt_prefix() maps the shared page run into the session's
 // block list at refcount+1 — the session then prefills only its unshared
-// suffix, starting its output digest from the chain value the tree stored
-// alongside the pages.  The first mutating append to a shared page (a
+// suffix.  Pool and tree know nothing of output digests (those live in
+// output_digest.hpp).  The first mutating append to a shared page (a
 // partial tail page, or the donor's own decode append after publishing)
 // copies the page's valid rows into a private block first (CoW), so a
 // shared page's bytes are immutable for as long as anything references
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "stof/core/check.hpp"
-#include "stof/core/checksum.hpp"
 #include "stof/core/half.hpp"
 #include "stof/core/kernels.hpp"
 #include "stof/core/panel_cache_registry.hpp"
@@ -79,9 +78,6 @@ struct PrefixMatch {
   std::int64_t tokens = 0;      ///< matched template positions
   std::int64_t full_pages = 0;  ///< matched pages holding block_tokens rows
   bool partial = false;         ///< a partial (frozen) tail page matched too
-  /// FNV-1a output-digest chain value after folding positions [0, tokens)
-  /// — the digest a fresh session starts from when it adopts this prefix.
-  std::uint64_t digest_after = kFnv1aOffset;
 
   [[nodiscard]] std::int64_t pages() const {
     return full_pages + (partial ? 1 : 0);
@@ -91,10 +87,9 @@ struct PrefixMatch {
 /// Radix tree over templated-prompt token-ID chains at KV-page
 /// granularity.  Each node freezes one pool block: `valid_tokens` rows of
 /// template content (== block_tokens for interior nodes; partial nodes are
-/// always leaves), the page's token-key hash, and the output-digest chain
-/// value after the node's last position.  Roots branch on the request's
-/// mask kind — prompt *outputs* (hence digests) depend on the attention
-/// pattern, so chains never cross mask kinds.  The tree stores block ids
+/// always leaves) and the page's token-key hash.  Roots branch on the
+/// request's mask kind — prompt *outputs* depend on the attention pattern,
+/// so chains never cross mask kinds.  The tree stores block ids
 /// only; the owning KvPool maintains the per-block refcounts (one ref per
 /// live node, plus one per session mapping the block).
 class PrefixIndex {
@@ -103,7 +98,6 @@ class PrefixIndex {
     std::int32_t block = -1;
     std::int64_t valid_tokens = 0;
     std::uint64_t page_key = 0;
-    std::uint64_t digest_after = kFnv1aOffset;
     std::int64_t last_use = 0;   ///< LRU stamp (monotonic match clock)
     std::int32_t parent = -1;    ///< -1 for root children
     int mask_kind = 0;           ///< root key (redundant for non-roots)
@@ -245,22 +239,18 @@ class KvPool {
 
   /// Map the matched chain into `id`'s (empty) block list at refcount+1
   /// and set its cached token count to the match length.  The session
-  /// prefills only [match.tokens, ...) afterwards, starting its digest
-  /// from match.digest_after.  Counts serve.prefix.{hits,shared_pages,
-  /// bytes_saved}.
+  /// prefills only [match.tokens, ...) afterwards.  Counts
+  /// serve.prefix.{hits,shared_pages,bytes_saved}.
   PrefixMatch adopt_prefix(SessionId id, const Request& r,
                            std::int64_t cap_tokens);
 
   /// Insert `id`'s freshly prefilled template pages into the tree (pages
   /// not already present, in chain order), bumping each published block's
-  /// refcount.  `page_digests[q]` / `page_digest_ok[q]` carry the digest
-  /// chain value after template page q's last position (captured by the
-  /// engine's prompt folding); publishing stops at the first page without
-  /// a captured digest, or where the resident chain ends on a partial
-  /// node (partial nodes are frozen leaves and never extended).
-  void publish_prefix(SessionId id, const Request& r,
-                      std::span<const std::uint64_t> page_digests,
-                      std::span<const std::uint8_t> page_digest_ok);
+  /// refcount.  Nothing is published unless the whole template is
+  /// resident; a resident chain ending on a partial node is never extended
+  /// (partial nodes are frozen leaves) — a fuller sibling page is published
+  /// next to it instead.
+  void publish_prefix(SessionId id, const Request& r);
 
   /// Drop `id`'s cached tokens beyond `new_tokens` — the speculative
   /// decoder's exact rollback of rejected draft slots.  Trailing blocks

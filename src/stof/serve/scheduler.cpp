@@ -58,12 +58,10 @@ void Scheduler::evict(SessionTable& table, KvPool& pool, StepPlan& plan,
 }
 
 std::int64_t Scheduler::adopt_cap(const Session& s) const {
-  // A re-admitted session's digest already covers [0, prompt_digested):
-  // adopting past that mark would skip folding positions the digest still
-  // owes, so the cap is the digested count; a fresh session may adopt its
-  // whole template (the tree supplies the digest chain value instead).
-  return s.prompt_digested_tokens > 0 ? s.prompt_digested_tokens
-                                      : s.request.template_len;
+  // A re-admitted session's digest already covers [0, folded): adopting
+  // past that would skip positions it still owes.  A fresh session may
+  // adopt its whole template (its digest is seeded at the boundary).
+  return s.folded_tokens > 0 ? s.folded_tokens : s.request.template_len;
 }
 
 PrefixMatch Scheduler::admission_match(const KvPool& pool,
@@ -79,13 +77,6 @@ void Scheduler::admit_with_prefix(Session& s, KvPool& pool) const {
   if (m.tokens == 0) return;
   s.cached_tokens = m.tokens;
   s.adopted_tokens = m.tokens;
-  if (s.prompt_digested_tokens == 0) {
-    // Fresh session: outputs for the adopted positions are the template's
-    // (byte-identical across owners), so start the digest from the chain
-    // value the publisher stored with the pages.
-    s.digest = m.digest_after;
-    s.prompt_digested_tokens = m.tokens;
-  }
 }
 
 std::vector<SessionId> Scheduler::admission_order(

@@ -161,16 +161,15 @@ class Scheduler {
              SessionId victim);
 
   /// Longest tree prefix `s` may adopt: its whole template for a fresh
-  /// session, but never past prompt_digested_tokens for a re-admitted one
-  /// (adopting beyond would skip output positions its digest still owes).
+  /// session, but never past folded_tokens for a re-admitted one (adopting
+  /// beyond would skip output positions its digest still owes).
   [[nodiscard]] std::int64_t adopt_cap(const Session& s) const;
   /// Dry-run prefix match for admission accounting (empty when sharing is
   /// off or the request is untemplated).
   [[nodiscard]] PrefixMatch admission_match(const KvPool& pool,
                                             const Session& s) const;
-  /// Adopt `s`'s prefix at admission time: map the shared pages, set
-  /// cached/adopted token counts, and (for fresh sessions) start the
-  /// output digest from the tree's chain value.
+  /// Adopt `s`'s prefix at admission time: map the shared pages and set
+  /// the cached/adopted token counts.
   void admit_with_prefix(Session& s, KvPool& pool) const;
 
   /// The wait queue in priority order: priority descending, then earliest

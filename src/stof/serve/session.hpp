@@ -5,9 +5,9 @@
 // metadata the continuous-batching scheduler needs (last-touch step for
 // LRU-idle eviction, preemption count, latency timestamps).  The digest is
 // an FNV-1a chain over the half-precision output bytes of each position,
-// accumulated exactly once per position in position order — so it is
-// invariant to scheduling mode and to preemption/recompute, and two runs
-// agree iff their per-session outputs are byte-identical.
+// folded exactly once per position in position order (output_digest.hpp)
+// — so it is invariant to scheduling mode and to preemption/recompute, and
+// two runs agree iff their per-session outputs are byte-identical.
 #pragma once
 
 #include <map>
@@ -26,23 +26,15 @@ struct Session {
   std::int64_t cached_tokens = 0;  ///< KV entries currently in the pool
   std::int64_t generated = 0;      ///< decode outputs produced so far
   std::uint64_t digest = kFnv1aOffset;  ///< FNV-1a over output bytes
-  /// Prompt positions whose outputs are folded into the digest already.
-  /// Chunked prefill advances this as chunks complete (always in position
-  /// order); a preempted session keeps it across recompute, so re-prefilled
-  /// rows are recomputed bit-identically but never re-folded.
-  std::int64_t prompt_digested_tokens = 0;
+  /// Positions [0, folded_tokens) already folded, prompt and generated
+  /// alike: runners commit rows only past it, so recomputed rows never
+  /// re-fold.  A prefix adopter's first fold jumps it to the boundary.
+  std::int64_t folded_tokens = 0;
 
   /// Tokens mapped from the prefix tree at (re-)admission: the session's
   /// prefill starts here instead of 0.  Reset to 0 on eviction (the KV is
   /// released; the next admission re-matches the tree from scratch).
   std::int64_t adopted_tokens = 0;
-  /// Output-digest chain values captured after each template page's last
-  /// position, indexed by page (ceil(template_len / block_tokens) entries);
-  /// `_ok[q]` marks pages whose value was actually captured this lifetime.
-  /// publish_prefix() stores these in the tree so adopters can start their
-  /// digest mid-stream.  Kept across preemption — recompute re-captures.
-  std::vector<std::uint64_t> template_page_digest{};
-  std::vector<std::uint8_t> template_page_digest_ok{};
 
   std::int64_t preemptions = 0;
   std::int64_t last_touch_step = -1;  ///< last step this session computed

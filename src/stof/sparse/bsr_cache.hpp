@@ -3,8 +3,8 @@
 // Benches and baselines evaluate many methods against the same mask, each
 // at its own block granularity; building a 4096^2 BSR is the dominant cost
 // of planning, so it is shared through this cache.  The serving engine
-// keeps one per mask kind: the dense mask feeds decode, the BSR is the
-// base every prefill launch derives its per-length BSRs from.
+// keeps one per mask kind: its BSR is the base every prefill launch
+// derives its per-length BSRs from and decode reads its column lists from.
 #pragma once
 
 #include <map>

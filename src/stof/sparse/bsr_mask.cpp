@@ -225,6 +225,27 @@ std::size_t BsrMask::storage_bytes() const {
   return bytes;
 }
 
+void BsrMask::row_cols(std::int64_t row,
+                       std::vector<std::int32_t>& cols) const {
+  STOF_EXPECTS(row >= 0 && row < seq_len_);
+  const std::int64_t bi = row / block_m_;
+  const std::int64_t r = row - bi * block_m_;
+  RowBlocks blocks(*this, bi);
+  for (std::int64_t it = load_row_ptr_[static_cast<std::size_t>(bi)];
+       it < load_row_ptr_[static_cast<std::size_t>(bi) + 1]; ++it) {
+    const std::int64_t bj = load_col_idx_[static_cast<std::size_t>(it)];
+    const std::int64_t lo = bj * block_n_;
+    const std::int64_t n = std::min(block_n_, seq_len_ - lo);
+    const std::vector<std::uint8_t>* bitmap = blocks.bitmap(bj);
+    for (std::int64_t c = 0; c < n; ++c) {
+      if (bitmap == nullptr ||
+          (*bitmap)[static_cast<std::size_t>(r * block_n_ + c)] != 0) {
+        cols.push_back(static_cast<std::int32_t>(lo + c));
+      }
+    }
+  }
+}
+
 masks::Mask BsrMask::to_dense() const {
   masks::Mask m(seq_len_);
   for (std::int64_t bi = 0; bi < rows(); ++bi) {

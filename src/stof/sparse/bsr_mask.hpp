@@ -122,6 +122,38 @@ class BsrMask {
   /// global memory for mask metadata).
   [[nodiscard]] std::size_t storage_bytes() const;
 
+  /// Walks one block row's load list in order, pairing each loaded block
+  /// with its bitmap: the part list is a sorted subsequence of the load
+  /// list, so one cursor over it replaces a per-block binary search.
+  class RowBlocks {
+   public:
+    RowBlocks(const BsrMask& mask, std::int64_t bi)
+        : mask_(mask),
+          part_(mask.part_row_ptr_[static_cast<std::size_t>(bi)]),
+          part_end_(mask.part_row_ptr_[static_cast<std::size_t>(bi) + 1]) {}
+
+    /// Bitmap of load entry `bj` (visited in load order), or nullptr for a
+    /// full block.
+    const std::vector<std::uint8_t>* bitmap(std::int64_t bj) {
+      if (part_ == part_end_ ||
+          mask_.part_col_idx_[static_cast<std::size_t>(part_)] != bj) {
+        return nullptr;
+      }
+      const auto id = mask_.part_mask_id_[static_cast<std::size_t>(part_++)];
+      return &mask_.part_masks_[static_cast<std::size_t>(id)];
+    }
+
+   private:
+    const BsrMask& mask_;
+    std::int64_t part_;
+    std::int64_t part_end_;
+  };
+
+  /// Append element row `row`'s valid columns (to_dense()'s set bits) to
+  /// `cols`, ascending: whole in-range spans of full blocks, bitmap rows of
+  /// part blocks.  O(loaded blocks in the row + columns appended).
+  void row_cols(std::int64_t row, std::vector<std::int32_t>& cols) const;
+
   /// Reconstruct the dense mask (for round-trip validation).
   [[nodiscard]] masks::Mask to_dense() const;
 

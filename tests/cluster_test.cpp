@@ -1,14 +1,19 @@
 // Cluster tests: tensor-parallel shard-and-reduce bit-identity against the
 // single-device engine (all four serving mask kinds, uneven shards,
-// preemption pressure, prefix sharing, speculative decoding), sharded GEMM
-// helpers, and a scheduler-fuzz replay through a 2-device cluster with
-// per-device KV conservation audits.
+// preemption pressure, prefix sharing, speculative decoding, the GPT model
+// head), sharded GEMM helpers, a scheduler-fuzz replay through a 2-device
+// cluster with per-device KV conservation audits, and the single
+// output-row path: every position's row is committed exactly once, in
+// order, by an engine and by every shard.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "stof/cluster/cluster.hpp"
 #include "stof/cluster/sharding.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/ops/gemm.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof::cluster {
 namespace {
@@ -145,6 +150,21 @@ std::vector<Request> mixed_trace(std::uint64_t seed, std::int64_t n_requests) {
   return trace;
 }
 
+/// mixed_trace with hot templates overlaid on ~70% of the requests
+/// (template_len 8..31: chains cover a partial page and often a full one).
+std::vector<Request> templated_trace(std::uint64_t seed,
+                                     std::int64_t n_requests) {
+  auto trace = mixed_trace(seed, n_requests);
+  Rng rng(seed ^ 0xfeedULL);
+  for (auto& r : trace) {
+    if (rng.next_double() < 0.3) continue;
+    r.template_seed = 77001 + rng.next_u64() % 3;
+    r.template_len = 8 + static_cast<std::int64_t>(rng.next_u64() % 24);
+    r.prompt_len = std::max(r.prompt_len, r.template_len + 1);
+  }
+  return trace;
+}
+
 /// Open-loop trace replay; works for Engine and Cluster alike (both expose
 /// submit/step/idle/sim_time_us/advance_to).
 template <typename Sys>
@@ -225,15 +245,7 @@ TEST(Cluster, ChunkedPrefillWithPrefixSharingStaysBitIdentical) {
   EngineConfig cfg = base_config(8, 48);
   cfg.scheduler.chunk_tokens = 24;
   cfg.scheduler.prefix_sharing = true;
-  auto trace = mixed_trace(409, 14);
-  Rng rng(409 ^ 0xfeedULL);
-  for (auto& r : trace) {
-    if (rng.next_double() < 0.3) continue;
-    r.template_seed = 77001 + rng.next_u64() % 3;
-    r.template_len = 8 + static_cast<std::int64_t>(rng.next_u64() % 24);
-    r.prompt_len = std::max(r.prompt_len, r.template_len + 1);
-  }
-  expect_cluster_matches_engine(cfg, trace, {2, 4});
+  expect_cluster_matches_engine(cfg, templated_trace(409, 14), {2, 4});
 }
 
 TEST(Cluster, SpeculativeDecodingStaysBitIdentical) {
@@ -241,6 +253,109 @@ TEST(Cluster, SpeculativeDecodingStaysBitIdentical) {
   cfg.spec_draft_tokens = 2;
   cfg.spec_accept_pct = 70;
   expect_cluster_matches_engine(cfg, mixed_trace(503, 12), {2, 4});
+}
+
+TEST(Cluster, GptModelWithPrefixSharingAndPreemptionMatchesSingleDevice) {
+  // The model head applied to assembled rows, plus prefix adopters whose
+  // digests are seeded mid-stream, plus preemption recompute — at every
+  // width, one device included.
+  EngineConfig cfg = base_config(8, 8);
+  cfg.scheduler.prefix_sharing = true;
+  cfg.model.kind = serve::ModelKind::kGptDecoder;
+  cfg.model.layers = 2;
+  const auto trace = templated_trace(409, 14);
+  expect_cluster_matches_engine(cfg, trace, {1, 2, 4});
+
+  telemetry::ScopedTelemetry scoped(true);
+  telemetry::global_registry().reset();
+  Engine reference(cfg);
+  replay(reference, trace);
+  EXPECT_GT(reference.stats().preemptions, 0) << "pool was not tight enough";
+  EXPECT_GT(telemetry::global_registry().counter("serve.prefix.hits"), 0)
+      << "trace never exercised adoption";
+  telemetry::global_registry().reset();
+}
+
+// ---- the single output-row path --------------------------------------------
+
+/// Positions each session's committed output rows covered, in commit order.
+using FoldLog = std::map<SessionId, std::vector<std::int64_t>>;
+
+void log_folds(Engine& engine, FoldLog& log) {
+  engine.on_step = [&engine, &log](const serve::StepOutcome& ev, std::int64_t,
+                                   double, std::int64_t) {
+    EXPECT_EQ(ev.rows.width,
+              engine.config().heads * engine.config().head_size);
+    EXPECT_EQ(ev.rows.data.size(),
+              ev.rows.size() * static_cast<std::size_t>(ev.rows.width));
+    for (const auto& key : ev.rows.keys) log[key.id].push_back(key.pos);
+  };
+}
+
+/// Every session folded exactly [start, target_len), each position once,
+/// in order; start is 0, or — for a prefix adopter — a page boundary or
+/// the template end inside its template.  Returns the adopter count.
+int expect_folds_exactly_once(const FoldLog& log,
+                              const std::vector<Request>& trace,
+                              std::int64_t block_tokens) {
+  int adopters = 0;
+  for (const auto& r : trace) {
+    const auto it = log.find(r.id);
+    if (it == log.end()) {
+      ADD_FAILURE() << "session " << r.id << " folded nothing";
+      continue;
+    }
+    const std::vector<std::int64_t>& pos = it->second;
+    const std::int64_t start = pos.front();
+    if (start > 0) {
+      ++adopters;
+      EXPECT_LE(start, r.template_len) << "session " << r.id;
+      EXPECT_TRUE(start % block_tokens == 0 || start == r.template_len)
+          << "session " << r.id << " starts at " << start;
+    }
+    std::vector<std::int64_t> want(
+        static_cast<std::size_t>(r.target_len() - start));
+    std::iota(want.begin(), want.end(), start);
+    EXPECT_EQ(pos, want) << "session " << r.id;
+  }
+  return adopters;
+}
+
+TEST(Cluster, EveryPositionFoldsOnceInOrderOnEngineAndEveryShard) {
+  // Prefix sharing, a pool tight enough to preempt, chunked and whole
+  // prefill, and speculative rounds that roll back rejected rows.
+  for (const std::int64_t chunk : {24, 0}) {
+    EngineConfig cfg = base_config(8, 8);
+    cfg.scheduler.chunk_tokens = chunk;
+    cfg.scheduler.prefix_sharing = true;
+    cfg.spec_draft_tokens = 2;
+    cfg.spec_accept_pct = 70;
+    const auto trace = templated_trace(409, 14);
+
+    FoldLog log;
+    Engine engine(cfg);
+    log_folds(engine, log);
+    replay(engine, trace);
+    EXPECT_GT(engine.stats().preemptions, 0) << "chunk " << chunk;
+    EXPECT_GT(expect_folds_exactly_once(log, trace, cfg.block_tokens), 0)
+        << "no session adopted a prefix, chunk " << chunk;
+
+    for (const int n : {1, 2, 4}) {
+      ClusterConfig ccfg;
+      ccfg.devices = n;
+      ccfg.engine = cfg;
+      std::vector<FoldLog> shard_logs(static_cast<std::size_t>(n));
+      Cluster cluster(ccfg);  // its shards' on_step write to shard_logs
+      for (int d = 0; d < n; ++d) {
+        log_folds(cluster.engine(d), shard_logs[static_cast<std::size_t>(d)]);
+      }
+      replay(cluster, trace);
+      for (const auto& shard_log : shard_logs) {
+        expect_folds_exactly_once(shard_log, trace, cfg.block_tokens);
+        EXPECT_EQ(shard_log, log) << n << " devices, chunk " << chunk;
+      }
+    }
+  }
 }
 
 // ---- runtime invariants ---------------------------------------------------

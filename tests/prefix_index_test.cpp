@@ -40,18 +40,6 @@ void append_rows(KvPool& pool, SessionId id, std::int64_t n,
   }
 }
 
-/// Synthetic per-page digest chain for publish_prefix: page q -> 0x1000+q.
-struct PageDigests {
-  std::vector<std::uint64_t> values;
-  std::vector<std::uint8_t> ok;
-  explicit PageDigests(std::int64_t pages) {
-    for (std::int64_t q = 0; q < pages; ++q) {
-      values.push_back(0x1000u + static_cast<std::uint64_t>(q));
-      ok.push_back(1);
-    }
-  }
-};
-
 TEST(PrefixIndex, PageKeyIsPureFunctionOfTemplate) {
   const Request a = template_request(0, 1111);
   const Request b = template_request(1, 2222);  // same template, other seed
@@ -79,8 +67,7 @@ TEST(PrefixIndex, PublishMatchAdoptRoundTrip) {
   const Request r2 = template_request(1, 2222);
   EXPECT_EQ(pool.match_prefix(r2, r2.template_len).tokens, 0);
 
-  const PageDigests dg(3);
-  pool.publish_prefix(0, donor, dg.values, dg.ok);
+  pool.publish_prefix(0, donor);
   ASSERT_TRUE(pool.check_conservation());
   EXPECT_EQ(pool.prefix_blocks(), 3);  // pages 0,1 full + frozen partial
   // Tree refs alone never consume pool capacity.
@@ -92,12 +79,10 @@ TEST(PrefixIndex, PublishMatchAdoptRoundTrip) {
   EXPECT_EQ(m.full_pages, 2);
   EXPECT_TRUE(m.partial);
   EXPECT_EQ(m.pages(), 3);
-  EXPECT_EQ(m.digest_after, dg.values[2]);
   const PrefixMatch capped = pool.match_prefix(r2, 4);
   EXPECT_EQ(capped.tokens, 4);
   EXPECT_EQ(capped.full_pages, 1);
   EXPECT_FALSE(capped.partial);
-  EXPECT_EQ(capped.digest_after, dg.values[0]);
 
   // A different mask kind never matches: prompt outputs depend on the
   // attention pattern, so chains are per-kind.
@@ -131,8 +116,7 @@ TEST(PrefixIndex, CopyOnWriteKeepsSharedPagesImmutable) {
   KvPool pool(tiny_config());
   const Request donor = template_request(0, 1111);
   append_rows(pool, 0, donor.prompt_len, 10.0f);
-  const PageDigests dg(3);
-  pool.publish_prefix(0, donor, dg.values, dg.ok);
+  pool.publish_prefix(0, donor);
   const Request r2 = template_request(1, 2222);
   ASSERT_EQ(pool.adopt_prefix(1, r2, r2.template_len).tokens, 10);
 
@@ -162,8 +146,7 @@ TEST(PrefixIndex, RefcountedReleaseAndLruReclaim) {
   KvPool pool(tiny_config());
   const Request donor = template_request(0, 1111);
   append_rows(pool, 0, donor.prompt_len, 10.0f);
-  const PageDigests dg(3);
-  pool.publish_prefix(0, donor, dg.values, dg.ok);
+  pool.publish_prefix(0, donor);
   const Request r2 = template_request(1, 2222);
   ASSERT_EQ(pool.adopt_prefix(1, r2, r2.template_len).tokens, 10);
 
@@ -233,8 +216,7 @@ TEST(PrefixIndex, TruncateOntoSharedTailForcesCow) {
   KvPool pool(tiny_config());
   const Request donor = template_request(0, 1111);
   append_rows(pool, 0, donor.prompt_len, 10.0f);
-  const PageDigests dg(3);
-  pool.publish_prefix(0, donor, dg.values, dg.ok);
+  pool.publish_prefix(0, donor);
 
   // The donor itself rolls back to inside its published partial page (the
   // speculative-decode shape: verify rejected rows 10 and 11).  The page is
@@ -254,27 +236,68 @@ TEST(PrefixIndex, TruncateOntoSharedTailForcesCow) {
   EXPECT_EQ(pool.match_prefix(r2, r2.template_len).tokens, 10);
 }
 
-TEST(PrefixIndex, PublishStopsAtMissingDigest) {
+TEST(PrefixIndex, PublishNeedsTheWholeTemplateResident) {
+  KvPool pool(tiny_config());
+  const Request donor = template_request(0, 1111);
+  append_rows(pool, 0, 6, 10.0f);  // template_len is 10
+  pool.publish_prefix(0, donor);
+  ASSERT_TRUE(pool.check_conservation());
+  EXPECT_EQ(pool.prefix_blocks(), 0);
+  const Request r2 = template_request(1, 2222);
+  EXPECT_EQ(pool.match_prefix(r2, r2.template_len).tokens, 0);
+
+  append_rows(pool, 0, donor.prompt_len - 6, 16.0f);
+  pool.publish_prefix(0, donor);
+  ASSERT_TRUE(pool.check_conservation());
+  EXPECT_EQ(pool.prefix_blocks(), 3);
+  const PrefixMatch m = pool.match_prefix(r2, r2.template_len);
+  EXPECT_EQ(m.tokens, 10);
+  EXPECT_EQ(m.full_pages, 2);
+  EXPECT_TRUE(m.partial);
+}
+
+TEST(PrefixIndex, FrozenPartialLeafGetsAFullerSibling) {
   KvPool pool(tiny_config());
   const Request donor = template_request(0, 1111);
   append_rows(pool, 0, donor.prompt_len, 10.0f);
-  PageDigests dg(3);
-  dg.ok[1] = 0;  // page 1's chain value was never captured
-  pool.publish_prefix(0, donor, dg.values, dg.ok);
+  pool.publish_prefix(0, donor);  // pages [0,4) [4,8) + partial [8,10)
+  ASSERT_EQ(pool.prefix_blocks(), 3);
+
+  // Same template, but 12 positions long: page 2 is full for it.  The
+  // frozen 2-row leaf is never extended; the full page is published next
+  // to it, and each request matches its own chain.
+  Request longer = template_request(1, 2222);
+  longer.template_len = 12;
+  longer.prompt_len = 14;
+  append_rows(pool, 1, longer.prompt_len, 20.0f);
+  pool.publish_prefix(1, longer);
   ASSERT_TRUE(pool.check_conservation());
-  EXPECT_EQ(pool.prefix_blocks(), 1);
-  const Request r2 = template_request(1, 2222);
-  const PrefixMatch m = pool.match_prefix(r2, r2.template_len);
-  EXPECT_EQ(m.tokens, 4);
-  EXPECT_EQ(m.digest_after, dg.values[0]);
+  EXPECT_EQ(pool.prefix_blocks(), 4);
+  const PrefixMatch full = pool.match_prefix(longer, longer.template_len);
+  EXPECT_EQ(full.tokens, 12);
+  EXPECT_EQ(full.full_pages, 3);
+  EXPECT_FALSE(full.partial);
+  const Request shorter = template_request(2, 3333);
+  const PrefixMatch part = pool.match_prefix(shorter, shorter.template_len);
+  EXPECT_EQ(part.tokens, 10);
+  EXPECT_EQ(part.full_pages, 2);
+  EXPECT_TRUE(part.partial);
+
+  // Publishing the short template again adds nothing: its partial page
+  // gains nothing over the frozen leaf.
+  pool.release(0);
+  pool.release(1);
+  append_rows(pool, 3, donor.prompt_len, 30.0f);
+  pool.publish_prefix(3, template_request(3, 4444));
+  ASSERT_TRUE(pool.check_conservation());
+  EXPECT_EQ(pool.prefix_blocks(), 4);
 }
 
 TEST(PrefixIndex, RepublishIsIdempotent) {
   KvPool pool(tiny_config());
   const Request donor = template_request(0, 1111);
   append_rows(pool, 0, donor.prompt_len, 10.0f);
-  const PageDigests dg(3);
-  pool.publish_prefix(0, donor, dg.values, dg.ok);
+  pool.publish_prefix(0, donor);
   const std::int64_t before = pool.prefix_blocks();
 
   // A second session with the same template prefills from scratch (it
@@ -282,7 +305,7 @@ TEST(PrefixIndex, RepublishIsIdempotent) {
   // the resident pages win, no duplicate nodes appear.
   Request twin = template_request(1, 2222);
   append_rows(pool, 1, twin.prompt_len, 20.0f);
-  pool.publish_prefix(1, twin, dg.values, dg.ok);
+  pool.publish_prefix(1, twin);
   ASSERT_TRUE(pool.check_conservation());
   EXPECT_EQ(pool.prefix_blocks(), before);
   EXPECT_EQ(static_cast<std::int64_t>(pool.prefix_index().size()), before);

@@ -16,6 +16,8 @@
 //     prefix sharing on and off, and speculative decoding on and off.
 //   * Deterministic replay — the same seed reproduces a byte-identical
 //     telemetry dump.
+//   * Idle accounting — Engine::idle() agrees with a phase scan of the
+//     session table before and after every step.
 //
 // Shared-prefix traces overlay hot templates (radix-tree hits, partial-
 // page adoption, CoW, refcounted release) on the same adversarial
@@ -155,6 +157,16 @@ std::map<SessionId, std::uint64_t> replay_checked(
   for (const auto& r : trace) total_tokens += r.target_len();
   const std::int64_t max_steps = 40 * total_tokens + 1000;
 
+  // idle() answers from counts kept where phases change; it must agree
+  // with a scan of the whole session table (queued sessions are exactly
+  // the scheduler's wait queue).
+  const auto scan_idle = [&] {
+    const SessionTable& t = engine.sessions();
+    return t.ids_in_phase(SessionPhase::kQueued).empty() &&
+           t.ids_in_phase(SessionPhase::kPrefilling).empty() &&
+           t.ids_in_phase(SessionPhase::kDecoding).empty();
+  };
+
   std::size_t next = 0;
   std::int64_t steps = 0;
   while (next < trace.size() || !engine.idle()) {
@@ -163,6 +175,7 @@ std::map<SessionId, std::uint64_t> replay_checked(
       submitted.push_back(trace[next].id);
       engine.submit(trace[next++]);
     }
+    EXPECT_EQ(engine.idle(), scan_idle()) << "after submitting, step " << steps;
     if (engine.idle()) {
       EXPECT_LT(next, trace.size());
       if (next >= trace.size()) break;
@@ -170,6 +183,7 @@ std::map<SessionId, std::uint64_t> replay_checked(
       continue;
     }
     EXPECT_TRUE(engine.step());
+    EXPECT_EQ(engine.idle(), scan_idle()) << "after step " << steps;
     EXPECT_LT(++steps, max_steps) << "starvation: trace failed to drain";
     if (steps >= max_steps) break;
   }

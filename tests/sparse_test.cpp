@@ -221,7 +221,23 @@ std::vector<Mask> prefix_test_masks(std::int64_t seq) {
   return out;
 }
 
-TEST(BsrMask, PrefixEqualsBuildOfEffectiveMask) {
+/// row_cols(i) appends exactly row i's set bits of `dense`, ascending.
+void expect_row_cols_match(const BsrMask& b, const Mask& dense) {
+  for (std::int64_t i = 0; i < dense.seq_len(); ++i) {
+    std::vector<std::int32_t> cols{-7};  // appended to, never cleared
+    b.row_cols(i, cols);
+    std::vector<std::int32_t> want{-7};
+    for (std::int64_t j = 0; j < dense.seq_len(); ++j) {
+      if (dense.at(i, j)) want.push_back(static_cast<std::int32_t>(j));
+    }
+    ASSERT_EQ(cols, want) << "row " << i;
+  }
+  std::vector<std::int32_t> cols;
+  EXPECT_THROW(b.row_cols(-1, cols), Error);
+  EXPECT_THROW(b.row_cols(dense.seq_len(), cols), Error);
+}
+
+TEST(BsrMask, PrefixAndRowColsMatchTheDenseMask) {
   const std::pair<std::int64_t, std::int64_t> blocks[] = {
       {16, 16}, {32, 16}, {16, 64}};
   std::int64_t cases = 0;
@@ -230,6 +246,11 @@ TEST(BsrMask, PrefixEqualsBuildOfEffectiveMask) {
       for (const Mask& base : {raw, raw & masks::causal(seq)}) {
         for (const auto& [bm, bn] : blocks) {
           const BsrMask full = BsrMask::build(base, bm, bn);
+          {
+            SCOPED_TRACE(::testing::Message() << "row_cols seq=" << seq
+                                              << " block=" << bm << "x" << bn);
+            expect_row_cols_match(full, full.to_dense());
+          }
           for (std::int64_t len = 0; len <= seq; ++len) {
             SCOPED_TRACE(::testing::Message()
                          << "seq=" << seq << " block=" << bm << "x" << bn
