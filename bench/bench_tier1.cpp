@@ -8,6 +8,10 @@
 //     hidden size 1024, bias epilogue — the FFN projection shape.
 //   * MHA   BERT-Base (12 heads, head size 64) at seq 512, batch 8, on the
 //     BigBird and sliding-window masks via the block-wise kernel.
+//   * MHA_LONGDOC_PREFILL the `longdoc` serving workload's prefill attention
+//     at kernel level: 4 heads, head size 32, block 16, document lengths
+//     512-1984 over its four masks, each length's BSR derived from one
+//     base BSR per mask at seq 2048 (varlen, as the engine launches it).
 //   * SERVE 64-session seeded trace through stof::serve, comparing the
 //     continuous-batching schedule against the batch-1 serial baseline in
 //     simulated GPU time (scalar_ms = serial, packed_ms = continuous).
@@ -67,6 +71,7 @@
 #include "stof/gpusim/trace.hpp"
 #include "stof/masks/mask.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
+#include "stof/mha/varlen.hpp"
 #include "stof/ops/gemm.hpp"
 #include "stof/sparse/bsr_cache.hpp"
 #include "stof/sparse/bsr_mask.hpp"
@@ -302,6 +307,78 @@ Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
     stof::gpusim::Stream stream(dev);
     stream.launch(e.name, cost);
     e.sim_launches.emplace_back(e.name, cost);
+    e.counters = stof::telemetry::global_registry().counters();
+  }
+  return e;
+}
+
+/// Long-document prefill entry: the `longdoc` workload's attention shape
+/// through the public varlen API.  One base BSR per mask at the serving
+/// length (block 16, the KV page size), one element per document length;
+/// scalar_ms / packed_ms are host wall time over all four masks.
+Entry bench_mha_longdoc_prefill(bool quick) {
+  using stof::masks::PatternKind;
+  const std::int64_t seq = quick ? 256 : 2048;
+  const std::vector<std::int64_t> lengths =
+      quick ? std::vector<std::int64_t>{64, 128, 192, 240}
+            : std::vector<std::int64_t>{512, 1008, 1504, 1984};
+  const stof::mha::MhaDims dims{static_cast<std::int64_t>(lengths.size()), 4,
+                                seq, 32};
+  const TensorH q = random_tensor(dims.qkv_shape(), 7);
+  const TensorH k = random_tensor(dims.kv_shape(), 8);
+  const TensorH v = random_tensor(dims.kv_shape(), 9);
+  const stof::mha::BlockwiseParams params{16, 16};
+  const stof::mha::VarlenBatch batch{seq, lengths};
+  std::vector<stof::sparse::BsrMask> bases;
+  for (const auto kind : {PatternKind::kCausal, PatternKind::kSlidingWindow,
+                          PatternKind::kStrided, PatternKind::kBigBird}) {
+    bases.push_back(stof::sparse::BsrMask::build(
+        stof::masks::MaskSpec{.kind = kind, .seq_len = seq}.build(), 16, 16));
+  }
+
+  Entry e;
+  e.name = "mha_longdoc_prefill";
+  std::string lens;
+  for (const auto len : lengths) {
+    lens += (lens.empty() ? "" : "/") + std::to_string(len);
+  }
+  e.shape = "4 masks (causal, sliding_window, strided, bigbird) x lengths " +
+            lens + " at seq " + std::to_string(seq) +
+            ", heads 4, head_size 32, block 16, varlen prefill";
+
+  std::vector<TensorH> out_scalar(bases.size()), out_packed(bases.size());
+  const auto run_all = [&](std::vector<TensorH>& outs) {
+    for (std::size_t m = 0; m < bases.size(); ++m) {
+      outs[m] =
+          stof::mha::varlen_attention(dims, q, k, v, bases[m], batch, params);
+    }
+  };
+  e.scalar_ms = time_ms(
+      [&] {
+        stof::ScopedPackedExecution scalar_mode(false);
+        run_all(out_scalar);
+      },
+      1);
+  e.packed_ms = time_ms([&] { run_all(out_packed); }, 3);
+  e.bit_identical = true;
+  for (std::size_t m = 0; m < bases.size(); ++m) {
+    e.bit_identical = e.bit_identical && bits_equal(out_scalar[m], out_packed[m]);
+  }
+
+  // Instrumented pass: block load/skip/full/part counters of one packed
+  // run, and the simulated varlen launches.
+  {
+    stof::telemetry::ScopedTelemetry on(true);
+    stof::telemetry::global_registry().reset();
+    run_all(out_packed);
+    const auto dev = stof::gpusim::rtx4090();
+    stof::gpusim::Stream stream(dev);
+    for (const auto& base : bases) {
+      const auto cost =
+          stof::mha::varlen_cost(dims, base, batch, params, dev);
+      stream.launch(e.name, cost);
+      e.sim_launches.emplace_back(e.name, cost);
+    }
     e.counters = stof::telemetry::global_registry().counters();
   }
   return e;
@@ -1196,6 +1273,7 @@ int main(int argc, char** argv) {
     entries.push_back(bench_mha({1, 4, 128, 64},
                                 stof::masks::PatternKind::kBigBird, "bigbird",
                                 32, 3));
+    entries.push_back(bench_mha_longdoc_prefill(/*quick=*/true));
     entries.push_back(bench_serve_entry(/*quick=*/true));
     entries.push_back(bench_serve_burst_p99(/*quick=*/true));
     entries.push_back(bench_serve_decode_long(/*quick=*/true));
@@ -1213,6 +1291,7 @@ int main(int argc, char** argv) {
     entries.push_back(bench_mha(bert_base,
                                 stof::masks::PatternKind::kSlidingWindow,
                                 "sliding_window", 64, 3));
+    entries.push_back(bench_mha_longdoc_prefill(/*quick=*/false));
     entries.push_back(bench_serve_entry(/*quick=*/false));
     entries.push_back(bench_serve_burst_p99(/*quick=*/false));
     entries.push_back(bench_serve_decode_long(/*quick=*/false));

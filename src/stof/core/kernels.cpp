@@ -40,9 +40,11 @@ bool isa_available(Isa isa) {
       return true;
 #if defined(__x86_64__) || defined(_M_X64)
     case Isa::kAvx2:
-      // F16C ships on every AVX2 part; require it explicitly because the
-      // conversion kernels use cvtph/cvtps_ph.
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+      // F16C and FMA ship on every AVX2 part; require them explicitly
+      // because the conversion kernels use cvtph/cvtps_ph and the vector
+      // exp uses fused double-precision steps.
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("f16c") && __builtin_cpu_supports("fma");
     case Isa::kAvx512:
       return isa_available(Isa::kAvx2) &&
              __builtin_cpu_supports("avx512f") &&

@@ -1,10 +1,12 @@
 // Runtime-dispatched CPU micro-kernel table.
 //
 // The packed execution layer's hot inner loops — half<->float panel
-// conversion, the saxpy-tile GEMM accumulators, and the decode-attention
-// dot/axpy primitives — live behind a `KernelTable` of function pointers.
-// At startup the best instruction set the host supports is detected
-// (AVX-512F/BW > AVX2+F16C > NEON > scalar) and the matching table is
+// conversion, the saxpy-tile GEMM accumulators, the decode-attention
+// dot/axpy primitives, the softmax exp, and the block-wise kernel's
+// lane-per-row softmax tile — live behind a `KernelTable` of function
+// pointers.  At startup the best instruction set the host supports is
+// detected (AVX-512F/BW > AVX2+F16C+FMA > NEON > scalar) and the matching
+// table is
 // installed; `STOF_FORCE_SCALAR=1` in the environment pins the scalar
 // reference table regardless of hardware.
 //
@@ -14,8 +16,12 @@
 // (columns of C, separate dot products) and keep each output's reduction
 // strictly serial in ascending depth order with separate multiply and add
 // steps (SIMD translation units are compiled with -ffp-contract=off so the
-// compiler cannot fuse them).  kernel_dispatch_test diffs every table
-// entry byte-wise against the scalar table for every ISA the host can run.
+// compiler cannot fuse them).  The lane tile vectorizes across query rows:
+// each row's softmax state lives in its own lane and runs the scalar op
+// sequence.  `exp_row` evaluates `exp_f32`'s double-precision steps with
+// the same fused operations in every lane.  kernel_dispatch_test diffs
+// every table entry byte-wise against the scalar table for every ISA the
+// host can run.
 //
 // The INT8 tier quantizes panels to symmetric per-group int8 codes
 // (scale = absmax/127, round-to-nearest-even, clamp to +/-127) and runs
@@ -27,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "stof/core/exp_f32.hpp"
 #include "stof/core/half.hpp"
 
 namespace stof::core {
@@ -38,6 +45,45 @@ enum class Isa : int { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 
 /// Storage precision of a cached panel (FP32 sidecar vs quantized INT8).
 enum class PanelPrecision : int { kFloat32 = 0, kInt8 = 1 };
+
+/// Widest lane group of the lane tile (AVX-512: 16 FP32 lanes).  A tile's
+/// row stride is its row count rounded up to this.
+inline constexpr std::int64_t kLaneTileWidth = 16;
+
+/// Online-softmax state of one block-wise query tile in lane-major layout:
+/// element (e, r) of a d x rows matrix lives at [e * lanes + r], so each
+/// query row owns one SIMD lane.
+struct LaneTile {
+  const float* qt;     ///< Q^T, d x lanes; lanes past `rows` hold zeros
+  float* m;            ///< running row maxima (start at -inf), lanes
+  float* l;            ///< running denominators (start at 0), lanes
+  float* acc;          ///< output accumulator (starts at 0), d x lanes
+  float* s;            ///< score scratch, >= block_n x kLaneTileWidth
+  std::int64_t rows;   ///< query rows in the tile
+  std::int64_t lanes;  ///< row stride: rows rounded up to kLaneTileWidth
+  std::int64_t d;      ///< head size
+};
+
+/// Optional scalar pass over one lane group's scaled scores, run before
+/// the mask: s[c * ld + i] is the score of tile row `row0 + i` against
+/// block column c, for i < rows and c < cols.
+using LaneScoreHook = void (*)(void* ctx, float* s, std::int64_t ld,
+                               std::int64_t row0, std::int64_t rows,
+                               std::int64_t cols);
+
+/// One key block visited by a lane tile.
+struct LaneBlock {
+  const float* kt;      ///< K^T at the block's first column (row e: kt + e*ldk)
+  std::int64_t ldk;     ///< K^T row stride
+  const float* v;       ///< the block's V rows (row c: v + c*d)
+  std::int64_t cols;    ///< key columns in the block, <= ld_bits
+  const std::uint8_t* bits;  ///< 0/1 part bitmap (row r: bits + r*ld_bits)
+                             ///< with `lanes` rows; nullptr = full block
+  std::int64_t ld_bits;      ///< bitmap row stride: BLOCK_N (power of 2, >= 16)
+  float scale;               ///< softmax scale applied to every score
+  LaneScoreHook hook;        ///< score modifier, or nullptr
+  void* hook_ctx;
+};
 
 /// One table of micro-kernel entry points.  All pointers are always
 /// non-null (ISA-specific tables inherit the scalar entry for anything
@@ -85,6 +131,23 @@ struct KernelTable {
   float (*reduce_max)(const float* x, std::int64_t n);
   /// max(|x[0..n)|) over finite inputs; returns 0 for n == 0.
   float (*abs_max)(const float* x, std::int64_t n);
+  /// y[i] = exp_f32(x[i]) (x <= 0 or -inf); x and y may alias.
+  void (*exp_row)(const float* x, float* y, std::int64_t n);
+
+  // ---- Block-wise lane tile ------------------------------------------------
+  /// Advance every row of `tile` by one key block of the streaming
+  /// softmax, each row in its own lane:
+  ///   S[c] = (sum_e q[e]*k[e][c], from 0.0f over ascending e) * scale;
+  ///   hook (if any); S[c] = -inf where the bitmap bit is 0;
+  ///   mx = max_c S[c]; rows with mx == -inf leave m, l, acc untouched;
+  ///   m' = max(m, mx); corr = l == 0 ? 0 : exp_f32(m - m');
+  ///   w[c] = exp_f32(S[c] - m'); l = l*corr + (sum_c w[c], ascending);
+  ///   acc[e] = acc[e]*corr + (sum_c w[c]*v[c][e], from 0 ascending); m = m'.
+  /// These are the block-wise kernel's per-row semantics, so every row's
+  /// values round exactly as a row-at-a-time loop would.  A column masked
+  /// in every row of a lane group only adds exact zeros (no sum is ever
+  /// -0), so an entry may skip it while its V row is finite.
+  void (*attn_lane_block)(const LaneTile& tile, const LaneBlock& block);
 
   // ---- INT8 quantized tier -------------------------------------------------
   /// dst[i] = clamp(nearbyint(src[i] * inv_scale), -127, 127); inputs must

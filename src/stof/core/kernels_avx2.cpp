@@ -1,4 +1,5 @@
-// AVX2 + F16C micro-kernels (compiled with -mavx2 -mf16c -ffp-contract=off).
+// AVX2 + F16C + FMA micro-kernels (compiled with -mavx2 -mf16c -mfma
+// -ffp-contract=off).
 //
 // Bit-identity: every FP32 kernel keeps each output element's reduction
 // strictly serial in ascending depth order, with one multiply and one add
@@ -13,6 +14,10 @@
 // half::from_float for every non-NaN input, but preserves NaN payloads
 // where from_float canonicalizes them — the conversion loop detects NaN
 // lanes (rare) and re-converts those through half::from_float.
+//
+// FMA is used only where the scalar reference spells out std::fma: the
+// double-precision steps of exp_f32.  The lane tile puts one query row in
+// each of the 8 lanes of a group.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
@@ -20,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
@@ -322,6 +328,203 @@ float abs_max_avx2(const float* x, std::int64_t n) {
   return m;
 }
 
+// ---- exp_f32 and the lane tile ---------------------------------------------
+
+/// exp_f32 on four lanes: the scalar function's double-precision steps,
+/// fused exactly where it calls std::fma.
+inline __m128 exp4_avx2(__m128 x) {
+  using namespace exp_f32_detail;
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d inv_ln2n = _mm256_set1_pd(kInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kShift);
+  __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+  const __m256i idx =
+      _mm256_and_si256(ki, _mm256_set1_epi64x(kTableSize - 1));
+  __m256i t = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kTable), idx, 8);
+  t = _mm256_add_epi64(t, _mm256_slli_epi64(ki, 47));
+  const __m256d poly = _mm256_fmadd_pd(
+      _mm256_fmadd_pd(_mm256_set1_pd(kC0), r, _mm256_set1_pd(kC1)),
+      _mm256_mul_pd(r, r),
+      _mm256_fmadd_pd(_mm256_set1_pd(kC2), r, _mm256_set1_pd(1.0)));
+  return _mm256_cvtpd_ps(_mm256_mul_pd(poly, _mm256_castsi256_pd(t)));
+}
+
+inline __m256 exp8_avx2(__m256 x) {
+  const __m256 y = _mm256_set_m128(exp4_avx2(_mm256_extractf128_ps(x, 1)),
+                                   exp4_avx2(_mm256_castps256_ps128(x)));
+  // Underflow (and -inf) gives +0; NaN compares false and propagates.
+  const __m256 under = _mm256_cmp_ps(
+      x, _mm256_set1_ps(exp_f32_detail::kUnderflow), _CMP_LT_OQ);
+  return _mm256_andnot_ps(under, y);
+}
+
+void exp_row_avx2(const float* x, float* y, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, exp8_avx2(_mm256_loadu_ps(x + i)));
+  }
+  for (; i < n; ++i) y[i] = exp_f32(x[i]);
+}
+
+constexpr std::int64_t kLanes8 = 8;
+
+/// Bitmap bits of one lane group: lane i holds row i's bits for columns
+/// [c0, c0 + 32) (for [0, 16) when ld == 16).
+inline __m256i row_bits_avx2(const std::uint8_t* bits, std::int64_t ld,
+                             std::int64_t c0) {
+  alignas(32) std::uint32_t w[kLanes8];
+  for (std::int64_t i = 0; i < kLanes8; ++i) {
+    const std::uint8_t* row = bits + i * ld + c0;
+    if (ld == 16) {
+      const __m128i z = _mm_cmpeq_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row)),
+          _mm_setzero_si128());
+      w[i] = ~static_cast<std::uint32_t>(_mm_movemask_epi8(z)) & 0xffffu;
+    } else {
+      const __m256i z = _mm256_cmpeq_epi8(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row)),
+          _mm256_setzero_si256());
+      w[i] = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(z));
+    }
+  }
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(w));
+}
+
+/// S[c][lane] = (sum_e q[e][lane] * k[e][c]) * scale for kC columns.
+template <int kC>
+inline void qk_cols_avx2(const float* qt, std::int64_t lanes,
+                         const float* kt, std::int64_t ldk, std::int64_t d,
+                         __m256 scale, float* s) {
+  __m256 acc[kC];
+  #pragma GCC unroll 8
+  for (int j = 0; j < kC; ++j) acc[j] = _mm256_setzero_ps();
+  for (std::int64_t e = 0; e < d; ++e) {
+    const __m256 qv = _mm256_loadu_ps(qt + e * lanes);
+    const float* kr = kt + e * ldk;
+    #pragma GCC unroll 8
+    for (int j = 0; j < kC; ++j) {
+      acc[j] = _mm256_add_ps(acc[j],
+                             _mm256_mul_ps(qv, _mm256_broadcast_ss(kr + j)));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int j = 0; j < kC; ++j) {
+    _mm256_storeu_ps(s + j * kLanes8, _mm256_mul_ps(acc[j], scale));
+  }
+}
+
+/// acc[e][lane] = acc*corr + sum_c w[c][lane] * v[c][e] for kE head
+/// elements, on live lanes only.
+template <int kE>
+inline void pv_cols_avx2(const float* s, std::int64_t cols, const float* v,
+                         std::int64_t d, float* acc, std::int64_t lanes,
+                         __m256 corr, __m256 live) {
+  __m256 pv[kE];
+  #pragma GCC unroll 8
+  for (int j = 0; j < kE; ++j) pv[j] = _mm256_setzero_ps();
+  for (std::int64_t c = 0; c < cols; ++c) {
+    const __m256 w = _mm256_loadu_ps(s + c * kLanes8);
+    const float* vr = v + c * d;
+    #pragma GCC unroll 8
+    for (int j = 0; j < kE; ++j) {
+      pv[j] = _mm256_add_ps(pv[j], _mm256_mul_ps(w, _mm256_broadcast_ss(vr + j)));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int j = 0; j < kE; ++j) {
+    const __m256 a = _mm256_loadu_ps(acc + j * lanes);
+    const __m256 merged = _mm256_add_ps(_mm256_mul_ps(a, corr), pv[j]);
+    _mm256_storeu_ps(acc + j * lanes, _mm256_blendv_ps(a, merged, live));
+  }
+}
+
+void attn_lane_block_avx2(const LaneTile& t, const LaneBlock& b) {
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 scale = _mm256_set1_ps(b.scale);
+  const std::int64_t chunk = b.ld_bits == 16 ? 16 : 32;
+  for (std::int64_t g0 = 0; g0 < t.rows; g0 += kLanes8) {
+    const std::int64_t live_rows = std::min(kLanes8, t.rows - g0);
+    const __m256i row_ok =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live_rows)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    float* s = t.s;
+    const float* qt = t.qt + g0;
+    std::int64_t c = 0;
+    for (; c + 8 <= b.cols; c += 8) {
+      qk_cols_avx2<8>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+                      s + c * kLanes8);
+    }
+    for (; c < b.cols; ++c) {
+      qk_cols_avx2<1>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+                      s + c * kLanes8);
+    }
+    if (b.hook != nullptr) {
+      b.hook(b.hook_ctx, s, kLanes8, g0, live_rows, b.cols);
+    }
+
+    // Mask (tail lanes are masked everywhere) and row max.
+    __m256 mx = neg_inf;
+    for (std::int64_t c0 = 0; c0 < b.cols; c0 += chunk) {
+      const __m256i keep_bits =
+          b.bits == nullptr
+              ? row_ok
+              : _mm256_and_si256(
+                    row_bits_avx2(b.bits + g0 * b.ld_bits, b.ld_bits, c0),
+                    row_ok);
+      const std::int64_t c_end = std::min(b.cols, c0 + chunk);
+      for (c = c0; c < c_end; ++c) {
+        const __m256i bit =
+            _mm256_set1_epi32(static_cast<int>(1u << (c - c0)));
+        const __m256 drop = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+            _mm256_and_si256(keep_bits, bit), _mm256_setzero_si256()));
+        const __m256 sv =
+            _mm256_blendv_ps(_mm256_loadu_ps(s + c * kLanes8), neg_inf, drop);
+        _mm256_storeu_ps(s + c * kLanes8, sv);
+        mx = _mm256_max_ps(mx, sv);
+      }
+    }
+
+    // Online softmax: weights in place, ascending-column sums.
+    const __m256 m_old = _mm256_loadu_ps(t.m + g0);
+    const __m256 l_old = _mm256_loadu_ps(t.l + g0);
+    const __m256 live = _mm256_cmp_ps(mx, neg_inf, _CMP_NEQ_UQ);
+    const __m256 m_new = _mm256_max_ps(m_old, mx);
+    const __m256 corr =
+        _mm256_andnot_ps(_mm256_cmp_ps(l_old, zero, _CMP_EQ_OQ),
+                         exp8_avx2(_mm256_sub_ps(m_old, m_new)));
+    __m256 sum = zero;
+    for (c = 0; c < b.cols; ++c) {
+      const __m256 w =
+          exp8_avx2(_mm256_sub_ps(_mm256_loadu_ps(s + c * kLanes8), m_new));
+      _mm256_storeu_ps(s + c * kLanes8, w);
+      sum = _mm256_add_ps(sum, w);
+    }
+
+    // PV and merge; rows with no valid column keep their state.
+    float* acc = t.acc + g0;
+    std::int64_t e = 0;
+    for (; e + 8 <= t.d; e += 8) {
+      pv_cols_avx2<8>(s, b.cols, b.v + e, t.d, acc + e * t.lanes, t.lanes,
+                      corr, live);
+    }
+    for (; e < t.d; ++e) {
+      pv_cols_avx2<1>(s, b.cols, b.v + e, t.d, acc + e * t.lanes, t.lanes,
+                      corr, live);
+    }
+    _mm256_storeu_ps(
+        t.l + g0,
+        _mm256_blendv_ps(l_old, _mm256_add_ps(_mm256_mul_ps(l_old, corr), sum),
+                         live));
+    _mm256_storeu_ps(t.m + g0, _mm256_blendv_ps(m_old, m_new, live));
+  }
+}
+
 void quantize_i8_avx2(const float* src, std::int8_t* dst, std::int64_t n,
                       float inv_scale) {
   // cvtps2dq rounds per MXCSR (nearest-even by default) — identical codes
@@ -481,6 +684,8 @@ void fill_avx2(KernelTable& table) {
   table.scale_inplace = scale_inplace_avx2;
   table.reduce_max = reduce_max_avx2;
   table.abs_max = abs_max_avx2;
+  table.exp_row = exp_row_avx2;
+  table.attn_lane_block = attn_lane_block_avx2;
   table.quantize_i8 = quantize_i8_avx2;
   table.dequantize_i8 = dequantize_i8_avx2;
   table.dot_i8 = dot_i8_avx2;

@@ -1,17 +1,25 @@
-// AVX-512 GEMM tiles (compiled with -mavx512f -mavx512bw -ffp-contract=off).
+// AVX-512 GEMM tiles, exp and lane tile (compiled with -mavx512f
+// -mavx512bw -ffp-contract=off).
 //
-// Only the GEMM accumulators are overridden here — conversions and the
-// element-wise primitives stay on the AVX2 entries, which already saturate
-// memory for those shapes.  The same bit-identity rules apply: separate
-// multiply and add per ascending depth step, vector lanes only across
-// independent output columns, accumulators resident in zmm registers for
-// the whole depth loop.
+// The GEMM accumulators, the softmax exp and the block-wise lane tile are
+// overridden here — conversions and the other element-wise primitives stay
+// on the AVX2 entries, which already saturate memory for those shapes.  The
+// same bit-identity rules apply: separate multiply and add per ascending
+// depth step, vector lanes only across independent outputs (columns of C,
+// or query rows in the lane tile), accumulators resident in zmm registers
+// for the whole depth loop.  FMA appears only in exp_f32's double steps,
+// where the scalar reference calls std::fma.  The lane tile also skips a
+// group's leading and trailing key columns that are masked in all 16 rows.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <tuple>
+#include <utility>
 
 #include "stof/core/kernels.hpp"
 
@@ -310,12 +318,316 @@ void sgemm_i8_accumulate_ld_avx512(const std::int8_t* a, std::int64_t lda,
   }
 }
 
+// ---- exp_f32 and the lane tile ---------------------------------------------
+
+/// exp_f32's 32-entry table in four zmm registers: the lookup is two
+/// 16-entry two-source permutes and a blend on index bit 4 (no gather).
+struct ExpTable512 {
+  __m512i t0, t1, t2, t3;
+  ExpTable512() {
+    const auto* tab = exp_f32_detail::kTable;
+    t0 = _mm512_loadu_si512(tab);
+    t1 = _mm512_loadu_si512(tab + 8);
+    t2 = _mm512_loadu_si512(tab + 16);
+    t3 = _mm512_loadu_si512(tab + 24);
+  }
+};
+
+/// exp_f32 on eight lanes: the scalar function's double-precision steps,
+/// fused exactly where it calls std::fma.
+inline __m256 exp8_avx512(__m256 x, const ExpTable512& tab) {
+  using namespace exp_f32_detail;
+  const __m512d xd = _mm512_cvtps_pd(x);
+  const __m512d inv_ln2n = _mm512_set1_pd(kInvLn2N);
+  const __m512d shift = _mm512_set1_pd(kShift);
+  __m512d kd = _mm512_fmadd_pd(inv_ln2n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd);
+  kd = _mm512_sub_pd(kd, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
+  const __m512i lo = _mm512_permutex2var_epi64(tab.t0, ki, tab.t1);
+  const __m512i hi = _mm512_permutex2var_epi64(tab.t2, ki, tab.t3);
+  __m512i t = _mm512_mask_blend_epi64(
+      _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), lo, hi);
+  t = _mm512_add_epi64(t, _mm512_slli_epi64(ki, 47));
+  const __m512d poly = _mm512_fmadd_pd(
+      _mm512_fmadd_pd(_mm512_set1_pd(kC0), r, _mm512_set1_pd(kC1)),
+      _mm512_mul_pd(r, r),
+      _mm512_fmadd_pd(_mm512_set1_pd(kC2), r, _mm512_set1_pd(1.0)));
+  return _mm512_cvtpd_ps(_mm512_mul_pd(poly, _mm512_castsi512_pd(t)));
+}
+
+inline __m512 exp16_avx512(__m512 x, const ExpTable512& tab) {
+  const __m256 lo = exp8_avx512(_mm512_castps512_ps256(x), tab);
+  const __m256 hi = exp8_avx512(
+      _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1)), tab);
+  const __m512 y = _mm512_castpd_ps(_mm512_insertf64x4(
+      _mm512_castpd256_pd512(_mm256_castps_pd(lo)), _mm256_castps_pd(hi), 1));
+  // Underflow (and -inf) gives +0; NaN compares false and propagates.
+  const __mmask16 under = _mm512_cmp_ps_mask(
+      x, _mm512_set1_ps(exp_f32_detail::kUnderflow), _CMP_LT_OQ);
+  return _mm512_mask_mov_ps(y, under, _mm512_setzero_ps());
+}
+
+void exp_row_avx512(const float* x, float* y, std::int64_t n) {
+  const ExpTable512 tab;
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, exp16_avx512(_mm512_loadu_ps(x + i), tab));
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(
+        y + i, tail, exp16_avx512(_mm512_maskz_loadu_ps(tail, x + i), tab));
+  }
+}
+
+constexpr std::int64_t kLanes16 = kLaneTileWidth;
+
+/// Bitmap bits of one lane group: lane i holds row i's bits for columns
+/// [c0, c0 + 32) (for [0, 16) when ld == 16).
+inline __m512i row_bits_avx512(const std::uint8_t* bits, std::int64_t ld,
+                               std::int64_t c0) {
+  if (ld == 16) {
+    // The group's 16 bitmap rows are 256 contiguous bytes: four 64-byte
+    // byte tests give the rows' 16-bit masks in order.
+    alignas(32) std::uint64_t w[4];
+    for (int k = 0; k < 4; ++k) {
+      const __m512i z = _mm512_loadu_si512(bits + 64 * k);
+      w[k] = _mm512_test_epi8_mask(z, z);
+    }
+    return _mm512_cvtepu16_epi32(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(w)));
+  }
+  alignas(64) std::uint32_t w[kLanes16];
+  for (std::int64_t i = 0; i < kLanes16; ++i) {
+    const __m256i z = _mm256_cmpeq_epi8(
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(bits + i * ld + c0)),
+        _mm256_setzero_si256());
+    w[i] = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(z));
+  }
+  return _mm512_load_si512(w);
+}
+
+/// S[c][lane] = (sum_e q[e][lane] * k[e][c]) * scale for kC columns.
+template <int kC>
+inline void qk_cols_avx512(const float* qt, std::int64_t lanes,
+                           const float* kt, std::int64_t ldk, std::int64_t d,
+                           __m512 scale, float* s) {
+  __m512 acc[kC];
+  #pragma GCC unroll 8
+  for (int j = 0; j < kC; ++j) acc[j] = _mm512_setzero_ps();
+  for (std::int64_t e = 0; e < d; ++e) {
+    const __m512 qv = _mm512_loadu_ps(qt + e * lanes);
+    const float* kr = kt + e * ldk;
+    #pragma GCC unroll 8
+    for (int j = 0; j < kC; ++j) {
+      acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(qv, _mm512_set1_ps(kr[j])));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int j = 0; j < kC; ++j) {
+    _mm512_storeu_ps(s + j * kLanes16, _mm512_mul_ps(acc[j], scale));
+  }
+}
+
+/// acc[e][lane] = acc*corr + sum_c w[c][lane] * v[c][e] for kE head
+/// elements, on live lanes only.
+template <int kE>
+inline void pv_cols_avx512(const float* s, std::int64_t cols, const float* v,
+                           std::int64_t d, float* acc, std::int64_t lanes,
+                           __m512 corr, __mmask16 live) {
+  __m512 pv[kE];
+  #pragma GCC unroll 8
+  for (int j = 0; j < kE; ++j) pv[j] = _mm512_setzero_ps();
+  for (std::int64_t c = 0; c < cols; ++c) {
+    const __m512 w = _mm512_loadu_ps(s + c * kLanes16);
+    const float* vr = v + c * d;
+    #pragma GCC unroll 8
+    for (int j = 0; j < kE; ++j) {
+      pv[j] = _mm512_add_ps(pv[j], _mm512_mul_ps(w, _mm512_set1_ps(vr[j])));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int j = 0; j < kE; ++j) {
+    const __m512 a = _mm512_loadu_ps(acc + j * lanes);
+    _mm512_storeu_ps(acc + j * lanes,
+                     _mm512_mask_add_ps(a, live, _mm512_mul_ps(a, corr), pv[j]));
+  }
+}
+
+/// Columns [lo, hi) holding a set bit in any of a lane group's 16 bitmap
+/// rows (lo == hi when the whole group is masked).
+inline std::pair<std::int64_t, std::int64_t> live_cols_avx512(
+    const std::uint8_t* bits, std::int64_t ld, std::int64_t cols) {
+  std::int64_t lo = cols;
+  std::int64_t hi = 0;
+  for (std::int64_t c0 = 0; c0 < cols; c0 += 64) {
+    std::uint64_t any = 0;
+    if (ld == 16) {
+      // Four zmm loads cover the group's 256 bytes, four rows each; fold
+      // the rows, then the four 16-byte row slots.
+      __m512i o = _mm512_loadu_si512(bits);
+      for (int k = 1; k < 4; ++k) {
+        o = _mm512_or_si512(o, _mm512_loadu_si512(bits + 64 * k));
+      }
+      const __m256i o2 = _mm256_or_si256(_mm512_castsi512_si256(o),
+                                         _mm512_extracti64x4_epi64(o, 1));
+      const __m128i o4 = _mm_or_si128(_mm256_castsi256_si128(o2),
+                                      _mm256_extracti128_si256(o2, 1));
+      any = ~static_cast<std::uint32_t>(
+                _mm_movemask_epi8(_mm_cmpeq_epi8(o4, _mm_setzero_si128()))) &
+            0xffffu;
+    } else if (ld == 32) {
+      __m256i o = _mm256_setzero_si256();
+      for (std::int64_t i = 0; i < kLanes16; ++i) {
+        o = _mm256_or_si256(o, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                                   bits + i * ld)));
+      }
+      any = ~static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(o, _mm256_setzero_si256())));
+    } else {
+      __m512i o = _mm512_setzero_si512();
+      for (std::int64_t i = 0; i < kLanes16; ++i) {
+        o = _mm512_or_si512(o, _mm512_loadu_si512(bits + i * ld + c0));
+      }
+      any = _mm512_test_epi8_mask(o, o);
+    }
+    if (cols - c0 < 64) any &= (std::uint64_t{1} << (cols - c0)) - 1;
+    if (any != 0) {
+      lo = std::min(lo, c0 + std::countr_zero(any));
+      hi = c0 + 64 - std::countl_zero(any);
+    }
+  }
+  return lo < hi ? std::pair{lo, hi} : std::pair<std::int64_t, std::int64_t>{0, 0};
+}
+
+/// True when every float of x[0..n) is finite.
+inline bool all_finite_avx512(const float* x, std::int64_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  __mmask16 ok = 0xffff;
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 v = _mm512_loadu_ps(x + i);
+    ok &= _mm512_cmp_ps_mask(_mm512_sub_ps(v, v), zero, _CMP_EQ_OQ);
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 v = _mm512_maskz_loadu_ps(tail, x + i);
+    ok &= _mm512_cmp_ps_mask(_mm512_sub_ps(v, v), zero, _CMP_EQ_OQ);
+  }
+  return ok == 0xffff;
+}
+
+void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
+  const __m512 neg_inf =
+      _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m512 scale = _mm512_set1_ps(b.scale);
+  const ExpTable512 tab;
+  const std::int64_t chunk = b.ld_bits == 16 ? 16 : 32;
+  for (std::int64_t g0 = 0; g0 < t.rows; g0 += kLanes16) {
+    const std::int64_t live_rows = std::min(kLanes16, t.rows - g0);
+    const auto row_ok = static_cast<__mmask16>((1u << live_rows) - 1u);
+    float* s = t.s;
+    const float* qt = t.qt + g0;
+    const std::uint8_t* bits =
+        b.bits != nullptr ? b.bits + g0 * b.ld_bits : nullptr;
+
+    // A column masked in every row of the group only ever adds exact
+    // zeros (w == 0; no sum is ever -0, so x + 0 == x), so the group runs
+    // columns [c_lo, c_hi) only.  A score hook sees every column.
+    std::int64_t c_lo = 0;
+    std::int64_t c_hi = b.cols;
+    if (bits != nullptr && b.hook == nullptr) {
+      std::tie(c_lo, c_hi) = live_cols_avx512(bits, b.ld_bits, b.cols);
+      if (c_lo == c_hi) continue;  // every row masked: state unchanged
+    }
+
+    std::int64_t c = c_lo;
+    for (; c + 8 <= c_hi; c += 8) {
+      qk_cols_avx512<8>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+                        s + c * kLanes16);
+    }
+    for (; c < c_hi; ++c) {
+      qk_cols_avx512<1>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+                        s + c * kLanes16);
+    }
+    if (b.hook != nullptr) {
+      b.hook(b.hook_ctx, s, kLanes16, g0, live_rows, b.cols);
+    }
+
+    // Mask (tail lanes are masked everywhere) and row max.
+    __m512 mx = neg_inf;
+    for (std::int64_t c0 = c_lo - c_lo % chunk; c0 < c_hi; c0 += chunk) {
+      const __m512i keep_bits = bits == nullptr
+                                    ? _mm512_set1_epi32(-1)
+                                    : row_bits_avx512(bits, b.ld_bits, c0);
+      const std::int64_t c_end = std::min(c_hi, c0 + chunk);
+      for (c = std::max(c0, c_lo); c < c_end; ++c) {
+        const __mmask16 keep = _mm512_mask_test_epi32_mask(
+            row_ok, keep_bits,
+            _mm512_set1_epi32(static_cast<int>(1u << (c - c0))));
+        const __m512 sv =
+            _mm512_mask_mov_ps(neg_inf, keep, _mm512_loadu_ps(s + c * kLanes16));
+        _mm512_storeu_ps(s + c * kLanes16, sv);
+        mx = _mm512_max_ps(mx, sv);
+      }
+    }
+
+    // Online softmax: weights in place, ascending-column sums.
+    const __m512 m_old = _mm512_loadu_ps(t.m + g0);
+    const __m512 l_old = _mm512_loadu_ps(t.l + g0);
+    const __mmask16 live = _mm512_cmp_ps_mask(mx, neg_inf, _CMP_NEQ_UQ);
+    const __m512 m_new = _mm512_max_ps(m_old, mx);
+    const __m512 corr = _mm512_mask_mov_ps(
+        exp16_avx512(_mm512_sub_ps(m_old, m_new), tab),
+        _mm512_cmp_ps_mask(l_old, _mm512_setzero_ps(), _CMP_EQ_OQ),
+        _mm512_setzero_ps());
+    __m512 sum = _mm512_setzero_ps();
+    for (c = c_lo; c < c_hi; ++c) {
+      const __m512 w = exp16_avx512(
+          _mm512_sub_ps(_mm512_loadu_ps(s + c * kLanes16), m_new), tab);
+      _mm512_storeu_ps(s + c * kLanes16, w);
+      sum = _mm512_add_ps(sum, w);
+    }
+
+    // PV and merge; rows with no valid column keep their state.  Skipping
+    // a masked column is exact only while its V row is finite (0 * inf is
+    // NaN), so non-finite values bring the skipped columns back as zeros.
+    if ((c_lo > 0 && !all_finite_avx512(b.v, c_lo * t.d)) ||
+        (c_hi < b.cols &&
+         !all_finite_avx512(b.v + c_hi * t.d, (b.cols - c_hi) * t.d))) {
+      std::fill_n(s, c_lo * kLanes16, 0.0f);
+      std::fill_n(s + c_hi * kLanes16, (b.cols - c_hi) * kLanes16, 0.0f);
+      c_lo = 0;
+      c_hi = b.cols;
+    }
+    const float* w = s + c_lo * kLanes16;
+    const float* v = b.v + c_lo * t.d;
+    float* acc = t.acc + g0;
+    std::int64_t e = 0;
+    for (; e + 8 <= t.d; e += 8) {
+      pv_cols_avx512<8>(w, c_hi - c_lo, v + e, t.d, acc + e * t.lanes,
+                        t.lanes, corr, live);
+    }
+    for (; e < t.d; ++e) {
+      pv_cols_avx512<1>(w, c_hi - c_lo, v + e, t.d, acc + e * t.lanes,
+                        t.lanes, corr, live);
+    }
+    _mm512_storeu_ps(t.l + g0, _mm512_mask_add_ps(
+                                   l_old, live, _mm512_mul_ps(l_old, corr), sum));
+    _mm512_storeu_ps(t.m + g0, _mm512_mask_mov_ps(m_old, live, m_new));
+  }
+}
+
 }  // namespace
 
 void fill_avx512(KernelTable& table) {
   table.sgemm_accumulate = sgemm_accumulate_avx512;
   table.sgemm_accumulate_ld = sgemm_accumulate_ld_avx512;
   table.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_avx512;
+  table.exp_row = exp_row_avx512;
+  table.attn_lane_block = attn_lane_block_avx512;
 }
 
 }  // namespace stof::core::detail

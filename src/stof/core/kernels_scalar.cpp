@@ -5,14 +5,37 @@
 // verbatim from packed.cpp), the conversions go through the exact h2f
 // table / half::from_float, and the decode primitives spell out the
 // serial per-output accumulation order the SIMD tables must reproduce.
+// The lane tile runs its lanes in inner loops, so a group's rows advance
+// together exactly as the SIMD tables' vector lanes do.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 
 namespace stof::core {
+
+float exp_f32(float x) {
+  using namespace exp_f32_detail;
+  if (x < kUnderflow) return 0.0f;  // also -inf
+  const double xd = x;
+  // x*N/ln2 = k + r: the shifter rounds to the nearest integer k (its low
+  // mantissa bits), and r keeps the fused remainder.
+  double kd = std::fma(kInvLn2N, xd, kShift);
+  const auto ki = std::bit_cast<std::uint64_t>(kd);
+  kd -= kShift;
+  const double r = std::fma(kInvLn2N, xd, -kd);
+  // exp(x) = 2^(k/N) * 2^(r/N) ~= s * (1 + C2*r + C1*r^2 + C0*r^3).
+  const double s =
+      std::bit_cast<double>(kTable[ki % kTableSize] + (ki << 47));
+  const double y =
+      std::fma(std::fma(kC0, r, kC1), r * r, std::fma(kC2, r, 1.0)) * s;
+  return static_cast<float>(y);
+}
+
 namespace {
 
 void half_to_float_scalar(const half* src, float* dst, std::int64_t n) {
@@ -178,6 +201,81 @@ float abs_max_scalar(const float* x, std::int64_t n) {
   return m;
 }
 
+void exp_row_scalar(const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = exp_f32(x[i]);
+}
+
+void attn_lane_block_scalar(const LaneTile& t, const LaneBlock& b) {
+  constexpr std::int64_t kW = kLaneTileWidth;
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  for (std::int64_t g0 = 0; g0 < t.rows; g0 += kW) {
+    const std::int64_t live_rows = std::min(kW, t.rows - g0);
+    float* s = t.s;
+    // S = (Q K^T) * scale, one lane per query row.
+    for (std::int64_t c = 0; c < b.cols; ++c) {
+      float* sc = s + c * kW;
+      std::fill_n(sc, kW, 0.0f);
+      for (std::int64_t e = 0; e < t.d; ++e) {
+        const float kv = b.kt[e * b.ldk + c];
+        const float* q = t.qt + e * t.lanes + g0;
+        for (std::int64_t i = 0; i < kW; ++i) sc[i] += q[i] * kv;
+      }
+      for (std::int64_t i = 0; i < kW; ++i) sc[i] *= b.scale;
+    }
+    if (b.hook != nullptr) b.hook(b.hook_ctx, s, kW, g0, live_rows, b.cols);
+
+    // Mask (tail lanes are masked everywhere) and row max.
+    float mx[kW];
+    std::fill_n(mx, kW, kNegInf);
+    for (std::int64_t c = 0; c < b.cols; ++c) {
+      float* sc = s + c * kW;
+      for (std::int64_t i = 0; i < kW; ++i) {
+        const bool keep =
+            i < live_rows &&
+            (b.bits == nullptr || b.bits[(g0 + i) * b.ld_bits + c] != 0);
+        sc[i] = keep ? sc[i] : kNegInf;
+        mx[i] = std::max(mx[i], sc[i]);
+      }
+    }
+
+    // Online softmax: weights in place, ascending-column sums.
+    float m_new[kW], corr[kW], sum[kW];
+    for (std::int64_t i = 0; i < kW; ++i) {
+      const float m = t.m[g0 + i];
+      m_new[i] = std::max(m, mx[i]);
+      corr[i] = t.l[g0 + i] == 0.0f ? 0.0f : exp_f32(m - m_new[i]);
+      sum[i] = 0.0f;
+    }
+    for (std::int64_t c = 0; c < b.cols; ++c) {
+      float* sc = s + c * kW;
+      for (std::int64_t i = 0; i < kW; ++i) {
+        sc[i] = exp_f32(sc[i] - m_new[i]);
+        sum[i] += sc[i];
+      }
+    }
+
+    // PV and merge; rows with no valid column keep their state.
+    for (std::int64_t e = 0; e < t.d; ++e) {
+      float pv[kW];
+      std::fill_n(pv, kW, 0.0f);
+      for (std::int64_t c = 0; c < b.cols; ++c) {
+        const float vv = b.v[c * t.d + e];
+        const float* sc = s + c * kW;
+        for (std::int64_t i = 0; i < kW; ++i) pv[i] += sc[i] * vv;
+      }
+      float* acc = t.acc + e * t.lanes + g0;
+      for (std::int64_t i = 0; i < kW; ++i) {
+        if (mx[i] != kNegInf) acc[i] = acc[i] * corr[i] + pv[i];
+      }
+    }
+    for (std::int64_t i = 0; i < kW; ++i) {
+      if (mx[i] == kNegInf) continue;
+      t.l[g0 + i] = t.l[g0 + i] * corr[i] + sum[i];
+      t.m[g0 + i] = m_new[i];
+    }
+  }
+}
+
 void quantize_i8_scalar(const float* src, std::int8_t* dst, std::int64_t n,
                         float inv_scale) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -248,6 +346,8 @@ const KernelTable& scalar_kernel_table() {
     t.scale_inplace = scale_inplace_scalar;
     t.reduce_max = reduce_max_scalar;
     t.abs_max = abs_max_scalar;
+    t.exp_row = exp_row_scalar;
+    t.attn_lane_block = attn_lane_block_scalar;
     t.quantize_i8 = quantize_i8_scalar;
     t.dequantize_i8 = dequantize_i8_scalar;
     t.dot_i8 = dot_i8_scalar;

@@ -58,6 +58,25 @@ TaskState make_state(ScratchArena& arena, std::int64_t rows, std::int64_t d,
                    arena.alloc_zeroed(rows * d), arena.alloc(rows * bn)};
 }
 
+/// Applies a ScoreMod to one lane group of a lane tile's scaled scores.
+struct ScoreModHook {
+  const ScoreMod* mod;
+  std::int64_t bh;
+  std::int64_t row_lo;  ///< first query row of the tile
+  std::int64_t col_lo;  ///< first key column of the current block
+
+  static void apply(void* ctx, float* s, std::int64_t ld, std::int64_t row0,
+                    std::int64_t rows, std::int64_t cols) {
+    const auto& h = *static_cast<const ScoreModHook*>(ctx);
+    for (std::int64_t c = 0; c < cols; ++c) {
+      for (std::int64_t i = 0; i < rows; ++i) {
+        float& sv = s[c * ld + i];
+        sv = (*h.mod)(h.bh, h.row_lo + row0 + i, h.col_lo + c, sv);
+      }
+    }
+  }
+};
+
 /// Entries of a CSR list in block rows [begin, end).
 std::int64_t rows_between(const std::vector<std::int64_t>& row_ptr,
                           std::int64_t begin, std::int64_t end) {
@@ -163,45 +182,107 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     const std::int64_t row_lo = bi * bm;
     const std::int64_t row_hi = std::min(n, row_lo + bm);
     const std::int64_t rows = row_hi - row_lo;
-    TaskState st = make_state(arena, rows, d, bn);
+    const auto q_rows = q.data().subspan(
+        static_cast<std::size_t>((bh * n + row_lo) * d),
+        static_cast<std::size_t>(rows * d));
+    const auto out_rows = out.data().subspan(
+        static_cast<std::size_t>((bh * n + row_lo) * d),
+        static_cast<std::size_t>(rows * d));
 
-    if (use_packed) {
-      // ---- Packed fast path: micro-kernels over cached FP32 panels. ----
+    if (use_packed && !int8_kv) {
+      // ---- Packed FP32 path: the lane tile over cached panels. ----
+      // Each query row owns one vector lane, so a key block's scores,
+      // softmax update and PV accumulate advance all rows of the tile at
+      // once, each row with exactly the scalar path's operation order.
       const core::KernelTable& ktab = core::kernels();
-      const float* kt = int8_kv ? nullptr : panel_cache->kt_panel(kv_off + kv);
-      const float* vf = int8_kv ? nullptr : panel_cache->v_panel(kv_off + kv);
+      const float* kt = panel_cache->kt_panel(kv_off + kv);
+      const float* vf = panel_cache->v_panel(kv_off + kv);
+      const std::int64_t lanes =
+          (rows + core::kLaneTileWidth - 1) / core::kLaneTileWidth *
+          core::kLaneTileWidth;
       auto q_tile = arena.alloc(rows * d);
-      packed::half_to_float(
-          q.data().subspan(static_cast<std::size_t>((bh * n + row_lo) * d),
-                           q_tile.size()),
-          q_tile);
+      packed::half_to_float(q_rows, q_tile);
+      auto qt = arena.alloc_zeroed(d * lanes);
+      auto acc = arena.alloc_zeroed(d * lanes);
+      for (std::int64_t e = 0; e < d; ++e) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          qt[static_cast<std::size_t>(e * lanes + r)] =
+              q_tile[static_cast<std::size_t>(r * d + e)];
+        }
+      }
+      const core::LaneTile tile{qt.data(),
+                                arena.alloc_filled(lanes, kNegInf).data(),
+                                arena.alloc_zeroed(lanes).data(),
+                                acc.data(),
+                                arena.alloc(bn * core::kLaneTileWidth).data(),
+                                rows,
+                                lanes,
+                                d};
+      ScoreModHook hook{&score_mod, bh, row_lo, 0};
+      std::int64_t blocks = 0;
+      std::int64_t full_fast_blocks = 0;
+
+      sparse::BsrMask::RowBlocks row_blocks(mask, bi);
+      for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
+           it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it, ++blocks) {
+        const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
+        const std::int64_t col_lo = bj * bn;
+        const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
+        if (bitmap == nullptr && !score_mod) ++full_fast_blocks;
+        hook.col_lo = col_lo;
+        ktab.attn_lane_block(
+            tile, core::LaneBlock{kt + col_lo, n, vf + col_lo * d,
+                                  std::min(n, col_lo + bn) - col_lo,
+                                  bitmap != nullptr ? bitmap->data() : nullptr,
+                                  bn, scale,
+                                  score_mod ? &ScoreModHook::apply : nullptr,
+                                  &hook});
+      }
+      core::note_kernel_dispatch("attn_lane_block", blocks);
+      if (full_fast_blocks > 0) {
+        telemetry::count("exec.mha.blockwise.full_fast_blocks",
+                         full_fast_blocks);
+      }
+
+      // Epilogue: normalize and store (one rounding per output element),
+      // back from lane-major to row-major through the Q tile's buffer.
+      float* inv = tile.l;  // the denominators are dead after the last block
+      for (std::int64_t r = 0; r < rows; ++r) {
+        inv[r] = tile.l[r] == 0.0f ? 0.0f : 1.0f / tile.l[r];
+      }
+      for (std::int64_t e = 0; e < d; ++e) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          q_tile[static_cast<std::size_t>(r * d + e)] =
+              acc[static_cast<std::size_t>(e * lanes + r)] * inv[r];
+        }
+      }
+      packed::float_to_half(q_tile, out_rows);
+      return;
+    }
+
+    TaskState st = make_state(arena, rows, d, bn);
+    if (use_packed) {
+      // ---- Packed INT8 tier: quantized panels, row-at-a-time softmax. ----
+      const core::KernelTable& ktab = core::kernels();
+      auto q_tile = arena.alloc(rows * d);
+      packed::half_to_float(q_rows, q_tile);
       auto pv = arena.alloc(rows * d);
       auto corr = arena.alloc(rows);
-      // INT8 tier state: quantized Q rows (one scale per row), the block's
-      // K/V codes, and a per-block weight-tile quantization buffer.  The
-      // int8 code buffers live in the float arena via the always-legal
-      // signed-char aliasing of its storage.
-      const std::int8_t* k8t = nullptr;
-      const std::int8_t* v8 = nullptr;
-      float k_sc = 0.0f;
-      float v_sc = 0.0f;
-      std::int8_t* q8 = nullptr;
-      std::int8_t* w8 = nullptr;
-      std::span<float> q_scales, w_scales;
-      if (int8_kv) {
-        k8t = panel_cache->kt_panel_i8(kv_off + kv);
-        v8 = panel_cache->v_panel_i8(kv_off + kv);
-        k_sc = panel_cache->k_scale(kv_off + kv);
-        v_sc = panel_cache->v_scale(kv_off + kv);
-        q8 = reinterpret_cast<std::int8_t*>(
-            arena.alloc((rows * d + 3) / 4).data());
-        q_scales = arena.alloc(rows);
-        packed::quantize_floats(q_tile.data(), rows * d, d, q8,
-                                q_scales.data());
-        w8 = reinterpret_cast<std::int8_t*>(
-            arena.alloc((rows * bn + 3) / 4).data());
-        w_scales = arena.alloc(rows);
-      }
+      // Quantized Q rows (one scale per row), the block's K/V codes, and a
+      // per-block weight-tile quantization buffer.  The int8 code buffers
+      // live in the float arena via the always-legal signed-char aliasing
+      // of its storage.
+      const std::int8_t* k8t = panel_cache->kt_panel_i8(kv_off + kv);
+      const std::int8_t* v8 = panel_cache->v_panel_i8(kv_off + kv);
+      const float k_sc = panel_cache->k_scale(kv_off + kv);
+      const float v_sc = panel_cache->v_scale(kv_off + kv);
+      auto* q8 = reinterpret_cast<std::int8_t*>(
+          arena.alloc((rows * d + 3) / 4).data());
+      auto q_scales = arena.alloc(rows);
+      packed::quantize_floats(q_tile.data(), rows * d, d, q8, q_scales.data());
+      auto* w8 = reinterpret_cast<std::int8_t*>(
+          arena.alloc((rows * bn + 3) / 4).data());
+      auto w_scales = arena.alloc(rows);
       std::int64_t full_fast_blocks = 0;
 
       sparse::BsrMask::RowBlocks row_blocks(mask, bi);
@@ -213,27 +294,18 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
         const std::int64_t cols = col_hi - col_lo;
         const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
 
-        // S = (Q_i K_j^T): zero the score window, then accumulate with the
-        // register-tiled saxpy micro-kernel over the transposed K panel —
-        // the inner loop runs unit-stride over this block's key columns.
-        // A dot that starts at 0.0f and adds its d terms ascending rounds
-        // exactly like the scalar `dot += q*k` loop.
+        // S = (Q_i K_j^T) in exact int32 dot products with a float
+        // epilogue, into a zeroed score window.
         for (std::int64_t r = 0; r < rows; ++r) {
           std::fill_n(st.s.data() + r * bn, cols, 0.0f);
         }
-        if (int8_kv) {
-          core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-          ktab.sgemm_i8_accumulate_ld(q8, d, k8t + col_lo, n, st.s.data(), bn,
-                                      rows, d, cols, q_scales.data(), k_sc);
-        } else {
-          packed::sgemm_accumulate_ld(q_tile.data(), d, kt + col_lo, n,
-                                      st.s.data(), bn, rows, d, cols);
-        }
+        core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
+        ktab.sgemm_i8_accumulate_ld(q8, d, k8t + col_lo, n, st.s.data(), bn,
+                                    rows, d, cols, q_scales.data(), k_sc);
         const bool full_fast = bitmap == nullptr && !score_mod;
         if (full_fast) {
           // Full-block fast path: plain unit-stride scaling, no per-element
-          // bitmap or score-mod branches, and no -inf handling below (a
-          // full block's scores are all finite).
+          // bitmap or score-mod branches.
           ++full_fast_blocks;
           for (std::int64_t r = 0; r < rows; ++r) {
             ktab.scale_inplace(st.s.data() + r * bn, scale, cols);
@@ -282,21 +354,13 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
           const float correction =
               (st.l[static_cast<std::size_t>(r)] == 0.0f)
                   ? 0.0f
-                  : std::exp(m_old - m_new);
+                  : core::exp_f32(m_old - m_new);
           float block_sum = 0;
-          if (full_fast) {
-            for (std::int64_t c = 0; c < cols; ++c) {
-              const float w = std::exp(s_row[c] - m_new);
-              s_row[c] = w;
-              block_sum += w;
-            }
-          } else {
-            for (std::int64_t c = 0; c < cols; ++c) {
-              const float sv = s_row[c];
-              const float w = sv == kNegInf ? 0.0f : std::exp(sv - m_new);
-              s_row[c] = w;
-              block_sum += w;
-            }
+          for (std::int64_t c = 0; c < cols; ++c) {
+            const float sv = s_row[c];
+            const float w = sv == kNegInf ? 0.0f : core::exp_f32(sv - m_new);
+            s_row[c] = w;
+            block_sum += w;
           }
           st.l[static_cast<std::size_t>(r)] =
               st.l[static_cast<std::size_t>(r)] * correction + block_sum;
@@ -304,39 +368,28 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
           st.m[static_cast<std::size_t>(r)] = m_new;
         }
 
-        // PV tile GEMM: weights x the block's V rows, saxpy over the head
-        // dimension (unit-stride V rows), key index ascending per output.
-        // Fully masked rows still hold raw -inf scores; their products are
-        // computed and discarded at the merge below.
+        // PV: quantize the weight tile per row (valid cols only — the tail
+        // of each bn-row is stale scratch).  Fully masked rows still hold
+        // raw -inf scores; their PV contribution is discarded at the merge
+        // below, so emit zero codes instead of quantizing -inf.
         std::fill_n(pv.data(), rows * d, 0.0f);
-        if (int8_kv) {
-          // Quantize the weight tile per row (valid cols only — the tail of
-          // each bn-row is stale scratch).  Fully masked rows still hold
-          // raw -inf scores; their PV contribution is discarded at the
-          // merge below, so emit zero codes instead of quantizing -inf.
-          for (std::int64_t r = 0; r < rows; ++r) {
-            if (corr[static_cast<std::size_t>(r)] < 0.0f) {
-              w_scales[static_cast<std::size_t>(r)] = 0.0f;
-              std::memset(w8 + r * bn, 0, static_cast<std::size_t>(cols));
-              continue;
-            }
-            const float* s_row = st.s.data() + r * bn;
-            const auto qp = core::quant_params(ktab.abs_max(s_row, cols));
-            w_scales[static_cast<std::size_t>(r)] = qp.scale;
-            ktab.quantize_i8(s_row, w8 + r * bn, cols, qp.inv_scale);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          if (corr[static_cast<std::size_t>(r)] < 0.0f) {
+            w_scales[static_cast<std::size_t>(r)] = 0.0f;
+            std::memset(w8 + r * bn, 0, static_cast<std::size_t>(cols));
+            continue;
           }
-          core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-          ktab.sgemm_i8_accumulate_ld(w8, bn, v8 + col_lo * d, d, pv.data(),
-                                      d, rows, cols, d, w_scales.data(), v_sc);
-        } else {
-          packed::sgemm_accumulate_ld(st.s.data(), bn, vf + col_lo * d, d,
-                                      pv.data(), d, rows, cols, d);
+          const float* s_row = st.s.data() + r * bn;
+          const auto qp = core::quant_params(ktab.abs_max(s_row, cols));
+          w_scales[static_cast<std::size_t>(r)] = qp.scale;
+          ktab.quantize_i8(s_row, w8 + r * bn, cols, qp.inv_scale);
         }
+        core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
+        ktab.sgemm_i8_accumulate_ld(w8, bn, v8 + col_lo * d, d, pv.data(), d,
+                                    rows, cols, d, w_scales.data(), v_sc);
         for (std::int64_t r = 0; r < rows; ++r) {
           const float c_r = corr[static_cast<std::size_t>(r)];
           if (c_r < 0.0f) continue;
-          // acc = acc*corr + 1.0*pv — alpha == 1 makes the product exact,
-          // so this is the scalar `acc*corr + pv` merge bit-for-bit.
           ktab.axpby(st.acc.data() + r * d, pv.data() + r * d, c_r, 1.0f, d);
         }
       }
@@ -351,10 +404,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
         const float inv = denom == 0.0f ? 0.0f : 1.0f / denom;
         ktab.scale_inplace(st.acc.data() + r * d, inv, d);
       }
-      packed::float_to_half(
-          st.acc,
-          out.data().subspan(static_cast<std::size_t>((bh * n + row_lo) * d),
-                             st.acc.size()));
+      packed::float_to_half(st.acc, out_rows);
       return;
     }
 
@@ -402,11 +452,11 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
         const float correction =
             (st.l[static_cast<std::size_t>(r)] == 0.0f)
                 ? 0.0f
-                : std::exp(m_old - m_new);
+                : core::exp_f32(m_old - m_new);
         float block_sum = 0;
         for (std::int64_t c = 0; c < cols; ++c) {
           const float sv = st.s[static_cast<std::size_t>(r * bn + c)];
-          const float w = sv == kNegInf ? 0.0f : std::exp(sv - m_new);
+          const float w = sv == kNegInf ? 0.0f : core::exp_f32(sv - m_new);
           st.s[static_cast<std::size_t>(r * bn + c)] = w;
           block_sum += w;
         }

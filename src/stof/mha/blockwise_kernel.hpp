@@ -14,6 +14,13 @@
 //   * a single shared K/V buffer used alternately (req_SMEM of Eq. 2),
 //   * cp.async pipelining of V loads behind the score math (overlap),
 //   * SMEM padding that removes the bank-conflict multiplier.
+//
+// On the host, the packed FP32 path runs each Q sub-block as one lane tile
+// (core::KernelTable::attn_lane_block): every query row owns a vector
+// lane, so a block's scores, online-softmax update and PV accumulate
+// advance all rows at once while each row keeps the scalar reference's
+// operation order; the scalar reference and the INT8 tier run row by row.
+// Every softmax exp goes through core::exp_f32.
 #pragma once
 
 #include <functional>

@@ -102,8 +102,9 @@ TensorH decode_attention(const DecodeDims& dims, const TensorH& q,
       }
       const float s = dot * scale;
       const float m_new = std::max(m, s);
-      const float correction = (l == 0.0f) ? 0.0f : std::exp(m - m_new);
-      const float w = std::exp(s - m_new);
+      const float correction =
+          (l == 0.0f) ? 0.0f : core::exp_f32(m - m_new);
+      const float w = core::exp_f32(s - m_new);
       l = l * correction + w;
       if (use_packed) {
         // acc = acc*correction + w*v_row — exactly the scalar merge below,
@@ -305,12 +306,15 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       // order; a page with no attended columns is never visited, matching
       // the kernel's row_max == -inf `continue`).
       const float m_new = std::max(m, row_max);
-      const float correction = (l == 0.0f) ? 0.0f : std::exp(m - m_new);
+      const float correction =
+          (l == 0.0f) ? 0.0f : core::exp_f32(m - m_new);
+      for (std::int64_t c = 0; c < nb; ++c) {
+        w_buf[static_cast<std::size_t>(c)] -= m_new;
+      }
+      kt.exp_row(w_buf.data(), w_buf.data(), nb);
       float block_sum = 0;
       for (std::int64_t c = 0; c < nb; ++c) {
-        const float w = std::exp(w_buf[static_cast<std::size_t>(c)] - m_new);
-        w_buf[static_cast<std::size_t>(c)] = w;
-        block_sum += w;
+        block_sum += w_buf[static_cast<std::size_t>(c)];
       }
       l = l * correction + block_sum;
 

@@ -7,8 +7,8 @@
 // cores).  KvPanelCache converts each K/V *instance* at most once per
 // kernel call, in parallel across instances:
 //
-//   * K is optionally stored transposed (d x seq) so the block-wise QK^T
-//     saxpy micro-kernel streams a row of keys unit-stride per Q element
+//   * K is optionally stored transposed (d x seq) so the block-wise lane
+//     tile reads a block's keys for head element e as one unit-stride run
 //     (the row-wise kernel keeps K row-major, since it dots whole K rows);
 //   * V is always row-major (seq x d): the PV product consumes whole V
 //     rows per key column, unit-stride in both kernels.

@@ -17,6 +17,7 @@
 //     with a checked error instead of racing the worker teardown.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -27,18 +28,36 @@
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "stof/core/check.hpp"
 
 namespace stof {
 
+/// Worker count for a default-sized pool: the CPUs the calling thread may
+/// run on (its affinity mask), else hardware_concurrency; at least 1.  A
+/// process pinned to one CPU gets one worker, so parallel_for runs inline
+/// instead of time-slicing workers on that core.
+inline std::size_t default_thread_count() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int cpus = CPU_COUNT(&set);
+    if (cpus > 0) return static_cast<std::size_t>(cpus);
+  }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 /// Fixed-size worker pool executing void() tasks.
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means hardware_concurrency (min 1).
+  /// Creates `threads` workers; 0 means default_thread_count().
   explicit ThreadPool(std::size_t threads = 0) {
-    if (threads == 0) {
-      threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
+    if (threads == 0) threads = default_thread_count();
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
       workers_.emplace_back([this] { worker_loop(); });

@@ -5,6 +5,7 @@
 
 #include "stof/core/checksum.hpp"
 #include "stof/core/packed.hpp"
+#include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/mha/varlen.hpp"
@@ -204,6 +205,11 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
     const mha::VarlenBatch batch{seq, lengths, q_begins};
     const TensorH out =
         mha::varlen_attention(dims, q, k, v, base, batch, params);
+    // The staging K/V die with this group: release the float panels the
+    // packed kernel cached for them rather than leave them in the
+    // registry until LRU eviction (they can never be looked up again).
+    core::global_panel_cache().drop_storage(k.storage_id());
+    core::global_panel_cache().drop_storage(v.storage_id());
     us += stream_.launch(
         "serve.prefill",
         mha::varlen_cost(dims, base, batch, params, config_.device));

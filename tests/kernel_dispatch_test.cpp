@@ -6,13 +6,15 @@
 // runtime.  These tests sweep every ISA available_isas() reports against
 // the scalar table: exhaustive half<->float conversion sweeps (including
 // NaN payloads, infinities, and denormals), odd-shaped GEMM/dot/axpy
-// sweeps, and the INT8 tier (whose int32 arithmetic must agree exactly).
+// sweeps, the INT8 tier (whose int32 arithmetic must agree exactly), the
+// vector exp against the scalar exp_f32, and the block-wise lane tile.
 //
 // The suite is also registered a second time with STOF_FORCE_SCALAR=1
 // (see tests/CMakeLists.txt), which pins best_supported_isa() to scalar
 // and exercises the dispatcher's environment override.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -300,6 +302,173 @@ TEST(KernelDispatch, Int8GemmIsDeterministicAcrossIsas) {
         a.data(), lda, b.data(), ldb, got.data(), ldc, rows, depth, cols,
         a_scales.data(), 0.031f);
     EXPECT_TRUE(bytes_equal(ref, got)) << isa_name(isa);
+  }
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// A strided sweep of the non-positive floats (-0 through -inf, every
+/// 4099th bit pattern) plus the domain's edges.
+std::vector<float> exp_sweep() {
+  std::vector<float> xs;
+  for (std::uint64_t b = 0x80000000u; b <= 0xff800000u; b += 4099) {
+    xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  }
+  const float under = exp_f32_detail::kUnderflow;
+  for (const float x :
+       {-0.0f, -87.33f, -88.0f, under, std::nextafter(under, -kInf),
+        std::nextafter(under, 0.0f), -kInf,
+        -std::numeric_limits<float>::min(),
+        -std::numeric_limits<float>::denorm_min(), -1e-10f, -1.0f}) {
+    xs.push_back(x);
+  }
+  return xs;
+}
+
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+TEST(KernelDispatch, ExpRowMatchesScalarExpF32OnEveryIsa) {
+  const auto xs = exp_sweep();
+  const auto n = static_cast<std::int64_t>(xs.size());
+  std::vector<float> want(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) want[i] = exp_f32(xs[i]);
+  EXPECT_EQ(bits_of(exp_f32(-0.0f)), bits_of(1.0f));
+  EXPECT_EQ(bits_of(exp_f32(-kInf)), 0u);
+  EXPECT_EQ(bits_of(exp_f32(std::nextafter(exp_f32_detail::kUnderflow,
+                                           -kInf))),
+            0u);
+  EXPECT_GT(exp_f32(exp_f32_detail::kUnderflow), 0.0f);
+  EXPECT_TRUE(std::isnan(exp_f32(std::numeric_limits<float>::quiet_NaN())));
+
+  for (const Isa isa : available_isas()) {
+    const KernelTable& kt = kernel_table_for(isa);
+    std::vector<float> got(xs.size(), -1.0f);
+    kt.exp_row(xs.data(), got.data(), n);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(bits_of(want[i]), bits_of(got[i]))
+          << isa_name(isa) << " exp(" << std::hexfloat << xs[i] << ")";
+    }
+    // Short rows exercise every tail length, in place.
+    for (std::int64_t len = 1; len <= 33; ++len) {
+      std::vector<float> row(xs.end() - len - 7, xs.end() - 7);
+      kt.exp_row(row.data(), row.data(), len);
+      for (std::int64_t i = 0; i < len; ++i) {
+        ASSERT_EQ(bits_of(want[xs.size() - 7 - len + i]),
+                  bits_of(row[static_cast<std::size_t>(i)]))
+            << isa_name(isa) << " len=" << len << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, ExpF32IsWithinOneUlpOfStdExp) {
+  for (const float x : exp_sweep()) {
+    if (x == -kInf) continue;
+    const auto want = static_cast<float>(std::exp(static_cast<double>(x)));
+    const float got = exp_f32(x);
+    const std::int64_t ulps = static_cast<std::int64_t>(bits_of(got)) -
+                              static_cast<std::int64_t>(bits_of(want));
+    ASSERT_LE(std::abs(ulps), 1) << std::hexfloat << "exp(" << x << ") = "
+                                 << got << ", std::exp gives " << want;
+  }
+}
+
+/// Score modifier for the lane-tile test: depends on (row, column) only.
+void tilt_scores(void*, float* s, std::int64_t ld, std::int64_t row0,
+                 std::int64_t rows, std::int64_t cols) {
+  for (std::int64_t c = 0; c < cols; ++c) {
+    for (std::int64_t i = 0; i < rows; ++i) {
+      s[c * ld + i] = s[c * ld + i] * 0.5f -
+                      0.01f * static_cast<float>(row0 + i) +
+                      0.02f * static_cast<float>(c);
+    }
+  }
+}
+
+struct LaneTileRun {
+  std::vector<float> m, l, acc;
+};
+
+/// Four chained key blocks through one table's lane tile: a part block
+/// whose bitmap leaves some rows fully masked, a full block, a part block
+/// with tail columns, and a band whose leading and trailing columns are
+/// masked in every row.  `inf_v` puts +inf in a V row of a masked column.
+LaneTileRun run_lane_tile(const KernelTable& kt, std::int64_t rows,
+                          std::int64_t d, std::int64_t bn, bool hook,
+                          bool inf_v) {
+  constexpr std::int64_t kBlocks = 4;
+  const std::int64_t lanes =
+      (rows + kLaneTileWidth - 1) / kLaneTileWidth * kLaneTileWidth;
+  const std::int64_t ldk = kBlocks * bn + 5;
+  std::vector<float> qt(static_cast<std::size_t>(d * lanes), 0.0f);
+  const auto q = random_floats(d * rows, 50 + rows);
+  for (std::int64_t e = 0; e < d; ++e) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      qt[static_cast<std::size_t>(e * lanes + r)] =
+          q[static_cast<std::size_t>(e * rows + r)];
+    }
+  }
+  const auto k = random_floats(d * ldk, 60 + d);
+  auto v = random_floats(kBlocks * bn * d, 70 + d);
+  if (inf_v) v[static_cast<std::size_t>((3 * bn + 1) * d + d / 2)] = kInf;
+  Rng rng(80 + static_cast<std::uint64_t>(bn));
+  const auto bitmap = [&](auto bit) {
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(lanes * bn));
+    for (std::int64_t r = 0; r < lanes; ++r) {
+      for (std::int64_t c = 0; c < bn; ++c) {
+        out[static_cast<std::size_t>(r * bn + c)] =
+            r % 5 != 2 && bit(r, c) ? 1 : 0;
+      }
+    }
+    return out;
+  };
+  const auto part = bitmap([&](auto, auto) { return rng.bernoulli(0.6); });
+  const auto part2 = bitmap([&](auto, auto) { return rng.bernoulli(0.7); });
+  const auto band = bitmap([&](std::int64_t r, std::int64_t c) {
+    return c >= 3 && c < 3 + r % 4 + bn / 4 && rng.bernoulli(0.8);
+  });
+
+  LaneTileRun run{std::vector<float>(static_cast<std::size_t>(lanes), -kInf),
+                  std::vector<float>(static_cast<std::size_t>(lanes), 0.0f),
+                  std::vector<float>(static_cast<std::size_t>(d * lanes),
+                                     0.0f)};
+  std::vector<float> s(static_cast<std::size_t>(bn * kLaneTileWidth));
+  const LaneTile tile{qt.data(), run.m.data(),  run.l.data(), run.acc.data(),
+                      s.data(),  rows,          lanes,        d};
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const LaneScoreHook h = hook ? &tilt_scores : nullptr;
+  const std::uint8_t* bitmaps[kBlocks] = {part.data(), nullptr, part2.data(),
+                                          band.data()};
+  for (std::int64_t blk = 0; blk < kBlocks; ++blk) {
+    const std::int64_t cols = blk == 2 ? bn - 3 : bn;
+    kt.attn_lane_block(tile, LaneBlock{k.data() + blk * bn, ldk,
+                                       v.data() + blk * bn * d, cols,
+                                       bitmaps[blk], bn, scale, h, nullptr});
+  }
+  return run;
+}
+
+TEST(KernelDispatch, LaneTileMatchesScalarOnEveryIsa) {
+  for (const std::int64_t rows : {1, 7, 16, 23, 64}) {
+    for (const std::int64_t d : {5, 16, 24, 32, 64}) {
+      for (const std::int64_t bn : {16, 32, 64}) {
+        for (const bool hook : {false, true}) {
+          for (const bool inf_v : {false, true}) {
+            const auto ref = run_lane_tile(scalar_kernel_table(), rows, d, bn,
+                                           hook, inf_v);
+            for (const Isa isa : simd_isas()) {
+              const auto got = run_lane_tile(kernel_table_for(isa), rows, d,
+                                             bn, hook, inf_v);
+              EXPECT_TRUE(bytes_equal(ref.m, got.m) &&
+                          bytes_equal(ref.l, got.l) &&
+                          bytes_equal(ref.acc, got.acc))
+                  << isa_name(isa) << " rows=" << rows << " d=" << d
+                  << " bn=" << bn << " hook=" << hook << " inf_v=" << inf_v;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

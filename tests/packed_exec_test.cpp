@@ -2,14 +2,18 @@
 // reference kernels: panel conversions are exact, and the packed GEMM /
 // block-wise MHA paths reproduce the scalar results bit for bit across
 // epilogues, batched/unbatched B, odd (non-multiple-of-block) shapes, and
-// masked/score-modified attention.
+// masked/score-modified attention.  The block-wise kernel's lane tile is
+// checked on every ISA the host runs, across block shapes, head sizes, tail
+// rows and columns, GQA, score mods and query windows.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
@@ -202,6 +206,71 @@ INSTANTIATE_TEST_SUITE_P(
         MhaCase{masks::PatternKind::kDense, 48, 16, false},
         MhaCase{masks::PatternKind::kCausal, 64, 32, false},
         MhaCase{masks::PatternKind::kSlidingWindow, 50, 16, true}));
+
+struct LaneTileCase {
+  int block_m;
+  int block_n;
+  std::int64_t head_size;
+};
+
+class PackedLaneTile : public ::testing::TestWithParam<LaneTileCase> {};
+
+TEST_P(PackedLaneTile, BitIdenticalToScalarOnEveryIsa) {
+  const auto [bm, bn, d] = GetParam();
+  // GQA (4 query heads over 2 KV heads); seq_len 100 leaves tail rows and
+  // tail columns for every block size, and BigBird mixes full blocks, part
+  // blocks and rows with no valid column inside a block.
+  const mha::MhaDims dims{1, 4, 100, d, 2};
+  const TensorH q = random_tensor(dims.qkv_shape(), 41);
+  const TensorH k = random_tensor(dims.kv_shape(), 42);
+  const TensorH v = random_tensor(dims.kv_shape(), 43);
+  const masks::Mask mask =
+      masks::MaskSpec{.kind = masks::PatternKind::kBigBird,
+                      .seq_len = dims.seq_len}
+          .build();
+  const auto bsr = sparse::BsrMask::build(mask, bm, bn);
+  const mha::BlockwiseParams params{bm, bn};
+  const mha::ScoreMod tilt([](std::int64_t h, std::int64_t i, std::int64_t j,
+                              float s) {
+    return s * 0.75f + 0.01f * static_cast<float>(h) -
+           0.02f * static_cast<float>(i > j ? i - j : j - i);
+  });
+  const std::int64_t rows = bsr.rows();
+  const std::pair<std::int64_t, std::int64_t> windows[] = {
+      {0, rows}, {rows > 2 ? 1 : 0, rows > 2 ? rows - 1 : rows}};
+  for (const bool with_mod : {false, true}) {
+    const mha::ScoreMod mod = with_mod ? tilt : mha::ScoreMod(nullptr);
+    for (const auto& [begin, end] : windows) {
+      TensorH want;
+      {
+        ScopedPackedExecution scalar_mode(false);
+        want = mha::blockwise_attention(dims, q, k, v, bsr, params, mod,
+                                        nullptr, 0, begin, end);
+      }
+      for (const core::Isa isa : core::available_isas()) {
+        core::ScopedKernelIsa pin(isa);
+        const TensorH got = mha::blockwise_attention(
+            dims, q, k, v, bsr, params, mod, nullptr, 0, begin, end);
+        EXPECT_TRUE(bits_equal(want, got))
+            << core::isa_name(isa) << " mod=" << with_mod << " window=["
+            << begin << "," << end << ")";
+      }
+    }
+  }
+}
+
+std::vector<LaneTileCase> lane_tile_cases() {
+  std::vector<LaneTileCase> out;
+  for (const int bm : {16, 32, 64}) {
+    for (const int bn : {16, 32, 64}) {
+      for (const std::int64_t d : {16, 24, 32, 64}) out.push_back({bm, bn, d});
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockShapes, PackedLaneTile,
+                         ::testing::ValuesIn(lane_tile_cases()));
 
 }  // namespace
 }  // namespace stof

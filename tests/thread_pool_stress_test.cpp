@@ -100,12 +100,38 @@ TEST(ThreadPoolStress, ConcurrentSubmittersRacingShutdown) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Shut down only once a submit has been accepted: a fixed sleep can end
+  // before any submitter thread is scheduled on a loaded machine.
+  while (accepted.load() == 0) std::this_thread::yield();
   pool.shutdown();
   stop.store(true);
   for (auto& t : submitters) t.join();
   EXPECT_GT(accepted.load(), 0);
 }
+
+#if defined(__linux__)
+TEST(ThreadPoolStress, DefaultSizeFollowsAffinityMask) {
+  // A default-sized pool built by a thread pinned to one CPU gets one
+  // worker (not hardware_concurrency workers sharing that core).
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(default_thread_count(), 1u);
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.thread_count(), 1u);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(default_thread_count(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPoolStress, ManyBatchesWithInterleavedFailures) {
   ThreadPool pool(4);
