@@ -144,9 +144,7 @@ struct KernelTable {
   ///   w[c] = exp_f32(S[c] - m'); l = l*corr + (sum_c w[c], ascending);
   ///   acc[e] = acc[e]*corr + (sum_c w[c]*v[c][e], from 0 ascending); m = m'.
   /// These are the block-wise kernel's per-row semantics, so every row's
-  /// values round exactly as a row-at-a-time loop would.  A column masked
-  /// in every row of a lane group only adds exact zeros (no sum is ever
-  /// -0), so an entry may skip it while its V row is finite.
+  /// values round exactly as a row-at-a-time loop would.
   void (*attn_lane_block)(const LaneTile& tile, const LaneBlock& block);
 
   // ---- INT8 quantized tier -------------------------------------------------

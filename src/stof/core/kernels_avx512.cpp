@@ -8,18 +8,14 @@
 // depth step, vector lanes only across independent outputs (columns of C,
 // or query rows in the lane tile), accumulators resident in zmm registers
 // for the whole depth loop.  FMA appears only in exp_f32's double steps,
-// where the scalar reference calls std::fma.  The lane tile also skips a
-// group's leading and trailing key columns that are masked in all 16 rows.
+// where the scalar reference calls std::fma.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <limits>
-#include <tuple>
-#include <utility>
 
 #include "stof/core/kernels.hpp"
 
@@ -456,69 +452,6 @@ inline void pv_cols_avx512(const float* s, std::int64_t cols, const float* v,
   }
 }
 
-/// Columns [lo, hi) holding a set bit in any of a lane group's 16 bitmap
-/// rows (lo == hi when the whole group is masked).
-inline std::pair<std::int64_t, std::int64_t> live_cols_avx512(
-    const std::uint8_t* bits, std::int64_t ld, std::int64_t cols) {
-  std::int64_t lo = cols;
-  std::int64_t hi = 0;
-  for (std::int64_t c0 = 0; c0 < cols; c0 += 64) {
-    std::uint64_t any = 0;
-    if (ld == 16) {
-      // Four zmm loads cover the group's 256 bytes, four rows each; fold
-      // the rows, then the four 16-byte row slots.
-      __m512i o = _mm512_loadu_si512(bits);
-      for (int k = 1; k < 4; ++k) {
-        o = _mm512_or_si512(o, _mm512_loadu_si512(bits + 64 * k));
-      }
-      const __m256i o2 = _mm256_or_si256(_mm512_castsi512_si256(o),
-                                         _mm512_extracti64x4_epi64(o, 1));
-      const __m128i o4 = _mm_or_si128(_mm256_castsi256_si128(o2),
-                                      _mm256_extracti128_si256(o2, 1));
-      any = ~static_cast<std::uint32_t>(
-                _mm_movemask_epi8(_mm_cmpeq_epi8(o4, _mm_setzero_si128()))) &
-            0xffffu;
-    } else if (ld == 32) {
-      __m256i o = _mm256_setzero_si256();
-      for (std::int64_t i = 0; i < kLanes16; ++i) {
-        o = _mm256_or_si256(o, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                                   bits + i * ld)));
-      }
-      any = ~static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(o, _mm256_setzero_si256())));
-    } else {
-      __m512i o = _mm512_setzero_si512();
-      for (std::int64_t i = 0; i < kLanes16; ++i) {
-        o = _mm512_or_si512(o, _mm512_loadu_si512(bits + i * ld + c0));
-      }
-      any = _mm512_test_epi8_mask(o, o);
-    }
-    if (cols - c0 < 64) any &= (std::uint64_t{1} << (cols - c0)) - 1;
-    if (any != 0) {
-      lo = std::min(lo, c0 + std::countr_zero(any));
-      hi = c0 + 64 - std::countl_zero(any);
-    }
-  }
-  return lo < hi ? std::pair{lo, hi} : std::pair<std::int64_t, std::int64_t>{0, 0};
-}
-
-/// True when every float of x[0..n) is finite.
-inline bool all_finite_avx512(const float* x, std::int64_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  __mmask16 ok = 0xffff;
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(x + i);
-    ok &= _mm512_cmp_ps_mask(_mm512_sub_ps(v, v), zero, _CMP_EQ_OQ);
-  }
-  if (i < n) {
-    const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512 v = _mm512_maskz_loadu_ps(tail, x + i);
-    ok &= _mm512_cmp_ps_mask(_mm512_sub_ps(v, v), zero, _CMP_EQ_OQ);
-  }
-  return ok == 0xffff;
-}
-
 void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
   const __m512 neg_inf =
       _mm512_set1_ps(-std::numeric_limits<float>::infinity());
@@ -533,22 +466,12 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
     const std::uint8_t* bits =
         b.bits != nullptr ? b.bits + g0 * b.ld_bits : nullptr;
 
-    // A column masked in every row of the group only ever adds exact
-    // zeros (w == 0; no sum is ever -0, so x + 0 == x), so the group runs
-    // columns [c_lo, c_hi) only.  A score hook sees every column.
-    std::int64_t c_lo = 0;
-    std::int64_t c_hi = b.cols;
-    if (bits != nullptr && b.hook == nullptr) {
-      std::tie(c_lo, c_hi) = live_cols_avx512(bits, b.ld_bits, b.cols);
-      if (c_lo == c_hi) continue;  // every row masked: state unchanged
-    }
-
-    std::int64_t c = c_lo;
-    for (; c + 8 <= c_hi; c += 8) {
+    std::int64_t c = 0;
+    for (; c + 8 <= b.cols; c += 8) {
       qk_cols_avx512<8>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
                         s + c * kLanes16);
     }
-    for (; c < c_hi; ++c) {
+    for (; c < b.cols; ++c) {
       qk_cols_avx512<1>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
                         s + c * kLanes16);
     }
@@ -558,12 +481,12 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
 
     // Mask (tail lanes are masked everywhere) and row max.
     __m512 mx = neg_inf;
-    for (std::int64_t c0 = c_lo - c_lo % chunk; c0 < c_hi; c0 += chunk) {
+    for (std::int64_t c0 = 0; c0 < b.cols; c0 += chunk) {
       const __m512i keep_bits = bits == nullptr
                                     ? _mm512_set1_epi32(-1)
                                     : row_bits_avx512(bits, b.ld_bits, c0);
-      const std::int64_t c_end = std::min(c_hi, c0 + chunk);
-      for (c = std::max(c0, c_lo); c < c_end; ++c) {
+      const std::int64_t c_end = std::min(b.cols, c0 + chunk);
+      for (c = c0; c < c_end; ++c) {
         const __mmask16 keep = _mm512_mask_test_epi32_mask(
             row_ok, keep_bits,
             _mm512_set1_epi32(static_cast<int>(1u << (c - c0))));
@@ -584,34 +507,22 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
         _mm512_cmp_ps_mask(l_old, _mm512_setzero_ps(), _CMP_EQ_OQ),
         _mm512_setzero_ps());
     __m512 sum = _mm512_setzero_ps();
-    for (c = c_lo; c < c_hi; ++c) {
+    for (c = 0; c < b.cols; ++c) {
       const __m512 w = exp16_avx512(
           _mm512_sub_ps(_mm512_loadu_ps(s + c * kLanes16), m_new), tab);
       _mm512_storeu_ps(s + c * kLanes16, w);
       sum = _mm512_add_ps(sum, w);
     }
 
-    // PV and merge; rows with no valid column keep their state.  Skipping
-    // a masked column is exact only while its V row is finite (0 * inf is
-    // NaN), so non-finite values bring the skipped columns back as zeros.
-    if ((c_lo > 0 && !all_finite_avx512(b.v, c_lo * t.d)) ||
-        (c_hi < b.cols &&
-         !all_finite_avx512(b.v + c_hi * t.d, (b.cols - c_hi) * t.d))) {
-      std::fill_n(s, c_lo * kLanes16, 0.0f);
-      std::fill_n(s + c_hi * kLanes16, (b.cols - c_hi) * kLanes16, 0.0f);
-      c_lo = 0;
-      c_hi = b.cols;
-    }
-    const float* w = s + c_lo * kLanes16;
-    const float* v = b.v + c_lo * t.d;
+    // PV and merge; rows with no valid column keep their state.
     float* acc = t.acc + g0;
     std::int64_t e = 0;
     for (; e + 8 <= t.d; e += 8) {
-      pv_cols_avx512<8>(w, c_hi - c_lo, v + e, t.d, acc + e * t.lanes,
+      pv_cols_avx512<8>(s, b.cols, b.v + e, t.d, acc + e * t.lanes,
                         t.lanes, corr, live);
     }
     for (; e < t.d; ++e) {
-      pv_cols_avx512<1>(w, c_hi - c_lo, v + e, t.d, acc + e * t.lanes,
+      pv_cols_avx512<1>(s, b.cols, b.v + e, t.d, acc + e * t.lanes,
                         t.lanes, corr, live);
     }
     _mm512_storeu_ps(t.l + g0, _mm512_mask_add_ps(

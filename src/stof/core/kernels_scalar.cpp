@@ -16,9 +16,22 @@
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 
+// This translation unit has no -mfma, so std::fma would be a libm call
+// (about 4x the cost of libm's expf).  On x86-64 an fma clone, picked at
+// load time on FMA hardware, inlines it as one instruction; fma is exactly
+// rounded either way, so both clones return the same bits.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define STOF_EXP_F32_CLONES __attribute__((target_clones("fma", "default")))
+#endif
+#endif
+#ifndef STOF_EXP_F32_CLONES
+#define STOF_EXP_F32_CLONES
+#endif
+
 namespace stof::core {
 
-float exp_f32(float x) {
+STOF_EXP_F32_CLONES float exp_f32(float x) {
   using namespace exp_f32_detail;
   if (x < kUnderflow) return 0.0f;  // also -inf
   const double xd = x;

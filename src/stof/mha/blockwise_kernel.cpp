@@ -355,13 +355,12 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
               (st.l[static_cast<std::size_t>(r)] == 0.0f)
                   ? 0.0f
                   : core::exp_f32(m_old - m_new);
+          // Masked scores stay -inf after the shift, and exp_row maps
+          // them to the scalar path's explicit 0.
+          for (std::int64_t c = 0; c < cols; ++c) s_row[c] -= m_new;
+          ktab.exp_row(s_row, s_row, cols);
           float block_sum = 0;
-          for (std::int64_t c = 0; c < cols; ++c) {
-            const float sv = s_row[c];
-            const float w = sv == kNegInf ? 0.0f : core::exp_f32(sv - m_new);
-            s_row[c] = w;
-            block_sum += w;
-          }
+          for (std::int64_t c = 0; c < cols; ++c) block_sum += s_row[c];
           st.l[static_cast<std::size_t>(r)] =
               st.l[static_cast<std::size_t>(r)] * correction + block_sum;
           corr[static_cast<std::size_t>(r)] = correction;

@@ -392,7 +392,9 @@ struct LaneTileRun {
 /// Four chained key blocks through one table's lane tile: a part block
 /// whose bitmap leaves some rows fully masked, a full block, a part block
 /// with tail columns, and a band whose leading and trailing columns are
-/// masked in every row.  `inf_v` puts +inf in a V row of a masked column.
+/// masked in every row.  `inf_v` puts +inf in a V row of a masked column:
+/// 0 * inf is NaN, so a table must visit that column as the scalar loop
+/// does.
 LaneTileRun run_lane_tile(const KernelTable& kt, std::int64_t rows,
                           std::int64_t d, std::int64_t bn, bool hook,
                           bool inf_v) {

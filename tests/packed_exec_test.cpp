@@ -4,11 +4,14 @@
 // epilogues, batched/unbatched B, odd (non-multiple-of-block) shapes, and
 // masked/score-modified attention.  The block-wise kernel's lane tile is
 // checked on every ISA the host runs, across block shapes, head sizes, tail
-// rows and columns, GQA, score mods and query windows.
+// rows and columns, GQA, score mods and query windows.  The INT8 tier is
+// checked for equal bytes on every ISA and for its distance to FP32.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -271,6 +274,48 @@ std::vector<LaneTileCase> lane_tile_cases() {
 
 INSTANTIATE_TEST_SUITE_P(BlockShapes, PackedLaneTile,
                          ::testing::ValuesIn(lane_tile_cases()));
+
+// The INT8 tier is not FP32-bit-identical, but it is deterministic: every
+// ISA's quantization, exact int32 GEMM and exp_row give the same bytes.
+// Inputs in [-2, 2] spread the row maxima across key blocks, so a softmax
+// that mishandles the running max misses the FP32 result by far more than
+// the quantization error.
+TEST(PackedBlockwiseInt8, SameOnEveryIsaAndCloseToFp32) {
+  const mha::MhaDims dims{1, 4, 100, 32, 2};
+  const TensorH q = random_tensor(dims.qkv_shape(), 51, -2.0f, 2.0f);
+  const TensorH k = random_tensor(dims.kv_shape(), 52, -2.0f, 2.0f);
+  const TensorH v = random_tensor(dims.kv_shape(), 53);
+  const masks::Mask mask =
+      masks::MaskSpec{.kind = masks::PatternKind::kBigBird,
+                      .seq_len = dims.seq_len}
+          .build();
+  const auto bsr = sparse::BsrMask::build(mask, 16, 16);
+  mha::BlockwiseParams params{16, 16};
+  TensorH want;
+  {
+    ScopedPackedExecution scalar_mode(false);
+    want = mha::blockwise_attention(dims, q, k, v, bsr, params);
+  }
+  params.kv_precision = core::PanelPrecision::kInt8;
+  const auto isas = core::available_isas();
+  std::vector<TensorH> outs;
+  for (const core::Isa isa : isas) {
+    core::ScopedKernelIsa pin(isa);
+    outs.push_back(mha::blockwise_attention(dims, q, k, v, bsr, params));
+  }
+  for (std::size_t i = 1; i < outs.size(); ++i) {
+    EXPECT_TRUE(bits_equal(outs[0], outs[i])) << core::isa_name(isas[i]);
+  }
+  float max_err = 0.0f;
+  float max_ref = 0.0f;
+  const auto w = want.data();
+  const auto g = outs[0].data();
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    max_err = std::max(max_err, std::abs(float(g[i]) - float(w[i])));
+    max_ref = std::max(max_ref, std::abs(float(w[i])));
+  }
+  EXPECT_LT(max_err, 0.03f * max_ref);
+}
 
 }  // namespace
 }  // namespace stof
