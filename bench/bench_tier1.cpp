@@ -11,7 +11,8 @@
 //   * MHA_LONGDOC_PREFILL the `longdoc` serving workload's prefill attention
 //     at kernel level: 4 heads, head size 32, block 16, document lengths
 //     512-1984 over its four masks, each length's BSR derived from one
-//     base BSR per mask at seq 2048 (varlen, as the engine launches it).
+//     base BSR per mask at seq 2048, through the varlen API (the engine
+//     reads the same rows from KV pages; the cost it charges is varlen's).
 //   * SERVE 64-session seeded trace through stof::serve, comparing the
 //     continuous-batching schedule against the batch-1 serial baseline in
 //     simulated GPU time (scalar_ms = serial, packed_ms = continuous).
@@ -660,11 +661,12 @@ Entry bench_serve_decode_long_int8(bool quick) {
     e.aux_ok = false;
   }
 
-  // Instrumented passes: FP32 then INT8, comparing the decode sidecar's
-  // conversion traffic (serve.kv.sidecar_bytes_converted counts only the
-  // KV-pool sidecar, excluding the FP32 prefill panels common to both
-  // modes).  INT8 codes are 1 byte/elem vs the float sidecar's 2, so the
-  // counter must land at about half — gated at 55%.
+  // Instrumented passes: FP32 then INT8, comparing the KV-pool sidecar's
+  // conversion traffic (serve.kv.sidecar_bytes_converted: the FP32 engine's
+  // prefill and decode share one float tier, the INT8 engine's prefill
+  // converts pages inside the kernel).  INT8 codes are 1 byte/elem vs the
+  // float sidecar's 2, so the counter must land at about half — gated at
+  // 55%.
   std::int64_t fp32_bytes = 0;
   {
     stof::telemetry::ScopedTelemetry on(true);

@@ -71,11 +71,14 @@ using LaneScoreHook = void (*)(void* ctx, float* s, std::int64_t ld,
                                std::int64_t row0, std::int64_t rows,
                                std::int64_t cols);
 
-/// One key block visited by a lane tile.
+/// One key block visited by a lane tile.  K and V are read where they
+/// live: row-major, each with its own row stride, so a padded tensor panel
+/// (stride d) and a KV-pool page (stride heads * d) are the same view.
 struct LaneBlock {
-  const float* kt;      ///< K^T at the block's first column (row e: kt + e*ldk)
-  std::int64_t ldk;     ///< K^T row stride
-  const float* v;       ///< the block's V rows (row c: v + c*d)
+  const float* k;       ///< the block's K rows (key c: k + c*ldk, d floats)
+  std::int64_t ldk;     ///< K row stride, >= d
+  const float* v;       ///< the block's V rows (key c: v + c*ldv, d floats)
+  std::int64_t ldv;     ///< V row stride, >= d
   std::int64_t cols;    ///< key columns in the block, <= ld_bits
   const std::uint8_t* bits;  ///< 0/1 part bitmap (row r: bits + r*ld_bits)
                              ///< with `lanes` rows; nullptr = full block
@@ -137,7 +140,7 @@ struct KernelTable {
   // ---- Block-wise lane tile ------------------------------------------------
   /// Advance every row of `tile` by one key block of the streaming
   /// softmax, each row in its own lane:
-  ///   S[c] = (sum_e q[e]*k[e][c], from 0.0f over ascending e) * scale;
+  ///   S[c] = (sum_e q[e]*k[c][e], from 0.0f over ascending e) * scale;
   ///   hook (if any); S[c] = -inf where the bitmap bit is 0;
   ///   mx = max_c S[c]; rows with mx == -inf leave m, l, acc untouched;
   ///   m' = max(m, mx); corr = l == 0 ? 0 : exp_f32(m - m');

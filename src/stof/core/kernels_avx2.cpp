@@ -394,21 +394,21 @@ inline __m256i row_bits_avx2(const std::uint8_t* bits, std::int64_t ld,
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(w));
 }
 
-/// S[c][lane] = (sum_e q[e][lane] * k[e][c]) * scale for kC columns.
+/// S[c][lane] = (sum_e q[e][lane] * k[c][e]) * scale for kC columns.
 template <int kC>
 inline void qk_cols_avx2(const float* qt, std::int64_t lanes,
-                         const float* kt, std::int64_t ldk, std::int64_t d,
+                         const float* k, std::int64_t ldk, std::int64_t d,
                          __m256 scale, float* s) {
   __m256 acc[kC];
   #pragma GCC unroll 8
   for (int j = 0; j < kC; ++j) acc[j] = _mm256_setzero_ps();
   for (std::int64_t e = 0; e < d; ++e) {
     const __m256 qv = _mm256_loadu_ps(qt + e * lanes);
-    const float* kr = kt + e * ldk;
+    const float* ke = k + e;
     #pragma GCC unroll 8
     for (int j = 0; j < kC; ++j) {
-      acc[j] = _mm256_add_ps(acc[j],
-                             _mm256_mul_ps(qv, _mm256_broadcast_ss(kr + j)));
+      acc[j] = _mm256_add_ps(
+          acc[j], _mm256_mul_ps(qv, _mm256_broadcast_ss(ke + j * ldk)));
     }
   }
   #pragma GCC unroll 8
@@ -421,14 +421,14 @@ inline void qk_cols_avx2(const float* qt, std::int64_t lanes,
 /// elements, on live lanes only.
 template <int kE>
 inline void pv_cols_avx2(const float* s, std::int64_t cols, const float* v,
-                         std::int64_t d, float* acc, std::int64_t lanes,
+                         std::int64_t ldv, float* acc, std::int64_t lanes,
                          __m256 corr, __m256 live) {
   __m256 pv[kE];
   #pragma GCC unroll 8
   for (int j = 0; j < kE; ++j) pv[j] = _mm256_setzero_ps();
   for (std::int64_t c = 0; c < cols; ++c) {
     const __m256 w = _mm256_loadu_ps(s + c * kLanes8);
-    const float* vr = v + c * d;
+    const float* vr = v + c * ldv;
     #pragma GCC unroll 8
     for (int j = 0; j < kE; ++j) {
       pv[j] = _mm256_add_ps(pv[j], _mm256_mul_ps(w, _mm256_broadcast_ss(vr + j)));
@@ -457,11 +457,11 @@ void attn_lane_block_avx2(const LaneTile& t, const LaneBlock& b) {
     const float* qt = t.qt + g0;
     std::int64_t c = 0;
     for (; c + 8 <= b.cols; c += 8) {
-      qk_cols_avx2<8>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+      qk_cols_avx2<8>(qt, t.lanes, b.k + c * b.ldk, b.ldk, t.d, scale,
                       s + c * kLanes8);
     }
     for (; c < b.cols; ++c) {
-      qk_cols_avx2<1>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+      qk_cols_avx2<1>(qt, t.lanes, b.k + c * b.ldk, b.ldk, t.d, scale,
                       s + c * kLanes8);
     }
     if (b.hook != nullptr) {
@@ -510,11 +510,11 @@ void attn_lane_block_avx2(const LaneTile& t, const LaneBlock& b) {
     float* acc = t.acc + g0;
     std::int64_t e = 0;
     for (; e + 8 <= t.d; e += 8) {
-      pv_cols_avx2<8>(s, b.cols, b.v + e, t.d, acc + e * t.lanes, t.lanes,
+      pv_cols_avx2<8>(s, b.cols, b.v + e, b.ldv, acc + e * t.lanes, t.lanes,
                       corr, live);
     }
     for (; e < t.d; ++e) {
-      pv_cols_avx2<1>(s, b.cols, b.v + e, t.d, acc + e * t.lanes, t.lanes,
+      pv_cols_avx2<1>(s, b.cols, b.v + e, b.ldv, acc + e * t.lanes, t.lanes,
                       corr, live);
     }
     _mm256_storeu_ps(

@@ -405,20 +405,21 @@ inline __m512i row_bits_avx512(const std::uint8_t* bits, std::int64_t ld,
   return _mm512_load_si512(w);
 }
 
-/// S[c][lane] = (sum_e q[e][lane] * k[e][c]) * scale for kC columns.
+/// S[c][lane] = (sum_e q[e][lane] * k[c][e]) * scale for kC columns.
 template <int kC>
 inline void qk_cols_avx512(const float* qt, std::int64_t lanes,
-                           const float* kt, std::int64_t ldk, std::int64_t d,
+                           const float* k, std::int64_t ldk, std::int64_t d,
                            __m512 scale, float* s) {
   __m512 acc[kC];
   #pragma GCC unroll 8
   for (int j = 0; j < kC; ++j) acc[j] = _mm512_setzero_ps();
   for (std::int64_t e = 0; e < d; ++e) {
     const __m512 qv = _mm512_loadu_ps(qt + e * lanes);
-    const float* kr = kt + e * ldk;
+    const float* ke = k + e;
     #pragma GCC unroll 8
     for (int j = 0; j < kC; ++j) {
-      acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(qv, _mm512_set1_ps(kr[j])));
+      acc[j] = _mm512_add_ps(acc[j],
+                             _mm512_mul_ps(qv, _mm512_set1_ps(ke[j * ldk])));
     }
   }
   #pragma GCC unroll 8
@@ -431,14 +432,14 @@ inline void qk_cols_avx512(const float* qt, std::int64_t lanes,
 /// elements, on live lanes only.
 template <int kE>
 inline void pv_cols_avx512(const float* s, std::int64_t cols, const float* v,
-                           std::int64_t d, float* acc, std::int64_t lanes,
+                           std::int64_t ldv, float* acc, std::int64_t lanes,
                            __m512 corr, __mmask16 live) {
   __m512 pv[kE];
   #pragma GCC unroll 8
   for (int j = 0; j < kE; ++j) pv[j] = _mm512_setzero_ps();
   for (std::int64_t c = 0; c < cols; ++c) {
     const __m512 w = _mm512_loadu_ps(s + c * kLanes16);
-    const float* vr = v + c * d;
+    const float* vr = v + c * ldv;
     #pragma GCC unroll 8
     for (int j = 0; j < kE; ++j) {
       pv[j] = _mm512_add_ps(pv[j], _mm512_mul_ps(w, _mm512_set1_ps(vr[j])));
@@ -468,11 +469,11 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
 
     std::int64_t c = 0;
     for (; c + 8 <= b.cols; c += 8) {
-      qk_cols_avx512<8>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+      qk_cols_avx512<8>(qt, t.lanes, b.k + c * b.ldk, b.ldk, t.d, scale,
                         s + c * kLanes16);
     }
     for (; c < b.cols; ++c) {
-      qk_cols_avx512<1>(qt, t.lanes, b.kt + c, b.ldk, t.d, scale,
+      qk_cols_avx512<1>(qt, t.lanes, b.k + c * b.ldk, b.ldk, t.d, scale,
                         s + c * kLanes16);
     }
     if (b.hook != nullptr) {
@@ -518,11 +519,11 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
     float* acc = t.acc + g0;
     std::int64_t e = 0;
     for (; e + 8 <= t.d; e += 8) {
-      pv_cols_avx512<8>(s, b.cols, b.v + e, t.d, acc + e * t.lanes,
+      pv_cols_avx512<8>(s, b.cols, b.v + e, b.ldv, acc + e * t.lanes,
                         t.lanes, corr, live);
     }
     for (; e < t.d; ++e) {
-      pv_cols_avx512<1>(s, b.cols, b.v + e, t.d, acc + e * t.lanes,
+      pv_cols_avx512<1>(s, b.cols, b.v + e, b.ldv, acc + e * t.lanes,
                         t.lanes, corr, live);
     }
     _mm512_storeu_ps(t.l + g0, _mm512_mask_add_ps(

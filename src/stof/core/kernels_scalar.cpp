@@ -229,7 +229,7 @@ void attn_lane_block_scalar(const LaneTile& t, const LaneBlock& b) {
       float* sc = s + c * kW;
       std::fill_n(sc, kW, 0.0f);
       for (std::int64_t e = 0; e < t.d; ++e) {
-        const float kv = b.kt[e * b.ldk + c];
+        const float kv = b.k[c * b.ldk + e];
         const float* q = t.qt + e * t.lanes + g0;
         for (std::int64_t i = 0; i < kW; ++i) sc[i] += q[i] * kv;
       }
@@ -272,7 +272,7 @@ void attn_lane_block_scalar(const LaneTile& t, const LaneBlock& b) {
       float pv[kW];
       std::fill_n(pv, kW, 0.0f);
       for (std::int64_t c = 0; c < b.cols; ++c) {
-        const float vv = b.v[c * t.d + e];
+        const float vv = b.v[c * b.ldv + e];
         const float* sc = s + c * kW;
         for (std::int64_t i = 0; i < kW; ++i) pv[i] += sc[i] * vv;
       }

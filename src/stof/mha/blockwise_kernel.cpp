@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "stof/core/kernels.hpp"
@@ -84,6 +85,46 @@ std::int64_t rows_between(const std::vector<std::int64_t>& row_ptr,
          row_ptr[static_cast<std::size_t>(begin)];
 }
 
+/// KV-pool pages (block_tokens, heads, d): head h's rows at stride `row`.
+template <typename T>
+RowView<T> pool_rows(std::span<T* const> pages, std::int64_t page_rows,
+                     std::int64_t row, std::int64_t head_size) {
+  return {nullptr, pages, page_rows, 0, row, head_size};
+}
+
+/// Converts `rows` rows of instance `inst` of `src`, from row `r`, into
+/// dense floats (`d` per row).  The rows must share one page.  Strided
+/// rows convert one at a time through the table directly; the dispatch
+/// count is recorded once per call, not once per row.
+void load_rows(const RowView<const half>& src, std::int64_t inst,
+               std::int64_t r, std::int64_t rows, std::int64_t d,
+               float* dst) {
+  const half* p = src.row(inst, r);
+  const core::KernelTable& kt = core::kernels();
+  if (src.ld == d) {
+    kt.half_to_float(p, dst, rows * d);
+    core::note_kernel_dispatch("half_to_float");
+    return;
+  }
+  for (std::int64_t j = 0; j < rows; ++j) {
+    kt.half_to_float(p + j * src.ld, dst + j * d, d);
+  }
+  core::note_kernel_dispatch("half_to_float", rows);
+}
+
+/// Rounds `rows` dense float rows to half into instance `inst` of `dst`
+/// from row `r`, skipping rows below `row_min` (computed, not stored).
+void store_rows(const float* src, std::int64_t rows, std::int64_t d,
+                const RowView<half>& dst, std::int64_t inst, std::int64_t r,
+                std::int64_t row_min) {
+  const core::KernelTable& kt = core::kernels();
+  const std::int64_t first = std::max<std::int64_t>(0, row_min - r);
+  for (std::int64_t j = first; j < rows; ++j) {
+    kt.float_to_half(src + j * d, dst.row(inst, r + j), d);
+  }
+  core::note_kernel_dispatch("float_to_half", rows - first);
+}
+
 }  // namespace
 
 TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
@@ -91,16 +132,90 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
                             const sparse::BsrMask& mask,
                             const BlockwiseParams& params,
                             const ScoreMod& score_mod,
-                            const KvPanelCache* shared_panels,
-                            std::int64_t shared_kv_offset,
                             std::int64_t q_block_begin,
                             std::int64_t q_block_end) {
   params.validate();
   STOF_EXPECTS(mask.seq_len() == dims.seq_len, "mask must match seq_len");
+  TensorH out = make_output(dims, q, k, v);
+  const std::int64_t n = dims.seq_len;
+  const std::int64_t d = dims.head_size;
+  BlockwiseOperands io{padded_rows(q.data().data(), n, d),
+                       padded_rows(k.data().data(), n, d),
+                       padded_rows(v.data().data(), n, d),
+                       padded_rows(out.data().data(), n, d)};
+  // Panel cache: every K/V instance is converted half->float (or
+  // quantized) at most once per *mutation* — the global registry keeps
+  // panels across calls keyed on the K/V tensors' storage identity and
+  // version.  Both float panels stay row-major, as the half source is.
+  std::optional<KvPanelCache> panels;
+  if (packed_execution_enabled()) {
+    panels.emplace(k, v, dims.kv_instances(), n, d,
+                   &core::global_panel_cache(), params.kv_precision);
+    if (params.kv_precision == core::PanelPrecision::kInt8) {
+      io.int8 = &*panels;
+    } else {
+      io.kf = padded_rows(panels->k_panel(0), n, d);
+      io.vf = padded_rows(panels->v_panel(0), n, d);
+    }
+  }
+  blockwise_attention_rows(dims, io, mask, params, score_mod, q_block_begin,
+                           q_block_end);
+  return out;
+}
+
+void blockwise_attention_paged(std::int64_t heads, std::int64_t head_size,
+                               const PagedSeq& kv,
+                               const sparse::BsrMask& mask,
+                               const BlockwiseParams& params,
+                               std::span<const half> q, std::int64_t q_row0,
+                               std::span<half> out, std::int64_t out_row0) {
+  params.validate();
+  kv.validate(heads, head_size);
+  const std::int64_t len = kv.context_len;
+  const std::int64_t row = heads * head_size;
+  STOF_EXPECTS(params.kv_precision == core::PanelPrecision::kFloat32,
+               "paged block-wise attention runs FP32");
+  STOF_EXPECTS(kv.block_tokens == params.block_n,
+               "KV page size must equal BLOCK_N");
+  STOF_EXPECTS(len > 0 && mask.seq_len() >= len,
+               "mask must cover the context");
+  STOF_EXPECTS(q_row0 >= 0 && q_row0 % params.block_m == 0 &&
+                   q_row0 <= out_row0 && out_row0 <= len,
+               "query rows must start on a block row at or before the output");
+  STOF_EXPECTS(static_cast<std::int64_t>(q.size()) == (len - q_row0) * row &&
+                   static_cast<std::int64_t>(out.size()) ==
+                       (len - out_row0) * row,
+               "q/out must hold their rows token-major");
+  // Head h of a token-major row sits h * head_size into it; K/V rows are
+  // the pool's pages, block_tokens rows each.
+  BlockwiseOperands io{
+      RowView<const half>{q.data(), {}, 0, q_row0, row, head_size},
+      pool_rows(kv.k_blocks, kv.block_tokens, row, head_size),
+      pool_rows(kv.v_blocks, kv.block_tokens, row, head_size),
+      RowView<half>{out.data(), {}, 0, out_row0, row, head_size}, out_row0};
+  if (const auto* f32 = std::get_if<KvFloatPages>(&kv.sidecar)) {
+    io.kf = pool_rows(f32->k_blocks, kv.block_tokens, row, head_size);
+    io.vf = pool_rows(f32->v_blocks, kv.block_tokens, row, head_size);
+  }
+  const std::int64_t q_blocks =
+      (len + params.block_m - 1) / params.block_m;
+  blockwise_attention_rows(MhaDims{1, heads, len, head_size}, io, mask,
+                           params, /*score_mod=*/nullptr,
+                           q_row0 / params.block_m, q_blocks);
+}
+
+void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
+                              const sparse::BsrMask& mask,
+                              const BlockwiseParams& params,
+                              const ScoreMod& score_mod,
+                              std::int64_t q_block_begin,
+                              std::int64_t q_block_end) {
+  params.validate();
+  dims.validate();
+  STOF_EXPECTS(mask.seq_len() >= dims.seq_len, "mask must cover seq_len");
   STOF_EXPECTS(mask.block_m() == params.block_m &&
                    mask.block_n() == params.block_n,
                "BSR block sizes must match kernel parameters");
-  TensorH out = make_output(dims, q, k, v);
 
   const std::int64_t n = dims.seq_len;
   const std::int64_t d = dims.head_size;
@@ -109,10 +224,10 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   const float scale = dims.scale();
   if (q_block_end < 0) q_block_end = mask.rows();
   STOF_EXPECTS(q_block_begin >= 0 && q_block_begin <= q_block_end &&
-                   q_block_end <= mask.rows(),
-               "query block window must lie within the mask");
+                   q_block_end <= (n + bm - 1) / bm,
+               "query block window must lie within the valid rows");
   const std::int64_t q_blocks = q_block_end - q_block_begin;
-  if (q_blocks == 0) return out;
+  if (q_blocks == 0) return;
   const bool windowed = q_block_begin != 0 || q_block_end != mask.rows();
 
   // Block skip/load accounting is a property of the BSR mask (restricted to
@@ -141,34 +256,11 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   telemetry::ScopedTimer timer("wall.mha.blockwise_us");
 
   const bool use_packed = packed_execution_enabled();
-  // Panel-conversion cache: every K/V instance is converted half->float at
-  // most once per *mutation* — instead of once per (Q-block row, valid
-  // block) visit, or even once per call: the global registry keeps panels
-  // across calls keyed on the K/V tensors' storage identity and version.
-  // K is transposed (d x seq) so the QK^T saxpy streams key columns
-  // unit-stride; V stays row-major so PV streams V rows unit-stride.  A
-  // caller that already holds panels covering these instances (the varlen
-  // wrapper) passes them in; `kv_off` maps this problem's kv instances
-  // into the shared cache's instance space.
-  const KvPanelCache* panel_cache = shared_panels;
-  std::int64_t kv_off = shared_kv_offset;
-  std::optional<KvPanelCache> panels;
-  if (use_packed) {
-    if (panel_cache == nullptr) {
-      panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/true,
-                     &core::global_panel_cache(), params.kv_precision);
-      panel_cache = &*panels;
-      kv_off = 0;
-    } else {
-      STOF_EXPECTS(panel_cache->seq() == n && panel_cache->head_size() == d,
-                   "shared panels must match the problem geometry");
-      STOF_EXPECTS(panel_cache->precision() == params.kv_precision,
-                   "shared panels must match the requested precision");
-      STOF_EXPECTS(kv_off >= 0, "kv offset must be non-negative");
-    }
-  }
-  const bool int8_kv =
-      use_packed && params.kv_precision == core::PanelPrecision::kInt8;
+  const bool int8_kv = use_packed && io.int8 != nullptr;
+  STOF_EXPECTS(!int8_kv || (io.int8->precision() ==
+                                core::PanelPrecision::kInt8 &&
+                            io.int8->head_size() == d),
+               "int8 panels must match the problem");
 
   const auto& load_ptr = mask.load_row_ptr();
   const auto& load_idx = mask.load_col_idx();
@@ -182,26 +274,23 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     const std::int64_t row_lo = bi * bm;
     const std::int64_t row_hi = std::min(n, row_lo + bm);
     const std::int64_t rows = row_hi - row_lo;
-    const auto q_rows = q.data().subspan(
-        static_cast<std::size_t>((bh * n + row_lo) * d),
-        static_cast<std::size_t>(rows * d));
-    const auto out_rows = out.data().subspan(
-        static_cast<std::size_t>((bh * n + row_lo) * d),
-        static_cast<std::size_t>(rows * d));
 
     if (use_packed && !int8_kv) {
-      // ---- Packed FP32 path: the lane tile over cached panels. ----
+      // ---- Packed FP32 path: the lane tile over row-major K/V. ----
       // Each query row owns one vector lane, so a key block's scores,
       // softmax update and PV accumulate advance all rows of the tile at
       // once, each row with exactly the scalar path's operation order.
+      // A key block's rows are read where they live (a tensor panel or a
+      // KV page); without float rows the block is converted here.
       const core::KernelTable& ktab = core::kernels();
-      const float* kt = panel_cache->kt_panel(kv_off + kv);
-      const float* vf = panel_cache->v_panel(kv_off + kv);
+      const bool convert_kv = io.kf.empty();
+      float* k_scratch = convert_kv ? arena.alloc(bn * d).data() : nullptr;
+      float* v_scratch = convert_kv ? arena.alloc(bn * d).data() : nullptr;
       const std::int64_t lanes =
           (rows + core::kLaneTileWidth - 1) / core::kLaneTileWidth *
           core::kLaneTileWidth;
       auto q_tile = arena.alloc(rows * d);
-      packed::half_to_float(q_rows, q_tile);
+      load_rows(io.q, bh, row_lo, rows, d, q_tile.data());
       auto qt = arena.alloc_zeroed(d * lanes);
       auto acc = arena.alloc_zeroed(d * lanes);
       for (std::int64_t e = 0; e < d; ++e) {
@@ -227,16 +316,27 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
            it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it, ++blocks) {
         const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
         const std::int64_t col_lo = bj * bn;
+        const std::int64_t cols = std::min(n, col_lo + bn) - col_lo;
         const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
         if (bitmap == nullptr && !score_mod) ++full_fast_blocks;
         hook.col_lo = col_lo;
-        ktab.attn_lane_block(
-            tile, core::LaneBlock{kt + col_lo, n, vf + col_lo * d,
-                                  std::min(n, col_lo + bn) - col_lo,
-                                  bitmap != nullptr ? bitmap->data() : nullptr,
-                                  bn, scale,
-                                  score_mod ? &ScoreModHook::apply : nullptr,
-                                  &hook});
+        core::LaneBlock blk{nullptr, d, nullptr, d, cols,
+                            bitmap != nullptr ? bitmap->data() : nullptr,
+                            bn, scale,
+                            score_mod ? &ScoreModHook::apply : nullptr,
+                            &hook};
+        if (convert_kv) {
+          load_rows(io.k, kv, col_lo, cols, d, k_scratch);
+          load_rows(io.v, kv, col_lo, cols, d, v_scratch);
+          blk.k = k_scratch;
+          blk.v = v_scratch;
+        } else {
+          blk.k = io.kf.row(kv, col_lo);
+          blk.ldk = io.kf.ld;
+          blk.v = io.vf.row(kv, col_lo);
+          blk.ldv = io.vf.ld;
+        }
+        ktab.attn_lane_block(tile, blk);
       }
       core::note_kernel_dispatch("attn_lane_block", blocks);
       if (full_fast_blocks > 0) {
@@ -256,7 +356,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
               acc[static_cast<std::size_t>(e * lanes + r)] * inv[r];
         }
       }
-      packed::float_to_half(q_tile, out_rows);
+      store_rows(q_tile.data(), rows, d, io.out, bh, row_lo, io.out_row0);
       return;
     }
 
@@ -265,17 +365,19 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
       // ---- Packed INT8 tier: quantized panels, row-at-a-time softmax. ----
       const core::KernelTable& ktab = core::kernels();
       auto q_tile = arena.alloc(rows * d);
-      packed::half_to_float(q_rows, q_tile);
+      load_rows(io.q, bh, row_lo, rows, d, q_tile.data());
       auto pv = arena.alloc(rows * d);
       auto corr = arena.alloc(rows);
       // Quantized Q rows (one scale per row), the block's K/V codes, and a
       // per-block weight-tile quantization buffer.  The int8 code buffers
       // live in the float arena via the always-legal signed-char aliasing
       // of its storage.
-      const std::int8_t* k8t = panel_cache->kt_panel_i8(kv_off + kv);
-      const std::int8_t* v8 = panel_cache->v_panel_i8(kv_off + kv);
-      const float k_sc = panel_cache->k_scale(kv_off + kv);
-      const float v_sc = panel_cache->v_scale(kv_off + kv);
+      const std::int64_t kv8 = io.int8_kv_offset + kv;
+      const std::int64_t ld8 = io.int8->seq();
+      const std::int8_t* k8t = io.int8->kt_panel_i8(kv8);
+      const std::int8_t* v8 = io.int8->v_panel_i8(kv8);
+      const float k_sc = io.int8->k_scale(kv8);
+      const float v_sc = io.int8->v_scale(kv8);
       auto* q8 = reinterpret_cast<std::int8_t*>(
           arena.alloc((rows * d + 3) / 4).data());
       auto q_scales = arena.alloc(rows);
@@ -290,8 +392,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
            it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
         const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
         const std::int64_t col_lo = bj * bn;
-        const std::int64_t col_hi = std::min(n, col_lo + bn);
-        const std::int64_t cols = col_hi - col_lo;
+        const std::int64_t cols = std::min(n, col_lo + bn) - col_lo;
         const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
 
         // S = (Q_i K_j^T) in exact int32 dot products with a float
@@ -300,7 +401,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
           std::fill_n(st.s.data() + r * bn, cols, 0.0f);
         }
         core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-        ktab.sgemm_i8_accumulate_ld(q8, d, k8t + col_lo, n, st.s.data(), bn,
+        ktab.sgemm_i8_accumulate_ld(q8, d, k8t + col_lo, ld8, st.s.data(), bn,
                                     rows, d, cols, q_scales.data(), k_sc);
         const bool full_fast = bitmap == nullptr && !score_mod;
         if (full_fast) {
@@ -403,27 +504,28 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
         const float inv = denom == 0.0f ? 0.0f : 1.0f / denom;
         ktab.scale_inplace(st.acc.data() + r * d, inv, d);
       }
-      packed::float_to_half(st.acc, out_rows);
+      store_rows(st.acc.data(), rows, d, io.out, bh, row_lo, io.out_row0);
       return;
     }
 
-    // ---- Scalar reference path: per-element conversions via at(). ----
+    // ---- Scalar reference path: per-element half loads. ----
+    const half* q_h = io.q.row(bh, row_lo);
     sparse::BsrMask::RowBlocks row_blocks(mask, bi);
     for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
          it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
       const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
       const std::int64_t col_lo = bj * bn;
-      const std::int64_t col_hi = std::min(n, col_lo + bn);
-      const std::int64_t cols = col_hi - col_lo;
+      const std::int64_t cols = std::min(n, col_lo + bn) - col_lo;
       const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
+      const half* k_h = io.k.row(kv, col_lo);
+      const half* v_h = io.v.row(kv, col_lo);
 
       // S = (Q_i K_j^T) * scale — the first wmma tile GEMM.
       for (std::int64_t r = 0; r < rows; ++r) {
         for (std::int64_t c = 0; c < cols; ++c) {
           float dot = 0;
           for (std::int64_t e = 0; e < d; ++e) {
-            dot += float(q.at(bh, row_lo + r, e)) *
-                   float(k.at(kv, col_lo + c, e));
+            dot += float(q_h[r * io.q.ld + e]) * float(k_h[c * io.k.ld + e]);
           }
           float sv = dot * scale;
           if (score_mod) {
@@ -465,7 +567,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
           float pv = 0;
           for (std::int64_t c = 0; c < cols; ++c) {
             pv += st.s[static_cast<std::size_t>(r * bn + c)] *
-                  float(v.at(kv, col_lo + c, e));
+                  float(v_h[c * io.v.ld + e]);
           }
           st.acc[static_cast<std::size_t>(r * d + e)] =
               st.acc[static_cast<std::size_t>(r * d + e)] * correction + pv;
@@ -475,16 +577,16 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     }
 
     // Epilogue: normalize and store. Fully masked rows emit zeros.
-    for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t r = std::max<std::int64_t>(0, io.out_row0 - row_lo);
+         r < rows; ++r) {
       const float denom = st.l[static_cast<std::size_t>(r)];
       const float inv = denom == 0.0f ? 0.0f : 1.0f / denom;
+      half* o = io.out.row(bh, row_lo + r);
       for (std::int64_t e = 0; e < d; ++e) {
-        out.at(bh, row_lo + r, e) =
-            half(st.acc[static_cast<std::size_t>(r * d + e)] * inv);
+        o[e] = half(st.acc[static_cast<std::size_t>(r * d + e)] * inv);
       }
     }
   });
-  return out;
 }
 
 gpusim::KernelCost blockwise_cost(const MhaDims& dims,

@@ -1,8 +1,10 @@
 // Block-wise sparse MHA kernel (paper §4.2, Fig. 6 / Fig. 7).
 //
 // Q is cut into (BLOCK_M x head_size) sub-blocks, each owning one thread
-// block; K^T and V are cut into (BLOCK_N x head_size) sub-blocks iterated
-// along seq_len.  The BSR mask's load_row_ptr/load_col_idx drive the inner
+// block; K and V are cut into (BLOCK_N x head_size) sub-blocks iterated
+// along seq_len, each read where it lives (a padded tensor's panel or a KV
+// pool page) through a base pointer and a row stride.  The BSR mask's
+// load_row_ptr/load_col_idx drive the inner
 // loop: only valid sub-blocks are loaded into shared memory and computed —
 // empty blocks cost nothing, which is where the long-sequence speedups
 // come from.  After the score GEMM, "part" blocks fetch their (deduped,
@@ -24,12 +26,14 @@
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "stof/core/kernels.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
 #include "stof/masks/mask.hpp"
 #include "stof/mha/attention.hpp"
+#include "stof/mha/decode.hpp"
 #include "stof/sparse/bsr_mask.hpp"
 
 namespace stof::mha {
@@ -73,15 +77,60 @@ using ScoreMod = std::function<float(std::int64_t, std::int64_t, std::int64_t,
 
 class KvPanelCache;
 
+/// Rows of one attention operand, found by base pointer plus row stride.
+/// Row r of instance i lives at
+///   contiguous: base + i * inst_stride + (r - row0) * ld
+///   paged:      pages[r / page_rows] + i * inst_stride + (r % page_rows) * ld
+/// A padded (instances, seq, d) tensor is the contiguous case with ld = d
+/// and inst_stride = seq * d; a KV-pool page (block_tokens, heads, d) is
+/// the paged case with ld = heads * d and inst_stride = d.  Rows of one
+/// key block never straddle a page (page_rows == BLOCK_N).
+template <typename T>
+struct RowView {
+  T* base = nullptr;
+  std::span<T* const> pages = {};
+  std::int64_t page_rows = 0;
+  std::int64_t row0 = 0;  ///< first row a contiguous view holds
+  std::int64_t ld = 0;
+  std::int64_t inst_stride = 0;
+
+  [[nodiscard]] bool empty() const { return base == nullptr && pages.empty(); }
+  [[nodiscard]] T* row(std::int64_t inst, std::int64_t r) const {
+    if (pages.empty()) return base + inst * inst_stride + (r - row0) * ld;
+    return pages[static_cast<std::size_t>(r / page_rows)] +
+           inst * inst_stride + (r % page_rows) * ld;
+  }
+};
+
+/// Padded (instances, seq, d) storage from instance `first` on: one
+/// contiguous run of (seq x d) instance panels.
+template <typename T>
+[[nodiscard]] RowView<T> padded_rows(T* data, std::int64_t seq,
+                                     std::int64_t d, std::int64_t first = 0) {
+  return {data + first * seq * d, {}, 0, 0, d, seq * d};
+}
+
+/// Where a block-wise launch reads its operands and writes its output.
+/// The scalar reference reads the half views; the packed FP32 path reads
+/// `kf`/`vf` (when empty, each visited key block is converted from the
+/// half views in the task's scratch arena); the packed INT8 tier reads the
+/// quantized panels of `int8` from instance `int8_kv_offset`.
+struct BlockwiseOperands {
+  RowView<const half> q = {};
+  RowView<const half> k = {};
+  RowView<const half> v = {};
+  RowView<half> out = {};
+  std::int64_t out_row0 = 0;  ///< rows below are computed but not stored
+  RowView<const float> kf = {};
+  RowView<const float> vf = {};
+  const KvPanelCache* int8 = nullptr;
+  std::int64_t int8_kv_offset = 0;
+};
+
 /// Functional execution over the BSR mask: streaming softmax across valid
 /// blocks, full/part paths as in the paper.  The BSR block sizes must match
-/// `params`.
-///
-/// `shared_panels` (packed mode only) supplies pre-converted transposed-K /
-/// row-major-V float panels covering this problem's K/V instances starting
-/// at `shared_kv_offset` — the varlen wrapper passes one whole-batch panel
-/// cache so its per-element sub-calls stop duplicating conversions.  When
-/// null, the kernel fetches panels from the global cross-call registry.
+/// `params`.  Packed mode reads K/V through row-major float panels fetched
+/// from the global cross-call registry.
 ///
 /// `q_block_begin`/`q_block_end` restrict execution to the query block-rows
 /// in [q_block_begin, q_block_end) (`q_block_end < 0` means every row).
@@ -95,10 +144,36 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
                             const sparse::BsrMask& mask,
                             const BlockwiseParams& params,
                             const ScoreMod& score_mod = nullptr,
-                            const KvPanelCache* shared_panels = nullptr,
-                            std::int64_t shared_kv_offset = 0,
                             std::int64_t q_block_begin = 0,
                             std::int64_t q_block_end = -1);
+
+/// The kernel over operand views: the one loop behind blockwise_attention,
+/// the varlen wrapper and the paged prefill.  `dims.seq_len` is the number
+/// of valid query and key rows; `mask` may be wider (a padded prefix BSR),
+/// its rows and columns past dims.seq_len are never visited.  The window
+/// [q_block_begin, q_block_end) must lie within ceil(seq_len / BLOCK_M).
+void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
+                              const sparse::BsrMask& mask,
+                              const BlockwiseParams& params,
+                              const ScoreMod& score_mod,
+                              std::int64_t q_block_begin,
+                              std::int64_t q_block_end);
+
+/// Block-wise attention of one sequence whose K/V live in a paged KV cache
+/// (the serving prefill, FP32 only).  Key block bj is page bj, so
+/// `kv.block_tokens` must equal BLOCK_N; the scalar reference reads the
+/// half pages and the packed path the float sidecar (or, without one,
+/// converts each visited page).  `kv.cols` is unused: `mask` (at least
+/// kv.context_len wide) decides what each row attends.  `q` holds query
+/// rows [q_row0, context_len) token-major (row r at (r - q_row0) * heads *
+/// head_size, head h at + h * head_size), q_row0 a multiple of BLOCK_M;
+/// rows [out_row0, context_len) are written to `out` in the same layout.
+void blockwise_attention_paged(std::int64_t heads, std::int64_t head_size,
+                               const PagedSeq& kv,
+                               const sparse::BsrMask& mask,
+                               const BlockwiseParams& params,
+                               std::span<const half> q, std::int64_t q_row0,
+                               std::span<half> out, std::int64_t out_row0);
 
 /// Simulated cost of one block-wise kernel launch, optionally restricted to
 /// the query block-row window [q_block_begin, q_block_end) — the cost twin

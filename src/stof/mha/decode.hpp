@@ -88,7 +88,8 @@ struct KvInt8Pages {
 /// pages with scales.  Sidecars are read by the packed path only.
 using KvSidecar = std::variant<std::monostate, KvFloatPages, KvInt8Pages>;
 
-/// One sequence's view of a paged KV-cache for a batched decode step.
+/// One sequence's view of a paged KV-cache for a batched decode step (and
+/// for a paged prefill, which takes its columns from the mask, not `cols`).
 ///
 /// Block i holds positions [i*block_tokens, (i+1)*block_tokens); each block
 /// is (block_tokens, heads, head_size) row-major half, so a serving KV pool

@@ -17,9 +17,10 @@ void convert_rows(const TensorH& src, std::int64_t lo, std::int64_t hi,
       {dst + lo, static_cast<std::size_t>(hi - lo)});
 }
 
-/// Full convert-and-transpose of every instance panel: (seq x d) half in,
-/// kv_instances contiguous (d x seq) float panels out.  Tiled so both the
-/// strided reads and the contiguous writes stay cache-resident.
+/// Convert-and-transpose of every instance panel for the INT8 tier's K
+/// codes: (seq x d) half in, kv_instances contiguous (d x seq) float
+/// panels out.  Tiled so both the strided reads and the contiguous writes
+/// stay cache-resident.
 void convert_transposed(const TensorH& k, std::int64_t kv_instances,
                         std::int64_t seq, std::int64_t d, float* out) {
   const float* table = packed::h2f_table();
@@ -54,13 +55,10 @@ void convert_row_major(const TensorH& t, std::int64_t kv_instances,
 
 KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
                            std::int64_t kv_instances, std::int64_t seq,
-                           std::int64_t head_size, bool transpose_k,
+                           std::int64_t head_size,
                            core::PanelCacheRegistry* registry,
                            core::PanelPrecision precision)
-    : seq_(seq),
-      d_(head_size),
-      transposed_k_(transpose_k),
-      precision_(precision) {
+    : seq_(seq), d_(head_size), precision_(precision) {
   const std::int64_t panel = seq_ * d_;
   const std::int64_t total = kv_instances * panel;
   STOF_EXPECTS(static_cast<std::int64_t>(k.data().size()) == total &&
@@ -69,28 +67,23 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
 
   std::int64_t converted_panels = 0;
   if (precision_ == core::PanelPrecision::kInt8) {
-    // INT8 tier: one symmetric scale per instance panel, codes in the same
-    // layout the float tier would use (K optionally transposed).  The
-    // transposed K codes quantize a transposed float staging buffer so the
-    // scale still covers exactly one instance's values.
+    // INT8 tier: one symmetric scale per instance panel.  The transposed K
+    // codes quantize a transposed float staging buffer so the scale still
+    // covers exactly one instance's values.
     const auto k_quant = [&](std::int8_t* codes, float* scales) {
-      if (transpose_k) {
-        std::vector<float> staged(static_cast<std::size_t>(total));
-        convert_transposed(k, kv_instances, seq_, d_, staged.data());
-        packed::quantize_floats(staged.data(), total, panel, codes, scales);
-      } else {
-        packed::quantize_halfs(k.data(), panel, codes, scales);
-      }
+      std::vector<float> staged(static_cast<std::size_t>(total));
+      convert_transposed(k, kv_instances, seq_, d_, staged.data());
+      packed::quantize_floats(staged.data(), total, panel, codes, scales);
     };
     const auto v_quant = [&](std::int8_t* codes, float* scales) {
       packed::quantize_halfs(v.data(), panel, codes, scales);
     };
     if (registry != nullptr) {
-      const std::uint64_t k_layout =
-          transpose_k ? core::kPanelTransposed |
-                            (static_cast<std::uint64_t>(seq_) << 8) |
-                            (static_cast<std::uint64_t>(d_) << 36)
-                      : core::kPanelRowMajor;
+      // A transposed panel's layout depends on the (seq, d) factorisation,
+      // so the K variant encodes it.
+      const std::uint64_t k_layout = core::kPanelTransposed |
+                                     (static_cast<std::uint64_t>(seq_) << 8) |
+                                     (static_cast<std::uint64_t>(d_) << 36);
       const auto wrap = [total](const auto& quant) {
         return [total, &quant](std::int64_t lo, std::int64_t hi,
                                std::int8_t* codes, float* scales) {
@@ -131,36 +124,22 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
   }
   if (registry != nullptr) {
     // Cross-call mode: panels are keyed on each tensor's storage identity
-    // (plus layout variant) and tagged with its mutation stamp, so an
-    // unmodified tensor converts once across any number of kernel calls
-    // while any write forces a fresh conversion.  These whole-tensor
-    // panels never extend incrementally — a version bump reconverts all
-    // of them — so the converter always receives the full [0, total).
-    const auto k_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
-      STOF_CHECK(lo == 0 && hi == total,
-                 "whole-tensor panels convert in full");
-      if (transpose_k) {
-        convert_transposed(k, kv_instances, seq_, d_, dst);
-      } else {
-        convert_row_major(k, kv_instances, panel, dst);
-      }
+    // and tagged with its mutation stamp, so an unmodified tensor converts
+    // once across any number of kernel calls while any write forces a
+    // fresh conversion.  These whole-tensor panels never extend
+    // incrementally — a version bump reconverts all of them — so the
+    // converter always receives the full [0, total).
+    const auto convert = [&](const TensorH& src) {
+      return [&, t = &src](std::int64_t lo, std::int64_t hi, float* dst) {
+        STOF_CHECK(lo == 0 && hi == total,
+                   "whole-tensor panels convert in full");
+        convert_row_major(*t, kv_instances, panel, dst);
+      };
     };
-    const auto v_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
-      STOF_CHECK(lo == 0 && hi == total,
-                 "whole-tensor panels convert in full");
-      convert_row_major(v, kv_instances, panel, dst);
-    };
-    // A transposed panel's layout depends on the (seq, d) factorisation,
-    // so the variant encodes it; row-major layout is factorisation-free.
-    const std::uint64_t k_variant =
-        transpose_k ? core::kPanelTransposed |
-                          (static_cast<std::uint64_t>(seq_) << 8) |
-                          (static_cast<std::uint64_t>(d_) << 36)
-                    : core::kPanelRowMajor;
-    k_ref_ = registry->get_or_convert({k.storage_id(), k_variant}, k.version(),
-                                      total, total, k_convert);
+    k_ref_ = registry->get_or_convert({k.storage_id(), core::kPanelRowMajor},
+                                      k.version(), total, total, convert(k));
     v_ref_ = registry->get_or_convert({v.storage_id(), core::kPanelRowMajor},
-                                      v.version(), total, total, v_convert);
+                                      v.version(), total, total, convert(v));
     k_data_ = k_ref_.data();
     v_data_ = v_ref_.data();
     if (k_ref_.converted_elems > 0) converted_panels += kv_instances;
@@ -169,11 +148,7 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
     // Owning mode: per-call conversion (every construction pays in full).
     k_f32_.resize(static_cast<std::size_t>(total));
     v_f32_.resize(static_cast<std::size_t>(total));
-    if (transpose_k) {
-      convert_transposed(k, kv_instances, seq_, d_, k_f32_.data());
-    } else {
-      convert_row_major(k, kv_instances, panel, k_f32_.data());
-    }
+    convert_row_major(k, kv_instances, panel, k_f32_.data());
     convert_row_major(v, kv_instances, panel, v_f32_.data());
     k_data_ = k_f32_.data();
     v_data_ = v_f32_.data();
@@ -186,22 +161,7 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
   }
 }
 
-const float* KvPanelCache::k_panel(std::int64_t kv) const {
-  STOF_EXPECTS(!transposed_k_, "cache holds transposed K panels");
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
-               "cache holds int8 panels");
-  return k_data_ + kv * seq_ * d_;
-}
-
-const float* KvPanelCache::kt_panel(std::int64_t kv) const {
-  STOF_EXPECTS(transposed_k_, "cache holds row-major K panels");
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
-               "cache holds int8 panels");
-  return k_data_ + kv * seq_ * d_;
-}
-
 const std::int8_t* KvPanelCache::kt_panel_i8(std::int64_t kv) const {
-  STOF_EXPECTS(transposed_k_, "cache holds row-major K panels");
   STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
                "cache holds float panels");
   return k8_data_ + kv * seq_ * d_;

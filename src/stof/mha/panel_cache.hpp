@@ -7,11 +7,12 @@
 // cores).  KvPanelCache converts each K/V *instance* at most once per
 // kernel call, in parallel across instances:
 //
-//   * K is optionally stored transposed (d x seq) so the block-wise lane
-//     tile reads a block's keys for head element e as one unit-stride run
-//     (the row-wise kernel keeps K row-major, since it dots whole K rows);
-//   * V is always row-major (seq x d): the PV product consumes whole V
-//     rows per key column, unit-stride in both kernels.
+//   * the FP32 tier stores K and V row-major (seq x d), the layout the
+//     half source already has: the block-wise lane tile reads a key row's
+//     elements as scalar broadcasts, so it gains nothing from a transpose,
+//     and the row-wise kernel dots whole K rows;
+//   * the INT8 tier stores K codes transposed (d x seq) for the int8 tile
+//     GEMM of the block-wise kernel, V codes row-major.
 //
 // Two ownership modes:
 //
@@ -30,8 +31,8 @@
 //
 // INT8 tier (precision == kInt8): panels are quantized instead of
 // converted — symmetric int8 codes with one scale per (seq x d) instance
-// panel, the layout otherwise unchanged.  Codes are a pure function of the
-// half source (quantize-once through the registry), so INT8 attention is
+// panel.  Codes are a pure function of the half source (quantize-once
+// through the registry), so INT8 attention is
 // deterministic across ISAs and call schedules; it is not bit-identical
 // to FP32, which is why call sites opt in via BlockwiseParams.
 #pragma once
@@ -48,12 +49,11 @@ namespace stof::mha {
 class KvPanelCache {
  public:
   /// Make the `kv_instances` float panels of `k` and `v` available (each
-  /// instance is a contiguous (seq x d) half panel).  `transpose_k`
-  /// selects the (d x seq) K layout used by the block-wise QK^T
-  /// micro-kernel.  With a `registry`, panels are fetched from (and kept
-  /// in) the cross-call cache instead of converted locally.
+  /// instance is a contiguous (seq x d) half panel).  With a `registry`,
+  /// panels are fetched from (and kept in) the cross-call cache instead of
+  /// converted locally.
   KvPanelCache(const TensorH& k, const TensorH& v, std::int64_t kv_instances,
-               std::int64_t seq, std::int64_t head_size, bool transpose_k,
+               std::int64_t seq, std::int64_t head_size,
                core::PanelCacheRegistry* registry = nullptr,
                core::PanelPrecision precision =
                    core::PanelPrecision::kFloat32);
@@ -62,12 +62,12 @@ class KvPanelCache {
   /// kFloat32; int8 accessors require kInt8.
   [[nodiscard]] core::PanelPrecision precision() const { return precision_; }
 
-  /// K panel of instance `kv` in row-major (seq x d) layout.
-  /// Precondition: constructed with transpose_k == false.
-  [[nodiscard]] const float* k_panel(std::int64_t kv) const;
-  /// Transposed K panel of instance `kv`: d rows of `seq` contiguous
-  /// key columns.  Precondition: constructed with transpose_k == true.
-  [[nodiscard]] const float* kt_panel(std::int64_t kv) const;
+  /// K panel of instance `kv`: seq x d, row-major.
+  [[nodiscard]] const float* k_panel(std::int64_t kv) const {
+    STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
+                 "cache holds int8 panels");
+    return k_data_ + kv * seq_ * d_;
+  }
   /// V panel of instance `kv`: seq x d, row-major.
   [[nodiscard]] const float* v_panel(std::int64_t kv) const {
     STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
@@ -75,8 +75,8 @@ class KvPanelCache {
     return v_data_ + kv * seq_ * d_;
   }
 
-  /// INT8 transposed K panel of instance `kv` (layout as kt_panel) and its
-  /// per-instance scale.  Precondition: kInt8 precision, transpose_k.
+  /// INT8 K codes of instance `kv`, transposed: d rows of `seq` contiguous
+  /// key columns.  Precondition: kInt8 precision.
   [[nodiscard]] const std::int8_t* kt_panel_i8(std::int64_t kv) const;
   /// INT8 V panel of instance `kv` (seq x d, row-major) and its scale.
   [[nodiscard]] const std::int8_t* v_panel_i8(std::int64_t kv) const;
@@ -89,7 +89,6 @@ class KvPanelCache {
  private:
   std::int64_t seq_ = 0;
   std::int64_t d_ = 0;
-  bool transposed_k_ = false;
   core::PanelPrecision precision_ = core::PanelPrecision::kFloat32;
   std::vector<float> k_f32_;  ///< owning mode only
   std::vector<float> v_f32_;  ///< owning mode only

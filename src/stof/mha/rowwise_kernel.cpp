@@ -31,7 +31,7 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   const bool use_packed = packed_execution_enabled();
   std::optional<KvPanelCache> panels;
   if (use_packed) {
-    panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/false,
+    panels.emplace(k, v, dims.kv_instances(), n, d,
                    &core::global_panel_cache());
   }
 

@@ -1,6 +1,5 @@
 #include "stof/mha/varlen.hpp"
 
-#include <cstring>
 #include <map>
 #include <optional>
 
@@ -58,56 +57,46 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   TensorH out = make_output(dims, q, k, v);
   const auto bsr_by_len = prefixes_by_length(base_bsr, batch);
 
-  // Packed mode: convert the whole batch's K/V panels once (through the
-  // cross-call registry, keyed on the parent tensors) and hand them to
-  // every per-element blockwise call below.  Without this, each element's
-  // fresh kb/vb copies would defeat the storage-identity cache and the
-  // batch would reconvert per element on every call.  Shared panels index
-  // kv instances of the *parent* layout, so element b's instances start at
-  // b * heads — only valid when every query head has its own K/V instance.
-  std::optional<KvPanelCache> batch_panels;
-  if (packed_execution_enabled() &&
-      dims.kv_head_count() == dims.heads) {
-    batch_panels.emplace(k, v, dims.kv_instances(), dims.seq_len,
-                         dims.head_size, /*transpose_k=*/true,
-                         &core::global_panel_cache(), params.kv_precision);
+  // Element b is a view into the batch tensors: its query instances start
+  // at b * heads, its K/V instances at b * kv_heads.  Packed mode converts
+  // the whole batch's K/V panels once (through the cross-call registry,
+  // keyed on the batch tensors) and every element reads its slice.
+  const std::int64_t n = dims.seq_len;
+  const std::int64_t d = dims.head_size;
+  const std::int64_t kv_heads = dims.kv_head_count();
+  std::optional<KvPanelCache> panels;
+  if (packed_execution_enabled()) {
+    panels.emplace(k, v, dims.kv_instances(), n, d,
+                   &core::global_panel_cache(), params.kv_precision);
   }
 
-  // One single-element attention per batch entry against its own BSR.  The
-  // per-element and parent tensors share the (instance, seq, elem) layout,
-  // so each head's slab moves with one contiguous copy.  Elements with a
-  // query window run only the block rows covering [q_begin, len); the
-  // windowed rows' bytes equal the full call's (independent per-row
-  // softmax chains), which is what keeps chunked prefill bit-identical.
-  const MhaDims per_element{1, dims.heads, dims.seq_len, dims.head_size};
-  const std::size_t inst =
-      static_cast<std::size_t>(dims.seq_len * dims.head_size);
+  // One single-element attention per batch entry against its own BSR.
+  // Elements with a query window run only the block rows covering
+  // [q_begin, len); the windowed rows' bytes equal the full call's
+  // (independent per-row softmax chains), which is what keeps chunked
+  // prefill bit-identical.
+  const MhaDims per_element{1, dims.heads, n, d, dims.kv_heads};
   for (std::int64_t b = 0; b < dims.batch; ++b) {
-    TensorH qb(per_element.qkv_shape()), kb(per_element.qkv_shape()),
-        vb(per_element.qkv_shape());
-    for (std::int64_t h = 0; h < dims.heads; ++h) {
-      const auto src = static_cast<std::size_t>(b * dims.heads + h) * inst;
-      const auto dst = static_cast<std::size_t>(h) * inst;
-      std::memcpy(&qb.data()[dst], &q.data()[src], inst * sizeof(half));
-      std::memcpy(&kb.data()[dst], &k.data()[src], inst * sizeof(half));
-      std::memcpy(&vb.data()[dst], &v.data()[src], inst * sizeof(half));
+    BlockwiseOperands io{padded_rows(q.data().data(), n, d, b * dims.heads),
+                         padded_rows(k.data().data(), n, d, b * kv_heads),
+                         padded_rows(v.data().data(), n, d, b * kv_heads),
+                         padded_rows(out.data().data(), n, d, b * dims.heads)};
+    if (panels && params.kv_precision == core::PanelPrecision::kInt8) {
+      io.int8 = &*panels;
+      io.int8_kv_offset = b * kv_heads;
+    } else if (panels) {
+      io.kf = padded_rows(panels->k_panel(0), n, d, b * kv_heads);
+      io.vf = padded_rows(panels->v_panel(0), n, d, b * kv_heads);
     }
     const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
-    const auto& bsr = bsr_by_len.at(len);
     std::int64_t qb_lo = 0;
     std::int64_t qb_hi = -1;
     if (!batch.q_begins.empty()) {
       qb_lo = batch.q_begin(b) / params.block_m;
       qb_hi = (len + params.block_m - 1) / params.block_m;
     }
-    const TensorH ob = blockwise_attention(
-        per_element, qb, kb, vb, bsr, params, /*score_mod=*/nullptr,
-        batch_panels ? &*batch_panels : nullptr, b * dims.heads, qb_lo, qb_hi);
-    for (std::int64_t h = 0; h < dims.heads; ++h) {
-      const auto src = static_cast<std::size_t>(h) * inst;
-      const auto dst = static_cast<std::size_t>(b * dims.heads + h) * inst;
-      std::memcpy(&out.data()[dst], &ob.data()[src], inst * sizeof(half));
-    }
+    blockwise_attention_rows(per_element, io, bsr_by_len.at(len), params,
+                             /*score_mod=*/nullptr, qb_lo, qb_hi);
   }
   return out;
 }

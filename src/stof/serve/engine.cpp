@@ -5,8 +5,8 @@
 
 #include "stof/core/checksum.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
+#include "stof/mha/blockwise_kernel.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/mha/varlen.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -143,14 +143,14 @@ void Engine::fill_token_local(std::uint64_t seed, std::int64_t pos,
 double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
                                    StepOutcome& outcome) {
   if (windows.empty()) return 0;
-  // One ragged varlen launch per mask kind, preserving plan order.  Each
-  // window is an element of length `end` with query window [begin, end):
-  // the kernel runs only the block rows covering the window, against the
-  // same effective mask a one-shot prefill of length `end` would use —
-  // every window row's streaming-softmax chain is identical to the
-  // one-shot pass, which is what keeps chunked KV pages and digests
-  // bit-identical to whole prefills.  A whole prefill is the window
-  // [cached, total), so it too is charged only for the rows it serves.
+  // One ragged launch per mask kind, preserving plan order.  Each window
+  // is an element of length `end` with query window [begin, end): the
+  // kernel runs only the block rows covering the window, against the same
+  // effective mask a one-shot prefill of length `end` would use — every
+  // window row's streaming-softmax chain is identical to the one-shot
+  // pass, which is what keeps chunked KV pages and digests bit-identical
+  // to whole prefills.  A whole prefill is the window [cached, total), so
+  // it too is charged only for the rows it serves.
   std::vector<std::pair<masks::PatternKind, std::vector<PrefillChunk>>> groups;
   for (const auto& chunk : windows) {
     const auto kind = table_.at(chunk.id).request.mask_kind;
@@ -166,80 +166,78 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
   const std::int64_t heads = config_.heads;
   const std::int64_t d = config_.head_size;
   const std::int64_t seq = config_.max_seq_len;
+  const auto row = static_cast<std::size_t>(heads * d);
   const mha::BlockwiseParams& params = config_.prefill_params;
   const std::int64_t bm = params.block_m;
-  std::vector<half> tok(static_cast<std::size_t>(heads * d));
+  std::vector<half> q_rows;
   double us = 0;
 
   for (const auto& [kind, group] : groups) {
-    const auto n = static_cast<std::int64_t>(group.size());
-    const mha::MhaDims dims{n, heads, seq, d};
-    TensorH q(dims.qkv_shape()), k(dims.qkv_shape()), v(dims.qkv_shape());
+    // Append each window's positions to the pool first and synthesize
+    // their K/V straight into the slots, as decode does (the scheduler
+    // sized the windows to the blocks available this step).  Rows
+    // [0, begin) — an earlier chunk's or an adopted prefix — are already
+    // in the pool and are read from there.
     std::vector<std::int64_t> lengths, q_begins;
-    lengths.reserve(group.size());
-    q_begins.reserve(group.size());
-    for (std::int64_t b = 0; b < n; ++b) {
-      const auto& chunk = group[static_cast<std::size_t>(b)];
-      const Session& s = table_.at(chunk.id);
-      lengths.push_back(chunk.end);
-      q_begins.push_back(chunk.begin);
-      // Keys/values cover the whole context [0, end) — the window's rows
-      // attend every earlier position.  Queries only need the rows the
-      // kernel reads: the window, extended down to its block boundary.
-      const std::int64_t q_lo = (chunk.begin / bm) * bm;
-      for (std::int64_t pos = 0; pos < chunk.end; ++pos) {
-        // Channels in TokenChannel order: query (window rows only), K, V.
-        for (int ch = pos < q_lo ? 1 : 0; ch < 3; ++ch) {
-          fill_token_local(token_seed(s.request, pos), pos,
-                           static_cast<TokenChannel>(ch), tok);
-          TensorH& dst = ch == 0 ? q : (ch == 1 ? k : v);
-          for (std::int64_t h = 0; h < heads; ++h) {
-            std::memcpy(&dst.at(b * heads + h, pos, 0),
-                        &tok[static_cast<std::size_t>(h * d)],
-                        static_cast<std::size_t>(d) * sizeof(half));
-          }
-        }
-      }
-    }
-    const sparse::BsrMask& base = base_bsr(kind);
-    const mha::VarlenBatch batch{seq, lengths, q_begins};
-    const TensorH out =
-        mha::varlen_attention(dims, q, k, v, base, batch, params);
-    // The staging K/V die with this group: release the float panels the
-    // packed kernel cached for them rather than leave them in the
-    // registry until LRU eviction (they can never be looked up again).
-    core::global_panel_cache().drop_storage(k.storage_id());
-    core::global_panel_cache().drop_storage(v.storage_id());
-    us += stream_.launch(
-        "serve.prefill",
-        mha::varlen_cost(dims, base, batch, params, config_.device));
-
-    for (std::int64_t b = 0; b < n; ++b) {
-      const auto& chunk = group[static_cast<std::size_t>(b)];
+    for (const auto& chunk : group) {
       Session& s = table_.at(chunk.id);
-      STOF_CHECK(s.cached_tokens == chunk.begin,
+      STOF_CHECK(s.cached_tokens == chunk.begin &&
+                     pool_.tokens(chunk.id) == chunk.begin,
                  "chunk must resume at the session's cached prefix");
-      // Ingest the chunk's positions into the KV pool (the scheduler sized
-      // the chunk to the blocks available this step) and commit the output
-      // row of every position not folded yet.  A re-prefilled window
-      // (preempt mid-prefill, or a preempted decoder rebuilding its
-      // context) recomputes folded rows but never re-commits them.
       for (std::int64_t pos = chunk.begin; pos < chunk.end; ++pos) {
         auto slot = pool_.append_token(chunk.id);
         STOF_CHECK(slot.has_value(), "scheduler must size chunks to the pool");
-        const std::span<half> row = pos >= s.folded_tokens
-                                        ? outcome.rows.add(chunk.id, pos)
-                                        : std::span<half>{};
-        for (std::int64_t h = 0; h < heads; ++h) {
-          const auto dh = static_cast<std::size_t>(d) * sizeof(half);
-          std::memcpy(slot->k + h * d, &k.at(b * heads + h, pos, 0), dh);
-          std::memcpy(slot->v + h * d, &v.at(b * heads + h, pos, 0), dh);
-          if (!row.empty()) {
-            std::memcpy(&row[static_cast<std::size_t>(h * d)],
-                        &out.at(b * heads + h, pos, 0), dh);
-          }
-        }
+        const std::uint64_t seed = token_seed(s.request, pos);
+        fill_token_local(seed, pos, TokenChannel::kKey, {slot->k, row});
+        fill_token_local(seed, pos, TokenChannel::kValue, {slot->v, row});
       }
+      lengths.push_back(chunk.end);
+      q_begins.push_back(chunk.begin);
+    }
+    const sparse::BsrMask& base = base_bsr(kind);
+    const mha::MhaDims dims{static_cast<std::int64_t>(group.size()), heads,
+                            seq, d};
+    us += stream_.launch(
+        "serve.prefill",
+        mha::varlen_cost(dims, base, mha::VarlenBatch{seq, lengths, q_begins},
+                         params, config_.device));
+
+    for (const auto& chunk : group) {
+      Session& s = table_.at(chunk.id);
+      // Queries only need the rows the kernel reads: the window, extended
+      // down to its block boundary.  The output rows of every position not
+      // folded yet are committed straight into the step's rows; a
+      // re-prefilled window (preempt mid-prefill, or a preempted decoder
+      // rebuilding its context) recomputes folded rows but never
+      // re-commits them.
+      const std::int64_t q_lo = (chunk.begin / bm) * bm;
+      q_rows.resize(static_cast<std::size_t>(chunk.end - q_lo) * row);
+      for (std::int64_t pos = q_lo; pos < chunk.end; ++pos) {
+        fill_token_local(token_seed(s.request, pos), pos, TokenChannel::kQuery,
+                         std::span<half>(q_rows).subspan(
+                             static_cast<std::size_t>(pos - q_lo) * row, row));
+      }
+      const std::int64_t out_lo = std::max(chunk.begin, s.folded_tokens);
+      const std::size_t first_row = outcome.rows.size();
+      for (std::int64_t pos = out_lo; pos < chunk.end; ++pos) {
+        (void)outcome.rows.add(chunk.id, pos);
+      }
+      // The packed path reads the pool's float sidecar: the same pages
+      // decode reads next, so no row is converted twice.  An INT8-decode
+      // engine never builds the float tier; its prefill converts each
+      // visited page in the kernel instead.
+      const mha::PagedSeq kv{
+          chunk.end, config_.block_tokens, pool_.k_blocks(chunk.id),
+          pool_.v_blocks(chunk.id), {},
+          packed_execution_enabled() &&
+                  config_.kv_precision == core::PanelPrecision::kFloat32
+              ? pool_.sidecar(chunk.id, core::PanelPrecision::kFloat32)
+              : mha::KvSidecar{}};
+      mha::blockwise_attention_paged(
+          heads, d, kv, base.prefix(chunk.end), params, q_rows, q_lo,
+          std::span<half>(outcome.rows.data).subspan(first_row * row),
+          std::min(out_lo, chunk.end));
+
       s.cached_tokens = chunk.end;
       if (s.cached_tokens == s.total_len()) {
         // Publish the freshly prefilled template pages to the prefix tree.

@@ -4,10 +4,11 @@
 // gpusim::Stream, and advances in discrete steps.  Each step executes the
 // scheduler's plan with the library's real kernels, one path per phase:
 //   * every prefill — a whole admission or a chunk — is a query window
-//     [begin, end) of its session's context, packed per mask kind into one
-//     ragged mha::varlen_attention batch (one "serve.prefill" launch per
-//     kind) against the kind's base BSR, built once on the kind's first
-//     prefill, and charged for the window's rows only;
+//     [begin, end) of its session's context: its K/V go into the KV pool
+//     first, and mha::blockwise_attention_paged reads the whole context
+//     from the pool's pages against the kind's base BSR (built once on the
+//     kind's first prefill); windows are charged per mask kind as one
+//     ragged varlen launch ("serve.prefill"), for the window's rows only;
 //   * every decoding session runs one verify round — its true token plus
 //     any speculative drafts, so plain decode is a round with zero drafts —
 //     through a single batched mha::decode_attention_paged call over the

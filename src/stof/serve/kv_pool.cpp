@@ -578,8 +578,8 @@ mha::KvSidecar KvPool::sidecar(SessionId id, core::PanelPrecision tier) {
     pages.v_ptrs[pi] = pages.v_refs[pi].data();
     return pages.k_refs[pi].converted_elems + pages.v_refs[pi].converted_elems;
   });
-  // Decode-sidecar traffic alone (prefill panels excluded): float views
-  // write 2 bytes/elem, mirroring exec.panelcache.bytes_converted units.
+  // Sidecar traffic (prefill and decode read the same float pages): float
+  // views write 2 bytes/elem, mirroring exec.panelcache.bytes_converted.
   if (elems > 0) {
     telemetry::count("serve.kv.sidecar_bytes_converted", 2 * elems);
   }

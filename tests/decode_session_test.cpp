@@ -6,6 +6,7 @@
 
 #include <cstring>
 
+#include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
@@ -299,6 +300,102 @@ TEST(DecodeSession, PagedSeqValidation) {
   PagedSeq short_blocks = s;
   short_blocks.context_len = 17;  // needs two blocks, has one
   EXPECT_THROW(short_blocks.validate(2, 32), Error);
+}
+
+// ---- Paged prefill: the block-wise kernel over KV-pool pages ---------------
+
+/// Every prefill window [begin, len) of a context whose K/V sit in a KV
+/// pool must equal the padded-tensor block-wise pass over the same prefix
+/// BSR, byte for byte, whichever K/V source the kernel reads: the half
+/// pages (scalar reference), the pool's float sidecar, or per-visit page
+/// conversion (no sidecar), on every ISA.
+void expect_paged_prefill_matches_padded(masks::PatternKind kind,
+                                         std::int64_t len) {
+  constexpr std::int64_t kSeq = 64;  // padded length of the base BSR
+  const BlockwiseParams params{16, 16};
+  const std::int64_t row = kHeads * kHeadSize;
+  const MhaDims dims{1, kHeads, kSeq, kHeadSize};
+  TensorH q(dims.qkv_shape()), k(dims.qkv_shape()), v(dims.qkv_shape());
+  Rng rng(50 + static_cast<std::uint64_t>(len));
+  q.fill_random(rng);
+  k.fill_random(rng);
+  v.fill_random(rng);
+  const auto base = sparse::BsrMask::build(
+      masks::MaskSpec{.kind = kind, .seq_len = kSeq}.build() &
+          masks::causal(kSeq),
+      params.block_m, params.block_n);
+  const sparse::BsrMask prefix = base.prefix(len);
+
+  core::PanelCacheRegistry registry;
+  serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize},
+                     &registry);
+  // Token-major rows, as the pool and the serving engine store them.
+  const auto token_rows = [&](const TensorH& t, std::int64_t lo) {
+    std::vector<half> out(static_cast<std::size_t>((len - lo) * row));
+    for (std::int64_t pos = lo; pos < len; ++pos) {
+      for (std::int64_t h = 0; h < kHeads; ++h) {
+        std::memcpy(&out[static_cast<std::size_t>((pos - lo) * row +
+                                                  h * kHeadSize)],
+                    &t.at(h, pos, 0), kHeadSize * sizeof(half));
+      }
+    }
+    return out;
+  };
+  const auto k_rows = token_rows(k, 0);
+  const auto v_rows = token_rows(v, 0);
+  for (std::int64_t pos = 0; pos < len; ++pos) {
+    auto slot = pool.append_token(0);
+    ASSERT_TRUE(slot.has_value());
+    std::memcpy(slot->k, &k_rows[static_cast<std::size_t>(pos * row)],
+                row * sizeof(half));
+    std::memcpy(slot->v, &v_rows[static_cast<std::size_t>(pos * row)],
+                row * sizeof(half));
+  }
+
+  for (const std::int64_t begin : {std::int64_t{0}, std::int64_t{19},
+                                   std::int64_t{32}, len - 1}) {
+    const std::int64_t q_lo = begin / params.block_m * params.block_m;
+    const std::int64_t qb_hi = (len + params.block_m - 1) / params.block_m;
+    TensorH want;
+    {
+      ScopedPackedExecution scalar(false);
+      want = blockwise_attention(dims, q, k, v, prefix, params, nullptr,
+                                 q_lo / params.block_m, qb_hi);
+    }
+    const auto want_rows = token_rows(want, begin);
+    const auto q_rows = token_rows(q, q_lo);
+    const auto run = [&](bool packed, bool sidecar) {
+      ScopedPackedExecution mode(packed);
+      const PagedSeq kv{len, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
+                        {},
+                        sidecar ? pool.sidecar(0, core::PanelPrecision::kFloat32)
+                                : KvSidecar{}};
+      std::vector<half> out(want_rows.size());
+      blockwise_attention_paged(kHeads, kHeadSize, kv, prefix, params, q_rows,
+                                q_lo, out, begin);
+      return std::memcmp(out.data(), want_rows.data(),
+                         out.size() * sizeof(half)) == 0;
+    };
+    EXPECT_TRUE(run(false, false)) << "scalar begin=" << begin;
+    for (const core::Isa isa : core::available_isas()) {
+      core::ScopedKernelIsa pin(isa);
+      EXPECT_TRUE(run(true, true))
+          << core::isa_name(isa) << " sidecar begin=" << begin;
+      EXPECT_TRUE(run(true, false))
+          << core::isa_name(isa) << " converted begin=" << begin;
+    }
+  }
+}
+
+TEST(PagedPrefill, WindowsMatchPaddedPassOnEverySource) {
+  for (const auto kind : {masks::PatternKind::kCausal,
+                          masks::PatternKind::kBigBird,
+                          masks::PatternKind::kStrided}) {
+    for (const std::int64_t len : {std::int64_t{33}, std::int64_t{48},
+                                   std::int64_t{64}}) {
+      expect_paged_prefill_matches_padded(kind, len);
+    }
+  }
 }
 
 TEST(DecodeSession, BatchedCostScalesWithContextAndBatch) {

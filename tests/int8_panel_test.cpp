@@ -201,8 +201,8 @@ TEST(KvPanelCacheInt8, QuantizesPerInstancePanelsBothModes) {
 
   for (PanelCacheRegistry* registry :
        {static_cast<PanelCacheRegistry*>(nullptr), &global_panel_cache()}) {
-    const mha::KvPanelCache cache(k, v, kv, seq, d, /*transpose_k=*/true,
-                                  registry, PanelPrecision::kInt8);
+    const mha::KvPanelCache cache(k, v, kv, seq, d, registry,
+                                  PanelPrecision::kInt8);
     EXPECT_EQ(cache.precision(), PanelPrecision::kInt8);
     for (std::int64_t i = 0; i < kv; ++i) {
       const float ks = cache.k_scale(i), vs = cache.v_scale(i);
@@ -235,10 +235,8 @@ TEST(KvPanelCacheInt8, RegistryModeQuantizesOnce) {
   k.fill_random(rng);
   v.fill_random(rng);
   PanelCacheRegistry reg;
-  const mha::KvPanelCache a(k, v, kv, seq, d, false, &reg,
-                            PanelPrecision::kInt8);
-  const mha::KvPanelCache b(k, v, kv, seq, d, false, &reg,
-                            PanelPrecision::kInt8);
+  const mha::KvPanelCache a(k, v, kv, seq, d, &reg, PanelPrecision::kInt8);
+  const mha::KvPanelCache b(k, v, kv, seq, d, &reg, PanelPrecision::kInt8);
   // Second cache is a pure hit on the same buffers: identical code bytes.
   EXPECT_EQ(a.v_panel_i8(0), b.v_panel_i8(0));
   EXPECT_EQ(reg.stats().hits, 2);  // K and V

@@ -14,6 +14,7 @@
 // and exercises the dispatcher's environment override.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -389,19 +390,48 @@ struct LaneTileRun {
   std::vector<float> m, l, acc;
 };
 
+/// Row strides of a lane tile's K and V operands, and the element offset
+/// of the viewed head inside each row (a KV-pool page stores a token's
+/// heads side by side, so head h starts h * d into the row).
+struct LaneLayout {
+  const char* name;
+  std::int64_t ldk_extra;  ///< ldk = d * ld_heads + ldk_extra
+  std::int64_t ldv_extra;
+  std::int64_t ld_heads;
+  std::int64_t head;
+};
+
+constexpr LaneLayout kLaneLayouts[] = {
+    {"tight", 0, 0, 1, 0},     // a padded tensor's float panel: stride d
+    {"pool", 0, 0, 4, 2},      // a KV page with 4 heads, viewing head 2
+    {"odd", 3, 7, 1, 0},       // odd strides, unequal for K and V
+};
+
+/// Lays out `rows` logical rows of `d` floats at stride `ld`, starting
+/// `off` into each row; the gaps hold NaN so a stray read shows.
+std::vector<float> strided(const std::vector<float>& dense, std::int64_t rows,
+                           std::int64_t d, std::int64_t ld, std::int64_t off) {
+  std::vector<float> out(static_cast<std::size_t>(rows * ld),
+                         std::numeric_limits<float>::quiet_NaN());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::copy_n(dense.data() + r * d, d, out.data() + r * ld + off);
+  }
+  return out;
+}
+
 /// Four chained key blocks through one table's lane tile: a part block
 /// whose bitmap leaves some rows fully masked, a full block, a part block
 /// with tail columns, and a band whose leading and trailing columns are
 /// masked in every row.  `inf_v` puts +inf in a V row of a masked column:
 /// 0 * inf is NaN, so a table must visit that column as the scalar loop
-/// does.
+/// does.  K and V are row-major at the strides `layout` gives.
 LaneTileRun run_lane_tile(const KernelTable& kt, std::int64_t rows,
                           std::int64_t d, std::int64_t bn, bool hook,
-                          bool inf_v) {
+                          bool inf_v, const LaneLayout& layout) {
   constexpr std::int64_t kBlocks = 4;
   const std::int64_t lanes =
       (rows + kLaneTileWidth - 1) / kLaneTileWidth * kLaneTileWidth;
-  const std::int64_t ldk = kBlocks * bn + 5;
+  const std::int64_t keys = kBlocks * bn;
   std::vector<float> qt(static_cast<std::size_t>(d * lanes), 0.0f);
   const auto q = random_floats(d * rows, 50 + rows);
   for (std::int64_t e = 0; e < d; ++e) {
@@ -410,9 +440,13 @@ LaneTileRun run_lane_tile(const KernelTable& kt, std::int64_t rows,
           q[static_cast<std::size_t>(e * rows + r)];
     }
   }
-  const auto k = random_floats(d * ldk, 60 + d);
-  auto v = random_floats(kBlocks * bn * d, 70 + d);
-  if (inf_v) v[static_cast<std::size_t>((3 * bn + 1) * d + d / 2)] = kInf;
+  auto v_dense = random_floats(keys * d, 70 + d);
+  if (inf_v) v_dense[static_cast<std::size_t>((3 * bn + 1) * d + d / 2)] = kInf;
+  const std::int64_t off = layout.head * d;
+  const std::int64_t ldk = d * layout.ld_heads + layout.ldk_extra;
+  const std::int64_t ldv = d * layout.ld_heads + layout.ldv_extra;
+  const auto k = strided(random_floats(keys * d, 60 + d), keys, d, ldk, off);
+  const auto v = strided(v_dense, keys, d, ldv, off);
   Rng rng(80 + static_cast<std::uint64_t>(bn));
   const auto bitmap = [&](auto bit) {
     std::vector<std::uint8_t> out(static_cast<std::size_t>(lanes * bn));
@@ -443,29 +477,37 @@ LaneTileRun run_lane_tile(const KernelTable& kt, std::int64_t rows,
                                           band.data()};
   for (std::int64_t blk = 0; blk < kBlocks; ++blk) {
     const std::int64_t cols = blk == 2 ? bn - 3 : bn;
-    kt.attn_lane_block(tile, LaneBlock{k.data() + blk * bn, ldk,
-                                       v.data() + blk * bn * d, cols,
-                                       bitmaps[blk], bn, scale, h, nullptr});
+    kt.attn_lane_block(
+        tile, LaneBlock{k.data() + blk * bn * ldk + off, ldk,
+                        v.data() + blk * bn * ldv + off, ldv, cols,
+                        bitmaps[blk], bn, scale, h, nullptr});
   }
   return run;
 }
 
 TEST(KernelDispatch, LaneTileMatchesScalarOnEveryIsa) {
+  // Every table, at every K/V row stride, must reproduce the scalar table
+  // on tight panels byte for byte: the stride only says where a row lives.
+  std::vector<Isa> isas = simd_isas();
+  isas.insert(isas.begin(), Isa::kScalar);
   for (const std::int64_t rows : {1, 7, 16, 23, 64}) {
     for (const std::int64_t d : {5, 16, 24, 32, 64}) {
       for (const std::int64_t bn : {16, 32, 64}) {
         for (const bool hook : {false, true}) {
           for (const bool inf_v : {false, true}) {
             const auto ref = run_lane_tile(scalar_kernel_table(), rows, d, bn,
-                                           hook, inf_v);
-            for (const Isa isa : simd_isas()) {
-              const auto got = run_lane_tile(kernel_table_for(isa), rows, d,
-                                             bn, hook, inf_v);
-              EXPECT_TRUE(bytes_equal(ref.m, got.m) &&
-                          bytes_equal(ref.l, got.l) &&
-                          bytes_equal(ref.acc, got.acc))
-                  << isa_name(isa) << " rows=" << rows << " d=" << d
-                  << " bn=" << bn << " hook=" << hook << " inf_v=" << inf_v;
+                                           hook, inf_v, kLaneLayouts[0]);
+            for (const Isa isa : isas) {
+              for (const LaneLayout& layout : kLaneLayouts) {
+                const auto got = run_lane_tile(kernel_table_for(isa), rows, d,
+                                               bn, hook, inf_v, layout);
+                EXPECT_TRUE(bytes_equal(ref.m, got.m) &&
+                            bytes_equal(ref.l, got.l) &&
+                            bytes_equal(ref.acc, got.acc))
+                    << isa_name(isa) << " layout=" << layout.name
+                    << " rows=" << rows << " d=" << d << " bn=" << bn
+                    << " hook=" << hook << " inf_v=" << inf_v;
+              }
             }
           }
         }

@@ -248,12 +248,12 @@ TEST_P(PackedLaneTile, BitIdenticalToScalarOnEveryIsa) {
       {
         ScopedPackedExecution scalar_mode(false);
         want = mha::blockwise_attention(dims, q, k, v, bsr, params, mod,
-                                        nullptr, 0, begin, end);
+                                        begin, end);
       }
       for (const core::Isa isa : core::available_isas()) {
         core::ScopedKernelIsa pin(isa);
         const TensorH got = mha::blockwise_attention(
-            dims, q, k, v, bsr, params, mod, nullptr, 0, begin, end);
+            dims, q, k, v, bsr, params, mod, begin, end);
         EXPECT_TRUE(bits_equal(want, got))
             << core::isa_name(isa) << " mod=" << with_mod << " window=["
             << begin << "," << end << ")";

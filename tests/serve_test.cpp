@@ -4,6 +4,10 @@
 // without KV-pressure preemption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "stof/core/packed.hpp"
 #include "stof/serve/engine.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
@@ -91,6 +95,25 @@ std::vector<Request> mixed_trace() {
       {4, 16, 4, 105, masks::PatternKind::kBigBird, 25.0},
       {5, 9, 7, 106, masks::PatternKind::kSlidingWindow, 40.0},
   };
+}
+
+/// Causal-only requests; even ids share a 40-token template (so a
+/// prefix-sharing engine adopts pages), and the later arrivals come after
+/// the donor's prefill has published its pages.
+std::vector<Request> causal_template_trace() {
+  std::vector<Request> out;
+  const std::int64_t prompts[] = {45, 12, 70, 41, 93, 28, 57, 66};
+  for (std::int64_t i = 0; i < 8; ++i) {
+    Request r{static_cast<SessionId>(i), prompts[i], 4 + i % 5,
+              static_cast<std::uint64_t>(300 + i), masks::PatternKind::kCausal,
+              i == 0 ? 0.0 : 40.0 + 3.0 * static_cast<double>(i)};
+    if (i % 2 == 0) {
+      r.template_seed = 77;
+      r.template_len = 40;
+    }
+    out.push_back(r);
+  }
+  return out;
 }
 
 /// Open-loop trace replay: submit arrivals as the sim clock reaches them.
@@ -282,6 +305,30 @@ TEST(ServeChunkedPrefill, ChunkSizeSweepKeepsDigestsBitIdentical) {
       EXPECT_GT(chunked.stats().prefill_chunks, 20);
     }
   }
+}
+
+TEST(ServeChunkedPrefill, ScalarReferenceMatchesPackedEngine) {
+  // The scalar reference reads the pool's half pages, the packed engine
+  // its float sidecar: chunked windows (rows [0, begin) come from the
+  // pool) and prefix adoption must give the same digests either way.
+  auto trace = causal_template_trace();
+  for (Request r : mixed_trace()) {
+    r.id += 8;
+    trace.push_back(r);
+  }
+  std::ranges::stable_sort(trace, {}, &Request::arrival_us);
+  EngineConfig cfg = chunked_config(64, 24);
+  cfg.max_seq_len = 128;
+  std::map<SessionId, std::uint64_t> digests[2];
+  for (const bool packed : {false, true}) {
+    ScopedPackedExecution mode(packed);
+    Engine engine(cfg);
+    replay(engine, trace);
+    for (const auto& r : trace) {
+      digests[packed][r.id] = engine.session(r.id).digest;
+    }
+  }
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(ServeChunkedPrefill, InterleavesChunksWithDecodesInOneStep) {
@@ -767,6 +814,45 @@ TEST(ServeEngine, ConfigValidatesPagedDecodeContract) {
   EXPECT_THROW(Engine{cfg}, Error);
   EngineConfig tiny = small_config(SchedulerMode::kContinuous, 2);
   EXPECT_THROW(Engine{tiny}, Error);  // pool smaller than one context
+}
+
+// ---- Padding independence --------------------------------------------------
+
+TEST(ServePadding, DigestsAndSimTimeIgnoreMaxSeqLen) {
+  // Prefill reads K/V from the pool and stages only the window's rows, so
+  // nothing it computes or charges depends on the padded length: each of
+  // the three ways of serving the trace (whole prefills, 24-token chunks,
+  // prefix sharing) gives the same digests and simulated time at
+  // max_seq_len 256 and 2048, and the digests agree across the three.
+  const auto trace = causal_template_trace();
+  enum class Way { kWhole, kChunked, kShared };
+  std::map<SessionId, std::uint64_t> reference;
+  for (const Way way : {Way::kWhole, Way::kChunked, Way::kShared}) {
+    std::map<SessionId, std::uint64_t> digests[2];
+    double sim_us[2] = {0, 0};
+    std::int64_t adopted = 0;
+    for (int i = 0; i < 2; ++i) {
+      EngineConfig cfg = small_config(SchedulerMode::kContinuous, 128);
+      cfg.max_seq_len = i == 0 ? 256 : 2048;
+      cfg.scheduler.prefill_token_budget = 2048;
+      cfg.scheduler.chunk_tokens = way == Way::kChunked ? 24 : 0;
+      cfg.scheduler.prefix_sharing = way == Way::kShared;
+      Engine engine(cfg);
+      replay(engine, trace);
+      for (const auto& r : trace) {
+        ASSERT_EQ(engine.session(r.id).phase, SessionPhase::kFinished);
+        digests[i][r.id] = engine.session(r.id).digest;
+        adopted += engine.session(r.id).adopted_tokens;
+      }
+      sim_us[i] = engine.sim_time_us();
+    }
+    const int w = static_cast<int>(way);
+    EXPECT_EQ(digests[0], digests[1]) << "way " << w;
+    EXPECT_EQ(sim_us[0], sim_us[1]) << "way " << w;
+    EXPECT_EQ(adopted > 0, way == Way::kShared) << "way " << w;
+    if (way == Way::kWhole) reference = digests[0];
+    EXPECT_EQ(reference, digests[0]) << "way " << w;
+  }
 }
 
 }  // namespace
