@@ -590,7 +590,7 @@ Entry bench_serve_decode_long(bool quick) {
 ///   * determinism — two INT8 replays must produce identical digests
 ///     (quantize-once codes are a pure function of the session tokens);
 ///   * conversion traffic — the INT8 sidecar must write well under the FP32
-///     sidecar's exec.panelcache.bytes_converted (1 byte/elem vs 2).
+///     sidecar's serve.kv.sidecar_bytes_converted (1 byte/elem vs 2).
 Entry bench_serve_decode_long_int8(bool quick) {
   namespace sb = stof::serve::bench;
   sb::TraceConfig tc;
@@ -805,17 +805,19 @@ Entry bench_serve_prefix_shared(bool quick) {
               << "; gate: within 10% of the floor)\n";
     e.aux_ok = false;
   }
-  // Shared pages share one INT8 sidecar panel, so conversion bytes fall
-  // with unique pages, not with sessions.
+  // Shared pages share one INT8 sidecar page, so conversion bytes fall
+  // with unique pages, not with sessions.  The total adds the KV pool's
+  // sidecar bytes to the panel registry's (weight and tensor panels).
   const std::int64_t on_sidecar =
       e.counters["serve.kv.sidecar_bytes_converted"];
-  const std::int64_t on_converted =
-      e.counters["exec.panelcache.bytes_converted"];
-  if (on_sidecar * 2 > off_sidecar || on_converted >= off_converted) {
+  const std::int64_t on_total =
+      e.counters["exec.panelcache.bytes_converted"] + on_sidecar;
+  const std::int64_t off_total = off_converted + off_sidecar;
+  if (on_sidecar * 2 > off_sidecar || on_total >= off_total) {
     std::cerr << e.name << ": sharing saved too little conversion traffic "
               << "(sidecar " << on_sidecar << "/" << off_sidecar
-              << " bytes, gate: under half; total converted " << on_converted
-              << "/" << off_converted << " bytes, gate: lower)\n";
+              << " bytes, gate: under half; total converted " << on_total
+              << "/" << off_total << " bytes, gate: lower)\n";
     e.aux_ok = false;
   }
   return e;

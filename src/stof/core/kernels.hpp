@@ -105,11 +105,6 @@ struct KernelTable {
   /// C += A x B, contiguous row-major panels (see packed::sgemm_accumulate).
   void (*sgemm_accumulate)(const float* a, const float* b, float* c,
                            std::int64_t rows, std::int64_t k, std::int64_t n);
-  /// C += A x B with explicit leading dimensions (packed::sgemm_accumulate_ld).
-  void (*sgemm_accumulate_ld)(const float* a, std::int64_t lda, const float* b,
-                              std::int64_t ldb, float* c, std::int64_t ldc,
-                              std::int64_t rows, std::int64_t depth,
-                              std::int64_t cols);
 
   // ---- Decode / softmax primitives ----------------------------------------
   /// out[i] = dot(q, row_i) where row_i = base + (idx ? idx[i] : i) * stride.

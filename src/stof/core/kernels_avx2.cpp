@@ -677,7 +677,6 @@ void fill_avx2(KernelTable& table) {
   table.half_to_float = half_to_float_avx2;
   table.float_to_half = float_to_half_avx2;
   table.sgemm_accumulate = sgemm_accumulate_avx2;
-  table.sgemm_accumulate_ld = sgemm_accumulate_ld_avx2;
   table.dot_rows = dot_rows_avx2;
   table.axpy = axpy_avx2;
   table.axpby = axpby_avx2;

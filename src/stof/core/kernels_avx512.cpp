@@ -536,7 +536,6 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
 
 void fill_avx512(KernelTable& table) {
   table.sgemm_accumulate = sgemm_accumulate_avx512;
-  table.sgemm_accumulate_ld = sgemm_accumulate_ld_avx512;
   table.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_avx512;
   table.exp_row = exp_row_avx512;
   table.attn_lane_block = attn_lane_block_avx512;

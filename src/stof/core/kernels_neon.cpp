@@ -171,7 +171,6 @@ float abs_max_neon(const float* x, std::int64_t n) {
 
 void fill_neon(KernelTable& table) {
   table.sgemm_accumulate = sgemm_accumulate_neon;
-  table.sgemm_accumulate_ld = sgemm_accumulate_ld_neon;
   table.axpy = axpy_neon;
   table.axpby = axpby_neon;
   table.scale_inplace = scale_inplace_neon;

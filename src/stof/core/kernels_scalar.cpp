@@ -19,8 +19,19 @@
 // This translation unit has no -mfma, so std::fma would be a libm call
 // (about 4x the cost of libm's expf).  On x86-64 an fma clone, picked at
 // load time on FMA hardware, inlines it as one instruction; fma is exactly
-// rounded either way, so both clones return the same bits.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+// rounded either way, so both clones return the same bits.  ThreadSanitizer
+// builds keep the default clone only: the clones' ifunc resolver runs while
+// the loader relocates the program, before the TSan runtime is set up, and
+// its instrumented entry crashes the process at load.
+#if defined(__SANITIZE_THREAD__)
+#define STOF_TSAN_ENABLED 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define STOF_TSAN_ENABLED 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
+    !defined(STOF_TSAN_ENABLED)
 #if __has_attribute(target_clones)
 #define STOF_EXP_F32_CLONES __attribute__((target_clones("fma", "default")))
 #endif
@@ -113,65 +124,6 @@ void sgemm_accumulate_scalar(const float* a, const float* b, float* c,
           for (std::int64_t j = 0; j < nw; ++j) cr[j] += av * br[j];
         }
       }
-    }
-  }
-}
-
-void sgemm_accumulate_ld_scalar(const float* a, std::int64_t lda,
-                                const float* b, std::int64_t ldb, float* c,
-                                std::int64_t ldc, std::int64_t rows,
-                                std::int64_t depth, std::int64_t cols) {
-  // 2x2 register block: two output rows share each pair of B-row loads,
-  // and C is loaded/stored once per two reduction steps.  The chained
-  // (c + t0) + t1 sum is the same left-to-right association as two
-  // sequential `c += t` steps, so the rounding sequence per output element
-  // is unchanged.
-  constexpr std::int64_t kMR = 2;
-  constexpr std::int64_t kKU = 2;
-  std::int64_t r = 0;
-  for (; r + kMR <= rows; r += kMR) {
-    const float* a0 = a + r * lda;
-    const float* a1 = a0 + lda;
-    float* c0 = c + r * ldc;
-    float* c1 = c0 + ldc;
-    std::int64_t e = 0;
-    for (; e + kKU <= depth; e += kKU) {
-      const float* b0 = b + e * ldb;
-      const float* b1 = b0 + ldb;
-      const float av00 = a0[e], av01 = a0[e + 1];
-      const float av10 = a1[e], av11 = a1[e + 1];
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const float b0j = b0[j], b1j = b1[j];
-        c0[j] = (c0[j] + av00 * b0j) + av01 * b1j;
-        c1[j] = (c1[j] + av10 * b0j) + av11 * b1j;
-      }
-    }
-    for (; e < depth; ++e) {
-      const float* bv = b + e * ldb;
-      const float av0 = a0[e], av1 = a1[e];
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const float bj = bv[j];
-        c0[j] += av0 * bj;
-        c1[j] += av1 * bj;
-      }
-    }
-  }
-  for (; r < rows; ++r) {
-    const float* ar = a + r * lda;
-    float* cr = c + r * ldc;
-    std::int64_t e = 0;
-    for (; e + kKU <= depth; e += kKU) {
-      const float* b0 = b + e * ldb;
-      const float* b1 = b0 + ldb;
-      const float av0 = ar[e], av1 = ar[e + 1];
-      for (std::int64_t j = 0; j < cols; ++j) {
-        cr[j] = (cr[j] + av0 * b0[j]) + av1 * b1[j];
-      }
-    }
-    for (; e < depth; ++e) {
-      const float* bv = b + e * ldb;
-      const float av = ar[e];
-      for (std::int64_t j = 0; j < cols; ++j) cr[j] += av * bv[j];
     }
   }
 }
@@ -352,7 +304,6 @@ const KernelTable& scalar_kernel_table() {
     t.half_to_float = half_to_float_scalar;
     t.float_to_half = float_to_half_scalar;
     t.sgemm_accumulate = sgemm_accumulate_scalar;
-    t.sgemm_accumulate_ld = sgemm_accumulate_ld_scalar;
     t.dot_rows = dot_rows_scalar;
     t.axpy = axpy_scalar;
     t.axpby = axpby_scalar;

@@ -73,15 +73,6 @@ void sgemm_accumulate(const float* a, const float* b, float* c,
   core::kernels().sgemm_accumulate(a, b, c, rows, k, n);
 }
 
-void sgemm_accumulate_ld(const float* a, std::int64_t lda, const float* b,
-                         std::int64_t ldb, float* c, std::int64_t ldc,
-                         std::int64_t rows, std::int64_t depth,
-                         std::int64_t cols) {
-  core::note_kernel_dispatch("sgemm_accumulate_ld");
-  core::kernels().sgemm_accumulate_ld(a, lda, b, ldb, c, ldc, rows, depth,
-                                      cols);
-}
-
 void quantize_floats(const float* src, std::int64_t count, std::int64_t group,
                      std::int8_t* dst, float* scales) {
   STOF_EXPECTS(group > 0 && count % group == 0,

@@ -68,32 +68,6 @@ void float_to_half(std::span<const float> src, std::span<half> dst);
 void sgemm_accumulate(const float* a, const float* b, float* c,
                       std::int64_t rows, std::int64_t k, std::int64_t n);
 
-/// Strided-panel variant of sgemm_accumulate, the micro-kernel of the
-/// block-wise MHA tile GEMMs: C += A x B with explicit leading dimensions,
-/// C[r*ldc + j] += sum_e A[r*lda + e] * B[e*ldb + j].  Callers zero (or
-/// seed) C themselves — a dot product that starts from 0.0f and adds its
-/// terms in ascending e order rounds identically.
-///
-///   * QK^T:  A = Q tile (rows x d), B = transposed K panel (d x seq,
-///            ldb = seq), a `cols`-wide column window starting at the
-///            block's first key;
-///   * PV:    A = softmax weights (rows x block_n, lda = block_n),
-///            B = row-major V panel rows (cols x d, ldb = d).
-///
-/// The kernel runs a 2x2 register block (kMR = 2 output rows, kKU = 2
-/// depth steps): each pair of B-row loads feeds two output rows, and C is
-/// loaded/stored once per two reduction steps instead of once per step.
-/// The inner saxpy runs over *independent* output columns, so the compiler
-/// may vectorize it freely: each output element still sums its `depth`
-/// terms strictly ascending (the chained (c + t0) + t1 add is the same
-/// left-to-right association as two sequential `c += t` steps).  Only the
-/// reduction dimension must stay serial per output; reordering across
-/// outputs cannot break the bit-identity contract.
-void sgemm_accumulate_ld(const float* a, std::int64_t lda, const float* b,
-                         std::int64_t ldb, float* c, std::int64_t ldc,
-                         std::int64_t rows, std::int64_t depth,
-                         std::int64_t cols);
-
 // ---- INT8 quantized panel tier ---------------------------------------------
 //
 // Symmetric per-group quantization: scale = absmax/127 (with a degenerate

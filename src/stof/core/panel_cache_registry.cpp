@@ -1,7 +1,5 @@
 #include "stof/core/panel_cache_registry.hpp"
 
-#include <algorithm>
-
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::core {
@@ -17,123 +15,85 @@ std::size_t PanelCacheRegistry::entry_bytes(const Entry& e) {
   return bytes;
 }
 
-void PanelCacheRegistry::convert_range_locked(Entry& entry, std::int64_t lo,
-                                              std::int64_t hi,
-                                              const Converter& convert,
-                                              PanelRef& ref) {
-  if (lo >= hi) return;
-  convert(lo, hi, entry.buffer->data());
-  entry.valid = std::max(entry.valid, hi);
-  ref.converted_elems += hi - lo;
-  const std::int64_t bytes = (hi - lo) * 2;  // source halfs
-  stats_.bytes_converted += bytes;
-  telemetry::count("exec.panelcache.bytes_converted", bytes);
+PanelCacheRegistry::Entry* PanelCacheRegistry::lookup_locked(
+    PanelKey key, std::uint64_t version) {
+  ++tick_;
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    if (it->second.version == version) {
+      it->second.lru = tick_;
+      stats_.hits += 1;
+      telemetry::count("exec.panelcache.hits");
+      return &it->second;
+    }
+    // Stale generation: the storage was mutated since this panel was
+    // converted.  Discard and fall through to a fresh miss.
+    stats_.invalidations += 1;
+    telemetry::count("exec.panelcache.invalidations");
+    resident_bytes_ -= entry_bytes(it->second);
+    entries_.erase(it);
+  }
+  stats_.misses += 1;
+  telemetry::count("exec.panelcache.misses");
+  return nullptr;
 }
 
-void PanelCacheRegistry::convert_range_i8_locked(Entry& entry, std::int64_t lo,
-                                                 std::int64_t hi,
-                                                 const Int8Converter& convert,
-                                                 Int8PanelRef& ref) {
-  if (lo >= hi) return;
-  convert(lo, hi, entry.codes->data(), entry.scales->data());
-  entry.valid = std::max(entry.valid, hi);
-  ref.converted_elems += hi - lo;
-  const std::int64_t bytes = hi - lo;  // destination int8 codes, 1/elem
+void PanelCacheRegistry::insert_locked(PanelKey key, Entry entry,
+                                       std::int64_t bytes) {
   stats_.bytes_converted += bytes;
   telemetry::count("exec.panelcache.bytes_converted", bytes);
+  entry.lru = tick_;
+  resident_bytes_ += entry_bytes(entry);
+  entries_.emplace(key, std::move(entry));
+  evict_over_capacity_locked(key);
 }
 
 PanelRef PanelCacheRegistry::get_or_convert(PanelKey key,
                                             std::uint64_t version,
                                             std::int64_t total_elems,
-                                            std::int64_t valid_elems,
                                             const Converter& convert) {
   STOF_EXPECTS(key.storage != 0, "panel key needs a real storage id");
-  STOF_EXPECTS(total_elems > 0 && valid_elems >= 0 &&
-                   valid_elems <= total_elems,
-               "valid prefix must fit the panel");
+  STOF_EXPECTS(total_elems > 0, "panel must hold elements");
   std::lock_guard<std::mutex> lock(mu_);
-  ++tick_;
   PanelRef ref;
-
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    Entry& e = it->second;
-    STOF_CHECK(static_cast<std::int64_t>(e.buffer->size()) == total_elems,
+  if (const Entry* e = lookup_locked(key, version)) {
+    STOF_CHECK(e->buffer != nullptr &&
+                   static_cast<std::int64_t>(e->buffer->size()) == total_elems,
                "panel size changed under a live storage key");
-    if (e.version == version) {
-      // Hit; extend the converted prefix if the storage appended rows.
-      e.lru = tick_;
-      stats_.hits += 1;
-      telemetry::count("exec.panelcache.hits");
-      convert_range_locked(e, e.valid, valid_elems, convert, ref);
-      ref.buffer = e.buffer;
-      return ref;
-    }
-    // Stale generation: the storage was mutated or recycled since this
-    // panel was converted.  Discard and fall through to a fresh miss.
-    stats_.invalidations += 1;
-    telemetry::count("exec.panelcache.invalidations");
-    resident_bytes_ -= entry_bytes(e);
-    entries_.erase(it);
+    ref.buffer = e->buffer;
+    return ref;
   }
-
-  stats_.misses += 1;
-  telemetry::count("exec.panelcache.misses");
   Entry e;
   e.buffer = std::make_shared<std::vector<float>>(
       static_cast<std::size_t>(total_elems));
   e.version = version;
-  e.lru = tick_;
-  convert_range_locked(e, 0, valid_elems, convert, ref);
+  convert(e.buffer->data());
   ref.buffer = e.buffer;
-  resident_bytes_ += entry_bytes(e);
-  entries_.emplace(key, std::move(e));
-  evict_over_capacity_locked(key);
+  ref.converted_elems = total_elems;
+  insert_locked(key, std::move(e), total_elems * 2);  // source halfs
   return ref;
 }
 
 Int8PanelRef PanelCacheRegistry::get_or_convert_int8(
     PanelKey key, std::uint64_t version, std::int64_t total_elems,
-    std::int64_t valid_elems, std::int64_t scale_group,
-    const Int8Converter& convert) {
+    std::int64_t scale_group, const Int8Converter& convert) {
   STOF_EXPECTS(key.storage != 0, "panel key needs a real storage id");
   STOF_EXPECTS((key.variant & kPanelInt8) != 0,
                "int8 panel keys must carry the kPanelInt8 variant flag");
-  STOF_EXPECTS(total_elems > 0 && valid_elems >= 0 &&
-                   valid_elems <= total_elems,
-               "valid prefix must fit the panel");
-  STOF_EXPECTS(scale_group > 0 && total_elems % scale_group == 0 &&
-                   valid_elems % scale_group == 0,
-               "element counts must be scale_group multiples");
+  STOF_EXPECTS(total_elems > 0 && scale_group > 0 &&
+                   total_elems % scale_group == 0,
+               "element count must be a scale_group multiple");
   std::lock_guard<std::mutex> lock(mu_);
-  ++tick_;
   Int8PanelRef ref;
-
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    Entry& e = it->second;
-    STOF_CHECK(e.codes != nullptr &&
-                   static_cast<std::int64_t>(e.codes->size()) == total_elems &&
-                   e.scale_group == scale_group,
+  if (const Entry* e = lookup_locked(key, version)) {
+    STOF_CHECK(e->codes != nullptr &&
+                   static_cast<std::int64_t>(e->codes->size()) == total_elems &&
+                   e->scale_group == scale_group,
                "int8 panel geometry changed under a live storage key");
-    if (e.version == version) {
-      e.lru = tick_;
-      stats_.hits += 1;
-      telemetry::count("exec.panelcache.hits");
-      convert_range_i8_locked(e, e.valid, valid_elems, convert, ref);
-      ref.codes = e.codes;
-      ref.scales = e.scales;
-      return ref;
-    }
-    stats_.invalidations += 1;
-    telemetry::count("exec.panelcache.invalidations");
-    resident_bytes_ -= entry_bytes(e);
-    entries_.erase(it);
+    ref.codes = e->codes;
+    ref.scales = e->scales;
+    return ref;
   }
-
-  stats_.misses += 1;
-  telemetry::count("exec.panelcache.misses");
   Entry e;
   e.codes = std::make_shared<std::vector<std::int8_t>>(
       static_cast<std::size_t>(total_elems));
@@ -141,13 +101,12 @@ Int8PanelRef PanelCacheRegistry::get_or_convert_int8(
       static_cast<std::size_t>(total_elems / scale_group));
   e.scale_group = scale_group;
   e.version = version;
-  e.lru = tick_;
-  convert_range_i8_locked(e, 0, valid_elems, convert, ref);
+  convert(e.codes->data(), e.scales->data());
   ref.codes = e.codes;
   ref.scales = e.scales;
-  resident_bytes_ += entry_bytes(e);
-  entries_.emplace(key, std::move(e));
-  evict_over_capacity_locked(key);
+  ref.converted_elems = total_elems;
+  // Destination int8 codes, 1 byte per element.
+  insert_locked(key, std::move(e), total_elems);
   return ref;
 }
 
@@ -165,29 +124,6 @@ void PanelCacheRegistry::evict_over_capacity_locked(PanelKey keep) {
     entries_.erase(victim);
     stats_.evictions += 1;
   }
-}
-
-bool PanelCacheRegistry::invalidate(PanelKey key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  resident_bytes_ -= entry_bytes(it->second);
-  entries_.erase(it);
-  stats_.invalidations += 1;
-  telemetry::count("exec.panelcache.invalidations");
-  return true;
-}
-
-std::size_t PanelCacheRegistry::drop_storage(std::uint64_t storage) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t dropped = 0;
-  for (auto it = entries_.lower_bound(PanelKey{storage, 0});
-       it != entries_.end() && it->first.storage == storage;) {
-    resident_bytes_ -= entry_bytes(it->second);
-    it = entries_.erase(it);
-    ++dropped;
-  }
-  return dropped;
 }
 
 void PanelCacheRegistry::clear() {

@@ -1,11 +1,14 @@
 // Persistent cross-call float-panel cache.
 //
 // The packed-FP32 engine reads every half operand through an exact
-// half->float conversion.  PR 1/2 made that conversion a per-*call* cost
-// (KvPanelCache, GEMM operand packs); this registry makes it a per-*write*
-// cost: a converted panel is kept across calls, keyed on the identity of
-// the half storage it was converted from, and is reused until that storage
-// changes.  Three properties make the reuse safe:
+// half->float conversion.  Converting per call (KvPanelCache, GEMM operand
+// packs) pays it on every use; this registry makes it a per-*write* cost: a
+// converted panel is kept across calls, keyed on the identity of the half
+// storage it was converted from, and is reused until that storage changes.
+// Its two consumers convert whole tensors: ops::gemm's weight panels and
+// mha::KvPanelCache's K/V panels.  (The serving KV pool keeps its own
+// converted pages next to its half pages; see serve/kv_pool.hpp.)  Three
+// properties make the reuse safe:
 //
 //   * Keying on storage identity, not content: every Tensor allocation (and
 //     every synthetic key a holder mints via next_storage_id()) is
@@ -14,23 +17,16 @@
 //     a cached panel whose tag differs is discarded and reconverted —
 //     validity is checked, never assumed.
 //   * Pinning: get_or_convert() hands out shared ownership of the float
-//     buffer.  Capacity eviction or invalidation removes the registry
-//     entry but cannot free a panel a kernel still holds, and a buffer
-//     never reallocates after creation (incremental extension fills more
-//     of the same allocation), so panel pointers stay stable for as long
-//     as the handle lives.
-//
-// Incremental extension serves append-only storages (the serving KV pool's
-// pages): a hit whose valid prefix is shorter than requested converts only
-// the new suffix, which is what turns per-decode-step conversion from
-// O(context) into O(newly appended rows).
+//     buffer.  Capacity eviction or a stale-version discard removes the
+//     registry entry but cannot free a panel a kernel still holds, and a
+//     buffer never reallocates after creation, so panel pointers stay
+//     stable for as long as the handle lives.
 //
 // The registry also caches INT8-quantized panels (get_or_convert_int8):
 // symmetric per-group codes plus scales, keyed with the kPanelInt8 variant
 // flag so a storage's float and int8 panels coexist.  Quantize-once: codes
 // are derived from the half source exactly once per storage version, so
-// INT8 execution sees identical codes however often or incrementally a
-// panel is fetched.
+// INT8 execution sees identical codes however often a panel is fetched.
 //
 // Counters (emitted when telemetry is enabled, mirrored in local stats):
 //   exec.panelcache.hits            lookups served from a cached panel
@@ -39,7 +35,7 @@
 //                                   float panels (source half reconverts),
 //                                   1/elem for int8 panels — the INT8
 //                                   tier's conversion traffic is half
-//   exec.panelcache.invalidations   stale-version discards + invalidate()
+//   exec.panelcache.invalidations   stale-version discards
 #pragma once
 
 #include <cstdint>
@@ -93,7 +89,7 @@ struct Int8PanelRef {
 struct PanelCacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
-  std::int64_t invalidations = 0;  ///< stale versions + explicit invalidate()
+  std::int64_t invalidations = 0;  ///< stale-version discards
   std::int64_t evictions = 0;      ///< capacity (LRU) removals
   std::int64_t bytes_converted = 0;  ///< source half bytes (2 per element)
 };
@@ -107,55 +103,35 @@ class PanelCacheRegistry {
   static constexpr std::size_t kDefaultCapacityBytes =
       std::size_t{128} << 20;  // float bytes resident
 
-  /// Converts destination elements [lo, hi) of a panel.  `dst` is the base
-  /// of the full panel buffer (so row-major converters write dst+lo from
-  /// source elements [lo, hi); layout-changing converters may address the
-  /// whole buffer — they are only ever asked for the full [0, total) range
-  /// because non-append storages reconvert wholesale on any change).
-  using Converter =
-      std::function<void(std::int64_t lo, std::int64_t hi, float* dst)>;
+  /// Fills a whole panel buffer (`total_elems` floats) from its storage.
+  using Converter = std::function<void(float* dst)>;
 
-  /// Quantizes destination elements [lo, hi) of an INT8 panel; lo and hi
-  /// are always multiples of the entry's scale_group, and the converter
-  /// writes codes[lo, hi) plus scales[lo/group, hi/group).
-  using Int8Converter = std::function<void(
-      std::int64_t lo, std::int64_t hi, std::int8_t* codes, float* scales)>;
+  /// Quantizes a whole INT8 panel: `total_elems` codes plus one scale per
+  /// `scale_group` elements.
+  using Int8Converter = std::function<void(std::int8_t* codes, float* scales)>;
 
   explicit PanelCacheRegistry(
       std::size_t capacity_bytes = kDefaultCapacityBytes);
 
-  /// Fetch the panel for `key`, converting as little as possible:
-  ///   * no entry                      -> allocate, convert [0, valid)
-  ///   * version match, valid covered  -> pure hit, no conversion
-  ///   * version match, valid grew     -> convert only [cached, valid)
-  ///   * version mismatch              -> invalidate + full reconvert
-  /// `total_elems` fixes the buffer capacity for the key's lifetime;
-  /// `valid_elems` is the prefix that must be converted on return.
+  /// Fetch the panel for `key`:
+  ///   * version match    -> pure hit, no conversion
+  ///   * version mismatch -> discard (an invalidation), then as a miss
+  ///   * no entry         -> allocate `total_elems` floats and convert
+  /// `total_elems` fixes the buffer size for the key's lifetime.
   PanelRef get_or_convert(PanelKey key, std::uint64_t version,
-                          std::int64_t total_elems, std::int64_t valid_elems,
-                          const Converter& convert);
+                          std::int64_t total_elems, const Converter& convert);
 
-  /// INT8 twin of get_or_convert with the same hit/extend/reconvert
-  /// semantics.  `key.variant` must carry the kPanelInt8 flag (int8 and
-  /// float panels of one storage coexist under distinct keys);
-  /// `scale_group` fixes the quantization granularity for the key's
-  /// lifetime, and total/valid element counts must be multiples of it.
-  /// Quantization is quantize-once: a hit never re-derives codes, so the
-  /// same storage version always yields byte-identical codes and scales.
+  /// INT8 twin of get_or_convert with the same hit/reconvert semantics.
+  /// `key.variant` must carry the kPanelInt8 flag (int8 and float panels
+  /// of one storage coexist under distinct keys); `scale_group` fixes the
+  /// quantization granularity for the key's lifetime and must divide
+  /// `total_elems`.  Quantization is quantize-once: a hit never re-derives
+  /// codes, so the same storage version always yields byte-identical codes
+  /// and scales.
   Int8PanelRef get_or_convert_int8(PanelKey key, std::uint64_t version,
                                    std::int64_t total_elems,
-                                   std::int64_t valid_elems,
                                    std::int64_t scale_group,
                                    const Int8Converter& convert);
-
-  /// Remove `key` (counted as an invalidation).  Returns whether an entry
-  /// existed.  Use when the underlying storage is recycled (KV page reuse).
-  bool invalidate(PanelKey key);
-
-  /// Remove every variant of `storage` without counting invalidations —
-  /// lifecycle cleanup (a pool being destroyed), not staleness.  Returns
-  /// the number of entries dropped.
-  std::size_t drop_storage(std::uint64_t storage);
 
   /// Drop every entry (uncounted) — test isolation.
   void clear();
@@ -174,17 +150,17 @@ class PanelCacheRegistry {
     std::shared_ptr<std::vector<float>> scales;
     std::int64_t scale_group = 0;  ///< int8 entries only
     std::uint64_t version = 0;
-    std::int64_t valid = 0;  ///< converted prefix, elements
-    std::uint64_t lru = 0;   ///< last-touch tick
+    std::uint64_t lru = 0;  ///< last-touch tick
   };
 
   [[nodiscard]] static std::size_t entry_bytes(const Entry& e);
 
-  void convert_range_locked(Entry& entry, std::int64_t lo, std::int64_t hi,
-                            const Converter& convert, PanelRef& ref);
-  void convert_range_i8_locked(Entry& entry, std::int64_t lo, std::int64_t hi,
-                               const Int8Converter& convert,
-                               Int8PanelRef& ref);
+  /// The live entry for `key` at `version`, counting a hit, or nullptr
+  /// after counting the miss (and discarding a stale entry).
+  Entry* lookup_locked(PanelKey key, std::uint64_t version);
+  /// Insert a freshly converted entry, count its bytes and evict over
+  /// capacity.
+  void insert_locked(PanelKey key, Entry entry, std::int64_t bytes);
   void evict_over_capacity_locked(PanelKey keep);
 
   mutable std::mutex mu_;

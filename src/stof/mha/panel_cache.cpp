@@ -84,20 +84,12 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
       const std::uint64_t k_layout = core::kPanelTransposed |
                                      (static_cast<std::uint64_t>(seq_) << 8) |
                                      (static_cast<std::uint64_t>(d_) << 36);
-      const auto wrap = [total](const auto& quant) {
-        return [total, &quant](std::int64_t lo, std::int64_t hi,
-                               std::int8_t* codes, float* scales) {
-          STOF_CHECK(lo == 0 && hi == total,
-                     "whole-tensor panels convert in full");
-          quant(codes, scales);
-        };
-      };
       k8_ref_ = registry->get_or_convert_int8(
           {k.storage_id(), k_layout | core::kPanelInt8}, k.version(), total,
-          total, panel, wrap(k_quant));
+          panel, k_quant);
       v8_ref_ = registry->get_or_convert_int8(
           {v.storage_id(), core::kPanelRowMajor | core::kPanelInt8},
-          v.version(), total, total, panel, wrap(v_quant));
+          v.version(), total, panel, v_quant);
       k8_data_ = k8_ref_.data();
       v8_data_ = v8_ref_.data();
       k_scales_ = k8_ref_.scale_data();
@@ -126,20 +118,16 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
     // Cross-call mode: panels are keyed on each tensor's storage identity
     // and tagged with its mutation stamp, so an unmodified tensor converts
     // once across any number of kernel calls while any write forces a
-    // fresh conversion.  These whole-tensor panels never extend
-    // incrementally — a version bump reconverts all of them — so the
-    // converter always receives the full [0, total).
+    // fresh conversion of the whole tensor.
     const auto convert = [&](const TensorH& src) {
-      return [&, t = &src](std::int64_t lo, std::int64_t hi, float* dst) {
-        STOF_CHECK(lo == 0 && hi == total,
-                   "whole-tensor panels convert in full");
+      return [&, t = &src](float* dst) {
         convert_row_major(*t, kv_instances, panel, dst);
       };
     };
     k_ref_ = registry->get_or_convert({k.storage_id(), core::kPanelRowMajor},
-                                      k.version(), total, total, convert(k));
+                                      k.version(), total, convert(k));
     v_ref_ = registry->get_or_convert({v.storage_id(), core::kPanelRowMajor},
-                                      v.version(), total, total, convert(v));
+                                      v.version(), total, convert(v));
     k_data_ = k_ref_.data();
     v_data_ = v_ref_.data();
     if (k_ref_.converted_elems > 0) converted_panels += kv_instances;

@@ -164,10 +164,10 @@ core::PanelRef fetch_b_panel(const TensorH& b) {
   const half* src = b.data().data();
   const std::int64_t total = b.numel();
   return core::global_panel_cache().get_or_convert(
-      {b.storage_id(), core::kPanelRowMajor}, b.version(), total, total,
-      [src](std::int64_t lo, std::int64_t hi, float* dst) {
-        packed::half_to_float({src + lo, static_cast<std::size_t>(hi - lo)},
-                              {dst + lo, static_cast<std::size_t>(hi - lo)});
+      {b.storage_id(), core::kPanelRowMajor}, b.version(), total,
+      [src, total](float* dst) {
+        packed::half_to_float({src, static_cast<std::size_t>(total)},
+                              {dst, static_cast<std::size_t>(total)});
       });
 }
 
@@ -182,11 +182,10 @@ core::Int8PanelRef fetch_b_panel_int8(const TensorH& b) {
       b.shape().rank() == 3 ? b.shape()[1] * b.shape()[2] : total;
   return core::global_panel_cache().get_or_convert_int8(
       {b.storage_id(), core::kPanelRowMajor | core::kPanelInt8}, b.version(),
-      total, total, /*scale_group=*/panel,
-      [src, panel](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
-                   float* scales) {
-        packed::quantize_halfs({src + lo, static_cast<std::size_t>(hi - lo)},
-                               panel, codes + lo, scales + lo / panel);
+      total, /*scale_group=*/panel,
+      [src, total, panel](std::int8_t* codes, float* scales) {
+        packed::quantize_halfs({src, static_cast<std::size_t>(total)}, panel,
+                               codes, scales);
       });
 }
 

@@ -1,11 +1,12 @@
 #include "stof/serve/kv_pool.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <limits>
+#include <type_traits>
 
 #include "stof/core/checksum.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/tensor.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::serve {
@@ -111,37 +112,20 @@ void PrefixIndex::touch_chain(std::int32_t id, std::int64_t now) {
 
 // ---- KvPool -----------------------------------------------------------
 
-KvPool::KvPool(const KvPoolConfig& config, core::PanelCacheRegistry* registry)
-    : config_(config),
-      registry_(registry != nullptr ? registry
-                                    : &core::global_panel_cache()) {
+KvPool::KvPool(const KvPoolConfig& config) : config_(config) {
   config_.validate();
   const auto elems = static_cast<std::size_t>(config_.num_blocks *
                                               config_.block_elems());
   k_arena_.assign(elems, half{});
   v_arena_.assign(elems, half{});
+  f32_.resize(static_cast<std::size_t>(config_.num_blocks));
+  i8_.resize(static_cast<std::size_t>(config_.num_blocks));
   free_.reserve(static_cast<std::size_t>(config_.num_blocks));
   // Descending, so allocation hands out block 0, 1, 2, ... in order.
   for (std::int64_t b = config_.num_blocks - 1; b >= 0; --b) {
     free_.push_back(static_cast<std::int32_t>(b));
   }
-  // Blocks live inside one arena, so arena identity can't key the panel
-  // registry; mint a process-unique synthetic storage id per block+side.
-  k_keys_.reserve(static_cast<std::size_t>(config_.num_blocks));
-  v_keys_.reserve(static_cast<std::size_t>(config_.num_blocks));
-  for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-    k_keys_.push_back(next_storage_id());
-    v_keys_.push_back(next_storage_id());
-  }
-  block_gen_.assign(static_cast<std::size_t>(config_.num_blocks), 0);
   block_refs_.assign(static_cast<std::size_t>(config_.num_blocks), 0);
-}
-
-KvPool::~KvPool() {
-  // Lifecycle cleanup, not staleness: drop this pool's entries so a stream
-  // of short-lived pools can't grow the registry with dead keys.
-  for (const auto key : k_keys_) registry_->drop_storage(key);
-  for (const auto key : v_keys_) registry_->drop_storage(key);
 }
 
 std::int64_t KvPool::tokens(SessionId id) const {
@@ -181,8 +165,7 @@ std::int64_t KvPool::usable_blocks(SessionId id) const {
   const SessionBlocks& sb = it->second;
   auto n = static_cast<std::int64_t>(sb.block_ids.size());
   if (n > 0 && sb.tokens % config_.block_tokens != 0 &&
-      (sb.cow_pending ||
-       block_refs_[static_cast<std::size_t>(sb.block_ids.back())] > 1)) {
+      block_refs_[static_cast<std::size_t>(sb.block_ids.back())] > 1) {
     --n;  // partial shared tail: the next append CoWs it into a new block
   }
   return n;
@@ -232,24 +215,14 @@ void KvPool::unref_block(std::int32_t block) {
   auto& refs = block_refs_[static_cast<std::size_t>(block)];
   STOF_CHECK(refs > 0, "unref of a free block");
   if (--refs > 0) return;
-  invalidate_block_panels(block);
+  // A free block holds no sidecar copy: its next tenant starts at row 0.
+  f32_[static_cast<std::size_t>(block)] = {};
+  i8_[static_cast<std::size_t>(block)] = {};
   // Sorted-descending insertion keeps allocation order a pure function of
   // the alloc/release sequence, never of drop order within a batch.
   const auto pos =
       std::lower_bound(free_.begin(), free_.end(), block, std::greater<>());
   free_.insert(pos, block);
-}
-
-void KvPool::invalidate_block_panels(std::int32_t block) {
-  const auto bi = static_cast<std::size_t>(block);
-  // A recycled (or row-shrunk) page must never serve its previous bytes'
-  // floats or int8 codes: drop the registry entries now and bump the
-  // generation so even a racing stale handle could not be re-validated.
-  registry_->invalidate({k_keys_[bi], core::kPanelRowMajor});
-  registry_->invalidate({v_keys_[bi], core::kPanelRowMajor});
-  registry_->invalidate({k_keys_[bi], core::kPanelRowMajor | core::kPanelInt8});
-  registry_->invalidate({v_keys_[bi], core::kPanelRowMajor | core::kPanelInt8});
-  ++block_gen_[bi];
 }
 
 bool KvPool::cow_tail(SessionBlocks& sb) {
@@ -264,10 +237,6 @@ bool KvPool::cow_tail(SessionBlocks& sb) {
   sb.block_ids.back() = fresh;
   sb.k_ptrs.back() = k_base(fresh);
   sb.v_ptrs.back() = v_base(fresh);
-  sb.cow_pending = false;
-  // Sidecar state for the tail page is per-refresh anyway: the tail is
-  // partial, so neither tier's converted_blocks covers it and the next
-  // sidecar() call re-resolves the page under the fresh block's key.
   peak_used_ = std::max(peak_used_, used_blocks());
   telemetry::count("serve.prefix.cow_copies", 1);
   return true;
@@ -287,13 +256,17 @@ std::optional<TokenSlot> KvPool::append_token(SessionId id) {
     sb.k_ptrs.push_back(k_base(block));
     sb.v_ptrs.push_back(v_base(block));
     peak_used_ = std::max(peak_used_, used_blocks());
-  } else if (sb.cow_pending ||
-             block_refs_[static_cast<std::size_t>(sb.block_ids.back())] > 1) {
+  } else if (block_refs_[static_cast<std::size_t>(sb.block_ids.back())] > 1) {
     // Shared pages are immutable: copy the valid tail rows into a private
     // block before handing out a writable slot.
     if (!cow_tail(sb)) return std::nullopt;
   }
   const std::int32_t block = sb.block_ids.back();
+  // The caller rewrites row `local`: sidecar rows from there on are stale.
+  auto& f32_rows = f32_[static_cast<std::size_t>(block)].rows;
+  auto& i8_rows = i8_[static_cast<std::size_t>(block)].rows;
+  f32_rows = std::min(f32_rows, local);
+  i8_rows = std::min(i8_rows, local);
   const std::int64_t row = local * config_.heads * config_.head_size;
   ++sb.tokens;
   return TokenSlot{k_base(block) + row, v_base(block) + row};
@@ -338,10 +311,6 @@ PrefixMatch KvPool::adopt_prefix(SessionId id, const Request& r,
     }
   }
   sb.tokens = m.tokens;
-  // Adopted partial tails must CoW on first append even if every other
-  // owner drops in the meantime — the page's registry entry may already
-  // cover rows this session never wrote.
-  sb.cow_pending = m.partial;
   prefix_.touch_chain(chain.back(), prefix_clock_++);
   telemetry::count("serve.prefix.hits", 1);
   telemetry::count("serve.prefix.shared_pages", m.pages());
@@ -416,22 +385,7 @@ void KvPool::truncate(SessionId id, std::int64_t new_tokens) {
     sb.k_ptrs.pop_back();
     sb.v_ptrs.pop_back();
   }
-  const std::int64_t full = new_tokens / config_.block_tokens;
-  sb.f32.truncate(keep, full);
-  sb.i8.truncate(keep, full);
   sb.tokens = new_tokens;
-  if (new_tokens % config_.block_tokens != 0) {
-    // The surviving tail lost rows; future appends rewrite them with
-    // different bytes, so its sidecar entries must not be extendable.
-    const std::int32_t tail = sb.block_ids.back();
-    if (block_refs_[static_cast<std::size_t>(tail)] == 1) {
-      invalidate_block_panels(tail);
-    } else {
-      // Shared tail: other owners' panels stay valid (we never wrote their
-      // rows), and our next append CoWs regardless of refcount drift.
-      sb.cow_pending = true;
-    }
-  }
   if (new_tokens == 0) by_session_.erase(it);
 }
 
@@ -492,106 +446,88 @@ std::span<const half* const> KvPool::v_blocks(SessionId id) const {
   return it->second.v_ptrs;
 }
 
+template <typename Elem>
+void KvPool::refresh(const SessionBlocks& sb,
+                     std::vector<SidecarPage<Elem>>& tier,
+                     TierView<Elem>& view) {
+  constexpr bool kInt8 = std::is_same_v<Elem, std::int8_t>;
+  const std::int64_t bt = config_.block_tokens;
+  const std::int64_t row = config_.heads * config_.head_size;
+  const std::size_t pages = sb.block_ids.size();
+  view.k.resize(pages);
+  view.v.resize(pages);
+  if constexpr (kInt8) {
+    view.k_scales.resize(pages);
+    view.v_scales.resize(pages);
+  }
+  std::int64_t elems = 0;  // converted per side
+  for (std::size_t p = 0; p < pages; ++p) {
+    const std::int32_t block = sb.block_ids[p];
+    SidecarPage<Elem>& page = tier[static_cast<std::size_t>(block)];
+    const std::int64_t filled =
+        std::min(bt, sb.tokens - static_cast<std::int64_t>(p) * bt);
+    if (page.rows < filled) {
+      if (!page.k) {
+        const auto n = static_cast<std::size_t>(config_.block_elems());
+        page.k = std::make_unique_for_overwrite<Elem[]>(n);
+        page.v = std::make_unique_for_overwrite<Elem[]>(n);
+        if constexpr (kInt8) {
+          page.k_scales = std::make_unique_for_overwrite<float[]>(
+              static_cast<std::size_t>(bt));
+          page.v_scales = std::make_unique_for_overwrite<float[]>(
+              static_cast<std::size_t>(bt));
+        }
+      }
+      const std::int64_t lo = page.rows * row;
+      const auto n = static_cast<std::size_t>((filled - page.rows) * row);
+      if constexpr (kInt8) {
+        // One scale per token row: a row's codes never depend on later
+        // rows, so quantizing a filling page row by row equals a
+        // whole-page quantize.
+        packed::quantize_halfs({k_base(block) + lo, n}, row, page.k.get() + lo,
+                               page.k_scales.get() + page.rows);
+        packed::quantize_halfs({v_base(block) + lo, n}, row, page.v.get() + lo,
+                               page.v_scales.get() + page.rows);
+      } else {
+        packed::half_to_float({k_base(block) + lo, n}, {page.k.get() + lo, n});
+        packed::half_to_float({v_base(block) + lo, n}, {page.v.get() + lo, n});
+      }
+      elems += static_cast<std::int64_t>(n);
+      page.rows = filled;
+    }
+    view.k[p] = page.k.get();
+    view.v[p] = page.v.get();
+    if constexpr (kInt8) {
+      view.k_scales[p] = page.k_scales.get();
+      view.v_scales[p] = page.v_scales.get();
+    }
+  }
+  // K and V; INT8 codes write 1 byte/elem, float pages count the 2-byte
+  // half source they re-read — the INT8 tier's traffic is half.
+  if (elems > 0) {
+    telemetry::count("serve.kv.sidecar_bytes_converted",
+                     2 * elems * (kInt8 ? 1 : 2));
+  }
+}
+
 mha::KvSidecar KvPool::sidecar(SessionId id, core::PanelPrecision tier) {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return {};
   SessionBlocks& sb = it->second;
-  const std::int64_t bt = config_.block_tokens;
-  const std::int64_t block_elems = config_.block_elems();
-  const std::int64_t row = config_.heads * config_.head_size;
-  const auto nblocks = static_cast<std::int64_t>(sb.block_ids.size());
-  // Leading `converted_blocks` pages are full and pinned — their half rows
-  // can no longer change while this session holds them, so only the tail
-  // (partially filled or newly allocated pages) is visited.  This is the
-  // skip-prefix step that makes per-decode conversion O(new rows).
-  // `resolve(p, block, valid_elems)` pins page p's panels and
-  // returns the elements it converted.
-  const auto refresh = [&](auto& pages, const auto& resolve) {
-    pages.resize(nblocks);
-    std::int64_t converted = 0;
-    for (std::int64_t p = pages.converted_blocks; p < nblocks; ++p) {
-      const std::int32_t block = sb.block_ids[static_cast<std::size_t>(p)];
-      const std::int64_t filled = std::min(bt, sb.tokens - p * bt);
-      converted += resolve(static_cast<std::size_t>(p), block, filled * row);
-    }
-    while (pages.converted_blocks < nblocks &&
-           (pages.converted_blocks + 1) * bt <= sb.tokens) {
-      ++pages.converted_blocks;
-    }
-    return converted;
-  };
-
   if (tier == core::PanelPrecision::kInt8) {
-    auto& pages = sb.i8;
-    // One scale per token row keeps extension exact: a row's codes never
-    // depend on later rows, so quantize-once over a filling tail page
-    // equals a fresh full quantize.
-    const auto quant = [row](const half* src) {
-      return [src, row](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
-                        float* scales) {
-        packed::quantize_halfs({src + lo, static_cast<std::size_t>(hi - lo)},
-                               row, codes + lo, scales + lo / row);
-      };
-    };
-    const std::int64_t elems = refresh(pages, [&](std::size_t pi,
-                                                  std::int32_t block,
-                                                  std::int64_t valid) {
-      const auto bi = static_cast<std::size_t>(block);
-      pages.k_refs[pi] = registry_->get_or_convert_int8(
-          {k_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
-          block_gen_[bi], block_elems, valid, row, quant(k_base(block)));
-      pages.v_refs[pi] = registry_->get_or_convert_int8(
-          {v_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
-          block_gen_[bi], block_elems, valid, row, quant(v_base(block)));
-      pages.k_ptrs[pi] = pages.k_refs[pi].data();
-      pages.v_ptrs[pi] = pages.v_refs[pi].data();
-      pages.k_scales[pi] = pages.k_refs[pi].scale_data();
-      pages.v_scales[pi] = pages.v_refs[pi].scale_data();
-      return pages.k_refs[pi].converted_elems +
-             pages.v_refs[pi].converted_elems;
-    });
-    // INT8 codes are 1 byte/elem — half the float sidecar's traffic for the
-    // same appended rows, which is the tier's headline saving.
-    if (elems > 0) telemetry::count("serve.kv.sidecar_bytes_converted", elems);
-    return mha::KvInt8Pages{pages.k_ptrs, pages.v_ptrs, pages.k_scales,
-                            pages.v_scales};
+    refresh(sb, i8_, sb.i8);
+    return mha::KvInt8Pages{sb.i8.k, sb.i8.v, sb.i8.k_scales, sb.i8.v_scales};
   }
-
-  auto& pages = sb.f32;
-  const auto convert = [](const half* src) {
-    return [src](std::int64_t lo, std::int64_t hi, float* dst) {
-      packed::half_to_float({src + lo, static_cast<std::size_t>(hi - lo)},
-                            {dst + lo, static_cast<std::size_t>(hi - lo)});
-    };
-  };
-  const std::int64_t elems = refresh(pages, [&](std::size_t pi,
-                                                std::int32_t block,
-                                                std::int64_t valid) {
-    const auto bi = static_cast<std::size_t>(block);
-    pages.k_refs[pi] = registry_->get_or_convert(
-        {k_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
-        valid, convert(k_base(block)));
-    pages.v_refs[pi] = registry_->get_or_convert(
-        {v_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
-        valid, convert(v_base(block)));
-    pages.k_ptrs[pi] = pages.k_refs[pi].data();
-    pages.v_ptrs[pi] = pages.v_refs[pi].data();
-    return pages.k_refs[pi].converted_elems + pages.v_refs[pi].converted_elems;
-  });
-  // Sidecar traffic (prefill and decode read the same float pages): float
-  // views write 2 bytes/elem, mirroring exec.panelcache.bytes_converted.
-  if (elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted", 2 * elems);
-  }
-  return mha::KvFloatPages{pages.k_ptrs, pages.v_ptrs};
+  // Prefill and decode read the same float pages.
+  refresh(sb, f32_, sb.f32);
+  return mha::KvFloatPages{sb.f32.k, sb.f32.v};
 }
 
 void KvPool::release(SessionId id) {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return;
   // Refcount-aware: only pages whose last owner this session is are
-  // recycled (and only their panels invalidated) — shared prefix pages
-  // keep their registry keys across owners.
+  // recycled — shared prefix pages keep their converted rows across owners.
   for (const auto block : it->second.block_ids) {
     unref_block(block);
   }

@@ -22,26 +22,35 @@
 // partial tail page, or the donor's own decode append after publishing)
 // copies the page's valid rows into a private block first (CoW), so a
 // shared page's bytes are immutable for as long as anything references
-// it.  release()/truncate() are refcount-aware: a block is recycled (and
-// its generation bumped, invalidating float/INT8 panels) only when the
-// last owner drops it — shared pages therefore keep one PanelCacheRegistry
-// key across owners, and a prefix hit is also a panel-cache hit.  Pages
-// held only by the tree are reclaimed LRU-subtree-first when the free
-// list runs dry, so the prefix cache never displaces live sessions.
+// it.  release()/truncate() are refcount-aware: a block is recycled only
+// when the last owner drops it.  Pages held only by the tree are reclaimed
+// LRU-subtree-first when the free list runs dry, so the prefix cache never
+// displaces live sessions.
+//
+// Sidecar pages: next to each half block the pool keeps its FP32 and INT8
+// (codes plus one scale per token row) copies, laid out like the block.
+// A copy is allocated uninitialised on the block's first conversion and
+// freed when the block returns to the free list, so sidecar memory
+// follows the blocks in use.  Each tier keeps one converted-row watermark
+// per block: rows [0, watermark) of the copy equal the conversion of the
+// block's current halfs.  Every write to a block goes through
+// append_token(), which lowers the watermark to the row it hands out (a
+// free block holds no copy, so it starts at 0), and sidecar() converts
+// rows [watermark, filled) and raises it.  That one rule covers recycling,
+// truncation and in-place rewrites, and a shared page keeps one converted
+// copy across its owners — a prefix hit also skips the conversion.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/core/half.hpp"
 #include "stof/core/kernels.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/serve/request.hpp"
 
@@ -141,21 +150,11 @@ class PrefixIndex {
   std::size_t live_nodes_ = 0;
 };
 
-/// Bounded paged KV-cache with per-session block lists.
-///
-/// Sidecar tiers: sidecar() materialises FP32 or INT8 views of a session's
-/// KV pages through the cross-call PanelCacheRegistry, converting only
-/// pages (or page suffixes) appended since the last call — per-step
-/// conversion work is O(new tokens), not O(prefix).  Fully converted leading
-/// pages are pinned (PanelRef) and skipped on later calls.  release()
-/// invalidates the registry entries and bumps each page's generation, so a
-/// recycled page can never serve another session's stale panels; a preempted
-/// session that recomputes its prefix therefore stays bit-identical.
+/// Bounded paged KV-cache with per-session block lists and per-block
+/// FP32/INT8 sidecar pages (see the file comment).
 class KvPool {
  public:
-  explicit KvPool(const KvPoolConfig& config,
-                  core::PanelCacheRegistry* registry = nullptr);
-  ~KvPool();
+  explicit KvPool(const KvPoolConfig& config);
 
   KvPool(const KvPool&) = delete;
   KvPool& operator=(const KvPool&) = delete;
@@ -254,9 +253,8 @@ class KvPool {
 
   /// Drop `id`'s cached tokens beyond `new_tokens` — the speculative
   /// decoder's exact rollback of rejected draft slots.  Trailing blocks
-  /// are unmapped (refcount-aware); a surviving tail page that lost rows
-  /// has its generation bumped and panels invalidated, so the registry can
-  /// never extend a sidecar over rows whose bytes changed.
+  /// are unmapped (refcount-aware); rows a later append rewrites in the
+  /// surviving tail lower its sidecar watermark there.
   void truncate(SessionId id, std::int64_t new_tokens);
 
   /// Exhaustive internal audit: refcounts equal (sessions mapping the
@@ -273,53 +271,39 @@ class KvPool {
   [[nodiscard]] std::span<const half* const> v_blocks(SessionId id) const;
 
   /// Bring `id`'s sidecar for `tier` up to date with its half pages and
-  /// return that view: converts only rows not already covered by the
-  /// registry (new pages, or the growing suffix of the tail page), so the
-  /// view covers every cached token of `id`.  kFloat32 pages are exact
-  /// FP32 copies; kInt8 pages hold codes plus one symmetric scale per token
-  /// row (scale group = heads * head_size), so a row's codes depend only
-  /// on that row's values and the quantize-once extension of a filling
-  /// tail page is exact — 1 converted byte per new element instead of the
-  /// float tier's 2.  The view is valid until the next sidecar() or
-  /// release() for this id; an empty view for sessions that hold nothing.
+  /// return that view: converts only the rows of each page above its
+  /// watermark (new pages, or the growing suffix of the tail page), so the
+  /// view covers every cached token of `id` and per-step conversion work
+  /// is O(new tokens), not O(prefix).  kFloat32 pages are exact FP32
+  /// copies; kInt8 pages hold codes plus one symmetric scale per token row
+  /// (scale group = heads * head_size), so a row's codes depend only on
+  /// that row's values and converting a filling tail page row by row is
+  /// exact — 1 converted byte per new element instead of the float tier's
+  /// 2 (counted in serve.kv.sidecar_bytes_converted).  The view is valid
+  /// until the next sidecar(), truncate() or release() for this id; an
+  /// empty view for sessions that hold nothing.
   [[nodiscard]] mha::KvSidecar sidecar(SessionId id,
                                        core::PanelPrecision tier);
 
-  /// Return every block held by `id` to the free list (preemption or
-  /// completion) and invalidate its sidecar panels.  No-op for sessions that
-  /// hold nothing.
+  /// Return every block `id` alone holds to the free list (preemption or
+  /// completion).  No-op for sessions that hold nothing.
   void release(SessionId id);
 
  private:
-  /// One sidecar tier's per-block state, filled by sidecar().
-  template <typename Ref, typename Elem>
-  struct TierPages {
-    std::vector<Ref> k_refs;  ///< pins keeping the panel buffers alive
-    std::vector<Ref> v_refs;
-    std::vector<const Elem*> k_ptrs;
-    std::vector<const Elem*> v_ptrs;
-    std::vector<const float*> k_scales;  ///< INT8 tier only
-    std::vector<const float*> v_scales;
-    /// Leading blocks whose panels are full and pinned — skipped on the
-    /// next refresh (their half content can no longer change while held).
-    std::int64_t converted_blocks = 0;
-
-    void resize(std::int64_t blocks) {
-      const auto n = static_cast<std::size_t>(blocks);
-      k_refs.resize(n);
-      v_refs.resize(n);
-      k_ptrs.resize(n);
-      v_ptrs.resize(n);
-      if constexpr (std::is_same_v<Elem, std::int8_t>) {
-        k_scales.resize(n);
-        v_scales.resize(n);
-      }
-    }
-    /// Drop the state of blocks past `keep`; at most `full` stay converted.
-    void truncate(std::int64_t keep, std::int64_t full) {
-      if (static_cast<std::int64_t>(k_refs.size()) > keep) resize(keep);
-      converted_blocks = std::min(converted_blocks, full);
-    }
+  /// One block's copy in one sidecar tier: its K and V rows laid out like
+  /// the half block (INT8 adds one scale per token row), null until the
+  /// block's first conversion, and the watermark of rows they cover.
+  template <typename Elem>
+  struct SidecarPage {
+    std::unique_ptr<Elem[]> k, v;
+    std::unique_ptr<float[]> k_scales, v_scales;  ///< INT8 tier only
+    std::int64_t rows = 0;  ///< converted leading rows
+  };
+  /// A session's view of one tier: per-page pointers, oldest first.
+  template <typename Elem>
+  struct TierView {
+    std::vector<const Elem*> k, v;
+    std::vector<const float*> k_scales, v_scales;  ///< INT8 tier only
   };
 
   struct SessionBlocks {
@@ -327,15 +311,8 @@ class KvPool {
     std::vector<const half*> k_ptrs;
     std::vector<const half*> v_ptrs;
     std::int64_t tokens = 0;
-    TierPages<core::PanelRef, float> f32;
-    TierPages<core::Int8PanelRef, std::int8_t> i8;
-    /// Force copy-on-write on the next partial-tail append even if the
-    /// tail's refcount has dropped back to 1.  Set when the session adopts
-    /// (or truncates onto) a shared partial page: the page's registry
-    /// entry may cover more rows than this session has written, so an
-    /// in-place append could be served stale panel rows.  CoW remaps to a
-    /// fresh block (fresh key/generation), which is always safe.
-    bool cow_pending = false;
+    TierView<float> f32;
+    TierView<std::int8_t> i8;
   };
 
   /// Pop a block from the free list, reclaiming the LRU tree-only subtree
@@ -348,12 +325,15 @@ class KvPool {
   /// Evict the least-recently-used tree subtree whose root block is held
   /// only by the tree.  Returns true if at least one block was freed.
   bool reclaim_lru_prefix();
-  /// Drop one reference to `block`; on zero, recycle it (free list +
-  /// panel invalidation + generation bump).
+  /// Drop one reference to `block`; on zero, return it to the free list
+  /// and free its sidecar copies.
   void unref_block(std::int32_t block);
-  /// Invalidate every sidecar panel entry of `block` and bump its
-  /// generation.
-  void invalidate_block_panels(std::int32_t block);
+  /// Convert the rows of `sb`'s pages above their watermarks in `tier`
+  /// (float: exact copies; int8: codes plus per-row scales) and point
+  /// `view` at every page.
+  template <typename Elem>
+  void refresh(const SessionBlocks& sb, std::vector<SidecarPage<Elem>>& tier,
+               TierView<Elem>& view);
 
   [[nodiscard]] half* k_base(std::int32_t block) {
     return k_arena_.data() +
@@ -367,21 +347,15 @@ class KvPool {
   }
 
   KvPoolConfig config_;
-  core::PanelCacheRegistry* registry_ = nullptr;
   std::vector<half> k_arena_;
   std::vector<half> v_arena_;
   /// Free block ids, sorted descending so pop_back() yields the smallest.
   std::vector<std::int32_t> free_;
   std::map<SessionId, SessionBlocks> by_session_;
   std::int64_t peak_used_ = 0;
-  /// Synthetic per-block storage ids for the registry (blocks are carved
-  /// out of one arena, so arena identity alone can't key them).
-  std::vector<std::uint64_t> k_keys_;
-  std::vector<std::uint64_t> v_keys_;
-  /// Per-block generation, bumped when a block is recycled (or a surviving
-  /// tail page loses rows in truncate); used as the registry version so a
-  /// page can never serve stale floats.
-  std::vector<std::uint64_t> block_gen_;
+  /// Per-block sidecar copies, one vector per tier.
+  std::vector<SidecarPage<float>> f32_;
+  std::vector<SidecarPage<std::int8_t>> i8_;
   /// Per-block reference count: sessions mapping the block plus (0 or 1
   /// for) the prefix-tree node freezing it.  0 == on the free list.
   std::vector<std::int32_t> block_refs_;

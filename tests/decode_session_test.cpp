@@ -4,16 +4,17 @@
 // invariant the serving engine's preemption/recompute path relies on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/serve/kv_pool.hpp"
 #include "stof/sparse/bsr_mask.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof::mha {
 namespace {
@@ -41,20 +42,17 @@ struct Fixture {
 };
 
 /// Runs the decode chain against the full blockwise pass and asserts every
-/// output row is byte-identical.  With `registry` set, the chain reads the
-/// KV pool's float-panel sidecar (incremental conversion through that
-/// registry) — the outputs must not change by a single bit.
-void expect_chain_matches_full_pass(const Fixture& f,
-                                    core::PanelCacheRegistry* registry =
-                                        nullptr) {
+/// output row is byte-identical.  With `sidecar` set, the chain reads the
+/// KV pool's float sidecar pages (converted row by row as they fill) — the
+/// outputs must not change by a single bit.
+void expect_chain_matches_full_pass(const Fixture& f, bool sidecar = false) {
   const MhaDims dims{1, kHeads, kTotal, kHeadSize};
   const BlockwiseParams params{16, 16};
   const TensorH full = blockwise_attention(
       dims, f.q, f.k, f.v,
       sparse::BsrMask::build(f.mask, params.block_m, params.block_n), params);
 
-  serve::KvPool pool(
-      serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize}, registry);
+  serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
   for (std::int64_t pos = 0; pos < kTotal; ++pos) {
     // Append position pos's K/V to the paged cache.
     auto slot = pool.append_token(/*id=*/0);
@@ -79,7 +77,7 @@ void expect_chain_matches_full_pass(const Fixture& f,
     }
     PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
                  cols};
-    if (registry != nullptr) {
+    if (sidecar) {
       seq.sidecar = pool.sidecar(0, core::PanelPrecision::kFloat32);
     }
     const TensorH step =
@@ -114,23 +112,20 @@ TEST(DecodeSession, ChainBitIdenticalUnderScalarExecution) {
 }
 
 TEST(DecodeSession, SidecarChainBitIdenticalToBlockwisePass) {
-  // Same chain, but every step reads the pool's FP32 sidecar panels
-  // through a private registry — conversion caching must be invisible.
-  core::PanelCacheRegistry registry;
+  // Same chain, but every step reads the pool's FP32 sidecar pages —
+  // conversion caching must be invisible.
   expect_chain_matches_full_pass(Fixture(31, masks::PatternKind::kCausal),
-                                 &registry);
+                                 /*sidecar=*/true);
   expect_chain_matches_full_pass(Fixture(41, masks::PatternKind::kBigBird),
-                                 &registry);
+                                 /*sidecar=*/true);
 }
 
 TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
   // Preemption drops a session's pages and later recomputes its whole
-  // prefix.  The sidecar must invalidate with the pages: after release +
-  // full re-ingest, decode outputs match a never-preempted chain exactly.
+  // prefix.  The sidecar must follow the pages: after release + full
+  // re-ingest, decode outputs match a never-preempted chain exactly.
   const Fixture f(59, masks::PatternKind::kCausal);
-  core::PanelCacheRegistry registry;
-  serve::KvPool pool(
-      serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize}, &registry);
+  serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
   const auto ingest_prefix = [&](std::int64_t upto) {
     for (std::int64_t pos = 0; pos < upto; ++pos) {
       auto slot = pool.append_token(/*id=*/0);
@@ -162,7 +157,7 @@ TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
   ingest_prefix(kTotal);
   const TensorH before = decode_last(kTotal);
 
-  pool.release(0);  // preemption: pages and panels both dropped
+  pool.release(0);  // preemption: pages and their sidecar rows dropped
   ingest_prefix(kTotal);
   const TensorH after = decode_last(kTotal);
 
@@ -177,9 +172,7 @@ TEST(DecodeSession, ReusedPagesNeverServeStalePanels) {
   // B's halfs, never A's cached floats.
   const Fixture a(61, masks::PatternKind::kCausal);
   const Fixture b(67, masks::PatternKind::kCausal);
-  core::PanelCacheRegistry registry;
-  serve::KvPool pool(
-      serve::KvPoolConfig{4, kBlockTokens, kHeads, kHeadSize}, &registry);
+  serve::KvPool pool(serve::KvPoolConfig{4, kBlockTokens, kHeads, kHeadSize});
   const std::int64_t ctx = 2 * kBlockTokens;
   const auto ingest = [&](serve::SessionId id, const Fixture& f) {
     for (std::int64_t pos = 0; pos < ctx; ++pos) {
@@ -326,9 +319,7 @@ void expect_paged_prefill_matches_padded(masks::PatternKind kind,
       params.block_m, params.block_n);
   const sparse::BsrMask prefix = base.prefix(len);
 
-  core::PanelCacheRegistry registry;
-  serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize},
-                     &registry);
+  serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
   // Token-major rows, as the pool and the serving engine store them.
   const auto token_rows = [&](const TensorH& t, std::int64_t lo) {
     std::vector<half> out(static_cast<std::size_t>((len - lo) * row));
@@ -394,6 +385,147 @@ TEST(PagedPrefill, WindowsMatchPaddedPassOnEverySource) {
     for (const std::int64_t len : {std::int64_t{33}, std::int64_t{48},
                                    std::int64_t{64}}) {
       expect_paged_prefill_matches_padded(kind, len);
+    }
+  }
+}
+
+// ---- Sidecar watermarks ---------------------------------------------------
+
+TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
+  // Drive an N-step single-session decode through a KV pool with the
+  // sidecar enabled.  Every step appends one token, so the pool must
+  // convert exactly heads*head_size elements per side per step — O(1)
+  // rows, independent of the context length — and the outputs must match
+  // a sidecar-less decode bit for bit.
+  constexpr std::int64_t kStepHeads = 2, kStepHeadSize = 16, kSteps = 40,
+                         kStepBlockTokens = 8;
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
+  const serve::KvPoolConfig cfg{8, kStepBlockTokens, kStepHeads,
+                                kStepHeadSize};
+  serve::KvPool pool(cfg);
+  serve::KvPool plain_pool(cfg);
+  Rng rng(71);
+  TensorH q(Shape{kStepHeads, 1, kStepHeadSize});
+
+  const std::int64_t per_side_elems = kStepHeads * kStepHeadSize;
+  std::int64_t prev_bytes = 0;
+  for (std::int64_t pos = 0; pos < kSteps; ++pos) {
+    auto slot = pool.append_token(0);
+    auto plain_slot = plain_pool.append_token(0);
+    ASSERT_TRUE(slot.has_value() && plain_slot.has_value());
+    for (std::int64_t i = 0; i < per_side_elems; ++i) {
+      const half kv = half(rng.next_double() - 0.5);
+      const half vv = half(rng.next_double() - 0.5);
+      slot->k[i] = plain_slot->k[i] = kv;
+      slot->v[i] = plain_slot->v[i] = vv;
+    }
+    q.fill_random(rng);
+
+    std::vector<std::int32_t> cols;  // dense causal context
+    for (std::int64_t j = 0; j <= pos; ++j) {
+      cols.push_back(static_cast<std::int32_t>(j));
+    }
+    const PagedSeq seq{pos + 1, kStepBlockTokens, pool.k_blocks(0),
+                       pool.v_blocks(0), cols,
+                       pool.sidecar(0, core::PanelPrecision::kFloat32)};
+    const PagedSeq plain{pos + 1, kStepBlockTokens, plain_pool.k_blocks(0),
+                         plain_pool.v_blocks(0), cols};
+
+    const TensorH with =
+        decode_attention_paged(kStepHeads, kStepHeadSize, {&seq, 1}, q);
+    const TensorH without =
+        decode_attention_paged(kStepHeads, kStepHeadSize, {&plain, 1}, q);
+    ASSERT_EQ(std::memcmp(with.data().data(), without.data().data(),
+                          with.size_bytes()),
+              0)
+        << "sidecar diverged at step " << pos;
+
+    // Per-step conversion: exactly one new token's rows per side.
+    const std::int64_t bytes = telemetry::global_registry().counter(
+        "serve.kv.sidecar_bytes_converted");
+    EXPECT_EQ(bytes - prev_bytes, 2 * per_side_elems * 2)
+        << "step " << pos << " converted more than the appended token";
+    prev_bytes = bytes;
+  }
+  // Linear total: N steps, one token per step, 2 half-bytes per element.
+  EXPECT_EQ(prev_bytes, kSteps * 2 * per_side_elems * 2);
+}
+
+TEST(KvPool, RewrittenRowsNeverServeStaleSidecar) {
+  // A private tail page is converted, truncated mid-page (a speculative
+  // rollback), and refilled with different rows.  Every sidecar row must
+  // then equal the exact conversion of the halfs now in the page — the
+  // rewritten rows included — on both tiers, and only rewritten or new
+  // rows convert again.
+  const serve::KvPoolConfig cfg{4, kBlockTokens, kHeads, kHeadSize};
+  const std::int64_t row = kHeads * kHeadSize;
+  for (const auto tier :
+       {core::PanelPrecision::kFloat32, core::PanelPrecision::kInt8}) {
+    SCOPED_TRACE(tier == core::PanelPrecision::kInt8 ? "int8" : "fp32");
+    telemetry::ScopedTelemetry on(true);
+    telemetry::global_registry().reset();
+    serve::KvPool pool(cfg);
+    Rng rng(tier == core::PanelPrecision::kInt8 ? 83 : 89);
+    const auto append = [&](std::int64_t n, float lo, float hi) {
+      for (std::int64_t t = 0; t < n; ++t) {
+        auto slot = pool.append_token(0);
+        ASSERT_TRUE(slot.has_value());
+        for (std::int64_t e = 0; e < row; ++e) {
+          slot->k[e] = half(rng.uniform(lo, hi));
+          slot->v[e] = half(rng.uniform(lo, hi));
+        }
+      }
+    };
+    // Page 0 full, page 1 holding 6 rows; everything converted.
+    append(kBlockTokens + 6, -1.0f, 0.0f);
+    (void)pool.sidecar(0, tier);
+    pool.truncate(0, kBlockTokens + 2);
+    append(5, 0.5f, 2.0f);  // rows 2..6 of page 1, other signs and scales
+    const std::int64_t before = telemetry::global_registry().counter(
+        "serve.kv.sidecar_bytes_converted");
+    const mha::KvSidecar view = pool.sidecar(0, tier);
+    const std::int64_t bytes_per_elem =
+        tier == core::PanelPrecision::kInt8 ? 1 : 2;
+    EXPECT_EQ(telemetry::global_registry().counter(
+                  "serve.kv.sidecar_bytes_converted") -
+                  before,
+              5 * row * 2 * bytes_per_elem);
+
+    const auto halfs = {pool.k_blocks(0), pool.v_blocks(0)};
+    for (std::int64_t t = 0; t < pool.tokens(0); ++t) {
+      const auto page = static_cast<std::size_t>(t / kBlockTokens);
+      const std::int64_t r = t % kBlockTokens;
+      int side = 0;
+      for (const auto& pages : halfs) {
+        const half* src = pages[page] + r * row;
+        if (tier == core::PanelPrecision::kFloat32) {
+          const auto& f = std::get<KvFloatPages>(view);
+          const float* got = (side == 0 ? f.k_blocks : f.v_blocks)[page] +
+                             r * row;
+          for (std::int64_t e = 0; e < row; ++e) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[e]),
+                      std::bit_cast<std::uint32_t>(float(src[e])))
+                << "side " << side << " token " << t << " elem " << e;
+          }
+        } else {
+          const auto& q = std::get<KvInt8Pages>(view);
+          std::vector<std::int8_t> want(static_cast<std::size_t>(row));
+          float want_scale = 0.0f;
+          packed::quantize_halfs({src, static_cast<std::size_t>(row)}, row,
+                                 want.data(), &want_scale);
+          const std::int8_t* got =
+              (side == 0 ? q.k_blocks : q.v_blocks)[page] + r * row;
+          const float got_scale =
+              (side == 0 ? q.k_scales : q.v_scales)[page][r];
+          ASSERT_EQ(std::memcmp(got, want.data(), want.size()), 0)
+              << "side " << side << " token " << t;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got_scale),
+                    std::bit_cast<std::uint32_t>(want_scale))
+              << "side " << side << " token " << t;
+        }
+        ++side;
+      }
     }
   }
 }

@@ -1,8 +1,8 @@
 // INT8 quantized panel tier: round-trip error properties of the symmetric
-// per-group quantizer, the registry's int8 hit/extend/invalidate semantics
+// per-group quantizer, the registry's int8 hit/reconvert semantics
 // (including coexistence with float panels of the same storage), the
-// KvPanelCache int8 mode, and the serve KvPool int8 sidecar's
-// quantize-once extension exactness over filling pages.
+// KvPanelCache int8 mode, and the serve KvPool int8 sidecar's row-by-row
+// quantization exactness over filling pages.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "stof/core/tensor.hpp"
 #include "stof/mha/panel_cache.hpp"
 #include "stof/serve/kv_pool.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof::core {
 namespace {
@@ -103,17 +104,16 @@ TEST(Int8Quantize, QuantizeHalfsMatchesQuantizeFloatsOfConvertedSource) {
 
 // ---- Registry int8 entries --------------------------------------------------
 
-/// Int8 converter quantizing the captured source vector per `group`.
+/// Int8 converter quantizing the whole captured source vector per `group`.
 PanelCacheRegistry::Int8Converter quantizer(const std::vector<float>& src,
                                             std::int64_t group) {
-  return [&src, group](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
-                       float* scales) {
-    packed::quantize_floats(src.data() + lo, hi - lo, group, codes + lo,
-                            scales + lo / group);
+  return [&src, group](std::int8_t* codes, float* scales) {
+    packed::quantize_floats(src.data(), static_cast<std::int64_t>(src.size()),
+                            group, codes, scales);
   };
 }
 
-TEST(PanelCacheRegistryInt8, MissHitAndSuffixExtension) {
+TEST(PanelCacheRegistryInt8, MissThenHitQuantizesOnce) {
   PanelCacheRegistry reg;
   Rng rng(7);
   std::vector<float> src(64);
@@ -121,35 +121,30 @@ TEST(PanelCacheRegistryInt8, MissHitAndSuffixExtension) {
   const PanelKey key{next_storage_id(), kPanelRowMajor | kPanelInt8};
 
   const Int8PanelRef first =
-      reg.get_or_convert_int8(key, 0, 64, 16, 16, quantizer(src, 16));
-  EXPECT_EQ(first.converted_elems, 16);
-  EXPECT_EQ(reg.stats().bytes_converted, 16);  // 1 byte per int8 element
+      reg.get_or_convert_int8(key, 0, 64, 16, quantizer(src, 16));
+  EXPECT_EQ(first.converted_elems, 64);
+  EXPECT_EQ(reg.stats().bytes_converted, 64);  // 1 byte per int8 element
 
-  // Same version, longer valid prefix: only the new groups quantize, and
-  // the previously issued codes are untouched (quantize-once).
-  std::vector<std::int8_t> prefix(first.data(), first.data() + 16);
-  const Int8PanelRef ext =
-      reg.get_or_convert_int8(key, 0, 64, 48, 16, quantizer(src, 16));
-  EXPECT_EQ(ext.converted_elems, 32);
-  EXPECT_EQ(reg.stats().bytes_converted, 48);
-  EXPECT_EQ(0, std::memcmp(prefix.data(), ext.data(), prefix.size()));
-  EXPECT_EQ(ext.codes.get(), first.codes.get());
-
-  // Pure hit.
+  // Pure hit: the converter is not invoked and the same codes come back.
+  const std::vector<std::int8_t> codes(first.data(), first.data() + 64);
+  src.assign(64, 0.0f);  // a re-quantize would be visible
   const Int8PanelRef hit =
-      reg.get_or_convert_int8(key, 0, 64, 48, 16, quantizer(src, 16));
+      reg.get_or_convert_int8(key, 0, 64, 16, quantizer(src, 16));
   EXPECT_EQ(hit.converted_elems, 0);
-  EXPECT_EQ(reg.stats().hits, 2);  // the extension above also counts
+  EXPECT_EQ(hit.codes.get(), first.codes.get());
+  EXPECT_EQ(0, std::memcmp(codes.data(), hit.data(), codes.size()));
+  EXPECT_EQ(reg.stats().hits, 1);
+  EXPECT_EQ(reg.stats().bytes_converted, 64);
 }
 
 TEST(PanelCacheRegistryInt8, StaleVersionReconverts) {
   PanelCacheRegistry reg;
   std::vector<float> src(16, 1.0f);
   const PanelKey key{next_storage_id(), kPanelRowMajor | kPanelInt8};
-  (void)reg.get_or_convert_int8(key, 0, 16, 16, 16, quantizer(src, 16));
+  (void)reg.get_or_convert_int8(key, 0, 16, 16, quantizer(src, 16));
   src.assign(16, 2.0f);
   const Int8PanelRef fresh =
-      reg.get_or_convert_int8(key, 1, 16, 16, 16, quantizer(src, 16));
+      reg.get_or_convert_int8(key, 1, 16, 16, quantizer(src, 16));
   EXPECT_EQ(fresh.converted_elems, 16);
   EXPECT_FLOAT_EQ(fresh.scale_data()[0], 2.0f / 127.0f);
   EXPECT_EQ(reg.stats().invalidations, 1);
@@ -162,29 +157,23 @@ TEST(PanelCacheRegistryInt8, CoexistsWithFloatPanelOfSameStorage) {
   for (auto& x : src) x = rng.uniform(-1.0f, 1.0f);
   const std::uint64_t storage = next_storage_id();
 
-  const PanelRef f = reg.get_or_convert(
-      {storage, kPanelRowMajor}, 0, 32, 32,
-      [&src](std::int64_t lo, std::int64_t hi, float* dst) {
-        std::copy(src.begin() + lo, src.begin() + hi, dst + lo);
+  const PanelRef f =
+      reg.get_or_convert({storage, kPanelRowMajor}, 0, 32, [&src](float* dst) {
+        std::copy(src.begin(), src.end(), dst);
       });
   const Int8PanelRef q = reg.get_or_convert_int8(
-      {storage, kPanelRowMajor | kPanelInt8}, 0, 32, 32, 32,
-      quantizer(src, 32));
+      {storage, kPanelRowMajor | kPanelInt8}, 0, 32, 32, quantizer(src, 32));
   EXPECT_EQ(reg.entry_count(), 2u);  // distinct keys, no aliasing
   EXPECT_EQ(f.data()[5], src[5]);
   EXPECT_NEAR(q.scale_data()[0] * float(q.data()[5]), src[5],
               q.scale_data()[0]);
-
-  EXPECT_TRUE(reg.invalidate({storage, kPanelRowMajor | kPanelInt8}));
-  EXPECT_EQ(reg.entry_count(), 1u);  // float twin survives
-  EXPECT_EQ(reg.drop_storage(storage), 1u);
 }
 
 TEST(PanelCacheRegistryInt8, ResidentBytesCoverCodesAndScales) {
   PanelCacheRegistry reg;
   std::vector<float> src(64, 1.0f);
-  (void)reg.get_or_convert_int8({next_storage_id(), kPanelInt8}, 0, 64, 64,
-                                16, quantizer(src, 16));
+  (void)reg.get_or_convert_int8({next_storage_id(), kPanelInt8}, 0, 64, 16,
+                                quantizer(src, 16));
   // 64 codes + 4 scales.
   EXPECT_EQ(reg.resident_bytes(), 64 * sizeof(std::int8_t) +
                                       4 * sizeof(float));
@@ -245,13 +234,14 @@ TEST(KvPanelCacheInt8, RegistryModeQuantizesOnce) {
 // ---- Serve KvPool int8 sidecar ----------------------------------------------
 
 TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
-  PanelCacheRegistry reg;
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
   serve::KvPoolConfig cfg;
   cfg.num_blocks = 4;
   cfg.block_tokens = 4;
   cfg.heads = 2;
   cfg.head_size = 4;
-  serve::KvPool pool(cfg, &reg);
+  serve::KvPool pool(cfg);
   const serve::SessionId id = 1;
   const std::int64_t row = cfg.heads * cfg.head_size;
   Rng rng(11);
@@ -283,12 +273,13 @@ TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
   }
 
   // One int8 byte per element per side.
-  EXPECT_EQ(reg.stats().bytes_converted, 2 * 6 * row);
+  EXPECT_EQ(
+      telemetry::global_registry().counter("serve.kv.sidecar_bytes_converted"),
+      2 * 6 * row);
 
-  // Release recycles the pages: the registry entries are invalidated and a
-  // new tenant quantizes fresh codes (generation bump prevents reuse).
+  // Release recycles the pages: a new tenant of the same block quantizes
+  // fresh codes (its watermark starts at 0), never the old tenant's.
   pool.release(id);
-  EXPECT_GT(reg.stats().invalidations, 0);
   const serve::SessionId other = 2;
   const auto slot = pool.append_token(other);
   ASSERT_TRUE(slot.has_value());

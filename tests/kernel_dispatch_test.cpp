@@ -163,25 +163,6 @@ TEST(KernelDispatch, SgemmAccumulateMatchesScalarOnOddShapes) {
   }
 }
 
-TEST(KernelDispatch, SgemmAccumulateLdMatchesScalarWithLooseLeadingDims) {
-  const std::int64_t rows = 7, depth = 19, cols = 29;
-  const std::int64_t lda = depth + 3, ldb = cols + 5, ldc = cols + 2;
-  const auto a = random_floats(rows * lda, 101);
-  const auto b = random_floats(depth * ldb, 103);
-  auto ref = random_floats(rows * ldc, 107);
-  const auto init = ref;
-  scalar_kernel_table().sgemm_accumulate_ld(a.data(), lda, b.data(), ldb,
-                                            ref.data(), ldc, rows, depth,
-                                            cols);
-  for (const Isa isa : simd_isas()) {
-    auto got = init;
-    kernel_table_for(isa).sgemm_accumulate_ld(a.data(), lda, b.data(), ldb,
-                                              got.data(), ldc, rows, depth,
-                                              cols);
-    EXPECT_TRUE(bytes_equal(ref, got)) << isa_name(isa);
-  }
-}
-
 TEST(KernelDispatch, DecodePrimitivesMatchScalar) {
   for (const std::int64_t n : {1, 2, 3, 4, 7, 8, 15, 16, 17, 64, 100, 257}) {
     const auto x = random_floats(n, 1000 + n);

@@ -1,8 +1,8 @@
-// Property tests for the register-tiled packed micro-kernels: the strided
-// QK^T/PV tile kernel (sgemm_accumulate_ld) and the cache-blocked
-// sgemm_accumulate must be bit-identical to the naive reference loops
-// across odd shapes (rows/cols not multiples of the register blocks,
-// depths crossing the unroll and cache-block boundaries), and the packed
+// Property tests for the register-tiled packed micro-kernels: the
+// cache-blocked sgemm_accumulate must be bit-identical to the naive
+// reference loop across odd shapes (rows/cols not multiples of the
+// register blocks, depths crossing the unroll and cache-block
+// boundaries), and the packed
 // MHA kernels routed through the per-call panel cache must stay
 // bit-identical to the scalar reference.
 #include <gtest/gtest.h>
@@ -69,72 +69,6 @@ TensorH random_tensor(Shape shape, std::uint64_t seed) {
   Rng rng(seed);
   t.fill_random(rng);
   return t;
-}
-
-// ---- sgemm_accumulate_ld vs the naive dot loop -------------------------------
-
-/// Reference: per output element, a fresh dot accumulated in ascending
-/// depth order — exactly how the scalar MHA path computes each score.
-void naive_acc_ld(const float* a, std::int64_t lda, const float* b,
-                  std::int64_t ldb, float* c, std::int64_t ldc,
-                  std::int64_t rows, std::int64_t depth, std::int64_t cols) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float s = c[r * ldc + j];
-      for (std::int64_t e = 0; e < depth; ++e) {
-        s += a[r * lda + e] * b[e * ldb + j];
-      }
-      c[r * ldc + j] = s;
-    }
-  }
-}
-
-TEST(SgemmAccumulateLd, BitIdenticalToNaiveAcrossOddShapes) {
-  // Shapes straddle the 2x2 register block (and depths the kKU=2 unroll):
-  // below, at, and past multiples of both.
-  const std::int64_t sizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 13};
-  const std::int64_t depths[] = {1, 3, 16, 17, 64};
-  std::uint64_t seed = 1;
-  for (const auto rows : sizes) {
-    for (const auto cols : sizes) {
-      for (const auto depth : depths) {
-        const auto a = random_panel(rows * depth, seed++);
-        const auto b = random_panel(depth * cols, seed++);
-        std::vector<float> got(static_cast<std::size_t>(rows * cols), 0.0f);
-        std::vector<float> want = got;
-        packed::sgemm_accumulate_ld(a.data(), depth, b.data(), cols,
-                                    got.data(), cols, rows, depth, cols);
-        naive_acc_ld(a.data(), depth, b.data(), cols, want.data(), cols, rows,
-                     depth, cols);
-        EXPECT_TRUE(floats_bit_equal(got, want))
-            << rows << "x" << cols << "x" << depth;
-      }
-    }
-  }
-}
-
-TEST(SgemmAccumulateLd, HonorsLeadingDimensionsAndAccumulates) {
-  // Operands embedded in wider panels; outputs land in a strided C window
-  // seeded with prior values, as the kernel accumulates (C += A x B).
-  const std::int64_t rows = 5, cols = 6, depth = 9;
-  const std::int64_t lda = 12, ldb = 11, ldc = 8;
-  const auto a = random_panel(rows * lda, 101);
-  const auto b = random_panel(depth * ldb, 102);
-  auto got = random_panel(rows * ldc, 103);
-  auto want = got;
-  const auto untouched = got;
-  packed::sgemm_accumulate_ld(a.data(), lda, b.data(), ldb, got.data(), ldc,
-                              rows, depth, cols);
-  naive_acc_ld(a.data(), lda, b.data(), ldb, want.data(), ldc, rows, depth,
-               cols);
-  EXPECT_TRUE(floats_bit_equal(got, want));
-  // Elements beyond `cols` in each C row are untouched.
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t j = cols; j < ldc; ++j) {
-      EXPECT_EQ(got[static_cast<std::size_t>(r * ldc + j)],
-                untouched[static_cast<std::size_t>(r * ldc + j)]);
-    }
-  }
 }
 
 // ---- register-blocked sgemm_accumulate vs the naive triple loop --------------
