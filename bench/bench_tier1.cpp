@@ -30,9 +30,11 @@
 //   --out       output JSON path (default: BENCH_tier1.json in the cwd)
 //   --trace     also write a Chrome trace of the simulated kernel launches
 //               with the telemetry registry attached as trace metadata
-//   --tunedb    persistent tuning-DB directory for the e2e layer entry
-//               (default: <tmp>/stof_bench_tunedb); run the bench twice
-//               against the same path to exercise the warm-load path
+//   --tunedb    persistent tuning-DB directory for the e2e layer entry;
+//               run the bench twice against the same path to exercise the
+//               warm-load path.  Without it the entry tunes into a fresh
+//               directory of this process (removed at exit), so every run
+//               starts cold whatever ran before
 //   --baseline  compare against a committed BENCH_tier1.json: prints a
 //               per-entry delta table and exits 3 if any entry's packed_ms
 //               regresses more than the threshold (default 20%) after
@@ -64,6 +66,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
@@ -1238,6 +1242,15 @@ bool check_baseline(const std::vector<Entry>& entries,
   return pass;
 }
 
+/// A directory removed (with its contents) when the guard goes out of scope.
+struct RemovedAtExit {
+  std::filesystem::path path;
+  ~RemovedAtExit() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1245,8 +1258,7 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_tier1.json";
   std::string trace_path;
   std::string baseline_path;
-  std::string tunedb_path =
-      (std::filesystem::temp_directory_path() / "stof_bench_tunedb").string();
+  std::string tunedb_path;
   double threshold_pct = 20.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -1268,6 +1280,13 @@ int main(int argc, char** argv) {
                    " [--regress-threshold PCT]\n";
       return 2;
     }
+  }
+  RemovedAtExit fresh_tunedb;
+  if (tunedb_path.empty()) {
+    fresh_tunedb.path = std::filesystem::temp_directory_path() /
+                        ("stof_bench_tunedb." + std::to_string(getpid()));
+    std::filesystem::remove_all(fresh_tunedb.path);
+    tunedb_path = fresh_tunedb.path.string();
   }
 
   std::vector<Entry> entries;

@@ -14,6 +14,7 @@
 #include "stof/mha/decode.hpp"
 #include "stof/mha/unified.hpp"
 #include "stof/models/e2e.hpp"
+#include "stof/sparse/bsr_mask.hpp"
 
 using namespace stof;
 
@@ -101,15 +102,20 @@ int main() {
       "block-wise kernel for the denser bidirectional prefill mask.\n");
 
   // --- KV-cache decode kernel: one token against the cached context --------
-  std::printf("\nsingle-token KV-cache decode kernel (mha::decode_attention):\n");
+  std::printf(
+      "\nsingle-token KV-cache decode kernel (mha::decode_attention_paged):\n");
   std::printf("%8s %10s %12s\n", "context", "attended", "time (us)");
   for (const std::int64_t ctx : {512, 1024, 2048, 4096}) {
-    const mha::DecodeDims ddims{1, model.heads, ctx, model.head_size()};
-    const auto mask = causal_window(ctx);
-    const auto cols = mha::decode_columns(mask, ctx - 1, ctx);
+    // The new token is the mask's last row; its attended cache positions
+    // are that row's valid columns.
+    const auto bsr = sparse::BsrMask::build(causal_window(ctx), 16, 16);
+    std::vector<std::int32_t> cols;
+    bsr.row_cols(ctx - 1, cols);
+    const std::int64_t attended[] = {static_cast<std::int64_t>(cols.size())};
+    const std::int64_t rows[] = {1};
     const double t = gpusim::estimate_time_us(
-        mha::decode_cost(ddims, static_cast<std::int64_t>(cols.size()),
-                         device),
+        mha::decode_verify_cost(model.heads, model.head_size(), attended,
+                                rows, device),
         device);
     std::printf("%8lld %10zu %12.2f\n", static_cast<long long>(ctx),
                 cols.size(), t);

@@ -73,20 +73,6 @@ void sgemm_accumulate(const float* a, const float* b, float* c,
   core::kernels().sgemm_accumulate(a, b, c, rows, k, n);
 }
 
-void quantize_floats(const float* src, std::int64_t count, std::int64_t group,
-                     std::int8_t* dst, float* scales) {
-  STOF_EXPECTS(group > 0 && count % group == 0,
-               "quantization group must divide the element count");
-  const core::KernelTable& kt = core::kernels();
-  core::note_kernel_dispatch("quantize_i8", count / group);
-  for (std::int64_t g = 0; g < count / group; ++g) {
-    const float* s = src + g * group;
-    const auto params = core::quant_params(kt.abs_max(s, group));
-    scales[g] = params.scale;
-    kt.quantize_i8(s, dst + g * group, group, params.inv_scale);
-  }
-}
-
 void quantize_halfs(std::span<const half> src, std::int64_t group,
                     std::int8_t* dst, float* scales) {
   const auto count = static_cast<std::int64_t>(src.size());

@@ -77,13 +77,9 @@ void sgemm_accumulate(const float* a, const float* b, float* c,
 // and re-conversions — so INT8 execution stays deterministic even though
 // it is not bit-identical to FP32.
 
-/// Quantize a float panel with one scale per `group` elements; `count`
-/// must be a multiple of `group`.  dst has count codes, scales has
-/// count/group entries.
-void quantize_floats(const float* src, std::int64_t count, std::int64_t group,
-                     std::int8_t* dst, float* scales);
-
-/// Same, sourcing from a half panel (converted through the exact table).
+/// Quantize a half panel (converted through the exact table) with one
+/// scale per `group` elements; the element count must be a multiple of
+/// `group`.  dst has one code per element, scales one entry per group.
 void quantize_halfs(std::span<const half> src, std::int64_t group,
                     std::int8_t* dst, float* scales);
 

@@ -1,5 +1,7 @@
 #include "stof/core/panel_cache_registry.hpp"
 
+#include "stof/core/packed.hpp"
+#include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::core {
@@ -161,6 +163,19 @@ void PanelCacheRegistry::set_capacity_bytes(std::size_t bytes) {
 PanelCacheRegistry& global_panel_cache() {
   static PanelCacheRegistry registry;
   return registry;
+}
+
+PanelRef float_panel(const TensorH& t) {
+  const std::int64_t slices = t.shape().rank() == 3 ? t.shape()[0] : 1;
+  const auto slice = static_cast<std::size_t>(t.numel() / slices);
+  return global_panel_cache().get_or_convert(
+      {t.storage_id(), kPanelRowMajor}, t.version(), t.numel(),
+      [&t, slices, slice](float* dst) {
+        parallel_for(0, slices, [&](std::int64_t s) {
+          const auto lo = static_cast<std::size_t>(s) * slice;
+          packed::half_to_float(t.data().subspan(lo, slice), {dst + lo, slice});
+        });
+      });
 }
 
 }  // namespace stof::core

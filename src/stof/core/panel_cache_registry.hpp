@@ -1,14 +1,15 @@
 // Persistent cross-call float-panel cache.
 //
 // The packed-FP32 engine reads every half operand through an exact
-// half->float conversion.  Converting per call (KvPanelCache, GEMM operand
-// packs) pays it on every use; this registry makes it a per-*write* cost: a
-// converted panel is kept across calls, keyed on the identity of the half
-// storage it was converted from, and is reused until that storage changes.
-// Its two consumers convert whole tensors: ops::gemm's weight panels and
-// mha::KvPanelCache's K/V panels.  (The serving KV pool keeps its own
-// converted pages next to its half pages; see serve/kv_pool.hpp.)  Three
-// properties make the reuse safe:
+// half->float conversion.  Converting per call pays it on every use; this
+// registry makes it a per-*write* cost: a converted panel is kept across
+// calls, keyed on the identity of the half storage it was converted from,
+// and is reused until that storage changes.  Its consumers convert whole
+// tensors through float_panel(): ops::gemm's weight panels and the K/V
+// panels of the tensor-level MHA kernels (blockwise, varlen, row-wise);
+// ops::gemm's INT8 weight tier adds get_or_convert_int8().  (The serving KV
+// pool keeps its own converted pages next to its half pages; see
+// serve/kv_pool.hpp.)  Three properties make the reuse safe:
 //
 //   * Keying on storage identity, not content: every Tensor allocation (and
 //     every synthetic key a holder mints via next_storage_id()) is
@@ -46,12 +47,12 @@
 #include <vector>
 
 #include "stof/core/check.hpp"
+#include "stof/core/tensor.hpp"
 
 namespace stof::core {
 
 /// Identity of one cached panel: the half storage it converts plus a
-/// layout variant (the same storage may be cached row-major and
-/// transposed at once).
+/// variant (the same storage may be cached as floats and as INT8 codes).
 struct PanelKey {
   std::uint64_t storage = 0;
   std::uint64_t variant = 0;
@@ -59,7 +60,6 @@ struct PanelKey {
 };
 
 inline constexpr std::uint64_t kPanelRowMajor = 0;
-inline constexpr std::uint64_t kPanelTransposed = 1;
 /// Variant flag (OR'd with the layout) marking an INT8-quantized panel —
 /// the same storage may be cached float and int8 at once without aliasing.
 inline constexpr std::uint64_t kPanelInt8 = 2;
@@ -173,5 +173,12 @@ class PanelCacheRegistry {
 
 /// The process-wide registry every packed execution path shares.
 PanelCacheRegistry& global_panel_cache();
+
+/// The row-major FP32 copy of the whole tensor `t`, from the global
+/// registry under `t`'s storage id and version: converted on the first
+/// fetch after a write (a rank-3 tensor's (seq x d) instance panels in
+/// parallel), a pure hit otherwise.  The conversion is exact, so reading
+/// the panel equals per-element float(half) loads.
+PanelRef float_panel(const TensorH& t);
 
 }  // namespace stof::core

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <optional>
 #include <variant>
 #include <vector>
 
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/gpusim/occupancy.hpp"
-#include "stof/mha/panel_cache.hpp"
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
@@ -44,8 +41,8 @@ namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-/// Per-task state shared by the packed and scalar task bodies, allocated
-/// from the worker chunk's scratch arena (zero steady-state heap traffic).
+/// Per-task state of the scalar reference, allocated from the worker
+/// chunk's scratch arena (zero steady-state heap traffic).
 struct TaskState {
   std::span<float> m;    ///< running row maxima
   std::span<float> l;    ///< running softmax denominators
@@ -127,6 +124,16 @@ void store_rows(const float* src, std::int64_t rows, std::int64_t d,
 
 }  // namespace
 
+KvPanels fetch_kv_panels(const TensorH& k, const TensorH& v) {
+  KvPanels p{core::float_panel(k), core::float_panel(v)};
+  const std::int64_t converted =
+      (p.k.converted_elems > 0 ? 1 : 0) + (p.v.converted_elems > 0 ? 1 : 0);
+  if (converted > 0) {
+    telemetry::count("exec.mha.panels_converted", converted * k.shape()[0]);
+  }
+  return p;
+}
+
 TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
                             const TensorH& k, const TensorH& v,
                             const sparse::BsrMask& mask,
@@ -143,20 +150,14 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
                        padded_rows(k.data().data(), n, d),
                        padded_rows(v.data().data(), n, d),
                        padded_rows(out.data().data(), n, d)};
-  // Panel cache: every K/V instance is converted half->float (or
-  // quantized) at most once per *mutation* — the global registry keeps
-  // panels across calls keyed on the K/V tensors' storage identity and
-  // version.  Both float panels stay row-major, as the half source is.
-  std::optional<KvPanelCache> panels;
+  // Every K/V instance is converted half->float at most once per
+  // *mutation*: the global registry keeps the panels across calls, keyed on
+  // the K/V tensors' storage identity and version.
+  KvPanels panels;
   if (packed_execution_enabled()) {
-    panels.emplace(k, v, dims.kv_instances(), n, d,
-                   &core::global_panel_cache(), params.kv_precision);
-    if (params.kv_precision == core::PanelPrecision::kInt8) {
-      io.int8 = &*panels;
-    } else {
-      io.kf = padded_rows(panels->k_panel(0), n, d);
-      io.vf = padded_rows(panels->v_panel(0), n, d);
-    }
+    panels = fetch_kv_panels(k, v);
+    io.kf = padded_rows(panels.k.data(), n, d);
+    io.vf = padded_rows(panels.v.data(), n, d);
   }
   blockwise_attention_rows(dims, io, mask, params, score_mod, q_block_begin,
                            q_block_end);
@@ -173,8 +174,6 @@ void blockwise_attention_paged(std::int64_t heads, std::int64_t head_size,
   kv.validate(heads, head_size);
   const std::int64_t len = kv.context_len;
   const std::int64_t row = heads * head_size;
-  STOF_EXPECTS(params.kv_precision == core::PanelPrecision::kFloat32,
-               "paged block-wise attention runs FP32");
   STOF_EXPECTS(kv.block_tokens == params.block_n,
                "KV page size must equal BLOCK_N");
   STOF_EXPECTS(len > 0 && mask.seq_len() >= len,
@@ -228,21 +227,17 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
                "query block window must lie within the valid rows");
   const std::int64_t q_blocks = q_block_end - q_block_begin;
   if (q_blocks == 0) return;
-  const bool windowed = q_block_begin != 0 || q_block_end != mask.rows();
 
   // Block skip/load accounting is a property of the BSR mask (restricted to
   // the query window), so it is recorded once per call (not per task) and
   // is identical whichever execution path runs below.
   if (telemetry::enabled()) {
     const std::int64_t instances = dims.instances();
-    std::int64_t valid = mask.valid_count();
-    std::int64_t full = mask.full_count();
-    std::int64_t part = mask.part_count();
-    if (windowed) {
-      valid = rows_between(mask.load_row_ptr(), q_block_begin, q_block_end);
-      part = rows_between(mask.part_row_ptr(), q_block_begin, q_block_end);
-      full = valid - part;
-    }
+    const std::int64_t valid =
+        rows_between(mask.load_row_ptr(), q_block_begin, q_block_end);
+    const std::int64_t part =
+        rows_between(mask.part_row_ptr(), q_block_begin, q_block_end);
+    const std::int64_t full = valid - part;
     const std::int64_t total = q_blocks * mask.cols();
     telemetry::count("sim.mha.blockwise_calls");
     telemetry::count("sim.mha.blocks_loaded", valid * instances);
@@ -256,11 +251,6 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
   telemetry::ScopedTimer timer("wall.mha.blockwise_us");
 
   const bool use_packed = packed_execution_enabled();
-  const bool int8_kv = use_packed && io.int8 != nullptr;
-  STOF_EXPECTS(!int8_kv || (io.int8->precision() ==
-                                core::PanelPrecision::kInt8 &&
-                            io.int8->head_size() == d),
-               "int8 panels must match the problem");
 
   const auto& load_ptr = mask.load_row_ptr();
   const auto& load_idx = mask.load_col_idx();
@@ -275,7 +265,7 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
     const std::int64_t row_hi = std::min(n, row_lo + bm);
     const std::int64_t rows = row_hi - row_lo;
 
-    if (use_packed && !int8_kv) {
+    if (use_packed) {
       // ---- Packed FP32 path: the lane tile over row-major K/V. ----
       // Each query row owns one vector lane, so a key block's scores,
       // softmax update and PV accumulate advance all rows of the tile at
@@ -360,155 +350,8 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
       return;
     }
 
-    TaskState st = make_state(arena, rows, d, bn);
-    if (use_packed) {
-      // ---- Packed INT8 tier: quantized panels, row-at-a-time softmax. ----
-      const core::KernelTable& ktab = core::kernels();
-      auto q_tile = arena.alloc(rows * d);
-      load_rows(io.q, bh, row_lo, rows, d, q_tile.data());
-      auto pv = arena.alloc(rows * d);
-      auto corr = arena.alloc(rows);
-      // Quantized Q rows (one scale per row), the block's K/V codes, and a
-      // per-block weight-tile quantization buffer.  The int8 code buffers
-      // live in the float arena via the always-legal signed-char aliasing
-      // of its storage.
-      const std::int64_t kv8 = io.int8_kv_offset + kv;
-      const std::int64_t ld8 = io.int8->seq();
-      const std::int8_t* k8t = io.int8->kt_panel_i8(kv8);
-      const std::int8_t* v8 = io.int8->v_panel_i8(kv8);
-      const float k_sc = io.int8->k_scale(kv8);
-      const float v_sc = io.int8->v_scale(kv8);
-      auto* q8 = reinterpret_cast<std::int8_t*>(
-          arena.alloc((rows * d + 3) / 4).data());
-      auto q_scales = arena.alloc(rows);
-      packed::quantize_floats(q_tile.data(), rows * d, d, q8, q_scales.data());
-      auto* w8 = reinterpret_cast<std::int8_t*>(
-          arena.alloc((rows * bn + 3) / 4).data());
-      auto w_scales = arena.alloc(rows);
-      std::int64_t full_fast_blocks = 0;
-
-      sparse::BsrMask::RowBlocks row_blocks(mask, bi);
-      for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
-           it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
-        const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
-        const std::int64_t col_lo = bj * bn;
-        const std::int64_t cols = std::min(n, col_lo + bn) - col_lo;
-        const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
-
-        // S = (Q_i K_j^T) in exact int32 dot products with a float
-        // epilogue, into a zeroed score window.
-        for (std::int64_t r = 0; r < rows; ++r) {
-          std::fill_n(st.s.data() + r * bn, cols, 0.0f);
-        }
-        core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-        ktab.sgemm_i8_accumulate_ld(q8, d, k8t + col_lo, ld8, st.s.data(), bn,
-                                    rows, d, cols, q_scales.data(), k_sc);
-        const bool full_fast = bitmap == nullptr && !score_mod;
-        if (full_fast) {
-          // Full-block fast path: plain unit-stride scaling, no per-element
-          // bitmap or score-mod branches.
-          ++full_fast_blocks;
-          for (std::int64_t r = 0; r < rows; ++r) {
-            ktab.scale_inplace(st.s.data() + r * bn, scale, cols);
-          }
-        } else if (!score_mod) {
-          // Part block without a score-mod (the common sparse case): the
-          // bitmap apply is a branch-free select, vectorizable.
-          const std::uint8_t* bits = bitmap->data();
-          for (std::int64_t r = 0; r < rows; ++r) {
-            float* s_row = st.s.data() + r * bn;
-            const std::uint8_t* b_row = bits + r * bn;
-            for (std::int64_t c = 0; c < cols; ++c) {
-              s_row[c] = b_row[c] ? s_row[c] * scale : kNegInf;
-            }
-          }
-        } else {
-          for (std::int64_t r = 0; r < rows; ++r) {
-            float* s_row = st.s.data() + r * bn;
-            for (std::int64_t c = 0; c < cols; ++c) {
-              float sv = score_mod(bh, row_lo + r, col_lo + c,
-                                   s_row[c] * scale);
-              if (bitmap != nullptr &&
-                  !(*bitmap)[static_cast<std::size_t>(r * bn + c)]) {
-                sv = kNegInf;
-              }
-              s_row[c] = sv;
-            }
-          }
-        }
-
-        // Online softmax: update per-row state and turn scores into
-        // weights in place.  Rows are independent, so splitting the weight
-        // pass from the PV tile GEMM below reorders nothing within any
-        // output element's accumulation chain.
-        for (std::int64_t r = 0; r < rows; ++r) {
-          float* s_row = st.s.data() + r * bn;
-          // max is exact, so the vectorized reduction matches the scalar
-          // running max bit-for-bit.
-          const float row_max = ktab.reduce_max(s_row, cols);
-          if (row_max == kNegInf) {
-            corr[static_cast<std::size_t>(r)] = -1.0f;  // fully masked row
-            continue;
-          }
-          const float m_old = st.m[static_cast<std::size_t>(r)];
-          const float m_new = std::max(m_old, row_max);
-          const float correction =
-              (st.l[static_cast<std::size_t>(r)] == 0.0f)
-                  ? 0.0f
-                  : core::exp_f32(m_old - m_new);
-          // Masked scores stay -inf after the shift, and exp_row maps
-          // them to the scalar path's explicit 0.
-          for (std::int64_t c = 0; c < cols; ++c) s_row[c] -= m_new;
-          ktab.exp_row(s_row, s_row, cols);
-          float block_sum = 0;
-          for (std::int64_t c = 0; c < cols; ++c) block_sum += s_row[c];
-          st.l[static_cast<std::size_t>(r)] =
-              st.l[static_cast<std::size_t>(r)] * correction + block_sum;
-          corr[static_cast<std::size_t>(r)] = correction;
-          st.m[static_cast<std::size_t>(r)] = m_new;
-        }
-
-        // PV: quantize the weight tile per row (valid cols only — the tail
-        // of each bn-row is stale scratch).  Fully masked rows still hold
-        // raw -inf scores; their PV contribution is discarded at the merge
-        // below, so emit zero codes instead of quantizing -inf.
-        std::fill_n(pv.data(), rows * d, 0.0f);
-        for (std::int64_t r = 0; r < rows; ++r) {
-          if (corr[static_cast<std::size_t>(r)] < 0.0f) {
-            w_scales[static_cast<std::size_t>(r)] = 0.0f;
-            std::memset(w8 + r * bn, 0, static_cast<std::size_t>(cols));
-            continue;
-          }
-          const float* s_row = st.s.data() + r * bn;
-          const auto qp = core::quant_params(ktab.abs_max(s_row, cols));
-          w_scales[static_cast<std::size_t>(r)] = qp.scale;
-          ktab.quantize_i8(s_row, w8 + r * bn, cols, qp.inv_scale);
-        }
-        core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-        ktab.sgemm_i8_accumulate_ld(w8, bn, v8 + col_lo * d, d, pv.data(), d,
-                                    rows, cols, d, w_scales.data(), v_sc);
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const float c_r = corr[static_cast<std::size_t>(r)];
-          if (c_r < 0.0f) continue;
-          ktab.axpby(st.acc.data() + r * d, pv.data() + r * d, c_r, 1.0f, d);
-        }
-      }
-      if (full_fast_blocks > 0) {
-        telemetry::count("exec.mha.blockwise.full_fast_blocks",
-                         full_fast_blocks);
-      }
-
-      // Epilogue: normalize and store (one rounding per output element).
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const float denom = st.l[static_cast<std::size_t>(r)];
-        const float inv = denom == 0.0f ? 0.0f : 1.0f / denom;
-        ktab.scale_inplace(st.acc.data() + r * d, inv, d);
-      }
-      store_rows(st.acc.data(), rows, d, io.out, bh, row_lo, io.out_row0);
-      return;
-    }
-
     // ---- Scalar reference path: per-element half loads. ----
+    TaskState st = make_state(arena, rows, d, bn);
     const half* q_h = io.q.row(bh, row_lo);
     sparse::BsrMask::RowBlocks row_blocks(mask, bi);
     for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
@@ -601,29 +444,21 @@ gpusim::KernelCost blockwise_cost(const MhaDims& dims,
   STOF_EXPECTS(q_block_begin >= 0 && q_block_begin <= q_block_end &&
                    q_block_end <= mask.rows(),
                "query block window must lie within the mask");
-  const bool windowed = q_block_begin != 0 || q_block_end != mask.rows();
   const double instances = static_cast<double>(dims.instances());
   const double d = static_cast<double>(dims.head_size);
   const double bm = p.block_m;
   const double bn = p.block_n;
-  std::int64_t valid_blocks = mask.valid_count();
-  std::int64_t part_blocks = mask.part_count();
-  // A windowed launch runs only the window's block rows: count its valid
-  // and part blocks from the load lists.  Its Q read / output write shrink
-  // to the window's token rows; K/V, bitmap, and metadata traffic follow
-  // the windowed block population.
-  if (windowed) {
-    valid_blocks =
-        rows_between(mask.load_row_ptr(), q_block_begin, q_block_end);
-    part_blocks =
-        rows_between(mask.part_row_ptr(), q_block_begin, q_block_end);
-  }
-  const double window_tokens =
-      windowed ? static_cast<double>(
-                     std::min(dims.seq_len, q_block_end * p.block_m) -
-                     q_block_begin * p.block_m)
-               : static_cast<double>(dims.seq_len);
-  const double valid = static_cast<double>(valid_blocks);
+  // The launch runs only the window's block rows: its valid and part
+  // blocks come from the load lists, its Q read / output write from the
+  // window's token rows; K/V, bitmap, and metadata traffic follow the
+  // window's block population.
+  const std::int64_t part_blocks =
+      rows_between(mask.part_row_ptr(), q_block_begin, q_block_end);
+  const double window_tokens = static_cast<double>(
+      std::min(dims.seq_len, q_block_end * p.block_m) -
+      q_block_begin * p.block_m);
+  const double valid = static_cast<double>(
+      rows_between(mask.load_row_ptr(), q_block_begin, q_block_end));
   // Only part blocks pay the bitmap apply; full blocks take the mask-free
   // fast path (BsrMask classifies a block kFull iff every in-range element
   // is valid, so `part_count` is exactly the bitmap-loading population).

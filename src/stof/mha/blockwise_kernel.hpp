@@ -21,14 +21,15 @@
 // (core::KernelTable::attn_lane_block): every query row owns a vector
 // lane, so a block's scores, online-softmax update and PV accumulate
 // advance all rows at once while each row keeps the scalar reference's
-// operation order; the scalar reference and the INT8 tier run row by row.
-// Every softmax exp goes through core::exp_f32.
+// operation order; the scalar reference runs row by row.  Every softmax exp
+// goes through core::exp_f32.
 #pragma once
 
 #include <functional>
 #include <span>
 
 #include "stof/core/kernels.hpp"
+#include "stof/core/panel_cache_registry.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
 #include "stof/masks/mask.hpp"
@@ -49,12 +50,6 @@ struct BlockwiseParams {
   /// Ablation: ignore the full/part classification and load + apply a
   /// bitmap for every valid block (as a coarse block-mask kernel would).
   bool treat_full_as_part = false;
-  /// Storage tier of the cached K/V panels (packed mode only).  kInt8 runs
-  /// both tile GEMMs over quantized panels with exact int32 accumulation —
-  /// deterministic, roughly half the panel-conversion traffic, but not
-  /// bit-identical to FP32, so call sites opt in explicitly.  Scalar
-  /// execution ignores the field (it is the FP32 reference).
-  core::PanelPrecision kv_precision = core::PanelPrecision::kFloat32;
 
   void validate() const;
 
@@ -74,8 +69,6 @@ std::int64_t blockwise_req_smem_bytes(const BlockwiseParams& params,
 /// composes it with the block-sparse skip machinery.
 using ScoreMod = std::function<float(std::int64_t, std::int64_t, std::int64_t,
                                      float)>;
-
-class KvPanelCache;
 
 /// Rows of one attention operand, found by base pointer plus row stride.
 /// Row r of instance i lives at
@@ -111,10 +104,9 @@ template <typename T>
 }
 
 /// Where a block-wise launch reads its operands and writes its output.
-/// The scalar reference reads the half views; the packed FP32 path reads
+/// The scalar reference reads the half views; the packed path reads
 /// `kf`/`vf` (when empty, each visited key block is converted from the
-/// half views in the task's scratch arena); the packed INT8 tier reads the
-/// quantized panels of `int8` from instance `int8_kv_offset`.
+/// half views in the task's scratch arena).
 struct BlockwiseOperands {
   RowView<const half> q = {};
   RowView<const half> k = {};
@@ -123,14 +115,21 @@ struct BlockwiseOperands {
   std::int64_t out_row0 = 0;  ///< rows below are computed but not stored
   RowView<const float> kf = {};
   RowView<const float> vf = {};
-  const KvPanelCache* int8 = nullptr;
-  std::int64_t int8_kv_offset = 0;
 };
+
+/// Whole-tensor FP32 panels of K and V (core::float_panel) for the packed
+/// tensor-level kernels.  Counts `exec.mha.panels_converted`: one panel
+/// per K/V instance of each tensor this fetch actually converted (registry
+/// hits count nothing).
+struct KvPanels {
+  core::PanelRef k;
+  core::PanelRef v;
+};
+KvPanels fetch_kv_panels(const TensorH& k, const TensorH& v);
 
 /// Functional execution over the BSR mask: streaming softmax across valid
 /// blocks, full/part paths as in the paper.  The BSR block sizes must match
-/// `params`.  Packed mode reads K/V through row-major float panels fetched
-/// from the global cross-call registry.
+/// `params`.  Packed mode reads K/V through fetch_kv_panels.
 ///
 /// `q_block_begin`/`q_block_end` restrict execution to the query block-rows
 /// in [q_block_begin, q_block_end) (`q_block_end < 0` means every row).
@@ -160,7 +159,7 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
                               std::int64_t q_block_end);
 
 /// Block-wise attention of one sequence whose K/V live in a paged KV cache
-/// (the serving prefill, FP32 only).  Key block bj is page bj, so
+/// (the serving prefill).  Key block bj is page bj, so
 /// `kv.block_tokens` must equal BLOCK_N; the scalar reference reads the
 /// half pages and the packed path the float sidecar (or, without one,
 /// converts each visited page).  `kv.cols` is unused: `mask` (at least

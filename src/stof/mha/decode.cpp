@@ -11,129 +11,6 @@
 
 namespace stof::mha {
 
-std::vector<std::int32_t> decode_columns(const masks::Mask& mask,
-                                         std::int64_t row,
-                                         std::int64_t context_len) {
-  STOF_EXPECTS(row >= 0 && row < mask.seq_len());
-  STOF_EXPECTS(context_len > 0 && context_len <= mask.seq_len());
-  std::vector<std::int32_t> cols;
-  for (std::int64_t j = 0; j < context_len; ++j) {
-    if (mask.at(row, j)) cols.push_back(static_cast<std::int32_t>(j));
-  }
-  return cols;
-}
-
-TensorH decode_attention(const DecodeDims& dims, const TensorH& q,
-                         const TensorH& k_cache, const TensorH& v_cache,
-                         const std::vector<std::int32_t>& cols) {
-  dims.validate();
-  const Shape q_shape{dims.instances(), 1, dims.head_size};
-  const Shape kv_shape{dims.instances(), dims.context_len, dims.head_size};
-  STOF_EXPECTS(q.shape() == q_shape, "q must be (b*h, 1, d)");
-  STOF_EXPECTS(k_cache.shape() == kv_shape, "k_cache must be (b*h, ctx, d)");
-  STOF_EXPECTS(v_cache.shape() == kv_shape, "v_cache must be (b*h, ctx, d)");
-  for (const auto c : cols) {
-    STOF_EXPECTS(c >= 0 && c < dims.context_len, "column out of context");
-  }
-
-  TensorH out(q_shape);
-  const std::int64_t d = dims.head_size;
-  const float scale = dims.scale();
-
-  // Packed path: bulk-convert the query row and the *gathered* K/V cache
-  // rows into scratch FP32 panels.  Decode touches each cache row at most
-  // once per call (one query row per instance), so the whole-instance
-  // KvPanelCache would convert context rows the sparse column list never
-  // reads — gathering exactly the attended rows converts the same element
-  // set the scalar loop reads, with table lookups instead of per-element
-  // `at()` round trips.  The streaming-softmax order is unchanged, so both
-  // paths are bit-identical.
-  const bool use_packed = packed_execution_enabled();
-  const std::int64_t gathered = static_cast<std::int64_t>(cols.size());
-  const std::int64_t ctx = dims.context_len;
-
-  parallel_for_scratch(0, dims.instances(), [&](std::int64_t bh,
-                                                ScratchArena& arena) {
-    const core::KernelTable& kt = core::kernels();
-    float m = -std::numeric_limits<float>::infinity();
-    float l = 0;
-    auto acc = arena.alloc_zeroed(d);
-
-    std::span<float> q_row, k_rows, v_rows, dots;
-    if (use_packed) {
-      q_row = arena.alloc(d);
-      packed::half_to_float(
-          q.data().subspan(static_cast<std::size_t>(bh * d), q_row.size()),
-          q_row);
-      k_rows = arena.alloc(gathered * d);
-      v_rows = arena.alloc(gathered * d);
-      dots = arena.alloc(gathered);
-      for (std::int64_t g = 0; g < gathered; ++g) {
-        const auto src =
-            static_cast<std::size_t>((bh * ctx + cols[static_cast<std::size_t>(
-                                                     g)]) *
-                                     d);
-        const auto dst = static_cast<std::size_t>(g * d);
-        packed::half_to_float(
-            k_cache.data().subspan(src, static_cast<std::size_t>(d)),
-            k_rows.subspan(dst, static_cast<std::size_t>(d)));
-        packed::half_to_float(
-            v_cache.data().subspan(src, static_cast<std::size_t>(d)),
-            v_rows.subspan(dst, static_cast<std::size_t>(d)));
-      }
-      // All gathered rows are contiguous in scratch, so the dot batch runs
-      // with idx == nullptr; each dot keeps the serial ascending-e chain of
-      // the scalar loop below.
-      core::note_kernel_dispatch("dot_rows");
-      kt.dot_rows(q_row.data(), k_rows.data(), d, nullptr, dots.data(),
-                  gathered, d);
-      core::note_kernel_dispatch("axpby", gathered);
-    }
-
-    for (std::int64_t g = 0; g < gathered; ++g) {
-      const std::int64_t j = cols[static_cast<std::size_t>(g)];
-      float dot = 0;
-      if (use_packed) {
-        dot = dots[static_cast<std::size_t>(g)];
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          dot += float(q.at(bh, 0, e)) * float(k_cache.at(bh, j, e));
-        }
-      }
-      const float s = dot * scale;
-      const float m_new = std::max(m, s);
-      const float correction =
-          (l == 0.0f) ? 0.0f : core::exp_f32(m - m_new);
-      const float w = core::exp_f32(s - m_new);
-      l = l * correction + w;
-      if (use_packed) {
-        // acc = acc*correction + w*v_row — exactly the scalar merge below,
-        // one multiply and one add per element.
-        kt.axpby(acc.data(), v_rows.data() + g * d, correction, w, d);
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          acc[static_cast<std::size_t>(e)] =
-              acc[static_cast<std::size_t>(e)] * correction +
-              w * float(v_cache.at(bh, j, e));
-        }
-      }
-      m = m_new;
-    }
-    const float inv = l == 0.0f ? 0.0f : 1.0f / l;
-    if (use_packed) {
-      kt.scale_inplace(acc.data(), inv, d);
-      packed::float_to_half(
-          acc, out.data().subspan(static_cast<std::size_t>(bh * d),
-                                  static_cast<std::size_t>(d)));
-    } else {
-      for (std::int64_t e = 0; e < d; ++e) {
-        out.at(bh, 0, e) = half(acc[static_cast<std::size_t>(e)] * inv);
-      }
-    }
-  });
-  return out;
-}
-
 void PagedSeq::validate(std::int64_t heads, std::int64_t head_size) const {
   STOF_EXPECTS(heads > 0 && head_size > 0);
   STOF_EXPECTS(context_len >= 0, "context_len must be non-negative");
@@ -424,32 +301,6 @@ gpusim::KernelCost decode_verify_cost(std::int64_t heads,
   c.occupancy = occ.fraction;
   c.blocks_per_sm = std::max(1, occ.blocks_per_sm);
   c.grid_blocks = (instances + 3) / 4;
-  c.overlap = 0.85;  // pure streaming
-  return c;
-}
-
-gpusim::KernelCost decode_cost(const DecodeDims& dims,
-                               std::int64_t valid_cols,
-                               const gpusim::DeviceSpec& dev) {
-  dims.validate();
-  STOF_EXPECTS(valid_cols >= 0 && valid_cols <= dims.context_len);
-  const double instances = static_cast<double>(dims.instances());
-  const double d = static_cast<double>(dims.head_size);
-  const double valid = static_cast<double>(valid_cols);
-  constexpr double kElem = 2.0;
-
-  gpusim::KernelCost c;
-  // One warp per (batch, head): packed half2 CUDA-core math, like the
-  // row-wise kernel.
-  c.cuda_flops = 0.5 * instances * valid * (4.0 * d + 6.0);
-  // Streams the attended K/V cache rows plus the tiny q and output.
-  c.gmem_read_bytes = instances * (d * kElem + 2.0 * valid * d * kElem) +
-                      valid * sizeof(std::int32_t);
-  c.gmem_write_bytes = instances * d * kElem;
-  const auto occ = gpusim::occupancy(dev, 0, /*num_warps=*/4);
-  c.occupancy = occ.fraction;
-  c.blocks_per_sm = std::max(1, occ.blocks_per_sm);
-  c.grid_blocks = (dims.instances() + 3) / 4;
   c.overlap = 0.85;  // pure streaming
   return c;
 }

@@ -1,61 +1,24 @@
-// Single-token decode attention over a KV cache (extension).
+// Decode attention over a paged KV cache (extension).
 //
 // Autoregressive generation issues one query row per step against the
 // cached keys/values of the context — the degenerate case of the row-wise
-// kernel (one warp per (batch, head) instance, no softmax streaming needed
-// beyond a single pass).  The paper's conclusion points at "other DNN
-// scenarios"; this is the decode-side one, and it reuses the row-wise
-// sparse machinery: the step's attendable context positions come from the
-// last row of the (ctx+1)-token mask.
+// kernel (one warp per (sequence, head) instance).  The paper's conclusion
+// points at "other DNN scenarios"; this is the decode-side one.  There is
+// one kernel, decode_attention_paged, which reads each sequence's K/V
+// where the serving KV pool keeps them (fixed-size pages, with an optional
+// FP32 or INT8 sidecar), and one cost routine, decode_verify_cost, which
+// also covers a speculative verification round.  A step's attended
+// columns are a row of the sequence's mask (sparse::BsrMask::row_cols).
 #pragma once
 
 #include <span>
 #include <variant>
-#include <vector>
 
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
-#include "stof/masks/mask.hpp"
 #include "stof/mha/attention.hpp"
 
 namespace stof::mha {
-
-/// Dimensions of one decode step.
-struct DecodeDims {
-  std::int64_t batch = 1;
-  std::int64_t heads = 12;
-  std::int64_t context_len = 0;  ///< cached tokens the new token may see
-  std::int64_t head_size = 64;
-
-  [[nodiscard]] std::int64_t instances() const { return batch * heads; }
-  [[nodiscard]] float scale() const {
-    return 1.0f / std::sqrt(static_cast<float>(head_size));
-  }
-  void validate() const {
-    STOF_EXPECTS(batch > 0 && heads > 0 && context_len > 0 && head_size > 0);
-  }
-};
-
-/// The context positions a new token attends to: the valid columns of the
-/// query row `row` of `mask`, restricted to [0, context_len).
-std::vector<std::int32_t> decode_columns(const masks::Mask& mask,
-                                         std::int64_t row,
-                                         std::int64_t context_len);
-
-/// One decode step: q is (batch*heads, 1, head_size); k_cache/v_cache are
-/// (batch*heads, context_len, head_size).  Returns (batch*heads, 1,
-/// head_size).  `cols` lists the attendable cache positions (shared across
-/// batch and heads); an empty list yields zeros.
-TensorH decode_attention(const DecodeDims& dims, const TensorH& q,
-                         const TensorH& k_cache, const TensorH& v_cache,
-                         const std::vector<std::int32_t>& cols);
-
-/// Simulated cost of one decode-step kernel launch.
-gpusim::KernelCost decode_cost(const DecodeDims& dims,
-                               std::int64_t valid_cols,
-                               const gpusim::DeviceSpec& dev);
-
-// ---- Batched ragged decode over a paged KV-cache (serving extension) ------
 
 /// Exact FP32 copies of a sequence's KV pages (the KV pool's float-panel
 /// sidecar).  Each float block mirrors its half block's layout and covers

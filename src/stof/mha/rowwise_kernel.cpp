@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "stof/core/packed.hpp"
 #include "stof/gpusim/occupancy.hpp"
-#include "stof/mha/panel_cache.hpp"
+#include "stof/mha/blockwise_kernel.hpp"
 #include "stof/parallel/parallel_for.hpp"
 
 namespace stof::mha {
@@ -29,11 +28,8 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   // is identical in both paths, so the packed results are bit-identical to
   // the scalar per-element `at()` reference.
   const bool use_packed = packed_execution_enabled();
-  std::optional<KvPanelCache> panels;
-  if (use_packed) {
-    panels.emplace(k, v, dims.kv_instances(), n, d,
-                   &core::global_panel_cache());
-  }
+  KvPanels panels;
+  if (use_packed) panels = fetch_kv_panels(k, v);
 
   parallel_for_scratch(0, dims.instances() * n, [&](std::int64_t row,
                                                     ScratchArena& arena) {
@@ -54,8 +50,8 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
     const float* vf = nullptr;
     std::span<float> q_row;
     if (use_packed) {
-      kf = panels->k_panel(kv);
-      vf = panels->v_panel(kv);
+      kf = panels.k.data() + kv * n * d;
+      vf = panels.v.data() + kv * n * d;
       q_row = arena.alloc(d);
       packed::half_to_float(
           q.data().subspan(static_cast<std::size_t>((bh * n + i) * d),

@@ -1,10 +1,8 @@
 #include "stof/mha/varlen.hpp"
 
 #include <map>
-#include <optional>
 
 #include "stof/core/packed.hpp"
-#include "stof/mha/panel_cache.hpp"
 
 namespace stof::mha {
 
@@ -30,6 +28,16 @@ std::map<std::int64_t, sparse::BsrMask> prefixes_by_length(
     if (!out.contains(len)) out.emplace(len, base.prefix(len));
   }
   return out;
+}
+
+/// Element b's query block rows: [q_begin / BLOCK_M, ceil(len / BLOCK_M)).
+/// Rows past len are padding and never run; a zero-length element runs
+/// none.
+std::pair<std::int64_t, std::int64_t> element_window(
+    const VarlenBatch& batch, std::int64_t b, const BlockwiseParams& params) {
+  const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
+  return {batch.q_begin(b) / params.block_m,
+          (len + params.block_m - 1) / params.block_m};
 }
 
 void expect_base_matches(const MhaDims& dims, const sparse::BsrMask& base,
@@ -64,37 +72,25 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   const std::int64_t n = dims.seq_len;
   const std::int64_t d = dims.head_size;
   const std::int64_t kv_heads = dims.kv_head_count();
-  std::optional<KvPanelCache> panels;
-  if (packed_execution_enabled()) {
-    panels.emplace(k, v, dims.kv_instances(), n, d,
-                   &core::global_panel_cache(), params.kv_precision);
-  }
+  KvPanels panels;
+  if (packed_execution_enabled()) panels = fetch_kv_panels(k, v);
 
-  // One single-element attention per batch entry against its own BSR.
-  // Elements with a query window run only the block rows covering
-  // [q_begin, len); the windowed rows' bytes equal the full call's
-  // (independent per-row softmax chains), which is what keeps chunked
-  // prefill bit-identical.
+  // One single-element attention per batch entry against its own BSR, over
+  // the block rows covering [q_begin, len); the window's bytes equal a
+  // full call's (independent per-row softmax chains), which is what keeps
+  // chunked prefill bit-identical.  Padded rows stay zero.
   const MhaDims per_element{1, dims.heads, n, d, dims.kv_heads};
   for (std::int64_t b = 0; b < dims.batch; ++b) {
     BlockwiseOperands io{padded_rows(q.data().data(), n, d, b * dims.heads),
                          padded_rows(k.data().data(), n, d, b * kv_heads),
                          padded_rows(v.data().data(), n, d, b * kv_heads),
                          padded_rows(out.data().data(), n, d, b * dims.heads)};
-    if (panels && params.kv_precision == core::PanelPrecision::kInt8) {
-      io.int8 = &*panels;
-      io.int8_kv_offset = b * kv_heads;
-    } else if (panels) {
-      io.kf = padded_rows(panels->k_panel(0), n, d, b * kv_heads);
-      io.vf = padded_rows(panels->v_panel(0), n, d, b * kv_heads);
+    if (panels.k) {
+      io.kf = padded_rows(panels.k.data(), n, d, b * kv_heads);
+      io.vf = padded_rows(panels.v.data(), n, d, b * kv_heads);
     }
     const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
-    std::int64_t qb_lo = 0;
-    std::int64_t qb_hi = -1;
-    if (!batch.q_begins.empty()) {
-      qb_lo = batch.q_begin(b) / params.block_m;
-      qb_hi = (len + params.block_m - 1) / params.block_m;
-    }
+    const auto [qb_lo, qb_hi] = element_window(batch, b, params);
     blockwise_attention_rows(per_element, io, bsr_by_len.at(len), params,
                              /*score_mod=*/nullptr, qb_lo, qb_hi);
   }
@@ -115,8 +111,8 @@ gpusim::KernelCost varlen_cost(const MhaDims& dims,
 
   // Accumulate per-element work using a single-element cost each, dedup by
   // (length, query window); launch overhead is paid once (one fused varlen
-  // kernel).  Windowed elements charge only their block rows — a chunk's
-  // cost scales with the chunk, not the whole prompt.
+  // kernel).  Each element charges only its window's block rows — a chunk's
+  // cost scales with the chunk, a short element's with its length.
   std::map<std::pair<std::int64_t, std::int64_t>, gpusim::KernelCost>
       cost_by_len;
   const MhaDims per_element{1, dims.heads, dims.seq_len, dims.head_size};
@@ -130,12 +126,7 @@ gpusim::KernelCost varlen_cost(const MhaDims& dims,
     const std::int64_t q_begin = batch.q_begin(b);
     auto it = cost_by_len.find({len, q_begin});
     if (it == cost_by_len.end()) {
-      std::int64_t qb_lo = 0;
-      std::int64_t qb_hi = -1;
-      if (!batch.q_begins.empty()) {
-        qb_lo = q_begin / params.block_m;
-        qb_hi = (len + params.block_m - 1) / params.block_m;
-      }
+      const auto [qb_lo, qb_hi] = element_window(batch, b, params);
       it = cost_by_len
                .emplace(std::pair{len, q_begin},
                         blockwise_cost(per_element, bsr_by_len.at(len),

@@ -157,20 +157,6 @@ void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
   });
 }
 
-/// FP32 B panel via the cross-call registry: weight matrices convert once
-/// per load and every later call (any layer, any tuner evaluation) is a
-/// pure hit; the version tag forces a reconvert if the tensor mutates.
-core::PanelRef fetch_b_panel(const TensorH& b) {
-  const half* src = b.data().data();
-  const std::int64_t total = b.numel();
-  return core::global_panel_cache().get_or_convert(
-      {b.storage_id(), core::kPanelRowMajor}, b.version(), total,
-      [src, total](float* dst) {
-        packed::half_to_float({src, static_cast<std::size_t>(total)},
-                              {dst, static_cast<std::size_t>(total)});
-      });
-}
-
 /// INT8 B panel: one scale per (k, n) weight panel (per batch instance
 /// when B is batched), quantized once per storage version.  The key's
 /// kPanelInt8 flag keeps it disjoint from the FP32 panel of the same
@@ -242,7 +228,7 @@ void run_packed_dispatch(const GemmView& v, const TensorH& b,
     const core::Int8PanelRef b_ref = fetch_b_panel_int8(b);
     run_packed_int8(v, b_ref.data(), b_ref.scale_data());
   } else {
-    const core::PanelRef b_ref = fetch_b_panel(b);
+    const core::PanelRef b_ref = core::float_panel(b);
     run_packed(v, b_ref.data());
   }
 }
@@ -291,7 +277,7 @@ void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
   record_gemm_dispatch(v, packed);
   telemetry::ScopedTimer timer("wall.ops.gemm_us");
   if (packed) {
-    const core::PanelRef b_ref = fetch_b_panel(w);
+    const core::PanelRef b_ref = core::float_panel(w);
     run_packed(v, b_ref.data());
   } else {
     run_scalar(v);
@@ -300,7 +286,7 @@ void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
 
 void warm_weight_panel(const TensorH& w) {
   if (w.storage_id() == 0) return;  // empty tensor, nothing to convert
-  fetch_b_panel(w);
+  core::float_panel(w);
 }
 
 gpusim::KernelCost gemm_cost(const GemmDims& dims, const GemmParams& p,

@@ -1,10 +1,11 @@
 // INT8 quantized panel tier: round-trip error properties of the symmetric
 // per-group quantizer, the registry's int8 hit/reconvert semantics
-// (including coexistence with float panels of the same storage), the
-// KvPanelCache int8 mode, and the serve KvPool int8 sidecar's row-by-row
-// quantization exactness over filling pages.
+// (including coexistence with float panels of the same storage), and the
+// serve KvPool int8 sidecar's row-by-row quantization exactness over
+// filling pages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/core/tensor.hpp"
-#include "stof/mha/panel_cache.hpp"
 #include "stof/serve/kv_pool.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
@@ -22,102 +22,112 @@ namespace {
 
 /// Per-group round-trip property: every element must land within half a
 /// quantization step of its code (plus a denormal-absorbing epsilon).
-void expect_round_trip_bound(const std::vector<float>& src,
+void expect_round_trip_bound(const std::vector<half>& src,
                              std::int64_t group) {
   ASSERT_EQ(src.size() % static_cast<std::size_t>(group), 0u);
   const auto count = static_cast<std::int64_t>(src.size());
   std::vector<std::int8_t> codes(src.size());
   std::vector<float> scales(src.size() / static_cast<std::size_t>(group));
-  packed::quantize_floats(src.data(), count, group, codes.data(),
-                          scales.data());
+  packed::quantize_halfs(src, group, codes.data(), scales.data());
   for (std::int64_t g = 0; g < count / group; ++g) {
     const float scale = scales[static_cast<std::size_t>(g)];
     ASSERT_TRUE(std::isfinite(scale) && scale > 0.0f) << "group " << g;
     for (std::int64_t i = g * group; i < (g + 1) * group; ++i) {
       const auto ui = static_cast<std::size_t>(i);
+      const float x = float(src[ui]);
       const float rebuilt = scale * static_cast<float>(codes[ui]);
       // 0.502 instead of 0.5: one rounding of the scale itself.
-      EXPECT_LE(std::abs(src[ui] - rebuilt), scale * 0.502f + 1e-38f)
-          << "elem " << i << " src " << src[ui] << " code "
-          << int(codes[ui]) << " scale " << scale;
+      EXPECT_LE(std::abs(x - rebuilt), scale * 0.502f + 1e-38f)
+          << "elem " << i << " src " << x << " code " << int(codes[ui])
+          << " scale " << scale;
     }
   }
+}
+
+std::vector<half> halfs(const std::vector<float>& src) {
+  return {src.begin(), src.end()};
 }
 
 TEST(Int8Quantize, RoundTripBoundOnRandomInputs) {
   Rng rng(42);
   for (const std::int64_t group : {1, 4, 16, 64}) {
-    std::vector<float> src(static_cast<std::size_t>(group * 13));
-    for (auto& x : src) x = rng.uniform(-8.0f, 8.0f);
+    std::vector<half> src(static_cast<std::size_t>(group * 13));
+    for (auto& x : src) x = half(rng.uniform(-8.0f, 8.0f));
     expect_round_trip_bound(src, group);
   }
 }
 
-TEST(Int8Quantize, RoundTripBoundOnDenormalHeavyInputs) {
+TEST(Int8Quantize, RoundTripBoundOnSubnormalHeavyInputs) {
   Rng rng(43);
-  // Groups straddling kQuantTinyAbsMax: some all-denormal (degenerate
-  // zero-code branch), some mixing denormals with one normal value.
-  std::vector<float> src;
+  // Groups of half subnormals (|x| < 2^-14), some all-subnormal, some
+  // mixing subnormals with one normal value.
+  std::vector<half> src;
   for (int g = 0; g < 8; ++g) {
     for (int i = 0; i < 16; ++i) {
-      src.push_back(rng.uniform(-1.0f, 1.0f) * 1e-33f);
+      src.push_back(half(rng.uniform(-1.0f, 1.0f) * 6e-5f));
     }
-    if (g % 2 == 1) src.back() = 0.25f;  // normal absmax for odd groups
+    if (g % 2 == 1) src.back() = half(0.25f);  // normal absmax for odd groups
   }
   expect_round_trip_bound(src, 16);
 }
 
 TEST(Int8Quantize, RoundTripBoundOnConstantAndZeroInputs) {
-  expect_round_trip_bound(std::vector<float>(64, 3.5f), 16);
-  expect_round_trip_bound(std::vector<float>(64, -1e-3f), 8);
-  expect_round_trip_bound(std::vector<float>(64, 0.0f), 16);
+  expect_round_trip_bound(halfs(std::vector<float>(64, 3.5f)), 16);
+  expect_round_trip_bound(halfs(std::vector<float>(64, -1e-3f)), 8);
+  // An all-zero group takes the degenerate all-zero-code branch.
+  expect_round_trip_bound(halfs(std::vector<float>(64, 0.0f)), 16);
 }
 
 TEST(Int8Quantize, AbsMaxElementGetsFullCode) {
-  std::vector<float> src = {0.1f, -2.0f, 0.5f, 1.0f};
+  const std::vector<half> src = halfs({0.1f, -2.0f, 0.5f, 1.0f});
   std::vector<std::int8_t> codes(4);
   std::vector<float> scales(1);
-  packed::quantize_floats(src.data(), 4, 4, codes.data(), scales.data());
+  packed::quantize_halfs(src, 4, codes.data(), scales.data());
   EXPECT_FLOAT_EQ(scales[0], 2.0f / 127.0f);
   EXPECT_EQ(codes[1], -127);
 }
 
-TEST(Int8Quantize, QuantizeHalfsMatchesQuantizeFloatsOfConvertedSource) {
+TEST(Int8Quantize, QuantizeHalfsMatchesPerElementReference) {
+  // Scale absmax/127 per group, codes round-to-nearest-even and clamped.
   Rng rng(44);
   const std::int64_t group = 32, count = group * 7;
-  std::vector<half> src_h(static_cast<std::size_t>(count));
-  std::vector<float> src_f(static_cast<std::size_t>(count));
-  for (std::size_t i = 0; i < src_h.size(); ++i) {
-    src_h[i] = half(rng.uniform(-2.0f, 2.0f));
-    src_f[i] = float(src_h[i]);
+  std::vector<half> src(static_cast<std::size_t>(count));
+  for (auto& x : src) x = half(rng.uniform(-2.0f, 2.0f));
+  std::vector<std::int8_t> codes(src.size());
+  std::vector<float> scales(7);
+  packed::quantize_halfs(src, group, codes.data(), scales.data());
+  for (std::int64_t g = 0; g < count / group; ++g) {
+    float abs_max = 0.0f;
+    for (std::int64_t i = g * group; i < (g + 1) * group; ++i) {
+      abs_max = std::max(abs_max,
+                         std::abs(float(src[static_cast<std::size_t>(i)])));
+    }
+    const QuantParams qp = quant_params(abs_max);
+    EXPECT_EQ(scales[static_cast<std::size_t>(g)], qp.scale);
+    for (std::int64_t i = g * group; i < (g + 1) * group; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      const long want =
+          std::clamp(std::lrintf(float(src[ui]) * qp.inv_scale), -127L, 127L);
+      EXPECT_EQ(codes[ui], want) << "elem " << i;
+    }
   }
-  std::vector<std::int8_t> codes_h(src_h.size()), codes_f(src_h.size());
-  std::vector<float> scales_h(7), scales_f(7);
-  packed::quantize_halfs({src_h.data(), src_h.size()}, group, codes_h.data(),
-                         scales_h.data());
-  packed::quantize_floats(src_f.data(), count, group, codes_f.data(),
-                          scales_f.data());
-  EXPECT_EQ(codes_h, codes_f);
-  EXPECT_EQ(0, std::memcmp(scales_h.data(), scales_f.data(),
-                           scales_h.size() * sizeof(float)));
 }
 
 // ---- Registry int8 entries --------------------------------------------------
 
 /// Int8 converter quantizing the whole captured source vector per `group`.
-PanelCacheRegistry::Int8Converter quantizer(const std::vector<float>& src,
+PanelCacheRegistry::Int8Converter quantizer(const std::vector<half>& src,
                                             std::int64_t group) {
   return [&src, group](std::int8_t* codes, float* scales) {
-    packed::quantize_floats(src.data(), static_cast<std::int64_t>(src.size()),
-                            group, codes, scales);
+    packed::quantize_halfs(src, group, codes, scales);
   };
 }
 
 TEST(PanelCacheRegistryInt8, MissThenHitQuantizesOnce) {
   PanelCacheRegistry reg;
   Rng rng(7);
-  std::vector<float> src(64);
-  for (auto& x : src) x = rng.uniform(-1.0f, 1.0f);
+  std::vector<half> src(64);
+  for (auto& x : src) x = half(rng.uniform(-1.0f, 1.0f));
   const PanelKey key{next_storage_id(), kPanelRowMajor | kPanelInt8};
 
   const Int8PanelRef first =
@@ -127,7 +137,7 @@ TEST(PanelCacheRegistryInt8, MissThenHitQuantizesOnce) {
 
   // Pure hit: the converter is not invoked and the same codes come back.
   const std::vector<std::int8_t> codes(first.data(), first.data() + 64);
-  src.assign(64, 0.0f);  // a re-quantize would be visible
+  src.assign(64, half(0.0f));  // a re-quantize would be visible
   const Int8PanelRef hit =
       reg.get_or_convert_int8(key, 0, 64, 16, quantizer(src, 16));
   EXPECT_EQ(hit.converted_elems, 0);
@@ -139,10 +149,10 @@ TEST(PanelCacheRegistryInt8, MissThenHitQuantizesOnce) {
 
 TEST(PanelCacheRegistryInt8, StaleVersionReconverts) {
   PanelCacheRegistry reg;
-  std::vector<float> src(16, 1.0f);
+  std::vector<half> src(16, half(1.0f));
   const PanelKey key{next_storage_id(), kPanelRowMajor | kPanelInt8};
   (void)reg.get_or_convert_int8(key, 0, 16, 16, quantizer(src, 16));
-  src.assign(16, 2.0f);
+  src.assign(16, half(2.0f));
   const Int8PanelRef fresh =
       reg.get_or_convert_int8(key, 1, 16, 16, quantizer(src, 16));
   EXPECT_EQ(fresh.converted_elems, 16);
@@ -153,82 +163,30 @@ TEST(PanelCacheRegistryInt8, StaleVersionReconverts) {
 TEST(PanelCacheRegistryInt8, CoexistsWithFloatPanelOfSameStorage) {
   PanelCacheRegistry reg;
   Rng rng(8);
-  std::vector<float> src(32);
-  for (auto& x : src) x = rng.uniform(-1.0f, 1.0f);
+  std::vector<half> src(32);
+  for (auto& x : src) x = half(rng.uniform(-1.0f, 1.0f));
   const std::uint64_t storage = next_storage_id();
 
   const PanelRef f =
       reg.get_or_convert({storage, kPanelRowMajor}, 0, 32, [&src](float* dst) {
-        std::copy(src.begin(), src.end(), dst);
+        packed::half_to_float(src, {dst, src.size()});
       });
   const Int8PanelRef q = reg.get_or_convert_int8(
       {storage, kPanelRowMajor | kPanelInt8}, 0, 32, 32, quantizer(src, 32));
   EXPECT_EQ(reg.entry_count(), 2u);  // distinct keys, no aliasing
-  EXPECT_EQ(f.data()[5], src[5]);
-  EXPECT_NEAR(q.scale_data()[0] * float(q.data()[5]), src[5],
+  EXPECT_EQ(f.data()[5], float(src[5]));
+  EXPECT_NEAR(q.scale_data()[0] * float(q.data()[5]), float(src[5]),
               q.scale_data()[0]);
 }
 
 TEST(PanelCacheRegistryInt8, ResidentBytesCoverCodesAndScales) {
   PanelCacheRegistry reg;
-  std::vector<float> src(64, 1.0f);
+  std::vector<half> src(64, half(1.0f));
   (void)reg.get_or_convert_int8({next_storage_id(), kPanelInt8}, 0, 64, 16,
                                 quantizer(src, 16));
   // 64 codes + 4 scales.
   EXPECT_EQ(reg.resident_bytes(), 64 * sizeof(std::int8_t) +
                                       4 * sizeof(float));
-}
-
-// ---- KvPanelCache int8 mode -------------------------------------------------
-
-TEST(KvPanelCacheInt8, QuantizesPerInstancePanelsBothModes) {
-  Rng rng(9);
-  const std::int64_t kv = 2, seq = 8, d = 4;
-  TensorH k(Shape{kv, seq, d}), v(Shape{kv, seq, d});
-  k.fill_random(rng);
-  v.fill_random(rng);
-
-  for (PanelCacheRegistry* registry :
-       {static_cast<PanelCacheRegistry*>(nullptr), &global_panel_cache()}) {
-    const mha::KvPanelCache cache(k, v, kv, seq, d, registry,
-                                  PanelPrecision::kInt8);
-    EXPECT_EQ(cache.precision(), PanelPrecision::kInt8);
-    for (std::int64_t i = 0; i < kv; ++i) {
-      const float ks = cache.k_scale(i), vs = cache.v_scale(i);
-      ASSERT_GT(ks, 0.0f);
-      ASSERT_GT(vs, 0.0f);
-      // V panels are row-major: dequantized codes track the half source
-      // within one quantization step.
-      const std::int8_t* vq = cache.v_panel_i8(i);
-      for (std::int64_t e = 0; e < seq * d; ++e) {
-        const float want = float(v.data()[i * seq * d + e]);
-        EXPECT_NEAR(vs * float(vq[e]), want, vs * 0.502f + 1e-38f);
-      }
-      // Transposed K: element (s, c) lives at kt[c * seq + s].
-      const std::int8_t* kq = cache.kt_panel_i8(i);
-      for (std::int64_t s = 0; s < seq; ++s) {
-        for (std::int64_t c = 0; c < d; ++c) {
-          const float want = float(k.data()[(i * seq + s) * d + c]);
-          EXPECT_NEAR(ks * float(kq[c * seq + s]), want,
-                      ks * 0.502f + 1e-38f);
-        }
-      }
-    }
-  }
-}
-
-TEST(KvPanelCacheInt8, RegistryModeQuantizesOnce) {
-  Rng rng(10);
-  const std::int64_t kv = 1, seq = 16, d = 8;
-  TensorH k(Shape{kv, seq, d}), v(Shape{kv, seq, d});
-  k.fill_random(rng);
-  v.fill_random(rng);
-  PanelCacheRegistry reg;
-  const mha::KvPanelCache a(k, v, kv, seq, d, &reg, PanelPrecision::kInt8);
-  const mha::KvPanelCache b(k, v, kv, seq, d, &reg, PanelPrecision::kInt8);
-  // Second cache is a pure hit on the same buffers: identical code bytes.
-  EXPECT_EQ(a.v_panel_i8(0), b.v_panel_i8(0));
-  EXPECT_EQ(reg.stats().hits, 2);  // K and V
 }
 
 // ---- Serve KvPool int8 sidecar ----------------------------------------------

@@ -1,47 +1,104 @@
-// Tests for the single-token decode attention extension.
+// Tests for the paged decode attention kernel and its cost routine, over
+// KV pool pages built from dense per-instance cache tensors.
 #include <gtest/gtest.h>
 
 #include "stof/core/rng.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/mha/reference.hpp"
+#include "stof/sparse/bsr_mask.hpp"
 
 namespace stof::mha {
 namespace {
 
+constexpr std::int64_t kBlockTokens = 16;
+
+/// One decode step's operands: q is (batch*heads, 1, d); k/v are the dense
+/// caches (batch*heads, ctx, d).
 struct Cache {
+  std::int64_t batch, heads, ctx, d;
   TensorH q, k, v;
 };
 
-Cache make_cache(const DecodeDims& dims, std::uint64_t seed) {
+Cache make_cache(std::int64_t batch, std::int64_t heads, std::int64_t ctx,
+                 std::int64_t d, std::uint64_t seed) {
   Rng rng(seed);
-  Cache c{TensorH(Shape{dims.instances(), 1, dims.head_size}),
-          TensorH(Shape{dims.instances(), dims.context_len, dims.head_size}),
-          TensorH(Shape{dims.instances(), dims.context_len, dims.head_size})};
+  Cache c{batch,
+          heads,
+          ctx,
+          d,
+          TensorH(Shape{batch * heads, 1, d}),
+          TensorH(Shape{batch * heads, ctx, d}),
+          TensorH(Shape{batch * heads, ctx, d})};
   c.q.fill_random(rng);
   c.k.fill_random(rng);
   c.v.fill_random(rng);
   return c;
 }
 
+/// A cache tensor re-laid as KV pool pages: page (b, i) holds positions
+/// [i*kBlockTokens, (i+1)*kBlockTokens) of sequence b as (tokens, heads,
+/// d) row-major half.  Positions past ctx stay zero.
+struct Pages {
+  std::vector<half> storage;
+  std::vector<const half*> ptrs;  ///< sequence-major, blocks per sequence
+};
+
+Pages paginate(const Cache& c, const TensorH& t) {
+  const std::int64_t blocks = (c.ctx + kBlockTokens - 1) / kBlockTokens;
+  const std::int64_t page = kBlockTokens * c.heads * c.d;
+  Pages p;
+  p.storage.resize(static_cast<std::size_t>(c.batch * blocks * page));
+  for (std::int64_t b = 0; b < c.batch; ++b) {
+    for (std::int64_t h = 0; h < c.heads; ++h) {
+      for (std::int64_t j = 0; j < c.ctx; ++j) {
+        for (std::int64_t e = 0; e < c.d; ++e) {
+          p.storage[static_cast<std::size_t>(
+              (b * blocks + j / kBlockTokens) * page +
+              ((j % kBlockTokens) * c.heads + h) * c.d + e)] =
+              t.at(b * c.heads + h, j, e);
+        }
+      }
+    }
+  }
+  for (std::int64_t i = 0; i < c.batch * blocks; ++i) {
+    p.ptrs.push_back(p.storage.data() + i * page);
+  }
+  return p;
+}
+
+/// Decode every sequence of `c` over its pages, attending `cols`.
+TensorH decode(const Cache& c, std::span<const std::int32_t> cols,
+               const TensorH& q) {
+  const Pages k = paginate(c, c.k);
+  const Pages v = paginate(c, c.v);
+  const auto blocks =
+      static_cast<std::size_t>((c.ctx + kBlockTokens - 1) / kBlockTokens);
+  std::vector<PagedSeq> seqs;
+  for (std::int64_t b = 0; b < c.batch; ++b) {
+    const auto first = static_cast<std::size_t>(b) * blocks;
+    seqs.push_back(PagedSeq{c.ctx,
+                            kBlockTokens,
+                            {k.ptrs.data() + first, blocks},
+                            {v.ptrs.data() + first, blocks},
+                            cols});
+  }
+  return decode_attention_paged(c.heads, c.d, seqs, q);
+}
+
 TEST(DecodeColumns, ExtractsRowOfMask) {
-  const auto m = masks::causal(8);
-  const auto cols = decode_columns(m, 5, 8);
+  const auto bsr = sparse::BsrMask::build(masks::causal(8), 16, 16);
+  std::vector<std::int32_t> cols;
+  bsr.row_cols(5, cols);
   EXPECT_EQ(cols, (std::vector<std::int32_t>{0, 1, 2, 3, 4, 5}));
-  // Restricting to a shorter context truncates.
-  EXPECT_EQ(decode_columns(m, 5, 3), (std::vector<std::int32_t>{0, 1, 2}));
-  EXPECT_THROW(decode_columns(m, 8, 8), Error);
-  EXPECT_THROW(decode_columns(m, 0, 0), Error);
+  EXPECT_THROW(bsr.row_cols(8, cols), Error);
 }
 
 TEST(DecodeAttention, MatchesReferenceLastRow) {
   // Decoding the (n)th token over an n-token cache must equal the last row
   // of full attention with the same mask.
   const std::int64_t ctx = 24;
-  const DecodeDims ddims{2, 3, ctx, 16};
-  const Cache c = make_cache(ddims, 17);
+  const Cache c = make_cache(2, 3, ctx, 16, 17);
 
-  // Build full-attention inputs: the query sequence is the cache keys with
-  // the new token's query as the last row.
   const MhaDims full{2, 3, ctx, 16};
   const auto mask = masks::MaskSpec{.kind = masks::PatternKind::kLongformer,
                                     .seq_len = ctx}
@@ -56,8 +113,9 @@ TEST(DecodeAttention, MatchesReferenceLastRow) {
   }
   const TensorH ref = reference_attention(full, q_full, c.k, c.v, mask);
 
-  const auto cols = decode_columns(mask, ctx - 1, ctx);
-  const TensorH got = decode_attention(ddims, c.q, c.k, c.v, cols);
+  std::vector<std::int32_t> cols;
+  sparse::BsrMask::build(mask, 16, 16).row_cols(ctx - 1, cols);
+  const TensorH got = decode(c, cols, c.q);
   for (std::int64_t bh = 0; bh < full.instances(); ++bh) {
     for (std::int64_t e = 0; e < 16; ++e) {
       EXPECT_NEAR(float(got.at(bh, 0, e)), float(ref.at(bh, ctx - 1, e)),
@@ -68,16 +126,15 @@ TEST(DecodeAttention, MatchesReferenceLastRow) {
 }
 
 TEST(DecodeAttention, EmptyColumnsYieldZeros) {
-  const DecodeDims dims{1, 2, 8, 4};
-  const Cache c = make_cache(dims, 3);
-  const TensorH out = decode_attention(dims, c.q, c.k, c.v, {});
+  const Cache c = make_cache(1, 2, 8, 4, 3);
+  const TensorH out = decode(c, {}, c.q);
   for (const auto v : out.data()) EXPECT_EQ(float(v), 0.0f);
 }
 
 TEST(DecodeAttention, SingleColumnCopiesV) {
-  const DecodeDims dims{1, 2, 8, 4};
-  const Cache c = make_cache(dims, 4);
-  const TensorH out = decode_attention(dims, c.q, c.k, c.v, {5});
+  const Cache c = make_cache(1, 2, 8, 4, 4);
+  const std::int32_t col[] = {5};
+  const TensorH out = decode(c, col, c.q);
   for (std::int64_t bh = 0; bh < 2; ++bh) {
     for (std::int64_t e = 0; e < 4; ++e) {
       EXPECT_NEAR(float(out.at(bh, 0, e)), float(c.v.at(bh, 5, e)), 4e-3);
@@ -86,29 +143,41 @@ TEST(DecodeAttention, SingleColumnCopiesV) {
 }
 
 TEST(DecodeAttention, RejectsBadShapesAndColumns) {
-  const DecodeDims dims{1, 2, 8, 4};
-  const Cache c = make_cache(dims, 5);
-  TensorH bad_q(Shape{2, 2, 4});
-  EXPECT_THROW(decode_attention(dims, bad_q, c.k, c.v, {0}), Error);
-  EXPECT_THROW(decode_attention(dims, c.q, c.k, c.v, {8}), Error);
-  EXPECT_THROW(decode_attention(dims, c.q, c.k, c.v, {-1}), Error);
+  const Cache c = make_cache(1, 2, 8, 4, 5);
+  const std::int32_t ok[] = {0};
+  const TensorH bad_q(Shape{2, 2, 4});
+  EXPECT_THROW(decode(c, ok, bad_q), Error);
+  const std::int32_t past_context[] = {8};
+  EXPECT_THROW(decode(c, past_context, c.q), Error);
+  const std::int32_t negative[] = {-1};
+  EXPECT_THROW(decode(c, negative, c.q), Error);
+  const std::int32_t unsorted[] = {3, 1};
+  EXPECT_THROW(decode(c, unsorted, c.q), Error);
 }
 
 TEST(DecodeCost, ScalesWithAttendedColumns) {
-  const DecodeDims dims{4, 12, 2048, 64};
   const auto dev = gpusim::a100();
+  const std::int64_t rows[] = {1, 1, 1, 1};
+  const std::int64_t sparse_cols[] = {64, 64, 64, 64};
+  const std::int64_t dense_cols[] = {2048, 2048, 2048, 2048};
   const double sparse = gpusim::estimate_time_us(
-      decode_cost(dims, 64, dev), dev);
+      decode_verify_cost(12, 64, sparse_cols, rows, dev), dev);
   const double dense = gpusim::estimate_time_us(
-      decode_cost(dims, 2048, dev), dev);
+      decode_verify_cost(12, 64, dense_cols, rows, dev), dev);
   EXPECT_GT(dense, sparse * 2.0);
-  EXPECT_THROW(decode_cost(dims, 4096, dev), Error);
+  const std::int64_t negative[] = {64, -1, 64, 64};
+  EXPECT_THROW(decode_verify_cost(12, 64, negative, rows, dev), Error);
+  EXPECT_THROW(decode_verify_cost(12, 64, std::span(sparse_cols).first(3),
+                                  rows, dev),
+               Error);
 }
 
 TEST(DecodeCost, LaunchBoundAtTinyBatch) {
-  const DecodeDims dims{1, 12, 128, 64};
   const auto dev = gpusim::rtx4090();
-  const double t = gpusim::estimate_time_us(decode_cost(dims, 16, dev), dev);
+  const std::int64_t cols[] = {16};
+  const std::int64_t rows[] = {1};
+  const double t = gpusim::estimate_time_us(
+      decode_verify_cost(12, 64, cols, rows, dev), dev);
   EXPECT_LT(t, 2.0 * dev.launch_overhead_us);
 }
 

@@ -3,8 +3,9 @@
 // reference loop across odd shapes (rows/cols not multiples of the
 // register blocks, depths crossing the unroll and cache-block
 // boundaries), and the packed
-// MHA kernels routed through the per-call panel cache must stay
-// bit-identical to the scalar reference.
+// MHA kernels (tensor panels from the cross-call registry, paged decode
+// converting in its scratch arena) must stay bit-identical to the scalar
+// reference.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -182,22 +183,39 @@ TEST(RowwisePanelCacheBitIdentity, PackedMatchesScalar) {
 }
 
 TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
-  const mha::DecodeDims dims{3, 4, 37, 16};  // odd context length
-  const TensorH q = random_tensor(Shape{dims.instances(), 1, dims.head_size},
-                                  51);
-  const TensorH kc = random_tensor(
-      Shape{dims.instances(), dims.context_len, dims.head_size}, 52);
-  const TensorH vc = random_tensor(
-      Shape{dims.instances(), dims.context_len, dims.head_size}, 53);
+  // Paged decode with no sidecar: the packed path converts each attended
+  // page row in its scratch arena.  The odd context length leaves the last
+  // page part-filled.
+  constexpr std::int64_t kSeqs = 3, kHeads = 4, kD = 16, kCtx = 37, kBt = 16;
+  constexpr std::int64_t kBlocks = (kCtx + kBt - 1) / kBt;
+  const TensorH q = random_tensor(Shape{kSeqs * kHeads, 1, kD}, 51);
+  // One (kBt, kHeads, kD) page per (sequence, block).
+  const TensorH kc = random_tensor(Shape{kSeqs * kBlocks, kBt * kHeads, kD},
+                                   52);
+  const TensorH vc = random_tensor(Shape{kSeqs * kBlocks, kBt * kHeads, kD},
+                                   53);
+  std::vector<const half*> k_pages, v_pages;
+  for (std::int64_t p = 0; p < kSeqs * kBlocks; ++p) {
+    k_pages.push_back(kc.data().data() + p * kBt * kHeads * kD);
+    v_pages.push_back(vc.data().data() + p * kBt * kHeads * kD);
+  }
   const std::vector<std::int32_t> cols = {0, 3, 5, 11, 20, 36};
+  std::vector<mha::PagedSeq> seqs;
+  for (std::int64_t s = 0; s < kSeqs; ++s) {
+    seqs.push_back(mha::PagedSeq{kCtx,
+                                 kBt,
+                                 {k_pages.data() + s * kBlocks, kBlocks},
+                                 {v_pages.data() + s * kBlocks, kBlocks},
+                                 cols});
+  }
 
   TensorH scalar_out;
   {
     ScopedPackedExecution scalar_mode(false);
-    scalar_out = mha::decode_attention(dims, q, kc, vc, cols);
+    scalar_out = mha::decode_attention_paged(kHeads, kD, seqs, q);
   }
-  EXPECT_TRUE(tensors_bit_equal(scalar_out,
-                                mha::decode_attention(dims, q, kc, vc, cols)));
+  EXPECT_TRUE(tensors_bit_equal(
+      scalar_out, mha::decode_attention_paged(kHeads, kD, seqs, q)));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests of the cross-call float-panel cache: hit/miss semantics,
-// version-tag invalidation, LRU capacity bounding with pinned handles, and
-// the tensor storage-identity/mutation-stamp plumbing it keys on.
+// version-tag invalidation, LRU capacity bounding with pinned handles, the
+// tensor storage-identity/mutation-stamp plumbing it keys on, and the
+// whole-tensor fetch (float_panel) the GEMM and MHA kernels share.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,6 +9,8 @@
 #include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/core/tensor.hpp"
+#include "stof/mha/blockwise_kernel.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof::core {
 namespace {
@@ -126,6 +129,45 @@ TEST(TensorStamp, CopyGetsFreshIdentityMoveKeepsIt) {
   TensorH moved = std::move(t);
   EXPECT_EQ(moved.storage_id(), id);   // same buffer, same identity
   EXPECT_EQ(t.storage_id(), 0u);       // NOLINT: moved-from is storage-less
+}
+
+TEST(FloatPanel, WholeTensorConvertsOncePerVersion) {
+  Rng rng(21);
+  TensorH t(Shape{3, 8, 4});
+  t.fill_random(rng);
+  const TensorH& ct = t;
+  const PanelRef first = float_panel(t);
+  EXPECT_EQ(first.converted_elems, t.numel());
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    ASSERT_EQ(first.data()[i], float(ct.data()[static_cast<std::size_t>(i)]));
+  }
+  const PanelRef hit = float_panel(t);
+  EXPECT_EQ(hit.converted_elems, 0);
+  EXPECT_EQ(hit.buffer.get(), first.buffer.get());
+
+  t.at(2, 7, 3) = half(0.5f);  // a write bumps the version
+  const PanelRef fresh = float_panel(t);
+  EXPECT_EQ(fresh.converted_elems, t.numel());
+  EXPECT_EQ(fresh.data()[t.numel() - 1], 0.5f);
+}
+
+TEST(FloatPanel, MhaFetchCountsConvertedInstancePanels) {
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
+  Rng rng(22);
+  TensorH k(Shape{3, 8, 4}), v(Shape{3, 8, 4});
+  k.fill_random(rng);
+  v.fill_random(rng);
+  const auto converted = [] {
+    return telemetry::global_registry().counter("exec.mha.panels_converted");
+  };
+  (void)mha::fetch_kv_panels(k, v);
+  EXPECT_EQ(converted(), 6);  // K and V, 3 instances each
+  (void)mha::fetch_kv_panels(k, v);
+  EXPECT_EQ(converted(), 6);  // both hits
+  v.at(0, 0, 0) = half(1.0f);
+  (void)mha::fetch_kv_panels(k, v);
+  EXPECT_EQ(converted(), 9);  // only V reconverts
 }
 
 }  // namespace

@@ -122,7 +122,9 @@ TEST(VarlenFuzz, CostAcceptsZeroLengths) {
 
 /// varlen_cost's contract spelled out with the dense oracle: one fused
 /// launch summing blockwise_cost over every element, each against the BSR
-/// built from its effective mask and restricted to its query window.
+/// built from its effective mask and restricted to its query window, the
+/// block rows [q_begin / BLOCK_M, ceil(len / BLOCK_M)) (q_begin is 0 when
+/// the batch gives none).
 gpusim::KernelCost reference_cost(const MhaDims& dims, const masks::Mask& base,
                                   const VarlenBatch& batch,
                                   const BlockwiseParams& p,
@@ -134,13 +136,9 @@ gpusim::KernelCost reference_cost(const MhaDims& dims, const masks::Mask& base,
     const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
     const auto bsr = sparse::BsrMask::build(effective_mask(base, len),
                                             p.block_m, p.block_n);
-    std::int64_t qb_lo = 0;
-    std::int64_t qb_hi = -1;
-    if (!batch.q_begins.empty()) {
-      qb_lo = batch.q_begin(b) / p.block_m;
-      qb_hi = (len + p.block_m - 1) / p.block_m;
-    }
-    const auto c = blockwise_cost(one, bsr, p, dev, qb_lo, qb_hi);
+    const auto c =
+        blockwise_cost(one, bsr, p, dev, batch.q_begin(b) / p.block_m,
+                       (len + p.block_m - 1) / p.block_m);
     total.tc_flops += c.tc_flops;
     total.cuda_flops += c.cuda_flops;
     total.gmem_read_bytes += c.gmem_read_bytes;
@@ -199,6 +197,29 @@ TEST(VarlenFuzz, CostOnBaseBsrEqualsPerElementBuildReference) {
     EXPECT_EQ(got.occupancy, want.occupancy);
     EXPECT_EQ(got.blocks_per_sm, want.blocks_per_sm);
     EXPECT_EQ(got.launches, want.launches);
+  }
+}
+
+TEST(VarlenFuzz, ShortElementIsChargedForItsLengthNotThePadding) {
+  // One 40-token element padded to 128 and to 1024 rows: its Q read,
+  // output write and grid cover its own ceil(40 / 16) = 3 block rows
+  // (48 token rows) whatever the padding, and an explicit q_begin of 0
+  // costs the same as none.
+  const std::int64_t heads = 2, d = 32, len = 40;
+  const BlockwiseParams p{16, 16};
+  const auto dev = gpusim::a100();
+  for (const std::int64_t seq : {128, 1024}) {
+    SCOPED_TRACE(::testing::Message() << "seq=" << seq);
+    const MhaDims dims{1, heads, seq, d};
+    const auto base = bsr16(masks::dense(seq));
+    const auto c = varlen_cost(dims, base, VarlenBatch{seq, {len}}, p, dev);
+    EXPECT_EQ(c.gmem_write_bytes, static_cast<double>(heads * 48 * d * 2));
+    EXPECT_EQ(c.grid_blocks, heads * 3);
+    const auto windowed =
+        varlen_cost(dims, base, VarlenBatch{seq, {len}, {0}}, p, dev);
+    EXPECT_EQ(c.gmem_read_bytes, windowed.gmem_read_bytes);
+    EXPECT_EQ(c.gmem_write_bytes, windowed.gmem_write_bytes);
+    EXPECT_EQ(c.grid_blocks, windowed.grid_blocks);
   }
 }
 
