@@ -22,6 +22,9 @@
 //   * SERVE_E2E_LAYER decode-heavy GPT-decoder trace executed through the
 //     engine's fused transformer-layer graph vs launch-per-op eager
 //     execution, plus the warm-vs-cold tuning-DB load gate.
+//   * SERVE_MODEL_HEAD the serving layer head alone (transform_rows, 2-layer
+//     GPT at 4 x 32, 19 rows): wall-clock per call with scalar vs packed
+//     GEMMs, its GEMM share split out in the counters.
 //
 // Usage: bench_tier1 [--quick] [--out PATH] [--trace PATH]
 //                    [--baseline PATH] [--tunedb PATH]
@@ -78,6 +81,7 @@
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/mha/varlen.hpp"
 #include "stof/ops/gemm.hpp"
+#include "stof/serve/model_runtime.hpp"
 #include "stof/sparse/bsr_cache.hpp"
 #include "stof/sparse/bsr_mask.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -998,6 +1002,69 @@ Entry bench_serve_e2e_layer(bool quick, const std::string& tunedb_dir) {
   return e;
 }
 
+/// The serving layer head on its own: ModelRuntime::transform_rows over the
+/// 2-layer GPT head at 4 x 32 (hidden 128, FFN 512) with 19 rows, the mean
+/// rows per step of perfbench's `chat` workload.  Wall-clock ms per call:
+/// scalar_ms with packed execution off (scalar GEMMs), packed_ms with the
+/// default.  The LayerNorm/bias/GELU/residual ops have one implementation,
+/// so only the GEMMs differ between the two.  bit_identical compares the
+/// output bytes.  The instrumented pass splits one call's wall time into
+/// wall.ops.gemm_us and the rest of wall.serve.head_us (mean of 50 calls).
+Entry bench_serve_model_head(bool quick) {
+  stof::serve::ModelSpec spec;
+  spec.kind = stof::serve::ModelKind::kGptDecoder;
+  spec.layers = 2;
+  const stof::serve::ModelRuntime head(spec, /*heads=*/4, /*head_size=*/32,
+                                       stof::gpusim::rtx4090(),
+                                       /*with_weights=*/true);
+  constexpr std::int64_t kRows = 19;
+  const TensorH input = random_tensor(Shape{kRows, head.hidden()}, 0x4ead);
+  const int calls = quick ? 20 : 200;
+  TensorH scalar_out, packed_out;
+  const auto run = [&](TensorH& out) {
+    for (int i = 0; i < calls; ++i) {
+      out = input;
+      head.transform_rows(out);
+    }
+  };
+
+  Entry e;
+  e.name = "serve_model_head";
+  e.shape = "gpt_decoder x2 layers, heads 4, head_size 32, 19 rows, "
+            "wall-clock ms per transform_rows call (scalar vs packed "
+            "GEMMs)";
+  e.scalar_ms = time_ms(
+                    [&] {
+                      stof::ScopedPackedExecution scalar_mode(false);
+                      run(scalar_out);
+                    },
+                    3) /
+                calls;
+  e.packed_ms = time_ms([&] { run(packed_out); }, 3) / calls;
+  e.bit_identical = bits_equal(scalar_out, packed_out);
+
+  {
+    constexpr int kProbeCalls = 50;
+    stof::telemetry::ScopedTelemetry on(true);
+    stof::telemetry::global_registry().reset();
+    TensorH out;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kProbeCalls; ++i) {
+      out = input;
+      head.transform_rows(out);
+    }
+    const double total_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    const auto& reg = stof::telemetry::global_registry();
+    const double gemm_us = reg.timer("wall.ops.gemm_us").total_us;
+    e.counters = reg.counters();
+    e.counters["wall.serve.head_us"] = std::llround(total_us / kProbeCalls);
+    e.counters["wall.ops.gemm_us"] = std::llround(gemm_us / kProbeCalls);
+  }
+  return e;
+}
+
 // Tensor-parallel cluster scaling: one decode-heavy trace replayed through
 // stof::cluster at N = 1/2/4/8 devices plus a plain single-engine reference.
 // Gates: cluster digests byte-identical to the reference at EVERY width, and
@@ -1304,6 +1371,7 @@ int main(int argc, char** argv) {
     entries.push_back(bench_serve_prefix_shared(/*quick=*/true));
     entries.push_back(bench_serve_speculative(/*quick=*/true));
     entries.push_back(bench_serve_e2e_layer(/*quick=*/true, tunedb_path));
+    entries.push_back(bench_serve_model_head(/*quick=*/true));
     entries.push_back(bench_serve_cluster_scaling(/*quick=*/true));
   } else {
     entries.push_back(bench_gemm(8, 512, 1024, 1024, 3));
@@ -1322,6 +1390,7 @@ int main(int argc, char** argv) {
     entries.push_back(bench_serve_prefix_shared(/*quick=*/false));
     entries.push_back(bench_serve_speculative(/*quick=*/false));
     entries.push_back(bench_serve_e2e_layer(/*quick=*/false, tunedb_path));
+    entries.push_back(bench_serve_model_head(/*quick=*/false));
     entries.push_back(bench_serve_cluster_scaling(/*quick=*/false));
   }
 

@@ -150,9 +150,6 @@ struct KernelTable {
   /// be finite with |src*inv_scale| well below 2^31.
   void (*quantize_i8)(const float* src, std::int8_t* dst, std::int64_t n,
                       float inv_scale);
-  /// dst[i] = scale * float(src[i]).
-  void (*dequantize_i8)(const std::int8_t* src, float* dst, std::int64_t n,
-                        float scale);
   /// Exact int32 dot product.
   std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
                          std::int64_t n);

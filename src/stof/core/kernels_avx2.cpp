@@ -549,19 +549,6 @@ void quantize_i8_avx2(const float* src, std::int8_t* dst, std::int64_t n,
   }
 }
 
-void dequantize_i8_avx2(const std::int8_t* src, float* dst, std::int64_t n,
-                        float scale) {
-  const __m256 vs = _mm256_set1_ps(scale);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(vs, f));
-  }
-  for (; i < n; ++i) dst[i] = scale * static_cast<float>(src[i]);
-}
-
 std::int32_t dot_i8_avx2(const std::int8_t* a, const std::int8_t* b,
                          std::int64_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -686,7 +673,6 @@ void fill_avx2(KernelTable& table) {
   table.exp_row = exp_row_avx2;
   table.attn_lane_block = attn_lane_block_avx2;
   table.quantize_i8 = quantize_i8_avx2;
-  table.dequantize_i8 = dequantize_i8_avx2;
   table.dot_i8 = dot_i8_avx2;
   table.axpy_i8 = axpy_i8_avx2;
   table.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_avx2;

@@ -252,13 +252,6 @@ void quantize_i8_scalar(const float* src, std::int8_t* dst, std::int64_t n,
   }
 }
 
-void dequantize_i8_scalar(const std::int8_t* src, float* dst, std::int64_t n,
-                          float scale) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[i] = scale * static_cast<float>(src[i]);
-  }
-}
-
 std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
                            std::int64_t n) {
   std::int32_t acc = 0;
@@ -313,7 +306,6 @@ const KernelTable& scalar_kernel_table() {
     t.exp_row = exp_row_scalar;
     t.attn_lane_block = attn_lane_block_scalar;
     t.quantize_i8 = quantize_i8_scalar;
-    t.dequantize_i8 = dequantize_i8_scalar;
     t.dot_i8 = dot_i8_scalar;
     t.axpy_i8 = axpy_i8_scalar;
     t.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_scalar;

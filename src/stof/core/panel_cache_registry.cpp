@@ -128,6 +128,15 @@ void PanelCacheRegistry::evict_over_capacity_locked(PanelKey keep) {
   }
 }
 
+void PanelCacheRegistry::drop_storage(std::uint64_t storage) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.lower_bound(PanelKey{storage, 0});
+  while (it != entries_.end() && it->first.storage == storage) {
+    resident_bytes_ -= entry_bytes(it->second);
+    it = entries_.erase(it);
+  }
+}
+
 void PanelCacheRegistry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
@@ -161,11 +170,18 @@ void PanelCacheRegistry::set_capacity_bytes(std::size_t bytes) {
 }
 
 PanelCacheRegistry& global_panel_cache() {
-  static PanelCacheRegistry registry;
-  return registry;
+  // Immortal: a marked tensor with static storage duration may die after
+  // every other static object, and its destructor still reaches here.
+  static PanelCacheRegistry* const registry = new PanelCacheRegistry();
+  return *registry;
+}
+
+void drop_storage_panels(std::uint64_t storage) {
+  global_panel_cache().drop_storage(storage);
 }
 
 PanelRef float_panel(const TensorH& t) {
+  t.mark_panels();
   const std::int64_t slices = t.shape().rank() == 3 ? t.shape()[0] : 1;
   const auto slice = static_cast<std::size_t>(t.numel() / slices);
   return global_panel_cache().get_or_convert(

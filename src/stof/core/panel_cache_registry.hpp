@@ -23,6 +23,12 @@
 //     buffer never reallocates after creation, so panel pointers stay
 //     stable for as long as the handle lives.
 //
+// An entry lives exactly as long as its storage: float_panel() and the
+// INT8 weight fetch mark the Tensor they convert, and destroying a marked
+// Tensor, or copy- or move-assigning over it, drops the storage's entries
+// (drop_storage).  Dead weights therefore leave nothing resident, and the
+// LRU capacity only bounds what live tensors hold.
+//
 // The registry also caches INT8-quantized panels (get_or_convert_int8):
 // symmetric per-group codes plus scales, keyed with the kPanelInt8 variant
 // flag so a storage's float and int8 panels coexist.  Quantize-once: codes
@@ -133,6 +139,11 @@ class PanelCacheRegistry {
                                    std::int64_t scale_group,
                                    const Int8Converter& convert);
 
+  /// Drop every entry (float and INT8) of `storage`, uncounted: the
+  /// storage died, so no later lookup can name it.  Handles already handed
+  /// out keep their buffers.
+  void drop_storage(std::uint64_t storage);
+
   /// Drop every entry (uncounted) — test isolation.
   void clear();
   void reset_stats();
@@ -171,14 +182,17 @@ class PanelCacheRegistry {
   PanelCacheStats stats_;
 };
 
-/// The process-wide registry every packed execution path shares.
+/// The process-wide registry every packed execution path shares.  Never
+/// destroyed, so tensors dying during static destruction can still drop
+/// their entries.
 PanelCacheRegistry& global_panel_cache();
 
 /// The row-major FP32 copy of the whole tensor `t`, from the global
 /// registry under `t`'s storage id and version: converted on the first
 /// fetch after a write (a rank-3 tensor's (seq x d) instance panels in
 /// parallel), a pure hit otherwise.  The conversion is exact, so reading
-/// the panel equals per-element float(half) loads.
+/// the panel equals per-element float(half) loads.  Marks `t`, so its
+/// entry is dropped when its storage dies.
 PanelRef float_panel(const TensorH& t);
 
 }  // namespace stof::core

@@ -33,6 +33,14 @@ inline std::uint64_t next_storage_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+namespace core {
+/// Drop every panel the global PanelCacheRegistry holds for `storage`
+/// (defined in panel_cache_registry.cpp).  A marked Tensor calls it when
+/// its storage dies, so a registry entry lives exactly as long as the
+/// buffer it was converted from.
+void drop_storage_panels(std::uint64_t storage);
+}  // namespace core
+
 /// Shape of a tensor: up to four dimensions, row-major.
 class Shape {
  public:
@@ -96,14 +104,16 @@ class Tensor {
   Tensor(Shape shape, T fill_value) : Tensor(shape) { fill(fill_value); }
 
   // Copies allocate fresh storage, so they get a fresh identity (version
-  // restarts at 0); moves transfer the buffer and carry identity and
-  // version along, leaving the source storage-less.
+  // restarts at 0); moves transfer the buffer and carry identity, version
+  // and panel mark along, leaving the source storage-less.  Destruction
+  // and assignment end the old storage's life and drop its panels.
   Tensor(const Tensor& o)
       : shape_(o.shape_),
         data_(o.data_),
         storage_id_(o.data_.empty() ? 0 : next_storage_id()) {}
   Tensor& operator=(const Tensor& o) {
     if (this != &o) {
+      drop_panels();
       shape_ = o.shape_;
       data_ = o.data_;
       storage_id_ = data_.empty() ? 0 : next_storage_id();
@@ -115,19 +125,32 @@ class Tensor {
       : shape_(o.shape_),
         data_(std::move(o.data_)),
         storage_id_(std::exchange(o.storage_id_, 0)),
-        version_(o.version_.load(std::memory_order_relaxed)) {
+        version_(o.version_.load(std::memory_order_relaxed)),
+        has_panels_(o.has_panels_.exchange(false, std::memory_order_relaxed)) {
     o.version_.store(0, std::memory_order_relaxed);
   }
   Tensor& operator=(Tensor&& o) noexcept {
     if (this != &o) {
+      drop_panels();
       shape_ = o.shape_;
       data_ = std::move(o.data_);
       storage_id_ = std::exchange(o.storage_id_, 0);
       version_.store(o.version_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
       o.version_.store(0, std::memory_order_relaxed);
+      has_panels_.store(
+          o.has_panels_.exchange(false, std::memory_order_relaxed),
+          std::memory_order_relaxed);
     }
     return *this;
+  }
+  ~Tensor() { drop_panels(); }
+
+  /// Record that the panel registry holds a conversion of this storage
+  /// (core::float_panel, ops::gemm's INT8 weight fetch), so the storage's
+  /// death drops it.
+  void mark_panels() const {
+    has_panels_.store(true, std::memory_order_relaxed);
   }
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
@@ -207,6 +230,15 @@ class Tensor {
   // through mutable at(), so the stamp must tolerate concurrent bumps.
   void bump_version() { version_.fetch_add(1, std::memory_order_relaxed); }
 
+  // Destruction and assignment own the tensor exclusively, so a plain
+  // load and store suffice (no read-modify-write on every destruction).
+  void drop_panels() {
+    if (has_panels_.load(std::memory_order_relaxed)) {
+      has_panels_.store(false, std::memory_order_relaxed);
+      core::drop_storage_panels(storage_id_);
+    }
+  }
+
   [[nodiscard]] std::size_t idx(
       std::initializer_list<std::int64_t> indices) const {
     STOF_EXPECTS(indices.size() == shape_.rank(), "rank mismatch in at()");
@@ -225,6 +257,7 @@ class Tensor {
   std::vector<T> data_;
   std::uint64_t storage_id_ = 0;
   std::atomic<std::uint64_t> version_{0};
+  mutable std::atomic<bool> has_panels_{false};
 };
 
 using TensorF = Tensor<float>;

@@ -1,13 +1,33 @@
 #include "stof/ops/elementwise.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/ops/gemm.hpp"  // gelu()
-#include "stof/parallel/parallel_for.hpp"
+#include "stof/ops/row_blocks.hpp"
 
 namespace stof::ops {
+
+namespace {
+
+/// Every half -> GELU(half) result: entry i == half(gelu(float(half i))),
+/// built once from ops::gelu, so a lookup equals the per-element formula
+/// bit for bit (ggml's table_gelu_f16 idiom).
+const half* gelu_table() {
+  static const std::vector<half> table = [] {
+    std::vector<half> t(65536);
+    for (std::uint32_t bits = 0; bits < 65536; ++bits) {
+      t[bits] = half(gelu(half::to_float(static_cast<std::uint16_t>(bits))));
+    }
+    return t;
+  }();
+  return table.data();
+}
+
+}  // namespace
 
 void bias_add(const TensorH& x, const TensorH& bias, TensorH& y) {
   STOF_EXPECTS(x.shape().rank() == 2, "x must be (rows, n)");
@@ -15,35 +35,71 @@ void bias_add(const TensorH& x, const TensorH& bias, TensorH& y) {
   const std::int64_t n = x.shape()[1];
   STOF_EXPECTS(bias.shape() == (Shape{n}), "bias must be (n)");
   STOF_EXPECTS(y.shape() == x.shape());
-  parallel_for(0, rows, [&](std::int64_t i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      y.at(i, j) = half(float(x.at(i, j)) + float(bias.at(j)));
+  std::vector<float> b(static_cast<std::size_t>(n));
+  detail::to_float(bias.data(), b);
+  const std::span<const half> src = x.data();
+  const std::span<half> dst = y.data();
+  const auto block = [&](std::int64_t lo, std::int64_t hi) {
+    const auto off = static_cast<std::size_t>(lo * n);
+    const std::span<float> v = detail::staging(0, (hi - lo) * n);
+    detail::to_float(src.subspan(off, v.size()), v);
+    for (std::size_t i = 0; i < v.size(); i += b.size()) {
+      for (std::size_t j = 0; j < b.size(); ++j) v[i + j] = v[i + j] + b[j];
     }
-  });
+    detail::to_half(v, dst.subspan(off, v.size()));
+  };
+  const std::int64_t blocks =
+      detail::for_blocks(rows, detail::rows_per_block(n), block);
+  detail::note_conversions(blocks + 1, blocks);
 }
 
 void relu(const TensorH& x, TensorH& y) {
   STOF_EXPECTS(y.shape() == x.shape());
-  parallel_for(0, x.numel(), [&](std::int64_t i) {
-    const auto idx = static_cast<std::size_t>(i);
-    y.data()[idx] = half(std::max(0.0f, float(x.data()[idx])));
-  });
+  const std::span<const half> src = x.data();
+  const std::span<half> dst = y.data();
+  const auto block = [&](std::int64_t lo, std::int64_t hi) {
+    const auto off = static_cast<std::size_t>(lo);
+    const std::span<float> v = detail::staging(0, hi - lo);
+    detail::to_float(src.subspan(off, v.size()), v);
+    for (float& e : v) e = std::max(0.0f, e);
+    detail::to_half(v, dst.subspan(off, v.size()));
+  };
+  const std::int64_t blocks =
+      detail::for_blocks(x.numel(), detail::kBlockElems, block);
+  detail::note_conversions(blocks, blocks);
 }
 
 void gelu_op(const TensorH& x, TensorH& y) {
   STOF_EXPECTS(y.shape() == x.shape());
-  parallel_for(0, x.numel(), [&](std::int64_t i) {
-    const auto idx = static_cast<std::size_t>(i);
-    y.data()[idx] = half(gelu(float(x.data()[idx])));
-  });
+  const half* table = gelu_table();
+  const std::span<const half> src = x.data();
+  const std::span<half> dst = y.data();
+  detail::for_blocks(x.numel(), detail::kBlockElems,
+                     [&](std::int64_t lo, std::int64_t hi) {
+                       for (auto i = static_cast<std::size_t>(lo);
+                            i < static_cast<std::size_t>(hi); ++i) {
+                         dst[i] = table[src[i].bits()];
+                       }
+                     });
 }
 
 void residual_add(const TensorH& a, const TensorH& b, TensorH& y) {
   STOF_EXPECTS(a.shape() == b.shape() && y.shape() == a.shape());
-  parallel_for(0, a.numel(), [&](std::int64_t i) {
-    const auto idx = static_cast<std::size_t>(i);
-    y.data()[idx] = half(float(a.data()[idx]) + float(b.data()[idx]));
-  });
+  const std::span<const half> sa = a.data();
+  const std::span<const half> sb = b.data();
+  const std::span<half> dst = y.data();
+  const auto block = [&](std::int64_t lo, std::int64_t hi) {
+    const auto off = static_cast<std::size_t>(lo);
+    const std::span<float> va = detail::staging(0, hi - lo);
+    const std::span<float> vb = detail::staging(1, hi - lo);
+    detail::to_float(sa.subspan(off, va.size()), va);
+    detail::to_float(sb.subspan(off, vb.size()), vb);
+    for (std::size_t i = 0; i < va.size(); ++i) va[i] = va[i] + vb[i];
+    detail::to_half(va, dst.subspan(off, va.size()));
+  };
+  const std::int64_t blocks =
+      detail::for_blocks(a.numel(), detail::kBlockElems, block);
+  detail::note_conversions(2 * blocks, blocks);
 }
 
 gpusim::KernelCost elementwise_cost(std::int64_t elements,

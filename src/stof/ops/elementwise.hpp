@@ -5,6 +5,9 @@
 // DRAM bandwidth plus a small CUDA-core FLOP term.  The tunable parameters
 // (thread-block size, vector width) shift occupancy and are what the
 // parameter-sampling stage of the tuner explores for MI segments.
+//
+// On the host each op runs over contiguous FP32 row blocks and rounds to
+// half once, bit-identical to its per-element formula (see row_blocks.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +33,8 @@ void bias_add(const TensorH& x, const TensorH& bias, TensorH& y);
 /// y = max(x, 0).
 void relu(const TensorH& x, TensorH& y);
 
-/// y = GELU(x), tanh approximation.
+/// y = GELU(x), tanh approximation: half(gelu(float(x))) for every input,
+/// read from a table of all 65,536 half values.
 void gelu_op(const TensorH& x, TensorH& y);
 
 /// y = a + b (residual connection).

@@ -162,6 +162,7 @@ void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
 /// kPanelInt8 flag keeps it disjoint from the FP32 panel of the same
 /// storage, so a tensor used at both precisions caches both tiers.
 core::Int8PanelRef fetch_b_panel_int8(const TensorH& b) {
+  b.mark_panels();
   const half* src = b.data().data();
   const std::int64_t total = b.numel();
   const std::int64_t panel =

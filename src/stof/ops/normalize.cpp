@@ -1,9 +1,12 @@
 #include "stof/ops/normalize.hpp"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/gpusim/occupancy.hpp"
+#include "stof/ops/row_blocks.hpp"
 #include "stof/parallel/parallel_for.hpp"
 
 namespace stof::ops {
@@ -16,22 +19,39 @@ void layernorm(const TensorH& x, const TensorH& gamma, const TensorH& beta,
   STOF_EXPECTS(gamma.shape() == (Shape{n}) && beta.shape() == (Shape{n}));
   STOF_EXPECTS(y.shape() == x.shape());
 
-  parallel_for(0, rows, [&](std::int64_t i) {
-    float mean = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j) mean += float(x.at(i, j));
-    mean /= static_cast<float>(n);
-    float var = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float d = float(x.at(i, j)) - mean;
-      var += d * d;
+  std::vector<float> g(static_cast<std::size_t>(n));
+  std::vector<float> b(static_cast<std::size_t>(n));
+  detail::to_float(gamma.data(), g);
+  detail::to_float(beta.data(), b);
+  const std::span<const half> src = x.data();
+  const std::span<half> dst = y.data();
+  const auto block = [&](std::int64_t lo, std::int64_t hi) {
+    const auto off = static_cast<std::size_t>(lo * n);
+    const std::span<float> v = detail::staging(0, (hi - lo) * n);
+    detail::to_float(src.subspan(off, v.size()), v);
+    for (std::size_t r = 0; r < v.size(); r += g.size()) {
+      float* row = v.data() + r;
+      float mean = 0.0f;
+      for (std::int64_t j = 0; j < n; ++j) mean += row[j];
+      mean /= static_cast<float>(n);
+      float var = 0.0f;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float d = row[j] - mean;
+        var += d * d;
+      }
+      var /= static_cast<float>(n);
+      const float inv_std = 1.0f / std::sqrt(var + eps);
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float norm = (row[j] - mean) * inv_std;
+        row[j] = norm * g[static_cast<std::size_t>(j)] +
+                 b[static_cast<std::size_t>(j)];
+      }
     }
-    var /= static_cast<float>(n);
-    const float inv_std = 1.0f / std::sqrt(var + eps);
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float norm = (float(x.at(i, j)) - mean) * inv_std;
-      y.at(i, j) = half(norm * float(gamma.at(j)) + float(beta.at(j)));
-    }
-  });
+    detail::to_half(v, dst.subspan(off, v.size()));
+  };
+  const std::int64_t blocks =
+      detail::for_blocks(rows, detail::rows_per_block(n), block);
+  detail::note_conversions(blocks + 2, blocks);
 }
 
 void softmax(const TensorF& x, TensorF& y) {

@@ -3,8 +3,12 @@
 // reproduce the paper's Fig. 3 observations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "stof/core/rng.hpp"
 #include "stof/core/tensor.hpp"
@@ -150,6 +154,182 @@ TEST(Elementwise, ResidualAdd) {
                     float(b.data()[static_cast<std::size_t>(i)]),
                 kTol);
   }
+}
+
+// ---- Row-contiguous ops: bit identity with the per-element formulas --------
+//
+// Each op converts whole rows to FP32, does the same arithmetic in the same
+// order and rounds to half once.  The oracles below are the per-element
+// formulas through Tensor::at and the software half conversions; every
+// output bit must match them.  The one exception is a NaN output: IEEE 754
+// does not specify the sign of a NaN result, and when two NaNs meet the
+// compiler may hand either operand to the add (the oracle itself flips
+// between -O2 and -O3), so a NaN output only has to be NaN.
+
+void oracle_bias_add(const TensorH& x, const TensorH& bias, TensorH& y) {
+  for (std::int64_t i = 0; i < x.shape()[0]; ++i)
+    for (std::int64_t j = 0; j < x.shape()[1]; ++j)
+      y.at(i, j) = half(float(x.at(i, j)) + float(bias.at(j)));
+}
+
+void oracle_residual_add(const TensorH& a, const TensorH& b, TensorH& y) {
+  for (std::int64_t i = 0; i < a.shape()[0]; ++i)
+    for (std::int64_t j = 0; j < a.shape()[1]; ++j)
+      y.at(i, j) = half(float(a.at(i, j)) + float(b.at(i, j)));
+}
+
+void oracle_relu(const TensorH& x, TensorH& y) {
+  for (std::int64_t i = 0; i < x.shape()[0]; ++i)
+    for (std::int64_t j = 0; j < x.shape()[1]; ++j)
+      y.at(i, j) = half(std::max(0.0f, float(x.at(i, j))));
+}
+
+void oracle_gelu(const TensorH& x, TensorH& y) {
+  for (std::int64_t i = 0; i < x.shape()[0]; ++i)
+    for (std::int64_t j = 0; j < x.shape()[1]; ++j)
+      y.at(i, j) = half(gelu(float(x.at(i, j))));
+}
+
+void oracle_layernorm(const TensorH& x, const TensorH& gamma,
+                      const TensorH& beta, TensorH& y, float eps = 1e-5f) {
+  const std::int64_t n = x.shape()[1];
+  for (std::int64_t i = 0; i < x.shape()[0]; ++i) {
+    float mean = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) mean += float(x.at(i, j));
+    mean /= static_cast<float>(n);
+    float var = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float d = float(x.at(i, j)) - mean;
+      var += d * d;
+    }
+    var /= static_cast<float>(n);
+    const float inv_std = 1.0f / std::sqrt(var + eps);
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float norm = (float(x.at(i, j)) - mean) * inv_std;
+      y.at(i, j) = half(norm * float(gamma.at(j)) + float(beta.at(j)));
+    }
+  }
+}
+
+::testing::AssertionResult same_bits(const TensorH& got, const TensorH& want) {
+  if (got.shape() != want.shape()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  const TensorH& g = got;
+  const TensorH& w = want;
+  for (std::size_t i = 0; i < g.data().size(); ++i) {
+    const bool both_nan = std::isnan(float(g.data()[i])) &&
+                          std::isnan(float(w.data()[i]));
+    if (g.data()[i].bits() != w.data()[i].bits() && !both_nan) {
+      std::ostringstream os;
+      os << "element " << i << ": got 0x" << std::hex << g.data()[i].bits()
+         << ", want 0x" << w.data()[i].bits();
+      return ::testing::AssertionFailure() << os.str();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every op on (x, p, q) — p, q are (n) broadcast operands, r is a second
+/// (rows, n) operand — checked bit for bit against its oracle, out of place
+/// and in place (the aliasing the serving layer head uses).
+void expect_ops_match_oracles(const TensorH& x, const TensorH& r,
+                              const TensorH& p, const TensorH& q) {
+  const Shape s = x.shape();
+  TensorH got(s), want(s);
+
+  bias_add(x, p, got);
+  oracle_bias_add(x, p, want);
+  EXPECT_TRUE(same_bits(got, want)) << "bias_add " << s;
+  TensorH inplace = x;
+  bias_add(inplace, p, inplace);
+  EXPECT_TRUE(same_bits(inplace, want)) << "bias_add in place " << s;
+
+  residual_add(x, r, got);
+  oracle_residual_add(x, r, want);
+  EXPECT_TRUE(same_bits(got, want)) << "residual_add " << s;
+  inplace = x;
+  residual_add(inplace, r, inplace);
+  EXPECT_TRUE(same_bits(inplace, want)) << "residual_add in place " << s;
+
+  relu(x, got);
+  oracle_relu(x, want);
+  EXPECT_TRUE(same_bits(got, want)) << "relu " << s;
+  inplace = x;
+  relu(inplace, inplace);
+  EXPECT_TRUE(same_bits(inplace, want)) << "relu in place " << s;
+
+  gelu_op(x, got);
+  oracle_gelu(x, want);
+  EXPECT_TRUE(same_bits(got, want)) << "gelu_op " << s;
+  inplace = x;
+  gelu_op(inplace, inplace);
+  EXPECT_TRUE(same_bits(inplace, want)) << "gelu_op in place " << s;
+
+  layernorm(x, p, q, got);
+  oracle_layernorm(x, p, q, want);
+  EXPECT_TRUE(same_bits(got, want)) << "layernorm " << s;
+  inplace = x;
+  layernorm(inplace, p, q, inplace);
+  EXPECT_TRUE(same_bits(inplace, want)) << "layernorm in place " << s;
+}
+
+TEST(RowOps, MatchPerElementOraclesOnRandomRows) {
+  // Widths off the 16-lane grid, one-row and serving-sized batches, and a
+  // tensor past one row block (several blocks, split over the pool).
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {1, 1},  {1, 7},   {3, 15},  {19, 17},  {19, 128},
+      {5, 33}, {64, 512}, {2, 515}, {300, 129}, {1, 20000}};
+  std::uint64_t seed = 100;
+  for (const auto& [rows, n] : shapes) {
+    TensorH x(Shape{rows, n}), r(Shape{rows, n});
+    TensorH p(Shape{n}), q(Shape{n});
+    Rng rng(seed++);
+    x.fill_random(rng, -6.0f, 6.0f);
+    r.fill_random(rng, -6.0f, 6.0f);
+    p.fill_random(rng, 0.5f, 1.5f);
+    q.fill_random(rng, -0.5f, 0.5f);
+    expect_ops_match_oracles(x, r, p, q);
+  }
+}
+
+TEST(RowOps, MatchPerElementOraclesOnEdgeHalves) {
+  // +-0, subnormals, the normal boundary, +-max, +-inf, quiet and
+  // signaling NaNs of both signs, and ordinary values between them.
+  const std::uint16_t edges[] = {
+      0x0000, 0x8000, 0x0001, 0x8001, 0x03ff, 0x83ff, 0x0400, 0x8400,
+      0x7bff, 0xfbff, 0x7c00, 0xfc00, 0x7e00, 0xfe00, 0x7c01, 0xfd00,
+      0x3c00, 0xbc00, 0x4900, 0xc500, 0x1400, 0x9400, 0x5800, 0xd800};
+  const auto n = static_cast<std::int64_t>(std::size(edges));
+  // Row i pairs edge j with edge (i + j) % n, so every edge meets every
+  // other edge as the second operand.
+  TensorH x(Shape{n, n}), r(Shape{n, n}), p(Shape{n}), q(Shape{n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      x.at(i, j) = half::from_bits(edges[j]);
+      r.at(i, j) = half::from_bits(edges[(i + j) % n]);
+    }
+    p.at(i) = half::from_bits(edges[(i + 3) % n]);
+    q.at(i) = half::from_bits(edges[(i + 7) % n]);
+  }
+  expect_ops_match_oracles(x, r, p, q);
+  // Finite rows with edge affine parameters: LayerNorm's inf/NaN handling
+  // then comes from gamma and beta alone.
+  TensorH finite(Shape{4, n});
+  Rng rng(17);
+  finite.fill_random(rng);
+  expect_ops_match_oracles(finite, finite, p, q);
+}
+
+TEST(RowOps, GeluMatchesFormulaOnEveryHalf) {
+  TensorH x(Shape{256, 256});
+  for (std::uint32_t bits = 0; bits < 65536; ++bits) {
+    x.data()[bits] = half::from_bits(static_cast<std::uint16_t>(bits));
+  }
+  TensorH got(x.shape()), want(x.shape());
+  gelu_op(x, got);
+  oracle_gelu(x, want);
+  EXPECT_TRUE(same_bits(got, want));
 }
 
 // ---- LayerNorm / Softmax -----------------------------------------------------

@@ -1,7 +1,8 @@
 // Unit tests of the cross-call float-panel cache: hit/miss semantics,
 // version-tag invalidation, LRU capacity bounding with pinned handles, the
-// tensor storage-identity/mutation-stamp plumbing it keys on, and the
-// whole-tensor fetch (float_panel) the GEMM and MHA kernels share.
+// tensor storage-identity/mutation-stamp plumbing it keys on, the
+// whole-tensor fetch (float_panel) the GEMM and MHA kernels share, and
+// panel lifetime: an entry dies with the storage it was converted from.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,7 +10,10 @@
 #include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/core/tensor.hpp"
+#include "stof/gpusim/device.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
+#include "stof/ops/gemm.hpp"
+#include "stof/serve/model_runtime.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::core {
@@ -168,6 +172,95 @@ TEST(FloatPanel, MhaFetchCountsConvertedInstancePanels) {
   v.at(0, 0, 0) = half(1.0f);
   (void)mha::fetch_kv_panels(k, v);
   EXPECT_EQ(converted(), 9);  // only V reconverts
+}
+
+// ---- Panel lifetime: an entry lives exactly as long as its storage ---------
+
+TensorH random_weight(Shape shape, std::uint64_t seed) {
+  TensorH t(shape);
+  Rng rng(seed);
+  t.fill_random(rng);
+  return t;
+}
+
+TEST(PanelLifetime, DestroyingATensorDropsItsFloatAndInt8Panels) {
+  PanelCacheRegistry& reg = global_panel_cache();
+  const std::size_t entries = reg.entry_count();
+  const std::size_t bytes = reg.resident_bytes();
+  {
+    const TensorH w = random_weight(Shape{16, 8}, 31);
+    const TensorH a = random_weight(Shape{1, 4, 16}, 32);
+    TensorH c(Shape{1, 4, 8});
+    ops::gemm(a, w, c);  // FP32 weight panel
+    ops::gemm(a, w, c, ops::Epilogue::kNone, nullptr, PanelPrecision::kInt8);
+    EXPECT_EQ(reg.entry_count(), entries + 2);
+    EXPECT_GT(reg.resident_bytes(), bytes);
+  }
+  EXPECT_EQ(reg.entry_count(), entries);
+  EXPECT_EQ(reg.resident_bytes(), bytes);
+}
+
+TEST(PanelLifetime, AssigningOverATensorDropsItsPanels) {
+  PanelCacheRegistry& reg = global_panel_cache();
+  const std::size_t entries = reg.entry_count();
+  const std::size_t bytes = reg.resident_bytes();
+  const TensorH source = random_weight(Shape{8, 8}, 33);
+
+  TensorH copied = random_weight(Shape{8, 8}, 34);
+  (void)float_panel(copied);
+  EXPECT_EQ(reg.entry_count(), entries + 1);
+  copied = source;  // copy-assign: the old storage dies
+  EXPECT_EQ(reg.entry_count(), entries);
+  EXPECT_EQ(reg.resident_bytes(), bytes);
+
+  TensorH moved_over = random_weight(Shape{8, 8}, 35);
+  (void)float_panel(moved_over);
+  EXPECT_EQ(reg.entry_count(), entries + 1);
+  moved_over = random_weight(Shape{8, 8}, 36);  // move-assign
+  EXPECT_EQ(reg.entry_count(), entries);
+  EXPECT_EQ(reg.resident_bytes(), bytes);
+
+  // A moved tensor carries its mark: the panel dies with the new owner.
+  TensorH donor = random_weight(Shape{8, 8}, 37);
+  (void)float_panel(donor);
+  {
+    const TensorH owner = std::move(donor);
+    const TensorH& empty = donor;  // NOLINT: moved-from is storage-less
+    EXPECT_EQ(empty.storage_id(), 0u);
+    EXPECT_EQ(reg.entry_count(), entries + 1);
+  }
+  EXPECT_EQ(reg.entry_count(), entries);
+  EXPECT_EQ(reg.resident_bytes(), bytes);
+}
+
+TEST(PanelLifetime, PanelRefOutlivesItsTensor) {
+  PanelRef ref;
+  std::vector<float> want;
+  {
+    const TensorH t = random_weight(Shape{5, 7}, 38);
+    ref = float_panel(t);
+    for (const half h : t.data()) want.push_back(float(h));
+  }
+  ASSERT_TRUE(ref);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(ref.data()[i], want[i]) << i;
+  }
+}
+
+TEST(PanelLifetime, FreshLayerHeadsLeaveNothingResident) {
+  PanelCacheRegistry& reg = global_panel_cache();
+  const std::size_t before = reg.resident_bytes();
+  serve::ModelSpec spec;
+  spec.kind = serve::ModelKind::kGptDecoder;
+  std::size_t live = 0;
+  for (int i = 0; i < 50; ++i) {
+    const serve::ModelRuntime head(spec, /*heads=*/4, /*head_size=*/32,
+                                   gpusim::rtx4090(), /*with_weights=*/true);
+    if (i == 0) live = reg.resident_bytes();
+    ASSERT_GT(live, before);
+    ASSERT_EQ(reg.resident_bytes(), live) << "runtime " << i;
+  }
+  EXPECT_EQ(reg.resident_bytes(), before);
 }
 
 }  // namespace

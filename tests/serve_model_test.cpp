@@ -10,7 +10,11 @@
 #include <filesystem>
 
 #include "stof/cluster/cluster.hpp"
+#include "stof/core/checksum.hpp"
+#include "stof/core/packed.hpp"
+#include "stof/core/rng.hpp"
 #include "stof/serve/engine.hpp"
+#include "stof/serve/model_runtime.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::serve {
@@ -205,6 +209,51 @@ TEST(ServeModel, T5ClusterChargesThreeCollectivesPerLayer) {
   // collective time of the 2-collective GPT stack.
   EXPECT_NEAR(t5.collective_us(), 1.5 * gpt.collective_us(),
               1e-6 * t5.collective_us());
+}
+
+/// FNV-1a of the layer head's output bytes for `rows` seeded input rows at
+/// chat's 2-layer, 4 x 32 shape.
+std::uint64_t head_hash(ModelKind kind, std::int64_t rows) {
+  ModelSpec spec;
+  spec.kind = kind;
+  spec.layers = 2;
+  const ModelRuntime head(spec, /*heads=*/4, /*head_size=*/32,
+                          gpusim::rtx4090(), /*with_weights=*/true);
+  TensorH x(Shape{rows, head.hidden()});
+  Rng rng(0x4ead + static_cast<std::uint64_t>(rows));
+  x.fill_random(rng);
+  head.transform_rows(x);
+  const TensorH& out = x;
+  return fnv1a64(out.data().data(), out.data().size_bytes());
+}
+
+TEST(ServeModel, LayerHeadOutputBytesArePinned) {
+  // The head's bytes are what every model-on digest folds; these constants
+  // were recorded from the per-element op bodies, so any rewrite of the
+  // ops the head calls must reproduce them exactly.
+  struct Pin {
+    ModelKind kind;
+    std::int64_t rows;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {ModelKind::kBertEncoder, 1, 17136626186353796608ull},
+      {ModelKind::kBertEncoder, 19, 2306050723451037029ull},
+      {ModelKind::kBertEncoder, 64, 5107462331186767042ull},
+      {ModelKind::kGptDecoder, 1, 13098554404679929785ull},
+      {ModelKind::kGptDecoder, 19, 16863880669873033762ull},
+      {ModelKind::kGptDecoder, 64, 626368756071840210ull},
+      {ModelKind::kT5CrossDecoder, 1, 9158218869087082358ull},
+      {ModelKind::kT5CrossDecoder, 19, 14802842252017082102ull},
+      {ModelKind::kT5CrossDecoder, 64, 11212064759317582813ull},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(head_hash(p.kind, p.rows), p.hash)
+        << to_string(p.kind) << " at " << p.rows << " rows";
+    ScopedPackedExecution scalar_gemm(false);
+    EXPECT_EQ(head_hash(p.kind, p.rows), p.hash)
+        << to_string(p.kind) << " at " << p.rows << " rows, scalar GEMM";
+  }
 }
 
 TEST(ServeModel, EngineWarmLoadHitsTuningDb) {
