@@ -6,14 +6,18 @@
 // gpusim Stream's estimate of each step), so every number here — including
 // the continuous-vs-serial speedup the tier-1 gate tracks — is a
 // deterministic function of (trace seed, engine config, device model).
+// Every replay throws if a KV pool's block accounting does not balance
+// once the trace has drained (KvPool::check_conservation).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "stof/cluster/cluster.hpp"
+#include "stof/core/check.hpp"
 #include "stof/serve/engine.hpp"
 
 namespace stof::serve::bench {
@@ -303,6 +307,9 @@ inline RunResult run_trace(
     }
     engine.step();
   }
+  // Every drained replay re-audits KV block refcounts and the free list.
+  STOF_CHECK(engine.pool().check_conservation(),
+             "KV pool conservation violated after the drain");
 
   RunResult r;
   r.sim_us = engine.sim_time_us();
@@ -365,6 +372,11 @@ inline ClusterRunResult run_cluster_trace(
       continue;
     }
     cluster.step();
+  }
+  for (int d = 0; d < cluster.devices(); ++d) {
+    STOF_CHECK(cluster.engine(d).pool().check_conservation(),
+               "KV pool conservation violated after the drain on shard " +
+                   std::to_string(d));
   }
   ClusterRunResult r;
   r.devices = cluster.devices();

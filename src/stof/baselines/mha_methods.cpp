@@ -2,7 +2,6 @@
 
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
-#include "stof/mha/reference.hpp"
 #include "stof/mha/unified.hpp"
 #include "stof/ops/elementwise.hpp"
 #include "stof/ops/gemm.hpp"
@@ -223,30 +222,6 @@ MhaSimResult simulate_mha(Method method, const mha::MhaDims& dims,
     case Method::kStof: return simulate_stof(dims, cache, stream);
   }
   STOF_CHECK(false, "unreachable");
-}
-
-TensorH run_mha_functional(Method method, const mha::MhaDims& dims,
-                           masks::PatternKind pattern,
-                           sparse::BsrCache& cache, const TensorH& q,
-                           const TensorH& k, const TensorH& v) {
-  (void)pattern;
-  switch (method) {
-    case Method::kFlexAttention: {
-      // FlexAttention's actual compute path is block-sparse at (128, 128).
-      const auto& bsr = cache.at(128, 128);
-      return mha::blockwise_attention(dims, q, k, v, bsr,
-                                      mha::BlockwiseParams{128, 128, 8});
-    }
-    case Method::kStof: {
-      mha::UnifiedMha mha(dims, cache.mask(), gpusim::a100());
-      gpusim::Stream scratch{gpusim::a100()};
-      return mha.run(q, k, v, scratch);
-    }
-    default:
-      // Dense methods (native/compile/FA2/Byte/MCFuser) compute the exact
-      // masked attention; the reference is their functional semantics.
-      return mha::reference_attention(dims, q, k, v, cache.mask());
-  }
 }
 
 }  // namespace stof::baselines

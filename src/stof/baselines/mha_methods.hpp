@@ -27,10 +27,9 @@
 //                      overflows device memory at large input scales.
 //   STOF             — the unified MHA module (row-wise / block-wise).
 //
-// All methods compute the same function; `run_functional` returns the
-// reference result so tests can assert the policy layer never changes
-// numerics.  `simulate` records the method's kernels on a Stream and
-// reports support status (Fig. 10/11's missing bars).
+// All methods compute the same function, so only their cost differs:
+// `simulate_mha` records the method's kernels on a Stream and reports
+// support status (Fig. 10/11's missing bars).
 #pragma once
 
 #include <optional>
@@ -74,12 +73,5 @@ struct MhaSimResult {
 MhaSimResult simulate_mha(Method method, const mha::MhaDims& dims,
                           masks::PatternKind pattern, sparse::BsrCache& cache,
                           gpusim::Stream& stream);
-
-/// Functional execution of `method` (all methods compute the same
-/// function; the sparse ones run their actual sparse kernels).
-TensorH run_mha_functional(Method method, const mha::MhaDims& dims,
-                           masks::PatternKind pattern,
-                           sparse::BsrCache& cache, const TensorH& q,
-                           const TensorH& k, const TensorH& v);
 
 }  // namespace stof::baselines

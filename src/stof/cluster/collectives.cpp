@@ -9,8 +9,6 @@ namespace stof::cluster {
 
 LinkSpec nvlink_like() { return LinkSpec{"nvlink", 0.3, 600.0}; }
 
-LinkSpec pcie_like() { return LinkSpec{"pcie", 1.5, 32.0}; }
-
 const char* to_string(CollectiveOp op) {
   switch (op) {
     case CollectiveOp::kAllReduce:

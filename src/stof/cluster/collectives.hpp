@@ -50,8 +50,6 @@ struct LinkSpec {
 
 /// NVLink/NVSwitch-class intra-node fabric.
 LinkSpec nvlink_like();
-/// PCIe-gen4-class fallback fabric (high α, thin β).
-LinkSpec pcie_like();
 
 enum class CollectiveOp : std::uint8_t {
   kAllReduce,

@@ -1,11 +1,8 @@
 #include "stof/cluster/sharding.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "stof/core/check.hpp"
-#include "stof/core/packed.hpp"
-#include "stof/ops/gemm.hpp"
 
 namespace stof::cluster {
 
@@ -19,64 +16,6 @@ HeadRange head_range(std::int64_t total, int devices, int device) {
   const std::int64_t begin =
       device * base + std::min<std::int64_t>(device, rem);
   return HeadRange{begin, base + extra};
-}
-
-TensorH column_parallel_matmul(const TensorH& x, const TensorH& w,
-                               int devices) {
-  STOF_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
-  const std::int64_t r = x.shape()[0];
-  const std::int64_t k = x.shape()[1];
-  const std::int64_t n = w.shape()[1];
-  STOF_EXPECTS(w.shape()[0] == k, "contraction dims must agree");
-
-  TensorH y(Shape{r, n});
-  for (int dev = 0; dev < devices; ++dev) {
-    const HeadRange cols = head_range(n, devices, dev);
-    TensorH wi(Shape{k, cols.count});
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      std::memcpy(&wi.at(kk, 0), &w.at(kk, cols.begin),
-                  static_cast<std::size_t>(cols.count) * sizeof(half));
-    }
-    TensorH yi(Shape{r, cols.count});
-    ops::matmul2d(x, wi, yi);
-    for (std::int64_t i = 0; i < r; ++i) {
-      std::memcpy(&y.at(i, cols.begin), &yi.at(i, 0),
-                  static_cast<std::size_t>(cols.count) * sizeof(half));
-    }
-  }
-  return y;
-}
-
-TensorH row_parallel_matmul(const TensorH& x, const TensorH& w, int devices) {
-  STOF_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
-  const std::int64_t r = x.shape()[0];
-  const std::int64_t k = x.shape()[1];
-  const std::int64_t n = w.shape()[1];
-  STOF_EXPECTS(w.shape()[0] == k, "contraction dims must agree");
-
-  // The simulated all-reduce: FP32 accumulator folded in shard order,
-  // converted through the dispatched float->half kernel exactly once.
-  std::vector<float> acc(static_cast<std::size_t>(r * n), 0.0f);
-  for (int dev = 0; dev < devices; ++dev) {
-    const HeadRange rows = head_range(k, devices, dev);
-    TensorH xi(Shape{r, rows.count});
-    for (std::int64_t i = 0; i < r; ++i) {
-      std::memcpy(&xi.at(i, 0), &x.at(i, rows.begin),
-                  static_cast<std::size_t>(rows.count) * sizeof(half));
-    }
-    TensorH wi(Shape{rows.count, n});
-    std::memcpy(wi.data().data(), &w.at(rows.begin, 0),
-                static_cast<std::size_t>(rows.count * n) * sizeof(half));
-    TensorH yi(Shape{r, n});
-    ops::matmul2d(xi, wi, yi);
-    const auto partial = yi.data();
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc[i] += static_cast<float>(partial[i]);
-    }
-  }
-  TensorH y(Shape{r, n});
-  packed::float_to_half(acc, y.data());
-  return y;
 }
 
 }  // namespace stof::cluster

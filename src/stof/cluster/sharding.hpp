@@ -1,26 +1,19 @@
-// Tensor-parallel sharding helpers.
+// Tensor-parallel sharding of attention heads.
 //
-// The cluster shards two kinds of compute:
-//   * attention, head-parallel — each shard owns a contiguous head range
-//     (head_range below) and its matching KV-pool slice, so paged decode,
-//     prefix sharing, and the panel-cache sidecars shard for free.  The
-//     layer-boundary gather concatenates head outputs: no arithmetic
-//     crosses shards, so shard bytes are identical to the corresponding
-//     head slice of a single-device run.
-//   * the FFN path, Megatron-style — the up-projection splits weight
-//     COLUMNS (each shard computes a slice of the hidden activation, the
-//     gather concatenates: exact) and the down-projection splits weight
-//     ROWS (each shard computes a partial sum over its slice of the
-//     contraction dimension, the all-reduce adds the partials).  The
-//     reduction here is a FIXED-ORDER FP32 fold over shards 0..N-1 with a
-//     single final round to half: deterministic for every device count,
-//     and bitwise exact whenever the per-shard partials are FP32-exact
-//     (integer-valued operands — see cluster_test).
+// Each shard owns a contiguous head range (head_range below) and its
+// matching KV-pool slice, so paged decode, prefix sharing and the pool's
+// sidecar pages shard for free.  The layer-boundary gather concatenates
+// head outputs: no arithmetic crosses shards, so shard bytes equal the
+// corresponding head slice of a single-device run.
+//
+// The rest of a layer is charged, not run, per shard: a shard builds its
+// serve::ModelRuntime at shard width (its heads x head_size), so every
+// layer GEMM, FFN included, is costed at that width, and the cluster
+// charges the layer-boundary all-reduces through the collective model.
+// The numeric layer head runs once, at full width, in the cluster.
 #pragma once
 
 #include <cstdint>
-
-#include "stof/core/tensor.hpp"
 
 namespace stof::cluster {
 
@@ -34,16 +27,5 @@ struct HeadRange {
 };
 
 HeadRange head_range(std::int64_t total, int devices, int device);
-
-/// Column-parallel sharded matmul: shard i computes y_i = x · w[:, cols_i]
-/// and the gather concatenates output columns.  Bit-identical to
-/// ops::matmul2d(x, w) for every device count.
-TensorH column_parallel_matmul(const TensorH& x, const TensorH& w,
-                               int devices);
-
-/// Row-parallel sharded matmul: shard i computes the partial
-/// y_i = x[:, rows_i] · w[rows_i, :] and the all-reduce folds the partials
-/// in fixed shard order with FP32 accumulation, rounding to half once.
-TensorH row_parallel_matmul(const TensorH& x, const TensorH& w, int devices);
 
 }  // namespace stof::cluster

@@ -129,6 +129,10 @@ std::atomic<const KernelTable*>& active_table() {
   return table;
 }
 
+void set_kernel_isa(Isa isa) {
+  active_table().store(&kernel_table_for(isa), std::memory_order_relaxed);
+}
+
 }  // namespace
 
 const KernelTable& kernels() {
@@ -136,10 +140,6 @@ const KernelTable& kernels() {
 }
 
 Isa active_isa() { return kernels().isa; }
-
-void set_kernel_isa(Isa isa) {
-  active_table().store(&kernel_table_for(isa), std::memory_order_relaxed);
-}
 
 ScopedKernelIsa::ScopedKernelIsa(Isa isa) : previous_(active_isa()) {
   set_kernel_isa(isa);

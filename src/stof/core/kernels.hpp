@@ -188,11 +188,9 @@ struct KernelTable {
 /// ISA of the active table.
 [[nodiscard]] Isa active_isa();
 
-/// Re-point the active table (tests / cross-ISA harnesses only).
-/// Requires isa_available(isa).
-void set_kernel_isa(Isa isa);
-
-/// RAII guard restoring the previous active table on scope exit.
+/// Re-points the active table for its scope (tests / cross-ISA harnesses
+/// only) and restores the previous one on exit.  Requires
+/// isa_available(isa).
 class ScopedKernelIsa {
  public:
   explicit ScopedKernelIsa(Isa isa);

@@ -6,9 +6,6 @@
 
 namespace stof::core {
 
-PanelCacheRegistry::PanelCacheRegistry(std::size_t capacity_bytes)
-    : capacity_bytes_(capacity_bytes) {}
-
 std::size_t PanelCacheRegistry::entry_bytes(const Entry& e) {
   std::size_t bytes = 0;
   if (e.buffer) bytes += e.buffer->size() * sizeof(float);
@@ -19,11 +16,9 @@ std::size_t PanelCacheRegistry::entry_bytes(const Entry& e) {
 
 PanelCacheRegistry::Entry* PanelCacheRegistry::lookup_locked(
     PanelKey key, std::uint64_t version) {
-  ++tick_;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     if (it->second.version == version) {
-      it->second.lru = tick_;
       stats_.hits += 1;
       telemetry::count("exec.panelcache.hits");
       return &it->second;
@@ -44,10 +39,8 @@ void PanelCacheRegistry::insert_locked(PanelKey key, Entry entry,
                                        std::int64_t bytes) {
   stats_.bytes_converted += bytes;
   telemetry::count("exec.panelcache.bytes_converted", bytes);
-  entry.lru = tick_;
   resident_bytes_ += entry_bytes(entry);
   entries_.emplace(key, std::move(entry));
-  evict_over_capacity_locked(key);
 }
 
 PanelRef PanelCacheRegistry::get_or_convert(PanelKey key,
@@ -112,22 +105,6 @@ Int8PanelRef PanelCacheRegistry::get_or_convert_int8(
   return ref;
 }
 
-void PanelCacheRegistry::evict_over_capacity_locked(PanelKey keep) {
-  while (resident_bytes_ > capacity_bytes_ && entries_.size() > 1) {
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == entries_.end() || it->second.lru < victim->second.lru) {
-        victim = it;
-      }
-    }
-    if (victim == entries_.end()) return;
-    resident_bytes_ -= entry_bytes(victim->second);
-    entries_.erase(victim);
-    stats_.evictions += 1;
-  }
-}
-
 void PanelCacheRegistry::drop_storage(std::uint64_t storage) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.lower_bound(PanelKey{storage, 0});
@@ -135,17 +112,6 @@ void PanelCacheRegistry::drop_storage(std::uint64_t storage) {
     resident_bytes_ -= entry_bytes(it->second);
     it = entries_.erase(it);
   }
-}
-
-void PanelCacheRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  resident_bytes_ = 0;
-}
-
-void PanelCacheRegistry::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = PanelCacheStats{};
 }
 
 PanelCacheStats PanelCacheRegistry::stats() const {
@@ -161,12 +127,6 @@ std::size_t PanelCacheRegistry::resident_bytes() const {
 std::size_t PanelCacheRegistry::entry_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-void PanelCacheRegistry::set_capacity_bytes(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_bytes_ = bytes;
-  evict_over_capacity_locked(PanelKey{});
 }
 
 PanelCacheRegistry& global_panel_cache() {

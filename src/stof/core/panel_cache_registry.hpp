@@ -17,17 +17,17 @@
 //   * Version tags: the caller passes the storage's current mutation stamp;
 //     a cached panel whose tag differs is discarded and reconverted —
 //     validity is checked, never assumed.
-//   * Pinning: get_or_convert() hands out shared ownership of the float
-//     buffer.  Capacity eviction or a stale-version discard removes the
-//     registry entry but cannot free a panel a kernel still holds, and a
-//     buffer never reallocates after creation, so panel pointers stay
-//     stable for as long as the handle lives.
+//   * Shared handles: get_or_convert() hands out shared ownership of the
+//     float buffer.  A stale-version discard removes the registry entry but
+//     cannot free a panel a kernel still holds, and a buffer never
+//     reallocates after creation, so panel pointers stay stable for as long
+//     as the handle lives.
 //
 // An entry lives exactly as long as its storage: float_panel() and the
 // INT8 weight fetch mark the Tensor they convert, and destroying a marked
 // Tensor, or copy- or move-assigning over it, drops the storage's entries
-// (drop_storage).  Dead weights therefore leave nothing resident, and the
-// LRU capacity only bounds what live tensors hold.
+// (drop_storage).  So the registry holds the panels of live tensors only,
+// and needs no capacity bound of its own.
 //
 // The registry also caches INT8-quantized panels (get_or_convert_int8):
 // symmetric per-group codes plus scales, keyed with the kPanelInt8 variant
@@ -71,7 +71,7 @@ inline constexpr std::uint64_t kPanelRowMajor = 0;
 inline constexpr std::uint64_t kPanelInt8 = 2;
 
 /// Shared handle to a cached float panel.  Keeps the buffer alive (and its
-/// data pointer stable) independently of registry eviction.
+/// data pointer stable) independently of the registry entry.
 struct PanelRef {
   std::shared_ptr<const std::vector<float>> buffer;
   /// Elements this call converted (0 on a pure hit).
@@ -96,28 +96,21 @@ struct PanelCacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t invalidations = 0;  ///< stale-version discards
-  std::int64_t evictions = 0;      ///< capacity (LRU) removals
   std::int64_t bytes_converted = 0;  ///< source half bytes (2 per element)
 };
 
-/// Generation/version-tagged float-panel cache with LRU capacity bounding.
-/// All methods are thread-safe; conversion callbacks run under the
-/// registry lock (they may dispatch to the parallel_for pool — workers
-/// never re-enter the registry).
+/// Generation/version-tagged float-panel cache.  All methods are
+/// thread-safe; conversion callbacks run under the registry lock (they may
+/// dispatch to the parallel_for pool — workers never re-enter the
+/// registry).
 class PanelCacheRegistry {
  public:
-  static constexpr std::size_t kDefaultCapacityBytes =
-      std::size_t{128} << 20;  // float bytes resident
-
   /// Fills a whole panel buffer (`total_elems` floats) from its storage.
   using Converter = std::function<void(float* dst)>;
 
   /// Quantizes a whole INT8 panel: `total_elems` codes plus one scale per
   /// `scale_group` elements.
   using Int8Converter = std::function<void(std::int8_t* codes, float* scales)>;
-
-  explicit PanelCacheRegistry(
-      std::size_t capacity_bytes = kDefaultCapacityBytes);
 
   /// Fetch the panel for `key`:
   ///   * version match    -> pure hit, no conversion
@@ -144,14 +137,9 @@ class PanelCacheRegistry {
   /// out keep their buffers.
   void drop_storage(std::uint64_t storage);
 
-  /// Drop every entry (uncounted) — test isolation.
-  void clear();
-  void reset_stats();
-
   [[nodiscard]] PanelCacheStats stats() const;
   [[nodiscard]] std::size_t resident_bytes() const;
   [[nodiscard]] std::size_t entry_count() const;
-  void set_capacity_bytes(std::size_t bytes);
 
  private:
   /// One cached panel: float (buffer set) or int8 (codes + scales set).
@@ -161,7 +149,6 @@ class PanelCacheRegistry {
     std::shared_ptr<std::vector<float>> scales;
     std::int64_t scale_group = 0;  ///< int8 entries only
     std::uint64_t version = 0;
-    std::uint64_t lru = 0;  ///< last-touch tick
   };
 
   [[nodiscard]] static std::size_t entry_bytes(const Entry& e);
@@ -169,16 +156,12 @@ class PanelCacheRegistry {
   /// The live entry for `key` at `version`, counting a hit, or nullptr
   /// after counting the miss (and discarding a stale entry).
   Entry* lookup_locked(PanelKey key, std::uint64_t version);
-  /// Insert a freshly converted entry, count its bytes and evict over
-  /// capacity.
+  /// Insert a freshly converted entry and count its bytes.
   void insert_locked(PanelKey key, Entry entry, std::int64_t bytes);
-  void evict_over_capacity_locked(PanelKey keep);
 
   mutable std::mutex mu_;
   std::map<PanelKey, Entry> entries_;
-  std::size_t capacity_bytes_;
   std::size_t resident_bytes_ = 0;
-  std::uint64_t tick_ = 0;
   PanelCacheStats stats_;
 };
 

@@ -178,9 +178,6 @@ gpusim::KernelCost single_op_cost(const graph::Node& node,
       return ops::elementwise_cost(node.rows * node.cols, 1.0, 2.0 * bytes,
                                    bytes, params.ew, dev);
     }
-    case OpKind::kFusedMha:
-    case OpKind::kFusedSegment:
-      STOF_CHECK(false, "fused nodes are costed by the executor");
   }
   STOF_CHECK(false, "unreachable");
 }

@@ -2,27 +2,6 @@
 
 namespace stof::graph {
 
-std::string to_string(OpKind kind) {
-  switch (kind) {
-    case OpKind::kInput: return "input";
-    case OpKind::kQkvProj: return "qkv_proj";
-    case OpKind::kScoreGemm: return "score_gemm";
-    case OpKind::kMaskApply: return "mask_apply";
-    case OpKind::kSoftmax: return "softmax";
-    case OpKind::kPvGemm: return "pv_gemm";
-    case OpKind::kOutProj: return "out_proj";
-    case OpKind::kFfnGemm: return "ffn_gemm";
-    case OpKind::kBias: return "bias";
-    case OpKind::kGelu: return "gelu";
-    case OpKind::kRelu: return "relu";
-    case OpKind::kResidualAdd: return "residual_add";
-    case OpKind::kLayerNorm: return "layernorm";
-    case OpKind::kFusedMha: return "fused_mha";
-    case OpKind::kFusedSegment: return "fused_segment";
-  }
-  return "unknown";
-}
-
 void Graph::validate() const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];

@@ -26,11 +26,7 @@ enum class OpKind {
   kRelu,          // ReLU activation
   kResidualAdd,   // x + skip
   kLayerNorm,     // layer normalization
-  kFusedMha,      // rewrite product: unified MHA kernel
-  kFusedSegment,  // rewrite product: fused downstream segment
 };
-
-[[nodiscard]] std::string to_string(OpKind kind);
 
 /// True for compute-intensive (CI) operators; everything else is
 /// memory-intensive (MI) in the paper's classification.

@@ -13,9 +13,9 @@
 //
 // The trailing `check` line is verified before any content is parsed, so a
 // truncated or bit-flipped plan file errors on load instead of silently
-// deserializing into a different plan.  Together with masks/serialize.hpp
-// and models/tune_db.hpp this closes the tune-offline / deploy-later loop:
-// tune once per (model, shape bucket, device), ship the plan.
+// deserializing into a different plan.  Together with models/tune_db.hpp
+// this closes the tune-offline / deploy-later loop: tune once per (model,
+// shape bucket, device), ship the plan.
 #pragma once
 
 #include <istream>

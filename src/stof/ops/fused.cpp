@@ -68,34 +68,6 @@ std::vector<gpusim::KernelCost> detached_bias_layernorm_cost(
 
 // ---- GEMM + LayerNorm --------------------------------------------------------
 
-void fused_gemm_layernorm(const TensorH& a, const TensorH& b,
-                          const TensorH& gamma, const TensorH& beta,
-                          TensorH& y, float eps) {
-  STOF_EXPECTS(a.shape().rank() == 3);
-  const std::int64_t batch = a.shape()[0];
-  const std::int64_t m = a.shape()[1];
-  const std::int64_t n = b.shape()[1];
-  STOF_EXPECTS(y.shape() == (Shape{batch, m, n}));
-
-  TensorH tmp(Shape{batch, m, n});
-  gemm(a, b, tmp);
-  // The epilogue normalizes each output row while it is still on-chip; the
-  // functional result is identical to a separate LayerNorm pass.
-  TensorH flat_in(Shape{batch * m, n});
-  for (std::int64_t i = 0; i < batch * m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      flat_in.at(i, j) = tmp.at(i / m, i % m, j);
-    }
-  }
-  TensorH flat_out(Shape{batch * m, n});
-  layernorm(flat_in, gamma, beta, flat_out, eps);
-  for (std::int64_t i = 0; i < batch * m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      y.at(i / m, i % m, j) = flat_out.at(i, j);
-    }
-  }
-}
-
 gpusim::KernelCost fused_gemm_layernorm_cost(const GemmDims& dims,
                                              const GemmParams& p,
                                              const gpusim::DeviceSpec& dev) {
@@ -145,25 +117,6 @@ std::vector<gpusim::KernelCost> detached_gemm_layernorm_cost(
 }
 
 // ---- GEMM + GEMM ---------------------------------------------------------------
-
-void fused_gemm_gemm(const TensorH& a, const TensorH& b1, const TensorH& b2,
-                     TensorH& c) {
-  STOF_EXPECTS(a.shape().rank() == 3);
-  const std::int64_t batch = a.shape()[0];
-  const std::int64_t m = a.shape()[1];
-  const std::int64_t n1 = b1.shape()[1];
-  const std::int64_t n2 = b2.shape()[1];
-  STOF_EXPECTS(b2.shape()[0] == n1, "chain inner dimensions must agree");
-  STOF_EXPECTS(c.shape() == (Shape{batch, m, n2}));
-
-  // The fused kernel keeps the intermediate row panel on-chip; functionally
-  // this is two chained GEMMs with FP16 staging of the intermediate (the
-  // on-chip panel is stored in FP16 smem exactly like the detached path's
-  // global round-trip, so numerics match bit-for-bit).
-  TensorH tmp(Shape{batch, m, n1});
-  gemm(a, b1, tmp);
-  gemm(tmp, b2, c);
-}
 
 gpusim::KernelCost fused_gemm_gemm_cost(const GemmChainDims& dims,
                                         const GemmParams& p,

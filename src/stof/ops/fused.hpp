@@ -14,9 +14,9 @@
 //     round-trip savings win; with many, the weight re-reads swamp them —
 //     the paper's small-scale-only benefit for CI+CI fusion.
 //
-// Each fused op ships a functional implementation (used by tests to prove
-// fused == detached numerics) and a cost function (used by benches and the
-// tuner).  Detached cost helpers compose the unfused kernel sequence.
+// Each mix has a cost function (used by the Fig. 3/4 benches and the
+// fusion templates); detached cost helpers compose the unfused kernel
+// sequence.  Bias + LayerNorm also has a functional implementation.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +50,8 @@ std::vector<gpusim::KernelCost> detached_bias_layernorm_cost(
 
 // ---- GEMM + LayerNorm (CI + MI) --------------------------------------------
 
-/// y = LayerNorm(a x b) * gamma + beta. a: (batch, m, k); b: (k, n).
-void fused_gemm_layernorm(const TensorH& a, const TensorH& b,
-                          const TensorH& gamma, const TensorH& beta,
-                          TensorH& y, float eps = 1e-5f);
-
+/// Cost of y = LayerNorm(a x b) * gamma + beta with a: (batch, m, k) and
+/// b: (k, n).
 gpusim::KernelCost fused_gemm_layernorm_cost(const GemmDims& dims,
                                              const GemmParams& params,
                                              const gpusim::DeviceSpec& dev);
@@ -65,11 +62,8 @@ std::vector<gpusim::KernelCost> detached_gemm_layernorm_cost(
 
 // ---- GEMM + GEMM (CI + CI) ---------------------------------------------------
 
-/// c = (a x b1) x b2. a: (batch, m, k); b1: (k, n1); b2: (n1, n2).
-void fused_gemm_gemm(const TensorH& a, const TensorH& b1, const TensorH& b2,
-                     TensorH& c);
-
-/// Dims of the chain; `n1` is the intermediate width.
+/// Dims of the chain c = (a x b1) x b2 with a: (batch, m, k),
+/// b1: (k, n1) and b2: (n1, n2); `n1` is the intermediate width.
 struct GemmChainDims {
   std::int64_t batch = 1;
   std::int64_t m = 0;

@@ -7,7 +7,6 @@
 #include "stof/core/check.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/ops/row_blocks.hpp"
-#include "stof/parallel/parallel_for.hpp"
 
 namespace stof::ops {
 
@@ -52,57 +51,6 @@ void layernorm(const TensorH& x, const TensorH& gamma, const TensorH& beta,
   const std::int64_t blocks =
       detail::for_blocks(rows, detail::rows_per_block(n), block);
   detail::note_conversions(blocks + 2, blocks);
-}
-
-void softmax(const TensorF& x, TensorF& y) {
-  STOF_EXPECTS(x.shape().rank() == 2, "x must be (rows, n)");
-  STOF_EXPECTS(y.shape() == x.shape());
-  const std::int64_t rows = x.shape()[0];
-  const std::int64_t n = x.shape()[1];
-  parallel_for(0, rows, [&](std::int64_t i) {
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (std::int64_t j = 0; j < n; ++j) max_v = std::max(max_v, x.at(i, j));
-    float sum = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float e = std::exp(x.at(i, j) - max_v);
-      y.at(i, j) = e;
-      sum += e;
-    }
-    const float inv = 1.0f / sum;
-    for (std::int64_t j = 0; j < n; ++j) y.at(i, j) *= inv;
-  });
-}
-
-void masked_softmax(const TensorF& scores, const masks::Mask& mask,
-                    TensorF& y) {
-  STOF_EXPECTS(scores.shape().rank() == 2);
-  const std::int64_t rows = scores.shape()[0];
-  const std::int64_t n = scores.shape()[1];
-  STOF_EXPECTS(n == mask.seq_len(), "score columns must match mask");
-  STOF_EXPECTS(rows % mask.seq_len() == 0,
-               "batched rows must be a multiple of seq_len");
-  STOF_EXPECTS(y.shape() == scores.shape());
-
-  parallel_for(0, rows, [&](std::int64_t i) {
-    const std::int64_t mi = i % mask.seq_len();
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (mask.at(mi, j)) max_v = std::max(max_v, scores.at(i, j));
-    }
-    if (max_v == -std::numeric_limits<float>::infinity()) {
-      for (std::int64_t j = 0; j < n; ++j) y.at(i, j) = 0.0f;
-      return;  // fully masked row: zero probabilities
-    }
-    float sum = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float e =
-          mask.at(mi, j) ? std::exp(scores.at(i, j) - max_v) : 0.0f;
-      y.at(i, j) = e;
-      sum += e;
-    }
-    const float inv = 1.0f / sum;
-    for (std::int64_t j = 0; j < n; ++j) y.at(i, j) *= inv;
-  });
 }
 
 namespace {

@@ -1,10 +1,10 @@
 // Row-wise normalization operators: LayerNorm and Softmax.
 //
-// Both are memory-intensive reductions over the hidden dimension.  Softmax
-// additionally supports the "mask subtraction" path used by the baselines
-// that cannot fuse sparse masks into attention: masked positions are set to
-// -inf before the exp, which reproduces the numerics of the paper's
-// fallback (subtracting a large constant from the score matrix).
+// Both are memory-intensive reductions over the hidden dimension.
+// LayerNorm runs in the serving layer head; Softmax is costed only (the
+// attention kernels fuse their own softmax).  Its masked variant prices the
+// "mask subtraction" path of the baselines that cannot fuse sparse masks
+// into attention: the kernel also streams the dense mask operand.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include "stof/core/tensor.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
-#include "stof/masks/mask.hpp"
 
 namespace stof::ops {
 
@@ -29,16 +28,6 @@ struct NormParams {
 /// x, y: (rows, n); gamma, beta: (n).
 void layernorm(const TensorH& x, const TensorH& gamma, const TensorH& beta,
                TensorH& y, float eps = 1e-5f);
-
-/// Row-wise softmax: y[i, :] = softmax(x[i, :]). x, y: (rows, n).
-void softmax(const TensorF& x, TensorF& y);
-
-/// Softmax with mask: invalid positions get zero probability; a fully
-/// masked row yields zeros (matching the sparse kernels' skip semantics).
-/// `scores` rows map to mask rows via row_of(i) so batched score matrices
-/// of shape (batch*heads*seq, seq) can share one (seq, seq) mask.
-void masked_softmax(const TensorF& scores, const masks::Mask& mask,
-                    TensorF& y);
 
 /// Cost of a LayerNorm launch over (rows x n) FP16 elements.
 gpusim::KernelCost layernorm_cost(std::int64_t rows, std::int64_t n,

@@ -1,31 +1,18 @@
-// Tests for the MHA-level baseline policies: functional equivalence with
-// the reference, the support matrix (missing bars of Fig. 10/11), and the
-// performance-ordering shapes the paper reports.
+// Tests for the MHA-level baseline policies: the support matrix (missing
+// bars of Fig. 10/11) and the performance-ordering shapes the paper
+// reports.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "stof/baselines/mha_methods.hpp"
-#include "stof/core/rng.hpp"
-#include "stof/mha/reference.hpp"
 
 namespace stof::baselines {
 namespace {
 
 using masks::MaskSpec;
 using masks::PatternKind;
-
-struct Inputs {
-  TensorH q, k, v;
-};
-
-Inputs make_inputs(const mha::MhaDims& dims, std::uint64_t seed) {
-  Rng rng(seed);
-  Inputs in{TensorH(dims.qkv_shape()), TensorH(dims.qkv_shape()),
-            TensorH(dims.qkv_shape())};
-  in.q.fill_random(rng);
-  in.k.fill_random(rng);
-  in.v.fill_random(rng);
-  return in;
-}
 
 double simulate_on(Method m, const mha::MhaDims& dims, PatternKind kind,
                    sparse::BsrCache& cache, const gpusim::DeviceSpec& dev,
@@ -52,35 +39,6 @@ TEST(Baselines, BoltHasNoMhaPath) {
       simulate_mha(Method::kBolt, dims, PatternKind::kBigBird, cache, s);
   EXPECT_FALSE(r.supported);
 }
-
-// ---- Functional equivalence: every method computes the same attention ----
-
-class MethodFunctional : public ::testing::TestWithParam<Method> {};
-
-TEST_P(MethodFunctional, MatchesReference) {
-  const mha::MhaDims dims{1, 2, 64, 16};
-  const auto mask =
-      MaskSpec{.kind = PatternKind::kLongformer, .seq_len = 64}.build();
-  sparse::BsrCache cache(mask);
-  const Inputs in = make_inputs(dims, 31);
-  const TensorH ref = mha::reference_attention(dims, in.q, in.k, in.v, mask);
-  const TensorH got = run_mha_functional(GetParam(), dims,
-                                         PatternKind::kLongformer, cache,
-                                         in.q, in.k, in.v);
-  EXPECT_LT(max_abs_diff(ref, got), 4e-3) << to_string(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllMhaMethods, MethodFunctional,
-    ::testing::Values(Method::kPytorchNative, Method::kPytorchCompile,
-                      Method::kFlashAttention2, Method::kFlexAttention,
-                      Method::kByteTransformer, Method::kMcfuser,
-                      Method::kStof),
-    [](const auto& info) {
-      auto s = to_string(info.param);
-      s.erase(std::remove(s.begin(), s.end(), '-'), s.end());
-      return s;
-    });
 
 // ---- Support matrix (the missing bars) ----------------------------------------
 

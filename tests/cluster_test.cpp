@@ -1,7 +1,7 @@
 // Cluster tests: tensor-parallel shard-and-reduce bit-identity against the
 // single-device engine (all four serving mask kinds, uneven shards,
 // preemption pressure, prefix sharing, speculative decoding, the GPT model
-// head), sharded GEMM helpers, a scheduler-fuzz replay through a 2-device
+// head), head-range sharding, a scheduler-fuzz replay through a 2-device
 // cluster with per-device KV conservation audits, and the single
 // output-row path: every position's row is committed exactly once, in
 // order, by an engine and by every shard.
@@ -12,7 +12,6 @@
 #include "stof/cluster/cluster.hpp"
 #include "stof/cluster/sharding.hpp"
 #include "stof/core/rng.hpp"
-#include "stof/ops/gemm.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::cluster {
@@ -46,68 +45,6 @@ TEST(Sharding, HeadRangeTilesTotalExactly) {
   EXPECT_EQ(head_range(6, 4, 1).count, 2);
   EXPECT_EQ(head_range(6, 4, 2).count, 1);
   EXPECT_EQ(head_range(6, 4, 3).count, 1);
-}
-
-TEST(Sharding, ColumnParallelMatmulBitIdentical) {
-  Rng rng(41);
-  TensorH x(Shape{5, 12}), w(Shape{12, 10});
-  x.fill_random(rng);
-  w.fill_random(rng);
-  TensorH ref(Shape{5, 10});
-  ops::matmul2d(x, w, ref);
-  for (const int devices : {1, 2, 3, 4}) {
-    const TensorH y = column_parallel_matmul(x, w, devices);
-    ASSERT_EQ(y.shape(), ref.shape());
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-      ASSERT_EQ(y.data()[static_cast<std::size_t>(i)].bits(),
-                ref.data()[static_cast<std::size_t>(i)].bits())
-          << "devices=" << devices << " elem=" << i;
-    }
-  }
-}
-
-TEST(Sharding, RowParallelMatmulExactOnIntegerInputs) {
-  // Integer-valued operands make every per-shard partial FP32-exact, so
-  // the fixed-order shard reduction reproduces the unsharded matmul bit
-  // for bit at every device count.
-  Rng rng(43);
-  TensorH x(Shape{4, 12}), w(Shape{12, 6});
-  for (auto& v : x.data()) {
-    v = half(static_cast<float>(static_cast<int>(rng.next_u64() % 9) - 4));
-  }
-  for (auto& v : w.data()) {
-    v = half(static_cast<float>(static_cast<int>(rng.next_u64() % 9) - 4));
-  }
-  TensorH ref(Shape{4, 6});
-  ops::matmul2d(x, w, ref);
-  for (const int devices : {1, 2, 3, 4}) {
-    const TensorH y = row_parallel_matmul(x, w, devices);
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-      ASSERT_EQ(y.data()[static_cast<std::size_t>(i)].bits(),
-                ref.data()[static_cast<std::size_t>(i)].bits())
-          << "devices=" << devices << " elem=" << i;
-    }
-  }
-}
-
-TEST(Sharding, RowParallelMatmulDeterministicAndClose) {
-  Rng rng(47);
-  TensorH x(Shape{6, 16}), w(Shape{16, 8});
-  x.fill_random(rng);
-  w.fill_random(rng);
-  TensorH ref(Shape{6, 8});
-  ops::matmul2d(x, w, ref);
-  for (const int devices : {2, 3, 4}) {
-    const TensorH a = row_parallel_matmul(x, w, devices);
-    const TensorH b = row_parallel_matmul(x, w, devices);
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-      ASSERT_EQ(a.data()[static_cast<std::size_t>(i)].bits(),
-                b.data()[static_cast<std::size_t>(i)].bits());
-    }
-    // Partial sums round through half per shard output only at the very
-    // end, so the drift vs the unsharded matmul stays within a few ulps.
-    EXPECT_LT(max_abs_diff(a, ref), 2e-2) << "devices=" << devices;
-  }
 }
 
 // ---- cluster replay harness ----------------------------------------------

@@ -69,7 +69,8 @@ TEST(CollectiveModel, AutoPicksTreeForSmallAndRingForLargeMessages) {
 }
 
 TEST(CollectiveModel, TimeMonotonicInDevicesAndBytes) {
-  const LinkSpec link = pcie_like();
+  // A PCIe-gen4-class fabric: high α, thin β.
+  const LinkSpec link{"pcie", 1.5, 32.0};
   for (const auto op : {CollectiveOp::kAllReduce, CollectiveOp::kAllGather,
                         CollectiveOp::kReduceScatter}) {
     double prev = -1;

@@ -1,5 +1,5 @@
 // Unit tests of the cross-call float-panel cache: hit/miss semantics,
-// version-tag invalidation, LRU capacity bounding with pinned handles, the
+// version-tag invalidation with handles that outlive their entry, the
 // tensor storage-identity/mutation-stamp plumbing it keys on, the
 // whole-tensor fetch (float_panel) the GEMM and MHA kernels share, and
 // panel lifetime: an entry dies with the storage it was converted from.
@@ -42,51 +42,27 @@ TEST(PanelCacheRegistry, MissThenHitConvertsOnce) {
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.bytes_converted, 8 * 2);  // source half bytes
+  EXPECT_EQ(reg.entry_count(), 1u);
+  EXPECT_EQ(reg.resident_bytes(), 8 * sizeof(float));
 }
 
 TEST(PanelCacheRegistry, StaleVersionReconvertsInFull) {
   PanelCacheRegistry reg;
   const PanelKey key{next_storage_id(), kPanelRowMajor};
-  (void)reg.get_or_convert(key, 0, 8, pattern(0));
+  const PanelRef stale = reg.get_or_convert(key, 0, 8, pattern(0));
   const PanelRef fresh = reg.get_or_convert(key, 1, 8, pattern(500));
   EXPECT_EQ(fresh.converted_elems, 8);
   EXPECT_EQ(fresh.data()[0], 500.0f);
+  EXPECT_NE(fresh.buffer.get(), stale.buffer.get());
   const auto s = reg.stats();
   EXPECT_EQ(s.invalidations, 1);
   EXPECT_EQ(s.misses, 2);
-}
+  EXPECT_EQ(reg.entry_count(), 1u);
+  EXPECT_EQ(reg.resident_bytes(), 8 * sizeof(float));
 
-TEST(PanelCacheRegistry, LruEvictionKeepsPinnedHandlesValid) {
-  PanelCacheRegistry reg(/*capacity_bytes=*/3 * 8 * sizeof(float));
-  const PanelKey a{next_storage_id(), 0}, b{next_storage_id(), 0},
-      c{next_storage_id(), 0}, d{next_storage_id(), 0};
-  const PanelRef ra = reg.get_or_convert(a, 0, 8, pattern(10));
-  (void)reg.get_or_convert(b, 0, 8, pattern(20));
-  (void)reg.get_or_convert(c, 0, 8, pattern(30));
-  EXPECT_EQ(reg.entry_count(), 3u);
-
-  // Fourth entry pushes the cache over capacity; `a` is the LRU victim.
-  (void)reg.get_or_convert(d, 0, 8, pattern(40));
-  EXPECT_EQ(reg.entry_count(), 3u);
-  EXPECT_EQ(reg.stats().evictions, 1);
-
-  // The pinned handle outlives the eviction — pointer and contents intact.
-  EXPECT_EQ(ra.data()[0], 10.0f);
-
-  // `a` reconverts on next request (a miss, not a hit).
-  const PanelRef ra2 = reg.get_or_convert(a, 0, 8, pattern(11));
-  EXPECT_EQ(ra2.converted_elems, 8);
-  EXPECT_NE(ra2.buffer.get(), ra.buffer.get());
-}
-
-TEST(PanelCacheRegistry, ClearAndResetStats) {
-  PanelCacheRegistry reg;
-  (void)reg.get_or_convert({next_storage_id(), 0}, 0, 8, pattern(0));
-  reg.clear();
-  EXPECT_EQ(reg.entry_count(), 0u);
-  EXPECT_EQ(reg.resident_bytes(), 0u);
-  reg.reset_stats();
-  EXPECT_EQ(reg.stats().misses, 0);
+  // The discarded entry's handle outlives it: pointer and contents intact.
+  EXPECT_EQ(stale.data()[0], 0.0f);
+  EXPECT_EQ(stale.data()[7], 7.0f);
 }
 
 // ---- Tensor storage identity / mutation stamps -----------------------------

@@ -1,9 +1,10 @@
 // Satellite property tests: telemetry content is a pure function of the
 // seeded workload.
 //
-//  * Two identical seeded runs (tuner search + functional forward) produce
-//    byte-identical dump_json snapshots once wall-clock timers (the only
-//    nondeterministic section) are excluded.
+//  * Two identical seeded serving runs (model-load tuning + engine steps
+//    through the layer head) produce byte-identical dump_json snapshots
+//    once wall-clock timers (the only nondeterministic section) are
+//    excluded.
 //  * Packed and scalar execution modes report identical *simulated*
 //    counters (`sim.*`): what the simulation did cannot depend on which
 //    bit-identical arithmetic engine computed the numerics.
@@ -12,51 +13,38 @@
 #include <map>
 #include <string>
 
-#include "stof/baselines/e2e_plans.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/rng.hpp"
-#include "stof/models/config.hpp"
-#include "stof/models/functional.hpp"
+#include "stof/serve/engine.hpp"
 #include "stof/telemetry/telemetry.hpp"
-#include "stof/tuner/search_engine.hpp"
 
 namespace stof::telemetry {
 namespace {
 
-using baselines::Method;
-
-models::ModelConfig tiny_model() {
-  models::ModelConfig c = models::bert_small();
-  c.layers = 2;
-  c.hidden = 64;
-  c.heads = 4;
-  c.ffn_dim = 128;
-  return c;
-}
-
-// One seeded workload: tune a small executor, then run one functional
-// forward pass under the tuned plan.  Records into the global registry.
+// One seeded workload: an engine serving a 2-layer GPT decoder at small
+// dims with an in-memory tune DB.  Construction tunes the model's shape
+// buckets (the two-stage search over a models::Executor); the trace then
+// runs every step's rows through the layer head's GEMMs.  Records into the
+// global registry.
 void run_workload() {
-  const auto model = tiny_model();
-  const std::int64_t bs = 1, seq = 64;
-  graph::Graph g = model.build_graph(bs, seq);
-  const mha::MhaDims dims{bs, model.heads, seq, model.head_size()};
-  const masks::MaskSpec spec{.kind = masks::PatternKind::kBigBird,
-                             .seq_len = seq};
+  serve::EngineConfig cfg;
+  cfg.heads = 2;
+  cfg.head_size = 16;
+  cfg.max_seq_len = 64;
+  cfg.kv_blocks = 16;
+  cfg.block_tokens = 16;
+  cfg.prefill_params = mha::BlockwiseParams{16, 16};
+  cfg.scheduler.mode = serve::SchedulerMode::kContinuous;
+  cfg.scheduler.max_prefills_per_step = 4;
+  cfg.scheduler.prefill_token_budget = 64;
+  cfg.scheduler.max_decode_batch = 8;
+  cfg.model.kind = serve::ModelKind::kGptDecoder;
+  cfg.model.layers = 2;
 
-  models::Executor exec(model.build_graph(bs, seq), dims, spec,
-                        gpusim::a100(), Method::kStof);
-  tuner::TuningOptions opt;
-  opt.samples_per_candidate = 2;
-  opt.stage2_iterations = 2;
-  opt.stage2_budget = 8;
-  const auto report = tuner::SearchEngine(exec, opt).tune();
-
-  models::FunctionalExecutor fn(std::move(g), dims, spec, /*seed=*/7);
-  TensorH input(Shape{bs * seq, model.hidden});
-  Rng rng(8);
-  input.fill_random(rng, -0.5f, 0.5f);
-  (void)fn.run(input, report.best_plan);
+  serve::Engine engine(cfg);
+  engine.submit({0, 12, 4, 101, masks::PatternKind::kCausal, 0.0});
+  engine.submit({1, 20, 3, 102, masks::PatternKind::kBigBird, 0.0});
+  engine.submit({2, 9, 5, 103, masks::PatternKind::kSlidingWindow, 0.0});
+  engine.run_until_drained();
 }
 
 std::string snapshot_without_timers() {

@@ -1,15 +1,13 @@
-// Tests for the library tooling: Chrome-trace export, mask serialization,
-// and the umbrella header (compiled here, proving every public header is
-// self-contained together).
+// Tests for the library tooling: Chrome-trace export and the umbrella
+// header (compiled here, proving every public header is self-contained
+// together).
 #include "stof/stof.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "stof/gpusim/trace.hpp"
-#include "stof/masks/serialize.hpp"
 
 namespace stof {
 namespace {
@@ -73,70 +71,6 @@ TEST(ChromeTrace, EmptyStreamIsValid) {
   gpusim::Stream s(gpusim::a100());
   const std::string json = gpusim::chrome_trace_json(s);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-}
-
-// ---- Mask serialization ---------------------------------------------------------
-
-class MaskSerialization
-    : public ::testing::TestWithParam<masks::PatternKind> {};
-
-TEST_P(MaskSerialization, RoundTripsThroughStream) {
-  const auto mask =
-      masks::MaskSpec{.kind = GetParam(), .seq_len = 96}.build();
-  std::stringstream ss;
-  masks::save_mask(mask, ss);
-  const auto loaded = masks::load_mask(ss);
-  EXPECT_EQ(loaded, mask);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Patterns, MaskSerialization,
-    ::testing::Values(masks::PatternKind::kDense, masks::PatternKind::kCausal,
-                      masks::PatternKind::kDilated,
-                      masks::PatternKind::kBigBird,
-                      masks::PatternKind::kStrided),
-    [](const auto& info) { return to_string(info.param); });
-
-TEST(MaskSerializationErrors, RejectsGarbage) {
-  std::stringstream ss("this is not a mask");
-  EXPECT_THROW(masks::load_mask(ss), Error);
-}
-
-TEST(MaskSerializationErrors, RejectsTruncation) {
-  const auto mask = masks::causal(64);
-  std::stringstream ss;
-  masks::save_mask(mask, ss);
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(masks::load_mask(cut), Error);
-}
-
-TEST(MaskSerializationErrors, RejectsWrongVersion) {
-  const auto mask = masks::causal(16);
-  std::stringstream ss;
-  masks::save_mask(mask, ss);
-  std::string bytes = ss.str();
-  bytes[4] = 99;  // corrupt the version field
-  std::stringstream bad(bytes);
-  EXPECT_THROW(masks::load_mask(bad), Error);
-}
-
-TEST(MaskSerializationFile, RoundTripsThroughDisk) {
-  const auto mask = masks::bigbird(128, 8, 8, 0.15, 16, 21);
-  const std::string path = "/tmp/stof_mask_test.bin";
-  masks::save_mask_file(mask, path);
-  const auto loaded = masks::load_mask_file(path);
-  EXPECT_EQ(loaded, mask);
-  std::remove(path.c_str());
-  EXPECT_THROW(masks::load_mask_file("/nonexistent/dir/mask.bin"), Error);
-}
-
-TEST(MaskSerializationSize, BitPackedCompactness) {
-  const auto mask = masks::dense(256);
-  std::stringstream ss;
-  masks::save_mask(mask, ss);
-  // Header (28 bytes) + 256*256/8 payload + 8-byte trailing checksum.
-  EXPECT_LE(ss.str().size(), 36u + 256u * 256u / 8u);
 }
 
 }  // namespace
