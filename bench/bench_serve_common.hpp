@@ -262,28 +262,14 @@ struct RunResult {
 };
 
 /// Replay `trace` open-loop through an engine with `cfg` and reduce.
-/// `on_decode` (optional) receives every decoded token's attention output —
-/// the INT8-tier benches use it to measure output error against an FP32
-/// reference replay of the same trace.
-inline RunResult run_trace(
-    const EngineConfig& cfg, const std::vector<Request>& trace,
-    const std::function<void(SessionId, std::int64_t, std::span<const half>)>&
-        on_decode = {}) {
+inline RunResult run_trace(const EngineConfig& cfg,
+                           const std::vector<Request>& trace) {
   Engine engine(cfg);
   std::int64_t decode_steps = 0;
   std::map<SessionId, double> last_token_at;
   std::vector<double> decode_gaps;
   engine.on_step = [&](const StepOutcome& ev, std::int64_t,
                        double duration_us, std::int64_t) {
-    if (on_decode) {
-      // Decoded rows are the committed output rows past the prompt.
-      for (std::size_t r = 0; r < ev.rows.size(); ++r) {
-        const auto& key = ev.rows.keys[r];
-        if (key.pos >= engine.session(key.id).request.prompt_len) {
-          on_decode(key.id, key.pos, ev.rows.row(r));
-        }
-      }
-    }
     if (!ev.decodes.empty()) ++decode_steps;
     // Tokens land at the end of the step; the gap between a session's
     // consecutive tokens includes everything that delayed it — co-scheduled

@@ -24,7 +24,7 @@
 //     execution, plus the warm-vs-cold tuning-DB load gate.
 //   * SERVE_MODEL_HEAD the serving layer head alone (transform_rows, 2-layer
 //     GPT at 4 x 32, 19 rows): wall-clock per call with scalar vs packed
-//     GEMMs, its GEMM share split out in the counters.
+//     GEMMs, its GEMM share split out in the entry's "wall" object.
 //
 // Usage: bench_tier1 [--quick] [--out PATH] [--trace PATH]
 //                    [--baseline PATH] [--tunedb PATH]
@@ -43,13 +43,16 @@
 //               regresses more than the threshold (default 20%) after
 //               calibrating for machine speed (the baseline packed time is
 //               scaled by current_scalar_ms / baseline_scalar_ms, so a
-//               slower CI machine does not read as a regression)
+//               slower CI machine does not read as a regression; both
+//               times are the best of kTimingReps alternating runs)
 //   --regress-threshold  regression tolerance in percent (default 20)
 //
 // Timing runs keep telemetry disabled so the measured packed/scalar times
 // are unperturbed; a separate instrumented pass per entry (telemetry on,
 // registry reset) replays the workload once and embeds the deterministic
-// counter snapshot as the entry's "counters" object.
+// counter snapshot as the entry's "counters" object; the few wall-clock
+// probes of that pass go to a separate "wall" object, so two runs of equal
+// code write equal "counters".
 //
 // Exit status is non-zero if any packed result is not bit-identical to the
 // scalar reference — the harness doubles as an end-to-end regression gate.
@@ -99,39 +102,44 @@ struct Entry {
   double scalar_ms = 0;
   double packed_ms = 0;
   bool bit_identical = false;
-  /// INT8-tier entries are gated on a calibrated relative-error bound
-  /// instead of bit_identical: quantized execution is deterministic but not
-  /// bit-identical to FP32, so the harness checks max |got - ref| over the
-  /// FP32 reference's absmax against a bound measured at calibration time.
-  bool error_gated = false;
-  double rel_err = -1.0;
-  double rel_err_bound = 0.0;
-  /// Extra entry-specific invariants (INT8 determinism across replays,
-  /// conversion-traffic halving); folded into pass().
+  /// Extra entry-specific invariants (speedup floors, prefix hits,
+  /// conversion traffic); folded into pass().
   bool aux_ok = true;
-  /// Deterministic counter snapshot from the instrumented pass.
+  /// Deterministic counter snapshot from the instrumented pass: equal
+  /// across runs of equal code.
   std::map<std::string, std::int64_t> counters;
+  /// Wall-clock probes of the instrumented pass (microseconds), kept apart
+  /// from `counters` because they vary run to run.
+  std::map<std::string, std::int64_t> wall;
   /// Simulated kernel launches of this entry, replayed for --trace.
   std::vector<std::pair<std::string, stof::gpusim::KernelCost>> sim_launches;
   [[nodiscard]] double speedup() const { return scalar_ms / packed_ms; }
-  [[nodiscard]] bool pass() const {
-    return (error_gated ? rel_err >= 0 && rel_err <= rel_err_bound
-                        : bit_identical) &&
-           aux_ok;
-  }
+  [[nodiscard]] bool pass() const { return bit_identical && aux_ok; }
 };
 
-double time_ms(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    best = std::min(best, ms);
+/// Rounds of an entry's wall-clock timing; each side keeps its best.
+constexpr int kTimingReps = 3;
+
+double elapsed_ms(const std::function<void()>& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Times an entry's scalar and packed runs in kTimingReps rounds of one
+/// each, keeping the best time of each side.  --baseline calibrates an
+/// entry by its scalar time, so that time needs the packed side's
+/// repetitions, and alternating the sides lets a load change on a shared
+/// host reach both instead of one.
+void time_entry(Entry& e, const std::function<void()>& scalar,
+                const std::function<void()>& packed) {
+  e.scalar_ms = e.packed_ms = 1e300;
+  for (int r = 0; r < kTimingReps; ++r) {
+    e.scalar_ms = std::min(e.scalar_ms, elapsed_ms(scalar));
+    e.packed_ms = std::min(e.packed_ms, elapsed_ms(packed));
   }
-  return best;
 }
 
 bool bits_equal(const TensorH& a, const TensorH& b) {
@@ -152,7 +160,7 @@ TensorH random_tensor(Shape shape, std::uint64_t seed) {
 }
 
 Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
-                 std::int64_t n, int packed_reps) {
+                 std::int64_t n) {
   const TensorH a = random_tensor(Shape{batch, m, k}, 1);
   const TensorH b = random_tensor(Shape{k, n}, 2);
   const TensorH bias = random_tensor(Shape{n}, 3);
@@ -165,18 +173,16 @@ Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
   e.shape = "(" + std::to_string(batch) + ", " + std::to_string(m) + ", " +
             std::to_string(k) + ") x (" + std::to_string(k) + ", " +
             std::to_string(n) + "), bias epilogue";
-  e.scalar_ms = time_ms(
+  time_entry(
+      e,
       [&] {
         stof::ops::gemm_scalar(a, b, c_scalar, stof::ops::Epilogue::kBias,
                                &bias);
       },
-      1);
-  e.packed_ms = time_ms(
       [&] {
         stof::ops::gemm_packed(a, b, c_packed, stof::ops::Epilogue::kBias,
                                &bias);
-      },
-      packed_reps);
+      });
   e.bit_identical = bits_equal(c_scalar, c_packed);
 
   // Instrumented pass: replay the workload once with telemetry enabled and
@@ -197,78 +203,8 @@ Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
   return e;
 }
 
-/// max |got - ref| normalized by absmax(ref), both read back to float.
-double max_rel_err(const TensorH& ref, const TensorH& got) {
-  const auto sr = ref.data();
-  const auto sg = got.data();
-  double abs_max = 0, diff_max = 0;
-  for (std::size_t i = 0; i < sr.size(); ++i) {
-    abs_max = std::max(abs_max, std::abs(double(float(sr[i]))));
-    diff_max =
-        std::max(diff_max, std::abs(double(float(sg[i]) - float(sr[i]))));
-  }
-  return abs_max == 0 ? diff_max : diff_max / abs_max;
-}
-
-/// Calibrated INT8 error bounds (see docs/PERF.md for the methodology):
-/// measured max relative error on the fixed seeds, then tripled so noise in
-/// future recalibrations (new seeds, reordered reductions) cannot trip the
-/// gate while a real quantizer regression — errors scale with the number of
-/// wrongly-coded elements — still lands far outside it.
-constexpr double kGemmInt8RelErrBound = 1.8e-2;   // measured 6.0e-3 (full)
-constexpr double kServeInt8RelErrBound = 2.2e-2;  // measured 7.3e-3 (full)
-
-/// INT8-weight GEMM entry: same tensors and scalar reference as bench_gemm,
-/// but the packed run reads the B panel through the INT8 quantized tier.
-/// Gated on the calibrated output-error bound instead of bit-identity.
-Entry bench_gemm_int8(std::int64_t batch, std::int64_t m, std::int64_t k,
-                      std::int64_t n, int packed_reps) {
-  const TensorH a = random_tensor(Shape{batch, m, k}, 1);
-  const TensorH b = random_tensor(Shape{k, n}, 2);
-  const TensorH bias = random_tensor(Shape{n}, 3);
-  TensorH c_scalar(Shape{batch, m, n});
-  TensorH c_int8(Shape{batch, m, n});
-
-  Entry e;
-  e.name = "gemm_b" + std::to_string(batch) + "_m" + std::to_string(m) +
-           "_h" + std::to_string(n) + "_int8";
-  e.shape = "(" + std::to_string(batch) + ", " + std::to_string(m) + ", " +
-            std::to_string(k) + ") x (" + std::to_string(k) + ", " +
-            std::to_string(n) + "), bias epilogue, int8 weight panels";
-  e.error_gated = true;
-  e.rel_err_bound = kGemmInt8RelErrBound;
-  e.scalar_ms = time_ms(
-      [&] {
-        stof::ops::gemm_scalar(a, b, c_scalar, stof::ops::Epilogue::kBias,
-                               &bias);
-      },
-      1);
-  e.packed_ms = time_ms(
-      [&] {
-        stof::ops::gemm_packed(a, b, c_int8, stof::ops::Epilogue::kBias,
-                               &bias, stof::core::PanelPrecision::kInt8);
-      },
-      packed_reps);
-  e.rel_err = max_rel_err(c_scalar, c_int8);
-
-  {
-    stof::telemetry::ScopedTelemetry on(true);
-    stof::telemetry::global_registry().reset();
-    stof::ops::gemm(a, b, c_int8, stof::ops::Epilogue::kBias, &bias,
-                    stof::core::PanelPrecision::kInt8);
-    const auto dev = stof::gpusim::rtx4090();
-    const auto cost = stof::ops::gemm_cost(
-        stof::ops::GemmDims{batch, m, n, k}, stof::ops::GemmParams{}, dev);
-    stof::gpusim::Stream stream(dev);
-    stream.launch(e.name, cost);
-    e.sim_launches.emplace_back(e.name, cost);
-    e.counters = stof::telemetry::global_registry().counters();
-  }
-  return e;
-}
-
 Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
-                const std::string& mask_name, int block, int packed_reps) {
+                const std::string& mask_name, int block) {
   const TensorH q = random_tensor(dims.qkv_shape(), 4);
   const TensorH k = random_tensor(dims.kv_shape(), 5);
   const TensorH v = random_tensor(dims.kv_shape(), 6);
@@ -288,17 +224,15 @@ Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
             " mask, block " + std::to_string(block);
 
   TensorH out_scalar, out_packed;
-  e.scalar_ms = time_ms(
+  time_entry(
+      e,
       [&] {
         stof::ScopedPackedExecution scalar_mode(false);
         out_scalar = stof::mha::blockwise_attention(dims, q, k, v, bsr, params);
       },
-      1);
-  e.packed_ms = time_ms(
       [&] {
         out_packed = stof::mha::blockwise_attention(dims, q, k, v, bsr, params);
-      },
-      packed_reps);
+      });
   e.bit_identical = bits_equal(out_scalar, out_packed);
 
   // Instrumented pass: BSR cache hit/miss accounting, block-skip counters
@@ -362,13 +296,13 @@ Entry bench_mha_longdoc_prefill(bool quick) {
           stof::mha::varlen_attention(dims, q, k, v, bases[m], batch, params);
     }
   };
-  e.scalar_ms = time_ms(
+  time_entry(
+      e,
       [&] {
         stof::ScopedPackedExecution scalar_mode(false);
         run_all(out_scalar);
       },
-      1);
-  e.packed_ms = time_ms([&] { run_all(out_packed); }, 3);
+      [&] { run_all(out_packed); });
   e.bit_identical = true;
   for (std::size_t m = 0; m < bases.size(); ++m) {
     e.bit_identical = e.bit_identical && bits_equal(out_scalar[m], out_packed[m]);
@@ -568,14 +502,13 @@ Entry bench_serve_decode_long(bool quick) {
             "wall-clock ms (scalar vs packed+panel-cache engine)";
 
   sb::RunResult scalar_run, packed_run;
-  e.scalar_ms = time_ms(
+  time_entry(
+      e,
       [&] {
         stof::ScopedPackedExecution scalar_mode(false);
         scalar_run = sb::run_trace(cfg, trace);
       },
-      1);
-  e.packed_ms = time_ms([&] { packed_run = sb::run_trace(cfg, trace); },
-                        quick ? 2 : 3);
+      [&] { packed_run = sb::run_trace(cfg, trace); });
   e.bit_identical = sb::digests_match(scalar_run, packed_run);
 
   // Instrumented pass: serve.* counters plus the panel-cache accounting of
@@ -587,117 +520,6 @@ Entry bench_serve_decode_long(bool quick) {
     const auto r = sb::run_trace(cfg, trace);
     e.counters = stof::telemetry::global_registry().counters();
     e.counters["serve.derived.tokens_per_s"] = std::llround(r.tokens_per_s);
-  }
-  return e;
-}
-
-/// INT8-KV twin of bench_serve_decode_long: the decode path reads the KV
-/// pool through the quantized sidecar (per-token-row scales).  Gates:
-///   * output error vs an FP32 packed replay of the same trace, within the
-///     calibrated bound;
-///   * determinism — two INT8 replays must produce identical digests
-///     (quantize-once codes are a pure function of the session tokens);
-///   * conversion traffic — the INT8 sidecar must write well under the FP32
-///     sidecar's serve.kv.sidecar_bytes_converted (1 byte/elem vs 2).
-Entry bench_serve_decode_long_int8(bool quick) {
-  namespace sb = stof::serve::bench;
-  sb::TraceConfig tc;
-  tc.sessions = quick ? 2 : 4;
-  tc.min_prompt = 16;
-  tc.max_prompt = 32;
-  tc.min_gen = quick ? 48 : 160;
-  tc.max_gen = quick ? 48 : 160;
-  const auto trace = sb::make_trace(tc);
-  auto cfg = sb::serve_config(stof::serve::SchedulerMode::kContinuous);
-  cfg.max_seq_len = 256;
-  cfg.kv_blocks = 96;
-  auto cfg_int8 = cfg;
-  cfg_int8.kv_precision = stof::core::PanelPrecision::kInt8;
-
-  Entry e;
-  e.name = "serve_decode_long_int8";
-  e.shape = std::to_string(tc.sessions) + " sessions, " +
-            std::to_string(tc.min_gen) +
-            " generated tokens each, heads 4, head_size 64, max_seq 256, "
-            "wall-clock ms (scalar vs packed engine, int8 KV sidecar)";
-  e.error_gated = true;
-  e.rel_err_bound = kServeInt8RelErrBound;
-
-  // FP32 reference decode outputs, keyed (session, position).  The packed
-  // FP32 engine is bit-identical to scalar, so one replay is the reference.
-  std::map<std::pair<stof::serve::SessionId, std::int64_t>,
-           std::vector<float>>
-      ref;
-  (void)sb::run_trace(cfg, trace,
-                      [&ref](stof::serve::SessionId id, std::int64_t pos,
-                             std::span<const stof::half> out) {
-                        auto& dst = ref[{id, pos}];
-                        dst.reserve(out.size());
-                        for (const auto h : out) dst.push_back(float(h));
-                      });
-
-  sb::RunResult scalar_run;
-  e.scalar_ms = time_ms(
-      [&] {
-        stof::ScopedPackedExecution scalar_mode(false);
-        scalar_run = sb::run_trace(cfg, trace);
-      },
-      1);
-  sb::RunResult int8_run;
-  e.packed_ms = time_ms(
-      [&] { int8_run = sb::run_trace(cfg_int8, trace); }, quick ? 2 : 3);
-
-  // Error pass: replay once more with the hook and fold the max relative
-  // error (per-token absmax-normalized, worst token) into the entry.
-  double rel_err = 0;
-  const auto repeat = sb::run_trace(
-      cfg_int8, trace,
-      [&](stof::serve::SessionId id, std::int64_t pos,
-          std::span<const stof::half> out) {
-        const auto& want = ref.at({id, pos});
-        double abs_max = 0, diff_max = 0;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          abs_max = std::max(abs_max, std::abs(double(want[i])));
-          diff_max =
-              std::max(diff_max, std::abs(double(float(out[i]) - want[i])));
-        }
-        if (abs_max > 0) rel_err = std::max(rel_err, diff_max / abs_max);
-      });
-  e.rel_err = rel_err;
-  if (!sb::digests_match(int8_run, repeat)) {
-    std::cerr << e.name << ": INT8 replays diverged (nondeterministic)\n";
-    e.aux_ok = false;
-  }
-
-  // Instrumented passes: FP32 then INT8, comparing the KV-pool sidecar's
-  // conversion traffic (serve.kv.sidecar_bytes_converted: the FP32 engine's
-  // prefill and decode share one float tier, the INT8 engine's prefill
-  // converts pages inside the kernel).  INT8 codes are 1 byte/elem vs the
-  // float sidecar's 2, so the counter must land at about half — gated at
-  // 55%.
-  std::int64_t fp32_bytes = 0;
-  {
-    stof::telemetry::ScopedTelemetry on(true);
-    stof::telemetry::global_registry().reset();
-    (void)sb::run_trace(cfg, trace);
-    fp32_bytes = stof::telemetry::global_registry().counter(
-        "serve.kv.sidecar_bytes_converted");
-  }
-  {
-    stof::telemetry::ScopedTelemetry on(true);
-    stof::telemetry::global_registry().reset();
-    const auto r = sb::run_trace(cfg_int8, trace);
-    e.counters = stof::telemetry::global_registry().counters();
-    e.counters["serve.derived.tokens_per_s"] = std::llround(r.tokens_per_s);
-    e.counters["serve.kv.fp32_ref_sidecar_bytes_converted"] = fp32_bytes;
-  }
-  const std::int64_t int8_bytes =
-      e.counters["serve.kv.sidecar_bytes_converted"];
-  if (fp32_bytes <= 0 || int8_bytes * 100 > fp32_bytes * 55) {
-    std::cerr << e.name << ": int8 sidecar converted " << int8_bytes
-              << " bytes vs fp32 sidecar " << fp32_bytes
-              << " (expected about half)\n";
-    e.aux_ok = false;
   }
   return e;
 }
@@ -719,8 +541,9 @@ Entry bench_serve_decode_long_int8(bool quick) {
 ///     computed prefill tokens land at the theoretical cold-start floor
 ///     (sum of private suffixes + each template computed ONCE — i.e. the
 ///     saving amortises per template, better than the per-session share
-///     fraction alone predicts), and INT8 sidecar conversion bytes drop
-///     below half (shared pages share one sidecar panel across sessions).
+///     fraction alone predicts), and KV-pool float-page conversion bytes
+///     drop below half (shared pages share one converted copy across
+///     sessions).
 Entry bench_serve_prefix_shared(bool quick) {
   namespace sb = stof::serve::bench;
   sb::PrefixTraceConfig tc;
@@ -813,7 +636,7 @@ Entry bench_serve_prefix_shared(bool quick) {
               << "; gate: within 10% of the floor)\n";
     e.aux_ok = false;
   }
-  // Shared pages share one INT8 sidecar page, so conversion bytes fall
+  // Shared pages share one float sidecar page, so conversion bytes fall
   // with unique pages, not with sessions.  The total adds the KV pool's
   // sidecar bytes to the panel registry's (weight and tensor panels).
   const std::int64_t on_sidecar =
@@ -989,8 +812,8 @@ Entry bench_serve_e2e_layer(bool quick, const std::string& tunedb_dir) {
             .total_us;
     warm_misses = stof::telemetry::global_registry().counter("tunedb.misses");
   }
-  e.counters["serve.derived.cold_tune_us"] = std::llround(cold_tune_us);
-  e.counters["serve.derived.warm_load_us"] = std::llround(warm_load_us);
+  e.wall["serve.derived.cold_tune_us"] = std::llround(cold_tune_us);
+  e.wall["serve.derived.warm_load_us"] = std::llround(warm_load_us);
   if (cold_tune_us <= 0 || warm_misses != 0 ||
       warm_load_us >= 0.05 * cold_tune_us) {
     std::cerr << e.name << ": warm model load cost " << warm_load_us
@@ -1009,7 +832,8 @@ Entry bench_serve_e2e_layer(bool quick, const std::string& tunedb_dir) {
 /// default.  The LayerNorm/bias/GELU/residual ops have one implementation,
 /// so only the GEMMs differ between the two.  bit_identical compares the
 /// output bytes.  The instrumented pass splits one call's wall time into
-/// wall.ops.gemm_us and the rest of wall.serve.head_us (mean of 50 calls).
+/// wall.ops.gemm_us and the rest of wall.serve.head_us (mean of 50 calls),
+/// written to the entry's "wall" object.
 Entry bench_serve_model_head(bool quick) {
   stof::serve::ModelSpec spec;
   spec.kind = stof::serve::ModelKind::kGptDecoder;
@@ -1033,14 +857,15 @@ Entry bench_serve_model_head(bool quick) {
   e.shape = "gpt_decoder x2 layers, heads 4, head_size 32, 19 rows, "
             "wall-clock ms per transform_rows call (scalar vs packed "
             "GEMMs)";
-  e.scalar_ms = time_ms(
-                    [&] {
-                      stof::ScopedPackedExecution scalar_mode(false);
-                      run(scalar_out);
-                    },
-                    3) /
-                calls;
-  e.packed_ms = time_ms([&] { run(packed_out); }, 3) / calls;
+  time_entry(
+      e,
+      [&] {
+        stof::ScopedPackedExecution scalar_mode(false);
+        run(scalar_out);
+      },
+      [&] { run(packed_out); });
+  e.scalar_ms /= calls;
+  e.packed_ms /= calls;
   e.bit_identical = bits_equal(scalar_out, packed_out);
 
   {
@@ -1059,8 +884,8 @@ Entry bench_serve_model_head(bool quick) {
     const auto& reg = stof::telemetry::global_registry();
     const double gemm_us = reg.timer("wall.ops.gemm_us").total_us;
     e.counters = reg.counters();
-    e.counters["wall.serve.head_us"] = std::llround(total_us / kProbeCalls);
-    e.counters["wall.ops.gemm_us"] = std::llround(gemm_us / kProbeCalls);
+    e.wall["wall.serve.head_us"] = std::llround(total_us / kProbeCalls);
+    e.wall["wall.ops.gemm_us"] = std::llround(gemm_us / kProbeCalls);
   }
   return e;
 }
@@ -1197,19 +1022,19 @@ bool write_json(const std::string& path, const std::vector<Entry>& entries,
     os << "    {\"name\": \"" << e.name << "\", \"shape\": \"" << e.shape
        << "\", \"scalar_ms\": " << e.scalar_ms
        << ", \"packed_ms\": " << e.packed_ms
-       << ", \"speedup\": " << e.speedup();
-    if (e.error_gated) {
-      os << ", \"rel_err\": " << e.rel_err
-         << ", \"rel_err_bound\": " << e.rel_err_bound;
-    } else {
-      os << ", \"bit_identical\": " << (e.bit_identical ? "true" : "false");
-    }
-    os << ",\n     \"counters\": {";
-    std::size_t ci = 0;
-    for (const auto& [name, value] : e.counters) {
-      os << (ci++ ? ", " : "") << "\"" << name << "\": " << value;
-    }
-    os << "}}" << (i + 1 < entries.size() ? "," : "") << "\n";
+       << ", \"speedup\": " << e.speedup()
+       << ", \"bit_identical\": " << (e.bit_identical ? "true" : "false");
+    const auto write_object = [&os](const char* key, const auto& values) {
+      os << ",\n     \"" << key << "\": {";
+      std::size_t vi = 0;
+      for (const auto& [name, value] : values) {
+        os << (vi++ ? ", " : "") << "\"" << name << "\": " << value;
+      }
+      os << "}";
+    };
+    write_object("counters", e.counters);
+    if (!e.wall.empty()) write_object("wall", e.wall);
+    os << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return os.good();
@@ -1358,35 +1183,31 @@ int main(int argc, char** argv) {
 
   std::vector<Entry> entries;
   if (quick) {
-    entries.push_back(bench_gemm(1, 64, 128, 128, 3));
-    entries.push_back(bench_gemm_int8(1, 64, 128, 128, 3));
+    entries.push_back(bench_gemm(1, 64, 128, 128));
     entries.push_back(bench_mha({1, 4, 128, 64},
                                 stof::masks::PatternKind::kBigBird, "bigbird",
-                                32, 3));
+                                32));
     entries.push_back(bench_mha_longdoc_prefill(/*quick=*/true));
     entries.push_back(bench_serve_entry(/*quick=*/true));
     entries.push_back(bench_serve_burst_p99(/*quick=*/true));
     entries.push_back(bench_serve_decode_long(/*quick=*/true));
-    entries.push_back(bench_serve_decode_long_int8(/*quick=*/true));
     entries.push_back(bench_serve_prefix_shared(/*quick=*/true));
     entries.push_back(bench_serve_speculative(/*quick=*/true));
     entries.push_back(bench_serve_e2e_layer(/*quick=*/true, tunedb_path));
     entries.push_back(bench_serve_model_head(/*quick=*/true));
     entries.push_back(bench_serve_cluster_scaling(/*quick=*/true));
   } else {
-    entries.push_back(bench_gemm(8, 512, 1024, 1024, 3));
-    entries.push_back(bench_gemm_int8(8, 512, 1024, 1024, 3));
+    entries.push_back(bench_gemm(8, 512, 1024, 1024));
     const stof::mha::MhaDims bert_base{8, 12, 512, 64};
     entries.push_back(bench_mha(bert_base, stof::masks::PatternKind::kBigBird,
-                                "bigbird", 64, 3));
+                                "bigbird", 64));
     entries.push_back(bench_mha(bert_base,
                                 stof::masks::PatternKind::kSlidingWindow,
-                                "sliding_window", 64, 3));
+                                "sliding_window", 64));
     entries.push_back(bench_mha_longdoc_prefill(/*quick=*/false));
     entries.push_back(bench_serve_entry(/*quick=*/false));
     entries.push_back(bench_serve_burst_p99(/*quick=*/false));
     entries.push_back(bench_serve_decode_long(/*quick=*/false));
-    entries.push_back(bench_serve_decode_long_int8(/*quick=*/false));
     entries.push_back(bench_serve_prefix_shared(/*quick=*/false));
     entries.push_back(bench_serve_speculative(/*quick=*/false));
     entries.push_back(bench_serve_e2e_layer(/*quick=*/false, tunedb_path));
@@ -1398,14 +1219,7 @@ int main(int argc, char** argv) {
   for (const auto& e : entries) {
     std::cout << e.name << ": scalar " << e.scalar_ms << " ms, packed "
               << e.packed_ms << " ms, speedup " << e.speedup() << "x";
-    if (e.error_gated) {
-      std::cout << ", rel_err " << e.rel_err << " (bound " << e.rel_err_bound
-                << ")";
-    }
-    std::cout << (e.pass() ? ""
-                           : e.error_gated ? "  [ERROR GATE FAILED]"
-                                           : "  [BIT MISMATCH]")
-              << "\n";
+    std::cout << (e.pass() ? "" : "  [BIT MISMATCH]") << "\n";
     all_identical = all_identical && e.pass();
   }
   if (!write_json(out_path, entries, quick)) {

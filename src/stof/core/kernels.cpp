@@ -147,14 +147,11 @@ ScopedKernelIsa::ScopedKernelIsa(Isa isa) : previous_(active_isa()) {
 
 ScopedKernelIsa::~ScopedKernelIsa() { set_kernel_isa(previous_); }
 
-void note_kernel_dispatch(const char* entry, std::int64_t calls) {
+void note_kernel_dispatch(const char* counter, std::int64_t calls) {
   if (!telemetry::enabled()) return;
   telemetry::gauge("exec.dispatch.isa",
                    static_cast<double>(static_cast<int>(active_isa())));
-  std::string name = "exec.dispatch.";
-  name += entry;
-  name += ".calls";
-  telemetry::count(name, calls);
+  telemetry::count(counter, calls);
 }
 
 }  // namespace stof::core

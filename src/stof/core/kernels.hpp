@@ -23,11 +23,7 @@
 // every table entry byte-wise against the scalar table for every ISA the
 // host can run.
 //
-// The INT8 tier quantizes panels to symmetric per-group int8 codes
-// (scale = absmax/127, round-to-nearest-even, clamp to +/-127) and runs
-// dot-product GEMMs in exact int32 accumulation with a float epilogue —
-// int32 sums are associative, so INT8 results are identical across ISAs
-// and across any blocking schedule, just not bit-identical to FP32.
+// Operands are stored as half; every arithmetic entry accumulates in FP32.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +38,6 @@ namespace stof::core {
 enum class Isa : int { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 
 [[nodiscard]] const char* isa_name(Isa isa);
-
-/// Storage precision of a cached panel (FP32 sidecar vs quantized INT8).
-enum class PanelPrecision : int { kFloat32 = 0, kInt8 = 1 };
 
 /// Widest lane group of the lane tile (AVX-512: 16 FP32 lanes).  A tile's
 /// row stride is its row count rounded up to this.
@@ -127,8 +120,6 @@ struct KernelTable {
   void (*scale_inplace)(float* x, float s, std::int64_t n);
   /// max(x[0..n)) — exact, so any reduction order is bit-safe; n >= 1.
   float (*reduce_max)(const float* x, std::int64_t n);
-  /// max(|x[0..n)|) over finite inputs; returns 0 for n == 0.
-  float (*abs_max)(const float* x, std::int64_t n);
   /// y[i] = exp_f32(x[i]) (x <= 0 or -inf); x and y may alias.
   void (*exp_row)(const float* x, float* y, std::int64_t n);
 
@@ -145,25 +136,6 @@ struct KernelTable {
   /// values round exactly as a row-at-a-time loop would.
   void (*attn_lane_block)(const LaneTile& tile, const LaneBlock& block);
 
-  // ---- INT8 quantized tier -------------------------------------------------
-  /// dst[i] = clamp(nearbyint(src[i] * inv_scale), -127, 127); inputs must
-  /// be finite with |src*inv_scale| well below 2^31.
-  void (*quantize_i8)(const float* src, std::int8_t* dst, std::int64_t n,
-                      float inv_scale);
-  /// Exact int32 dot product.
-  std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
-                         std::int64_t n);
-  /// y[i] += a * float(x[i]) (int8 -> float conversion is exact).
-  void (*axpy_i8)(float* y, const std::int8_t* x, float a, std::int64_t n);
-  /// C[r,j] += (a_row_scales[r] * b_scale) * float(sum_e A8[r,e] * B8[e,j])
-  /// with exact int32 accumulation; the two-float scale product and the
-  /// int32 -> float conversion are computed identically by every ISA, so
-  /// results are deterministic (though not FP32-bit-identical).
-  void (*sgemm_i8_accumulate_ld)(const std::int8_t* a, std::int64_t lda,
-                                 const std::int8_t* b, std::int64_t ldb,
-                                 float* c, std::int64_t ldc, std::int64_t rows,
-                                 std::int64_t depth, std::int64_t cols,
-                                 const float* a_row_scales, float b_scale);
 };
 
 /// The scalar reference table (always available).
@@ -203,28 +175,9 @@ class ScopedKernelIsa {
 };
 
 /// Telemetry hook for dispatched call sites: records the active ISA under
-/// the `exec.dispatch.isa` gauge and bumps `exec.dispatch.<entry>.calls`.
-/// `entry` must be a string literal (no per-call formatting).
-void note_kernel_dispatch(const char* entry, std::int64_t calls = 1);
-
-// ---- INT8 quantization parameters -----------------------------------------
-
-/// Smallest group absmax quantized with real codes; below it every code is
-/// zero and the scale is set to 2*absmax so the round-trip error still
-/// satisfies |x - dequant(x)| <= scale/2 (avoids inf/NaN from 127/absmax).
-inline constexpr float kQuantTinyAbsMax = 1e-30f;
-
-struct QuantParams {
-  float scale = 1.0f;      ///< dequantization multiplier
-  float inv_scale = 0.0f;  ///< quantization multiplier (0 => all-zero codes)
-};
-
-/// Symmetric per-group parameters from the group's |max|.
-[[nodiscard]] inline QuantParams quant_params(float abs_max) {
-  if (!(abs_max >= kQuantTinyAbsMax)) {
-    return {2.0f * abs_max + 1e-38f, 0.0f};
-  }
-  return {abs_max / 127.0f, 127.0f / abs_max};
-}
+/// the `exec.dispatch.isa` gauge and bumps `counter`, the entry's full
+/// counter name as a literal (`"exec.dispatch.<entry>.calls"`), so no call
+/// formats a string.
+void note_kernel_dispatch(const char* counter, std::int64_t calls = 1);
 
 }  // namespace stof::core

@@ -312,22 +312,6 @@ float reduce_max_avx2(const float* x, std::int64_t n) {
   return m;
 }
 
-float abs_max_avx2(const float* x, std::int64_t n) {
-  const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  __m256 acc = _mm256_setzero_ps();
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_max_ps(acc, _mm256_and_ps(_mm256_loadu_ps(x + i), mask));
-  }
-  __m128 q = _mm_max_ps(_mm256_castps256_ps128(acc),
-                        _mm256_extractf128_ps(acc, 1));
-  q = _mm_max_ps(q, _mm_movehl_ps(q, q));
-  q = _mm_max_ss(q, _mm_movehdup_ps(q));
-  float m = _mm_cvtss_f32(q);
-  for (; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  return m;
-}
-
 // ---- exp_f32 and the lane tile ---------------------------------------------
 
 /// exp_f32 on four lanes: the scalar function's double-precision steps,
@@ -525,139 +509,6 @@ void attn_lane_block_avx2(const LaneTile& t, const LaneBlock& b) {
   }
 }
 
-void quantize_i8_avx2(const float* src, std::int8_t* dst, std::int64_t n,
-                      float inv_scale) {
-  // cvtps2dq rounds per MXCSR (nearest-even by default) — identical codes
-  // to the scalar lrintf path.
-  const __m256 inv = _mm256_set1_ps(inv_scale);
-  const __m256i lo_clamp = _mm256_set1_epi32(-127);
-  const __m256i hi_clamp = _mm256_set1_epi32(127);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i q =
-        _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(src + i), inv));
-    q = _mm256_min_epi32(_mm256_max_epi32(q, lo_clamp), hi_clamp);
-    const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
-                                        _mm256_extracti128_si256(q, 1));
-    const __m128i p8 = _mm_packs_epi16(p16, p16);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i), p8);
-  }
-  for (; i < n; ++i) {
-    long r = std::lrintf(src[i] * inv_scale);
-    r = std::clamp(r, -127L, 127L);
-    dst[i] = static_cast<std::int8_t>(r);
-  }
-}
-
-std::int32_t dot_i8_avx2(const std::int8_t* a, const std::int8_t* b,
-                         std::int64_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  __m128i q = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  q = _mm_add_epi32(q, _mm_unpackhi_epi64(q, q));
-  q = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0x55));
-  std::int32_t sum = _mm_cvtsi128_si32(q);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return sum;
-}
-
-void axpy_i8_avx2(float* y, const std::int8_t* x, float a, std::int64_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + i));
-    const __m256 xf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-    const __m256 t = _mm256_mul_ps(va, xf);
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), t));
-  }
-  for (; i < n; ++i) y[i] += a * static_cast<float>(x[i]);
-}
-
-/// Sign-extended (a_lo, a_hi) int16 pair replicated across a ymm, for
-/// vpmaddwd against interleaved B rows.
-inline __m256i a_pair_epi32(std::int8_t lo, std::int8_t hi) {
-  const std::uint32_t pair =
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-           static_cast<std::int16_t>(hi)))
-       << 16) |
-      static_cast<std::uint16_t>(static_cast<std::int16_t>(lo));
-  return _mm256_set1_epi32(static_cast<int>(pair));
-}
-
-void sgemm_i8_accumulate_ld_avx2(const std::int8_t* a, std::int64_t lda,
-                                 const std::int8_t* b, std::int64_t ldb,
-                                 float* c, std::int64_t ldc, std::int64_t rows,
-                                 std::int64_t depth, std::int64_t cols,
-                                 const float* a_row_scales, float b_scale) {
-  // Depth pairs feed vpmaddwd: B rows e and e+1 are sign-extended to int16
-  // and interleaved per column, so each madd lane accumulates
-  // a[e]*b[e][j] + a[e+1]*b[e+1][j] exactly in int32.  The interleave
-  // shuffles column lanes into [j0-3, j8-11] / [j4-7, j12-15] order; a
-  // final 128-bit permute restores them.  int32 sums are exact, so lane
-  // order never affects results.
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float s = a_row_scales[r] * b_scale;
-    const std::int8_t* ar = a + r * lda;
-    float* cr = c + r * ldc;
-    std::int64_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      std::int64_t e = 0;
-      for (; e + 2 <= depth; e += 2) {
-        const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + e * ldb + j)));
-        const __m256i b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + (e + 1) * ldb + j)));
-        const __m256i ap = a_pair_epi32(ar[e], ar[e + 1]);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_unpacklo_epi16(b0, b1), ap));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_unpackhi_epi16(b0, b1), ap));
-      }
-      if (e < depth) {
-        const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + e * ldb + j)));
-        const __m256i zero = _mm256_setzero_si256();
-        const __m256i ap = a_pair_epi32(ar[e], 0);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_unpacklo_epi16(b0, zero), ap));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_unpackhi_epi16(b0, zero), ap));
-      }
-      const __m256i q0 = _mm256_permute2x128_si256(acc0, acc1, 0x20);
-      const __m256i q1 = _mm256_permute2x128_si256(acc0, acc1, 0x31);
-      const __m256 vs = _mm256_set1_ps(s);
-      _mm256_storeu_ps(
-          cr + j, _mm256_add_ps(_mm256_loadu_ps(cr + j),
-                                _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q0))));
-      _mm256_storeu_ps(
-          cr + j + 8,
-          _mm256_add_ps(_mm256_loadu_ps(cr + j + 8),
-                        _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q1))));
-    }
-    for (; j < cols; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t e = 0; e < depth; ++e) {
-        acc += static_cast<std::int32_t>(ar[e]) *
-               static_cast<std::int32_t>(b[e * ldb + j]);
-      }
-      cr[j] += s * static_cast<float>(acc);
-    }
-  }
-}
-
 }  // namespace
 
 void fill_avx2(KernelTable& table) {
@@ -669,13 +520,8 @@ void fill_avx2(KernelTable& table) {
   table.axpby = axpby_avx2;
   table.scale_inplace = scale_inplace_avx2;
   table.reduce_max = reduce_max_avx2;
-  table.abs_max = abs_max_avx2;
   table.exp_row = exp_row_avx2;
   table.attn_lane_block = attn_lane_block_avx2;
-  table.quantize_i8 = quantize_i8_avx2;
-  table.dot_i8 = dot_i8_avx2;
-  table.axpy_i8 = axpy_i8_avx2;
-  table.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_avx2;
 }
 
 }  // namespace stof::core::detail

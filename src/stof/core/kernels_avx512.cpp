@@ -195,125 +195,6 @@ void sgemm_accumulate_avx512(const float* a, const float* b, float* c,
   }
 }
 
-inline __m512i a_pair512(std::int8_t lo, std::int8_t hi) {
-  const std::uint32_t pair =
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-           static_cast<std::int16_t>(hi)))
-       << 16) |
-      static_cast<std::uint16_t>(static_cast<std::int16_t>(lo));
-  return _mm512_set1_epi32(static_cast<int>(pair));
-}
-
-inline __m256i a_pair256(std::int8_t lo, std::int8_t hi) {
-  const std::uint32_t pair =
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-           static_cast<std::int16_t>(hi)))
-       << 16) |
-      static_cast<std::uint16_t>(static_cast<std::int16_t>(lo));
-  return _mm256_set1_epi32(static_cast<int>(pair));
-}
-
-void sgemm_i8_accumulate_ld_avx512(const std::int8_t* a, std::int64_t lda,
-                                   const std::int8_t* b, std::int64_t ldb,
-                                   float* c, std::int64_t ldc,
-                                   std::int64_t rows, std::int64_t depth,
-                                   std::int64_t cols,
-                                   const float* a_row_scales, float b_scale) {
-  // 32-column strips via vpmaddwd on interleaved int16 B-row pairs; the
-  // per-128-bit-lane interleave scrambles column lanes, restored by two
-  // vpermt2d shuffles after the exact int32 accumulation.
-  const __m512i idx_q0 = _mm512_set_epi32(23, 22, 21, 20, 7, 6, 5, 4, 19, 18,
-                                          17, 16, 3, 2, 1, 0);
-  const __m512i idx_q1 = _mm512_set_epi32(31, 30, 29, 28, 15, 14, 13, 12, 27,
-                                          26, 25, 24, 11, 10, 9, 8);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float s = a_row_scales[r] * b_scale;
-    const std::int8_t* ar = a + r * lda;
-    float* cr = c + r * ldc;
-    std::int64_t j = 0;
-    for (; j + 32 <= cols; j += 32) {
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      std::int64_t e = 0;
-      for (; e + 2 <= depth; e += 2) {
-        const __m512i b0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(b + e * ldb + j)));
-        const __m512i b1 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(b + (e + 1) * ldb + j)));
-        const __m512i ap = a_pair512(ar[e], ar[e + 1]);
-        acc0 = _mm512_add_epi32(
-            acc0, _mm512_madd_epi16(_mm512_unpacklo_epi16(b0, b1), ap));
-        acc1 = _mm512_add_epi32(
-            acc1, _mm512_madd_epi16(_mm512_unpackhi_epi16(b0, b1), ap));
-      }
-      if (e < depth) {
-        const __m512i b0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(b + e * ldb + j)));
-        const __m512i zero = _mm512_setzero_si512();
-        const __m512i ap = a_pair512(ar[e], 0);
-        acc0 = _mm512_add_epi32(
-            acc0, _mm512_madd_epi16(_mm512_unpacklo_epi16(b0, zero), ap));
-        acc1 = _mm512_add_epi32(
-            acc1, _mm512_madd_epi16(_mm512_unpackhi_epi16(b0, zero), ap));
-      }
-      const __m512i q0 = _mm512_permutex2var_epi32(acc0, idx_q0, acc1);
-      const __m512i q1 = _mm512_permutex2var_epi32(acc0, idx_q1, acc1);
-      const __m512 vs = _mm512_set1_ps(s);
-      _mm512_storeu_ps(
-          cr + j, _mm512_add_ps(_mm512_loadu_ps(cr + j),
-                                _mm512_mul_ps(vs, _mm512_cvtepi32_ps(q0))));
-      _mm512_storeu_ps(
-          cr + j + 16,
-          _mm512_add_ps(_mm512_loadu_ps(cr + j + 16),
-                        _mm512_mul_ps(vs, _mm512_cvtepi32_ps(q1))));
-    }
-    for (; j + 16 <= cols; j += 16) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      std::int64_t e = 0;
-      for (; e + 2 <= depth; e += 2) {
-        const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + e * ldb + j)));
-        const __m256i b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + (e + 1) * ldb + j)));
-        const __m256i ap = a_pair256(ar[e], ar[e + 1]);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_unpacklo_epi16(b0, b1), ap));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_unpackhi_epi16(b0, b1), ap));
-      }
-      if (e < depth) {
-        const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + e * ldb + j)));
-        const __m256i zero = _mm256_setzero_si256();
-        const __m256i ap = a_pair256(ar[e], 0);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_unpacklo_epi16(b0, zero), ap));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_unpackhi_epi16(b0, zero), ap));
-      }
-      const __m256i q0 = _mm256_permute2x128_si256(acc0, acc1, 0x20);
-      const __m256i q1 = _mm256_permute2x128_si256(acc0, acc1, 0x31);
-      const __m256 vs = _mm256_set1_ps(s);
-      _mm256_storeu_ps(
-          cr + j, _mm256_add_ps(_mm256_loadu_ps(cr + j),
-                                _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q0))));
-      _mm256_storeu_ps(
-          cr + j + 8,
-          _mm256_add_ps(_mm256_loadu_ps(cr + j + 8),
-                        _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q1))));
-    }
-    for (; j < cols; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t e = 0; e < depth; ++e) {
-        acc += static_cast<std::int32_t>(ar[e]) *
-               static_cast<std::int32_t>(b[e * ldb + j]);
-      }
-      cr[j] += s * static_cast<float>(acc);
-    }
-  }
-}
-
 // ---- exp_f32 and the lane tile ---------------------------------------------
 
 /// exp_f32's 32-entry table in four zmm registers: the lookup is two
@@ -536,7 +417,6 @@ void attn_lane_block_avx512(const LaneTile& t, const LaneBlock& b) {
 
 void fill_avx512(KernelTable& table) {
   table.sgemm_accumulate = sgemm_accumulate_avx512;
-  table.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_avx512;
   table.exp_row = exp_row_avx512;
   table.attn_lane_block = attn_lane_block_avx512;
 }

@@ -158,15 +158,6 @@ float reduce_max_neon(const float* x, std::int64_t n) {
   return m;
 }
 
-float abs_max_neon(const float* x, std::int64_t n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) acc = vmaxq_f32(acc, vabsq_f32(vld1q_f32(x + i)));
-  float m = vmaxvq_f32(acc);
-  for (; i < n; ++i) m = std::max(m, x[i] < 0 ? -x[i] : x[i]);
-  return m;
-}
-
 }  // namespace
 
 void fill_neon(KernelTable& table) {
@@ -175,7 +166,6 @@ void fill_neon(KernelTable& table) {
   table.axpby = axpby_neon;
   table.scale_inplace = scale_inplace_neon;
   table.reduce_max = reduce_max_neon;
-  table.abs_max = abs_max_neon;
 }
 
 }  // namespace stof::core::detail

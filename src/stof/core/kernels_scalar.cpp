@@ -160,12 +160,6 @@ float reduce_max_scalar(const float* x, std::int64_t n) {
   return m;
 }
 
-float abs_max_scalar(const float* x, std::int64_t n) {
-  float m = 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  return m;
-}
-
 void exp_row_scalar(const float* x, float* y, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] = exp_f32(x[i]);
 }
@@ -241,53 +235,6 @@ void attn_lane_block_scalar(const LaneTile& t, const LaneBlock& b) {
   }
 }
 
-void quantize_i8_scalar(const float* src, std::int8_t* dst, std::int64_t n,
-                        float inv_scale) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    // lrintf under the default rounding mode is round-to-nearest-even —
-    // the same rounding cvtps2dq applies, so codes match across ISAs.
-    long r = std::lrintf(src[i] * inv_scale);
-    r = std::clamp(r, -127L, 127L);
-    dst[i] = static_cast<std::int8_t>(r);
-  }
-}
-
-std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
-                           std::int64_t n) {
-  std::int32_t acc = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return acc;
-}
-
-void axpy_i8_scalar(float* y, const std::int8_t* x, float a, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[i] += a * static_cast<float>(x[i]);
-  }
-}
-
-void sgemm_i8_accumulate_ld_scalar(const std::int8_t* a, std::int64_t lda,
-                                   const std::int8_t* b, std::int64_t ldb,
-                                   float* c, std::int64_t ldc,
-                                   std::int64_t rows, std::int64_t depth,
-                                   std::int64_t cols,
-                                   const float* a_row_scales, float b_scale) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float s = a_row_scales[r] * b_scale;
-    const std::int8_t* ar = a + r * lda;
-    float* cr = c + r * ldc;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t e = 0; e < depth; ++e) {
-        acc += static_cast<std::int32_t>(ar[e]) *
-               static_cast<std::int32_t>(b[e * ldb + j]);
-      }
-      cr[j] += s * static_cast<float>(acc);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalar_kernel_table() {
@@ -302,13 +249,8 @@ const KernelTable& scalar_kernel_table() {
     t.axpby = axpby_scalar;
     t.scale_inplace = scale_inplace_scalar;
     t.reduce_max = reduce_max_scalar;
-    t.abs_max = abs_max_scalar;
     t.exp_row = exp_row_scalar;
     t.attn_lane_block = attn_lane_block_scalar;
-    t.quantize_i8 = quantize_i8_scalar;
-    t.dot_i8 = dot_i8_scalar;
-    t.axpy_i8 = axpy_i8_scalar;
-    t.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_scalar;
     return t;
   }();
   return table;

@@ -55,38 +55,22 @@ const float* h2f_table() {
 
 void half_to_float(std::span<const half> src, std::span<float> dst) {
   STOF_EXPECTS(src.size() == dst.size(), "panel size mismatch");
-  core::note_kernel_dispatch("half_to_float");
+  core::note_kernel_dispatch("exec.dispatch.half_to_float.calls");
   core::kernels().half_to_float(src.data(), dst.data(),
                                 static_cast<std::int64_t>(src.size()));
 }
 
 void float_to_half(std::span<const float> src, std::span<half> dst) {
   STOF_EXPECTS(src.size() == dst.size(), "panel size mismatch");
-  core::note_kernel_dispatch("float_to_half");
+  core::note_kernel_dispatch("exec.dispatch.float_to_half.calls");
   core::kernels().float_to_half(src.data(), dst.data(),
                                 static_cast<std::int64_t>(src.size()));
 }
 
 void sgemm_accumulate(const float* a, const float* b, float* c,
                       std::int64_t rows, std::int64_t k, std::int64_t n) {
-  core::note_kernel_dispatch("sgemm_accumulate");
+  core::note_kernel_dispatch("exec.dispatch.sgemm_accumulate.calls");
   core::kernels().sgemm_accumulate(a, b, c, rows, k, n);
-}
-
-void quantize_halfs(std::span<const half> src, std::int64_t group,
-                    std::int8_t* dst, float* scales) {
-  const auto count = static_cast<std::int64_t>(src.size());
-  STOF_EXPECTS(group > 0 && count % group == 0,
-               "quantization group must divide the element count");
-  const core::KernelTable& kt = core::kernels();
-  std::vector<float> tmp(static_cast<std::size_t>(group));
-  core::note_kernel_dispatch("quantize_i8", count / group);
-  for (std::int64_t g = 0; g < count / group; ++g) {
-    kt.half_to_float(src.data() + g * group, tmp.data(), group);
-    const auto params = core::quant_params(kt.abs_max(tmp.data(), group));
-    scales[g] = params.scale;
-    kt.quantize_i8(tmp.data(), dst + g * group, group, params.inv_scale);
-  }
 }
 
 }  // namespace packed

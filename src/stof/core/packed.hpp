@@ -68,20 +68,6 @@ void float_to_half(std::span<const float> src, std::span<half> dst);
 void sgemm_accumulate(const float* a, const float* b, float* c,
                       std::int64_t rows, std::int64_t k, std::int64_t n);
 
-// ---- INT8 quantized panel tier ---------------------------------------------
-//
-// Symmetric per-group quantization: scale = absmax/127 (with a degenerate
-// all-zero fallback for vanishing groups, see core::quant_params), codes
-// rounded to nearest-even and clamped to +/-127.  Codes and scales are a
-// pure function of the source values — identical across ISAs, schedules,
-// and re-conversions — so INT8 execution stays deterministic even though
-// it is not bit-identical to FP32.
-
-/// Quantize a half panel (converted through the exact table) with one
-/// scale per `group` elements; the element count must be a multiple of
-/// `group`.  dst has one code per element, scales one entry per group.
-void quantize_halfs(std::span<const half> src, std::int64_t group,
-                    std::int8_t* dst, float* scales);
 
 }  // namespace packed
 }  // namespace stof

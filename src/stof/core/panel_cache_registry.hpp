@@ -6,9 +6,8 @@
 // calls, keyed on the identity of the half storage it was converted from,
 // and is reused until that storage changes.  Its consumers convert whole
 // tensors through float_panel(): ops::gemm's weight panels and the K/V
-// panels of the tensor-level MHA kernels (blockwise, varlen, row-wise);
-// ops::gemm's INT8 weight tier adds get_or_convert_int8().  (The serving KV
-// pool keeps its own converted pages next to its half pages; see
+// panels of the tensor-level MHA kernels (blockwise, varlen, row-wise).
+// (The serving KV pool keeps its own converted pages next to its half pages; see
 // serve/kv_pool.hpp.)  Three properties make the reuse safe:
 //
 //   * Keying on storage identity, not content: every Tensor allocation (and
@@ -23,52 +22,30 @@
 //     reallocates after creation, so panel pointers stay stable for as long
 //     as the handle lives.
 //
-// An entry lives exactly as long as its storage: float_panel() and the
-// INT8 weight fetch mark the Tensor they convert, and destroying a marked
-// Tensor, or copy- or move-assigning over it, drops the storage's entries
-// (drop_storage).  So the registry holds the panels of live tensors only,
-// and needs no capacity bound of its own.
-//
-// The registry also caches INT8-quantized panels (get_or_convert_int8):
-// symmetric per-group codes plus scales, keyed with the kPanelInt8 variant
-// flag so a storage's float and int8 panels coexist.  Quantize-once: codes
-// are derived from the half source exactly once per storage version, so
-// INT8 execution sees identical codes however often a panel is fetched.
+// An entry lives exactly as long as its storage: float_panel() marks the
+// Tensor it converts, and destroying a marked Tensor, or copy- or
+// move-assigning over it, drops the storage's entry (drop_storage).  So the
+// registry holds the panels of live tensors only, and needs no capacity
+// bound of its own.
 //
 // Counters (emitted when telemetry is enabled, mirrored in local stats):
 //   exec.panelcache.hits            lookups served from a cached panel
 //   exec.panelcache.misses          lookups that created a new panel
-//   exec.panelcache.bytes_converted destination bytes written: 2/elem for
-//                                   float panels (source half reconverts),
-//                                   1/elem for int8 panels — the INT8
-//                                   tier's conversion traffic is half
+//   exec.panelcache.bytes_converted source half bytes converted (2/elem)
 //   exec.panelcache.invalidations   stale-version discards
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/core/tensor.hpp"
 
 namespace stof::core {
-
-/// Identity of one cached panel: the half storage it converts plus a
-/// variant (the same storage may be cached as floats and as INT8 codes).
-struct PanelKey {
-  std::uint64_t storage = 0;
-  std::uint64_t variant = 0;
-  friend auto operator<=>(const PanelKey&, const PanelKey&) = default;
-};
-
-inline constexpr std::uint64_t kPanelRowMajor = 0;
-/// Variant flag (OR'd with the layout) marking an INT8-quantized panel —
-/// the same storage may be cached float and int8 at once without aliasing.
-inline constexpr std::uint64_t kPanelInt8 = 2;
 
 /// Shared handle to a cached float panel.  Keeps the buffer alive (and its
 /// data pointer stable) independently of the registry entry.
@@ -78,18 +55,6 @@ struct PanelRef {
   std::int64_t converted_elems = 0;
   [[nodiscard]] const float* data() const { return buffer->data(); }
   explicit operator bool() const { return buffer != nullptr; }
-};
-
-/// Shared handle to a cached INT8 panel: symmetric per-group codes plus
-/// one scale per `scale_group` elements (see core::quant_params).
-struct Int8PanelRef {
-  std::shared_ptr<const std::vector<std::int8_t>> codes;
-  std::shared_ptr<const std::vector<float>> scales;
-  /// Elements this call quantized (0 on a pure hit).
-  std::int64_t converted_elems = 0;
-  [[nodiscard]] const std::int8_t* data() const { return codes->data(); }
-  [[nodiscard]] const float* scale_data() const { return scales->data(); }
-  explicit operator bool() const { return codes != nullptr; }
 };
 
 struct PanelCacheStats {
@@ -108,33 +73,17 @@ class PanelCacheRegistry {
   /// Fills a whole panel buffer (`total_elems` floats) from its storage.
   using Converter = std::function<void(float* dst)>;
 
-  /// Quantizes a whole INT8 panel: `total_elems` codes plus one scale per
-  /// `scale_group` elements.
-  using Int8Converter = std::function<void(std::int8_t* codes, float* scales)>;
-
-  /// Fetch the panel for `key`:
+  /// Fetch the row-major FP32 panel of half storage `storage` (a storage
+  /// id, see next_storage_id()):
   ///   * version match    -> pure hit, no conversion
   ///   * version mismatch -> discard (an invalidation), then as a miss
   ///   * no entry         -> allocate `total_elems` floats and convert
-  /// `total_elems` fixes the buffer size for the key's lifetime.
-  PanelRef get_or_convert(PanelKey key, std::uint64_t version,
+  /// `total_elems` fixes the buffer size for the storage's lifetime.
+  PanelRef get_or_convert(std::uint64_t storage, std::uint64_t version,
                           std::int64_t total_elems, const Converter& convert);
 
-  /// INT8 twin of get_or_convert with the same hit/reconvert semantics.
-  /// `key.variant` must carry the kPanelInt8 flag (int8 and float panels
-  /// of one storage coexist under distinct keys); `scale_group` fixes the
-  /// quantization granularity for the key's lifetime and must divide
-  /// `total_elems`.  Quantization is quantize-once: a hit never re-derives
-  /// codes, so the same storage version always yields byte-identical codes
-  /// and scales.
-  Int8PanelRef get_or_convert_int8(PanelKey key, std::uint64_t version,
-                                   std::int64_t total_elems,
-                                   std::int64_t scale_group,
-                                   const Int8Converter& convert);
-
-  /// Drop every entry (float and INT8) of `storage`, uncounted: the
-  /// storage died, so no later lookup can name it.  Handles already handed
-  /// out keep their buffers.
+  /// Drop the entry of `storage`, uncounted: the storage died, so no later
+  /// lookup can name it.  Handles already handed out keep their buffers.
   void drop_storage(std::uint64_t storage);
 
   [[nodiscard]] PanelCacheStats stats() const;
@@ -142,25 +91,13 @@ class PanelCacheRegistry {
   [[nodiscard]] std::size_t entry_count() const;
 
  private:
-  /// One cached panel: float (buffer set) or int8 (codes + scales set).
   struct Entry {
     std::shared_ptr<std::vector<float>> buffer;
-    std::shared_ptr<std::vector<std::int8_t>> codes;
-    std::shared_ptr<std::vector<float>> scales;
-    std::int64_t scale_group = 0;  ///< int8 entries only
     std::uint64_t version = 0;
   };
 
-  [[nodiscard]] static std::size_t entry_bytes(const Entry& e);
-
-  /// The live entry for `key` at `version`, counting a hit, or nullptr
-  /// after counting the miss (and discarding a stale entry).
-  Entry* lookup_locked(PanelKey key, std::uint64_t version);
-  /// Insert a freshly converted entry and count its bytes.
-  void insert_locked(PanelKey key, Entry entry, std::int64_t bytes);
-
   mutable std::mutex mu_;
-  std::map<PanelKey, Entry> entries_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
   std::size_t resident_bytes_ = 0;
   PanelCacheStats stats_;
 };

@@ -147,8 +147,7 @@ class Tensor {
   ~Tensor() { drop_panels(); }
 
   /// Record that the panel registry holds a conversion of this storage
-  /// (core::float_panel, ops::gemm's INT8 weight fetch), so the storage's
-  /// death drops it.
+  /// (core::float_panel), so the storage's death drops it.
   void mark_panels() const {
     has_panels_.store(true, std::memory_order_relaxed);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <variant>
 #include <vector>
 
 #include "stof/core/kernels.hpp"
@@ -100,13 +99,13 @@ void load_rows(const RowView<const half>& src, std::int64_t inst,
   const core::KernelTable& kt = core::kernels();
   if (src.ld == d) {
     kt.half_to_float(p, dst, rows * d);
-    core::note_kernel_dispatch("half_to_float");
+    core::note_kernel_dispatch("exec.dispatch.half_to_float.calls");
     return;
   }
   for (std::int64_t j = 0; j < rows; ++j) {
     kt.half_to_float(p + j * src.ld, dst + j * d, d);
   }
-  core::note_kernel_dispatch("half_to_float", rows);
+  core::note_kernel_dispatch("exec.dispatch.half_to_float.calls", rows);
 }
 
 /// Rounds `rows` dense float rows to half into instance `inst` of `dst`
@@ -119,7 +118,8 @@ void store_rows(const float* src, std::int64_t rows, std::int64_t d,
   for (std::int64_t j = first; j < rows; ++j) {
     kt.float_to_half(src + j * d, dst.row(inst, r + j), d);
   }
-  core::note_kernel_dispatch("float_to_half", rows - first);
+  core::note_kernel_dispatch("exec.dispatch.float_to_half.calls",
+                             rows - first);
 }
 
 }  // namespace
@@ -192,9 +192,11 @@ void blockwise_attention_paged(std::int64_t heads, std::int64_t head_size,
       pool_rows(kv.k_blocks, kv.block_tokens, row, head_size),
       pool_rows(kv.v_blocks, kv.block_tokens, row, head_size),
       RowView<half>{out.data(), {}, 0, out_row0, row, head_size}, out_row0};
-  if (const auto* f32 = std::get_if<KvFloatPages>(&kv.sidecar)) {
-    io.kf = pool_rows(f32->k_blocks, kv.block_tokens, row, head_size);
-    io.vf = pool_rows(f32->v_blocks, kv.block_tokens, row, head_size);
+  if (packed_execution_enabled()) {
+    io.kf = pool_rows(kv.float_pages.k_blocks, kv.block_tokens, row,
+                      head_size);
+    io.vf = pool_rows(kv.float_pages.v_blocks, kv.block_tokens, row,
+                      head_size);
   }
   const std::int64_t q_blocks =
       (len + params.block_m - 1) / params.block_m;
@@ -251,6 +253,8 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
   telemetry::ScopedTimer timer("wall.mha.blockwise_us");
 
   const bool use_packed = packed_execution_enabled();
+  STOF_EXPECTS(!use_packed || (!io.kf.empty() && !io.vf.empty()),
+               "the packed path reads K/V from FP32 rows");
 
   const auto& load_ptr = mask.load_row_ptr();
   const auto& load_idx = mask.load_col_idx();
@@ -270,12 +274,9 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
       // Each query row owns one vector lane, so a key block's scores,
       // softmax update and PV accumulate advance all rows of the tile at
       // once, each row with exactly the scalar path's operation order.
-      // A key block's rows are read where they live (a tensor panel or a
-      // KV page); without float rows the block is converted here.
+      // A key block's FP32 rows are read where they live (a tensor panel
+      // or a KV pool's float page).
       const core::KernelTable& ktab = core::kernels();
-      const bool convert_kv = io.kf.empty();
-      float* k_scratch = convert_kv ? arena.alloc(bn * d).data() : nullptr;
-      float* v_scratch = convert_kv ? arena.alloc(bn * d).data() : nullptr;
       const std::int64_t lanes =
           (rows + core::kLaneTileWidth - 1) / core::kLaneTileWidth *
           core::kLaneTileWidth;
@@ -310,25 +311,14 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
         const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
         if (bitmap == nullptr && !score_mod) ++full_fast_blocks;
         hook.col_lo = col_lo;
-        core::LaneBlock blk{nullptr, d, nullptr, d, cols,
-                            bitmap != nullptr ? bitmap->data() : nullptr,
-                            bn, scale,
-                            score_mod ? &ScoreModHook::apply : nullptr,
-                            &hook};
-        if (convert_kv) {
-          load_rows(io.k, kv, col_lo, cols, d, k_scratch);
-          load_rows(io.v, kv, col_lo, cols, d, v_scratch);
-          blk.k = k_scratch;
-          blk.v = v_scratch;
-        } else {
-          blk.k = io.kf.row(kv, col_lo);
-          blk.ldk = io.kf.ld;
-          blk.v = io.vf.row(kv, col_lo);
-          blk.ldv = io.vf.ld;
-        }
+        const core::LaneBlock blk{
+            io.kf.row(kv, col_lo), io.kf.ld, io.vf.row(kv, col_lo), io.vf.ld,
+            cols, bitmap != nullptr ? bitmap->data() : nullptr, bn, scale,
+            score_mod ? &ScoreModHook::apply : nullptr, &hook};
         ktab.attn_lane_block(tile, blk);
       }
-      core::note_kernel_dispatch("attn_lane_block", blocks);
+      core::note_kernel_dispatch("exec.dispatch.attn_lane_block.calls",
+                                 blocks);
       if (full_fast_blocks > 0) {
         telemetry::count("exec.mha.blockwise.full_fast_blocks",
                          full_fast_blocks);

@@ -104,9 +104,8 @@ template <typename T>
 }
 
 /// Where a block-wise launch reads its operands and writes its output.
-/// The scalar reference reads the half views; the packed path reads
-/// `kf`/`vf` (when empty, each visited key block is converted from the
-/// half views in the task's scratch arena).
+/// The scalar reference reads the half views; the packed path reads K/V
+/// from `kf`/`vf`, which it requires.
 struct BlockwiseOperands {
   RowView<const half> q = {};
   RowView<const half> k = {};
@@ -161,12 +160,12 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
 /// Block-wise attention of one sequence whose K/V live in a paged KV cache
 /// (the serving prefill).  Key block bj is page bj, so
 /// `kv.block_tokens` must equal BLOCK_N; the scalar reference reads the
-/// half pages and the packed path the float sidecar (or, without one,
-/// converts each visited page).  `kv.cols` is unused: `mask` (at least
-/// kv.context_len wide) decides what each row attends.  `q` holds query
-/// rows [q_row0, context_len) token-major (row r at (r - q_row0) * heads *
-/// head_size, head h at + h * head_size), q_row0 a multiple of BLOCK_M;
-/// rows [out_row0, context_len) are written to `out` in the same layout.
+/// half pages and the packed path `kv.float_pages`.  `kv.cols` is unused:
+/// `mask` (at least kv.context_len wide) decides what each row attends.
+/// `q` holds query rows [q_row0, context_len) token-major (row r at
+/// (r - q_row0) * heads * head_size, head h at + h * head_size), q_row0 a
+/// multiple of BLOCK_M; rows [out_row0, context_len) are written to `out`
+/// in the same layout.
 void blockwise_attention_paged(std::int64_t heads, std::int64_t head_size,
                                const PagedSeq& kv,
                                const sparse::BsrMask& mask,

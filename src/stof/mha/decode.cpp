@@ -24,13 +24,9 @@ void PagedSeq::validate(std::int64_t heads, std::int64_t head_size) const {
   };
   STOF_EXPECTS(covers(k_blocks, v_blocks),
                "not enough KV blocks for context_len");
-  if (const auto* f32 = std::get_if<KvFloatPages>(&sidecar)) {
-    STOF_EXPECTS(covers(f32->k_blocks, f32->v_blocks),
-                 "not enough float KV blocks for context_len");
-  } else if (const auto* i8 = std::get_if<KvInt8Pages>(&sidecar)) {
-    STOF_EXPECTS(
-        covers(i8->k_blocks, i8->v_blocks, i8->k_scales, i8->v_scales),
-        "not enough int8 KV blocks for context_len");
+  if (packed_execution_enabled()) {
+    STOF_EXPECTS(covers(float_pages.k_blocks, float_pages.v_blocks),
+                 "the packed path needs float KV pages for context_len");
   }
   std::int32_t prev = -1;
   for (const auto c : cols) {
@@ -63,18 +59,11 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     const std::int64_t h = inst % heads;
     const PagedSeq& seq = seqs[static_cast<std::size_t>(s)];
     const std::int64_t bt = seq.block_tokens;
-    // The KV pool's sidecars hold these pages pre-converted (each page
-    // converted once when its rows were appended); reading one skips the
-    // per-step O(context) half->float work.  The float sidecar is exact,
-    // so every score and PV term below is the same float either way; the
-    // INT8 sidecar trades a quantization error bound for halved panel
-    // bytes and is gated by the serving engine's kv-precision policy.
-    const KvInt8Pages* const i8 =
-        use_packed ? std::get_if<KvInt8Pages>(&seq.sidecar) : nullptr;
-    const KvFloatPages* const f32 =
-        use_packed ? std::get_if<KvFloatPages>(&seq.sidecar) : nullptr;
-    const bool int8_tier = i8 != nullptr;
-    const bool sidecar = f32 != nullptr;
+    // The packed path reads the KV pool's float pages (each page converted
+    // once when its rows were appended), so a step does no O(context)
+    // half->float work; the conversion is exact, so every score and PV
+    // term below is the float the scalar path's half loads give.
+    const KvFloatPages& f32 = seq.float_pages;
 
     float m = -std::numeric_limits<float>::infinity();
     float l = 0;
@@ -82,9 +71,7 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     auto w_buf = arena.alloc(bt);
     auto col_buf = arena.alloc(bt);  // local offsets of attended cols
 
-    std::span<float> q_row, pv, kv_scratch;
-    std::int8_t* q8 = nullptr;
-    float q_scale = 0.0f;
+    std::span<float> q_row, pv;
     if (use_packed) {
       // half->float conversion is exact, so reading through a converted
       // FP32 panel rounds identically to per-element float(half) loads.
@@ -93,17 +80,6 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
           q.data().subspan(static_cast<std::size_t>(inst * d), q_row.size()),
           q_row);
       pv = arena.alloc(d);
-      if (int8_tier) {
-        // Quantize the query row once per instance; int8 codes live in the
-        // float arena (signed-char stores may alias any storage).
-        auto q8_words = arena.alloc((d + 3) / 4);
-        q8 = reinterpret_cast<std::int8_t*>(q8_words.data());
-        const auto params = core::quant_params(kt.abs_max(q_row.data(), d));
-        q_scale = params.scale;
-        kt.quantize_i8(q_row.data(), q8, d, params.inv_scale);
-      } else if (!sidecar) {
-        kv_scratch = arena.alloc(bt * d);
-      }
     }
 
     // Stream the attended columns one KV page at a time with the exact
@@ -134,35 +110,10 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       // row_max = max over them (exact, so the batched reduction matches
       // the scalar running max bit-for-bit).
       float row_max = -std::numeric_limits<float>::infinity();
-      if (int8_tier) {
-        const std::int8_t* k8_blk = i8->k_blocks[static_cast<std::size_t>(bj)];
-        const float* k8s = i8->k_scales[static_cast<std::size_t>(bj)];
-        for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local =
-              static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-          const std::int32_t di =
-              kt.dot_i8(q8, k8_blk + (local * heads + h) * d, d);
-          // Fixed dequantization expression order keeps the INT8 result
-          // deterministic across ISAs and batch schedules.
-          const float dot = (q_scale * k8s[local]) * static_cast<float>(di);
-          w_buf[static_cast<std::size_t>(c)] = dot * scale;
-        }
-        row_max = kt.reduce_max(w_buf.data(), nb);
-      } else if (sidecar) {
-        const float* kf_blk = f32->k_blocks[static_cast<std::size_t>(bj)];
+      if (use_packed) {
+        const float* kf_blk = f32.k_blocks[static_cast<std::size_t>(bj)];
         kt.dot_rows(q_row.data(), kf_blk + h * d, heads * d, col_buf.data(),
                     w_buf.data(), nb, d);
-        kt.scale_inplace(w_buf.data(), scale, nb);
-        row_max = kt.reduce_max(w_buf.data(), nb);
-      } else if (use_packed) {
-        for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local =
-              static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-          kt.half_to_float(k_blk + (local * heads + h) * d,
-                           kv_scratch.data() + c * d, d);
-        }
-        kt.dot_rows(q_row.data(), kv_scratch.data(), d, nullptr, w_buf.data(),
-                    nb, d);
         kt.scale_inplace(w_buf.data(), scale, nb);
         row_max = kt.reduce_max(w_buf.data(), nb);
       } else {
@@ -201,33 +152,12 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       // merge with acc = acc*correction + 1.0*pv (alpha == 1 is exact).
       if (use_packed) {
         std::fill(pv.begin(), pv.end(), 0.0f);
-        if (int8_tier) {
-          const std::int8_t* v8_blk =
-              i8->v_blocks[static_cast<std::size_t>(bj)];
-          const float* v8s = i8->v_scales[static_cast<std::size_t>(bj)];
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            kt.axpy_i8(pv.data(), v8_blk + (local * heads + h) * d,
-                       w_buf[static_cast<std::size_t>(c)] * v8s[local], d);
-          }
-        } else if (sidecar) {
-          const float* vf_blk = f32->v_blocks[static_cast<std::size_t>(bj)];
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            kt.axpy(pv.data(), vf_blk + (local * heads + h) * d,
-                    w_buf[static_cast<std::size_t>(c)], d);
-          }
-        } else {
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            kt.half_to_float(v_blk + (local * heads + h) * d,
-                             kv_scratch.data() + c * d, d);
-            kt.axpy(pv.data(), kv_scratch.data() + c * d,
-                    w_buf[static_cast<std::size_t>(c)], d);
-          }
+        const float* vf_blk = f32.v_blocks[static_cast<std::size_t>(bj)];
+        for (std::int64_t c = 0; c < nb; ++c) {
+          const auto local = static_cast<std::int64_t>(
+              col_buf[static_cast<std::size_t>(c)]);
+          kt.axpy(pv.data(), vf_blk + (local * heads + h) * d,
+                  w_buf[static_cast<std::size_t>(c)], d);
         }
         kt.axpby(acc.data(), pv.data(), correction, 1.0f, d);
       } else {

@@ -5,14 +5,14 @@
 // kernel (one warp per (sequence, head) instance).  The paper's conclusion
 // points at "other DNN scenarios"; this is the decode-side one.  There is
 // one kernel, decode_attention_paged, which reads each sequence's K/V
-// where the serving KV pool keeps them (fixed-size pages, with an optional
-// FP32 or INT8 sidecar), and one cost routine, decode_verify_cost, which
-// also covers a speculative verification round.  A step's attended
+// where the serving KV pool keeps them (fixed-size half pages for the
+// scalar reference, their exact FP32 copies for the packed path), and one
+// cost routine, decode_verify_cost, which also covers a speculative
+// verification round.  A step's attended
 // columns are a row of the sequence's mask (sparse::BsrMask::row_cols).
 #pragma once
 
 #include <span>
-#include <variant>
 
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
@@ -20,36 +20,15 @@
 
 namespace stof::mha {
 
-/// Exact FP32 copies of a sequence's KV pages (the KV pool's float-panel
-/// sidecar).  Each float block mirrors its half block's layout and covers
-/// at least the first context_len rows; the conversion is exact, so the
-/// packed path reading these instead of converting half loads is
-/// bit-identical.
+/// Exact FP32 copies of a sequence's KV pages (the KV pool's float
+/// pages).  Each float block mirrors its half block's layout and covers at
+/// least the first context_len rows; the conversion is exact, so the
+/// packed path reading these computes what per-element float(half) loads
+/// would.
 struct KvFloatPages {
   std::span<const float* const> k_blocks;
   std::span<const float* const> v_blocks;
 };
-
-/// INT8-quantized views of a sequence's KV pages (the KV pool's INT8
-/// sidecar tier).  Each int8 block mirrors its half block's layout; the
-/// matching scales span holds one symmetric scale per token row (a
-/// heads*head_size quantization group), so codes depend only on that
-/// row's values and decode stays deterministic under incremental page
-/// fill.  The packed path then runs the whole step in INT8 — scores and PV
-/// in exact int32 dot products with a float epilogue — which is
-/// deterministic across ISAs but *not* bit-identical to FP32; the serving
-/// engine gates it behind an explicit kv-precision policy.
-struct KvInt8Pages {
-  std::span<const std::int8_t* const> k_blocks;
-  std::span<const std::int8_t* const> v_blocks;
-  std::span<const float* const> k_scales;  ///< per block: block_tokens scales
-  std::span<const float* const> v_scales;  ///< per block: block_tokens scales
-};
-
-/// The sidecar tier a paged decode reads besides the half pages: none (the
-/// half pages only — the scalar reference path), exact FP32 pages, or INT8
-/// pages with scales.  Sidecars are read by the packed path only.
-using KvSidecar = std::variant<std::monostate, KvFloatPages, KvInt8Pages>;
 
 /// One sequence's view of a paged KV-cache for a batched decode step (and
 /// for a paged prefill, which takes its columns from the mask, not `cols`).
@@ -64,8 +43,11 @@ struct PagedSeq {
   std::span<const half* const> v_blocks;
   /// Attendable positions, ascending, all in [0, context_len).
   std::span<const std::int32_t> cols;
-  KvSidecar sidecar = {};
+  /// The pages' FP32 copies, which the packed path reads and requires;
+  /// the scalar reference reads the half pages and leaves this empty.
+  KvFloatPages float_pages = {};
 
+  /// Checks the view; in packed mode float_pages must cover context_len.
   void validate(std::int64_t heads, std::int64_t head_size) const;
 };
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "stof/core/check.hpp"
-#include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/panel_cache_registry.hpp"
 #include "stof/gpusim/occupancy.hpp"
@@ -109,73 +108,6 @@ void run_packed(const GemmView& v, const float* b_pack) {
   });
 }
 
-/// INT8 twin of run_packed: activations quantize per row (scale group =
-/// k) straight from the half panel, the weight codes stream from the
-/// registry's quantize-once INT8 tier with one scale per (k, n) panel,
-/// and the int8 GEMM micro-kernel accumulates in exact int32 before the
-/// FP32 scale/epilogue.  Deterministic across ISAs; not bit-identical to
-/// the FP32 path.
-void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
-                     const float* b_scales) {
-  const std::int64_t a_rows = v.batch * v.m;
-  std::vector<std::int8_t> a8(static_cast<std::size_t>(a_rows * v.k));
-  std::vector<float> a_scales(static_cast<std::size_t>(a_rows));
-  packed::quantize_halfs({v.a, a8.size()}, v.k, a8.data(), a_scales.data());
-  std::vector<float> bias_pack;
-  if (v.epilogue != Epilogue::kNone) {
-    bias_pack.resize(static_cast<std::size_t>(v.n));
-    packed::half_to_float({v.bias, bias_pack.size()}, bias_pack);
-  }
-
-  constexpr std::int64_t kRowBlock = 64;
-  const std::int64_t m_blocks = (v.m + kRowBlock - 1) / kRowBlock;
-  const core::KernelTable& kt = core::kernels();
-  parallel_for(0, v.batch * m_blocks, [&](std::int64_t task) {
-    const std::int64_t bi = task / m_blocks;
-    const std::int64_t row_lo = (task % m_blocks) * kRowBlock;
-    const std::int64_t rows = std::min(kRowBlock, v.m - row_lo);
-
-    std::vector<float> acc(static_cast<std::size_t>(rows * v.n), 0.0f);
-    const std::int8_t* a_panel = a8.data() + (bi * v.m + row_lo) * v.k;
-    const std::int8_t* b_panel = b_codes + (v.batched_b ? bi * v.k * v.n : 0);
-    core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-    kt.sgemm_i8_accumulate_ld(a_panel, v.k, b_panel, v.n, acc.data(), v.n,
-                              rows, v.k, v.n,
-                              a_scales.data() + bi * v.m + row_lo,
-                              b_scales[v.batched_b ? bi : 0]);
-
-    if (v.epilogue != Epilogue::kNone) {
-      for (std::int64_t r = 0; r < rows; ++r) {
-        float* acc_row = acc.data() + r * v.n;
-        for (std::int64_t ni = 0; ni < v.n; ++ni) {
-          acc_row[ni] = apply_epilogue(acc_row[ni], v.epilogue,
-                                       bias_pack[static_cast<std::size_t>(ni)]);
-        }
-      }
-    }
-    packed::float_to_half(acc, {v.c + (bi * v.m + row_lo) * v.n, acc.size()});
-  });
-}
-
-/// INT8 B panel: one scale per (k, n) weight panel (per batch instance
-/// when B is batched), quantized once per storage version.  The key's
-/// kPanelInt8 flag keeps it disjoint from the FP32 panel of the same
-/// storage, so a tensor used at both precisions caches both tiers.
-core::Int8PanelRef fetch_b_panel_int8(const TensorH& b) {
-  b.mark_panels();
-  const half* src = b.data().data();
-  const std::int64_t total = b.numel();
-  const std::int64_t panel =
-      b.shape().rank() == 3 ? b.shape()[1] * b.shape()[2] : total;
-  return core::global_panel_cache().get_or_convert_int8(
-      {b.storage_id(), core::kPanelRowMajor | core::kPanelInt8}, b.version(),
-      total, /*scale_group=*/panel,
-      [src, total, panel](std::int8_t* codes, float* scales) {
-        packed::quantize_halfs({src, static_cast<std::size_t>(total)}, panel,
-                               codes, scales);
-      });
-}
-
 GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
                   Epilogue epilogue, const TensorH* bias) {
   STOF_EXPECTS(a.shape().rank() == 3, "A must be (batch, m, k)");
@@ -204,51 +136,41 @@ GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
   return v;
 }
 
-}  // namespace
-
-namespace {
-
 /// Path-taken + simulated-work accounting of one dispatched GEMM call.
 /// MAC counts depend only on the problem shape, so `sim.ops.gemm_macs` is
 /// identical whichever implementation runs; the `exec.ops.*` counters say
 /// which one did.
-void record_gemm_dispatch(const GemmView& v, bool packed,
-                          bool int8_weights = false) {
+void record_gemm_dispatch(const GemmView& v, bool packed) {
   if (!telemetry::enabled()) return;
   telemetry::count("sim.ops.gemm_calls");
   telemetry::count("sim.ops.gemm_macs", v.batch * v.m * v.n * v.k);
   telemetry::count(packed ? "exec.ops.gemm.packed_calls"
                           : "exec.ops.gemm.scalar_calls");
-  if (int8_weights) telemetry::count("exec.ops.gemm.int8_calls");
 }
 
-/// Shared packed dispatch: FP32 panel or INT8 tier per the policy.
-void run_packed_dispatch(const GemmView& v, const TensorH& b,
-                         core::PanelPrecision weight_precision) {
-  if (weight_precision == core::PanelPrecision::kInt8) {
-    const core::Int8PanelRef b_ref = fetch_b_panel_int8(b);
-    run_packed_int8(v, b_ref.data(), b_ref.scale_data());
+/// The packed engine over `b`'s cached FP32 panel.
+void run_packed_cached(const GemmView& v, const TensorH& b) {
+  const core::PanelRef b_ref = core::float_panel(b);
+  run_packed(v, b_ref.data());
+}
+
+/// Counted, timed dispatch to the packed or scalar engine.
+void dispatch(const GemmView& v, const TensorH& b) {
+  const bool packed = packed_execution_enabled();
+  record_gemm_dispatch(v, packed);
+  telemetry::ScopedTimer timer("wall.ops.gemm_us");
+  if (packed) {
+    run_packed_cached(v, b);
   } else {
-    const core::PanelRef b_ref = core::float_panel(b);
-    run_packed(v, b_ref.data());
+    run_scalar(v);
   }
 }
 
 }  // namespace
 
 void gemm(const TensorH& a, const TensorH& b, TensorH& c, Epilogue epilogue,
-          const TensorH* bias, core::PanelPrecision weight_precision) {
-  const GemmView v = validate(a, b, c, epilogue, bias);
-  const bool packed = packed_execution_enabled();
-  const bool int8_weights =
-      packed && weight_precision == core::PanelPrecision::kInt8;
-  record_gemm_dispatch(v, packed, int8_weights);
-  telemetry::ScopedTimer timer("wall.ops.gemm_us");
-  if (packed) {
-    run_packed_dispatch(v, b, weight_precision);
-  } else {
-    run_scalar(v);
-  }
+          const TensorH* bias) {
+  dispatch(validate(a, b, c, epilogue, bias), b);
 }
 
 void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
@@ -257,10 +179,8 @@ void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
 }
 
 void gemm_packed(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue, const TensorH* bias,
-                 core::PanelPrecision weight_precision) {
-  const GemmView v = validate(a, b, c, epilogue, bias);
-  run_packed_dispatch(v, b, weight_precision);
+                 Epilogue epilogue, const TensorH* bias) {
+  run_packed_cached(validate(a, b, c, epilogue, bias), b);
 }
 
 void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
@@ -274,15 +194,7 @@ void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
   v.a = x.data().data();
   v.b = w.data().data();
   v.c = y.data().data();
-  const bool packed = packed_execution_enabled();
-  record_gemm_dispatch(v, packed);
-  telemetry::ScopedTimer timer("wall.ops.gemm_us");
-  if (packed) {
-    const core::PanelRef b_ref = core::float_panel(w);
-    run_packed(v, b_ref.data());
-  } else {
-    run_scalar(v);
-  }
+  dispatch(v, w);
 }
 
 void warm_weight_panel(const TensorH& w) {

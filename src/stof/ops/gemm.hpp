@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stof/core/kernels.hpp"
 #include "stof/core/tensor.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
@@ -45,21 +44,10 @@ enum class Epilogue { kNone, kBias, kBiasRelu, kBiasGelu };
 /// A: (batch, m, k); B: (k, n) shared across the batch or (batch, k, n);
 /// C: (batch, m, n); bias: (n) when the epilogue uses it.
 /// Dispatches to the packed-FP32 engine unless scalar execution was
-/// selected via stof::set_packed_execution(false).
-///
-/// `weight_precision` selects the storage tier of the cached B panel:
-///   * kFloat32 (default) — bit-identical to gemm_scalar.
-///   * kInt8 — the weight panel is quantized once per storage version
-///     (symmetric, one scale per (k, n) panel) and the main loop runs
-///     int8 dot products with exact int32 accumulation; activations are
-///     quantized per row on the fly.  Results are deterministic across
-///     ISAs and schedules but carry quantization error, so call sites
-///     opt in explicitly.  Scalar execution mode ignores the policy (it
-///     is the FP32 reference).
+/// selected via stof::set_packed_execution(false); both paths produce the
+/// same bits.
 void gemm(const TensorH& a, const TensorH& b, TensorH& c,
-          Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr,
-          core::PanelPrecision weight_precision =
-              core::PanelPrecision::kFloat32);
+          Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 
 /// Scalar reference implementation: per-element FP32 accumulation over row
 /// pointers.  The packed path must match it bit for bit.
@@ -68,14 +56,11 @@ void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
                  const TensorH* bias = nullptr);
 
 /// Packed implementation: A/B panels converted to contiguous FP32 buffers
-/// once, cache-blocked accumulation, panel conversion on store.  With
-/// weight_precision == kInt8 the B panel comes from the registry's INT8
-/// tier instead (see gemm()).
+/// (B's cached in the panel registry across calls), cache-blocked
+/// accumulation, panel conversion on store.
 void gemm_packed(const TensorH& a, const TensorH& b, TensorH& c,
                  Epilogue epilogue = Epilogue::kNone,
-                 const TensorH* bias = nullptr,
-                 core::PanelPrecision weight_precision =
-                     core::PanelPrecision::kFloat32);
+                 const TensorH* bias = nullptr);
 
 /// y = x (r, k) * w (k, n), FP32 accumulate, no epilogue — the projection
 /// matmul of the functional executor.  Same packed/scalar dispatch as

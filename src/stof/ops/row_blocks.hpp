@@ -7,9 +7,9 @@
 // kBlockElems elements, so a serving step's few dozen rows run inline on
 // the caller and only large tensors fan out over the pool.  The
 // conversions call the table directly and an op records its dispatch
-// counts once (note_conversions): with telemetry on, note_kernel_dispatch
-// formats a counter name per call, which would cost more than a small
-// row block's conversion.
+// counts once (note_conversions): with telemetry on, each
+// note_kernel_dispatch call takes two registry lookups, which would cost
+// more than a small row block's conversion.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +57,10 @@ inline void to_half(std::span<const float> src, std::span<half> dst) {
 /// Record one op's to_float / to_half calls in the dispatch counters.
 inline void note_conversions(std::int64_t to_float_calls,
                              std::int64_t to_half_calls) {
-  core::note_kernel_dispatch("half_to_float", to_float_calls);
-  core::note_kernel_dispatch("float_to_half", to_half_calls);
+  core::note_kernel_dispatch("exec.dispatch.half_to_float.calls",
+                             to_float_calls);
+  core::note_kernel_dispatch("exec.dispatch.float_to_half.calls",
+                             to_half_calls);
 }
 
 /// Per-thread FP32 staging buffer `slot` (0 or 1) of `count` floats; it

@@ -222,17 +222,13 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
       for (std::int64_t pos = out_lo; pos < chunk.end; ++pos) {
         (void)outcome.rows.add(chunk.id, pos);
       }
-      // The packed path reads the pool's float sidecar: the same pages
-      // decode reads next, so no row is converted twice.  An INT8-decode
-      // engine never builds the float tier; its prefill converts each
-      // visited page in the kernel instead.
+      // The packed path reads the pool's float pages: the same pages
+      // decode reads next, so no row is converted twice.
       const mha::PagedSeq kv{
           chunk.end, config_.block_tokens, pool_.k_blocks(chunk.id),
           pool_.v_blocks(chunk.id), {},
-          packed_execution_enabled() &&
-                  config_.kv_precision == core::PanelPrecision::kFloat32
-              ? pool_.sidecar(chunk.id, core::PanelPrecision::kFloat32)
-              : mha::KvSidecar{}};
+          packed_execution_enabled() ? pool_.float_pages(chunk.id)
+                                     : mha::KvFloatPages{}};
       mha::blockwise_attention_paged(
           heads, d, kv, base.prefix(chunk.end), params, q_rows, q_lo,
           std::span<half>(outcome.rows.data).subspan(first_row * row),
@@ -327,11 +323,11 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
   std::int64_t row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
-    // The packed path reads the pool's sidecar tier: only the rows appended
+    // The packed path reads the pool's float pages: only the rows appended
     // since the last refresh convert, everything older is already cached.
-    const mha::KvSidecar sidecar =
-        packed_execution_enabled() ? pool_.sidecar(r.id, config_.kv_precision)
-                                   : mha::KvSidecar{};
+    const mha::KvFloatPages float_pages =
+        packed_execution_enabled() ? pool_.float_pages(r.id)
+                                   : mha::KvFloatPages{};
     for (std::int64_t j = 0; j < r.rows; ++j, ++row) {
       const std::int64_t pos = r.pos + j;
       const std::uint64_t seed = j <= r.accept
@@ -347,7 +343,7 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
       const auto& row_cols = cols[static_cast<std::size_t>(row)];
       seqs[static_cast<std::size_t>(row)] = mha::PagedSeq{
           pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
-          pool_.v_blocks(r.id), row_cols, sidecar};
+          pool_.v_blocks(r.id), row_cols, float_pages};
       valid.push_back(static_cast<std::int64_t>(row_cols.size()));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {

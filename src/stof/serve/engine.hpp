@@ -74,13 +74,6 @@ struct EngineConfig {
   std::int64_t kv_blocks = 96;     ///< KV pool capacity in blocks
   std::int64_t block_tokens = 16;  ///< KV page size, must equal BLOCK_N
   mha::BlockwiseParams prefill_params{16, 16};
-  /// Storage tier of the decode path's KV sidecar (packed mode only).
-  /// kInt8 reads quantized KV pages (one scale per token row) through the
-  /// paged-decode kernel's int8 path: deterministic — digests still match
-  /// across scheduling orders — but not bit-identical to FP32, and the
-  /// per-step conversion traffic roughly halves.  Prefill always runs
-  /// FP32 (its outputs feed the bit-exact digest contract directly).
-  core::PanelPrecision kv_precision = core::PanelPrecision::kFloat32;
   /// Draft-and-verify speculative decoding: > 0 proposes that many draft
   /// tokens per decode round through a cheap draft pass (spec_draft_heads
   /// heads over a spec_draft_window sliding KV window — cost model only),

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <type_traits>
 
 #include "stof/core/checksum.hpp"
 #include "stof/core/packed.hpp"
@@ -118,8 +117,7 @@ KvPool::KvPool(const KvPoolConfig& config) : config_(config) {
                                               config_.block_elems());
   k_arena_.assign(elems, half{});
   v_arena_.assign(elems, half{});
-  f32_.resize(static_cast<std::size_t>(config_.num_blocks));
-  i8_.resize(static_cast<std::size_t>(config_.num_blocks));
+  sidecar_.resize(static_cast<std::size_t>(config_.num_blocks));
   free_.reserve(static_cast<std::size_t>(config_.num_blocks));
   // Descending, so allocation hands out block 0, 1, 2, ... in order.
   for (std::int64_t b = config_.num_blocks - 1; b >= 0; --b) {
@@ -216,8 +214,7 @@ void KvPool::unref_block(std::int32_t block) {
   STOF_CHECK(refs > 0, "unref of a free block");
   if (--refs > 0) return;
   // A free block holds no sidecar copy: its next tenant starts at row 0.
-  f32_[static_cast<std::size_t>(block)] = {};
-  i8_[static_cast<std::size_t>(block)] = {};
+  sidecar_[static_cast<std::size_t>(block)] = {};
   // Sorted-descending insertion keeps allocation order a pure function of
   // the alloc/release sequence, never of drop order within a batch.
   const auto pos =
@@ -263,10 +260,8 @@ std::optional<TokenSlot> KvPool::append_token(SessionId id) {
   }
   const std::int32_t block = sb.block_ids.back();
   // The caller rewrites row `local`: sidecar rows from there on are stale.
-  auto& f32_rows = f32_[static_cast<std::size_t>(block)].rows;
-  auto& i8_rows = i8_[static_cast<std::size_t>(block)].rows;
-  f32_rows = std::min(f32_rows, local);
-  i8_rows = std::min(i8_rows, local);
+  auto& converted = sidecar_[static_cast<std::size_t>(block)].rows;
+  converted = std::min(converted, local);
   const std::int64_t row = local * config_.heads * config_.head_size;
   ++sb.tokens;
   return TokenSlot{k_base(block) + row, v_base(block) + row};
@@ -446,81 +441,43 @@ std::span<const half* const> KvPool::v_blocks(SessionId id) const {
   return it->second.v_ptrs;
 }
 
-template <typename Elem>
-void KvPool::refresh(const SessionBlocks& sb,
-                     std::vector<SidecarPage<Elem>>& tier,
-                     TierView<Elem>& view) {
-  constexpr bool kInt8 = std::is_same_v<Elem, std::int8_t>;
+mha::KvFloatPages KvPool::float_pages(SessionId id) {
+  const auto it = by_session_.find(id);
+  if (it == by_session_.end()) return {};
+  // Prefill and decode read the same float pages.
+  SessionBlocks& sb = it->second;
   const std::int64_t bt = config_.block_tokens;
   const std::int64_t row = config_.heads * config_.head_size;
   const std::size_t pages = sb.block_ids.size();
-  view.k.resize(pages);
-  view.v.resize(pages);
-  if constexpr (kInt8) {
-    view.k_scales.resize(pages);
-    view.v_scales.resize(pages);
-  }
+  sb.kf_ptrs.resize(pages);
+  sb.vf_ptrs.resize(pages);
   std::int64_t elems = 0;  // converted per side
   for (std::size_t p = 0; p < pages; ++p) {
     const std::int32_t block = sb.block_ids[p];
-    SidecarPage<Elem>& page = tier[static_cast<std::size_t>(block)];
+    SidecarPage& page = sidecar_[static_cast<std::size_t>(block)];
     const std::int64_t filled =
         std::min(bt, sb.tokens - static_cast<std::int64_t>(p) * bt);
     if (page.rows < filled) {
       if (!page.k) {
         const auto n = static_cast<std::size_t>(config_.block_elems());
-        page.k = std::make_unique_for_overwrite<Elem[]>(n);
-        page.v = std::make_unique_for_overwrite<Elem[]>(n);
-        if constexpr (kInt8) {
-          page.k_scales = std::make_unique_for_overwrite<float[]>(
-              static_cast<std::size_t>(bt));
-          page.v_scales = std::make_unique_for_overwrite<float[]>(
-              static_cast<std::size_t>(bt));
-        }
+        page.k = std::make_unique_for_overwrite<float[]>(n);
+        page.v = std::make_unique_for_overwrite<float[]>(n);
       }
       const std::int64_t lo = page.rows * row;
       const auto n = static_cast<std::size_t>((filled - page.rows) * row);
-      if constexpr (kInt8) {
-        // One scale per token row: a row's codes never depend on later
-        // rows, so quantizing a filling page row by row equals a
-        // whole-page quantize.
-        packed::quantize_halfs({k_base(block) + lo, n}, row, page.k.get() + lo,
-                               page.k_scales.get() + page.rows);
-        packed::quantize_halfs({v_base(block) + lo, n}, row, page.v.get() + lo,
-                               page.v_scales.get() + page.rows);
-      } else {
-        packed::half_to_float({k_base(block) + lo, n}, {page.k.get() + lo, n});
-        packed::half_to_float({v_base(block) + lo, n}, {page.v.get() + lo, n});
-      }
+      packed::half_to_float({k_base(block) + lo, n}, {page.k.get() + lo, n});
+      packed::half_to_float({v_base(block) + lo, n}, {page.v.get() + lo, n});
       elems += static_cast<std::int64_t>(n);
       page.rows = filled;
     }
-    view.k[p] = page.k.get();
-    view.v[p] = page.v.get();
-    if constexpr (kInt8) {
-      view.k_scales[p] = page.k_scales.get();
-      view.v_scales[p] = page.v_scales.get();
-    }
+    sb.kf_ptrs[p] = page.k.get();
+    sb.vf_ptrs[p] = page.v.get();
   }
-  // K and V; INT8 codes write 1 byte/elem, float pages count the 2-byte
-  // half source they re-read — the INT8 tier's traffic is half.
+  // K and V, counted as the 2-byte half source each converted row re-reads.
   if (elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted",
-                     2 * elems * (kInt8 ? 1 : 2));
+    telemetry::count("serve.kv.sidecar_bytes_converted", 2 * elems * 2);
   }
-}
-
-mha::KvSidecar KvPool::sidecar(SessionId id, core::PanelPrecision tier) {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  SessionBlocks& sb = it->second;
-  if (tier == core::PanelPrecision::kInt8) {
-    refresh(sb, i8_, sb.i8);
-    return mha::KvInt8Pages{sb.i8.k, sb.i8.v, sb.i8.k_scales, sb.i8.v_scales};
-  }
-  // Prefill and decode read the same float pages.
-  refresh(sb, f32_, sb.f32);
-  return mha::KvFloatPages{sb.f32.k, sb.f32.v};
+  return {sb.kf_ptrs, sb.vf_ptrs};
 }
 
 void KvPool::release(SessionId id) {

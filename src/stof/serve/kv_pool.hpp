@@ -27,15 +27,15 @@
 // LRU-subtree-first when the free list runs dry, so the prefix cache never
 // displaces live sessions.
 //
-// Sidecar pages: next to each half block the pool keeps its FP32 and INT8
-// (codes plus one scale per token row) copies, laid out like the block.
+// Sidecar pages: next to each half block the pool keeps its exact FP32
+// copy, laid out like the block — the K/V rows the packed kernels read.
 // A copy is allocated uninitialised on the block's first conversion and
 // freed when the block returns to the free list, so sidecar memory
-// follows the blocks in use.  Each tier keeps one converted-row watermark
-// per block: rows [0, watermark) of the copy equal the conversion of the
+// follows the blocks in use.  Each block keeps one converted-row
+// watermark: rows [0, watermark) of the copy equal the conversion of the
 // block's current halfs.  Every write to a block goes through
 // append_token(), which lowers the watermark to the row it hands out (a
-// free block holds no copy, so it starts at 0), and sidecar() converts
+// free block holds no copy, so it starts at 0), and float_pages() converts
 // rows [watermark, filled) and raises it.  That one rule covers recycling,
 // truncation and in-place rewrites, and a shared page keeps one converted
 // copy across its owners — a prefix hit also skips the conversion.
@@ -50,7 +50,6 @@
 
 #include "stof/core/check.hpp"
 #include "stof/core/half.hpp"
-#include "stof/core/kernels.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/serve/request.hpp"
 
@@ -151,7 +150,7 @@ class PrefixIndex {
 };
 
 /// Bounded paged KV-cache with per-session block lists and per-block
-/// FP32/INT8 sidecar pages (see the file comment).
+/// FP32 sidecar pages (see the file comment).
 class KvPool {
  public:
   explicit KvPool(const KvPoolConfig& config);
@@ -270,40 +269,27 @@ class KvPool {
   [[nodiscard]] std::span<const half* const> k_blocks(SessionId id) const;
   [[nodiscard]] std::span<const half* const> v_blocks(SessionId id) const;
 
-  /// Bring `id`'s sidecar for `tier` up to date with its half pages and
+  /// Bring `id`'s FP32 sidecar pages up to date with its half pages and
   /// return that view: converts only the rows of each page above its
   /// watermark (new pages, or the growing suffix of the tail page), so the
   /// view covers every cached token of `id` and per-step conversion work
-  /// is O(new tokens), not O(prefix).  kFloat32 pages are exact FP32
-  /// copies; kInt8 pages hold codes plus one symmetric scale per token row
-  /// (scale group = heads * head_size), so a row's codes depend only on
-  /// that row's values and converting a filling tail page row by row is
-  /// exact — 1 converted byte per new element instead of the float tier's
-  /// 2 (counted in serve.kv.sidecar_bytes_converted).  The view is valid
-  /// until the next sidecar(), truncate() or release() for this id; an
-  /// empty view for sessions that hold nothing.
-  [[nodiscard]] mha::KvSidecar sidecar(SessionId id,
-                                       core::PanelPrecision tier);
+  /// is O(new tokens), not O(prefix) — 2 source bytes per new element,
+  /// counted in serve.kv.sidecar_bytes_converted.  The view is valid until
+  /// the next float_pages(), truncate() or release() for this id; an empty
+  /// view for sessions that hold nothing.
+  [[nodiscard]] mha::KvFloatPages float_pages(SessionId id);
 
   /// Return every block `id` alone holds to the free list (preemption or
   /// completion).  No-op for sessions that hold nothing.
   void release(SessionId id);
 
  private:
-  /// One block's copy in one sidecar tier: its K and V rows laid out like
-  /// the half block (INT8 adds one scale per token row), null until the
-  /// block's first conversion, and the watermark of rows they cover.
-  template <typename Elem>
+  /// One block's FP32 copy: its K and V rows laid out like the half
+  /// block, null until the block's first conversion, and the watermark of
+  /// rows they cover.
   struct SidecarPage {
-    std::unique_ptr<Elem[]> k, v;
-    std::unique_ptr<float[]> k_scales, v_scales;  ///< INT8 tier only
+    std::unique_ptr<float[]> k, v;
     std::int64_t rows = 0;  ///< converted leading rows
-  };
-  /// A session's view of one tier: per-page pointers, oldest first.
-  template <typename Elem>
-  struct TierView {
-    std::vector<const Elem*> k, v;
-    std::vector<const float*> k_scales, v_scales;  ///< INT8 tier only
   };
 
   struct SessionBlocks {
@@ -311,8 +297,9 @@ class KvPool {
     std::vector<const half*> k_ptrs;
     std::vector<const half*> v_ptrs;
     std::int64_t tokens = 0;
-    TierView<float> f32;
-    TierView<std::int8_t> i8;
+    /// Sidecar page pointers, oldest first (set by float_pages()).
+    std::vector<const float*> kf_ptrs;
+    std::vector<const float*> vf_ptrs;
   };
 
   /// Pop a block from the free list, reclaiming the LRU tree-only subtree
@@ -328,12 +315,6 @@ class KvPool {
   /// Drop one reference to `block`; on zero, return it to the free list
   /// and free its sidecar copies.
   void unref_block(std::int32_t block);
-  /// Convert the rows of `sb`'s pages above their watermarks in `tier`
-  /// (float: exact copies; int8: codes plus per-row scales) and point
-  /// `view` at every page.
-  template <typename Elem>
-  void refresh(const SessionBlocks& sb, std::vector<SidecarPage<Elem>>& tier,
-               TierView<Elem>& view);
 
   [[nodiscard]] half* k_base(std::int32_t block) {
     return k_arena_.data() +
@@ -353,9 +334,8 @@ class KvPool {
   std::vector<std::int32_t> free_;
   std::map<SessionId, SessionBlocks> by_session_;
   std::int64_t peak_used_ = 0;
-  /// Per-block sidecar copies, one vector per tier.
-  std::vector<SidecarPage<float>> f32_;
-  std::vector<SidecarPage<std::int8_t>> i8_;
+  /// Per-block sidecar copies.
+  std::vector<SidecarPage> sidecar_;
   /// Per-block reference count: sessions mapping the block plus (0 or 1
   /// for) the prefix-tree node freezing it.  0 == on the free list.
   std::vector<std::int32_t> block_refs_;

@@ -42,10 +42,10 @@ struct Fixture {
 };
 
 /// Runs the decode chain against the full blockwise pass and asserts every
-/// output row is byte-identical.  With `sidecar` set, the chain reads the
-/// KV pool's float sidecar pages (converted row by row as they fill) — the
-/// outputs must not change by a single bit.
-void expect_chain_matches_full_pass(const Fixture& f, bool sidecar = false) {
+/// output row is byte-identical.  In packed mode the chain reads the KV
+/// pool's float sidecar pages (converted row by row as they fill), as the
+/// serving engine does; the scalar reference reads the half pages.
+void expect_chain_matches_full_pass(const Fixture& f) {
   const MhaDims dims{1, kHeads, kTotal, kHeadSize};
   const BlockwiseParams params{16, 16};
   const TensorH full = blockwise_attention(
@@ -75,11 +75,10 @@ void expect_chain_matches_full_pass(const Fixture& f, bool sidecar = false) {
     for (std::int64_t j = 0; j <= pos; ++j) {
       if (f.mask.at(pos, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
-    PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
-                 cols};
-    if (sidecar) {
-      seq.sidecar = pool.sidecar(0, core::PanelPrecision::kFloat32);
-    }
+    const PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
+                       pool.v_blocks(0), cols,
+                       packed_execution_enabled() ? pool.float_pages(0)
+                                                  : KvFloatPages{}};
     const TensorH step =
         decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
 
@@ -109,15 +108,6 @@ TEST(DecodeSession, ChainBitIdenticalToBlockwisePassBigBird) {
 TEST(DecodeSession, ChainBitIdenticalUnderScalarExecution) {
   ScopedPackedExecution scalar(false);
   expect_chain_matches_full_pass(Fixture(43, masks::PatternKind::kLongformer));
-}
-
-TEST(DecodeSession, SidecarChainBitIdenticalToBlockwisePass) {
-  // Same chain, but every step reads the pool's FP32 sidecar pages —
-  // conversion caching must be invisible.
-  expect_chain_matches_full_pass(Fixture(31, masks::PatternKind::kCausal),
-                                 /*sidecar=*/true);
-  expect_chain_matches_full_pass(Fixture(41, masks::PatternKind::kBigBird),
-                                 /*sidecar=*/true);
 }
 
 TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
@@ -150,7 +140,7 @@ TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
       if (f.mask.at(ctx - 1, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
     const PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
-                       cols, pool.sidecar(0, core::PanelPrecision::kFloat32)};
+                       cols, pool.float_pages(0)};
     return decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
   };
 
@@ -188,13 +178,11 @@ TEST(DecodeSession, ReusedPagesNeverServeStalePanels) {
   };
 
   ingest(0, a);
-  const float a_first = std::get<KvFloatPages>(
-      pool.sidecar(0, core::PanelPrecision::kFloat32)).k_blocks[0][0];
+  const float a_first = pool.float_pages(0).k_blocks[0][0];
   pool.release(0);
 
   ingest(1, b);  // reuses the same physical blocks (free list recycles)
-  const auto [kf, vf] = std::get<KvFloatPages>(
-      pool.sidecar(1, core::PanelPrecision::kFloat32));
+  const auto [kf, vf] = pool.float_pages(1);
   ASSERT_EQ(kf.size(), 2u);
   // Every sidecar element equals the exact conversion of B's half data.
   const auto kh = pool.k_blocks(1);
@@ -245,9 +233,10 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
   };
   const auto cols_a = cols_of(a, ctx_a - 1);
   const auto cols_b = cols_of(b, ctx_b - 1);
-  const PagedSeq seqs[2] = {
-      {ctx_a, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0), cols_a},
-      {ctx_b, kBlockTokens, pool.k_blocks(1), pool.v_blocks(1), cols_b}};
+  const PagedSeq seqs[2] = {{ctx_a, kBlockTokens, pool.k_blocks(0),
+                             pool.v_blocks(0), cols_a, pool.float_pages(0)},
+                            {ctx_b, kBlockTokens, pool.k_blocks(1),
+                             pool.v_blocks(1), cols_b, pool.float_pages(1)}};
 
   TensorH q_batch(Shape{2 * kHeads, 1, kHeadSize});
   for (std::int64_t h = 0; h < kHeads; ++h) {
@@ -281,7 +270,8 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
 
 TEST(DecodeSession, PagedSeqValidation) {
   const half* none[1] = {nullptr};
-  PagedSeq s{16, 16, {none, 1}, {none, 1}, {}};
+  const float* none_f[1] = {nullptr};
+  PagedSeq s{16, 16, {none, 1}, {none, 1}, {}, {{none_f, 1}, {none_f, 1}}};
   s.validate(2, 32);
   PagedSeq bad_block = s;
   bad_block.block_tokens = 12;  // not a power of two
@@ -293,6 +283,36 @@ TEST(DecodeSession, PagedSeqValidation) {
   PagedSeq short_blocks = s;
   short_blocks.context_len = 17;  // needs two blocks, has one
   EXPECT_THROW(short_blocks.validate(2, 32), Error);
+
+  // The packed kernels read K/V only from float pages: a view without
+  // them is refused by packed decode and packed prefill alike, while the
+  // scalar reference runs on the half pages.
+  serve::KvPool pool(serve::KvPoolConfig{4, kBlockTokens, kHeads, kHeadSize});
+  for (std::int64_t pos = 0; pos < kBlockTokens; ++pos) {
+    ASSERT_TRUE(pool.append_token(0).has_value());  // zero K/V rows
+  }
+  const std::int32_t cols[] = {0, 5, 15};
+  const PagedSeq halfs_only{kBlockTokens, kBlockTokens, pool.k_blocks(0),
+                            pool.v_blocks(0), cols};
+  const TensorH q_step(Shape{kHeads, 1, kHeadSize});
+  const BlockwiseParams params{16, 16};
+  const auto prefix = sparse::BsrMask::build(
+      masks::causal(kBlockTokens), params.block_m, params.block_n);
+  const std::vector<half> q_rows(
+      static_cast<std::size_t>(kBlockTokens * kHeads * kHeadSize));
+  std::vector<half> out(q_rows.size());
+  const auto decode = [&] {
+    (void)decode_attention_paged(kHeads, kHeadSize, {&halfs_only, 1}, q_step);
+  };
+  const auto prefill = [&] {
+    blockwise_attention_paged(kHeads, kHeadSize, halfs_only, prefix, params,
+                              q_rows, 0, out, 0);
+  };
+  EXPECT_THROW(decode(), Error);
+  EXPECT_THROW(prefill(), Error);
+  ScopedPackedExecution scalar(false);
+  EXPECT_NO_THROW(decode());
+  EXPECT_NO_THROW(prefill());
 }
 
 // ---- Paged prefill: the block-wise kernel over KV-pool pages ---------------
@@ -300,8 +320,8 @@ TEST(DecodeSession, PagedSeqValidation) {
 /// Every prefill window [begin, len) of a context whose K/V sit in a KV
 /// pool must equal the padded-tensor block-wise pass over the same prefix
 /// BSR, byte for byte, whichever K/V source the kernel reads: the half
-/// pages (scalar reference), the pool's float sidecar, or per-visit page
-/// conversion (no sidecar), on every ISA.
+/// pages (scalar reference) or the pool's float sidecar (packed, on every
+/// ISA).
 void expect_paged_prefill_matches_padded(masks::PatternKind kind,
                                          std::int64_t len) {
   constexpr std::int64_t kSeq = 64;  // padded length of the base BSR
@@ -355,25 +375,21 @@ void expect_paged_prefill_matches_padded(masks::PatternKind kind,
     }
     const auto want_rows = token_rows(want, begin);
     const auto q_rows = token_rows(q, q_lo);
-    const auto run = [&](bool packed, bool sidecar) {
+    const auto run = [&](bool packed) {
       ScopedPackedExecution mode(packed);
       const PagedSeq kv{len, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
-                        {},
-                        sidecar ? pool.sidecar(0, core::PanelPrecision::kFloat32)
-                                : KvSidecar{}};
+                        {}, packed ? pool.float_pages(0) : KvFloatPages{}};
       std::vector<half> out(want_rows.size());
       blockwise_attention_paged(kHeads, kHeadSize, kv, prefix, params, q_rows,
                                 q_lo, out, begin);
       return std::memcmp(out.data(), want_rows.data(),
                          out.size() * sizeof(half)) == 0;
     };
-    EXPECT_TRUE(run(false, false)) << "scalar begin=" << begin;
+    EXPECT_TRUE(run(false)) << "scalar begin=" << begin;
     for (const core::Isa isa : core::available_isas()) {
       core::ScopedKernelIsa pin(isa);
-      EXPECT_TRUE(run(true, true))
+      EXPECT_TRUE(run(true))
           << core::isa_name(isa) << " sidecar begin=" << begin;
-      EXPECT_TRUE(run(true, false))
-          << core::isa_name(isa) << " converted begin=" << begin;
     }
   }
 }
@@ -392,11 +408,11 @@ TEST(PagedPrefill, WindowsMatchPaddedPassOnEverySource) {
 // ---- Sidecar watermarks ---------------------------------------------------
 
 TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
-  // Drive an N-step single-session decode through a KV pool with the
-  // sidecar enabled.  Every step appends one token, so the pool must
-  // convert exactly heads*head_size elements per side per step — O(1)
-  // rows, independent of the context length — and the outputs must match
-  // a sidecar-less decode bit for bit.
+  // Drive an N-step single-session decode through a KV pool's sidecar.
+  // Every step appends one token, so the pool must convert exactly
+  // heads*head_size elements per side per step — O(1) rows, independent of
+  // the context length — and the outputs must match the scalar reference
+  // over the half pages bit for bit.
   constexpr std::int64_t kStepHeads = 2, kStepHeadSize = 16, kSteps = 40,
                          kStepBlockTokens = 8;
   telemetry::ScopedTelemetry on(true);
@@ -404,7 +420,6 @@ TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
   const serve::KvPoolConfig cfg{8, kStepBlockTokens, kStepHeads,
                                 kStepHeadSize};
   serve::KvPool pool(cfg);
-  serve::KvPool plain_pool(cfg);
   Rng rng(71);
   TensorH q(Shape{kStepHeads, 1, kStepHeadSize});
 
@@ -412,13 +427,10 @@ TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
   std::int64_t prev_bytes = 0;
   for (std::int64_t pos = 0; pos < kSteps; ++pos) {
     auto slot = pool.append_token(0);
-    auto plain_slot = plain_pool.append_token(0);
-    ASSERT_TRUE(slot.has_value() && plain_slot.has_value());
+    ASSERT_TRUE(slot.has_value());
     for (std::int64_t i = 0; i < per_side_elems; ++i) {
-      const half kv = half(rng.next_double() - 0.5);
-      const half vv = half(rng.next_double() - 0.5);
-      slot->k[i] = plain_slot->k[i] = kv;
-      slot->v[i] = plain_slot->v[i] = vv;
+      slot->k[i] = half(rng.next_double() - 0.5);
+      slot->v[i] = half(rng.next_double() - 0.5);
     }
     q.fill_random(rng);
 
@@ -427,15 +439,18 @@ TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
       cols.push_back(static_cast<std::int32_t>(j));
     }
     const PagedSeq seq{pos + 1, kStepBlockTokens, pool.k_blocks(0),
-                       pool.v_blocks(0), cols,
-                       pool.sidecar(0, core::PanelPrecision::kFloat32)};
-    const PagedSeq plain{pos + 1, kStepBlockTokens, plain_pool.k_blocks(0),
-                         plain_pool.v_blocks(0), cols};
+                       pool.v_blocks(0), cols, pool.float_pages(0)};
+    const PagedSeq plain{pos + 1, kStepBlockTokens, pool.k_blocks(0),
+                         pool.v_blocks(0), cols};
 
     const TensorH with =
         decode_attention_paged(kStepHeads, kStepHeadSize, {&seq, 1}, q);
-    const TensorH without =
-        decode_attention_paged(kStepHeads, kStepHeadSize, {&plain, 1}, q);
+    TensorH without;
+    {
+      ScopedPackedExecution scalar(false);
+      without =
+          decode_attention_paged(kStepHeads, kStepHeadSize, {&plain, 1}, q);
+    }
     ASSERT_EQ(std::memcmp(with.data().data(), without.data().data(),
                           with.size_bytes()),
               0)
@@ -456,76 +471,53 @@ TEST(KvPool, RewrittenRowsNeverServeStaleSidecar) {
   // A private tail page is converted, truncated mid-page (a speculative
   // rollback), and refilled with different rows.  Every sidecar row must
   // then equal the exact conversion of the halfs now in the page — the
-  // rewritten rows included — on both tiers, and only rewritten or new
-  // rows convert again.
+  // rewritten rows included — and only rewritten or new rows convert
+  // again.
   const serve::KvPoolConfig cfg{4, kBlockTokens, kHeads, kHeadSize};
   const std::int64_t row = kHeads * kHeadSize;
-  for (const auto tier :
-       {core::PanelPrecision::kFloat32, core::PanelPrecision::kInt8}) {
-    SCOPED_TRACE(tier == core::PanelPrecision::kInt8 ? "int8" : "fp32");
-    telemetry::ScopedTelemetry on(true);
-    telemetry::global_registry().reset();
-    serve::KvPool pool(cfg);
-    Rng rng(tier == core::PanelPrecision::kInt8 ? 83 : 89);
-    const auto append = [&](std::int64_t n, float lo, float hi) {
-      for (std::int64_t t = 0; t < n; ++t) {
-        auto slot = pool.append_token(0);
-        ASSERT_TRUE(slot.has_value());
-        for (std::int64_t e = 0; e < row; ++e) {
-          slot->k[e] = half(rng.uniform(lo, hi));
-          slot->v[e] = half(rng.uniform(lo, hi));
-        }
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
+  serve::KvPool pool(cfg);
+  Rng rng(89);
+  const auto append = [&](std::int64_t n, float lo, float hi) {
+    for (std::int64_t t = 0; t < n; ++t) {
+      auto slot = pool.append_token(0);
+      ASSERT_TRUE(slot.has_value());
+      for (std::int64_t e = 0; e < row; ++e) {
+        slot->k[e] = half(rng.uniform(lo, hi));
+        slot->v[e] = half(rng.uniform(lo, hi));
       }
-    };
-    // Page 0 full, page 1 holding 6 rows; everything converted.
-    append(kBlockTokens + 6, -1.0f, 0.0f);
-    (void)pool.sidecar(0, tier);
-    pool.truncate(0, kBlockTokens + 2);
-    append(5, 0.5f, 2.0f);  // rows 2..6 of page 1, other signs and scales
-    const std::int64_t before = telemetry::global_registry().counter(
-        "serve.kv.sidecar_bytes_converted");
-    const mha::KvSidecar view = pool.sidecar(0, tier);
-    const std::int64_t bytes_per_elem =
-        tier == core::PanelPrecision::kInt8 ? 1 : 2;
-    EXPECT_EQ(telemetry::global_registry().counter(
-                  "serve.kv.sidecar_bytes_converted") -
-                  before,
-              5 * row * 2 * bytes_per_elem);
+    }
+  };
+  // Page 0 full, page 1 holding 6 rows; everything converted.
+  append(kBlockTokens + 6, -1.0f, 0.0f);
+  (void)pool.float_pages(0);
+  pool.truncate(0, kBlockTokens + 2);
+  append(5, 0.5f, 2.0f);  // rows 2..6 of page 1, other signs and scales
+  const std::int64_t before = telemetry::global_registry().counter(
+      "serve.kv.sidecar_bytes_converted");
+  const KvFloatPages view = pool.float_pages(0);
+  // 5 rewritten rows per side, counted as 2 source bytes per element.
+  EXPECT_EQ(telemetry::global_registry().counter(
+                "serve.kv.sidecar_bytes_converted") -
+                before,
+            5 * row * 2 * 2);
 
-    const auto halfs = {pool.k_blocks(0), pool.v_blocks(0)};
-    for (std::int64_t t = 0; t < pool.tokens(0); ++t) {
-      const auto page = static_cast<std::size_t>(t / kBlockTokens);
-      const std::int64_t r = t % kBlockTokens;
-      int side = 0;
-      for (const auto& pages : halfs) {
-        const half* src = pages[page] + r * row;
-        if (tier == core::PanelPrecision::kFloat32) {
-          const auto& f = std::get<KvFloatPages>(view);
-          const float* got = (side == 0 ? f.k_blocks : f.v_blocks)[page] +
-                             r * row;
-          for (std::int64_t e = 0; e < row; ++e) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[e]),
-                      std::bit_cast<std::uint32_t>(float(src[e])))
-                << "side " << side << " token " << t << " elem " << e;
-          }
-        } else {
-          const auto& q = std::get<KvInt8Pages>(view);
-          std::vector<std::int8_t> want(static_cast<std::size_t>(row));
-          float want_scale = 0.0f;
-          packed::quantize_halfs({src, static_cast<std::size_t>(row)}, row,
-                                 want.data(), &want_scale);
-          const std::int8_t* got =
-              (side == 0 ? q.k_blocks : q.v_blocks)[page] + r * row;
-          const float got_scale =
-              (side == 0 ? q.k_scales : q.v_scales)[page][r];
-          ASSERT_EQ(std::memcmp(got, want.data(), want.size()), 0)
-              << "side " << side << " token " << t;
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(got_scale),
-                    std::bit_cast<std::uint32_t>(want_scale))
-              << "side " << side << " token " << t;
-        }
-        ++side;
+  const auto halfs = {pool.k_blocks(0), pool.v_blocks(0)};
+  for (std::int64_t t = 0; t < pool.tokens(0); ++t) {
+    const auto page = static_cast<std::size_t>(t / kBlockTokens);
+    const std::int64_t r = t % kBlockTokens;
+    int side = 0;
+    for (const auto& pages : halfs) {
+      const half* src = pages[page] + r * row;
+      const float* got =
+          (side == 0 ? view.k_blocks : view.v_blocks)[page] + r * row;
+      for (std::int64_t e = 0; e < row; ++e) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[e]),
+                  std::bit_cast<std::uint32_t>(float(src[e])))
+            << "side " << side << " token " << t << " elem " << e;
       }
+      ++side;
     }
   }
 }

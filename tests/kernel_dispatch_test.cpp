@@ -6,8 +6,8 @@
 // runtime.  These tests sweep every ISA available_isas() reports against
 // the scalar table: exhaustive half<->float conversion sweeps (including
 // NaN payloads, infinities, and denormals), odd-shaped GEMM/dot/axpy
-// sweeps, the INT8 tier (whose int32 arithmetic must agree exactly), the
-// vector exp against the scalar exp_f32, and the block-wise lane tile.
+// sweeps, the vector exp against the scalar exp_f32, and the block-wise
+// lane tile.
 //
 // The suite is also registered a second time with STOF_FORCE_SCALAR=1
 // (see tests/CMakeLists.txt), which pins best_supported_isa() to scalar
@@ -90,8 +90,8 @@ TEST(KernelDispatch, ScopedIsaSwitchesAndRestores) {
 TEST(KernelDispatch, NoteKernelDispatchRecordsGaugeAndCounter) {
   telemetry::ScopedTelemetry on(true);
   telemetry::global_registry().reset();
-  note_kernel_dispatch("axpy", 3);
-  note_kernel_dispatch("axpy");
+  note_kernel_dispatch("exec.dispatch.axpy.calls", 3);
+  note_kernel_dispatch("exec.dispatch.axpy.calls");
   EXPECT_EQ(telemetry::global_registry().gauge("exec.dispatch.isa"),
             static_cast<double>(static_cast<int>(active_isa())));
   EXPECT_EQ(telemetry::global_registry().counter("exec.dispatch.axpy.calls"),
@@ -176,7 +176,6 @@ TEST(KernelDispatch, DecodePrimitivesMatchScalar) {
     auto ys = y0;
     ref.scale_inplace(ys.data(), -2.5f, n);
     const float rmax = ref.reduce_max(x.data(), n);
-    const float amax = ref.abs_max(x.data(), n);
 
     for (const Isa isa : simd_isas()) {
       const KernelTable& kt = kernel_table_for(isa);
@@ -191,8 +190,6 @@ TEST(KernelDispatch, DecodePrimitivesMatchScalar) {
       EXPECT_TRUE(bytes_equal(ys, g)) << isa_name(isa) << " scale n=" << n;
       EXPECT_EQ(rmax, kt.reduce_max(x.data(), n))
           << isa_name(isa) << " reduce_max n=" << n;
-      EXPECT_EQ(amax, kt.abs_max(x.data(), n))
-          << isa_name(isa) << " abs_max n=" << n;
     }
   }
 }
@@ -219,66 +216,6 @@ TEST(KernelDispatch, DotRowsMatchesScalarContiguousAndGathered) {
       EXPECT_TRUE(bytes_equal(out_ref, got))
           << isa_name(isa) << (ip == nullptr ? " contiguous" : " gathered");
     }
-  }
-}
-
-TEST(KernelDispatch, Int8TierAgreesExactlyAcrossIsas) {
-  for (const std::int64_t n : {1, 3, 8, 16, 31, 64, 129}) {
-    const auto src = random_floats(n, 7000 + n);
-    const KernelTable& ref = scalar_kernel_table();
-    const auto qp = quant_params(ref.abs_max(src.data(), n));
-
-    std::vector<std::int8_t> codes_ref(static_cast<std::size_t>(n));
-    ref.quantize_i8(src.data(), codes_ref.data(), n, qp.inv_scale);
-    const auto other = random_floats(n, 9000 + n);
-    std::vector<std::int8_t> codes_b(static_cast<std::size_t>(n));
-    ref.quantize_i8(other.data(), codes_b.data(), n, qp.inv_scale);
-    const std::int32_t dot_ref = ref.dot_i8(codes_ref.data(), codes_b.data(),
-                                            n);
-    auto y_ref = random_floats(n, 11000 + n);
-    const auto y0 = y_ref;
-    ref.axpy_i8(y_ref.data(), codes_ref.data(), 0.37f, n);
-
-    for (const Isa isa : simd_isas()) {
-      const KernelTable& kt = kernel_table_for(isa);
-      std::vector<std::int8_t> codes(static_cast<std::size_t>(n), 99);
-      kt.quantize_i8(src.data(), codes.data(), n, qp.inv_scale);
-      EXPECT_EQ(codes_ref, codes) << isa_name(isa) << " n=" << n;
-      EXPECT_EQ(dot_ref, kt.dot_i8(codes_ref.data(), codes_b.data(), n))
-          << isa_name(isa) << " n=" << n;
-      auto y = y0;
-      kt.axpy_i8(y.data(), codes_ref.data(), 0.37f, n);
-      EXPECT_TRUE(bytes_equal(y_ref, y)) << isa_name(isa) << " n=" << n;
-    }
-  }
-}
-
-TEST(KernelDispatch, Int8GemmIsDeterministicAcrossIsas) {
-  const std::int64_t rows = 9, depth = 37, cols = 21;
-  const std::int64_t lda = depth, ldb = cols + 3, ldc = cols;
-  Rng rng(606);
-  std::vector<std::int8_t> a(static_cast<std::size_t>(rows * lda));
-  std::vector<std::int8_t> b(static_cast<std::size_t>(depth * ldb));
-  for (auto& v : a) {
-    v = static_cast<std::int8_t>(
-        static_cast<std::int64_t>(rng.next_below(255)) - 127);
-  }
-  for (auto& v : b) {
-    v = static_cast<std::int8_t>(
-        static_cast<std::int64_t>(rng.next_below(255)) - 127);
-  }
-  const auto a_scales = random_floats(rows, 707);
-  auto ref = random_floats(rows * ldc, 808);
-  const auto init = ref;
-  scalar_kernel_table().sgemm_i8_accumulate_ld(a.data(), lda, b.data(), ldb,
-                                               ref.data(), ldc, rows, depth,
-                                               cols, a_scales.data(), 0.031f);
-  for (const Isa isa : simd_isas()) {
-    auto got = init;
-    kernel_table_for(isa).sgemm_i8_accumulate_ld(
-        a.data(), lda, b.data(), ldb, got.data(), ldc, rows, depth, cols,
-        a_scales.data(), 0.031f);
-    EXPECT_TRUE(bytes_equal(ref, got)) << isa_name(isa);
   }
 }
 

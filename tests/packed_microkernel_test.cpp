@@ -4,8 +4,7 @@
 // register blocks, depths crossing the unroll and cache-block
 // boundaries), and the packed
 // MHA kernels (tensor panels from the cross-call registry, paged decode
-// converting in its scratch arena) must stay bit-identical to the scalar
-// reference.
+// over FP32 page copies) must stay bit-identical to the scalar reference.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -183,9 +182,9 @@ TEST(RowwisePanelCacheBitIdentity, PackedMatchesScalar) {
 }
 
 TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
-  // Paged decode with no sidecar: the packed path converts each attended
-  // page row in its scratch arena.  The odd context length leaves the last
-  // page part-filled.
+  // Paged decode: the packed path reads the pages' FP32 copies, the scalar
+  // reference their halfs.  The odd context length leaves the last page
+  // part-filled.
   constexpr std::int64_t kSeqs = 3, kHeads = 4, kD = 16, kCtx = 37, kBt = 16;
   constexpr std::int64_t kBlocks = (kCtx + kBt - 1) / kBt;
   const TensorH q = random_tensor(Shape{kSeqs * kHeads, 1, kD}, 51);
@@ -194,10 +193,16 @@ TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
                                    52);
   const TensorH vc = random_tensor(Shape{kSeqs * kBlocks, kBt * kHeads, kD},
                                    53);
+  std::vector<float> kf(kc.data().size()), vf(vc.data().size());
+  packed::half_to_float(kc.data(), kf);
+  packed::half_to_float(vc.data(), vf);
   std::vector<const half*> k_pages, v_pages;
+  std::vector<const float*> kf_pages, vf_pages;
   for (std::int64_t p = 0; p < kSeqs * kBlocks; ++p) {
     k_pages.push_back(kc.data().data() + p * kBt * kHeads * kD);
     v_pages.push_back(vc.data().data() + p * kBt * kHeads * kD);
+    kf_pages.push_back(kf.data() + p * kBt * kHeads * kD);
+    vf_pages.push_back(vf.data() + p * kBt * kHeads * kD);
   }
   const std::vector<std::int32_t> cols = {0, 3, 5, 11, 20, 36};
   std::vector<mha::PagedSeq> seqs;
@@ -206,7 +211,9 @@ TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
                                  kBt,
                                  {k_pages.data() + s * kBlocks, kBlocks},
                                  {v_pages.data() + s * kBlocks, kBlocks},
-                                 cols});
+                                 cols,
+                                 {{kf_pages.data() + s * kBlocks, kBlocks},
+                                  {vf_pages.data() + s * kBlocks, kBlocks}}});
   }
 
   TensorH scalar_out;

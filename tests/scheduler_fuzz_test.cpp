@@ -12,8 +12,8 @@
 //   * Bounded starvation — every trace drains within a generous step
 //     bound and every session finishes.
 //   * Digest equality — per-session output digests are bit-identical
-//     across serial / continuous / chunked scheduling, FP32 and INT8 KV,
-//     prefix sharing on and off, and speculative decoding on and off.
+//     across serial / continuous / chunked scheduling, prefix sharing on
+//     and off, and speculative decoding on and off.
 //   * Deterministic replay — the same seed reproduces a byte-identical
 //     telemetry dump.
 //   * Idle accounting — Engine::idle() agrees with a phase scan of the
@@ -214,14 +214,10 @@ TEST(SchedulerFuzz, DigestsMatchAcrossSerialContinuousChunkedModes) {
   }
 }
 
-TEST(SchedulerFuzz, Int8KvDigestsMatchAcrossModes) {
+TEST(SchedulerFuzz, SixteenTokenChunksMatchSerial) {
   const auto trace = fuzz_trace(71, 16);
-  EngineConfig serial_cfg = fuzz_config(SchedulerMode::kSerial, 0, 8);
-  EngineConfig chunked_cfg = fuzz_config(SchedulerMode::kContinuous, 16, 8);
-  serial_cfg.kv_precision = core::PanelPrecision::kInt8;
-  chunked_cfg.kv_precision = core::PanelPrecision::kInt8;
-  Engine serial(serial_cfg);
-  Engine chunked(chunked_cfg);
+  Engine serial(fuzz_config(SchedulerMode::kSerial, 0, 8));
+  Engine chunked(fuzz_config(SchedulerMode::kContinuous, 16, 8));
   EXPECT_EQ(replay_checked(serial, trace), replay_checked(chunked, trace));
 }
 
@@ -278,15 +274,12 @@ TEST(SchedulerFuzz, SharedPrefixSurvivesTightPoolEviction) {
   EXPECT_EQ(base, replay_checked(tight, trace, /*shared=*/true));
 }
 
-TEST(SchedulerFuzz, SharedPrefixInt8KvDigestsMatch) {
+TEST(SchedulerFuzz, SharedPrefixChunkedMatchesSerialOnAThirdSeed) {
   const auto trace = prefix_fuzz_trace(43, 20);
   EngineConfig off_cfg = fuzz_config(SchedulerMode::kSerial, 0, 8);
   off_cfg.scheduler.prefix_sharing = false;
-  off_cfg.kv_precision = core::PanelPrecision::kInt8;
-  EngineConfig on_cfg = fuzz_config(SchedulerMode::kContinuous, 24, 8);
-  on_cfg.kv_precision = core::PanelPrecision::kInt8;
   Engine serial_off(off_cfg);
-  Engine chunked_on(on_cfg);
+  Engine chunked_on(fuzz_config(SchedulerMode::kContinuous, 24, 8));
   EXPECT_EQ(replay_checked(serial_off, trace),
             replay_checked(chunked_on, trace, /*shared=*/true));
 }
@@ -322,15 +315,13 @@ TEST(SchedulerFuzz, SpeculativeDecodeMatchesSequentialDecode) {
   telemetry::global_registry().reset();
 }
 
-TEST(SchedulerFuzz, SpeculativeSharedPrefixInt8Matches) {
-  // The full stack at once: INT8 KV sidecars, prefix adoption with CoW,
-  // and speculative rollback in one engine vs the plain serial baseline.
+TEST(SchedulerFuzz, SpeculativeSharedPrefixMatches) {
+  // The full stack at once: chunked prefill, prefix adoption with CoW, and
+  // speculative rollback in one engine vs the plain serial baseline.
   const auto trace = prefix_fuzz_trace(59, 20);
   EngineConfig off_cfg = fuzz_config(SchedulerMode::kSerial, 0, 8);
   off_cfg.scheduler.prefix_sharing = false;
-  off_cfg.kv_precision = core::PanelPrecision::kInt8;
   EngineConfig full_cfg = fuzz_config(SchedulerMode::kContinuous, 24, 8);
-  full_cfg.kv_precision = core::PanelPrecision::kInt8;
   full_cfg.spec_draft_tokens = 3;
   full_cfg.spec_accept_pct = 80;
   Engine serial_off(off_cfg);

@@ -389,24 +389,6 @@ TEST(ServeChunkedPrefill, PreemptMidPrefillRecomputesBitIdentically) {
   EXPECT_EQ(chunked.stats().finished, 2);
 }
 
-TEST(ServeChunkedPrefill, Int8KvSidecarDigestsMatchSerialInt8) {
-  // The INT8 decode tier is not bit-identical to FP32, but it must stay
-  // invariant to scheduling: chunked-continuous INT8 == serial INT8.
-  const auto trace = mixed_trace();
-  EngineConfig serial_cfg = small_config(SchedulerMode::kSerial, 16);
-  serial_cfg.kv_precision = core::PanelPrecision::kInt8;
-  EngineConfig chunked_cfg = chunked_config(16, 16);
-  chunked_cfg.kv_precision = core::PanelPrecision::kInt8;
-  Engine serial(serial_cfg);
-  Engine chunked(chunked_cfg);
-  replay(serial, trace);
-  replay(chunked, trace);
-  for (const auto& r : trace) {
-    EXPECT_EQ(serial.session(r.id).digest, chunked.session(r.id).digest)
-        << "session " << r.id;
-  }
-}
-
 // ---- Priorities, deadlines, fairness --------------------------------------
 
 TEST(ServeScheduling, DeadlineMissesAreCounted) {
