@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "stof/cluster/sharding.hpp"
@@ -25,6 +27,12 @@ Cluster::Cluster(const ClusterConfig& config)
   config_.validate();
   const std::int64_t total = config_.engine.heads;
   engines_.reserve(static_cast<std::size_t>(config_.devices));
+  // One cost-only model runtime per distinct shard width: shards of equal
+  // width build the same graphs at the same buckets on the same device, so
+  // they share one plan table and each bucket tunes (or reads its tuning-
+  // DB file) once per cluster.  Shards step one after another (step()),
+  // so the table needs no lock.
+  std::map<std::int64_t, std::shared_ptr<serve::ModelRuntime>> plans;
   for (int dev = 0; dev < config_.devices; ++dev) {
     serve::EngineConfig ec = config_.engine;
     const HeadRange hr = head_range(total, config_.devices, dev);
@@ -34,12 +42,18 @@ Cluster::Cluster(const ClusterConfig& config)
     // The draft pass is a cost-model-only narrow decode; keep it inside
     // the shard's head range.
     ec.spec_draft_heads = std::min(ec.spec_draft_heads, hr.count);
-    engines_.push_back(std::make_unique<serve::Engine>(ec));
+    std::shared_ptr<serve::ModelRuntime>& model = plans[hr.count];
+    if (ec.model.enabled() && !model) {
+      model = std::make_shared<serve::ModelRuntime>(
+          ec.model, ec.heads, ec.head_size, ec.device,
+          /*with_weights=*/false);
+    }
+    engines_.push_back(std::make_unique<serve::Engine>(ec, model));
   }
   if (config_.engine.model.enabled()) {
     // Shards run the model cost-only (no weights); the cluster owns the
     // full-width layer head, so its digests match an unsharded engine's
-    // byte for byte.
+    // byte for byte.  The head only transforms rows and never tunes.
     model_head_ = std::make_unique<serve::ModelRuntime>(
         config_.engine.model, config_.engine.heads, config_.engine.head_size,
         config_.engine.device, /*with_weights=*/true);

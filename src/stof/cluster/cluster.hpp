@@ -7,7 +7,9 @@
 // pool (holding only its heads' pages), its own gpusim timeline, and its
 // own panel-cache sidecars — so paged decode, chunked prefill, prefix
 // sharing, and speculative decoding all shard without modification.  Every
-// engine is a shard, a one-device cluster included.
+// engine is a shard, a one-device cluster included.  Shards of equal width
+// share one cost-only model runtime, so each shape bucket tunes once per
+// width; the cluster's full-width model head owns the weights.
 //
 // Scheduling is lock-step: scheduler plans are pure functions of the
 // session table and the pool's BLOCK accounting, and the head count only

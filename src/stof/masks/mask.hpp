@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,12 @@ class Mask {
   }
   void set(std::int64_t i, std::int64_t j, bool v = true) {
     bits_[flat(i, j)] = v ? 1 : 0;
+  }
+  /// Row i's seq_len entries, each 0 or 1 — at(i, j) for every j without
+  /// a per-element bounds check.
+  [[nodiscard]] std::span<const std::uint8_t> row(std::int64_t i) const {
+    STOF_EXPECTS(i >= 0 && i < seq_len_);
+    return {bits_.data() + i * seq_len_, static_cast<std::size_t>(seq_len_)};
   }
 
   /// Number of valid (attendable) elements.

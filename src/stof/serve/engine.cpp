@@ -61,26 +61,42 @@ constexpr std::uint64_t kSpecDraftSalt = 0xd12a'fced'0badull;
 
 }  // namespace
 
-Engine::Engine(const EngineConfig& config)
+Engine::Engine(const EngineConfig& config,
+               std::shared_ptr<ModelRuntime> model)
     : config_(config),
       pool_(KvPoolConfig{config.kv_blocks, config.block_tokens, config.heads,
                          config.head_size}),
       scheduler_(effective_scheduler(config)),
       stream_(config.device),
+      model_(std::move(model)),
       digests_(config.block_tokens) {
   config_.validate();
-  if (config_.model.enabled()) {
-    // A tensor-parallel shard charges the shard-width slice of every layer
-    // GEMM but folds nothing (the cluster owns the full-width model head),
-    // so it skips the numeric weights.
-    model_ = std::make_unique<ModelRuntime>(
+  if (model_) {
+    // A tensor-parallel shard's plan table, shared by the cluster's shards
+    // of one width: cost-only (the cluster owns the full-width layer head
+    // that folds digests), and tuned for exactly this shard's graph and
+    // device.
+    STOF_EXPECTS(config_.total_heads > 0 && config_.model.enabled() &&
+                     !model_->has_weights() &&
+                     model_->matches(config_.model, config_.heads,
+                                     config_.head_size, config_.device),
+                 "a handed-in model runtime must be a cost-only runtime of "
+                 "this shard's model, width and device");
+  } else if (config_.model.enabled()) {
+    STOF_EXPECTS(config_.total_heads == 0,
+                 "a model-enabled shard takes its cluster's model runtime");
+    model_ = std::make_shared<ModelRuntime>(
         config_.model, config_.heads, config_.head_size, config_.device,
-        /*with_weights=*/config_.total_heads == 0);
-    // "Model load": tune (or warm-load from the tuning DB) the canonical
-    // decode and prefill shape buckets up front; any other bucket a step
-    // hits tunes lazily on first use.
+        /*with_weights=*/true);
+  }
+  if (model_) {
+    // "Model load": tune (or warm-load from the tuning DB) the buckets of
+    // a full decode batch and of a full continuous step's prefill budget,
+    // unless a shard of the same width already did.  Any other bucket a
+    // step hits (a mixed prefill + decode step, a serial whole-context
+    // prefill) tunes lazily on first use.
     model_->prewarm(scheduler_.config().max_decode_batch);
-    model_->prewarm(scheduler_.config().prefill_token_budget);
+    model_->prewarm(scheduler_.config().step_prefill_budget());
   }
   telemetry::gauge("serve.kv.total_blocks",
                    static_cast<double>(config_.kv_blocks));

@@ -163,7 +163,14 @@ struct EngineStats {
 
 class Engine {
  public:
-  explicit Engine(const EngineConfig& config);
+  /// `model` is a tensor-parallel shard's model runtime (sharded,
+  /// model-enabled configs only): a cluster hands every shard of one width
+  /// the same cost-only runtime, so each shape bucket tunes once for all of
+  /// them.  It must be weightless and match the config's model, heads,
+  /// head_size and device.  nullptr (unsharded engines only) builds the
+  /// engine's own runtime, weights included.
+  explicit Engine(const EngineConfig& config,
+                  std::shared_ptr<ModelRuntime> model = nullptr);
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
@@ -250,8 +257,9 @@ class Engine {
   KvPool pool_;
   Scheduler scheduler_;
   gpusim::Stream stream_;
-  /// Present iff config_.model.enabled(): tuned plans + layer head.
-  std::unique_ptr<ModelRuntime> model_;
+  /// Present iff config_.model.enabled(): tuned plans + layer head
+  /// (possibly shared with the cluster's other shards of this width).
+  std::shared_ptr<ModelRuntime> model_;
   double clock_us_ = 0;
   std::int64_t step_count_ = 0;
   EngineStats stats_;

@@ -164,6 +164,13 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
   }
 }
 
+bool ModelRuntime::matches(const ModelSpec& spec, std::int64_t heads,
+                           std::int64_t head_size,
+                           const gpusim::DeviceSpec& device) const {
+  return spec == spec_ && heads == heads_ && head_size == head_size_ &&
+         models::device_fingerprint(device) == device_fp_;
+}
+
 graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {
   graph::LayerConfig lc;
   lc.batch = 1;

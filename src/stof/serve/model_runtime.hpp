@@ -84,6 +84,7 @@ struct ModelSpec {
     return kind == ModelKind::kT5CrossDecoder ? 3 : 2;
   }
   void validate() const;
+  friend bool operator==(const ModelSpec&, const ModelSpec&) = default;
 };
 
 class ModelRuntime {
@@ -98,6 +99,13 @@ class ModelRuntime {
 
   [[nodiscard]] const ModelSpec& spec() const { return spec_; }
   [[nodiscard]] std::int64_t hidden() const { return hidden_; }
+  [[nodiscard]] bool has_weights() const { return !weights_.empty(); }
+  /// True when this runtime tunes exactly the plans an engine serving
+  /// `spec` at (heads, head_size) on `device` needs: every TuneKey it
+  /// would build (graph, bucket, device) is the same.
+  [[nodiscard]] bool matches(const ModelSpec& spec, std::int64_t heads,
+                             std::int64_t head_size,
+                             const gpusim::DeviceSpec& device) const;
 
   /// Tune (or warm-load) the shape bucket covering `rows` now, at "model
   /// load", instead of on first use.  No-op in unfused mode.

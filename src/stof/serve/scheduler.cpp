@@ -127,8 +127,7 @@ StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool) {
   // spends chunk_tokens on slices of any non-empty length.
   const bool atomic = !config_.chunked();
   const auto min_grant = [&](std::int64_t left) { return atomic ? left : 1; };
-  std::int64_t budget =
-      atomic ? config_.prefill_token_budget : config_.chunk_tokens;
+  std::int64_t budget = config_.step_prefill_budget();
   std::int64_t reserved_windows = 0;
   const std::int64_t block_tokens = pool.config().block_tokens;
 

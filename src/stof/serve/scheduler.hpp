@@ -81,6 +81,14 @@ struct SchedulerConfig {
   [[nodiscard]] bool chunked() const {
     return mode == SchedulerMode::kContinuous && chunk_tokens > 0;
   }
+  /// Prompt tokens one continuous-mode step's prefill windows may spend
+  /// together: chunk_tokens when chunked, prefill_token_budget otherwise.
+  /// plan_continuous spends it, and model load prewarms its shape bucket.
+  /// It bounds prefill rows only: a mixed step's rows (prefill + decode)
+  /// and a serial step's whole context can land in other buckets.
+  [[nodiscard]] std::int64_t step_prefill_budget() const {
+    return chunked() ? chunk_tokens : prefill_token_budget;
+  }
 
   void validate(std::int64_t max_seq_len) const {
     STOF_EXPECTS(max_prefills_per_step >= 1 && max_decode_batch >= 1);

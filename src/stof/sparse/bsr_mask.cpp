@@ -1,16 +1,63 @@
 #include "stof/sparse/bsr_mask.hpp"
 
 #include <algorithm>
-#include <string>
+#include <cstring>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 
 namespace stof::sparse {
+
+namespace {
+
+/// Deduplicates part bitmaps into `masks` in first-occurrence order.  The
+/// keys view the stored bitmaps' bytes, which stay put as `masks` grows (a
+/// moved vector keeps its buffer), so a lookup allocates nothing.
+class BitmapInterner {
+ public:
+  explicit BitmapInterner(std::vector<std::vector<std::uint8_t>>& masks)
+      : masks_(masks) {}
+
+  /// Id of `bitmap` in `masks`, appending it on first sight.
+  std::int32_t intern(std::span<const std::uint8_t> bitmap) {
+    if (auto it = ids_.find(view(bitmap)); it != ids_.end()) return it->second;
+    const auto id = static_cast<std::int32_t>(masks_.size());
+    ids_.emplace(view(masks_.emplace_back(bitmap.begin(), bitmap.end())), id);
+    return id;
+  }
+
+ private:
+  static std::string_view view(std::span<const std::uint8_t> bytes) {
+    return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+  }
+
+  std::vector<std::vector<std::uint8_t>>& masks_;
+  std::unordered_map<std::string_view, std::int32_t> ids_;
+};
+
+/// Set entries of a run of 0/1 bytes, eight at a time: multiplying a word
+/// of 0/1 bytes by 0x0101...01 sums them into its top byte.  std::count and
+/// std::reduce over the same spans build 1024² BSRs about 2x slower (GCC 12).
+std::int64_t count_ones(std::span<const std::uint8_t> bits) {
+  std::int64_t n = 0;
+  std::size_t c = 0;
+  for (; c + 8 <= bits.size(); c += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bits.data() + c, sizeof(word));
+    n += static_cast<std::int64_t>((word * 0x0101010101010101ull) >> 56);
+  }
+  for (; c < bits.size(); ++c) n += bits[c];
+  return n;
+}
+
+}  // namespace
 
 BsrMask BsrMask::build(const masks::Mask& mask, std::int64_t block_m,
                        std::int64_t block_n) {
   STOF_EXPECTS(block_m > 0 && block_n > 0);
   BsrMask out;
-  out.seq_len_ = mask.seq_len();
+  const std::int64_t seq = mask.seq_len();
+  out.seq_len_ = seq;
   out.block_m_ = block_m;
   out.block_n_ = block_n;
 
@@ -20,50 +67,47 @@ BsrMask BsrMask::build(const masks::Mask& mask, std::int64_t block_m,
   out.part_row_ptr_.assign(static_cast<std::size_t>(brows) + 1, 0);
   out.load_row_ptr_.assign(static_cast<std::size_t>(brows) + 1, 0);
 
-  // Dedup map: block bitmap bytes -> id in part_masks_.
-  std::unordered_map<std::string, std::int32_t> bitmap_ids;
-
+  BitmapInterner bitmaps(out.part_masks_);
   std::vector<std::uint8_t> bitmap(
       static_cast<std::size_t>(block_m * block_n));
 
   for (std::int64_t bi = 0; bi < brows; ++bi) {
+    const std::int64_t i0 = bi * block_m;
+    const std::int64_t m = std::min(block_m, seq - i0);  // in-range rows
+    const auto row = static_cast<std::size_t>(bi) + 1;
     for (std::int64_t bj = 0; bj < bcols; ++bj) {
-      // Extract the block; out-of-range elements are invalid (edge blocks).
+      const std::int64_t j0 = bj * block_n;
+      const auto n = static_cast<std::size_t>(std::min(block_n, seq - j0));
+      // Count the block's valid elements over its in-range rows' spans;
+      // out-of-range elements are invalid.
       std::int64_t valid = 0;
-      std::int64_t in_range = 0;
-      for (std::int64_t r = 0; r < block_m; ++r) {
-        for (std::int64_t c = 0; c < block_n; ++c) {
-          const std::int64_t i = bi * block_m + r;
-          const std::int64_t j = bj * block_n + c;
-          std::uint8_t v = 0;
-          if (i < out.seq_len_ && j < out.seq_len_) {
-            ++in_range;
-            v = mask.at(i, j) ? 1 : 0;
-          }
-          bitmap[static_cast<std::size_t>(r * block_n + c)] = v;
-          valid += v;
-        }
+      for (std::int64_t r = 0; r < m; ++r) {
+        valid += count_ones(
+            mask.row(i0 + r).subspan(static_cast<std::size_t>(j0), n));
       }
       if (valid == 0) continue;  // empty block: skipped entirely
 
       out.load_col_idx_.push_back(static_cast<std::int32_t>(bj));
-      ++out.load_row_ptr_[static_cast<std::size_t>(bi) + 1];
+      ++out.load_row_ptr_[row];
 
-      if (valid == in_range) {  // full block: dense compute, no mask load
+      if (valid == m * static_cast<std::int64_t>(n)) {
+        // Full block: dense compute, no mask load.
         out.full_col_idx_.push_back(static_cast<std::int32_t>(bj));
-        ++out.full_row_ptr_[static_cast<std::size_t>(bi) + 1];
+        ++out.full_row_ptr_[row];
         continue;
       }
 
-      // Part block: deduplicate the bitmap and record its id.
-      const std::string key(reinterpret_cast<const char*>(bitmap.data()),
-                            bitmap.size());
-      auto [it, inserted] = bitmap_ids.try_emplace(
-          key, static_cast<std::int32_t>(out.part_masks_.size()));
-      if (inserted) out.part_masks_.push_back(bitmap);
+      // Part block: gather its bitmap (edge padding stays 0), deduplicate
+      // it and record its id.
+      std::ranges::fill(bitmap, 0);
+      for (std::int64_t r = 0; r < m; ++r) {
+        std::ranges::copy(
+            mask.row(i0 + r).subspan(static_cast<std::size_t>(j0), n),
+            bitmap.begin() + r * block_n);
+      }
       out.part_col_idx_.push_back(static_cast<std::int32_t>(bj));
-      out.part_mask_id_.push_back(it->second);
-      ++out.part_row_ptr_[static_cast<std::size_t>(bi) + 1];
+      out.part_mask_id_.push_back(bitmaps.intern(bitmap));
+      ++out.part_row_ptr_[row];
     }
   }
 
@@ -95,15 +139,7 @@ BsrMask BsrMask::prefix(std::int64_t len) const {
   // block reuses its base bitmap's new id; every bitmap taken is indexed by
   // content, so a clipped bitmap equal to another one shares its id.
   std::vector<std::int32_t> base_to_new(part_masks_.size(), -1);
-  std::unordered_map<std::string, std::int32_t> bitmap_ids;
-  const auto intern = [&](const std::vector<std::uint8_t>& bitmap) {
-    const std::string key(reinterpret_cast<const char*>(bitmap.data()),
-                          bitmap.size());
-    auto [it, inserted] = bitmap_ids.try_emplace(
-        key, static_cast<std::int32_t>(out.part_masks_.size()));
-    if (inserted) out.part_masks_.push_back(bitmap);
-    return it->second;
-  };
+  BitmapInterner bitmaps(out.part_masks_);
   // Record block (bi, bj): full when part_id < 0, else a part block.
   const auto add = [&](std::int64_t bi, std::int64_t bj,
                        std::int32_t part_id) {
@@ -148,7 +184,7 @@ BsrMask BsrMask::prefix(std::int64_t len) const {
         std::int32_t id = -1;
         if (bits != nullptr) {
           auto& mapped = base_to_new[static_cast<std::size_t>(base_id)];
-          if (mapped < 0) mapped = intern(*bits);
+          if (mapped < 0) mapped = bitmaps.intern(*bits);
           id = mapped;
         }
         add(bi, bj, id);
@@ -174,7 +210,7 @@ BsrMask BsrMask::prefix(std::int64_t len) const {
         }
       }
       if (valid == 0) continue;
-      add(bi, bj, valid == in_range ? -1 : intern(clipped));
+      add(bi, bj, valid == in_range ? -1 : bitmaps.intern(clipped));
     }
   }
 

@@ -2,16 +2,19 @@
 // single-device engine (all four serving mask kinds, uneven shards,
 // preemption pressure, prefix sharing, speculative decoding, the GPT model
 // head), head-range sharding, a scheduler-fuzz replay through a 2-device
-// cluster with per-device KV conservation audits, and the single
-// output-row path: every position's row is committed exactly once, in
-// order, by an engine and by every shard.
+// cluster with per-device KV conservation audits, the single output-row
+// path (every position's row is committed exactly once, in order, by an
+// engine and by every shard), and one model plan table per shard width.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
 
 #include "stof/cluster/cluster.hpp"
 #include "stof/cluster/sharding.hpp"
+#include "stof/core/checksum.hpp"
 #include "stof/core/rng.hpp"
+#include "stof/serve/model_runtime.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::cluster {
@@ -358,6 +361,146 @@ TEST(Cluster, SchedulerFuzzReplayWithPerDeviceConservation) {
     }
     EXPECT_EQ(cluster.digests(), ref) << "seed " << seed;
   }
+}
+
+// ---- one plan table per shard width ------------------------------------------
+
+/// base_config(heads, 48) serving a 2-layer GPT model.
+EngineConfig gpt_config(std::int64_t heads) {
+  EngineConfig cfg = base_config(heads, 48);
+  cfg.model.kind = serve::ModelKind::kGptDecoder;
+  cfg.model.layers = 2;
+  return cfg;
+}
+
+/// mixed_trace with every request arriving at 0: a cluster's collectives
+/// stretch its clock, so only a closed-loop trace plans the same steps on
+/// a cluster and on a lone engine.
+std::vector<Request> burst_trace(std::uint64_t seed, std::int64_t n_requests) {
+  auto trace = mixed_trace(seed, n_requests);
+  for (auto& r : trace) r.arrival_us = 0;
+  return trace;
+}
+
+/// serve.model.tunes after constructing `Sys` from `config`, and after
+/// replaying `trace` on it to the drain.
+struct TuneCounts {
+  std::int64_t setup = 0;
+  std::int64_t drained = 0;
+};
+
+template <typename Sys, typename Config>
+TuneCounts count_tunes(const Config& config,
+                       const std::vector<Request>& trace) {
+  telemetry::global_registry().reset();
+  Sys sys(config);
+  TuneCounts n;
+  n.setup = telemetry::global_registry().counter("serve.model.tunes");
+  replay(sys, trace);
+  n.drained = telemetry::global_registry().counter("serve.model.tunes");
+  return n;
+}
+
+TEST(ClusterModelPlans, EqualShardsTuneEachBucketOnce) {
+  telemetry::ScopedTelemetry scoped(true);
+  const auto trace = burst_trace(701, 12);
+  ClusterConfig ccfg;
+  ccfg.devices = 4;
+  ccfg.engine = gpt_config(4);
+
+  // Four one-head shards tune exactly what one one-head engine tunes: the
+  // decode and prefill buckets at load, each further bucket once.
+  const TuneCounts cluster = count_tunes<Cluster>(ccfg, trace);
+  const TuneCounts engine = count_tunes<Engine>(gpt_config(1), trace);
+  EXPECT_EQ(cluster.setup, 2);
+  EXPECT_EQ(cluster.setup, engine.setup);
+  EXPECT_GT(cluster.drained, cluster.setup);
+  EXPECT_EQ(cluster.drained, engine.drained);
+  telemetry::global_registry().reset();
+
+  // Sharing the table changes when plans tune, never what they are: the
+  // shard clocks and cluster digests are the ones recorded before shards
+  // shared a table.
+  Cluster c(ccfg);
+  replay(c, trace);
+  for (int d = 0; d < c.devices(); ++d) {
+    EXPECT_EQ(c.engine(d).sim_time_us(), 0x1.75b396054b0c6p+8)
+        << "device " << d << ": " << std::hexfloat
+        << c.engine(d).sim_time_us();
+  }
+  std::uint64_t digests = kFnv1aOffset;
+  for (const auto& [id, digest] : c.digests()) {
+    digests = fnv1a64(&id, sizeof(id), digests);
+    digests = fnv1a64(&digest, sizeof(digest), digests);
+  }
+  EXPECT_EQ(c.digests().size(), trace.size());
+  EXPECT_EQ(digests, 0x98eb775c41bc5938ull) << std::hex << digests;
+}
+
+TEST(ClusterModelPlans, UnequalWidthsTuneOncePerWidth) {
+  // 6 heads over 4 devices: two 2-head and two 1-head shards, so every
+  // bucket tunes once at width 2 and once at width 1.
+  telemetry::ScopedTelemetry scoped(true);
+  const auto trace = burst_trace(211, 10);
+  ClusterConfig ccfg;
+  ccfg.devices = 4;
+  ccfg.engine = gpt_config(6);
+  const TuneCounts cluster = count_tunes<Cluster>(ccfg, trace);
+  const TuneCounts wide = count_tunes<Engine>(gpt_config(2), trace);
+  const TuneCounts narrow = count_tunes<Engine>(gpt_config(1), trace);
+  EXPECT_EQ(cluster.setup, 4);
+  EXPECT_EQ(cluster.setup, wide.setup + narrow.setup);
+  EXPECT_EQ(cluster.drained, wide.drained + narrow.drained);
+  telemetry::global_registry().reset();
+}
+
+TEST(ClusterModelPlans, TuningDbFilesAreReadAndWrittenOncePerCluster) {
+  namespace fs = std::filesystem;
+  telemetry::ScopedTelemetry scoped(true);
+  const fs::path root = fs::temp_directory_path() / "stof_tunedb_tests";
+  const fs::path cluster_dir = root / "cluster_plans";
+  const fs::path engine_dir = root / "cluster_plans_engine";
+  fs::remove_all(cluster_dir);
+  fs::remove_all(engine_dir);
+  const auto trace = burst_trace(701, 12);
+  const auto& reg = telemetry::global_registry();
+
+  EngineConfig one = gpt_config(1);
+  one.model.tune_db_dir = engine_dir.string();
+  (void)count_tunes<Engine>(one, trace);
+  const std::int64_t engine_writes = reg.counter("tunedb.store_writes");
+
+  ClusterConfig ccfg;
+  ccfg.devices = 4;
+  ccfg.engine = gpt_config(4);
+  ccfg.engine.model.tune_db_dir = cluster_dir.string();
+  (void)count_tunes<Cluster>(ccfg, trace);  // cold
+  EXPECT_GT(engine_writes, 0);
+  EXPECT_EQ(reg.counter("tunedb.store_writes"), engine_writes);
+  EXPECT_EQ(reg.counter("tunedb.misses"), engine_writes);
+  EXPECT_EQ(reg.counter("tunedb.hits"), 0);
+
+  const TuneCounts warm = count_tunes<Cluster>(ccfg, trace);
+  EXPECT_EQ(reg.counter("tunedb.misses"), 0);
+  EXPECT_EQ(reg.counter("tunedb.hits"), engine_writes);
+  EXPECT_EQ(warm.drained, 0);
+  telemetry::global_registry().reset();
+  fs::remove_all(cluster_dir);
+  fs::remove_all(engine_dir);
+}
+
+TEST(ClusterModelPlans, EachRuntimeHasOneOwner) {
+  // A shard takes its cluster's cost-only runtime and never builds one; an
+  // unsharded engine builds its own, weights included, and never takes one.
+  EngineConfig shard = gpt_config(1);
+  shard.total_heads = 4;
+  shard.head_offset = 1;
+  EXPECT_THROW(Engine{shard}, Error);
+  const auto runtime = std::make_shared<serve::ModelRuntime>(
+      shard.model, shard.heads, shard.head_size, shard.device,
+      /*with_weights=*/false);
+  EXPECT_NO_THROW(Engine(shard, runtime));
+  EXPECT_THROW(Engine(gpt_config(1), runtime), Error);
 }
 
 }  // namespace

@@ -268,7 +268,7 @@ TEST(ServeModel, EngineWarmLoadHitsTuningDb) {
   cfg.model.tune_db_dir = dir.string();
 
   telemetry::global_registry().reset();
-  Engine cold(cfg);  // prewarms decode + prefill buckets -> tunes + stores
+  Engine cold(cfg);  // prewarms buckets 16 and 128 -> tunes + stores
   const auto& reg = telemetry::global_registry();
   EXPECT_EQ(reg.counter("tunedb.hits"), 0);
   EXPECT_GT(reg.counter("tunedb.misses"), 0);
@@ -289,6 +289,43 @@ TEST(ServeModel, EngineWarmLoadHitsTuningDb) {
   replay(warm, trace);
   expect_digests_equal(cold, warm, trace, "cold-vs-warm");
   EXPECT_EQ(cold.sim_time_us(), warm.sim_time_us());
+}
+
+// ---- model load: the buckets a step can reach ------------------------------
+
+TEST(EnginePrewarm, ChunkedEngineTunesItsChunkBudget) {
+  telemetry::ScopedTelemetry scope(true);
+  const auto& reg = telemetry::global_registry();
+  EngineConfig cfg = model_config(ModelKind::kGptDecoder,
+                                  SchedulerMode::kContinuous, 16, true);
+  cfg.max_seq_len = 192;
+  cfg.scheduler.prefill_token_budget = 1024;
+  cfg.scheduler.max_decode_batch = 64;
+  cfg.scheduler.chunk_tokens = 128;
+
+  // A chunked step prefills at most chunk_tokens rows, so model load tunes
+  // the decode bucket 64 and the chunk bucket 128, not the 1024 budget.
+  telemetry::global_registry().reset();
+  Engine chunked(cfg);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  (void)chunked.model_runtime()->plan_for(64);
+  (void)chunked.model_runtime()->plan_for(128);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  // A full chunk is one 128-row step: it finds its plan tuned.
+  chunked.submit({0, 160, 4, 7, masks::PatternKind::kCausal, 0.0});
+  ASSERT_TRUE(chunked.step());
+  EXPECT_EQ(chunked.stats().prefill_tokens, 128);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+
+  // Whole prefills spend prefill_token_budget, so that bucket is prewarmed.
+  cfg.scheduler.chunk_tokens = 0;
+  telemetry::global_registry().reset();
+  Engine whole(cfg);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  (void)whole.model_runtime()->plan_for(64);
+  (void)whole.model_runtime()->plan_for(1024);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  telemetry::global_registry().reset();
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // FlashMask column-wise baseline format.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -268,6 +270,127 @@ TEST(BsrMask, PrefixAndRowColsMatchTheDenseMask) {
     }
   }
   EXPECT_EQ(cases, 10 * 2 * 3 * (38 + 65 + 201));
+}
+
+// ---- BSR build: row-span classification against the per-element oracle ----
+
+/// The CSR arrays and bitmaps of a BSR, as build() computed them before it
+/// read row spans: one bounds-checked Mask::at per block element, and part
+/// bitmaps deduplicated through a map keyed by string copies.
+struct ReferenceBsr {
+  std::vector<std::int64_t> full_row_ptr, part_row_ptr, load_row_ptr;
+  std::vector<std::int32_t> full_col_idx, part_col_idx, part_mask_id,
+      load_col_idx;
+  std::vector<std::vector<std::uint8_t>> part_masks;
+};
+
+ReferenceBsr reference_build(const Mask& mask, std::int64_t block_m,
+                             std::int64_t block_n) {
+  const std::int64_t seq = mask.seq_len();
+  const std::int64_t brows = (seq + block_m - 1) / block_m;
+  const std::int64_t bcols = (seq + block_n - 1) / block_n;
+  ReferenceBsr out;
+  out.full_row_ptr.assign(static_cast<std::size_t>(brows) + 1, 0);
+  out.part_row_ptr.assign(static_cast<std::size_t>(brows) + 1, 0);
+  out.load_row_ptr.assign(static_cast<std::size_t>(brows) + 1, 0);
+  std::map<std::string, std::int32_t> bitmap_ids;
+  std::vector<std::uint8_t> bitmap(
+      static_cast<std::size_t>(block_m * block_n));
+  for (std::int64_t bi = 0; bi < brows; ++bi) {
+    const auto row = static_cast<std::size_t>(bi) + 1;
+    for (std::int64_t bj = 0; bj < bcols; ++bj) {
+      std::int64_t valid = 0;
+      std::int64_t in_range = 0;
+      for (std::int64_t r = 0; r < block_m; ++r) {
+        for (std::int64_t c = 0; c < block_n; ++c) {
+          const std::int64_t i = bi * block_m + r;
+          const std::int64_t j = bj * block_n + c;
+          std::uint8_t v = 0;
+          if (i < seq && j < seq) {
+            ++in_range;
+            v = mask.at(i, j) ? 1 : 0;
+          }
+          bitmap[static_cast<std::size_t>(r * block_n + c)] = v;
+          valid += v;
+        }
+      }
+      if (valid == 0) continue;
+      out.load_col_idx.push_back(static_cast<std::int32_t>(bj));
+      ++out.load_row_ptr[row];
+      if (valid == in_range) {
+        out.full_col_idx.push_back(static_cast<std::int32_t>(bj));
+        ++out.full_row_ptr[row];
+        continue;
+      }
+      const std::string key(reinterpret_cast<const char*>(bitmap.data()),
+                            bitmap.size());
+      auto [it, inserted] = bitmap_ids.try_emplace(
+          key, static_cast<std::int32_t>(out.part_masks.size()));
+      if (inserted) out.part_masks.push_back(bitmap);
+      out.part_col_idx.push_back(static_cast<std::int32_t>(bj));
+      out.part_mask_id.push_back(it->second);
+      ++out.part_row_ptr[row];
+    }
+  }
+  for (std::size_t i = 1; i < out.full_row_ptr.size(); ++i) {
+    out.full_row_ptr[i] += out.full_row_ptr[i - 1];
+    out.part_row_ptr[i] += out.part_row_ptr[i - 1];
+    out.load_row_ptr[i] += out.load_row_ptr[i - 1];
+  }
+  return out;
+}
+
+TEST(BsrMask, BuildMatchesThePerElementOracle) {
+  std::int64_t cases = 0;
+  for (const std::int64_t seq : {1, 15, 200, 257, 1000}) {
+    // Every PatternKind MaskSpec builds, plus seeded element masks at three
+    // densities standing in for kCustom.
+    std::vector<Mask> raws;
+    for (const auto kind :
+         {PatternKind::kDense, PatternKind::kCausal,
+          PatternKind::kSlidingWindow, PatternKind::kDilated,
+          PatternKind::kGlobal, PatternKind::kRandom, PatternKind::kLongformer,
+          PatternKind::kBigBird, PatternKind::kStrided}) {
+      raws.push_back(MaskSpec{.kind = kind, .seq_len = seq}.build());
+    }
+    for (const double density : {0.1, 0.5, 0.9}) {
+      Rng rng(static_cast<std::uint64_t>(seq) * 1000 +
+              static_cast<std::uint64_t>(density * 100));
+      Mask m(seq);
+      for (std::int64_t i = 0; i < seq; ++i) {
+        for (std::int64_t j = 0; j < seq; ++j) {
+          if (rng.bernoulli(density)) m.set(i, j);
+        }
+      }
+      raws.push_back(std::move(m));
+    }
+    for (std::size_t k = 0; k < raws.size(); ++k) {
+      for (const bool causal : {false, true}) {
+        const Mask base = causal ? raws[k] & masks::causal(seq) : raws[k];
+        for (const std::int64_t bm : {16, 32, 64, 128}) {
+          for (const std::int64_t bn : {16, 32, 64, 128}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seq=" << seq << " mask=" << k
+                         << " causal=" << causal << " block=" << bm << "x"
+                         << bn);
+            const BsrMask got = BsrMask::build(base, bm, bn);
+            const ReferenceBsr want = reference_build(base, bm, bn);
+            EXPECT_EQ(got.full_row_ptr(), want.full_row_ptr);
+            EXPECT_EQ(got.full_col_idx(), want.full_col_idx);
+            EXPECT_EQ(got.part_row_ptr(), want.part_row_ptr);
+            EXPECT_EQ(got.part_col_idx(), want.part_col_idx);
+            EXPECT_EQ(got.part_mask_id(), want.part_mask_id);
+            EXPECT_EQ(got.part_masks(), want.part_masks);
+            EXPECT_EQ(got.load_row_ptr(), want.load_row_ptr);
+            EXPECT_EQ(got.load_col_idx(), want.load_col_idx);
+            if (HasFailure()) return;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5 * 12 * 2 * 16);
 }
 
 // ---- Row-wise format --------------------------------------------------------
