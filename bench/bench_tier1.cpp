@@ -1,7 +1,7 @@
-// Tier-1 perf-regression harness: times the packed-FP32 execution engine
-// against the scalar reference on fixed functional shapes and writes a
-// machine-readable trajectory file (BENCH_tier1.json) for future PRs to
-// compare against.
+// Tier-1 perf-regression harness: times the library's packed-FP32 kernels
+// against the scalar reference kernels of the test oracle (tests/oracle/)
+// on fixed functional shapes and writes a machine-readable trajectory file
+// (BENCH_tier1.json) for future PRs to compare against.
 //
 // Shapes (full mode):
 //   * GEMM  (batch 8, m 512, hidden 1024): the paper's (8, 512) config at
@@ -17,14 +17,14 @@
 //     continuous-batching schedule against the batch-1 serial baseline in
 //     simulated GPU time (scalar_ms = serial, packed_ms = continuous).
 //   * SERVE_DECODE_LONG few-session long-generation trace, wall-clock
-//     scalar vs packed engine — tracks the KV float-panel sidecar's
-//     incremental-conversion win on decode-dominated workloads.
+//     engine replay on the scalar kernel table vs the best ISA's.
 //   * SERVE_E2E_LAYER decode-heavy GPT-decoder trace executed through the
 //     engine's fused transformer-layer graph vs launch-per-op eager
 //     execution, plus the warm-vs-cold tuning-DB load gate.
 //   * SERVE_MODEL_HEAD the serving layer head alone (transform_rows, 2-layer
-//     GPT at 4 x 32, 19 rows): wall-clock per call with scalar vs packed
-//     GEMMs, its GEMM share split out in the entry's "wall" object.
+//     GPT at 4 x 32, 19 rows): wall-clock per call on the scalar kernel
+//     table vs the best ISA's, its GEMM share split out in the entry's
+//     "wall" object.
 //
 // Usage: bench_tier1 [--quick] [--out PATH] [--trace PATH]
 //                    [--baseline PATH] [--tunedb PATH]
@@ -44,7 +44,9 @@
 //               calibrating for machine speed (the baseline packed time is
 //               scaled by current_scalar_ms / baseline_scalar_ms, so a
 //               slower CI machine does not read as a regression; both
-//               times are the best of kTimingReps alternating runs)
+//               times are the best of kTimingReps alternating runs).  The
+//               baseline must have been written in the same mode (--quick
+//               or full): a mismatch exits 4 before any entry runs
 //   --regress-threshold  regression tolerance in percent (default 20)
 //
 // Timing runs keep telemetry disabled so the measured packed/scalar times
@@ -55,7 +57,8 @@
 // code write equal "counters".
 //
 // Exit status is non-zero if any packed result is not bit-identical to the
-// scalar reference — the harness doubles as an end-to-end regression gate.
+// scalar reference (the oracle, or the scalar kernel table) — the harness
+// doubles as an end-to-end regression gate.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -75,7 +78,8 @@
 
 #include <unistd.h>
 
-#include "stof/core/packed.hpp"
+#include "oracle/oracle.hpp"
+#include "stof/core/kernels.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/gpusim/device.hpp"
 #include "stof/gpusim/timeline.hpp"
@@ -176,12 +180,10 @@ Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
   time_entry(
       e,
       [&] {
-        stof::ops::gemm_scalar(a, b, c_scalar, stof::ops::Epilogue::kBias,
-                               &bias);
+        stof::oracle::gemm(a, b, c_scalar, stof::ops::Epilogue::kBias, &bias);
       },
       [&] {
-        stof::ops::gemm_packed(a, b, c_packed, stof::ops::Epilogue::kBias,
-                               &bias);
+        stof::ops::gemm(a, b, c_packed, stof::ops::Epilogue::kBias, &bias);
       });
   e.bit_identical = bits_equal(c_scalar, c_packed);
 
@@ -227,8 +229,8 @@ Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
   time_entry(
       e,
       [&] {
-        stof::ScopedPackedExecution scalar_mode(false);
-        out_scalar = stof::mha::blockwise_attention(dims, q, k, v, bsr, params);
+        out_scalar =
+            stof::oracle::blockwise_attention(dims, q, k, v, bsr, params);
       },
       [&] {
         out_packed = stof::mha::blockwise_attention(dims, q, k, v, bsr, params);
@@ -290,19 +292,17 @@ Entry bench_mha_longdoc_prefill(bool quick) {
             ", heads 4, head_size 32, block 16, varlen prefill";
 
   std::vector<TensorH> out_scalar(bases.size()), out_packed(bases.size());
-  const auto run_all = [&](std::vector<TensorH>& outs) {
+  const auto run_all = [&](std::vector<TensorH>& outs, auto varlen) {
     for (std::size_t m = 0; m < bases.size(); ++m) {
-      outs[m] =
-          stof::mha::varlen_attention(dims, q, k, v, bases[m], batch, params);
+      outs[m] = varlen(dims, q, k, v, bases[m], batch, params);
     }
   };
+  const auto run_library = [&] {
+    run_all(out_packed, stof::mha::varlen_attention);
+  };
   time_entry(
-      e,
-      [&] {
-        stof::ScopedPackedExecution scalar_mode(false);
-        run_all(out_scalar);
-      },
-      [&] { run_all(out_packed); });
+      e, [&] { run_all(out_scalar, stof::oracle::varlen_attention); },
+      run_library);
   e.bit_identical = true;
   for (std::size_t m = 0; m < bases.size(); ++m) {
     e.bit_identical = e.bit_identical && bits_equal(out_scalar[m], out_packed[m]);
@@ -313,7 +313,7 @@ Entry bench_mha_longdoc_prefill(bool quick) {
   {
     stof::telemetry::ScopedTelemetry on(true);
     stof::telemetry::global_registry().reset();
-    run_all(out_packed);
+    run_library();
     const auto dev = stof::gpusim::rtx4090();
     stof::gpusim::Stream stream(dev);
     for (const auto& base : bases) {
@@ -473,14 +473,12 @@ Entry bench_serve_burst_p99(bool quick) {
   return e;
 }
 
-/// Decode-dominated serving entry: few sessions, long generations — the
-/// shape where the KV float-panel sidecar matters.  Unlike the
-/// serve_continuous_batching entry this one measures *wall-clock* ms of the
-/// whole trace replay: scalar_ms runs the engine in scalar mode, packed_ms
-/// in packed mode (per-step KV conversion served incrementally from the
-/// cross-call panel registry, O(new tokens) instead of O(prefix) per step).
-/// bit_identical checks the per-session digests agree across the two modes
-/// — the decode path's bit-identity contract, end to end.
+/// Decode-dominated serving entry: few sessions, long generations.  Unlike
+/// the serve_continuous_batching entry this one measures *wall-clock* ms of
+/// the whole trace replay: scalar_ms runs the engine on the scalar kernel
+/// table, packed_ms on the best ISA's.  bit_identical checks the
+/// per-session digests agree across the two kernel tables — the decode
+/// path's bit-identity contract, end to end.
 Entry bench_serve_decode_long(bool quick) {
   namespace sb = stof::serve::bench;
   sb::TraceConfig tc;
@@ -499,21 +497,21 @@ Entry bench_serve_decode_long(bool quick) {
   e.shape = std::to_string(tc.sessions) + " sessions, " +
             std::to_string(tc.min_gen) +
             " generated tokens each, heads 4, head_size 64, max_seq 256, "
-            "wall-clock ms (scalar vs packed+panel-cache engine)";
+            "wall-clock ms (scalar vs best-ISA kernel table)";
 
   sb::RunResult scalar_run, packed_run;
   time_entry(
       e,
       [&] {
-        stof::ScopedPackedExecution scalar_mode(false);
+        stof::core::ScopedKernelIsa scalar(stof::core::Isa::kScalar);
         scalar_run = sb::run_trace(cfg, trace);
       },
       [&] { packed_run = sb::run_trace(cfg, trace); });
   e.bit_identical = sb::digests_match(scalar_run, packed_run);
 
   // Instrumented pass: serve.* counters plus the panel-cache accounting of
-  // one packed replay (a fresh engine, so the registry keys are fresh and
-  // the hit/miss/bytes_converted snapshot is deterministic).
+  // one replay (a fresh engine, so the registry keys are fresh and the
+  // hit/miss/bytes_converted snapshot is deterministic).
   {
     stof::telemetry::ScopedTelemetry on(true);
     stof::telemetry::global_registry().reset();
@@ -541,9 +539,8 @@ Entry bench_serve_decode_long(bool quick) {
 ///     computed prefill tokens land at the theoretical cold-start floor
 ///     (sum of private suffixes + each template computed ONCE — i.e. the
 ///     saving amortises per template, better than the per-session share
-///     fraction alone predicts), and KV-pool float-page conversion bytes
-///     drop below half (shared pages share one converted copy across
-///     sessions).
+///     fraction alone predicts), and the KV pool's half->FP32 widening
+///     bytes drop below half (adopted pages are never written again).
 Entry bench_serve_prefix_shared(bool quick) {
   namespace sb = stof::serve::bench;
   sb::PrefixTraceConfig tc;
@@ -636,9 +633,9 @@ Entry bench_serve_prefix_shared(bool quick) {
               << "; gate: within 10% of the floor)\n";
     e.aux_ok = false;
   }
-  // Shared pages share one float sidecar page, so conversion bytes fall
+  // Adopted pages are widened once, by their donor, so widening bytes fall
   // with unique pages, not with sessions.  The total adds the KV pool's
-  // sidecar bytes to the panel registry's (weight and tensor panels).
+  // widening bytes to the panel registry's (weight and tensor panels).
   const std::int64_t on_sidecar =
       e.counters["serve.kv.sidecar_bytes_converted"];
   const std::int64_t on_total =
@@ -828,12 +825,11 @@ Entry bench_serve_e2e_layer(bool quick, const std::string& tunedb_dir) {
 /// The serving layer head on its own: ModelRuntime::transform_rows over the
 /// 2-layer GPT head at 4 x 32 (hidden 128, FFN 512) with 19 rows, the mean
 /// rows per step of perfbench's `chat` workload.  Wall-clock ms per call:
-/// scalar_ms with packed execution off (scalar GEMMs), packed_ms with the
-/// default.  The LayerNorm/bias/GELU/residual ops have one implementation,
-/// so only the GEMMs differ between the two.  bit_identical compares the
-/// output bytes.  The instrumented pass splits one call's wall time into
-/// wall.ops.gemm_us and the rest of wall.serve.head_us (mean of 50 calls),
-/// written to the entry's "wall" object.
+/// scalar_ms on the scalar kernel table, packed_ms on the best ISA's.
+/// bit_identical compares the output bytes.  The instrumented pass splits
+/// one call's wall time into wall.ops.gemm_us and the rest of
+/// wall.serve.head_us (mean of 50 calls), written to the entry's "wall"
+/// object.
 Entry bench_serve_model_head(bool quick) {
   stof::serve::ModelSpec spec;
   spec.kind = stof::serve::ModelKind::kGptDecoder;
@@ -855,12 +851,12 @@ Entry bench_serve_model_head(bool quick) {
   Entry e;
   e.name = "serve_model_head";
   e.shape = "gpt_decoder x2 layers, heads 4, head_size 32, 19 rows, "
-            "wall-clock ms per transform_rows call (scalar vs packed "
-            "GEMMs)";
+            "wall-clock ms per transform_rows call (scalar vs "
+            "best-ISA kernel table)";
   time_entry(
       e,
       [&] {
-        stof::ScopedPackedExecution scalar_mode(false);
+        stof::core::ScopedKernelIsa scalar(stof::core::Isa::kScalar);
         run(scalar_out);
       },
       [&] { run(packed_out); });
@@ -1063,19 +1059,30 @@ struct BaselineEntry {
   double packed_ms = 0;
 };
 
-/// Minimal scanner for the flat JSON write_json emits: pulls each entry's
-/// "name", "scalar_ms", and "packed_ms".  Not a general JSON parser — it
-/// only needs to read files this harness wrote (and committed baselines).
-std::map<std::string, BaselineEntry> read_baseline(const std::string& path,
-                                                   bool& ok) {
-  std::map<std::string, BaselineEntry> out;
+struct Baseline {
+  std::string mode;  ///< "quick" or "full", as write_json records it
+  std::map<std::string, BaselineEntry> entries;
+};
+
+/// Minimal scanner for the flat JSON write_json emits: pulls the file's
+/// "mode" and each entry's "name", "scalar_ms", and "packed_ms".  Not a
+/// general JSON parser — it only needs to read files this harness wrote
+/// (and committed baselines).
+Baseline read_baseline(const std::string& path, bool& ok) {
+  Baseline baseline;
+  auto& out = baseline.entries;
   std::ifstream is(path);
   if (!is) {
     ok = false;
-    return out;
+    return baseline;
   }
   std::string text((std::istreambuf_iterator<char>(is)),
                    std::istreambuf_iterator<char>());
+  const std::string mode_key = "\"mode\": \"";
+  if (const auto at = text.find(mode_key); at != std::string::npos) {
+    const std::size_t lo = at + mode_key.size();
+    baseline.mode = text.substr(lo, text.find('"', lo) - lo);
+  }
   const auto number_after = [&text](std::size_t from, const std::string& key,
                                     std::size_t limit) -> double {
     const auto at = text.find(key, from);
@@ -1098,7 +1105,7 @@ std::map<std::string, BaselineEntry> read_baseline(const std::string& path,
     pos = name_hi;
   }
   ok = !out.empty();
-  return out;
+  return baseline;
 }
 
 /// Compare against the committed baseline; returns false on regression.
@@ -1180,6 +1187,25 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(fresh_tunedb.path);
     tunedb_path = fresh_tunedb.path.string();
   }
+  // Quick and full runs time different shapes and traces, so a baseline is
+  // only comparable with a run of its own mode.
+  Baseline baseline;
+  if (!baseline_path.empty()) {
+    bool read_ok = true;
+    baseline = read_baseline(baseline_path, read_ok);
+    if (!read_ok) {
+      std::cerr << "error: could not read baseline " << baseline_path << "\n";
+      return 2;
+    }
+    const std::string mode = quick ? "quick" : "full";
+    if (baseline.mode != mode) {
+      std::cerr << "error: baseline " << baseline_path << " was written in "
+                << (baseline.mode.empty() ? "an unknown" : baseline.mode)
+                << " mode; this run is " << mode
+                << " mode, whose entries it cannot compare\n";
+      return 4;
+    }
+  }
 
   std::vector<Entry> entries;
   if (quick) {
@@ -1239,13 +1265,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!baseline_path.empty()) {
-    bool read_ok = true;
-    const auto baseline = read_baseline(baseline_path, read_ok);
-    if (!read_ok) {
-      std::cerr << "error: could not read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    if (!check_baseline(entries, baseline, threshold_pct)) {
+    if (!check_baseline(entries, baseline.entries, threshold_pct)) {
       std::cerr << "FAIL: packed_ms regressed more than " << threshold_pct
                 << "% vs " << baseline_path << "\n";
       return 3;

@@ -4,10 +4,9 @@
 // shared admission front door.  Every request is submitted to every
 // engine; engine i is configured as the head shard
 // [head_range(i).begin, head_range(i).end) of the model, with its own KV
-// pool (holding only its heads' pages), its own gpusim timeline, and its
-// own panel-cache sidecars — so paged decode, chunked prefill, prefix
-// sharing, and speculative decoding all shard without modification.  Every
-// engine is a shard, a one-device cluster included.  Shards of equal width
+// pool (holding only its heads' pages) and its own gpusim timeline — so
+// paged decode, chunked prefill, prefix sharing, and speculative decoding
+// all shard without modification.  Every engine is a shard, a one-device cluster included.  Shards of equal width
 // share one cost-only model runtime, so each shape bucket tunes once per
 // width; the cluster's full-width model head owns the weights.
 //

@@ -1,8 +1,8 @@
 // Tensor-parallel sharding of attention heads.
 //
 // Each shard owns a contiguous head range (head_range below) and its
-// matching KV-pool slice, so paged decode, prefix sharing and the pool's
-// sidecar pages shard for free.  The layer-boundary gather concatenates
+// matching KV-pool slice, so paged decode and prefix sharing shard for
+// free.  The layer-boundary gather concatenates
 // head outputs: no arithmetic crosses shards, so shard bytes equal the
 // corresponding head slice of a single-device run.
 //

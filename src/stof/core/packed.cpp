@@ -1,40 +1,11 @@
 #include "stof/core/packed.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/core/kernels.hpp"
 
-namespace stof {
-
-namespace {
-
-std::atomic<bool>& packed_flag() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
-
-}  // namespace
-
-bool packed_execution_enabled() {
-  return packed_flag().load(std::memory_order_relaxed);
-}
-
-void set_packed_execution(bool enabled) {
-  packed_flag().store(enabled, std::memory_order_relaxed);
-}
-
-ScopedPackedExecution::ScopedPackedExecution(bool enabled)
-    : previous_(packed_execution_enabled()) {
-  set_packed_execution(enabled);
-}
-
-ScopedPackedExecution::~ScopedPackedExecution() {
-  set_packed_execution(previous_);
-}
-
-namespace packed {
+namespace stof::packed {
 
 const float* h2f_table() {
   // Function-local static: built once, thread-safe under C++11 init rules.
@@ -73,5 +44,4 @@ void sgemm_accumulate(const float* a, const float* b, float* c,
   core::kernels().sgemm_accumulate(a, b, c, rows, k, n);
 }
 
-}  // namespace packed
-}  // namespace stof
+}  // namespace stof::packed

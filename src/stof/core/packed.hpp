@@ -9,13 +9,12 @@
 //   * panel conversion — whole half panels to contiguous FP32 buffers (a
 //     65536-entry exact lookup table) and back (round-to-nearest-even),
 //   * a cache-blocked FP32 GEMM accumulation microkernel that preserves the
-//     scalar kernels' per-element accumulation order, so packed results are
-//     bit-identical to the scalar reference.
+//     scalar reference's per-element accumulation order, so packed results
+//     are bit-identical to it.
 //
-// A process-wide switch selects the execution path; kernels with both a
-// packed and a scalar implementation (GEMM, block-wise MHA) consult it.
-// The packed path is the default; tests and the perf-regression harness
-// flip it to compare the two implementations.
+// Every kernel has this one packed body; the scalar reference bodies live
+// in the test oracle (tests/oracle/), which tests and bench_tier1 compare
+// the kernels against.
 #pragma once
 
 #include <cstdint>
@@ -23,27 +22,7 @@
 
 #include "stof/core/half.hpp"
 
-namespace stof {
-
-/// True when kernels should take the packed-FP32 path (the default).
-[[nodiscard]] bool packed_execution_enabled();
-
-/// Select the execution path globally (tests / benchmarks only).
-void set_packed_execution(bool enabled);
-
-/// RAII guard restoring the previous execution path on scope exit.
-class ScopedPackedExecution {
- public:
-  explicit ScopedPackedExecution(bool enabled);
-  ~ScopedPackedExecution();
-  ScopedPackedExecution(const ScopedPackedExecution&) = delete;
-  ScopedPackedExecution& operator=(const ScopedPackedExecution&) = delete;
-
- private:
-  bool previous_;
-};
-
-namespace packed {
+namespace stof::packed {
 
 /// 65536-entry binary16 -> binary32 table; entry i == half::to_float(i).
 [[nodiscard]] const float* h2f_table();
@@ -68,6 +47,4 @@ void float_to_half(std::span<const float> src, std::span<half> dst);
 void sgemm_accumulate(const float* a, const float* b, float* c,
                       std::int64_t rows, std::int64_t k, std::int64_t n);
 
-
-}  // namespace packed
-}  // namespace stof
+}  // namespace stof::packed

@@ -82,7 +82,7 @@ class Stream {
   /// Per-launch accounting under the sim.gpusim.* namespace.  Every metric
   /// is a sum or a histogram bucket count, so recording from concurrent
   /// tuner simulations stays deterministic; simulated cycles are a pure
-  /// function of (cost, device) and identical across packed/scalar modes.
+  /// function of (cost, device) and identical across kernel ISAs.
   void record_telemetry(const KernelRecord& rec) const {
     const double gmem =
         rec.cost.gmem_read_bytes + rec.cost.gmem_write_bytes;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "stof/core/kernels.hpp"
-#include "stof/core/packed.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -40,21 +39,6 @@ namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-/// Per-task state of the scalar reference, allocated from the worker
-/// chunk's scratch arena (zero steady-state heap traffic).
-struct TaskState {
-  std::span<float> m;    ///< running row maxima
-  std::span<float> l;    ///< running softmax denominators
-  std::span<float> acc;  ///< output accumulator, rows x d
-  std::span<float> s;    ///< score / weight tile, rows x block_n
-};
-
-TaskState make_state(ScratchArena& arena, std::int64_t rows, std::int64_t d,
-                     std::int64_t bn) {
-  return TaskState{arena.alloc_filled(rows, kNegInf), arena.alloc_zeroed(rows),
-                   arena.alloc_zeroed(rows * d), arena.alloc(rows * bn)};
-}
-
 /// Applies a ScoreMod to one lane group of a lane tile's scaled scores.
 struct ScoreModHook {
   const ScoreMod* mod;
@@ -82,9 +66,9 @@ std::int64_t rows_between(const std::vector<std::int64_t>& row_ptr,
 }
 
 /// KV-pool pages (block_tokens, heads, d): head h's rows at stride `row`.
-template <typename T>
-RowView<T> pool_rows(std::span<T* const> pages, std::int64_t page_rows,
-                     std::int64_t row, std::int64_t head_size) {
+RowView<const float> pool_rows(std::span<const float* const> pages,
+                               std::int64_t page_rows, std::int64_t row,
+                               std::int64_t head_size) {
   return {nullptr, pages, page_rows, 0, row, head_size};
 }
 
@@ -146,19 +130,14 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   TensorH out = make_output(dims, q, k, v);
   const std::int64_t n = dims.seq_len;
   const std::int64_t d = dims.head_size;
-  BlockwiseOperands io{padded_rows(q.data().data(), n, d),
-                       padded_rows(k.data().data(), n, d),
-                       padded_rows(v.data().data(), n, d),
-                       padded_rows(out.data().data(), n, d)};
   // Every K/V instance is converted half->float at most once per
   // *mutation*: the global registry keeps the panels across calls, keyed on
   // the K/V tensors' storage identity and version.
-  KvPanels panels;
-  if (packed_execution_enabled()) {
-    panels = fetch_kv_panels(k, v);
-    io.kf = padded_rows(panels.k.data(), n, d);
-    io.vf = padded_rows(panels.v.data(), n, d);
-  }
+  const KvPanels panels = fetch_kv_panels(k, v);
+  const BlockwiseOperands io{padded_rows(q.data().data(), n, d),
+                             padded_rows(panels.k.data(), n, d),
+                             padded_rows(panels.v.data(), n, d),
+                             padded_rows(out.data().data(), n, d)};
   blockwise_attention_rows(dims, io, mask, params, score_mod, q_block_begin,
                            q_block_end);
   return out;
@@ -187,17 +166,11 @@ void blockwise_attention_paged(std::int64_t heads, std::int64_t head_size,
                "q/out must hold their rows token-major");
   // Head h of a token-major row sits h * head_size into it; K/V rows are
   // the pool's pages, block_tokens rows each.
-  BlockwiseOperands io{
+  const BlockwiseOperands io{
       RowView<const half>{q.data(), {}, 0, q_row0, row, head_size},
       pool_rows(kv.k_blocks, kv.block_tokens, row, head_size),
       pool_rows(kv.v_blocks, kv.block_tokens, row, head_size),
       RowView<half>{out.data(), {}, 0, out_row0, row, head_size}, out_row0};
-  if (packed_execution_enabled()) {
-    io.kf = pool_rows(kv.float_pages.k_blocks, kv.block_tokens, row,
-                      head_size);
-    io.vf = pool_rows(kv.float_pages.v_blocks, kv.block_tokens, row,
-                      head_size);
-  }
   const std::int64_t q_blocks =
       (len + params.block_m - 1) / params.block_m;
   blockwise_attention_rows(MhaDims{1, heads, len, head_size}, io, mask,
@@ -231,8 +204,7 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
   if (q_blocks == 0) return;
 
   // Block skip/load accounting is a property of the BSR mask (restricted to
-  // the query window), so it is recorded once per call (not per task) and
-  // is identical whichever execution path runs below.
+  // the query window), so it is recorded once per call, not per task.
   if (telemetry::enabled()) {
     const std::int64_t instances = dims.instances();
     const std::int64_t valid =
@@ -246,15 +218,9 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
     telemetry::count("sim.mha.blocks_skipped", (total - valid) * instances);
     telemetry::count("sim.mha.blocks_full", full * instances);
     telemetry::count("sim.mha.blocks_part", part * instances);
-    telemetry::count(packed_execution_enabled()
-                         ? "exec.mha.blockwise.packed_calls"
-                         : "exec.mha.blockwise.scalar_calls");
   }
   telemetry::ScopedTimer timer("wall.mha.blockwise_us");
-
-  const bool use_packed = packed_execution_enabled();
-  STOF_EXPECTS(!use_packed || (!io.kf.empty() && !io.vf.empty()),
-               "the packed path reads K/V from FP32 rows");
+  STOF_EXPECTS(!io.k.empty() && !io.v.empty(), "K/V rows are required");
 
   const auto& load_ptr = mask.load_row_ptr();
   const auto& load_idx = mask.load_col_idx();
@@ -269,156 +235,72 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
     const std::int64_t row_hi = std::min(n, row_lo + bm);
     const std::int64_t rows = row_hi - row_lo;
 
-    if (use_packed) {
-      // ---- Packed FP32 path: the lane tile over row-major K/V. ----
-      // Each query row owns one vector lane, so a key block's scores,
-      // softmax update and PV accumulate advance all rows of the tile at
-      // once, each row with exactly the scalar path's operation order.
-      // A key block's FP32 rows are read where they live (a tensor panel
-      // or a KV pool's float page).
-      const core::KernelTable& ktab = core::kernels();
-      const std::int64_t lanes =
-          (rows + core::kLaneTileWidth - 1) / core::kLaneTileWidth *
-          core::kLaneTileWidth;
-      auto q_tile = arena.alloc(rows * d);
-      load_rows(io.q, bh, row_lo, rows, d, q_tile.data());
-      auto qt = arena.alloc_zeroed(d * lanes);
-      auto acc = arena.alloc_zeroed(d * lanes);
-      for (std::int64_t e = 0; e < d; ++e) {
-        for (std::int64_t r = 0; r < rows; ++r) {
-          qt[static_cast<std::size_t>(e * lanes + r)] =
-              q_tile[static_cast<std::size_t>(r * d + e)];
-        }
-      }
-      const core::LaneTile tile{qt.data(),
-                                arena.alloc_filled(lanes, kNegInf).data(),
-                                arena.alloc_zeroed(lanes).data(),
-                                acc.data(),
-                                arena.alloc(bn * core::kLaneTileWidth).data(),
-                                rows,
-                                lanes,
-                                d};
-      ScoreModHook hook{&score_mod, bh, row_lo, 0};
-      std::int64_t blocks = 0;
-      std::int64_t full_fast_blocks = 0;
-
-      sparse::BsrMask::RowBlocks row_blocks(mask, bi);
-      for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
-           it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it, ++blocks) {
-        const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
-        const std::int64_t col_lo = bj * bn;
-        const std::int64_t cols = std::min(n, col_lo + bn) - col_lo;
-        const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
-        if (bitmap == nullptr && !score_mod) ++full_fast_blocks;
-        hook.col_lo = col_lo;
-        const core::LaneBlock blk{
-            io.kf.row(kv, col_lo), io.kf.ld, io.vf.row(kv, col_lo), io.vf.ld,
-            cols, bitmap != nullptr ? bitmap->data() : nullptr, bn, scale,
-            score_mod ? &ScoreModHook::apply : nullptr, &hook};
-        ktab.attn_lane_block(tile, blk);
-      }
-      core::note_kernel_dispatch("exec.dispatch.attn_lane_block.calls",
-                                 blocks);
-      if (full_fast_blocks > 0) {
-        telemetry::count("exec.mha.blockwise.full_fast_blocks",
-                         full_fast_blocks);
-      }
-
-      // Epilogue: normalize and store (one rounding per output element),
-      // back from lane-major to row-major through the Q tile's buffer.
-      float* inv = tile.l;  // the denominators are dead after the last block
+    // The lane tile over row-major K/V: each query row owns one vector
+    // lane, so a key block's scores, softmax update and PV accumulate
+    // advance all rows of the tile at once, each row with exactly the
+    // scalar reference's operation order.  A key block's FP32 rows are read
+    // where they live (a tensor panel or a KV pool page).
+    const core::KernelTable& ktab = core::kernels();
+    const std::int64_t lanes =
+        (rows + core::kLaneTileWidth - 1) / core::kLaneTileWidth *
+        core::kLaneTileWidth;
+    auto q_tile = arena.alloc(rows * d);
+    load_rows(io.q, bh, row_lo, rows, d, q_tile.data());
+    auto qt = arena.alloc_zeroed(d * lanes);
+    auto acc = arena.alloc_zeroed(d * lanes);
+    for (std::int64_t e = 0; e < d; ++e) {
       for (std::int64_t r = 0; r < rows; ++r) {
-        inv[r] = tile.l[r] == 0.0f ? 0.0f : 1.0f / tile.l[r];
+        qt[static_cast<std::size_t>(e * lanes + r)] =
+            q_tile[static_cast<std::size_t>(r * d + e)];
       }
-      for (std::int64_t e = 0; e < d; ++e) {
-        for (std::int64_t r = 0; r < rows; ++r) {
-          q_tile[static_cast<std::size_t>(r * d + e)] =
-              acc[static_cast<std::size_t>(e * lanes + r)] * inv[r];
-        }
-      }
-      store_rows(q_tile.data(), rows, d, io.out, bh, row_lo, io.out_row0);
-      return;
     }
+    const core::LaneTile tile{qt.data(),
+                              arena.alloc_filled(lanes, kNegInf).data(),
+                              arena.alloc_zeroed(lanes).data(),
+                              acc.data(),
+                              arena.alloc(bn * core::kLaneTileWidth).data(),
+                              rows,
+                              lanes,
+                              d};
+    ScoreModHook hook{&score_mod, bh, row_lo, 0};
+    std::int64_t blocks = 0;
+    std::int64_t full_fast_blocks = 0;
 
-    // ---- Scalar reference path: per-element half loads. ----
-    TaskState st = make_state(arena, rows, d, bn);
-    const half* q_h = io.q.row(bh, row_lo);
     sparse::BsrMask::RowBlocks row_blocks(mask, bi);
     for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
-         it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it) {
+         it < load_ptr[static_cast<std::size_t>(bi) + 1]; ++it, ++blocks) {
       const std::int64_t bj = load_idx[static_cast<std::size_t>(it)];
       const std::int64_t col_lo = bj * bn;
       const std::int64_t cols = std::min(n, col_lo + bn) - col_lo;
       const std::vector<std::uint8_t>* bitmap = row_blocks.bitmap(bj);
-      const half* k_h = io.k.row(kv, col_lo);
-      const half* v_h = io.v.row(kv, col_lo);
-
-      // S = (Q_i K_j^T) * scale — the first wmma tile GEMM.
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < cols; ++c) {
-          float dot = 0;
-          for (std::int64_t e = 0; e < d; ++e) {
-            dot += float(q_h[r * io.q.ld + e]) * float(k_h[c * io.k.ld + e]);
-          }
-          float sv = dot * scale;
-          if (score_mod) {
-            sv = score_mod(bh, row_lo + r, col_lo + c, sv);
-          }
-          // Part blocks load their broadcast bitmap; full blocks skip it.
-          if (bitmap != nullptr &&
-              !(*bitmap)[static_cast<std::size_t>(r * bn + c)]) {
-            sv = kNegInf;
-          }
-          st.s[static_cast<std::size_t>(r * bn + c)] = sv;
-        }
-      }
-
-      // Online softmax update + PV accumulation (second tile GEMM).
-      for (std::int64_t r = 0; r < rows; ++r) {
-        float row_max = kNegInf;
-        for (std::int64_t c = 0; c < cols; ++c) {
-          row_max =
-              std::max(row_max, st.s[static_cast<std::size_t>(r * bn + c)]);
-        }
-        if (row_max == kNegInf) continue;
-        const float m_old = st.m[static_cast<std::size_t>(r)];
-        const float m_new = std::max(m_old, row_max);
-        const float correction =
-            (st.l[static_cast<std::size_t>(r)] == 0.0f)
-                ? 0.0f
-                : core::exp_f32(m_old - m_new);
-        float block_sum = 0;
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const float sv = st.s[static_cast<std::size_t>(r * bn + c)];
-          const float w = sv == kNegInf ? 0.0f : core::exp_f32(sv - m_new);
-          st.s[static_cast<std::size_t>(r * bn + c)] = w;
-          block_sum += w;
-        }
-        st.l[static_cast<std::size_t>(r)] =
-            st.l[static_cast<std::size_t>(r)] * correction + block_sum;
-        for (std::int64_t e = 0; e < d; ++e) {
-          float pv = 0;
-          for (std::int64_t c = 0; c < cols; ++c) {
-            pv += st.s[static_cast<std::size_t>(r * bn + c)] *
-                  float(v_h[c * io.v.ld + e]);
-          }
-          st.acc[static_cast<std::size_t>(r * d + e)] =
-              st.acc[static_cast<std::size_t>(r * d + e)] * correction + pv;
-        }
-        st.m[static_cast<std::size_t>(r)] = m_new;
-      }
+      if (bitmap == nullptr && !score_mod) ++full_fast_blocks;
+      hook.col_lo = col_lo;
+      const core::LaneBlock blk{
+          io.k.row(kv, col_lo), io.k.ld, io.v.row(kv, col_lo), io.v.ld,
+          cols, bitmap != nullptr ? bitmap->data() : nullptr, bn, scale,
+          score_mod ? &ScoreModHook::apply : nullptr, &hook};
+      ktab.attn_lane_block(tile, blk);
+    }
+    core::note_kernel_dispatch("exec.dispatch.attn_lane_block.calls",
+                               blocks);
+    if (full_fast_blocks > 0) {
+      telemetry::count("exec.mha.blockwise.full_fast_blocks",
+                       full_fast_blocks);
     }
 
-    // Epilogue: normalize and store. Fully masked rows emit zeros.
-    for (std::int64_t r = std::max<std::int64_t>(0, io.out_row0 - row_lo);
-         r < rows; ++r) {
-      const float denom = st.l[static_cast<std::size_t>(r)];
-      const float inv = denom == 0.0f ? 0.0f : 1.0f / denom;
-      half* o = io.out.row(bh, row_lo + r);
-      for (std::int64_t e = 0; e < d; ++e) {
-        o[e] = half(st.acc[static_cast<std::size_t>(r * d + e)] * inv);
+    // Epilogue: normalize and store (one rounding per output element),
+    // back from lane-major to row-major through the Q tile's buffer.
+    float* inv = tile.l;  // the denominators are dead after the last block
+    for (std::int64_t r = 0; r < rows; ++r) {
+      inv[r] = tile.l[r] == 0.0f ? 0.0f : 1.0f / tile.l[r];
+    }
+    for (std::int64_t e = 0; e < d; ++e) {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        q_tile[static_cast<std::size_t>(r * d + e)] =
+            acc[static_cast<std::size_t>(e * lanes + r)] * inv[r];
       }
     }
+    store_rows(q_tile.data(), rows, d, io.out, bh, row_lo, io.out_row0);
   });
 }
 

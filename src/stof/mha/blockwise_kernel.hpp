@@ -17,12 +17,12 @@
 //   * cp.async pipelining of V loads behind the score math (overlap),
 //   * SMEM padding that removes the bank-conflict multiplier.
 //
-// On the host, the packed FP32 path runs each Q sub-block as one lane tile
-// (core::KernelTable::attn_lane_block): every query row owns a vector
-// lane, so a block's scores, online-softmax update and PV accumulate
-// advance all rows at once while each row keeps the scalar reference's
-// operation order; the scalar reference runs row by row.  Every softmax exp
-// goes through core::exp_f32.
+// On the host, the kernel runs each Q sub-block as one lane tile
+// (core::KernelTable::attn_lane_block) over FP32 K/V rows: every query row
+// owns a vector lane, so a block's scores, online-softmax update and PV
+// accumulate advance all rows at once while each row keeps the operation
+// order of the row-by-row scalar reference (the test oracle).  Every
+// softmax exp goes through core::exp_f32.
 #pragma once
 
 #include <functional>
@@ -103,20 +103,18 @@ template <typename T>
   return {data + first * seq * d, {}, 0, 0, d, seq * d};
 }
 
-/// Where a block-wise launch reads its operands and writes its output.
-/// The scalar reference reads the half views; the packed path reads K/V
-/// from `kf`/`vf`, which it requires.
+/// Where a block-wise launch reads its operands and writes its output:
+/// half query rows, FP32 K/V rows (exact widenings of half values), half
+/// output rows.
 struct BlockwiseOperands {
   RowView<const half> q = {};
-  RowView<const half> k = {};
-  RowView<const half> v = {};
+  RowView<const float> k = {};
+  RowView<const float> v = {};
   RowView<half> out = {};
   std::int64_t out_row0 = 0;  ///< rows below are computed but not stored
-  RowView<const float> kf = {};
-  RowView<const float> vf = {};
 };
 
-/// Whole-tensor FP32 panels of K and V (core::float_panel) for the packed
+/// Whole-tensor FP32 panels of K and V (core::float_panel) for the
 /// tensor-level kernels.  Counts `exec.mha.panels_converted`: one panel
 /// per K/V instance of each tensor this fetch actually converted (registry
 /// hits count nothing).
@@ -128,7 +126,7 @@ KvPanels fetch_kv_panels(const TensorH& k, const TensorH& v);
 
 /// Functional execution over the BSR mask: streaming softmax across valid
 /// blocks, full/part paths as in the paper.  The BSR block sizes must match
-/// `params`.  Packed mode reads K/V through fetch_kv_panels.
+/// `params`.  K/V are read through fetch_kv_panels.
 ///
 /// `q_block_begin`/`q_block_end` restrict execution to the query block-rows
 /// in [q_block_begin, q_block_end) (`q_block_end < 0` means every row).
@@ -159,8 +157,7 @@ void blockwise_attention_rows(const MhaDims& dims, const BlockwiseOperands& io,
 
 /// Block-wise attention of one sequence whose K/V live in a paged KV cache
 /// (the serving prefill).  Key block bj is page bj, so
-/// `kv.block_tokens` must equal BLOCK_N; the scalar reference reads the
-/// half pages and the packed path `kv.float_pages`.  `kv.cols` is unused:
+/// `kv.block_tokens` must equal BLOCK_N.  `kv.cols` is unused:
 /// `mask` (at least kv.context_len wide) decides what each row attends.
 /// `q` holds query rows [q_row0, context_len) token-major (row r at
 /// (r - q_row0) * heads * head_size, head h at + h * head_size), q_row0 a

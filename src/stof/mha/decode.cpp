@@ -24,10 +24,6 @@ void PagedSeq::validate(std::int64_t heads, std::int64_t head_size) const {
   };
   STOF_EXPECTS(covers(k_blocks, v_blocks),
                "not enough KV blocks for context_len");
-  if (packed_execution_enabled()) {
-    STOF_EXPECTS(covers(float_pages.k_blocks, float_pages.v_blocks),
-                 "the packed path needs float KV pages for context_len");
-  }
   std::int32_t prev = -1;
   for (const auto c : cols) {
     STOF_EXPECTS(c > prev, "cols must be strictly ascending");
@@ -48,7 +44,6 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
   TensorH out(q_shape);
   const std::int64_t d = head_size;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  const bool use_packed = packed_execution_enabled();
 
   // One task per (sequence, head) instance — each is fully independent, so
   // per-sequence outputs cannot depend on what else is in the batch.
@@ -59,31 +54,22 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     const std::int64_t h = inst % heads;
     const PagedSeq& seq = seqs[static_cast<std::size_t>(s)];
     const std::int64_t bt = seq.block_tokens;
-    // The packed path reads the KV pool's float pages (each page converted
-    // once when its rows were appended), so a step does no O(context)
-    // half->float work; the conversion is exact, so every score and PV
-    // term below is the float the scalar path's half loads give.
-    const KvFloatPages& f32 = seq.float_pages;
 
     float m = -std::numeric_limits<float>::infinity();
     float l = 0;
     auto acc = arena.alloc_zeroed(d);
     auto w_buf = arena.alloc(bt);
     auto col_buf = arena.alloc(bt);  // local offsets of attended cols
-
-    std::span<float> q_row, pv;
-    if (use_packed) {
-      // half->float conversion is exact, so reading through a converted
-      // FP32 panel rounds identically to per-element float(half) loads.
-      q_row = arena.alloc(d);
-      packed::half_to_float(
-          q.data().subspan(static_cast<std::size_t>(inst * d), q_row.size()),
-          q_row);
-      pv = arena.alloc(d);
-    }
+    // half->float conversion is exact, so the converted query row rounds
+    // identically to per-element float(half) loads.
+    auto q_row = arena.alloc(d);
+    packed::half_to_float(
+        q.data().subspan(static_cast<std::size_t>(inst * d), q_row.size()),
+        q_row);
+    auto pv = arena.alloc(d);
 
     // Stream the attended columns one KV page at a time with the exact
-    // per-block update order of the block-wise kernel's scalar path:
+    // per-block update order of the block-wise kernel's scalar reference:
     // block row-max, max-merge, correction, ascending-column weight sum,
     // then the PV accumulate over ascending columns.  Masked columns
     // inside a visited page contribute w == 0 there, which is an exact
@@ -94,8 +80,8 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     const std::size_t n_cols = seq.cols.size();
     while (g < n_cols) {
       const std::int64_t bj = seq.cols[g] / bt;
-      const half* k_blk = seq.k_blocks[static_cast<std::size_t>(bj)];
-      const half* v_blk = seq.v_blocks[static_cast<std::size_t>(bj)];
+      const float* k_blk = seq.k_blocks[static_cast<std::size_t>(bj)];
+      const float* v_blk = seq.v_blocks[static_cast<std::size_t>(bj)];
       const std::int64_t col_lo = bj * bt;
 
       // Collect this page's attended locals (exact small integers, stored
@@ -109,26 +95,10 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       // Scores for this page's attended columns: w_buf[c] = dot_c * scale,
       // row_max = max over them (exact, so the batched reduction matches
       // the scalar running max bit-for-bit).
-      float row_max = -std::numeric_limits<float>::infinity();
-      if (use_packed) {
-        const float* kf_blk = f32.k_blocks[static_cast<std::size_t>(bj)];
-        kt.dot_rows(q_row.data(), kf_blk + h * d, heads * d, col_buf.data(),
-                    w_buf.data(), nb, d);
-        kt.scale_inplace(w_buf.data(), scale, nb);
-        row_max = kt.reduce_max(w_buf.data(), nb);
-      } else {
-        for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local =
-              static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-          const half* k_row = k_blk + (local * heads + h) * d;
-          float dot = 0;
-          for (std::int64_t e = 0; e < d; ++e) {
-            dot += float(q.at(inst, 0, e)) * float(k_row[e]);
-          }
-          w_buf[static_cast<std::size_t>(c)] = dot * scale;
-          row_max = std::max(row_max, dot * scale);
-        }
-      }
+      kt.dot_rows(q_row.data(), k_blk + h * d, heads * d, col_buf.data(),
+                  w_buf.data(), nb, d);
+      kt.scale_inplace(w_buf.data(), scale, nb);
+      const float row_max = kt.reduce_max(w_buf.data(), nb);
 
       // Online-softmax merge, ascending-column weight sum (block-wise op
       // order; a page with no attended columns is never visited, matching
@@ -146,47 +116,26 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       }
       l = l * correction + block_sum;
 
-      // PV accumulate.  Packed paths build the page's PV vector with one
-      // axpy per ascending column — per element that is the same
-      // `pv += w_c * v[e]` mul/add chain as the scalar e-outer loop — then
-      // merge with acc = acc*correction + 1.0*pv (alpha == 1 is exact).
-      if (use_packed) {
-        std::fill(pv.begin(), pv.end(), 0.0f);
-        const float* vf_blk = f32.v_blocks[static_cast<std::size_t>(bj)];
-        for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local = static_cast<std::int64_t>(
-              col_buf[static_cast<std::size_t>(c)]);
-          kt.axpy(pv.data(), vf_blk + (local * heads + h) * d,
-                  w_buf[static_cast<std::size_t>(c)], d);
-        }
-        kt.axpby(acc.data(), pv.data(), correction, 1.0f, d);
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          float pvs = 0;
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            pvs += w_buf[static_cast<std::size_t>(c)] *
-                   float(v_blk[(local * heads + h) * d + e]);
-          }
-          acc[static_cast<std::size_t>(e)] =
-              acc[static_cast<std::size_t>(e)] * correction + pvs;
-        }
+      // PV accumulate: the page's PV vector with one axpy per ascending
+      // column — per element that is the scalar reference's `pv += w_c *
+      // v[e]` mul/add chain — then acc = acc*correction + 1.0*pv (alpha ==
+      // 1 is exact).
+      std::fill(pv.begin(), pv.end(), 0.0f);
+      for (std::int64_t c = 0; c < nb; ++c) {
+        const auto local =
+            static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
+        kt.axpy(pv.data(), v_blk + (local * heads + h) * d,
+                w_buf[static_cast<std::size_t>(c)], d);
       }
+      kt.axpby(acc.data(), pv.data(), correction, 1.0f, d);
       m = m_new;
     }
 
     const float inv = l == 0.0f ? 0.0f : 1.0f / l;
-    if (use_packed) {
-      kt.scale_inplace(acc.data(), inv, d);
-      packed::float_to_half(
-          acc, out.data().subspan(static_cast<std::size_t>(inst * d),
-                                  static_cast<std::size_t>(d)));
-    } else {
-      for (std::int64_t e = 0; e < d; ++e) {
-        out.at(inst, 0, e) = half(acc[static_cast<std::size_t>(e)] * inv);
-      }
-    }
+    kt.scale_inplace(acc.data(), inv, d);
+    packed::float_to_half(
+        acc, out.data().subspan(static_cast<std::size_t>(inst * d),
+                                static_cast<std::size_t>(d)));
   });
   return out;
 }

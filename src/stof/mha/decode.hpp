@@ -5,11 +5,11 @@
 // kernel (one warp per (sequence, head) instance).  The paper's conclusion
 // points at "other DNN scenarios"; this is the decode-side one.  There is
 // one kernel, decode_attention_paged, which reads each sequence's K/V
-// where the serving KV pool keeps them (fixed-size half pages for the
-// scalar reference, their exact FP32 copies for the packed path), and one
-// cost routine, decode_verify_cost, which also covers a speculative
-// verification round.  A step's attended
-// columns are a row of the sequence's mask (sparse::BsrMask::row_cols).
+// where the serving KV pool keeps them (fixed-size FP32 pages holding
+// exact widenings of half values), and one cost routine,
+// decode_verify_cost, which also covers a speculative verification round.
+// A step's attended columns are a row of the sequence's mask
+// (sparse::BsrMask::row_cols).
 #pragma once
 
 #include <span>
@@ -20,34 +20,22 @@
 
 namespace stof::mha {
 
-/// Exact FP32 copies of a sequence's KV pages (the KV pool's float
-/// pages).  Each float block mirrors its half block's layout and covers at
-/// least the first context_len rows; the conversion is exact, so the
-/// packed path reading these computes what per-element float(half) loads
-/// would.
-struct KvFloatPages {
-  std::span<const float* const> k_blocks;
-  std::span<const float* const> v_blocks;
-};
-
 /// One sequence's view of a paged KV-cache for a batched decode step (and
 /// for a paged prefill, which takes its columns from the mask, not `cols`).
 ///
 /// Block i holds positions [i*block_tokens, (i+1)*block_tokens); each block
-/// is (block_tokens, heads, head_size) row-major half, so a serving KV pool
-/// can hand out non-contiguous fixed-size pages without gathering.
+/// is (block_tokens, heads, head_size) row-major FP32, so a serving KV pool
+/// can hand out non-contiguous fixed-size pages without gathering.  Every
+/// element is the exact widening of a half value (the modelled GPU stores
+/// FP16), so the kernels compute what per-element float(half) loads would.
 struct PagedSeq {
   std::int64_t context_len = 0;   ///< cached tokens this query may see
   std::int64_t block_tokens = 0;  ///< positions per KV block (power of two)
-  std::span<const half* const> k_blocks;
-  std::span<const half* const> v_blocks;
+  std::span<const float* const> k_blocks;
+  std::span<const float* const> v_blocks;
   /// Attendable positions, ascending, all in [0, context_len).
   std::span<const std::int32_t> cols;
-  /// The pages' FP32 copies, which the packed path reads and requires;
-  /// the scalar reference reads the half pages and leaves this empty.
-  KvFloatPages float_pages = {};
 
-  /// Checks the view; in packed mode float_pages must cover context_len.
   void validate(std::int64_t heads, std::int64_t head_size) const;
 };
 

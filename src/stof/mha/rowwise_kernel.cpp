@@ -19,17 +19,14 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   const std::int64_t d = dims.head_size;
   const float scale = dims.scale();
 
-  // Packed path: fetch each K/V instance's float panel from the global
-  // cross-call cache (converted at most once per mutation of the tensor;
-  // K/V rows are gathered by every query row that attends to them, so the
-  // panels amortize across the whole instance and across repeated calls).
-  // Both panels stay row-major — each gathered column dots one whole K row
-  // and consumes one whole V row.  The streaming-softmax arithmetic below
-  // is identical in both paths, so the packed results are bit-identical to
-  // the scalar per-element `at()` reference.
-  const bool use_packed = packed_execution_enabled();
-  KvPanels panels;
-  if (use_packed) panels = fetch_kv_panels(k, v);
+  // Fetch each K/V instance's float panel from the global cross-call cache
+  // (converted at most once per mutation of the tensor; K/V rows are
+  // gathered by every query row that attends to them, so the panels
+  // amortize across the whole instance and across repeated calls).  Both
+  // panels stay row-major — each gathered column dots one whole K row and
+  // consumes one whole V row — and the arithmetic is the scalar
+  // reference's, bit for bit.
+  const KvPanels panels = fetch_kv_panels(k, v);
 
   parallel_for_scratch(0, dims.instances() * n, [&](std::int64_t row,
                                                     ScratchArena& arena) {
@@ -46,47 +43,28 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
     float l = 0.0f;
     auto acc = arena.alloc_zeroed(d);
 
-    const float* kf = nullptr;
-    const float* vf = nullptr;
-    std::span<float> q_row;
-    if (use_packed) {
-      kf = panels.k.data() + kv * n * d;
-      vf = panels.v.data() + kv * n * d;
-      q_row = arena.alloc(d);
-      packed::half_to_float(
-          q.data().subspan(static_cast<std::size_t>((bh * n + i) * d),
-                           q_row.size()),
-          q_row);
-    }
+    const float* kf = panels.k.data() + kv * n * d;
+    const float* vf = panels.v.data() + kv * n * d;
+    auto q_row = arena.alloc(d);
+    packed::half_to_float(
+        q.data().subspan(static_cast<std::size_t>((bh * n + i) * d),
+                         q_row.size()),
+        q_row);
 
     for (std::int64_t p = lo; p < hi; ++p) {
       const std::int64_t j = mask.col_idx()[static_cast<std::size_t>(p)];
+      const float* k_row = kf + j * d;
       float dot = 0;
-      if (use_packed) {
-        const float* k_row = kf + j * d;
-        for (std::int64_t e = 0; e < d; ++e) dot += q_row[e] * k_row[e];
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          dot += float(q.at(bh, i, e)) * float(k.at(kv, j, e));
-        }
-      }
+      for (std::int64_t e = 0; e < d; ++e) dot += q_row[e] * k_row[e];
       const float s = dot * scale;
       const float m_new = std::max(m, s);
       const float correction = (l == 0.0f) ? 0.0f : std::exp(m - m_new);
       const float w = std::exp(s - m_new);
       l = l * correction + w;
-      if (use_packed) {
-        const float* v_row = vf + j * d;
-        for (std::int64_t e = 0; e < d; ++e) {
-          acc[static_cast<std::size_t>(e)] =
-              acc[static_cast<std::size_t>(e)] * correction + w * v_row[e];
-        }
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          acc[static_cast<std::size_t>(e)] =
-              acc[static_cast<std::size_t>(e)] * correction +
-              w * float(v.at(kv, j, e));
-        }
+      const float* v_row = vf + j * d;
+      for (std::int64_t e = 0; e < d; ++e) {
+        acc[static_cast<std::size_t>(e)] =
+            acc[static_cast<std::size_t>(e)] * correction + w * v_row[e];
       }
       m = m_new;
     }

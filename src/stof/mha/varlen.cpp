@@ -2,8 +2,6 @@
 
 #include <map>
 
-#include "stof/core/packed.hpp"
-
 namespace stof::mha {
 
 masks::Mask effective_mask(const masks::Mask& base, std::int64_t len) {
@@ -66,14 +64,13 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   const auto bsr_by_len = prefixes_by_length(base_bsr, batch);
 
   // Element b is a view into the batch tensors: its query instances start
-  // at b * heads, its K/V instances at b * kv_heads.  Packed mode converts
-  // the whole batch's K/V panels once (through the cross-call registry,
-  // keyed on the batch tensors) and every element reads its slice.
+  // at b * heads, its K/V instances at b * kv_heads.  The whole batch's K/V
+  // panels convert once (through the cross-call registry, keyed on the
+  // batch tensors) and every element reads its slice.
   const std::int64_t n = dims.seq_len;
   const std::int64_t d = dims.head_size;
   const std::int64_t kv_heads = dims.kv_head_count();
-  KvPanels panels;
-  if (packed_execution_enabled()) panels = fetch_kv_panels(k, v);
+  const KvPanels panels = fetch_kv_panels(k, v);
 
   // One single-element attention per batch entry against its own BSR, over
   // the block rows covering [q_begin, len); the window's bytes equal a
@@ -81,14 +78,11 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   // chunked prefill bit-identical.  Padded rows stay zero.
   const MhaDims per_element{1, dims.heads, n, d, dims.kv_heads};
   for (std::int64_t b = 0; b < dims.batch; ++b) {
-    BlockwiseOperands io{padded_rows(q.data().data(), n, d, b * dims.heads),
-                         padded_rows(k.data().data(), n, d, b * kv_heads),
-                         padded_rows(v.data().data(), n, d, b * kv_heads),
-                         padded_rows(out.data().data(), n, d, b * dims.heads)};
-    if (panels.k) {
-      io.kf = padded_rows(panels.k.data(), n, d, b * kv_heads);
-      io.vf = padded_rows(panels.v.data(), n, d, b * kv_heads);
-    }
+    const BlockwiseOperands io{
+        padded_rows(q.data().data(), n, d, b * dims.heads),
+        padded_rows(panels.k.data(), n, d, b * kv_heads),
+        padded_rows(panels.v.data(), n, d, b * kv_heads),
+        padded_rows(out.data().data(), n, d, b * dims.heads)};
     const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
     const auto [qb_lo, qb_hi] = element_window(batch, b, params);
     blockwise_attention_rows(per_element, io, bsr_by_len.at(len), params,

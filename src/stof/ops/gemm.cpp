@@ -1,7 +1,6 @@
 #include "stof/ops/gemm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <vector>
 
@@ -35,7 +34,6 @@ float apply_epilogue(float acc, Epilogue ep, float bias) {
 /// public entry points; the kernels below index with plain offsets).
 struct GemmView {
   const half* a = nullptr;     ///< (batch, m, k) row-major
-  const half* b = nullptr;     ///< (k, n) or (batch, k, n) row-major
   half* c = nullptr;           ///< (batch, m, n) row-major
   const half* bias = nullptr;  ///< (n) when the epilogue uses it
   std::int64_t batch = 1;
@@ -46,35 +44,20 @@ struct GemmView {
   Epilogue epilogue = Epilogue::kNone;
 };
 
-/// Scalar reference: one FP32 accumulator per output element, k ascending.
-/// Row pointers hoist the per-element stride arithmetic (and the division
-/// that recovers (batch, row) from the flat task index) out of the k-loop.
-void run_scalar(const GemmView& v) {
-  parallel_for(0, v.batch * v.m, [&](std::int64_t bm) {
-    const std::int64_t bi = bm / v.m;
-    const std::int64_t mi = bm % v.m;
-    assert(bi < v.batch && mi < v.m);
-    const half* a_row = v.a + (bi * v.m + mi) * v.k;
-    const half* b_base = v.b + (v.batched_b ? bi * v.k * v.n : 0);
-    half* c_row = v.c + (bi * v.m + mi) * v.n;
-    for (std::int64_t ni = 0; ni < v.n; ++ni) {
-      float acc = 0.0f;  // FP32 accumulate, as on tensor cores
-      for (std::int64_t ki = 0; ki < v.k; ++ki) {
-        acc += float(a_row[ki]) * float(b_base[ki * v.n + ni]);
-      }
-      const float bv =
-          v.epilogue == Epilogue::kNone ? 0.0f : float(v.bias[ni]);
-      c_row[ni] = half(apply_epilogue(acc, v.epilogue, bv));
-    }
-  });
-}
-
-/// Packed path: convert the A panel to FP32 (activations change every
-/// call), take the B panel pre-converted from the caller, run the
-/// cache-blocked accumulation microkernel per row block, apply the
-/// epilogue in FP32 and convert the output panel back to half.
-/// Accumulation order and final rounding match run_scalar bit for bit.
-void run_packed(const GemmView& v, const float* b_pack) {
+/// Convert the A panel to FP32 (activations change every call), take B's
+/// FP32 panel from the cross-call registry, run the cache-blocked
+/// accumulation microkernel per row block, apply the epilogue in FP32 and
+/// convert the output panel back to half.  Accumulation order and final
+/// rounding match the scalar reference (k ascending per element, one half
+/// rounding) bit for bit.  MAC counts depend only on the problem shape.
+void run(const GemmView& v, const TensorH& b) {
+  if (telemetry::enabled()) {
+    telemetry::count("sim.ops.gemm_calls");
+    telemetry::count("sim.ops.gemm_macs", v.batch * v.m * v.n * v.k);
+  }
+  telemetry::ScopedTimer timer("wall.ops.gemm_us");
+  const core::PanelRef b_ref = core::float_panel(b);
+  const float* b_pack = b_ref.data();
   std::vector<float> a_pack(static_cast<std::size_t>(v.batch * v.m * v.k));
   packed::half_to_float({v.a, a_pack.size()}, a_pack);
   std::vector<float> bias_pack;
@@ -130,57 +113,16 @@ GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
     v.bias = bias->data().data();
   }
   v.a = a.data().data();
-  v.b = b.data().data();
   v.c = c.data().data();
   v.epilogue = epilogue;
   return v;
-}
-
-/// Path-taken + simulated-work accounting of one dispatched GEMM call.
-/// MAC counts depend only on the problem shape, so `sim.ops.gemm_macs` is
-/// identical whichever implementation runs; the `exec.ops.*` counters say
-/// which one did.
-void record_gemm_dispatch(const GemmView& v, bool packed) {
-  if (!telemetry::enabled()) return;
-  telemetry::count("sim.ops.gemm_calls");
-  telemetry::count("sim.ops.gemm_macs", v.batch * v.m * v.n * v.k);
-  telemetry::count(packed ? "exec.ops.gemm.packed_calls"
-                          : "exec.ops.gemm.scalar_calls");
-}
-
-/// The packed engine over `b`'s cached FP32 panel.
-void run_packed_cached(const GemmView& v, const TensorH& b) {
-  const core::PanelRef b_ref = core::float_panel(b);
-  run_packed(v, b_ref.data());
-}
-
-/// Counted, timed dispatch to the packed or scalar engine.
-void dispatch(const GemmView& v, const TensorH& b) {
-  const bool packed = packed_execution_enabled();
-  record_gemm_dispatch(v, packed);
-  telemetry::ScopedTimer timer("wall.ops.gemm_us");
-  if (packed) {
-    run_packed_cached(v, b);
-  } else {
-    run_scalar(v);
-  }
 }
 
 }  // namespace
 
 void gemm(const TensorH& a, const TensorH& b, TensorH& c, Epilogue epilogue,
           const TensorH* bias) {
-  dispatch(validate(a, b, c, epilogue, bias), b);
-}
-
-void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue, const TensorH* bias) {
-  run_scalar(validate(a, b, c, epilogue, bias));
-}
-
-void gemm_packed(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue, const TensorH* bias) {
-  run_packed_cached(validate(a, b, c, epilogue, bias), b);
+  run(validate(a, b, c, epilogue, bias), b);
 }
 
 void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
@@ -192,9 +134,8 @@ void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
   STOF_EXPECTS(w.shape()[0] == v.k, "matmul inner dimension mismatch");
   STOF_EXPECTS(y.shape() == (Shape{v.m, v.n}), "output shape mismatch");
   v.a = x.data().data();
-  v.b = w.data().data();
   v.c = y.data().data();
-  dispatch(v, w);
+  run(v, w);
 }
 
 void warm_weight_panel(const TensorH& w) {

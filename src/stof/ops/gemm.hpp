@@ -43,28 +43,14 @@ enum class Epilogue { kNone, kBias, kBiasRelu, kBiasGelu };
 /// C = A x B with optional epilogue.
 /// A: (batch, m, k); B: (k, n) shared across the batch or (batch, k, n);
 /// C: (batch, m, n); bias: (n) when the epilogue uses it.
-/// Dispatches to the packed-FP32 engine unless scalar execution was
-/// selected via stof::set_packed_execution(false); both paths produce the
-/// same bits.
+/// A's panel converts to FP32 per call, B's comes from the cross-call panel
+/// registry; the cache-blocked accumulation keeps the scalar reference's
+/// per-element order, so the result is that reference's, bit for bit.
 void gemm(const TensorH& a, const TensorH& b, TensorH& c,
           Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 
-/// Scalar reference implementation: per-element FP32 accumulation over row
-/// pointers.  The packed path must match it bit for bit.
-void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue = Epilogue::kNone,
-                 const TensorH* bias = nullptr);
-
-/// Packed implementation: A/B panels converted to contiguous FP32 buffers
-/// (B's cached in the panel registry across calls), cache-blocked
-/// accumulation, panel conversion on store.
-void gemm_packed(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue = Epilogue::kNone,
-                 const TensorH* bias = nullptr);
-
-/// y = x (r, k) * w (k, n), FP32 accumulate, no epilogue — the projection
-/// matmul of the functional executor.  Same packed/scalar dispatch as
-/// gemm().
+/// y = x (r, k) * w (k, n), FP32 accumulate, no epilogue — gemm() over a
+/// single (r, k) batch.
 void matmul2d(const TensorH& x, const TensorH& w, TensorH& y);
 
 /// Pre-convert `w`'s FP32 panel into the cross-call registry (a no-op when

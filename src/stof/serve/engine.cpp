@@ -91,12 +91,17 @@ Engine::Engine(const EngineConfig& config,
   }
   if (model_) {
     // "Model load": tune (or warm-load from the tuning DB) the buckets of
-    // a full decode batch and of a full continuous step's prefill budget,
-    // unless a shard of the same width already did.  Any other bucket a
-    // step hits (a mixed prefill + decode step, a serial whole-context
-    // prefill) tunes lazily on first use.
-    model_->prewarm(scheduler_.config().max_decode_batch);
-    model_->prewarm(scheduler_.config().step_prefill_budget());
+    // a full decode batch and of a full step's prefill — a continuous
+    // step's prefill budget, or one context of at most max_seq_len rows in
+    // a serial step — unless a shard of the same width already did.  Any
+    // other bucket a step hits (a mixed prefill + decode step, a shorter
+    // serial prefill) tunes lazily on first use.
+    const SchedulerConfig& sc = scheduler_.config();
+    model_->prewarm(sc.max_decode_batch);
+    model_->prewarm(sc.mode == SchedulerMode::kSerial
+                        ? std::min(sc.step_prefill_budget(),
+                                   config_.max_seq_len)
+                        : sc.step_prefill_budget());
   }
   telemetry::gauge("serve.kv.total_blocks",
                    static_cast<double>(config_.kv_blocks));
@@ -156,6 +161,16 @@ void Engine::fill_token_local(std::uint64_t seed, std::int64_t pos,
               dst.size() * sizeof(half));
 }
 
+void Engine::fill_kv_local(std::uint64_t seed, std::int64_t pos,
+                           const TokenSlot& slot) {
+  const auto row = static_cast<std::size_t>(config_.heads * config_.head_size);
+  kv_stage_.resize(row);
+  fill_token_local(seed, pos, TokenChannel::kKey, kv_stage_);
+  packed::half_to_float(kv_stage_, {slot.k, row});
+  fill_token_local(seed, pos, TokenChannel::kValue, kv_stage_);
+  packed::half_to_float(kv_stage_, {slot.v, row});
+}
+
 double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
                                    StepOutcome& outcome) {
   if (windows.empty()) return 0;
@@ -201,11 +216,9 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
                      pool_.tokens(chunk.id) == chunk.begin,
                  "chunk must resume at the session's cached prefix");
       for (std::int64_t pos = chunk.begin; pos < chunk.end; ++pos) {
-        auto slot = pool_.append_token(chunk.id);
+        const auto slot = pool_.append_token(chunk.id);
         STOF_CHECK(slot.has_value(), "scheduler must size chunks to the pool");
-        const std::uint64_t seed = token_seed(s.request, pos);
-        fill_token_local(seed, pos, TokenChannel::kKey, {slot->k, row});
-        fill_token_local(seed, pos, TokenChannel::kValue, {slot->v, row});
+        fill_kv_local(token_seed(s.request, pos), pos, *slot);
       }
       lengths.push_back(chunk.end);
       q_begins.push_back(chunk.begin);
@@ -238,13 +251,9 @@ double Engine::run_prefill_windows(const std::vector<PrefillChunk>& windows,
       for (std::int64_t pos = out_lo; pos < chunk.end; ++pos) {
         (void)outcome.rows.add(chunk.id, pos);
       }
-      // The packed path reads the pool's float pages: the same pages
-      // decode reads next, so no row is converted twice.
-      const mha::PagedSeq kv{
-          chunk.end, config_.block_tokens, pool_.k_blocks(chunk.id),
-          pool_.v_blocks(chunk.id), {},
-          packed_execution_enabled() ? pool_.float_pages(chunk.id)
-                                     : mha::KvFloatPages{}};
+      const mha::PagedSeq kv{chunk.end, config_.block_tokens,
+                             pool_.k_blocks(chunk.id),
+                             pool_.v_blocks(chunk.id), {}};
       mha::blockwise_attention_paged(
           heads, d, kv, base.prefix(chunk.end), params, q_rows, q_lo,
           std::span<half>(outcome.rows.data).subspan(first_row * row),
@@ -313,13 +322,10 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
       const std::uint64_t seed = j <= r.accept
                                      ? s.request.seed
                                      : (s.request.seed ^ kSpecDraftSalt);
-      auto slot = pool_.append_token(id);
+      const auto slot = pool_.append_token(id);
       STOF_CHECK(slot.has_value(),
                  "scheduler must reserve verify-round decode blocks");
-      fill_token_local(seed, r.pos + j, TokenChannel::kKey,
-                       {slot->k, static_cast<std::size_t>(heads * d)});
-      fill_token_local(seed, r.pos + j, TokenChannel::kValue,
-                       {slot->v, static_cast<std::size_t>(heads * d)});
+      fill_kv_local(seed, r.pos + j, *slot);
     }
     s.cached_tokens = r.pos + r.rows;
     rounds.push_back(r);
@@ -339,11 +345,6 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
   std::int64_t row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
-    // The packed path reads the pool's float pages: only the rows appended
-    // since the last refresh convert, everything older is already cached.
-    const mha::KvFloatPages float_pages =
-        packed_execution_enabled() ? pool_.float_pages(r.id)
-                                   : mha::KvFloatPages{};
     for (std::int64_t j = 0; j < r.rows; ++j, ++row) {
       const std::int64_t pos = r.pos + j;
       const std::uint64_t seed = j <= r.accept
@@ -359,7 +360,7 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
       const auto& row_cols = cols[static_cast<std::size_t>(row)];
       seqs[static_cast<std::size_t>(row)] = mha::PagedSeq{
           pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
-          pool_.v_blocks(r.id), row_cols, float_pages};
+          pool_.v_blocks(r.id), row_cols};
       valid.push_back(static_cast<std::int64_t>(row_cols.size()));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {

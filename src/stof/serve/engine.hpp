@@ -241,6 +241,9 @@ class Engine {
   /// bytes equal heads [head_offset, ...) of a single-device run.
   void fill_token_local(std::uint64_t seed, std::int64_t pos,
                         TokenChannel channel, std::span<half> dst);
+  /// Fill a pool slot with the widened K and V rows of (seed, pos).
+  void fill_kv_local(std::uint64_t seed, std::int64_t pos,
+                     const TokenSlot& slot);
   /// Prefill every window [begin, end): ingest its K/V rows into the pool
   /// and commit the output rows of its not-yet-folded positions.
   double run_prefill_windows(const std::vector<PrefillChunk>& windows,
@@ -267,6 +270,8 @@ class Engine {
   DigestFolder digests_;
   /// Scratch row for fill_token_local (full-width token row).
   std::vector<half> token_stage_;
+  /// Scratch half row fill_kv_local widens into a pool slot.
+  std::vector<half> kv_stage_;
 };
 
 }  // namespace stof::serve

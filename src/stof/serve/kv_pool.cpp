@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "stof/core/checksum.hpp"
-#include "stof/core/packed.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::serve {
@@ -113,11 +112,12 @@ void PrefixIndex::touch_chain(std::int32_t id, std::int64_t now) {
 
 KvPool::KvPool(const KvPoolConfig& config) : config_(config) {
   config_.validate();
+  // Uninitialised: a block's pages become resident when it is first
+  // written, and every row is written before any kernel reads it.
   const auto elems = static_cast<std::size_t>(config_.num_blocks *
                                               config_.block_elems());
-  k_arena_.assign(elems, half{});
-  v_arena_.assign(elems, half{});
-  sidecar_.resize(static_cast<std::size_t>(config_.num_blocks));
+  k_arena_ = std::make_unique_for_overwrite<float[]>(elems);
+  v_arena_ = std::make_unique_for_overwrite<float[]>(elems);
   free_.reserve(static_cast<std::size_t>(config_.num_blocks));
   // Descending, so allocation hands out block 0, 1, 2, ... in order.
   for (std::int64_t b = config_.num_blocks - 1; b >= 0; --b) {
@@ -213,8 +213,6 @@ void KvPool::unref_block(std::int32_t block) {
   auto& refs = block_refs_[static_cast<std::size_t>(block)];
   STOF_CHECK(refs > 0, "unref of a free block");
   if (--refs > 0) return;
-  // A free block holds no sidecar copy: its next tenant starts at row 0.
-  sidecar_[static_cast<std::size_t>(block)] = {};
   // Sorted-descending insertion keeps allocation order a pure function of
   // the alloc/release sequence, never of drop order within a batch.
   const auto pos =
@@ -259,12 +257,11 @@ std::optional<TokenSlot> KvPool::append_token(SessionId id) {
     if (!cow_tail(sb)) return std::nullopt;
   }
   const std::int32_t block = sb.block_ids.back();
-  // The caller rewrites row `local`: sidecar rows from there on are stale.
-  auto& converted = sidecar_[static_cast<std::size_t>(block)].rows;
-  converted = std::min(converted, local);
-  const std::int64_t row = local * config_.heads * config_.head_size;
+  const std::int64_t row = config_.heads * config_.head_size;
   ++sb.tokens;
-  return TokenSlot{k_base(block) + row, v_base(block) + row};
+  // The caller widens one half row per side into the slot.
+  telemetry::count("serve.kv.sidecar_bytes_converted", 2 * row * 2);
+  return TokenSlot{k_base(block) + local * row, v_base(block) + local * row};
 }
 
 PrefixMatch KvPool::match_prefix(const Request& r,
@@ -309,7 +306,8 @@ PrefixMatch KvPool::adopt_prefix(SessionId id, const Request& r,
   prefix_.touch_chain(chain.back(), prefix_clock_++);
   telemetry::count("serve.prefix.hits", 1);
   telemetry::count("serve.prefix.shared_pages", m.pages());
-  // Bytes of K+V half rows this session did not have to re-prefill.
+  // Bytes of K+V half rows (as the modelled GPU stores them) this session
+  // did not have to re-prefill.
   telemetry::count("serve.prefix.bytes_saved",
                    m.tokens * config_.heads * config_.head_size * 2 * 2);
   return m;
@@ -429,62 +427,23 @@ bool KvPool::check_conservation() const {
   return true;
 }
 
-std::span<const half* const> KvPool::k_blocks(SessionId id) const {
+std::span<const float* const> KvPool::k_blocks(SessionId id) const {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return {};
   return it->second.k_ptrs;
 }
 
-std::span<const half* const> KvPool::v_blocks(SessionId id) const {
+std::span<const float* const> KvPool::v_blocks(SessionId id) const {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return {};
   return it->second.v_ptrs;
-}
-
-mha::KvFloatPages KvPool::float_pages(SessionId id) {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  // Prefill and decode read the same float pages.
-  SessionBlocks& sb = it->second;
-  const std::int64_t bt = config_.block_tokens;
-  const std::int64_t row = config_.heads * config_.head_size;
-  const std::size_t pages = sb.block_ids.size();
-  sb.kf_ptrs.resize(pages);
-  sb.vf_ptrs.resize(pages);
-  std::int64_t elems = 0;  // converted per side
-  for (std::size_t p = 0; p < pages; ++p) {
-    const std::int32_t block = sb.block_ids[p];
-    SidecarPage& page = sidecar_[static_cast<std::size_t>(block)];
-    const std::int64_t filled =
-        std::min(bt, sb.tokens - static_cast<std::int64_t>(p) * bt);
-    if (page.rows < filled) {
-      if (!page.k) {
-        const auto n = static_cast<std::size_t>(config_.block_elems());
-        page.k = std::make_unique_for_overwrite<float[]>(n);
-        page.v = std::make_unique_for_overwrite<float[]>(n);
-      }
-      const std::int64_t lo = page.rows * row;
-      const auto n = static_cast<std::size_t>((filled - page.rows) * row);
-      packed::half_to_float({k_base(block) + lo, n}, {page.k.get() + lo, n});
-      packed::half_to_float({v_base(block) + lo, n}, {page.v.get() + lo, n});
-      elems += static_cast<std::int64_t>(n);
-      page.rows = filled;
-    }
-    sb.kf_ptrs[p] = page.k.get();
-    sb.vf_ptrs[p] = page.v.get();
-  }
-  // K and V, counted as the 2-byte half source each converted row re-reads.
-  if (elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted", 2 * elems * 2);
-  }
-  return {sb.kf_ptrs, sb.vf_ptrs};
 }
 
 void KvPool::release(SessionId id) {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return;
   // Refcount-aware: only pages whose last owner this session is are
-  // recycled — shared prefix pages keep their converted rows across owners.
+  // recycled — shared prefix pages stay resident for their other owners.
   for (const auto block : it->second.block_ids) {
     unref_block(block);
   }

@@ -1,9 +1,13 @@
 // Paged KV-cache pool (vLLM-style) for the serving engine.
 //
-// The pool owns one bounded half-precision arena per side (K and V),
-// carved into fixed-size blocks of `block_tokens` positions; each block is
+// The pool owns one bounded FP32 arena per side (K and V), carved into
+// fixed-size blocks of `block_tokens` positions; each block is
 // (block_tokens, heads, head_size) row-major, the layout mha::PagedSeq
-// consumes directly.  Sessions grow token by token: append_token() hands
+// consumes directly.  Each stored element is the exact widening of a half
+// value (the modelled GPU stores FP16, and simulated cost charges 2 bytes
+// per element), so the kernels read K/V rows without converting them.
+// The arenas are allocated uninitialised, so resident memory follows the
+// blocks handed out.  Sessions grow token by token: append_token() hands
 // back writable K/V slots for the next position, allocating a fresh block
 // from the free list when the session's last block fills, and fails
 // cleanly (std::nullopt) when the pool is exhausted — the scheduler then
@@ -26,19 +30,6 @@
 // when the last owner drops it.  Pages held only by the tree are reclaimed
 // LRU-subtree-first when the free list runs dry, so the prefix cache never
 // displaces live sessions.
-//
-// Sidecar pages: next to each half block the pool keeps its exact FP32
-// copy, laid out like the block — the K/V rows the packed kernels read.
-// A copy is allocated uninitialised on the block's first conversion and
-// freed when the block returns to the free list, so sidecar memory
-// follows the blocks in use.  Each block keeps one converted-row
-// watermark: rows [0, watermark) of the copy equal the conversion of the
-// block's current halfs.  Every write to a block goes through
-// append_token(), which lowers the watermark to the row it hands out (a
-// free block holds no copy, so it starts at 0), and float_pages() converts
-// rows [watermark, filled) and raises it.  That one rule covers recycling,
-// truncation and in-place rewrites, and a shared page keeps one converted
-// copy across its owners — a prefix hit also skips the conversion.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +40,6 @@
 #include <vector>
 
 #include "stof/core/check.hpp"
-#include "stof/core/half.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/serve/request.hpp"
 
@@ -67,17 +57,18 @@ struct KvPoolConfig {
                      (block_tokens & (block_tokens - 1)) == 0,
                  "block_tokens must be a power of two");
   }
-  /// Halfs per block per side.
+  /// Elements per block per side.
   [[nodiscard]] std::int64_t block_elems() const {
     return block_tokens * heads * head_size;
   }
 };
 
 /// Writable K/V destination for one appended token: `heads * head_size`
-/// halfs each, laid out (head, dim).
+/// floats each, laid out (head, dim).  The caller stores widened half
+/// values only.
 struct TokenSlot {
-  half* k = nullptr;
-  half* v = nullptr;
+  float* k = nullptr;
+  float* v = nullptr;
 };
 
 /// Result of matching (or adopting) a request's template prefix against
@@ -149,8 +140,8 @@ class PrefixIndex {
   std::size_t live_nodes_ = 0;
 };
 
-/// Bounded paged KV-cache with per-session block lists and per-block
-/// FP32 sidecar pages (see the file comment).
+/// Bounded paged KV-cache with per-session block lists (see the file
+/// comment).
 class KvPool {
  public:
   explicit KvPool(const KvPoolConfig& config);
@@ -224,7 +215,9 @@ class KvPool {
   /// the session's tail block is full.  A shared tail page is first copied
   /// into a private block (copy-on-write) — shared pages are immutable.
   /// Returns std::nullopt when the pool has no free or tree-reclaimable
-  /// block to give (session state unchanged).
+  /// block to give (session state unchanged).  Counts the slot's half->FP32
+  /// widening in serve.kv.sidecar_bytes_converted (2 source bytes per
+  /// element, K and V).
   std::optional<TokenSlot> append_token(SessionId id);
 
   // ---- Prefix sharing ------------------------------------------------
@@ -252,8 +245,8 @@ class KvPool {
 
   /// Drop `id`'s cached tokens beyond `new_tokens` — the speculative
   /// decoder's exact rollback of rejected draft slots.  Trailing blocks
-  /// are unmapped (refcount-aware); rows a later append rewrites in the
-  /// surviving tail lower its sidecar watermark there.
+  /// are unmapped (refcount-aware); a later append rewrites the surviving
+  /// tail's rows in place.
   void truncate(SessionId id, std::int64_t new_tokens);
 
   /// Exhaustive internal audit: refcounts equal (sessions mapping the
@@ -265,41 +258,21 @@ class KvPool {
   [[nodiscard]] const PrefixIndex& prefix_index() const { return prefix_; }
 
   /// Base pointers of the session's blocks, oldest first — the views a
-  /// mha::PagedSeq wants.  Valid until the next release() for this id.
-  [[nodiscard]] std::span<const half* const> k_blocks(SessionId id) const;
-  [[nodiscard]] std::span<const half* const> v_blocks(SessionId id) const;
-
-  /// Bring `id`'s FP32 sidecar pages up to date with its half pages and
-  /// return that view: converts only the rows of each page above its
-  /// watermark (new pages, or the growing suffix of the tail page), so the
-  /// view covers every cached token of `id` and per-step conversion work
-  /// is O(new tokens), not O(prefix) — 2 source bytes per new element,
-  /// counted in serve.kv.sidecar_bytes_converted.  The view is valid until
-  /// the next float_pages(), truncate() or release() for this id; an empty
-  /// view for sessions that hold nothing.
-  [[nodiscard]] mha::KvFloatPages float_pages(SessionId id);
+  /// mha::PagedSeq wants.  Valid until the next append_token(), truncate()
+  /// or release() for this id.
+  [[nodiscard]] std::span<const float* const> k_blocks(SessionId id) const;
+  [[nodiscard]] std::span<const float* const> v_blocks(SessionId id) const;
 
   /// Return every block `id` alone holds to the free list (preemption or
   /// completion).  No-op for sessions that hold nothing.
   void release(SessionId id);
 
  private:
-  /// One block's FP32 copy: its K and V rows laid out like the half
-  /// block, null until the block's first conversion, and the watermark of
-  /// rows they cover.
-  struct SidecarPage {
-    std::unique_ptr<float[]> k, v;
-    std::int64_t rows = 0;  ///< converted leading rows
-  };
-
   struct SessionBlocks {
     std::vector<std::int32_t> block_ids;
-    std::vector<const half*> k_ptrs;
-    std::vector<const half*> v_ptrs;
+    std::vector<const float*> k_ptrs;
+    std::vector<const float*> v_ptrs;
     std::int64_t tokens = 0;
-    /// Sidecar page pointers, oldest first (set by float_pages()).
-    std::vector<const float*> kf_ptrs;
-    std::vector<const float*> vf_ptrs;
   };
 
   /// Pop a block from the free list, reclaiming the LRU tree-only subtree
@@ -312,30 +285,27 @@ class KvPool {
   /// Evict the least-recently-used tree subtree whose root block is held
   /// only by the tree.  Returns true if at least one block was freed.
   bool reclaim_lru_prefix();
-  /// Drop one reference to `block`; on zero, return it to the free list
-  /// and free its sidecar copies.
+  /// Drop one reference to `block`; on zero, return it to the free list.
   void unref_block(std::int32_t block);
 
-  [[nodiscard]] half* k_base(std::int32_t block) {
-    return k_arena_.data() +
+  [[nodiscard]] float* k_base(std::int32_t block) {
+    return k_arena_.get() +
            static_cast<std::size_t>(block) *
                static_cast<std::size_t>(config_.block_elems());
   }
-  [[nodiscard]] half* v_base(std::int32_t block) {
-    return v_arena_.data() +
+  [[nodiscard]] float* v_base(std::int32_t block) {
+    return v_arena_.get() +
            static_cast<std::size_t>(block) *
                static_cast<std::size_t>(config_.block_elems());
   }
 
   KvPoolConfig config_;
-  std::vector<half> k_arena_;
-  std::vector<half> v_arena_;
+  std::unique_ptr<float[]> k_arena_;
+  std::unique_ptr<float[]> v_arena_;
   /// Free block ids, sorted descending so pop_back() yields the smallest.
   std::vector<std::int32_t> free_;
   std::map<SessionId, SessionBlocks> by_session_;
   std::int64_t peak_used_ = 0;
-  /// Per-block sidecar copies.
-  std::vector<SidecarPage> sidecar_;
   /// Per-block reference count: sessions mapping the block plus (0 or 1
   /// for) the prefix-tree node freezing it.  0 == on the free list.
   std::vector<std::int32_t> block_refs_;

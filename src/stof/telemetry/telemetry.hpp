@@ -4,15 +4,14 @@
 // free functions here, which are gated on a process-wide flag read with one
 // relaxed atomic load — with telemetry disabled (the default) every call
 // site is a compare-and-branch and *no registry entries are ever created*.
-// Tests and benches opt in with the RAII ScopedTelemetry guard, mirroring
-// core's ScopedPackedExecution.
+// Tests and benches opt in with the RAII ScopedTelemetry guard.
 //
 // Counter naming scheme (full catalogue in docs/OBSERVABILITY.md):
 //   sim.*   deterministic simulated quantities (cycles, bytes, block and
-//           cache-hit counts) — identical across packed/scalar modes and
+//           cache-hit counts) — identical across kernel ISAs and
 //           across repeated seeded runs;
-//   exec.*  execution-path accounting (which implementation ran) —
-//           deterministic per run, mode-dependent;
+//   exec.*  host execution accounting (dispatch calls, panel
+//           conversions) — deterministic per run;
 //   wall.*  host wall-clock timers — the only nondeterministic metrics.
 #pragma once
 

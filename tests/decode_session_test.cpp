@@ -1,14 +1,17 @@
 // Decode-continuation bit-identity: a chain of single-token paged decode
 // steps over a growing KV cache must reproduce one full-sequence blockwise
 // pass bit-for-bit (same mask, KV page size == BLOCK_N).  This is the
-// invariant the serving engine's preemption/recompute path relies on.
+// invariant the serving engine's preemption/recompute path relies on.  The
+// library kernels read the KV pool's FP32 pages; the scalar reference
+// kernels (the test oracle) read the same pages narrowed back to half,
+// which is exact.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstring>
 
+#include "oracle/oracle.hpp"
 #include "stof/core/kernels.hpp"
-#include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/mha/decode.hpp"
@@ -41,28 +44,55 @@ struct Fixture {
   }
 };
 
+constexpr std::int64_t kRow = kHeads * kHeadSize;
+constexpr std::int64_t kPageElems = kBlockTokens * kRow;
+
+/// Appends position `pos` of `f`'s K/V to session `id` of `pool`, widened
+/// as the serving engine stores them.
+void append_position(serve::KvPool& pool, serve::SessionId id,
+                     const Fixture& f, std::int64_t pos) {
+  auto slot = pool.append_token(id);
+  ASSERT_TRUE(slot.has_value());
+  for (std::int64_t h = 0; h < kHeads; ++h) {
+    for (std::int64_t e = 0; e < kHeadSize; ++e) {
+      slot->k[h * kHeadSize + e] = float(f.k.at(h, pos, e));
+      slot->v[h * kHeadSize + e] = float(f.v.at(h, pos, e));
+    }
+  }
+}
+
+/// Decode of the last of `ctx` cached positions of session `id`, attending
+/// `cols`: the library kernel over the pool's pages, or the oracle over
+/// their half narrowing.
+TensorH decode_step(const serve::KvPool& pool, serve::SessionId id,
+                    std::int64_t ctx, std::span<const std::int32_t> cols,
+                    const TensorH& q_step, bool oracle) {
+  if (!oracle) {
+    const PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(id),
+                       pool.v_blocks(id), cols};
+    return decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
+  }
+  const oracle::HalfPages kh(pool.k_blocks(id), kPageElems, ctx * kRow);
+  const oracle::HalfPages vh(pool.v_blocks(id), kPageElems, ctx * kRow);
+  const oracle::PagedSeq seq{ctx, kBlockTokens, kh.pages(), vh.pages(), cols};
+  return oracle::decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
+}
+
 /// Runs the decode chain against the full blockwise pass and asserts every
-/// output row is byte-identical.  In packed mode the chain reads the KV
-/// pool's float sidecar pages (converted row by row as they fill), as the
-/// serving engine does; the scalar reference reads the half pages.
-void expect_chain_matches_full_pass(const Fixture& f) {
+/// output row is byte-identical: the library kernels (decode over the KV
+/// pool's pages, as the serving engine runs it), or the oracle's.
+void expect_chain_matches_full_pass(const Fixture& f, bool oracle = false) {
   const MhaDims dims{1, kHeads, kTotal, kHeadSize};
   const BlockwiseParams params{16, 16};
-  const TensorH full = blockwise_attention(
-      dims, f.q, f.k, f.v,
-      sparse::BsrMask::build(f.mask, params.block_m, params.block_n), params);
+  const auto bsr =
+      sparse::BsrMask::build(f.mask, params.block_m, params.block_n);
+  const TensorH full =
+      oracle ? oracle::blockwise_attention(dims, f.q, f.k, f.v, bsr, params)
+             : blockwise_attention(dims, f.q, f.k, f.v, bsr, params);
 
   serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
   for (std::int64_t pos = 0; pos < kTotal; ++pos) {
-    // Append position pos's K/V to the paged cache.
-    auto slot = pool.append_token(/*id=*/0);
-    ASSERT_TRUE(slot.has_value());
-    for (std::int64_t h = 0; h < kHeads; ++h) {
-      for (std::int64_t e = 0; e < kHeadSize; ++e) {
-        slot->k[h * kHeadSize + e] = f.k.at(h, pos, e);
-        slot->v[h * kHeadSize + e] = f.v.at(h, pos, e);
-      }
-    }
+    append_position(pool, /*id=*/0, f, pos);
 
     // Single-token decode for this position.
     TensorH q_step(Shape{kHeads, 1, kHeadSize});
@@ -75,12 +105,7 @@ void expect_chain_matches_full_pass(const Fixture& f) {
     for (std::int64_t j = 0; j <= pos; ++j) {
       if (f.mask.at(pos, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
-    const PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
-                       pool.v_blocks(0), cols,
-                       packed_execution_enabled() ? pool.float_pages(0)
-                                                  : KvFloatPages{}};
-    const TensorH step =
-        decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
+    const TensorH step = decode_step(pool, 0, pos + 1, cols, q_step, oracle);
 
     // Byte-compare the step output to the full pass's row `pos`.
     for (std::int64_t h = 0; h < kHeads; ++h) {
@@ -105,27 +130,49 @@ TEST(DecodeSession, ChainBitIdenticalToBlockwisePassBigBird) {
   expect_chain_matches_full_pass(Fixture(41, masks::PatternKind::kBigBird));
 }
 
-TEST(DecodeSession, ChainBitIdenticalUnderScalarExecution) {
-  ScopedPackedExecution scalar(false);
-  expect_chain_matches_full_pass(Fixture(43, masks::PatternKind::kLongformer));
+TEST(DecodeSession, OracleChainBitIdenticalToOracleBlockwisePass) {
+  expect_chain_matches_full_pass(Fixture(43, masks::PatternKind::kLongformer),
+                                 /*oracle=*/true);
 }
 
-TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
+TEST(DecodeSession, ChainMatchesOracleChain) {
+  // Library decode over the pool's FP32 pages against the oracle over their
+  // half narrowing, at every context length and on every ISA.
+  const Fixture f(47, masks::PatternKind::kBigBird);
+  serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
+  for (std::int64_t pos = 0; pos < kTotal; ++pos) {
+    append_position(pool, 0, f, pos);
+    TensorH q_step(Shape{kHeads, 1, kHeadSize});
+    std::vector<std::int32_t> cols;
+    for (std::int64_t h = 0; h < kHeads; ++h) {
+      for (std::int64_t e = 0; e < kHeadSize; ++e) {
+        q_step.at(h, 0, e) = f.q.at(h, pos, e);
+      }
+    }
+    for (std::int64_t j = 0; j <= pos; ++j) {
+      if (f.mask.at(pos, j)) cols.push_back(static_cast<std::int32_t>(j));
+    }
+    const TensorH want = decode_step(pool, 0, pos + 1, cols, q_step, true);
+    for (const core::Isa isa : core::available_isas()) {
+      core::ScopedKernelIsa pin(isa);
+      const TensorH got = decode_step(pool, 0, pos + 1, cols, q_step, false);
+      ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            got.size_bytes()),
+                0)
+          << core::isa_name(isa) << " pos=" << pos;
+    }
+  }
+}
+
+TEST(DecodeSession, PreemptAndRecomputeIsByteIdentical) {
   // Preemption drops a session's pages and later recomputes its whole
-  // prefix.  The sidecar must follow the pages: after release + full
-  // re-ingest, decode outputs match a never-preempted chain exactly.
+  // prefix: after release + full re-ingest, decode outputs match a
+  // never-preempted chain exactly.
   const Fixture f(59, masks::PatternKind::kCausal);
   serve::KvPool pool(serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
   const auto ingest_prefix = [&](std::int64_t upto) {
     for (std::int64_t pos = 0; pos < upto; ++pos) {
-      auto slot = pool.append_token(/*id=*/0);
-      ASSERT_TRUE(slot.has_value());
-      for (std::int64_t h = 0; h < kHeads; ++h) {
-        for (std::int64_t e = 0; e < kHeadSize; ++e) {
-          slot->k[h * kHeadSize + e] = f.k.at(h, pos, e);
-          slot->v[h * kHeadSize + e] = f.v.at(h, pos, e);
-        }
-      }
+      append_position(pool, 0, f, pos);
     }
   };
   const auto decode_last = [&](std::int64_t ctx) {
@@ -139,15 +186,13 @@ TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
     for (std::int64_t j = 0; j < ctx; ++j) {
       if (f.mask.at(ctx - 1, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
-    const PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
-                       cols, pool.float_pages(0)};
-    return decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
+    return decode_step(pool, 0, ctx, cols, q_step, false);
   };
 
   ingest_prefix(kTotal);
   const TensorH before = decode_last(kTotal);
 
-  pool.release(0);  // preemption: pages and their sidecar rows dropped
+  pool.release(0);  // preemption: pages dropped
   ingest_prefix(kTotal);
   const TensorH after = decode_last(kTotal);
 
@@ -156,48 +201,35 @@ TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
             0);
 }
 
-TEST(DecodeSession, ReusedPagesNeverServeStalePanels) {
-  // Session A converts its pages, releases them, and session B gets the
-  // same physical blocks with different content.  B's sidecar must reflect
-  // B's halfs, never A's cached floats.
+TEST(DecodeSession, ReusedPagesHoldOnlyTheirNewTenantsRows) {
+  // Session A fills its pages, releases them, and session B gets the same
+  // physical blocks with different content: every element B reads is B's.
   const Fixture a(61, masks::PatternKind::kCausal);
   const Fixture b(67, masks::PatternKind::kCausal);
   serve::KvPool pool(serve::KvPoolConfig{4, kBlockTokens, kHeads, kHeadSize});
   const std::int64_t ctx = 2 * kBlockTokens;
-  const auto ingest = [&](serve::SessionId id, const Fixture& f) {
-    for (std::int64_t pos = 0; pos < ctx; ++pos) {
-      auto slot = pool.append_token(id);
-      ASSERT_TRUE(slot.has_value());
-      for (std::int64_t h = 0; h < kHeads; ++h) {
-        for (std::int64_t e = 0; e < kHeadSize; ++e) {
-          slot->k[h * kHeadSize + e] = f.k.at(h, pos, e);
-          slot->v[h * kHeadSize + e] = f.v.at(h, pos, e);
-        }
-      }
-    }
-  };
-
-  ingest(0, a);
-  const float a_first = pool.float_pages(0).k_blocks[0][0];
+  for (std::int64_t pos = 0; pos < ctx; ++pos) append_position(pool, 0, a, pos);
+  const float* a_first_page = pool.k_blocks(0)[0];
   pool.release(0);
 
-  ingest(1, b);  // reuses the same physical blocks (free list recycles)
-  const auto [kf, vf] = pool.float_pages(1);
+  // Reuses the same physical blocks (the free list recycles).
+  for (std::int64_t pos = 0; pos < ctx; ++pos) append_position(pool, 1, b, pos);
+  const auto kf = pool.k_blocks(1);
+  const auto vf = pool.v_blocks(1);
   ASSERT_EQ(kf.size(), 2u);
-  // Every sidecar element equals the exact conversion of B's half data.
-  const auto kh = pool.k_blocks(1);
-  const auto vh = pool.v_blocks(1);
-  const std::int64_t elems = kBlockTokens * kHeads * kHeadSize;
-  for (std::size_t p = 0; p < kf.size(); ++p) {
-    for (std::int64_t i = 0; i < elems; ++i) {
-      ASSERT_EQ(kf[p][i], float(kh[p][i])) << "K page " << p << " elem " << i;
-      ASSERT_EQ(vf[p][i], float(vh[p][i])) << "V page " << p << " elem " << i;
+  ASSERT_EQ(kf[0], a_first_page);
+  for (std::int64_t pos = 0; pos < ctx; ++pos) {
+    const auto page = static_cast<std::size_t>(pos / kBlockTokens);
+    for (std::int64_t h = 0; h < kHeads; ++h) {
+      for (std::int64_t e = 0; e < kHeadSize; ++e) {
+        const std::int64_t i = (pos % kBlockTokens) * kRow + h * kHeadSize + e;
+        ASSERT_EQ(kf[page][i], float(b.k.at(h, pos, e))) << "K " << pos;
+        ASSERT_EQ(vf[page][i], float(b.v.at(h, pos, e))) << "V " << pos;
+      }
     }
   }
-  // A's and B's first keys differ, so a stale panel would be visible here.
-  ASSERT_EQ(kf[0][0], float(b.k.at(0, 0, 0)));
+  // A's and B's first keys differ, so a stale row would be visible above.
   ASSERT_NE(float(a.k.at(0, 0, 0)), float(b.k.at(0, 0, 0)));
-  (void)a_first;
 }
 
 TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
@@ -211,14 +243,7 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
   const auto ingest = [&](serve::SessionId id, const Fixture& f,
                           std::int64_t ctx) {
     for (std::int64_t pos = 0; pos < ctx; ++pos) {
-      auto slot = pool.append_token(id);
-      ASSERT_TRUE(slot.has_value());
-      for (std::int64_t h = 0; h < kHeads; ++h) {
-        for (std::int64_t e = 0; e < kHeadSize; ++e) {
-          slot->k[h * kHeadSize + e] = f.k.at(h, pos, e);
-          slot->v[h * kHeadSize + e] = f.v.at(h, pos, e);
-        }
-      }
+      append_position(pool, id, f, pos);
     }
   };
   ingest(0, a, ctx_a);
@@ -234,9 +259,9 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
   const auto cols_a = cols_of(a, ctx_a - 1);
   const auto cols_b = cols_of(b, ctx_b - 1);
   const PagedSeq seqs[2] = {{ctx_a, kBlockTokens, pool.k_blocks(0),
-                             pool.v_blocks(0), cols_a, pool.float_pages(0)},
+                             pool.v_blocks(0), cols_a},
                             {ctx_b, kBlockTokens, pool.k_blocks(1),
-                             pool.v_blocks(1), cols_b, pool.float_pages(1)}};
+                             pool.v_blocks(1), cols_b}};
 
   TensorH q_batch(Shape{2 * kHeads, 1, kHeadSize});
   for (std::int64_t h = 0; h < kHeads; ++h) {
@@ -269,9 +294,8 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
 }
 
 TEST(DecodeSession, PagedSeqValidation) {
-  const half* none[1] = {nullptr};
-  const float* none_f[1] = {nullptr};
-  PagedSeq s{16, 16, {none, 1}, {none, 1}, {}, {{none_f, 1}, {none_f, 1}}};
+  const float* none[1] = {nullptr};
+  PagedSeq s{16, 16, {none, 1}, {none, 1}, {}};
   s.validate(2, 32);
   PagedSeq bad_block = s;
   bad_block.block_tokens = 12;  // not a power of two
@@ -283,45 +307,14 @@ TEST(DecodeSession, PagedSeqValidation) {
   PagedSeq short_blocks = s;
   short_blocks.context_len = 17;  // needs two blocks, has one
   EXPECT_THROW(short_blocks.validate(2, 32), Error);
-
-  // The packed kernels read K/V only from float pages: a view without
-  // them is refused by packed decode and packed prefill alike, while the
-  // scalar reference runs on the half pages.
-  serve::KvPool pool(serve::KvPoolConfig{4, kBlockTokens, kHeads, kHeadSize});
-  for (std::int64_t pos = 0; pos < kBlockTokens; ++pos) {
-    ASSERT_TRUE(pool.append_token(0).has_value());  // zero K/V rows
-  }
-  const std::int32_t cols[] = {0, 5, 15};
-  const PagedSeq halfs_only{kBlockTokens, kBlockTokens, pool.k_blocks(0),
-                            pool.v_blocks(0), cols};
-  const TensorH q_step(Shape{kHeads, 1, kHeadSize});
-  const BlockwiseParams params{16, 16};
-  const auto prefix = sparse::BsrMask::build(
-      masks::causal(kBlockTokens), params.block_m, params.block_n);
-  const std::vector<half> q_rows(
-      static_cast<std::size_t>(kBlockTokens * kHeads * kHeadSize));
-  std::vector<half> out(q_rows.size());
-  const auto decode = [&] {
-    (void)decode_attention_paged(kHeads, kHeadSize, {&halfs_only, 1}, q_step);
-  };
-  const auto prefill = [&] {
-    blockwise_attention_paged(kHeads, kHeadSize, halfs_only, prefix, params,
-                              q_rows, 0, out, 0);
-  };
-  EXPECT_THROW(decode(), Error);
-  EXPECT_THROW(prefill(), Error);
-  ScopedPackedExecution scalar(false);
-  EXPECT_NO_THROW(decode());
-  EXPECT_NO_THROW(prefill());
 }
 
 // ---- Paged prefill: the block-wise kernel over KV-pool pages ---------------
 
 /// Every prefill window [begin, len) of a context whose K/V sit in a KV
-/// pool must equal the padded-tensor block-wise pass over the same prefix
-/// BSR, byte for byte, whichever K/V source the kernel reads: the half
-/// pages (scalar reference) or the pool's float sidecar (packed, on every
-/// ISA).
+/// pool must equal the oracle's padded-tensor block-wise pass over the same
+/// prefix BSR, byte for byte: the oracle over the pool's pages narrowed to
+/// half, and the library kernel over the pool's FP32 pages on every ISA.
 void expect_paged_prefill_matches_padded(masks::PatternKind kind,
                                          std::int64_t len) {
   constexpr std::int64_t kSeq = 64;  // padded length of the base BSR
@@ -357,39 +350,41 @@ void expect_paged_prefill_matches_padded(masks::PatternKind kind,
   for (std::int64_t pos = 0; pos < len; ++pos) {
     auto slot = pool.append_token(0);
     ASSERT_TRUE(slot.has_value());
-    std::memcpy(slot->k, &k_rows[static_cast<std::size_t>(pos * row)],
-                row * sizeof(half));
-    std::memcpy(slot->v, &v_rows[static_cast<std::size_t>(pos * row)],
-                row * sizeof(half));
+    for (std::int64_t e = 0; e < row; ++e) {
+      slot->k[e] = float(k_rows[static_cast<std::size_t>(pos * row + e)]);
+      slot->v[e] = float(v_rows[static_cast<std::size_t>(pos * row + e)]);
+    }
   }
+  const oracle::HalfPages kh(pool.k_blocks(0), kPageElems, len * row);
+  const oracle::HalfPages vh(pool.v_blocks(0), kPageElems, len * row);
 
   for (const std::int64_t begin : {std::int64_t{0}, std::int64_t{19},
                                    std::int64_t{32}, len - 1}) {
     const std::int64_t q_lo = begin / params.block_m * params.block_m;
     const std::int64_t qb_hi = (len + params.block_m - 1) / params.block_m;
-    TensorH want;
-    {
-      ScopedPackedExecution scalar(false);
-      want = blockwise_attention(dims, q, k, v, prefix, params, nullptr,
-                                 q_lo / params.block_m, qb_hi);
-    }
+    const TensorH want =
+        oracle::blockwise_attention(dims, q, k, v, prefix, params, nullptr,
+                                    q_lo / params.block_m, qb_hi);
     const auto want_rows = token_rows(want, begin);
     const auto q_rows = token_rows(q, q_lo);
-    const auto run = [&](bool packed) {
-      ScopedPackedExecution mode(packed);
-      const PagedSeq kv{len, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
-                        {}, packed ? pool.float_pages(0) : KvFloatPages{}};
-      std::vector<half> out(want_rows.size());
-      blockwise_attention_paged(kHeads, kHeadSize, kv, prefix, params, q_rows,
-                                q_lo, out, begin);
+    std::vector<half> out(want_rows.size());
+    const auto matches = [&] {
       return std::memcmp(out.data(), want_rows.data(),
                          out.size() * sizeof(half)) == 0;
     };
-    EXPECT_TRUE(run(false)) << "scalar begin=" << begin;
+    oracle::blockwise_attention_paged(
+        kHeads, kHeadSize,
+        oracle::PagedSeq{len, kBlockTokens, kh.pages(), vh.pages(), {}},
+        prefix, params, q_rows, q_lo, out, begin);
+    EXPECT_TRUE(matches()) << "oracle begin=" << begin;
+    const PagedSeq kv{len, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
+                      {}};
     for (const core::Isa isa : core::available_isas()) {
       core::ScopedKernelIsa pin(isa);
-      EXPECT_TRUE(run(true))
-          << core::isa_name(isa) << " sidecar begin=" << begin;
+      std::fill(out.begin(), out.end(), half{});
+      blockwise_attention_paged(kHeads, kHeadSize, kv, prefix, params, q_rows,
+                                q_lo, out, begin);
+      EXPECT_TRUE(matches()) << core::isa_name(isa) << " begin=" << begin;
     }
   }
 }
@@ -405,14 +400,14 @@ TEST(PagedPrefill, WindowsMatchPaddedPassOnEverySource) {
   }
 }
 
-// ---- Sidecar watermarks ---------------------------------------------------
+// ---- KV widening accounting ----------------------------------------------
 
-TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
-  // Drive an N-step single-session decode through a KV pool's sidecar.
-  // Every step appends one token, so the pool must convert exactly
-  // heads*head_size elements per side per step — O(1) rows, independent of
-  // the context length — and the outputs must match the scalar reference
-  // over the half pages bit for bit.
+TEST(KvPool, DecodeWideningWorkIsConstantPerStep) {
+  // Drive an N-step single-session decode through a KV pool.  Every step
+  // appends one token, so the pool must count exactly heads*head_size
+  // widened elements per side per step — O(1) rows, independent of the
+  // context length — and the outputs must match the oracle over the pages'
+  // half narrowing bit for bit.
   constexpr std::int64_t kStepHeads = 2, kStepHeadSize = 16, kSteps = 40,
                          kStepBlockTokens = 8;
   telemetry::ScopedTelemetry on(true);
@@ -429,8 +424,8 @@ TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
     auto slot = pool.append_token(0);
     ASSERT_TRUE(slot.has_value());
     for (std::int64_t i = 0; i < per_side_elems; ++i) {
-      slot->k[i] = half(rng.next_double() - 0.5);
-      slot->v[i] = half(rng.next_double() - 0.5);
+      slot->k[i] = float(half(rng.next_double() - 0.5));
+      slot->v[i] = float(half(rng.next_double() - 0.5));
     }
     q.fill_random(rng);
 
@@ -439,85 +434,85 @@ TEST(KvPool, DecodeConversionWorkIsConstantPerStep) {
       cols.push_back(static_cast<std::int32_t>(j));
     }
     const PagedSeq seq{pos + 1, kStepBlockTokens, pool.k_blocks(0),
-                       pool.v_blocks(0), cols, pool.float_pages(0)};
-    const PagedSeq plain{pos + 1, kStepBlockTokens, pool.k_blocks(0),
-                         pool.v_blocks(0), cols};
+                       pool.v_blocks(0), cols};
+    const oracle::HalfPages kh(pool.k_blocks(0), cfg.block_elems(),
+                               (pos + 1) * per_side_elems);
+    const oracle::HalfPages vh(pool.v_blocks(0), cfg.block_elems(),
+                               (pos + 1) * per_side_elems);
+    const oracle::PagedSeq half_seq{pos + 1, kStepBlockTokens, kh.pages(),
+                                    vh.pages(), cols};
 
-    const TensorH with =
+    const TensorH got =
         decode_attention_paged(kStepHeads, kStepHeadSize, {&seq, 1}, q);
-    TensorH without;
-    {
-      ScopedPackedExecution scalar(false);
-      without =
-          decode_attention_paged(kStepHeads, kStepHeadSize, {&plain, 1}, q);
-    }
-    ASSERT_EQ(std::memcmp(with.data().data(), without.data().data(),
-                          with.size_bytes()),
+    const TensorH want = oracle::decode_attention_paged(
+        kStepHeads, kStepHeadSize, {&half_seq, 1}, q);
+    ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          got.size_bytes()),
               0)
-        << "sidecar diverged at step " << pos;
+        << "diverged from the oracle at step " << pos;
 
-    // Per-step conversion: exactly one new token's rows per side.
+    // Per-step widening: exactly one new token's rows per side.
     const std::int64_t bytes = telemetry::global_registry().counter(
         "serve.kv.sidecar_bytes_converted");
     EXPECT_EQ(bytes - prev_bytes, 2 * per_side_elems * 2)
-        << "step " << pos << " converted more than the appended token";
+        << "step " << pos << " counted more than the appended token";
     prev_bytes = bytes;
   }
   // Linear total: N steps, one token per step, 2 half-bytes per element.
   EXPECT_EQ(prev_bytes, kSteps * 2 * per_side_elems * 2);
 }
 
-TEST(KvPool, RewrittenRowsNeverServeStaleSidecar) {
-  // A private tail page is converted, truncated mid-page (a speculative
-  // rollback), and refilled with different rows.  Every sidecar row must
-  // then equal the exact conversion of the halfs now in the page — the
-  // rewritten rows included — and only rewritten or new rows convert
-  // again.
+TEST(KvPool, RewrittenRowsHoldTheirNewValues) {
+  // A private tail page is filled, truncated mid-page (a speculative
+  // rollback), and refilled with different rows.  Every stored row must
+  // then be the value last written at its position, and only the rewritten
+  // rows count as widened again.
   const serve::KvPoolConfig cfg{4, kBlockTokens, kHeads, kHeadSize};
   const std::int64_t row = kHeads * kHeadSize;
   telemetry::ScopedTelemetry on(true);
   telemetry::global_registry().reset();
   serve::KvPool pool(cfg);
   Rng rng(89);
+  // Expected contents, token-major, K then V per token.
+  std::vector<std::vector<float>> expect;
   const auto append = [&](std::int64_t n, float lo, float hi) {
     for (std::int64_t t = 0; t < n; ++t) {
       auto slot = pool.append_token(0);
       ASSERT_TRUE(slot.has_value());
+      std::vector<float>& want = expect.emplace_back(2 * row);
       for (std::int64_t e = 0; e < row; ++e) {
-        slot->k[e] = half(rng.uniform(lo, hi));
-        slot->v[e] = half(rng.uniform(lo, hi));
+        slot->k[e] = want[e] = float(half(rng.uniform(lo, hi)));
+        slot->v[e] = want[row + e] = float(half(rng.uniform(lo, hi)));
       }
     }
   };
-  // Page 0 full, page 1 holding 6 rows; everything converted.
+  // Page 0 full, page 1 holding 6 rows.
   append(kBlockTokens + 6, -1.0f, 0.0f);
-  (void)pool.float_pages(0);
   pool.truncate(0, kBlockTokens + 2);
-  append(5, 0.5f, 2.0f);  // rows 2..6 of page 1, other signs and scales
+  expect.resize(kBlockTokens + 2);
   const std::int64_t before = telemetry::global_registry().counter(
       "serve.kv.sidecar_bytes_converted");
-  const KvFloatPages view = pool.float_pages(0);
+  append(5, 0.5f, 2.0f);  // rows 2..6 of page 1, other signs and scales
   // 5 rewritten rows per side, counted as 2 source bytes per element.
   EXPECT_EQ(telemetry::global_registry().counter(
                 "serve.kv.sidecar_bytes_converted") -
                 before,
             5 * row * 2 * 2);
 
-  const auto halfs = {pool.k_blocks(0), pool.v_blocks(0)};
+  ASSERT_EQ(pool.tokens(0), static_cast<std::int64_t>(expect.size()));
   for (std::int64_t t = 0; t < pool.tokens(0); ++t) {
     const auto page = static_cast<std::size_t>(t / kBlockTokens);
     const std::int64_t r = t % kBlockTokens;
-    int side = 0;
-    for (const auto& pages : halfs) {
-      const half* src = pages[page] + r * row;
-      const float* got =
-          (side == 0 ? view.k_blocks : view.v_blocks)[page] + r * row;
-      for (std::int64_t e = 0; e < row; ++e) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[e]),
-                  std::bit_cast<std::uint32_t>(float(src[e])))
-            << "side " << side << " token " << t << " elem " << e;
-      }
-      ++side;
+    const float* k = pool.k_blocks(0)[page] + r * row;
+    const float* v = pool.v_blocks(0)[page] + r * row;
+    const auto& want = expect[static_cast<std::size_t>(t)];
+    for (std::int64_t e = 0; e < row; ++e) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(k[e]),
+                std::bit_cast<std::uint32_t>(want[e]))
+          << "K token " << t << " elem " << e;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(v[e]),
+                std::bit_cast<std::uint32_t>(want[row + e]))
+          << "V token " << t << " elem " << e;
     }
   }
 }

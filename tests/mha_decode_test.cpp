@@ -37,13 +37,11 @@ Cache make_cache(std::int64_t batch, std::int64_t heads, std::int64_t ctx,
 
 /// A cache tensor re-laid as KV pool pages: page (b, i) holds positions
 /// [i*kBlockTokens, (i+1)*kBlockTokens) of sequence b as (tokens, heads,
-/// d) row-major half, next to its exact FP32 copy (the pool's float page,
-/// which the packed path reads).  Positions past ctx stay zero.
+/// d) row-major FP32 widened from half, as the pool stores them.  Positions
+/// past ctx stay zero.
 struct Pages {
-  std::vector<half> storage;
-  std::vector<float> float_storage;
-  std::vector<const half*> ptrs;  ///< sequence-major, blocks per sequence
-  std::vector<const float*> float_ptrs;
+  std::vector<float> storage;
+  std::vector<const float*> ptrs;  ///< sequence-major, blocks per sequence
 };
 
 Pages paginate(const Cache& c, const TensorH& t) {
@@ -58,15 +56,13 @@ Pages paginate(const Cache& c, const TensorH& t) {
           p.storage[static_cast<std::size_t>(
               (b * blocks + j / kBlockTokens) * page +
               ((j % kBlockTokens) * c.heads + h) * c.d + e)] =
-              t.at(b * c.heads + h, j, e);
+              float(t.at(b * c.heads + h, j, e));
         }
       }
     }
   }
-  for (const half h : p.storage) p.float_storage.push_back(float(h));
   for (std::int64_t i = 0; i < c.batch * blocks; ++i) {
     p.ptrs.push_back(p.storage.data() + i * page);
-    p.float_ptrs.push_back(p.float_storage.data() + i * page);
   }
   return p;
 }
@@ -85,9 +81,7 @@ TensorH decode(const Cache& c, std::span<const std::int32_t> cols,
                             kBlockTokens,
                             {k.ptrs.data() + first, blocks},
                             {v.ptrs.data() + first, blocks},
-                            cols,
-                            {{k.float_ptrs.data() + first, blocks},
-                             {v.float_ptrs.data() + first, blocks}}});
+                            cols});
   }
   return decode_attention_paged(c.heads, c.d, seqs, q);
 }

@@ -1,6 +1,6 @@
-// Bit-identity of the packed-FP32 execution engine against the scalar
-// reference kernels: panel conversions are exact, and the packed GEMM /
-// block-wise MHA paths reproduce the scalar results bit for bit across
+// Bit-identity of the packed-FP32 kernels against the scalar reference
+// kernels of the test oracle: panel conversions are exact, and GEMM and
+// block-wise MHA reproduce the oracle's results bit for bit across
 // epilogues, batched/unbatched B, odd (non-multiple-of-block) shapes, and
 // masked/score-modified attention.  The block-wise kernel's lane tile is
 // checked on every ISA the host runs, across block shapes, head sizes, tail
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/oracle.hpp"
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
@@ -93,7 +94,7 @@ struct GemmCase {
 
 class PackedGemm : public ::testing::TestWithParam<GemmCase> {};
 
-TEST_P(PackedGemm, BitIdenticalToScalarAcrossEpilogues) {
+TEST_P(PackedGemm, BitIdenticalToOracleAcrossEpilogues) {
   const auto [batch, m, k, n, batched_b] = GetParam();
   const TensorH a = random_tensor(Shape{batch, m, k}, 7);
   const TensorH b = batched_b ? random_tensor(Shape{batch, k, n}, 11)
@@ -103,12 +104,15 @@ TEST_P(PackedGemm, BitIdenticalToScalarAcrossEpilogues) {
   for (const Epilogue ep : {Epilogue::kNone, Epilogue::kBias,
                             Epilogue::kBiasRelu, Epilogue::kBiasGelu}) {
     const TensorH* bp = ep == Epilogue::kNone ? nullptr : &bias;
-    TensorH c_scalar(Shape{batch, m, n});
-    TensorH c_packed(Shape{batch, m, n});
-    ops::gemm_scalar(a, b, c_scalar, ep, bp);
-    ops::gemm_packed(a, b, c_packed, ep, bp);
-    EXPECT_TRUE(bits_equal(c_scalar, c_packed))
-        << "epilogue " << static_cast<int>(ep);
+    TensorH want(Shape{batch, m, n});
+    oracle::gemm(a, b, want, ep, bp);
+    for (const core::Isa isa : core::available_isas()) {
+      core::ScopedKernelIsa pin(isa);
+      TensorH got(Shape{batch, m, n});
+      ops::gemm(a, b, got, ep, bp);
+      EXPECT_TRUE(bits_equal(want, got))
+          << core::isa_name(isa) << " epilogue " << static_cast<int>(ep);
+    }
   }
 }
 
@@ -123,39 +127,16 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{1, 70, 257, 260, false}  // n > NB block boundary
         ));
 
-TEST(PackedGemmDispatch, GemmHonoursExecutionModeToggle) {
-  const TensorH a = random_tensor(Shape{1, 5, 8}, 3);
-  const TensorH b = random_tensor(Shape{8, 6}, 4);
-  TensorH c_default(Shape{1, 5, 6});
-  TensorH c_scalar(Shape{1, 5, 6});
-  TensorH c_forced(Shape{1, 5, 6});
-
-  EXPECT_TRUE(packed_execution_enabled());  // packed is the default
-  ops::gemm(a, b, c_default);
-  {
-    ScopedPackedExecution scalar_mode(false);
-    EXPECT_FALSE(packed_execution_enabled());
-    ops::gemm(a, b, c_scalar);
-  }
-  EXPECT_TRUE(packed_execution_enabled());  // guard restored the default
-  ops::gemm(a, b, c_forced);
-  EXPECT_TRUE(bits_equal(c_default, c_scalar));
-  EXPECT_TRUE(bits_equal(c_default, c_forced));
-}
-
-TEST(PackedMatmul2d, BitIdenticalToScalar) {
+TEST(PackedMatmul2d, BitIdenticalToOracle) {
   for (const auto& [r, k, n] :
        std::vector<std::array<std::int64_t, 3>>{{5, 9, 7}, {64, 130, 257}}) {
     const TensorH x = random_tensor(Shape{r, k}, 21);
     const TensorH w = random_tensor(Shape{k, n}, 22);
-    TensorH y_scalar(Shape{r, n});
-    TensorH y_packed(Shape{r, n});
-    {
-      ScopedPackedExecution scalar_mode(false);
-      ops::matmul2d(x, w, y_scalar);
-    }
-    ops::matmul2d(x, w, y_packed);
-    EXPECT_TRUE(bits_equal(y_scalar, y_packed)) << r << "x" << k << "x" << n;
+    TensorH want(Shape{r, n});
+    TensorH got(Shape{r, n});
+    oracle::matmul2d(x, w, want);
+    ops::matmul2d(x, w, got);
+    EXPECT_TRUE(bits_equal(want, got)) << r << "x" << k << "x" << n;
   }
 }
 
@@ -170,7 +151,7 @@ struct MhaCase {
 
 class PackedBlockwiseMha : public ::testing::TestWithParam<MhaCase> {};
 
-TEST_P(PackedBlockwiseMha, BitIdenticalToScalar) {
+TEST_P(PackedBlockwiseMha, BitIdenticalToOracle) {
   const auto [pattern, seq_len, block, with_score_mod] = GetParam();
   const mha::MhaDims dims{2, 3, seq_len, 16};
   const TensorH q = random_tensor(dims.qkv_shape(), 31);
@@ -188,14 +169,9 @@ TEST_P(PackedBlockwiseMha, BitIdenticalToScalar) {
             })
           : mha::ScoreMod(nullptr);
 
-  TensorH out_scalar;
-  {
-    ScopedPackedExecution scalar_mode(false);
-    out_scalar = mha::blockwise_attention(dims, q, k, v, bsr, params, mod);
-  }
-  const TensorH out_packed =
-      mha::blockwise_attention(dims, q, k, v, bsr, params, mod);
-  EXPECT_TRUE(bits_equal(out_scalar, out_packed));
+  EXPECT_TRUE(bits_equal(
+      oracle::blockwise_attention(dims, q, k, v, bsr, params, mod),
+      mha::blockwise_attention(dims, q, k, v, bsr, params, mod)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -217,7 +193,7 @@ struct LaneTileCase {
 
 class PackedLaneTile : public ::testing::TestWithParam<LaneTileCase> {};
 
-TEST_P(PackedLaneTile, BitIdenticalToScalarOnEveryIsa) {
+TEST_P(PackedLaneTile, BitIdenticalToOracleOnEveryIsa) {
   const auto [bm, bn, d] = GetParam();
   // GQA (4 query heads over 2 KV heads); seq_len 100 leaves tail rows and
   // tail columns for every block size, and BigBird mixes full blocks, part
@@ -243,12 +219,8 @@ TEST_P(PackedLaneTile, BitIdenticalToScalarOnEveryIsa) {
   for (const bool with_mod : {false, true}) {
     const mha::ScoreMod mod = with_mod ? tilt : mha::ScoreMod(nullptr);
     for (const auto& [begin, end] : windows) {
-      TensorH want;
-      {
-        ScopedPackedExecution scalar_mode(false);
-        want = mha::blockwise_attention(dims, q, k, v, bsr, params, mod,
-                                        begin, end);
-      }
+      const TensorH want = oracle::blockwise_attention(
+          dims, q, k, v, bsr, params, mod, begin, end);
       for (const core::Isa isa : core::available_isas()) {
         core::ScopedKernelIsa pin(isa);
         const TensorH got = mha::blockwise_attention(

@@ -2,15 +2,16 @@
 // cache-blocked sgemm_accumulate must be bit-identical to the naive
 // reference loop across odd shapes (rows/cols not multiples of the
 // register blocks, depths crossing the unroll and cache-block
-// boundaries), and the packed
-// MHA kernels (tensor panels from the cross-call registry, paged decode
-// over FP32 page copies) must stay bit-identical to the scalar reference.
+// boundaries), and the MHA kernels (tensor panels from the cross-call
+// registry, paged decode over FP32 pages) must stay bit-identical to the
+// scalar reference kernels of the test oracle.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "oracle/oracle.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
@@ -123,14 +124,9 @@ TEST_P(BlockwisePanelCacheBitIdentity, OddShapes) {
   const auto bsr = sparse::BsrMask::build(m, 16, 16);
   const mha::BlockwiseParams params{16, 16};
 
-  TensorH scalar_out;
-  {
-    ScopedPackedExecution scalar_mode(false);
-    scalar_out = mha::blockwise_attention(dims, q, k, v, bsr, params);
-  }
-  const TensorH packed_out = mha::blockwise_attention(dims, q, k, v, bsr,
-                                                      params);
-  EXPECT_TRUE(tensors_bit_equal(scalar_out, packed_out))
+  EXPECT_TRUE(tensors_bit_equal(
+      oracle::blockwise_attention(dims, q, k, v, bsr, params),
+      mha::blockwise_attention(dims, q, k, v, bsr, params)))
       << masks::to_string(GetParam());
 }
 
@@ -153,16 +149,12 @@ TEST(BlockwisePanelCacheBitIdentityGqa, GroupedQueryHeadsShareKvPanels) {
   const auto bsr = sparse::BsrMask::build(masks::causal(64), 32, 32);
   const mha::BlockwiseParams params{32, 32};
 
-  TensorH scalar_out;
-  {
-    ScopedPackedExecution scalar_mode(false);
-    scalar_out = mha::blockwise_attention(dims, q, k, v, bsr, params);
-  }
   EXPECT_TRUE(tensors_bit_equal(
-      scalar_out, mha::blockwise_attention(dims, q, k, v, bsr, params)));
+      oracle::blockwise_attention(dims, q, k, v, bsr, params),
+      mha::blockwise_attention(dims, q, k, v, bsr, params)));
 }
 
-TEST(RowwisePanelCacheBitIdentity, PackedMatchesScalar) {
+TEST(RowwisePanelCacheBitIdentity, MatchesOracle) {
   const mha::MhaDims dims{2, 3, 48, 16};
   const TensorH q = random_tensor(dims.qkv_shape(), 41);
   const TensorH k = random_tensor(dims.kv_shape(), 42);
@@ -172,19 +164,13 @@ TEST(RowwisePanelCacheBitIdentity, PackedMatchesScalar) {
           .build();
   const auto rw = sparse::RowwiseMask::build(m);
 
-  TensorH scalar_out;
-  {
-    ScopedPackedExecution scalar_mode(false);
-    scalar_out = mha::rowwise_attention(dims, q, k, v, rw);
-  }
-  EXPECT_TRUE(tensors_bit_equal(scalar_out,
+  EXPECT_TRUE(tensors_bit_equal(oracle::rowwise_attention(dims, q, k, v, rw),
                                 mha::rowwise_attention(dims, q, k, v, rw)));
 }
 
-TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
-  // Paged decode: the packed path reads the pages' FP32 copies, the scalar
-  // reference their halfs.  The odd context length leaves the last page
-  // part-filled.
+TEST(DecodeScratchBitIdentity, MatchesOracle) {
+  // Paged decode: the library kernel reads FP32 pages, the oracle their
+  // halfs.  The odd context length leaves the last page part-filled.
   constexpr std::int64_t kSeqs = 3, kHeads = 4, kD = 16, kCtx = 37, kBt = 16;
   constexpr std::int64_t kBlocks = (kCtx + kBt - 1) / kBt;
   const TensorH q = random_tensor(Shape{kSeqs * kHeads, 1, kD}, 51);
@@ -205,24 +191,20 @@ TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
     vf_pages.push_back(vf.data() + p * kBt * kHeads * kD);
   }
   const std::vector<std::int32_t> cols = {0, 3, 5, 11, 20, 36};
+  std::vector<oracle::PagedSeq> half_seqs;
   std::vector<mha::PagedSeq> seqs;
   for (std::int64_t s = 0; s < kSeqs; ++s) {
-    seqs.push_back(mha::PagedSeq{kCtx,
-                                 kBt,
-                                 {k_pages.data() + s * kBlocks, kBlocks},
-                                 {v_pages.data() + s * kBlocks, kBlocks},
-                                 cols,
-                                 {{kf_pages.data() + s * kBlocks, kBlocks},
-                                  {vf_pages.data() + s * kBlocks, kBlocks}}});
+    half_seqs.push_back(oracle::PagedSeq{
+        kCtx, kBt, {k_pages.data() + s * kBlocks, kBlocks},
+        {v_pages.data() + s * kBlocks, kBlocks}, cols});
+    seqs.push_back(mha::PagedSeq{kCtx, kBt,
+                                 {kf_pages.data() + s * kBlocks, kBlocks},
+                                 {vf_pages.data() + s * kBlocks, kBlocks},
+                                 cols});
   }
-
-  TensorH scalar_out;
-  {
-    ScopedPackedExecution scalar_mode(false);
-    scalar_out = mha::decode_attention_paged(kHeads, kD, seqs, q);
-  }
-  EXPECT_TRUE(tensors_bit_equal(
-      scalar_out, mha::decode_attention_paged(kHeads, kD, seqs, q)));
+  EXPECT_TRUE(
+      tensors_bit_equal(oracle::decode_attention_paged(kHeads, kD, half_seqs, q),
+                        mha::decode_attention_paged(kHeads, kD, seqs, q)));
 }
 
 }  // namespace

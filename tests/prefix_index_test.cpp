@@ -12,7 +12,7 @@
 namespace stof::serve {
 namespace {
 
-// 8 blocks of 4 tokens, 1 head x 2 dims: a page is 8 halfs per side.
+// 8 blocks of 4 tokens, 1 head x 2 dims: a page is 8 floats per side.
 KvPoolConfig tiny_config() { return KvPoolConfig{8, 4, 1, 2}; }
 
 Request template_request(SessionId id, std::uint64_t session_seed) {
@@ -34,8 +34,8 @@ void append_rows(KvPool& pool, SessionId id, std::int64_t n,
     ASSERT_TRUE(slot.has_value());
     const std::int64_t row = pool.config().heads * pool.config().head_size;
     for (std::int64_t e = 0; e < row; ++e) {
-      slot->k[e] = half(value_base + static_cast<float>(t));
-      slot->v[e] = half(-value_base - static_cast<float>(t));
+      slot->k[e] = value_base + static_cast<float>(t);
+      slot->v[e] = -value_base - static_cast<float>(t);
     }
   }
 }
@@ -122,11 +122,11 @@ TEST(PrefixIndex, CopyOnWriteKeepsSharedPagesImmutable) {
 
   // The adopter's first append lands mid-page on the shared partial tail:
   // it must copy rows [0, 2) into a private block first.
-  const half* donor_tail_k = pool.k_blocks(0)[2];
+  const float* donor_tail_k = pool.k_blocks(0)[2];
   auto slot = pool.append_token(1);
   ASSERT_TRUE(slot.has_value());
   ASSERT_TRUE(pool.check_conservation());
-  const half* adopter_tail_k = pool.k_blocks(1)[2];
+  const float* adopter_tail_k = pool.k_blocks(1)[2];
   EXPECT_NE(adopter_tail_k, donor_tail_k);     // remapped to a fresh block
   EXPECT_EQ(pool.k_blocks(1)[0], pool.k_blocks(0)[0]);  // full pages shared
   EXPECT_EQ(pool.used_blocks(), 4);
@@ -134,10 +134,10 @@ TEST(PrefixIndex, CopyOnWriteKeepsSharedPagesImmutable) {
   // same physical page were not touched and not inherited.
   const std::int64_t row = pool.config().heads * pool.config().head_size;
   for (std::int64_t e = 0; e < 2 * row; ++e) {
-    EXPECT_EQ(float(adopter_tail_k[e]), float(donor_tail_k[e]));
+    EXPECT_EQ(adopter_tail_k[e], donor_tail_k[e]);
   }
-  slot->k[0] = half(99.0f);
-  EXPECT_EQ(float(donor_tail_k[2 * row]), 20.0f);  // donor token 10 intact
+  slot->k[0] = 99.0f;
+  EXPECT_EQ(donor_tail_k[2 * row], 20.0f);  // donor token 10 intact
   EXPECT_EQ(pool.private_blocks(1), 1);
   EXPECT_EQ(pool.tokens(1), 11);
 }
@@ -193,14 +193,14 @@ TEST(PrefixIndex, TruncateRollsBackSpeculativeRows) {
   EXPECT_EQ(pool.blocks(0), 2);
   EXPECT_EQ(pool.free_blocks(), 6);
   const std::int64_t row = pool.config().heads * pool.config().head_size;
-  EXPECT_EQ(float(pool.k_blocks(0)[1][0]), 14.0f);  // token 4 survives
+  EXPECT_EQ(pool.k_blocks(0)[1][0], 14.0f);  // token 4 survives
 
   // Re-append after rollback reuses the tail slot exactly.
   auto slot = pool.append_token(0);
   ASSERT_TRUE(slot.has_value());
-  slot->k[0] = half(55.0f);
+  slot->k[0] = 55.0f;
   EXPECT_EQ(pool.tokens(0), 6);
-  EXPECT_EQ(float(pool.k_blocks(0)[1][row]), 55.0f);
+  EXPECT_EQ(pool.k_blocks(0)[1][row], 55.0f);
 
   // Truncate to a block boundary, then to empty.
   pool.truncate(0, 4);
@@ -226,7 +226,7 @@ TEST(PrefixIndex, TruncateOntoSharedTailForcesCow) {
   ASSERT_TRUE(pool.check_conservation());
   EXPECT_EQ(pool.tokens(0), 10);
   EXPECT_EQ(pool.usable_blocks(0), 2);  // tail append will CoW
-  const half* shared_tail = pool.k_blocks(0)[2];
+  const float* shared_tail = pool.k_blocks(0)[2];
   auto slot = pool.append_token(0);
   ASSERT_TRUE(slot.has_value());
   ASSERT_TRUE(pool.check_conservation());

@@ -11,7 +11,7 @@
 
 #include "stof/cluster/cluster.hpp"
 #include "stof/core/checksum.hpp"
-#include "stof/core/packed.hpp"
+#include "stof/core/kernels.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/serve/engine.hpp"
 #include "stof/serve/model_runtime.hpp"
@@ -250,9 +250,9 @@ TEST(ServeModel, LayerHeadOutputBytesArePinned) {
   for (const Pin& p : pins) {
     EXPECT_EQ(head_hash(p.kind, p.rows), p.hash)
         << to_string(p.kind) << " at " << p.rows << " rows";
-    ScopedPackedExecution scalar_gemm(false);
+    core::ScopedKernelIsa scalar(core::Isa::kScalar);
     EXPECT_EQ(head_hash(p.kind, p.rows), p.hash)
-        << to_string(p.kind) << " at " << p.rows << " rows, scalar GEMM";
+        << to_string(p.kind) << " at " << p.rows << " rows, scalar kernels";
   }
 }
 
@@ -324,6 +324,31 @@ TEST(EnginePrewarm, ChunkedEngineTunesItsChunkBudget) {
   EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
   (void)whole.model_runtime()->plan_for(64);
   (void)whole.model_runtime()->plan_for(1024);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  telemetry::global_registry().reset();
+}
+
+TEST(EnginePrewarm, SerialEngineTunesNoBucketPastItsContext) {
+  // A serial step prefills one context of at most max_seq_len rows, so a
+  // budget of 1024 does not make model load tune bucket 1024: it tunes the
+  // decode bucket 16 and the context bucket 256, and nothing else.
+  telemetry::ScopedTelemetry scope(true);
+  const auto& reg = telemetry::global_registry();
+  EngineConfig cfg = model_config(ModelKind::kGptDecoder,
+                                  SchedulerMode::kSerial, 16, true);
+  cfg.max_seq_len = 176;
+  cfg.scheduler.prefill_token_budget = 1024;
+
+  telemetry::global_registry().reset();
+  Engine serial(cfg);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  (void)serial.model_runtime()->plan_for(16);
+  (void)serial.model_runtime()->plan_for(cfg.max_seq_len);
+  EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
+  // A whole context is one step that finds its plan tuned.
+  serial.submit({0, 170, 2, 9, masks::PatternKind::kCausal, 0.0});
+  ASSERT_TRUE(serial.step());
+  EXPECT_EQ(serial.stats().prefill_tokens, 170);
   EXPECT_EQ(reg.counter("serve.model.tunes"), 2);
   telemetry::global_registry().reset();
 }

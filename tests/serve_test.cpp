@@ -5,9 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
-#include "stof/core/packed.hpp"
+#include "stof/core/kernels.hpp"
 #include "stof/serve/engine.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
@@ -49,12 +50,12 @@ TEST(KvPool, SlotsAreStableAndPerSession) {
   auto a0 = pool.append_token(0);
   auto b0 = pool.append_token(1);
   ASSERT_TRUE(a0 && b0);
-  a0->k[0] = half(1.0f);
-  b0->k[0] = half(2.0f);
+  a0->k[0] = 1.0f;
+  b0->k[0] = 2.0f;
   // Growing session 1 must not disturb session 0's data.
   for (int t = 0; t < 5; ++t) ASSERT_TRUE(pool.append_token(1).has_value());
-  EXPECT_EQ(float(pool.k_blocks(0)[0][0]), 1.0f);
-  EXPECT_EQ(float(pool.k_blocks(1)[0][0]), 2.0f);
+  EXPECT_EQ(pool.k_blocks(0)[0][0], 1.0f);
+  EXPECT_EQ(pool.k_blocks(1)[0][0], 2.0f);
   EXPECT_EQ(pool.blocks(1), 3);
 }
 
@@ -307,10 +308,10 @@ TEST(ServeChunkedPrefill, ChunkSizeSweepKeepsDigestsBitIdentical) {
   }
 }
 
-TEST(ServeChunkedPrefill, ScalarReferenceMatchesPackedEngine) {
-  // The scalar reference reads the pool's half pages, the packed engine
-  // its float sidecar: chunked windows (rows [0, begin) come from the
-  // pool) and prefix adoption must give the same digests either way.
+TEST(ServeChunkedPrefill, DigestsMatchOnEveryIsa) {
+  // Chunked windows (rows [0, begin) come from the pool) and prefix
+  // adoption give the same digests whichever kernel table runs, the scalar
+  // one included.
   auto trace = causal_template_trace();
   for (Request r : mixed_trace()) {
     r.id += 8;
@@ -319,16 +320,73 @@ TEST(ServeChunkedPrefill, ScalarReferenceMatchesPackedEngine) {
   std::ranges::stable_sort(trace, {}, &Request::arrival_us);
   EngineConfig cfg = chunked_config(64, 24);
   cfg.max_seq_len = 128;
-  std::map<SessionId, std::uint64_t> digests[2];
-  for (const bool packed : {false, true}) {
-    ScopedPackedExecution mode(packed);
+  std::map<SessionId, std::uint64_t> want;
+  for (const core::Isa isa : core::available_isas()) {
+    core::ScopedKernelIsa pin(isa);
     Engine engine(cfg);
     replay(engine, trace);
-    for (const auto& r : trace) {
-      digests[packed][r.id] = engine.session(r.id).digest;
-    }
+    std::map<SessionId, std::uint64_t> got;
+    for (const auto& r : trace) got[r.id] = engine.session(r.id).digest;
+    if (want.empty()) want = got;
+    EXPECT_EQ(want, got) << core::isa_name(isa);
   }
-  EXPECT_EQ(digests[0], digests[1]);
+}
+
+TEST(KvPool, StoredRowsAreWidenedFillTokenDraws) {
+  // After every step, each K/V element the pool holds for a session is the
+  // exact widening of a half value (float(half(x)) == x bitwise) and equals
+  // the widened fill_token draw of its position — through chunked prefill,
+  // prefix adoption with copy-on-write, speculative rounds that truncate
+  // rejected drafts, preemption, and the release of finished sessions.
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
+  EngineConfig cfg = chunked_config(12, 24);
+  cfg.max_seq_len = 128;
+  cfg.spec_draft_tokens = 3;
+  cfg.spec_accept_pct = 50;
+  Engine engine(cfg);
+  const auto trace = causal_template_trace();
+  const auto row = static_cast<std::size_t>(cfg.heads * cfg.head_size);
+  std::vector<half> draw(row);
+  std::int64_t checked_rows = 0;
+  engine.on_step = [&](const StepOutcome&, std::int64_t, double,
+                       std::int64_t) {
+    const KvPool& pool = engine.pool();
+    for (const auto& r : trace) {
+      const std::int64_t tokens = pool.tokens(r.id);
+      if (tokens == 0) continue;  // not admitted yet, or released
+      const Request& req = engine.session(r.id).request;
+      for (std::int64_t pos = 0; pos < tokens; ++pos) {
+        const auto page = static_cast<std::size_t>(pos / cfg.block_tokens);
+        const auto offset =
+            static_cast<std::size_t>(pos % cfg.block_tokens) * row;
+        for (const auto channel : {TokenChannel::kKey, TokenChannel::kValue}) {
+          fill_token(token_seed(req, pos), pos, channel, draw);
+          const float* got = (channel == TokenChannel::kKey
+                                  ? pool.k_blocks(r.id)
+                                  : pool.v_blocks(r.id))[page] +
+                             offset;
+          for (std::size_t e = 0; e < row; ++e) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(float(half(got[e]))),
+                      std::bit_cast<std::uint32_t>(got[e]))
+                << "session " << r.id << " pos " << pos;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(float(draw[e])),
+                      std::bit_cast<std::uint32_t>(got[e]))
+                << "session " << r.id << " pos " << pos;
+          }
+        }
+        ++checked_rows;
+      }
+    }
+  };
+  replay(engine, trace);
+  const auto& reg = telemetry::global_registry();
+  EXPECT_GT(checked_rows, 0);
+  EXPECT_GT(reg.counter("serve.prefix.cow_copies"), 0);
+  EXPECT_GT(reg.counter("serve.spec.rollbacks"), 0);
+  EXPECT_GT(engine.stats().preemptions, 0);
+  EXPECT_EQ(engine.stats().finished, static_cast<std::int64_t>(trace.size()));
+  EXPECT_EQ(engine.pool().used_blocks(), engine.pool().prefix_blocks());
 }
 
 TEST(ServeChunkedPrefill, InterleavesChunksWithDecodesInOneStep) {

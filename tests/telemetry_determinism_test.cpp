@@ -5,15 +5,15 @@
 //    through the layer head) produce byte-identical dump_json snapshots
 //    once wall-clock timers (the only nondeterministic section) are
 //    excluded.
-//  * Packed and scalar execution modes report identical *simulated*
-//    counters (`sim.*`): what the simulation did cannot depend on which
-//    bit-identical arithmetic engine computed the numerics.
+//  * Every kernel ISA reports identical *simulated* counters (`sim.*`):
+//    what the simulation did cannot depend on which bit-identical kernel
+//    table computed the numerics.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 
-#include "stof/core/packed.hpp"
+#include "stof/core/kernels.hpp"
 #include "stof/serve/engine.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
@@ -78,32 +78,20 @@ std::map<std::string, std::int64_t> sim_counters() {
   return out;
 }
 
-TEST(TelemetryDeterminism, PackedAndScalarModesAgreeOnSimCounters) {
+TEST(TelemetryDeterminism, IsasAgreeOnSimCounters) {
   ScopedTelemetry on(true);
-
-  global_registry().reset();
-  {
-    ScopedPackedExecution packed(true);
-    run_workload();
+  std::map<std::string, std::int64_t> want;
+  for (const core::Isa isa : core::available_isas()) {
+    global_registry().reset();
+    {
+      core::ScopedKernelIsa pin(isa);
+      run_workload();
+    }
+    const auto got = sim_counters();
+    ASSERT_FALSE(got.empty());
+    if (want.empty()) want = got;
+    EXPECT_EQ(want, got) << core::isa_name(isa);
   }
-  const auto packed_sim = sim_counters();
-  const std::int64_t packed_calls =
-      global_registry().counter("exec.ops.gemm.packed_calls");
-
-  global_registry().reset();
-  {
-    ScopedPackedExecution scalar(false);
-    run_workload();
-  }
-  const auto scalar_sim = sim_counters();
-  const std::int64_t scalar_calls =
-      global_registry().counter("exec.ops.gemm.scalar_calls");
-
-  ASSERT_FALSE(packed_sim.empty());
-  EXPECT_EQ(packed_sim, scalar_sim);
-  // The exec.* path accounting, by contrast, must reflect the mode.
-  EXPECT_GT(packed_calls, 0);
-  EXPECT_GT(scalar_calls, 0);
   global_registry().reset();
 }
 
