@@ -9,13 +9,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <initializer_list>
 #include <numeric>
 #include <ostream>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "stof/core/check.hpp"
@@ -23,23 +21,6 @@
 #include "stof/core/rng.hpp"
 
 namespace stof {
-
-/// Process-unique id for a freshly allocated storage buffer.  Tensor mints
-/// one per allocation; holders of non-Tensor storage (e.g. the serving KV
-/// pool's pages) mint their own so every cacheable buffer shares one id
-/// space.  Never returns 0, which marks "no storage".
-inline std::uint64_t next_storage_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-namespace core {
-/// Drop every panel the global PanelCacheRegistry holds for `storage`
-/// (defined in panel_cache_registry.cpp).  A marked Tensor calls it when
-/// its storage dies, so a registry entry lives exactly as long as the
-/// buffer it was converted from.
-void drop_storage_panels(std::uint64_t storage);
-}  // namespace core
 
 /// Shape of a tensor: up to four dimensions, row-major.
 class Shape {
@@ -97,60 +78,9 @@ class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape)
-      : shape_(shape),
-        data_(static_cast<std::size_t>(shape.numel())),
-        storage_id_(next_storage_id()) {}
+      : shape_(shape), data_(static_cast<std::size_t>(shape.numel())) {}
 
   Tensor(Shape shape, T fill_value) : Tensor(shape) { fill(fill_value); }
-
-  // Copies allocate fresh storage, so they get a fresh identity (version
-  // restarts at 0); moves transfer the buffer and carry identity, version
-  // and panel mark along, leaving the source storage-less.  Destruction
-  // and assignment end the old storage's life and drop its panels.
-  Tensor(const Tensor& o)
-      : shape_(o.shape_),
-        data_(o.data_),
-        storage_id_(o.data_.empty() ? 0 : next_storage_id()) {}
-  Tensor& operator=(const Tensor& o) {
-    if (this != &o) {
-      drop_panels();
-      shape_ = o.shape_;
-      data_ = o.data_;
-      storage_id_ = data_.empty() ? 0 : next_storage_id();
-      version_.store(0, std::memory_order_relaxed);
-    }
-    return *this;
-  }
-  Tensor(Tensor&& o) noexcept
-      : shape_(o.shape_),
-        data_(std::move(o.data_)),
-        storage_id_(std::exchange(o.storage_id_, 0)),
-        version_(o.version_.load(std::memory_order_relaxed)),
-        has_panels_(o.has_panels_.exchange(false, std::memory_order_relaxed)) {
-    o.version_.store(0, std::memory_order_relaxed);
-  }
-  Tensor& operator=(Tensor&& o) noexcept {
-    if (this != &o) {
-      drop_panels();
-      shape_ = o.shape_;
-      data_ = std::move(o.data_);
-      storage_id_ = std::exchange(o.storage_id_, 0);
-      version_.store(o.version_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      o.version_.store(0, std::memory_order_relaxed);
-      has_panels_.store(
-          o.has_panels_.exchange(false, std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    return *this;
-  }
-  ~Tensor() { drop_panels(); }
-
-  /// Record that the panel registry holds a conversion of this storage
-  /// (core::float_panel), so the storage's death drops it.
-  void mark_panels() const {
-    has_panels_.store(true, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
   [[nodiscard]] std::int64_t numel() const { return shape_.numel(); }
@@ -158,38 +88,17 @@ class Tensor {
     return data_.size() * sizeof(T);
   }
 
-  /// Identity of this tensor's storage buffer (0 when empty).  Stable
-  /// across the buffer's lifetime; a copy gets a new id, a move keeps it.
-  [[nodiscard]] std::uint64_t storage_id() const { return storage_id_; }
-  /// Monotonic mutation stamp: bumped by every mutable accessor, so a
-  /// cache can verify a converted panel still reflects this storage.
-  [[nodiscard]] std::uint64_t version() const {
-    return version_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::span<T> data() {
-    bump_version();
-    return data_;
-  }
+  [[nodiscard]] std::span<T> data() { return data_; }
   [[nodiscard]] std::span<const T> data() const { return data_; }
 
   // Element access with explicit rank; bounds enforced on the leading index
-  // arithmetic only in the rank-checked accessors below.  The mutable
-  // overloads stamp the version — access through them counts as a write.
-  T& at(std::int64_t i) {
-    bump_version();
-    return data_[idx({i})];
-  }
-  T& at(std::int64_t i, std::int64_t j) {
-    bump_version();
-    return data_[idx({i, j})];
-  }
+  // arithmetic only in the rank-checked accessors below.
+  T& at(std::int64_t i) { return data_[idx({i})]; }
+  T& at(std::int64_t i, std::int64_t j) { return data_[idx({i, j})]; }
   T& at(std::int64_t i, std::int64_t j, std::int64_t k) {
-    bump_version();
     return data_[idx({i, j, k})];
   }
   T& at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) {
-    bump_version();
     return data_[idx({i, j, k, l})];
   }
   const T& at(std::int64_t i) const { return data_[idx({i})]; }
@@ -205,13 +114,11 @@ class Tensor {
   }
 
   void fill(T value) {
-    bump_version();
     for (auto& v : data_) v = value;
   }
 
   /// Fill with uniform values in [lo, hi) from a seeded generator.
   void fill_random(Rng& rng, float lo = -1.0f, float hi = 1.0f) {
-    bump_version();
     for (auto& v : data_) v = T(rng.uniform(lo, hi));
   }
 
@@ -225,19 +132,6 @@ class Tensor {
   }
 
  private:
-  // Relaxed atomic: parallel kernels write disjoint elements of one tensor
-  // through mutable at(), so the stamp must tolerate concurrent bumps.
-  void bump_version() { version_.fetch_add(1, std::memory_order_relaxed); }
-
-  // Destruction and assignment own the tensor exclusively, so a plain
-  // load and store suffice (no read-modify-write on every destruction).
-  void drop_panels() {
-    if (has_panels_.load(std::memory_order_relaxed)) {
-      has_panels_.store(false, std::memory_order_relaxed);
-      core::drop_storage_panels(storage_id_);
-    }
-  }
-
   [[nodiscard]] std::size_t idx(
       std::initializer_list<std::int64_t> indices) const {
     STOF_EXPECTS(indices.size() == shape_.rank(), "rank mismatch in at()");
@@ -254,9 +148,6 @@ class Tensor {
 
   Shape shape_;
   std::vector<T> data_;
-  std::uint64_t storage_id_ = 0;
-  std::atomic<std::uint64_t> version_{0};
-  mutable std::atomic<bool> has_panels_{false};
 };
 
 using TensorF = Tensor<float>;

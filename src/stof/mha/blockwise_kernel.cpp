@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "stof/core/kernels.hpp"
+#include "stof/core/packed.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -108,14 +109,17 @@ void store_rows(const float* src, std::int64_t rows, std::int64_t d,
 
 }  // namespace
 
-KvPanels fetch_kv_panels(const TensorH& k, const TensorH& v) {
-  KvPanels p{core::float_panel(k), core::float_panel(v)};
-  const std::int64_t converted =
-      (p.k.converted_elems > 0 ? 1 : 0) + (p.v.converted_elems > 0 ? 1 : 0);
-  if (converted > 0) {
-    telemetry::count("exec.mha.panels_converted", converted * k.shape()[0]);
-  }
-  return p;
+std::unique_ptr<const float[]> widen(const TensorH& t) {
+  auto out = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(t.numel()));
+  const std::int64_t slices = t.shape().rank() == 3 ? t.shape()[0] : 1;
+  const auto slice = static_cast<std::size_t>(t.numel() / slices);
+  parallel_for(0, slices, [&](std::int64_t s) {
+    const auto lo = static_cast<std::size_t>(s) * slice;
+    packed::half_to_float(t.data().subspan(lo, slice),
+                          {out.get() + lo, slice});
+  });
+  return out;
 }
 
 TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
@@ -130,13 +134,11 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   TensorH out = make_output(dims, q, k, v);
   const std::int64_t n = dims.seq_len;
   const std::int64_t d = dims.head_size;
-  // Every K/V instance is converted half->float at most once per
-  // *mutation*: the global registry keeps the panels across calls, keyed on
-  // the K/V tensors' storage identity and version.
-  const KvPanels panels = fetch_kv_panels(k, v);
+  const auto kf = widen(k);
+  const auto vf = widen(v);
   const BlockwiseOperands io{padded_rows(q.data().data(), n, d),
-                             padded_rows(panels.k.data(), n, d),
-                             padded_rows(panels.v.data(), n, d),
+                             padded_rows(kf.get(), n, d),
+                             padded_rows(vf.get(), n, d),
                              padded_rows(out.data().data(), n, d)};
   blockwise_attention_rows(dims, io, mask, params, score_mod, q_block_begin,
                            q_block_end);

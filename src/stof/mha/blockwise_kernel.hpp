@@ -26,10 +26,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 
 #include "stof/core/kernels.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
 #include "stof/masks/mask.hpp"
@@ -114,19 +114,15 @@ struct BlockwiseOperands {
   std::int64_t out_row0 = 0;  ///< rows below are computed but not stored
 };
 
-/// Whole-tensor FP32 panels of K and V (core::float_panel) for the
-/// tensor-level kernels.  Counts `exec.mha.panels_converted`: one panel
-/// per K/V instance of each tensor this fetch actually converted (registry
-/// hits count nothing).
-struct KvPanels {
-  core::PanelRef k;
-  core::PanelRef v;
-};
-KvPanels fetch_kv_panels(const TensorH& k, const TensorH& v);
+/// Row-major FP32 widening of a whole K or V tensor, a rank-3 tensor's
+/// (seq x d) instances converted in parallel into an uninitialised buffer
+/// (every element is written once).  The tensor-level kernels widen their
+/// K/V inputs per call, as GEMM widens its A operand.
+std::unique_ptr<const float[]> widen(const TensorH& t);
 
 /// Functional execution over the BSR mask: streaming softmax across valid
 /// blocks, full/part paths as in the paper.  The BSR block sizes must match
-/// `params`.  K/V are read through fetch_kv_panels.
+/// `params`.  K/V are read through widen().
 ///
 /// `q_block_begin`/`q_block_end` restrict execution to the query block-rows
 /// in [q_block_begin, q_block_end) (`q_block_end < 0` means every row).

@@ -19,14 +19,13 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   const std::int64_t d = dims.head_size;
   const float scale = dims.scale();
 
-  // Fetch each K/V instance's float panel from the global cross-call cache
-  // (converted at most once per mutation of the tensor; K/V rows are
-  // gathered by every query row that attends to them, so the panels
-  // amortize across the whole instance and across repeated calls).  Both
-  // panels stay row-major — each gathered column dots one whole K row and
-  // consumes one whole V row — and the arithmetic is the scalar
+  // Widen K and V once per call: K/V rows are gathered by every query row
+  // that attends to them, so the FP32 copies amortize across the whole
+  // instance.  Both stay row-major — each gathered column dots one whole K
+  // row and consumes one whole V row — and the arithmetic is the scalar
   // reference's, bit for bit.
-  const KvPanels panels = fetch_kv_panels(k, v);
+  const auto k_wide = widen(k);
+  const auto v_wide = widen(v);
 
   parallel_for_scratch(0, dims.instances() * n, [&](std::int64_t row,
                                                     ScratchArena& arena) {
@@ -43,8 +42,8 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
     float l = 0.0f;
     auto acc = arena.alloc_zeroed(d);
 
-    const float* kf = panels.k.data() + kv * n * d;
-    const float* vf = panels.v.data() + kv * n * d;
+    const float* kf = k_wide.get() + kv * n * d;
+    const float* vf = v_wide.get() + kv * n * d;
     auto q_row = arena.alloc(d);
     packed::half_to_float(
         q.data().subspan(static_cast<std::size_t>((bh * n + i) * d),

@@ -65,12 +65,12 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
 
   // Element b is a view into the batch tensors: its query instances start
   // at b * heads, its K/V instances at b * kv_heads.  The whole batch's K/V
-  // panels convert once (through the cross-call registry, keyed on the
-  // batch tensors) and every element reads its slice.
+  // widen once per call and every element reads its slice.
   const std::int64_t n = dims.seq_len;
   const std::int64_t d = dims.head_size;
   const std::int64_t kv_heads = dims.kv_head_count();
-  const KvPanels panels = fetch_kv_panels(k, v);
+  const auto kf = widen(k);
+  const auto vf = widen(v);
 
   // One single-element attention per batch entry against its own BSR, over
   // the block rows covering [q_begin, len); the window's bytes equal a
@@ -80,8 +80,8 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   for (std::int64_t b = 0; b < dims.batch; ++b) {
     const BlockwiseOperands io{
         padded_rows(q.data().data(), n, d, b * dims.heads),
-        padded_rows(panels.k.data(), n, d, b * kv_heads),
-        padded_rows(panels.v.data(), n, d, b * kv_heads),
+        padded_rows(kf.get(), n, d, b * kv_heads),
+        padded_rows(vf.get(), n, d, b * kv_heads),
         padded_rows(out.data().data(), n, d, b * dims.heads)};
     const std::int64_t len = batch.lengths[static_cast<std::size_t>(b)];
     const auto [qb_lo, qb_hi] = element_window(batch, b, params);

@@ -6,7 +6,6 @@
 
 #include "stof/core/check.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -34,6 +33,7 @@ float apply_epilogue(float acc, Epilogue ep, float bias) {
 /// public entry points; the kernels below index with plain offsets).
 struct GemmView {
   const half* a = nullptr;     ///< (batch, m, k) row-major
+  const float* b = nullptr;    ///< (k, n) or (batch, k, n) row-major
   half* c = nullptr;           ///< (batch, m, n) row-major
   const half* bias = nullptr;  ///< (n) when the epilogue uses it
   std::int64_t batch = 1;
@@ -44,20 +44,18 @@ struct GemmView {
   Epilogue epilogue = Epilogue::kNone;
 };
 
-/// Convert the A panel to FP32 (activations change every call), take B's
-/// FP32 panel from the cross-call registry, run the cache-blocked
-/// accumulation microkernel per row block, apply the epilogue in FP32 and
-/// convert the output panel back to half.  Accumulation order and final
+/// Convert the A panel to FP32 (activations change every call), run the
+/// cache-blocked accumulation microkernel over B's FP32 values per row
+/// block, apply the epilogue in FP32 and convert the output panel back to
+/// half.  Accumulation order and final
 /// rounding match the scalar reference (k ascending per element, one half
 /// rounding) bit for bit.  MAC counts depend only on the problem shape.
-void run(const GemmView& v, const TensorH& b) {
+void run(const GemmView& v) {
   if (telemetry::enabled()) {
     telemetry::count("sim.ops.gemm_calls");
     telemetry::count("sim.ops.gemm_macs", v.batch * v.m * v.n * v.k);
   }
   telemetry::ScopedTimer timer("wall.ops.gemm_us");
-  const core::PanelRef b_ref = core::float_panel(b);
-  const float* b_pack = b_ref.data();
   std::vector<float> a_pack(static_cast<std::size_t>(v.batch * v.m * v.k));
   packed::half_to_float({v.a, a_pack.size()}, a_pack);
   std::vector<float> bias_pack;
@@ -75,7 +73,7 @@ void run(const GemmView& v, const TensorH& b) {
 
     std::vector<float> acc(static_cast<std::size_t>(rows * v.n), 0.0f);
     const float* a_panel = a_pack.data() + (bi * v.m + row_lo) * v.k;
-    const float* b_panel = b_pack + (v.batched_b ? bi * v.k * v.n : 0);
+    const float* b_panel = v.b + (v.batched_b ? bi * v.k * v.n : 0);
     packed::sgemm_accumulate(a_panel, b_panel, acc.data(), rows, v.k, v.n);
 
     if (v.epilogue != Epilogue::kNone) {
@@ -91,7 +89,7 @@ void run(const GemmView& v, const TensorH& b) {
   });
 }
 
-GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
+GemmView validate(const TensorH& a, const TensorF& b, TensorH& c,
                   Epilogue epilogue, const TensorH* bias) {
   STOF_EXPECTS(a.shape().rank() == 3, "A must be (batch, m, k)");
   GemmView v;
@@ -113,6 +111,7 @@ GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
     v.bias = bias->data().data();
   }
   v.a = a.data().data();
+  v.b = b.data().data();
   v.c = c.data().data();
   v.epilogue = epilogue;
   return v;
@@ -120,12 +119,12 @@ GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
 
 }  // namespace
 
-void gemm(const TensorH& a, const TensorH& b, TensorH& c, Epilogue epilogue,
+void gemm(const TensorH& a, const TensorF& b, TensorH& c, Epilogue epilogue,
           const TensorH* bias) {
-  run(validate(a, b, c, epilogue, bias), b);
+  run(validate(a, b, c, epilogue, bias));
 }
 
-void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
+void matmul2d(const TensorH& x, const TensorF& w, TensorH& y) {
   STOF_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
   GemmView v;
   v.m = x.shape()[0];
@@ -134,13 +133,9 @@ void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
   STOF_EXPECTS(w.shape()[0] == v.k, "matmul inner dimension mismatch");
   STOF_EXPECTS(y.shape() == (Shape{v.m, v.n}), "output shape mismatch");
   v.a = x.data().data();
+  v.b = w.data().data();
   v.c = y.data().data();
-  run(v, w);
-}
-
-void warm_weight_panel(const TensorH& w) {
-  if (w.storage_id() == 0) return;  // empty tensor, nothing to convert
-  core::float_panel(w);
+  run(v);
 }
 
 gpusim::KernelCost gemm_cost(const GemmDims& dims, const GemmParams& p,

@@ -43,21 +43,16 @@ enum class Epilogue { kNone, kBias, kBiasRelu, kBiasGelu };
 /// C = A x B with optional epilogue.
 /// A: (batch, m, k); B: (k, n) shared across the batch or (batch, k, n);
 /// C: (batch, m, n); bias: (n) when the epilogue uses it.
-/// A's panel converts to FP32 per call, B's comes from the cross-call panel
-/// registry; the cache-blocked accumulation keeps the scalar reference's
-/// per-element order, so the result is that reference's, bit for bit.
-void gemm(const TensorH& a, const TensorH& b, TensorH& c,
+/// B is FP32 and must hold exact widenings of half values (a model's
+/// weights, widened once at load).  A's panel converts to FP32 per call;
+/// the cache-blocked accumulation keeps the scalar reference's per-element
+/// order, so the result is that reference's on B's half values, bit for bit.
+void gemm(const TensorH& a, const TensorF& b, TensorH& c,
           Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 
 /// y = x (r, k) * w (k, n), FP32 accumulate, no epilogue — gemm() over a
 /// single (r, k) batch.
-void matmul2d(const TensorH& x, const TensorH& w, TensorH& y);
-
-/// Pre-convert `w`'s FP32 panel into the cross-call registry (a no-op when
-/// already cached at the tensor's current version).  Model loaders call
-/// this once so the first forward pass pays no conversion; later mutations
-/// are still caught by the version tag.
-void warm_weight_panel(const TensorH& w);
+void matmul2d(const TensorH& x, const TensorF& w, TensorH& y);
 
 /// Simulated cost of one tiled GEMM launch.
 gpusim::KernelCost gemm_cost(const GemmDims& dims, const GemmParams& params,

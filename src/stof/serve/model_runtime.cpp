@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "stof/core/checksum.hpp"
+#include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/fusion/templates.hpp"
 #include "stof/masks/mask.hpp"
@@ -52,6 +53,15 @@ TensorH seeded_tensor(Shape shape, std::uint64_t seed, float scale,
   Rng rng(seed);
   for (half& v : t.data()) v = half(center + rng.uniform(-scale, scale));
   return t;
+}
+
+/// A GEMM weight as the GEMM reads it: the exact FP32 widening of a
+/// seeded half draw.
+TensorF seeded_weight(Shape shape, std::uint64_t seed, float scale) {
+  const TensorH drawn = seeded_tensor(shape, seed, scale);
+  TensorF w(shape);
+  packed::half_to_float(drawn.data(), w.data());
+  return w;
 }
 
 /// The search budget paid per cold shape bucket.  Trimmed from the
@@ -107,8 +117,7 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
   if (!with_weights) return;
 
   // Fan-in scaled weights keep activations O(1) through arbitrarily many
-  // layers (LayerNorm re-centers between them); the packed GEMM's B panels
-  // convert once here so the first step pays no conversion.
+  // layers (LayerNorm re-centers between them).
   const bool bias = spec_.kind != ModelKind::kT5CrossDecoder;
   const float s_h = 1.0f / std::sqrt(static_cast<float>(hidden_));
   const float s_f = 1.0f / std::sqrt(static_cast<float>(ffn_));
@@ -116,11 +125,11 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
   weights_.reserve(static_cast<std::size_t>(spec_.layers));
   for (std::int64_t l = 0; l < spec_.layers; ++l) {
     LayerWeights w;
-    w.wo = seeded_tensor(Shape{hidden_, hidden_},
+    w.wo = seeded_weight(Shape{hidden_, hidden_},
                          weight_stream(seed, l, WeightTag::kOutProj), s_h);
-    w.wf1 = seeded_tensor(Shape{hidden_, ffn_},
+    w.wf1 = seeded_weight(Shape{hidden_, ffn_},
                           weight_stream(seed, l, WeightTag::kFfnUp), s_h);
-    w.wf2 = seeded_tensor(Shape{ffn_, hidden_},
+    w.wf2 = seeded_weight(Shape{ffn_, hidden_},
                           weight_stream(seed, l, WeightTag::kFfnDown), s_f);
     if (bias) {
       w.bo = seeded_tensor(Shape{hidden_},
@@ -133,7 +142,7 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
                             0.1f);
     }
     if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      w.wc = seeded_tensor(Shape{hidden_, hidden_},
+      w.wc = seeded_weight(Shape{hidden_, hidden_},
                            weight_stream(seed, l, WeightTag::kCrossProj),
                            s_h);
     }
@@ -153,12 +162,6 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
                            1.0f);
       w.b3 = seeded_tensor(Shape{hidden_},
                            weight_stream(seed, l, WeightTag::kBeta3), 0.05f);
-    }
-    ops::warm_weight_panel(w.wo);
-    ops::warm_weight_panel(w.wf1);
-    ops::warm_weight_panel(w.wf2);
-    if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      ops::warm_weight_panel(w.wc);
     }
     weights_.push_back(std::move(w));
   }

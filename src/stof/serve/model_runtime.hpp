@@ -127,10 +127,9 @@ class ModelRuntime {
   [[nodiscard]] graph::Graph build_graph(std::int64_t rows) const;
 
   struct LayerWeights {
-    TensorH wo, bo;          // attention out-projection
-    TensorH wc;              // cross-attention projection (T5 only)
-    TensorH wf1, bf1;        // FFN up
-    TensorH wf2, bf2;        // FFN down
+    // GEMM weights: exact FP32 widenings of seeded half draws.
+    TensorF wo, wc, wf1, wf2;  // out-projection, cross (T5 only), FFN up/down
+    TensorH bo, bf1, bf2;      // their biases
     TensorH g1, b1, g2, b2, g3, b3;  // LayerNorm affine params
   };
 

@@ -113,8 +113,8 @@ TEST(GemmEpilogues, FunctionalEpiloguesComposable) {
   w.fill_random(rng);
   bias.fill_random(rng);
   TensorH relu_out(Shape{1, 8, 8}), manual(Shape{1, 8, 8});
-  gemm(a, w, relu_out, Epilogue::kBiasRelu, &bias);
-  gemm(a, w, manual, Epilogue::kBias, &bias);
+  gemm(a, w.to_float(), relu_out, Epilogue::kBiasRelu, &bias);
+  gemm(a, w.to_float(), manual, Epilogue::kBias, &bias);
   for (std::int64_t i = 0; i < 8; ++i) {
     for (std::int64_t j = 0; j < 8; ++j) {
       EXPECT_NEAR(float(relu_out.at(0, i, j)),

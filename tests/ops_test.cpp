@@ -38,7 +38,7 @@ TEST(Gemm, MatchesNaiveReference) {
   const TensorH a = random_tensor(Shape{b, m, k}, 1);
   const TensorH w = random_tensor(Shape{k, n}, 2);
   TensorH c(Shape{b, m, n});
-  gemm(a, w, c);
+  gemm(a, w.to_float(), c);
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {
@@ -55,7 +55,7 @@ TEST(Gemm, BatchedBOperand) {
   const TensorH a = random_tensor(Shape{3, 4, 6}, 3);
   const TensorH w = random_tensor(Shape{3, 6, 5}, 4);
   TensorH c(Shape{3, 4, 5});
-  gemm(a, w, c);
+  gemm(a, w.to_float(), c);
   float ref = 0;
   for (std::int64_t kk = 0; kk < 6; ++kk)
     ref += float(a.at(2, 1, kk)) * float(w.at(2, kk, 3));
@@ -69,8 +69,8 @@ TEST(Gemm, BiasEpilogue) {
   bias.at(0) = half(1.0f);
   bias.at(1) = half(-2.0f);
   TensorH plain(Shape{1, 3, 2}), biased(Shape{1, 3, 2});
-  gemm(a, w, plain);
-  gemm(a, w, biased, Epilogue::kBias, &bias);
+  gemm(a, w.to_float(), plain);
+  gemm(a, w.to_float(), biased, Epilogue::kBias, &bias);
   for (std::int64_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(float(biased.at(0, i, 0)), float(plain.at(0, i, 0)) + 1.0f,
                 kTol);
@@ -85,9 +85,9 @@ TEST(Gemm, ReluAndGeluEpilogues) {
   TensorH bias(Shape{4}, half(0.0f));
   TensorH plain(Shape{1, 4, 4}), relu_out(Shape{1, 4, 4}),
       gelu_out(Shape{1, 4, 4});
-  gemm(a, w, plain);
-  gemm(a, w, relu_out, Epilogue::kBiasRelu, &bias);
-  gemm(a, w, gelu_out, Epilogue::kBiasGelu, &bias);
+  gemm(a, w.to_float(), plain);
+  gemm(a, w.to_float(), relu_out, Epilogue::kBiasRelu, &bias);
+  gemm(a, w.to_float(), gelu_out, Epilogue::kBiasGelu, &bias);
   for (std::int64_t i = 0; i < 4; ++i) {
     for (std::int64_t j = 0; j < 4; ++j) {
       const float p = float(plain.at(0, i, j));
@@ -98,9 +98,11 @@ TEST(Gemm, ReluAndGeluEpilogues) {
 }
 
 TEST(Gemm, ShapeContractsEnforced) {
-  TensorH a(Shape{1, 2, 3}), w(Shape{4, 2}), c(Shape{1, 2, 2});
+  TensorH a(Shape{1, 2, 3}), c(Shape{1, 2, 2});
+  TensorF w(Shape{4, 2});
   EXPECT_THROW(gemm(a, w, c), Error);  // inner dim mismatch
-  TensorH w2(Shape{3, 2}), cbad(Shape{1, 2, 3});
+  TensorF w2(Shape{3, 2});
+  TensorH cbad(Shape{1, 2, 3});
   EXPECT_THROW(gemm(a, w2, cbad), Error);  // output shape mismatch
   TensorH cgood(Shape{1, 2, 2});
   EXPECT_THROW(gemm(a, w2, cgood, Epilogue::kBias, nullptr), Error);

@@ -109,7 +109,7 @@ TEST_P(PackedGemm, BitIdenticalToOracleAcrossEpilogues) {
     for (const core::Isa isa : core::available_isas()) {
       core::ScopedKernelIsa pin(isa);
       TensorH got(Shape{batch, m, n});
-      ops::gemm(a, b, got, ep, bp);
+      ops::gemm(a, b.to_float(), got, ep, bp);
       EXPECT_TRUE(bits_equal(want, got))
           << core::isa_name(isa) << " epilogue " << static_cast<int>(ep);
     }
@@ -135,7 +135,7 @@ TEST(PackedMatmul2d, BitIdenticalToOracle) {
     TensorH want(Shape{r, n});
     TensorH got(Shape{r, n});
     oracle::matmul2d(x, w, want);
-    ops::matmul2d(x, w, got);
+    ops::matmul2d(x, w.to_float(), got);
     EXPECT_TRUE(bits_equal(want, got)) << r << "x" << k << "x" << n;
   }
 }

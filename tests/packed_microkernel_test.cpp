@@ -2,9 +2,9 @@
 // cache-blocked sgemm_accumulate must be bit-identical to the naive
 // reference loop across odd shapes (rows/cols not multiples of the
 // register blocks, depths crossing the unroll and cache-block
-// boundaries), and the MHA kernels (tensor panels from the cross-call
-// registry, paged decode over FP32 pages) must stay bit-identical to the
-// scalar reference kernels of the test oracle.
+// boundaries), and the MHA kernels (tensor K/V widened per call, paged
+// decode over FP32 pages) must stay bit-identical to the scalar reference
+// kernels of the test oracle.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +18,7 @@
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/mha/rowwise_kernel.hpp"
+#include "stof/mha/varlen.hpp"
 #include "stof/sparse/bsr_mask.hpp"
 #include "stof/sparse/rowwise_mask.hpp"
 
@@ -106,15 +107,15 @@ TEST(SgemmAccumulate, BitIdenticalToNaiveAcrossOddShapes) {
   }
 }
 
-// ---- Packed MHA kernels (panel cache + micro-kernels) vs scalar --------------
+// ---- Packed MHA kernels (widened K/V + micro-kernels) vs scalar --------------
 
-class BlockwisePanelCacheBitIdentity
+class BlockwiseOracleBitIdentity
     : public ::testing::TestWithParam<masks::PatternKind> {};
 
-TEST_P(BlockwisePanelCacheBitIdentity, OddShapes) {
+TEST_P(BlockwiseOracleBitIdentity, OddShapes) {
   // seq_len 50 is not a multiple of block_m 16 (edge Q blocks have 2 rows)
   // and the last K block has cols < block_n — both micro-kernel remainder
-  // paths and the panel cache's edge handling are exercised.
+  // paths and the widened K/V's edge handling are exercised.
   const mha::MhaDims dims{2, 3, 50, 24};
   const TensorH q = random_tensor(dims.qkv_shape(), 21);
   const TensorH k = random_tensor(dims.kv_shape(), 22);
@@ -131,15 +132,15 @@ TEST_P(BlockwisePanelCacheBitIdentity, OddShapes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Patterns, BlockwisePanelCacheBitIdentity,
+    Patterns, BlockwiseOracleBitIdentity,
     ::testing::Values(masks::PatternKind::kCausal,
                       masks::PatternKind::kSlidingWindow,
                       masks::PatternKind::kGlobal, masks::PatternKind::kBigBird,
                       masks::PatternKind::kDense),
     [](const auto& info) { return masks::to_string(info.param); });
 
-TEST(BlockwisePanelCacheBitIdentityGqa, GroupedQueryHeadsShareKvPanels) {
-  // 6 query heads over 2 K/V heads: the panel cache must be indexed by
+TEST(BlockwiseOracleBitIdentityGqa, GroupedQueryHeadsShareKvPanels) {
+  // 6 query heads over 2 K/V heads: the widened K/V must be indexed by
   // kv_instance_of, not by the query instance.
   mha::MhaDims dims{2, 6, 64, 16};
   dims.kv_heads = 2;
@@ -154,7 +155,7 @@ TEST(BlockwisePanelCacheBitIdentityGqa, GroupedQueryHeadsShareKvPanels) {
       mha::blockwise_attention(dims, q, k, v, bsr, params)));
 }
 
-TEST(RowwisePanelCacheBitIdentity, MatchesOracle) {
+TEST(RowwiseOracleBitIdentity, MatchesOracle) {
   const mha::MhaDims dims{2, 3, 48, 16};
   const TensorH q = random_tensor(dims.qkv_shape(), 41);
   const TensorH k = random_tensor(dims.kv_shape(), 42);
@@ -166,6 +167,49 @@ TEST(RowwisePanelCacheBitIdentity, MatchesOracle) {
 
   EXPECT_TRUE(tensors_bit_equal(oracle::rowwise_attention(dims, q, k, v, rw),
                                 mha::rowwise_attention(dims, q, k, v, rw)));
+}
+
+// K/V are inputs: each call widens them afresh, so a call after an in-place
+// write to K/V reads the new values, never a copy left by an earlier call.
+TEST(TensorKvWidening, InPlaceKvWritesReachTheNextCall) {
+  const mha::MhaDims dims{2, 2, 64, 16};
+  const TensorH q = random_tensor(dims.qkv_shape(), 61);
+  TensorH k = random_tensor(dims.kv_shape(), 62);
+  TensorH v = random_tensor(dims.kv_shape(), 63);
+  const auto bsr = sparse::BsrMask::build(masks::causal(64), 16, 16);
+  const mha::BlockwiseParams params{16, 16};
+  const auto rw = sparse::RowwiseMask::build(masks::causal(64));
+  const mha::VarlenBatch batch{64, {64, 40}};
+  // K through fill_random, V through its mutable span.
+  const auto mutate = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    k.fill_random(rng);
+    for (half& x : v.data()) x = half(rng.uniform(-1.0f, 1.0f));
+  };
+
+  const TensorH bw_before =
+      mha::blockwise_attention(dims, q, k, v, bsr, params);
+  mutate(64);
+  const TensorH bw_after = mha::blockwise_attention(dims, q, k, v, bsr, params);
+  EXPECT_FALSE(tensors_bit_equal(bw_before, bw_after));
+  EXPECT_TRUE(tensors_bit_equal(
+      oracle::blockwise_attention(dims, q, k, v, bsr, params), bw_after));
+
+  const TensorH rw_before = mha::rowwise_attention(dims, q, k, v, rw);
+  mutate(65);
+  const TensorH rw_after = mha::rowwise_attention(dims, q, k, v, rw);
+  EXPECT_FALSE(tensors_bit_equal(rw_before, rw_after));
+  EXPECT_TRUE(tensors_bit_equal(oracle::rowwise_attention(dims, q, k, v, rw),
+                                rw_after));
+
+  const TensorH vl_before =
+      mha::varlen_attention(dims, q, k, v, bsr, batch, params);
+  mutate(66);
+  const TensorH vl_after =
+      mha::varlen_attention(dims, q, k, v, bsr, batch, params);
+  EXPECT_FALSE(tensors_bit_equal(vl_before, vl_after));
+  EXPECT_TRUE(tensors_bit_equal(
+      oracle::varlen_attention(dims, q, k, v, bsr, batch, params), vl_after));
 }
 
 TEST(DecodeScratchBitIdentity, MatchesOracle) {

@@ -35,7 +35,7 @@ TEST(TelemetryOverhead, DisabledWorkloadCreatesNoRegistryEntries) {
   const TensorH b = random_tensor(Shape{64, 64}, 2);
   const TensorH bias = random_tensor(Shape{64}, 3);
   TensorH c(Shape{1, 32, 64});
-  ops::gemm(a, b, c, ops::Epilogue::kBias, &bias);
+  ops::gemm(a, b.to_float(), c, ops::Epilogue::kBias, &bias);
 
   const mha::MhaDims dims{1, 2, 64, 32};
   const TensorH q = random_tensor(dims.qkv_shape(), 4);
@@ -76,13 +76,14 @@ TEST(TelemetryOverhead, InstrumentedPassRecordsOnlyWhileEnabled) {
   TensorH c(Shape{1, 16, 32});
   {
     ScopedTelemetry on(true);
-    ops::gemm(a, b, c);
+    ops::gemm(a, b.to_float(), c);
   }
   const std::int64_t calls_while_enabled =
       global_registry().counter("sim.ops.gemm_calls");
   EXPECT_EQ(calls_while_enabled, 1);
 
-  ops::gemm(a, b, c);  // disabled again: must not move the counter
+  // Disabled again: must not move the counter.
+  ops::gemm(a, b.to_float(), c);
   EXPECT_EQ(global_registry().counter("sim.ops.gemm_calls"),
             calls_while_enabled);
   global_registry().reset();
