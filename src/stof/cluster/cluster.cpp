@@ -39,9 +39,6 @@ Cluster::Cluster(const ClusterConfig& config)
     ec.heads = hr.count;
     ec.head_offset = hr.begin;
     ec.total_heads = total;
-    // The draft pass is a cost-model-only narrow decode; keep it inside
-    // the shard's head range.
-    ec.spec_draft_heads = std::min(ec.spec_draft_heads, hr.count);
     std::shared_ptr<serve::ModelRuntime>& model = plans[hr.count];
     if (ec.model.enabled() && !model) {
       model = std::make_shared<serve::ModelRuntime>(
@@ -86,8 +83,7 @@ void Cluster::fold_rows(
     const auto [id, pos] = ref.keys[j];
     auto dst = full.add(id, pos).begin();
     for (const auto& o : outcomes) {
-      STOF_CHECK(!config_.check_lockstep || (o->rows.keys[j].id == id &&
-                                             o->rows.keys[j].pos == pos),
+      STOF_CHECK(o->rows.keys[j].id == id && o->rows.keys[j].pos == pos,
                  "shard output-row streams diverged");
       dst = std::ranges::copy(o->rows.row(j), dst).out;
     }
@@ -116,12 +112,10 @@ bool Cluster::step() {
   double min_us = std::numeric_limits<double>::max();
   for (const auto& o : outcomes) {
     STOF_CHECK(o.has_value(), "shard schedulers diverged (empty vs not)");
-    if (config_.check_lockstep) {
-      STOF_CHECK(o->prefills.size() == outcomes[0]->prefills.size() &&
-                     o->decodes.size() == outcomes[0]->decodes.size() &&
-                     o->evicted.size() == outcomes[0]->evicted.size(),
-                 "shard schedulers diverged (plan shapes)");
-    }
+    STOF_CHECK(o->prefills.size() == outcomes[0]->prefills.size() &&
+                   o->decodes.size() == outcomes[0]->decodes.size() &&
+                   o->evicted.size() == outcomes[0]->evicted.size(),
+               "shard schedulers diverged (plan shapes)");
     max_us = std::max(max_us, o->us);
     min_us = std::min(min_us, o->us);
   }
@@ -139,13 +133,14 @@ bool Cluster::step() {
         sizeof(half);
     const CollectiveCost cost = collective_cost(
         CollectiveOp::kAllReduce, config_.link, config_.devices, payload);
-    // With a real ModelSpec the collective count comes from it (T5 adds a
-    // third all-reduce per layer for cross-attention out-proj); an
+    // With a model the count comes from its layer graph (T5 adds a third
+    // all-reduce per layer for the cross-attention out-proj); an
     // attention-only cluster charges one layer's two all-reduces
     // (attention out-proj + FFN down-proj).
-    const serve::ModelSpec& ms = config_.engine.model;
     const std::int64_t calls =
-        ms.enabled() ? ms.collectives_per_layer() * ms.layers : 2;
+        model_head_ ? model_head_->collectives_per_layer() *
+                          config_.engine.model.layers
+                    : 2;
     for (std::int64_t c = 0; c < calls; ++c) {
       for (auto& e : engines_) {
         charge_collective(e->stream_mut(), cost);

@@ -13,8 +13,8 @@
 // Scheduling is lock-step: scheduler plans are pure functions of the
 // session table and the pool's BLOCK accounting, and the head count only
 // changes bytes-per-block, never block counts — so N engines fed the same
-// submissions make identical decisions every step (checked when
-// check_lockstep is set).  One cluster step:
+// submissions make identical decisions every step (checked every step).
+// One cluster step:
 //
 //   1. execute_step() on every shard (kernels run, clocks do not move);
 //   2. price the step's layer-boundary all-reduces with the α–β model and
@@ -48,9 +48,6 @@ struct ClusterConfig {
   /// which the cluster splits into contiguous per-device shards.
   serve::EngineConfig engine;
   LinkSpec link = nvlink_like();
-  /// Assert every step that all shards executed identical plans and
-  /// produced aligned output-row streams (cheap; on by default).
-  bool check_lockstep = true;
 
   void validate() const;
 };

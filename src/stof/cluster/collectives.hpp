@@ -72,11 +72,6 @@ struct CollectiveCost {
   /// critical path (the quantity the closed-form tests check).
   double wire_bytes_per_device = 0;
   double time_us = 0;
-
-  /// Wire bytes summed over all devices (telemetry's traffic counter).
-  [[nodiscard]] double wire_bytes_total() const {
-    return wire_bytes_per_device * devices;
-  }
 };
 
 /// Price `op` over `devices` ranks moving `payload_bytes`.  With kAuto the

@@ -28,7 +28,6 @@ Executor::Executor(graph::Graph g, mha::MhaDims attn_dims,
                                          *cache_, scratch);
   mha_supported_ = r.supported;
   mha_unsupported_reason_ = r.unsupported_reason;
-  mha_time_us_ = r.supported ? r.time_us : 0;
   mha_records_ = scratch.records();
   setup_wall_us_ = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - setup_start)

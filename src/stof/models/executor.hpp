@@ -55,9 +55,6 @@ class Executor {
   [[nodiscard]] baselines::Method mha_method() const { return mha_method_; }
   [[nodiscard]] sparse::BsrCache& bsr_cache() { return *cache_; }
 
-  /// Simulated time of the fused-MHA kernel(s) of one layer (0 when the
-  /// configured method keeps MHA detached or is unsupported).
-  [[nodiscard]] double mha_segment_us() const { return mha_time_us_; }
   /// Host wall time spent analyzing the mask and planning the MHA kernel
   /// at construction (the paper's "analysis model" overhead, Fig. 14).
   [[nodiscard]] double setup_wall_us() const { return setup_wall_us_; }
@@ -76,7 +73,6 @@ class Executor {
   std::unique_ptr<sparse::BsrCache> cache_;
   std::vector<gpusim::KernelRecord> mha_records_;
   double setup_wall_us_ = 0;
-  double mha_time_us_ = 0;
   bool mha_supported_ = true;
   std::string mha_unsupported_reason_;
 };

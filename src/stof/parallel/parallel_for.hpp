@@ -6,6 +6,7 @@
 // processed exactly once and results are written to disjoint locations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -16,20 +17,21 @@
 
 namespace stof {
 
-/// Apply `body(i)` for every i in [begin, end) using `pool`.
-///
-/// The body must write only to locations owned by index i (no reductions);
-/// use parallel_reduce for combining.  Exceptions thrown by any body are
-/// captured and the first one is rethrown on the calling thread.
-template <typename Body>
-void parallel_for(std::int64_t begin, std::int64_t end, Body&& body,
-                  ThreadPool& pool = ThreadPool::global()) {
+namespace detail {
+
+/// Split [begin, end) into one contiguous chunk per worker (at most n) and
+/// run `chunk(lo, hi)` for each on `pool`, or once over the whole range
+/// inline when the pool has one worker or the range one index.  The first
+/// exception any chunk throws is rethrown on the calling thread.
+template <typename Chunk>
+void run_chunks(std::int64_t begin, std::int64_t end, Chunk&& chunk,
+                ThreadPool& pool) {
   if (begin >= end) return;
   const std::int64_t n = end - begin;
   const std::int64_t workers =
       static_cast<std::int64_t>(pool.thread_count());
   if (workers <= 1 || n == 1) {
-    for (std::int64_t i = begin; i < end; ++i) body(i);
+    chunk(begin, end);
     return;
   }
 
@@ -43,9 +45,9 @@ void parallel_for(std::int64_t begin, std::int64_t end, Body&& body,
     const std::int64_t lo = begin + c * per;
     const std::int64_t hi = std::min(end, lo + per);
     if (lo >= hi) break;
-    pool.submit([lo, hi, &body, &err_mutex, &first_error] {
+    pool.submit([lo, hi, &chunk, &err_mutex, &first_error] {
       try {
-        for (std::int64_t i = lo; i < hi; ++i) body(i);
+        chunk(lo, hi);
       } catch (...) {
         std::scoped_lock lock(err_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -54,6 +56,24 @@ void parallel_for(std::int64_t begin, std::int64_t end, Body&& body,
   }
   pool.wait_idle();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace detail
+
+/// Apply `body(i)` for every i in [begin, end) using `pool`.
+///
+/// The body must write only to locations owned by index i (no
+/// reductions).  Exceptions thrown by any body are captured and the first
+/// one is rethrown on the calling thread.
+template <typename Body>
+void parallel_for(std::int64_t begin, std::int64_t end, Body&& body,
+                  ThreadPool& pool = ThreadPool::global()) {
+  detail::run_chunks(
+      begin, end,
+      [&body](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) body(i);
+      },
+      pool);
 }
 
 /// parallel_for variant whose body receives a per-chunk ScratchArena:
@@ -66,92 +86,18 @@ void parallel_for(std::int64_t begin, std::int64_t end, Body&& body,
 template <typename Body>
 void parallel_for_scratch(std::int64_t begin, std::int64_t end, Body&& body,
                           ThreadPool& pool = ThreadPool::global()) {
-  if (begin >= end) return;
-  const std::int64_t n = end - begin;
-  const std::int64_t workers =
-      static_cast<std::int64_t>(pool.thread_count());
-  if (workers <= 1 || n == 1) {
-    ScratchArena arena;
-    for (std::int64_t i = begin; i < end; ++i) {
-      arena.reset();
-      body(i, arena);
-    }
-    telemetry::count("exec.parallel.scratch_reuse_hits", arena.reuse_hits());
-    return;
-  }
-
-  const std::int64_t chunks = std::min(n, workers);
-  const std::int64_t per = (n + chunks - 1) / chunks;
-
-  std::mutex err_mutex;
-  std::exception_ptr first_error;
-
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t lo = begin + c * per;
-    const std::int64_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &body, &err_mutex, &first_error] {
-      ScratchArena arena;
-      try {
+  detail::run_chunks(
+      begin, end,
+      [&body](std::int64_t lo, std::int64_t hi) {
+        ScratchArena arena;
         for (std::int64_t i = lo; i < hi; ++i) {
           arena.reset();
           body(i, arena);
         }
-      } catch (...) {
-        std::scoped_lock lock(err_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      telemetry::count("exec.parallel.scratch_reuse_hits",
-                       arena.reuse_hits());
-    });
-  }
-  pool.wait_idle();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Parallel reduction: combine per-chunk partials with `combine`.
-template <typename T, typename Body, typename Combine>
-T parallel_reduce(std::int64_t begin, std::int64_t end, T init, Body&& body,
-                  Combine&& combine, ThreadPool& pool = ThreadPool::global()) {
-  if (begin >= end) return init;
-  const std::int64_t n = end - begin;
-  const std::int64_t workers =
-      static_cast<std::int64_t>(pool.thread_count());
-  if (workers <= 1 || n == 1) {
-    T acc = init;
-    for (std::int64_t i = begin; i < end; ++i) acc = combine(acc, body(i));
-    return acc;
-  }
-
-  const std::int64_t chunks = std::min(n, workers);
-  const std::int64_t per = (n + chunks - 1) / chunks;
-  std::vector<T> partials(static_cast<std::size_t>(chunks), init);
-
-  std::mutex err_mutex;
-  std::exception_ptr first_error;
-
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t lo = begin + c * per;
-    const std::int64_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    pool.submit([c, lo, hi, &body, &combine, &partials, init, &err_mutex,
-                 &first_error] {
-      try {
-        T acc = init;
-        for (std::int64_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
-        partials[static_cast<std::size_t>(c)] = acc;
-      } catch (...) {
-        std::scoped_lock lock(err_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-  if (first_error) std::rethrow_exception(first_error);
-
-  T acc = init;
-  for (const auto& p : partials) acc = combine(acc, p);
-  return acc;
+        telemetry::count("exec.parallel.scratch_reuse_hits",
+                         arena.reuse_hits());
+      },
+      pool);
 }
 
 }  // namespace stof

@@ -51,13 +51,9 @@ constexpr std::uint64_t kSpecDraftSalt = 0xd12a'fced'0badull;
   return static_cast<std::int64_t>(h % 100) < accept_pct;
 }
 
-/// The scheduler must reserve every KV slot a verify round appends (true
-/// token + k drafts), so a round can never fail an append mid-batch.
-[[nodiscard]] SchedulerConfig effective_scheduler(const EngineConfig& c) {
-  SchedulerConfig s = c.scheduler;
-  s.decode_appends = std::max(s.decode_appends, c.spec_draft_tokens + 1);
-  return s;
-}
+/// The draft pass: one head over a sliding window of the latest KV slots.
+constexpr std::int64_t kSpecDraftHeads = 1;
+constexpr std::int64_t kSpecDraftWindow = 64;
 
 }  // namespace
 
@@ -66,7 +62,9 @@ Engine::Engine(const EngineConfig& config,
     : config_(config),
       pool_(KvPoolConfig{config.kv_blocks, config.block_tokens, config.heads,
                          config.head_size}),
-      scheduler_(effective_scheduler(config)),
+      // Reserve every KV slot a verify round appends (true token + k
+      // drafts), so a round can never fail an append mid-batch.
+      scheduler_(config.scheduler, config.spec_draft_tokens + 1),
       stream_(config.device),
       model_(std::move(model)),
       digests_(config.block_tokens) {
@@ -364,7 +362,7 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
       valid.push_back(static_cast<std::int64_t>(row_cols.size()));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {
-        draft_valid.push_back(std::min(pos, config_.spec_draft_window));
+        draft_valid.push_back(std::min(pos, kSpecDraftWindow));
       }
     }
     seq_rows.push_back(r.rows);
@@ -376,7 +374,7 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
     const std::vector<std::int64_t> one_row_each(draft_valid.size(), 1);
     us += stream_.launch(
         "serve.spec.draft",
-        mha::decode_verify_cost(config_.spec_draft_heads, d, draft_valid,
+        mha::decode_verify_cost(kSpecDraftHeads, d, draft_valid,
                                 one_row_each, config_.device));
   }
   us += stream_.launch(

@@ -75,16 +75,14 @@ struct EngineConfig {
   std::int64_t block_tokens = 16;  ///< KV page size, must equal BLOCK_N
   mha::BlockwiseParams prefill_params{16, 16};
   /// Draft-and-verify speculative decoding: > 0 proposes that many draft
-  /// tokens per decode round through a cheap draft pass (spec_draft_heads
-  /// heads over a spec_draft_window sliding KV window — cost model only),
+  /// tokens per decode round through a cheap draft pass (one head over a
+  /// 64-token sliding KV window — cost model only),
   /// then verifies true-token + draft rows in ONE batched paged-decode
   /// launch.  The longest accepted draft prefix plus the guaranteed true
   /// token commit; rejected KV slots roll back exactly (KvPool::truncate),
   /// so per-session outputs and digests are byte-identical to plain
   /// decoding.  0 disables drafting: every round is one true token.
   std::int64_t spec_draft_tokens = 0;
-  std::int64_t spec_draft_heads = 1;
-  std::int64_t spec_draft_window = 64;
   /// Simulated draft accuracy: percent of drafted positions whose proposal
   /// matches the true token stream (seeded per-position coin, so replay is
   /// deterministic and acceptance is measurable from telemetry).
@@ -119,9 +117,6 @@ struct EngineConfig {
                  "pool must hold at least one full context");
     STOF_EXPECTS(spec_draft_tokens >= 0);
     if (spec_draft_tokens > 0) {
-      STOF_EXPECTS(spec_draft_heads >= 1 && spec_draft_heads <= heads,
-                   "draft pass must be no wider than the target model");
-      STOF_EXPECTS(spec_draft_window >= 1);
       STOF_EXPECTS(spec_accept_pct >= 0 && spec_accept_pct <= 100);
     }
     model.validate();

@@ -185,11 +185,6 @@ class KvPool {
   /// Blocks currently held by `id`.
   [[nodiscard]] std::int64_t blocks(SessionId id) const;
 
-  /// Whether appending one token to `id` needs a fresh block.
-  [[nodiscard]] bool append_needs_block(SessionId id) const {
-    return tokens(id) % config_.block_tokens == 0;
-  }
-
   /// Blocks `id` holds whose refcount is 1 — the pages release() would
   /// actually return to the free list.  The scheduler's preemption cost
   /// model must use this, not blocks(): evicting a prefix-sharing session

@@ -1,6 +1,8 @@
 #include "stof/serve/model_runtime.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "stof/core/checksum.hpp"
@@ -18,6 +20,11 @@
 namespace stof::serve {
 
 namespace {
+
+/// FFN width as a multiple of the hidden width (4 in BERT/GPT-2/T5).
+constexpr std::int64_t kFfnMult = 4;
+/// Seed of the layer head's weight streams.
+constexpr std::uint64_t kWeightSeed = 0x57eadfa571ull;
 
 /// Weight stream tags — part of the (seed, layer, tag) hash, so every
 /// parameter tensor draws from an independent deterministic stream.
@@ -37,11 +44,30 @@ enum class WeightTag : int {
   kBeta3,
 };
 
-std::uint64_t weight_stream(std::uint64_t seed, std::int64_t layer,
-                            WeightTag tag) {
-  std::uint64_t h = fnv1a64(&layer, sizeof(layer), seed ^ kFnv1aOffset);
-  const int t = static_cast<int>(tag);
-  return fnv1a64(&t, sizeof(t), h);
+/// The first weight stream of a layer's `ordinal`-th (from 0) node of
+/// `kind`: the 1st/2nd out-projection draws kOutProj/kCrossProj, the
+/// 1st/2nd FFN GEMM kFfnUp/kFfnDown, the biases outside the attention
+/// block kOutBias/kFfnUpBias/kFfnDownBias in order, and the i-th
+/// LayerNorm kGamma{i+1} (its beta draws the next tag).  -1: no weights.
+int first_tag(graph::OpKind kind, std::size_t ordinal) {
+  using enum WeightTag;
+  static const std::map<graph::OpKind, std::vector<WeightTag>> tags = {
+      {graph::OpKind::kOutProj, {kOutProj, kCrossProj}},
+      {graph::OpKind::kFfnGemm, {kFfnUp, kFfnDown}},
+      {graph::OpKind::kBias, {kOutBias, kFfnUpBias, kFfnDownBias}},
+      {graph::OpKind::kLayerNorm, {kGamma1, kGamma2, kGamma3}}};
+  const auto it = tags.find(kind);
+  if (it == tags.end()) return -1;
+  STOF_CHECK(ordinal < it->second.size(),
+             "the layer graph has more weighted ops of one kind than the "
+             "head has weight streams");
+  return static_cast<int>(it->second[ordinal]);
+}
+
+std::uint64_t weight_stream(std::int64_t layer, int tag) {
+  std::uint64_t h =
+      fnv1a64(&layer, sizeof(layer), kWeightSeed ^ kFnv1aOffset);
+  return fnv1a64(&tag, sizeof(tag), h);
 }
 
 /// Seeded uniform(-scale, scale) fill (plus `center`, for LayerNorm
@@ -96,7 +122,6 @@ std::string to_string(ModelKind kind) {
 void ModelSpec::validate() const {
   if (!enabled()) return;
   STOF_EXPECTS(layers >= 1, "a model needs at least one layer");
-  STOF_EXPECTS(ffn_mult >= 1, "FFN must be at least hidden-wide");
 }
 
 ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
@@ -107,63 +132,103 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
       heads_(heads),
       head_size_(head_size),
       hidden_(heads * head_size),
-      ffn_(spec.ffn_mult * heads * head_size),
+      ffn_(kFfnMult * heads * head_size),
       device_(device),
       device_fp_(models::device_fingerprint(device)) {
   spec_.validate();
   STOF_EXPECTS(spec_.enabled(), "ModelRuntime needs an enabled ModelSpec");
   STOF_EXPECTS(heads_ > 0 && head_size_ > 0);
   if (!spec_.tune_db_dir.empty()) db_.emplace(spec_.tune_db_dir);
+
+  // The head is one layer of the model graph.  The attention block (QKV
+  // projection through P·V) passes its input through, so value[i] is the
+  // node whose output node i carries; last_read[v] is the last node that
+  // reads value v (n: the layer's output, read by the next layer).
+  const graph::Graph layer = build_graph(/*rows=*/1, /*layers=*/1);
+  const std::vector<graph::Node>& nodes = layer.nodes();
+  const std::size_t n = nodes.size();
+  std::vector<std::size_t> value(n, 0), last_read(n, 0);
+  bool attention = false;
+  for (std::size_t i = 1; i < n; ++i) {
+    const graph::Node& node = nodes[i];
+    attention = attention || node.kind == graph::OpKind::kQkvProj;
+    if (attention) {
+      value[i] = value[i - 1];
+      attention = node.kind != graph::OpKind::kPvGemm;
+      continue;
+    }
+    value[i] = i;
+    last_read[value[i - 1]] = i;
+    if (node.skip_from >= 0) {
+      last_read[value[static_cast<std::size_t>(node.skip_from)]] = i;
+    }
+  }
+  last_read[value[n - 1]] = n;
+
+  // Elementwise ops write in place over an operand they read last (a
+  // residual add's skip operand first); GEMMs and LayerNorm write to a
+  // buffer of their width whose value is dead.  Buffer 0 holds the
+  // layer's input and must hold its output.
+  std::vector<std::size_t> held{0};  // buffer -> the value it holds
+  std::vector<int> buffer_of(n, 0);
+  std::map<graph::OpKind, std::size_t> ordinal;
+  buffer_cols_ = {hidden_};
+  for (std::size_t i = 1; i < n; ++i) {
+    if (value[i] != i) continue;
+    const graph::Node& node = nodes[i];
+    const int skip =
+        node.skip_from < 0
+            ? -1
+            : buffer_of[value[static_cast<std::size_t>(node.skip_from)]];
+    HeadOp op{node.kind, i, buffer_of[value[i - 1]], skip, -1,
+              first_tag(node.kind, ordinal[node.kind]++)};
+    const bool elementwise = !graph::is_compute_intensive(node.kind) &&
+                             node.kind != graph::OpKind::kLayerNorm;
+    for (const int b : {op.skip, op.in}) {
+      if (elementwise && b >= 0 &&
+          last_read[held[static_cast<std::size_t>(b)]] == i) {
+        op.out = b;
+        break;
+      }
+    }
+    for (std::size_t b = 0; op.out < 0 && b < held.size(); ++b) {
+      if (buffer_cols_[b] == node.cols && last_read[held[b]] < i) {
+        op.out = static_cast<int>(b);
+      }
+    }
+    if (op.out < 0) {
+      op.out = static_cast<int>(held.size());
+      held.push_back(i);
+      buffer_cols_.push_back(node.cols);
+    }
+    held[static_cast<std::size_t>(op.out)] = i;
+    buffer_of[i] = op.out;
+    head_.push_back(op);
+  }
+  STOF_CHECK(buffer_of[value[n - 1]] == 0,
+             "the layer head must end in its input buffer");
   if (!with_weights) return;
 
   // Fan-in scaled weights keep activations O(1) through arbitrarily many
   // layers (LayerNorm re-centers between them).
-  const bool bias = spec_.kind != ModelKind::kT5CrossDecoder;
-  const float s_h = 1.0f / std::sqrt(static_cast<float>(hidden_));
-  const float s_f = 1.0f / std::sqrt(static_cast<float>(ffn_));
-  const std::uint64_t seed = spec_.weight_seed;
-  weights_.reserve(static_cast<std::size_t>(spec_.layers));
+  weights_.reserve(static_cast<std::size_t>(spec_.layers) * head_.size());
   for (std::int64_t l = 0; l < spec_.layers; ++l) {
-    LayerWeights w;
-    w.wo = seeded_weight(Shape{hidden_, hidden_},
-                         weight_stream(seed, l, WeightTag::kOutProj), s_h);
-    w.wf1 = seeded_weight(Shape{hidden_, ffn_},
-                          weight_stream(seed, l, WeightTag::kFfnUp), s_h);
-    w.wf2 = seeded_weight(Shape{ffn_, hidden_},
-                          weight_stream(seed, l, WeightTag::kFfnDown), s_f);
-    if (bias) {
-      w.bo = seeded_tensor(Shape{hidden_},
-                           weight_stream(seed, l, WeightTag::kOutBias), 0.1f);
-      w.bf1 = seeded_tensor(Shape{ffn_},
-                            weight_stream(seed, l, WeightTag::kFfnUpBias),
-                            0.1f);
-      w.bf2 = seeded_tensor(Shape{hidden_},
-                            weight_stream(seed, l, WeightTag::kFfnDownBias),
-                            0.1f);
+    for (const HeadOp& op : head_) {
+      const graph::Node& node = nodes[op.node];
+      OpWeights& w = weights_.emplace_back();
+      if (graph::is_compute_intensive(node.kind)) {
+        w.w = seeded_weight(
+            Shape{node.inner, node.cols}, weight_stream(l, op.tag),
+            1.0f / std::sqrt(static_cast<float>(node.inner)));
+      } else if (node.kind == graph::OpKind::kBias) {
+        w.a = seeded_tensor(Shape{node.cols}, weight_stream(l, op.tag), 0.1f);
+      } else if (node.kind == graph::OpKind::kLayerNorm) {
+        w.a = seeded_tensor(Shape{node.cols}, weight_stream(l, op.tag), 0.1f,
+                            1.0f);
+        w.b = seeded_tensor(Shape{node.cols}, weight_stream(l, op.tag + 1),
+                            0.05f);
+      }
     }
-    if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      w.wc = seeded_weight(Shape{hidden_, hidden_},
-                           weight_stream(seed, l, WeightTag::kCrossProj),
-                           s_h);
-    }
-    w.g1 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kGamma1), 0.1f,
-                         1.0f);
-    w.b1 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kBeta1), 0.05f);
-    w.g2 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kGamma2), 0.1f,
-                         1.0f);
-    w.b2 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kBeta2), 0.05f);
-    if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      w.g3 = seeded_tensor(Shape{hidden_},
-                           weight_stream(seed, l, WeightTag::kGamma3), 0.1f,
-                           1.0f);
-      w.b3 = seeded_tensor(Shape{hidden_},
-                           weight_stream(seed, l, WeightTag::kBeta3), 0.05f);
-    }
-    weights_.push_back(std::move(w));
   }
 }
 
@@ -174,23 +239,31 @@ bool ModelRuntime::matches(const ModelSpec& spec, std::int64_t heads,
          models::device_fingerprint(device) == device_fp_;
 }
 
-graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {
+std::int64_t ModelRuntime::collectives_per_layer() const {
+  return std::ranges::count_if(head_, [](const HeadOp& op) {
+    return op.kind == graph::OpKind::kOutProj ||
+           op.tag == static_cast<int>(WeightTag::kFfnDown);
+  });
+}
+
+graph::Graph ModelRuntime::build_graph(std::int64_t rows,
+                                       std::int64_t layers) const {
   graph::LayerConfig lc;
   lc.batch = 1;
   lc.seq_len = rows;
   lc.hidden = hidden_;
   lc.heads = heads_;
   lc.ffn_dim = ffn_;
-  const int layers = static_cast<int>(spec_.layers);
+  const int n = static_cast<int>(layers);
   switch (spec_.kind) {
     case ModelKind::kBertEncoder:
-      return graph::build_encoder_graph(lc, layers);
+      return graph::build_encoder_graph(lc, n);
     case ModelKind::kGptDecoder:
-      return graph::build_decoder_graph(lc, layers);
+      return graph::build_decoder_graph(lc, n);
     case ModelKind::kT5CrossDecoder:
       lc.activation = graph::OpKind::kRelu;
       lc.use_bias = false;
-      return graph::build_cross_decoder_graph(lc, layers);
+      return graph::build_cross_decoder_graph(lc, n);
     case ModelKind::kNone:
       break;
   }
@@ -208,7 +281,7 @@ const models::ExecutionPlan& ModelRuntime::plan_for(std::int64_t rows) {
   auto it = plans_.find(bucket);
   if (it != plans_.end()) return it->second;
 
-  const graph::Graph bg = build_graph(bucket);
+  const graph::Graph bg = build_graph(bucket, spec_.layers);
   const models::TuneKey key{models::graph_fingerprint(bg), bucket,
                             device_fp_};
   const auto n_ops = static_cast<std::int64_t>(bg.size());
@@ -238,7 +311,7 @@ double ModelRuntime::charge_step(gpusim::Stream& stream, std::int64_t rows) {
   STOF_EXPECTS(rows > 0);
   telemetry::count("serve.model.steps");
   telemetry::count("serve.model.rows", rows);
-  const graph::Graph g = build_graph(rows);
+  const graph::Graph g = build_graph(rows, spec_.layers);
   double us = 0;
 
   if (!spec_.fused) {
@@ -295,58 +368,42 @@ void ModelRuntime::transform_rows(TensorH& x) const {
              "transform_rows needs a with_weights runtime");
   STOF_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == hidden_);
   const std::int64_t n = x.shape()[0];
-  TensorH t1(Shape{n, hidden_}), t2(Shape{n, hidden_});
-  TensorH f(Shape{n, ffn_});
+  std::vector<TensorH> temps;
+  std::vector<TensorH*> buf{&x};
+  temps.reserve(buffer_cols_.size());
+  for (std::size_t b = 1; b < buffer_cols_.size(); ++b) {
+    buf.push_back(&temps.emplace_back(Shape{n, buffer_cols_[b]}));
+  }
 
-  for (const LayerWeights& w : weights_) {
-    switch (spec_.kind) {
-      case ModelKind::kBertEncoder: {
-        // Post-LN: x = LN2(LN1(x + proj(x)) + ffn(LN1(...))).
-        ops::matmul2d(x, w.wo, t1);
-        ops::bias_add(t1, w.bo, t1);
-        ops::residual_add(x, t1, t1);
-        ops::layernorm(t1, w.g1, w.b1, t2);
-        ops::matmul2d(t2, w.wf1, f);
-        ops::bias_add(f, w.bf1, f);
-        ops::gelu_op(f, f);
-        ops::matmul2d(f, w.wf2, t1);
-        ops::bias_add(t1, w.bf2, t1);
-        ops::residual_add(t2, t1, t1);
-        ops::layernorm(t1, w.g2, w.b2, x);
-        break;
+  const OpWeights* w = weights_.data();
+  for (std::int64_t l = 0; l < spec_.layers; ++l) {
+    for (const HeadOp& op : head_) {
+      const TensorH& in = *buf[static_cast<std::size_t>(op.in)];
+      TensorH& out = *buf[static_cast<std::size_t>(op.out)];
+      switch (op.kind) {
+        case graph::OpKind::kOutProj:
+        case graph::OpKind::kFfnGemm:
+          ops::matmul2d(in, w->w, out);
+          break;
+        case graph::OpKind::kBias:
+          ops::bias_add(in, w->a, out);
+          break;
+        case graph::OpKind::kGelu:
+          ops::gelu_op(in, out);
+          break;
+        case graph::OpKind::kRelu:
+          ops::relu(in, out);
+          break;
+        case graph::OpKind::kResidualAdd:
+          ops::residual_add(*buf[static_cast<std::size_t>(op.skip)], in, out);
+          break;
+        case graph::OpKind::kLayerNorm:
+          ops::layernorm(in, w->a, w->b, out);
+          break;
+        default:
+          STOF_CHECK(false, "the layer head has no op for this node kind");
       }
-      case ModelKind::kGptDecoder: {
-        // Pre-LN: x += proj(LN1(x)); x += ffn(LN2(x)).
-        ops::layernorm(x, w.g1, w.b1, t1);
-        ops::matmul2d(t1, w.wo, t2);
-        ops::bias_add(t2, w.bo, t2);
-        ops::residual_add(x, t2, x);
-        ops::layernorm(x, w.g2, w.b2, t1);
-        ops::matmul2d(t1, w.wf1, f);
-        ops::bias_add(f, w.bf1, f);
-        ops::gelu_op(f, f);
-        ops::matmul2d(f, w.wf2, t2);
-        ops::bias_add(t2, w.bf2, t2);
-        ops::residual_add(x, t2, x);
-        break;
-      }
-      case ModelKind::kT5CrossDecoder: {
-        // Pre-LN self + cross + FFN blocks, bias-free, ReLU.
-        ops::layernorm(x, w.g1, w.b1, t1);
-        ops::matmul2d(t1, w.wo, t2);
-        ops::residual_add(x, t2, x);
-        ops::layernorm(x, w.g2, w.b2, t1);
-        ops::matmul2d(t1, w.wc, t2);
-        ops::residual_add(x, t2, x);
-        ops::layernorm(x, w.g3, w.b3, t1);
-        ops::matmul2d(t1, w.wf1, f);
-        ops::relu(f, f);
-        ops::matmul2d(f, w.wf2, t2);
-        ops::residual_add(x, t2, x);
-        break;
-      }
-      case ModelKind::kNone:
-        STOF_CHECK(false, "unreachable");
+      ++w;
     }
   }
 }

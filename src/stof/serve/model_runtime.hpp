@@ -4,8 +4,8 @@
 // layer server: every step's activation rows (varlen prefill tokens +
 // batched decode rows) run through a full transformer-layer stack — QKV
 // projection, attention, out-projection, LayerNorm, FFN GEMM + activation —
-// built by graph::builders for the configured model family.  The runtime
-// covers the two dimensions the digest/timeline split requires:
+// built by graph::builders for the configured model family.  That graph is
+// the only description of the family; the runtime reads it two ways:
 //
 //  * Timeline (charge_step): the step's non-MHA layer work is charged onto
 //    the gpusim stream.  Fused mode executes the tuned ExecutionPlan's
@@ -18,12 +18,14 @@
 //    launches already charged them, identically, so the fused-vs-unfused
 //    delta isolates the fusion dimension.
 //  * Digest (transform_rows): a deterministic per-row layer head applied
-//    to attention-output rows before they fold into session digests.  Per
-//    layer it runs the post-attention pipeline (out-proj GEMM, bias,
-//    residual, LayerNorm, FFN up/down GEMMs, activation) with seeded
-//    weights on the library's bit-identical packed kernels; layer l > 0
-//    reuses layer l-1's output as its attention output.  Every op is
-//    per-row pure (the packed GEMM's accumulation order is row
+//    to attention-output rows before they fold into session digests.  It
+//    walks one layer of the graph node by node, one host op per node kind
+//    (GEMM, bias, GELU/ReLU, residual add reading the node's skip operand,
+//    LayerNorm) with seeded weights on the library's bit-identical packed
+//    kernels, and repeats it for every layer with that layer's weights.
+//    The attention block (QKV projection through P·V) passes its input
+//    through: the engine's attention kernels already produced these rows.
+//    Every op is per-row pure (the packed GEMM's accumulation order is row
 //    independent), so digests stay byte-identical across batch
 //    compositions, scheduling modes, preemption/recompute, chunked
 //    prefill, and fused-vs-unfused timelines.
@@ -66,23 +68,13 @@ enum class ModelKind {
 struct ModelSpec {
   ModelKind kind = ModelKind::kNone;
   std::int64_t layers = 2;
-  /// FFN width as a multiple of the hidden width (4 in BERT/GPT-2).
-  std::int64_t ffn_mult = 4;
   /// true: tuned fused-segment execution; false: launch-per-op eager
   /// execution (the baseline timeline — digests are identical either way).
   bool fused = true;
   /// Persistent tuning-DB directory; empty tunes in memory only.
   std::string tune_db_dir;
-  /// Seed of the layer head's weight streams.
-  std::uint64_t weight_seed = 0x57eadfa571ull;
 
   [[nodiscard]] bool enabled() const { return kind != ModelKind::kNone; }
-  /// Row-parallel projections per layer — the all-reduce count a
-  /// tensor-parallel cluster pays at layer boundaries (self out-proj +
-  /// FFN down-proj, plus the cross-attention out-proj for T5).
-  [[nodiscard]] std::int64_t collectives_per_layer() const {
-    return kind == ModelKind::kT5CrossDecoder ? 3 : 2;
-  }
   void validate() const;
   friend bool operator==(const ModelSpec&, const ModelSpec&) = default;
 };
@@ -100,6 +92,10 @@ class ModelRuntime {
   [[nodiscard]] const ModelSpec& spec() const { return spec_; }
   [[nodiscard]] std::int64_t hidden() const { return hidden_; }
   [[nodiscard]] bool has_weights() const { return !weights_.empty(); }
+  /// Row-parallel GEMMs per layer (the out-projections and the FFN
+  /// down-projection): the all-reduces a tensor-parallel cluster pays at
+  /// each layer's boundaries.
+  [[nodiscard]] std::int64_t collectives_per_layer() const;
   /// True when this runtime tunes exactly the plans an engine serving
   /// `spec` at (heads, head_size) on `device` needs: every TuneKey it
   /// would build (graph, bucket, device) is the same.
@@ -124,13 +120,25 @@ class ModelRuntime {
   void transform_rows(TensorH& rows) const;
 
  private:
-  [[nodiscard]] graph::Graph build_graph(std::int64_t rows) const;
+  [[nodiscard]] graph::Graph build_graph(std::int64_t rows,
+                                         std::int64_t layers) const;
 
-  struct LayerWeights {
-    // GEMM weights: exact FP32 widenings of seeded half draws.
-    TensorF wo, wc, wf1, wf2;  // out-projection, cross (T5 only), FFN up/down
-    TensorH bo, bf1, bf2;      // their biases
-    TensorH g1, b1, g2, b2, g3, b3;  // LayerNorm affine params
+  /// One non-attention node of the layer graph as the head runs it: its
+  /// op kind and node id, the head buffers it reads (`skip`: a residual
+  /// add's skip operand) and writes, and its first weight stream tag
+  /// (-1: none).
+  struct HeadOp {
+    graph::OpKind kind = graph::OpKind::kInput;
+    std::size_t node = 0;
+    int in = 0, skip = -1, out = 0;
+    int tag = -1;
+  };
+  /// One head op's weights in one layer: a GEMM's `w` (the exact FP32
+  /// widening of a seeded half draw), a bias or LayerNorm gamma `a`,
+  /// LayerNorm's beta `b`.
+  struct OpWeights {
+    TensorF w;
+    TensorH a, b;
   };
 
   ModelSpec spec_;
@@ -142,7 +150,11 @@ class ModelRuntime {
   std::uint64_t device_fp_ = 0;
   std::optional<models::TuneDb> db_;
   std::map<std::int64_t, models::ExecutionPlan> plans_;  ///< bucket -> plan
-  std::vector<LayerWeights> weights_;
+  std::vector<HeadOp> head_;  ///< one layer's ops, in graph order
+  /// Width of each head buffer; buffer 0 is the rows transform_rows is
+  /// given, the others are allocated per call.
+  std::vector<std::int64_t> buffer_cols_;
+  std::vector<OpWeights> weights_;  ///< [layer * head_.size() + op]
 };
 
 }  // namespace stof::serve

@@ -117,7 +117,7 @@ StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool) {
   const auto decode_blocks_needed = [&] {
     std::int64_t n = 0;
     for (const auto id : selected) {
-      n += pool.append_reserve_blocks(id, config_.decode_appends);
+      n += pool.append_reserve_blocks(id, decode_appends_);
     }
     return n;
   };

@@ -71,10 +71,6 @@ struct SchedulerConfig {
   /// Requests with template_len == 0 are unaffected either way, so the
   /// default changes nothing for legacy traces.
   bool prefix_sharing = true;
-  /// KV slots each selected decoder appends per step (1 = plain decoding;
-  /// the speculative engine reserves draft_tokens + 1 so a verify round's
-  /// appends can never fail mid-batch).
-  std::int64_t decode_appends = 1;
 
   /// True when prefills are split into chunks; otherwise every prefill is
   /// one whole-context window.
@@ -93,7 +89,6 @@ struct SchedulerConfig {
   void validate(std::int64_t max_seq_len) const {
     STOF_EXPECTS(max_prefills_per_step >= 1 && max_decode_batch >= 1);
     STOF_EXPECTS(chunk_tokens >= 0 && fairness_quantum_tokens >= 0);
-    STOF_EXPECTS(decode_appends >= 1, "decoders append at least one slot");
     if (chunk_tokens == 0) {
       STOF_EXPECTS(prefill_token_budget >= max_seq_len,
                    "prefill budget must admit the longest context");
@@ -128,7 +123,13 @@ struct StepPlan {
 
 class Scheduler {
  public:
-  explicit Scheduler(const SchedulerConfig& config) : config_(config) {}
+  /// `decode_appends`: KV slots each selected decoder appends per step
+  /// (1 = plain decoding; a speculative engine reserves draft tokens + 1).
+  explicit Scheduler(const SchedulerConfig& config,
+                     std::int64_t decode_appends = 1)
+      : config_(config), decode_appends_(decode_appends) {
+    STOF_EXPECTS(decode_appends_ >= 1, "decoders append at least one slot");
+  }
 
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
@@ -137,7 +138,6 @@ class Scheduler {
 
   /// True when nothing is waiting (the engine also checks for decoders).
   [[nodiscard]] bool queue_empty() const { return waiting_.empty(); }
-  [[nodiscard]] std::size_t queue_depth() const { return waiting_.size(); }
 
   /// Current fairness deficit of `tenant` in tokens (0 when unknown).
   [[nodiscard]] std::int64_t tenant_deficit(std::int32_t tenant) const {
@@ -191,6 +191,7 @@ class Scheduler {
   }
 
   SchedulerConfig config_;
+  std::int64_t decode_appends_ = 1;
   std::deque<SessionId> waiting_;
   /// Sessions mid-prefill, in admission order; pruned each plan to those
   /// still kPrefilling (whole prefills leave it in their admission step).

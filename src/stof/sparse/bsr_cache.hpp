@@ -39,8 +39,6 @@ class BsrCache {
     return *it->second;
   }
 
-  [[nodiscard]] std::size_t built_count() const { return cache_.size(); }
-
  private:
   masks::Mask mask_;
   std::map<std::pair<int, int>, std::unique_ptr<BsrMask>> cache_;

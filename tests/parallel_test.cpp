@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 #include "stof/parallel/thread_pool.hpp"
@@ -71,27 +70,6 @@ TEST(ParallelFor, PropagatesFirstException) {
   std::atomic<int> count{0};
   parallel_for(0, 10, [&](std::int64_t) { ++count; }, pool);
   EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ParallelReduce, SumMatchesSerial) {
-  ThreadPool pool(4);
-  const std::int64_t n = 10000;
-  const std::int64_t sum = parallel_reduce<std::int64_t>(
-      0, n, 0, [](std::int64_t i) { return i; },
-      [](std::int64_t a, std::int64_t b) { return a + b; }, pool);
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  ThreadPool pool(4);
-  std::vector<int> v(997);
-  std::iota(v.begin(), v.end(), 0);
-  v[500] = 100000;
-  const int m = parallel_reduce<int>(
-      0, static_cast<std::int64_t>(v.size()), 0,
-      [&](std::int64_t i) { return v[static_cast<std::size_t>(i)]; },
-      [](int a, int b) { return std::max(a, b); }, pool);
-  EXPECT_EQ(m, 100000);
 }
 
 TEST(ParallelFor, DeterministicResultRegardlessOfThreads) {

@@ -7,6 +7,7 @@
 // strictly faster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "stof/cluster/cluster.hpp"
@@ -211,12 +212,39 @@ TEST(ServeModel, T5ClusterChargesThreeCollectivesPerLayer) {
               1e-6 * t5.collective_us());
 }
 
+TEST(ServeModel, BertAndGptClustersChargeTwoCollectivesPerLayer) {
+  const auto trace = mixed_trace();
+  for (const ModelKind kind :
+       {ModelKind::kBertEncoder, ModelKind::kGptDecoder}) {
+    EngineConfig cfg =
+        model_config(kind, SchedulerMode::kContinuous, 24, true);
+    cfg.heads = 4;
+    cfg.model.layers = 3;
+    cluster::ClusterConfig c2 = {};
+    c2.devices = 2;
+    c2.engine = cfg;
+    cluster::Cluster cl(c2);
+    replay(cl, trace);
+    // Every step of this trace ingests rows, so each charges the layer's
+    // two row-parallel GEMMs (attention out-proj + FFN down-proj) as
+    // all-reduces, once per layer, onto every shard's stream.
+    for (int dev = 0; dev < c2.devices; ++dev) {
+      const auto& records = cl.engine(dev).stream().records();
+      const auto calls = std::ranges::count_if(
+          records, [](const auto& r) { return r.name == "cluster.allreduce"; });
+      EXPECT_EQ(calls, 2 * cfg.model.layers * cl.stats().steps)
+          << to_string(kind) << " device " << dev;
+    }
+  }
+}
+
 /// FNV-1a of the layer head's output bytes for `rows` seeded input rows at
-/// chat's 2-layer, 4 x 32 shape.
-std::uint64_t head_hash(ModelKind kind, std::int64_t rows) {
+/// chat's 4 x 32 width and `layers` layers (chat serves 2).
+std::uint64_t head_hash(ModelKind kind, std::int64_t rows,
+                        std::int64_t layers) {
   ModelSpec spec;
   spec.kind = kind;
-  spec.layers = 2;
+  spec.layers = layers;
   const ModelRuntime head(spec, /*heads=*/4, /*head_size=*/32,
                           gpusim::rtx4090(), /*with_weights=*/true);
   TensorH x(Shape{rows, head.hidden()});
@@ -228,31 +256,39 @@ std::uint64_t head_hash(ModelKind kind, std::int64_t rows) {
 }
 
 TEST(ServeModel, LayerHeadOutputBytesArePinned) {
-  // The head's bytes are what every model-on digest folds; these constants
-  // were recorded from the per-element op bodies, so any rewrite of the
-  // ops the head calls must reproduce them exactly.
+  // The head's bytes are what every model-on digest folds; the 2-layer
+  // constants were recorded from the per-element op bodies, so any rewrite
+  // of the ops the head calls must reproduce them exactly.  The 3-layer
+  // ones were recorded from the hand-written per-family head the graph
+  // walk replaced; they pin each weight's stream at layer index 2.
   struct Pin {
     ModelKind kind;
     std::int64_t rows;
+    std::int64_t layers;
     std::uint64_t hash;
   };
   const Pin pins[] = {
-      {ModelKind::kBertEncoder, 1, 17136626186353796608ull},
-      {ModelKind::kBertEncoder, 19, 2306050723451037029ull},
-      {ModelKind::kBertEncoder, 64, 5107462331186767042ull},
-      {ModelKind::kGptDecoder, 1, 13098554404679929785ull},
-      {ModelKind::kGptDecoder, 19, 16863880669873033762ull},
-      {ModelKind::kGptDecoder, 64, 626368756071840210ull},
-      {ModelKind::kT5CrossDecoder, 1, 9158218869087082358ull},
-      {ModelKind::kT5CrossDecoder, 19, 14802842252017082102ull},
-      {ModelKind::kT5CrossDecoder, 64, 11212064759317582813ull},
+      {ModelKind::kBertEncoder, 1, 2, 17136626186353796608ull},
+      {ModelKind::kBertEncoder, 19, 2, 2306050723451037029ull},
+      {ModelKind::kBertEncoder, 64, 2, 5107462331186767042ull},
+      {ModelKind::kBertEncoder, 19, 3, 14906873971513238904ull},
+      {ModelKind::kGptDecoder, 1, 2, 13098554404679929785ull},
+      {ModelKind::kGptDecoder, 19, 2, 16863880669873033762ull},
+      {ModelKind::kGptDecoder, 64, 2, 626368756071840210ull},
+      {ModelKind::kGptDecoder, 19, 3, 4857835566306402368ull},
+      {ModelKind::kT5CrossDecoder, 1, 2, 9158218869087082358ull},
+      {ModelKind::kT5CrossDecoder, 19, 2, 14802842252017082102ull},
+      {ModelKind::kT5CrossDecoder, 64, 2, 11212064759317582813ull},
+      {ModelKind::kT5CrossDecoder, 19, 3, 14044214454102521467ull},
   };
   for (const Pin& p : pins) {
-    EXPECT_EQ(head_hash(p.kind, p.rows), p.hash)
-        << to_string(p.kind) << " at " << p.rows << " rows";
+    EXPECT_EQ(head_hash(p.kind, p.rows, p.layers), p.hash)
+        << to_string(p.kind) << " at " << p.rows << " rows, " << p.layers
+        << " layers";
     core::ScopedKernelIsa scalar(core::Isa::kScalar);
-    EXPECT_EQ(head_hash(p.kind, p.rows), p.hash)
-        << to_string(p.kind) << " at " << p.rows << " rows, scalar kernels";
+    EXPECT_EQ(head_hash(p.kind, p.rows, p.layers), p.hash)
+        << to_string(p.kind) << " at " << p.rows << " rows, " << p.layers
+        << " layers, scalar kernels";
   }
 }
 

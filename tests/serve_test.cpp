@@ -26,7 +26,6 @@ TEST(KvPool, AppendAllocatesBlocksOnDemand) {
   EXPECT_EQ(pool.tokens(7), 5);
   EXPECT_EQ(pool.blocks(7), 2);  // 5 tokens, 4 per block
   EXPECT_EQ(pool.free_blocks(), 2);
-  EXPECT_FALSE(pool.append_needs_block(7));  // slot 6..8 fit block 2
 }
 
 TEST(KvPool, ExhaustionFailsCleanlyAndReleaseRecycles) {

@@ -14,6 +14,9 @@
 # then lists the library's global text symbols (nm type T) that none of
 # those binaries defines.  Function-pointer entries count as reached (the
 # table that holds them is), so the list is a lower bound on dead code.
+# Inline and template code (header-only functions, member templates) emits
+# no library symbol of its own, so it is outside the census: a header
+# function that nothing calls is found by grepping for its callers.
 #
 # The list is diffed against tools/census_allowlist.txt: one demangled
 # symbol per line, then two spaces, '#', and the reason it stays (a test
