@@ -112,10 +112,11 @@ int main() {
     std::vector<std::int32_t> cols;
     bsr.row_cols(ctx - 1, cols);
     const std::int64_t attended[] = {static_cast<std::int64_t>(cols.size())};
+    const std::int64_t chunks[] = {mha::decode_chunks(cols, 16)};
     const std::int64_t rows[] = {1};
     const double t = gpusim::estimate_time_us(
         mha::decode_verify_cost(model.heads, model.head_size(), attended,
-                                rows, device),
+                                chunks, rows, device),
         device);
     std::printf("%8lld %10zu %12.2f\n", static_cast<long long>(ctx),
                 cols.size(), t);

@@ -337,8 +337,9 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
   }
   TensorH q(Shape{total_rows * heads, 1, d});
   std::vector<mha::PagedSeq> seqs(static_cast<std::size_t>(total_rows));
-  std::vector<std::int64_t> valid, seq_rows, draft_valid;
+  std::vector<std::int64_t> valid, chunks, seq_rows, draft_valid;
   valid.reserve(static_cast<std::size_t>(total_rows));
+  chunks.reserve(static_cast<std::size_t>(total_rows));
   seq_rows.reserve(rounds.size());
   std::int64_t row = 0;
   for (const auto& r : rounds) {
@@ -360,6 +361,7 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
           pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
           pool_.v_blocks(r.id), row_cols};
       valid.push_back(static_cast<std::int64_t>(row_cols.size()));
+      chunks.push_back(mha::decode_chunks(row_cols, config_.block_tokens));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {
         draft_valid.push_back(std::min(pos, kSpecDraftWindow));
@@ -371,15 +373,17 @@ double Engine::run_decode_rounds(const std::vector<SessionId>& ids,
   const TensorH out = mha::decode_attention_paged(heads, d, seqs, q);
   double us = 0;
   if (!draft_valid.empty()) {
-    const std::vector<std::int64_t> one_row_each(draft_valid.size(), 1);
+    // The draft pass (cost model only) streams its kSpecDraftWindow
+    // positions in one warp per (row, head): it never splits.
+    const std::vector<std::int64_t> ones(draft_valid.size(), 1);
     us += stream_.launch(
         "serve.spec.draft",
-        mha::decode_verify_cost(kSpecDraftHeads, d, draft_valid,
-                                one_row_each, config_.device));
+        mha::decode_verify_cost(kSpecDraftHeads, d, draft_valid, ones, ones,
+                                config_.device));
   }
-  us += stream_.launch(
-      "serve.decode",
-      mha::decode_verify_cost(heads, d, valid, seq_rows, config_.device));
+  us += stream_.launch("serve.decode",
+                       mha::decode_verify_cost(heads, d, valid, chunks,
+                                               seq_rows, config_.device));
 
   // A round's committed rows are its leading ones, bit-identical to plain
   // decode rows; rejected rows roll back and are never committed, so

@@ -79,6 +79,17 @@ void Scheduler::admit_with_prefix(Session& s, KvPool& pool) const {
   s.adopted_tokens = m.tokens;
 }
 
+bool Scheduler::template_prefilling(const SessionTable& table,
+                                    const Session& s) const {
+  if (!config_.prefix_sharing || s.request.template_len <= 0) return false;
+  const Request& r = s.request;
+  return std::ranges::any_of(prefilling_, [&](SessionId id) {
+    const Request& p = table.at(id).request;
+    return p.template_seed == r.template_seed &&
+           p.template_len == r.template_len && p.mask_kind == r.mask_kind;
+  });
+}
+
 std::vector<SessionId> Scheduler::admission_order(
     const SessionTable& table) const {
   std::vector<SessionId> order(waiting_.begin(), waiting_.end());
@@ -273,6 +284,12 @@ StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool) {
       continue;
     }
     const PrefixMatch m = admission_match(pool, s);
+    if (m.tokens < s.request.template_len && template_prefilling(table, s)) {
+      // Its template is being computed by a session mid-prefill: wait for
+      // the publish and adopt it rather than compute it a second time.
+      telemetry::count("serve.sched.prefix_deferrals");
+      continue;
+    }
     const std::int64_t first_end = std::min(m.tokens + budget, s.total_len());
     if (first_end - m.tokens < min_grant(s.total_len() - m.tokens)) break;
     const std::int64_t first_need = pool.blocks_for(first_end) - m.full_pages;

@@ -68,6 +68,9 @@ struct SchedulerConfig {
   std::map<std::int32_t, std::int64_t> tenant_weights;
   /// Prefix sharing: admitted sessions with a templated prompt adopt the
   /// pool's resident prefix pages and prefill only their unshared suffix.
+  /// A queued request whose template a session mid-prefill is computing
+  /// (and the tree does not hold whole yet) waits for its publish instead
+  /// of computing the template again (`serve.sched.prefix_deferrals`).
   /// Requests with template_len == 0 are unaffected either way, so the
   /// default changes nothing for legacy traces.
   bool prefix_sharing = true;
@@ -179,6 +182,12 @@ class Scheduler {
   /// Adopt `s`'s prefix at admission time: map the shared pages and set
   /// the cached/adopted token counts.
   void admit_with_prefix(Session& s, KvPool& pool) const;
+
+  /// True when a session mid-prefill carries `s`'s template (same
+  /// template_seed, template_len and mask_kind) under prefix sharing: its
+  /// pages are published once that prefill completes.
+  [[nodiscard]] bool template_prefilling(const SessionTable& table,
+                                         const Session& s) const;
 
   /// The wait queue in priority order: priority descending, then earliest
   /// deadline (0 = none = last within its class), then queue position.

@@ -216,6 +216,66 @@ TEST(Cluster, GptModelWithPrefixSharingAndPreemptionMatchesSingleDevice) {
   telemetry::global_registry().reset();
 }
 
+// ---- digest identity past one split-KV decode chunk -------------------------
+
+/// Requests of all four mask kinds whose decode rows sit at positions
+/// 290..340, so every decode row's columns span three 128-token chunks and
+/// merge their partial softmax states.
+std::vector<Request> long_context_trace(std::uint64_t seed,
+                                        std::int64_t n_requests) {
+  Rng rng(seed);
+  const masks::PatternKind kinds[] = {
+      masks::PatternKind::kCausal, masks::PatternKind::kSlidingWindow,
+      masks::PatternKind::kStrided, masks::PatternKind::kBigBird};
+  std::vector<Request> trace;
+  double clock = 0;
+  for (std::int64_t i = 0; i < n_requests; ++i) {
+    clock += 5.0 + 40.0 * rng.next_double();
+    Request r;
+    r.id = i;
+    r.prompt_len = 290 + static_cast<std::int64_t>(rng.next_u64() % 40);
+    r.max_new_tokens = 3 + static_cast<std::int64_t>(rng.next_u64() % 8);
+    r.seed = seed * 1000 + static_cast<std::uint64_t>(i);
+    r.mask_kind = kinds[i % 4];
+    r.arrival_us = clock;
+    trace.push_back(r);
+  }
+  return trace;
+}
+
+TEST(Cluster, DigestsPastOneDecodeChunkMatchAcrossModesAndWidths) {
+  EngineConfig cfg = base_config(8, 160);
+  cfg.max_seq_len = 352;
+  cfg.scheduler.prefill_token_budget = 704;
+  const auto trace = long_context_trace(601, 8);
+
+  EngineConfig serial = cfg;
+  serial.scheduler.mode = SchedulerMode::kSerial;
+  Engine reference(serial);
+  const auto ref = engine_digests(reference, trace);
+
+  EngineConfig chunked = cfg;
+  chunked.scheduler.chunk_tokens = 64;
+  // Room for one whole context and a slice of the next: chunked admission
+  // lets a second session start while the first decodes, and decode growth
+  // preempts it.
+  EngineConfig tight = chunked;
+  tight.kv_blocks = 26;
+  EngineConfig spec = cfg;
+  spec.spec_draft_tokens = 2;
+  spec.spec_accept_pct = 70;
+  for (const EngineConfig* c : {&cfg, &chunked, &tight, &spec}) {
+    Engine engine(*c);
+    EXPECT_EQ(engine_digests(engine, trace), ref)
+        << "chunk_tokens " << c->scheduler.chunk_tokens << ", kv_blocks "
+        << c->kv_blocks << ", drafts " << c->spec_draft_tokens;
+    if (c == &tight) {
+      EXPECT_GT(engine.stats().preemptions, 0) << "pool was not tight enough";
+    }
+  }
+  expect_cluster_matches_engine(cfg, trace, {1, 2, 4, 8});
+}
+
 // ---- the single output-row path --------------------------------------------
 
 /// Positions each session's committed output rows covered, in commit order.

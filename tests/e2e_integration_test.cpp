@@ -37,8 +37,8 @@ TEST(E2e, StofFastestOnBigbirdAcrossSettings) {
   // Fig. 12: STOF delivers the highest speedups across models/settings.
   const auto model = bert_small();
   const auto opt = fast_options();
-  for (const auto dev : {gpusim::rtx4090(), gpusim::a100()}) {
-    for (const auto [bs, seq] :
+  for (const auto& dev : {gpusim::rtx4090(), gpusim::a100()}) {
+    for (const auto& [bs, seq] :
          {std::pair<std::int64_t, std::int64_t>{1, 128}, {8, 512}}) {
       const double stof = simulate_e2e(Method::kStof, model, bs, seq,
                                        PatternKind::kBigBird, dev, opt)
@@ -87,7 +87,7 @@ TEST(E2e, UnsupportedConfigsReported) {
 TEST(Ablation, BothModulesBeatEitherAlone) {
   const auto model = bert_small();
   const auto opt = fast_options();
-  for (const auto [bs, seq] :
+  for (const auto& [bs, seq] :
        {std::pair<std::int64_t, std::int64_t>{1, 128}, {8, 512}}) {
     const double native = simulate_e2e(Method::kPytorchNative, model, bs, seq,
                                        PatternKind::kBigBird, gpusim::a100())

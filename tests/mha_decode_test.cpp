@@ -94,10 +94,9 @@ TEST(DecodeColumns, ExtractsRowOfMask) {
   EXPECT_THROW(bsr.row_cols(8, cols), Error);
 }
 
-TEST(DecodeAttention, MatchesReferenceLastRow) {
-  // Decoding the (n)th token over an n-token cache must equal the last row
-  // of full attention with the same mask.
-  const std::int64_t ctx = 24;
+/// Decoding the (n)th token over an n-token cache must equal the last row
+/// of full attention with the same mask.
+void expect_decode_matches_reference_last_row(std::int64_t ctx) {
   const Cache c = make_cache(2, 3, ctx, 16, 17);
 
   const MhaDims full{2, 3, ctx, 16};
@@ -116,6 +115,9 @@ TEST(DecodeAttention, MatchesReferenceLastRow) {
 
   std::vector<std::int32_t> cols;
   sparse::BsrMask::build(mask, 16, 16).row_cols(ctx - 1, cols);
+  if (ctx > kDecodeChunkTokens) {
+    ASSERT_GT(decode_chunks(cols, kBlockTokens), 1);
+  }
   const TensorH got = decode(c, cols, c.q);
   for (std::int64_t bh = 0; bh < full.instances(); ++bh) {
     for (std::int64_t e = 0; e < 16; ++e) {
@@ -124,6 +126,15 @@ TEST(DecodeAttention, MatchesReferenceLastRow) {
           << bh << "," << e;
     }
   }
+}
+
+TEST(DecodeAttention, MatchesReferenceLastRow) {
+  expect_decode_matches_reference_last_row(24);
+}
+
+TEST(DecodeAttention, SplitKvMatchesReferenceLastRow) {
+  // 300 positions span three 128-token chunks, so the row merges.
+  expect_decode_matches_reference_last_row(300);
 }
 
 TEST(DecodeAttention, EmptyColumnsYieldZeros) {
@@ -160,26 +171,94 @@ TEST(DecodeCost, ScalesWithAttendedColumns) {
   const auto dev = gpusim::a100();
   const std::int64_t rows[] = {1, 1, 1, 1};
   const std::int64_t sparse_cols[] = {64, 64, 64, 64};
+  const std::int64_t sparse_chunks[] = {1, 1, 1, 1};
   const std::int64_t dense_cols[] = {2048, 2048, 2048, 2048};
+  const std::int64_t dense_chunks[] = {16, 16, 16, 16};
   const double sparse = gpusim::estimate_time_us(
-      decode_verify_cost(12, 64, sparse_cols, rows, dev), dev);
+      decode_verify_cost(12, 64, sparse_cols, sparse_chunks, rows, dev), dev);
   const double dense = gpusim::estimate_time_us(
-      decode_verify_cost(12, 64, dense_cols, rows, dev), dev);
+      decode_verify_cost(12, 64, dense_cols, dense_chunks, rows, dev), dev);
   EXPECT_GT(dense, sparse * 2.0);
   const std::int64_t negative[] = {64, -1, 64, 64};
-  EXPECT_THROW(decode_verify_cost(12, 64, negative, rows, dev), Error);
+  EXPECT_THROW(
+      decode_verify_cost(12, 64, negative, sparse_chunks, rows, dev), Error);
   EXPECT_THROW(decode_verify_cost(12, 64, std::span(sparse_cols).first(3),
-                                  rows, dev),
+                                  std::span(sparse_chunks).first(3), rows,
+                                  dev),
+               Error);
+  // A chunk count must not exceed the row's attended columns, and a row
+  // with columns runs at least one chunk.
+  const std::int64_t too_many[] = {1, 65, 1, 1};
+  EXPECT_THROW(decode_verify_cost(12, 64, sparse_cols, too_many, rows, dev),
+               Error);
+  const std::int64_t none[] = {1, 0, 1, 1};
+  EXPECT_THROW(decode_verify_cost(12, 64, sparse_cols, none, rows, dev),
+               Error);
+  EXPECT_THROW(decode_verify_cost(12, 64, sparse_cols,
+                                  std::span(sparse_chunks).first(3), rows,
+                                  dev),
                Error);
 }
 
 TEST(DecodeCost, LaunchBoundAtTinyBatch) {
   const auto dev = gpusim::rtx4090();
   const std::int64_t cols[] = {16};
+  const std::int64_t chunks[] = {1};
   const std::int64_t rows[] = {1};
   const double t = gpusim::estimate_time_us(
-      decode_verify_cost(12, 64, cols, rows, dev), dev);
+      decode_verify_cost(12, 64, cols, chunks, rows, dev), dev);
   EXPECT_LT(t, 2.0 * dev.launch_overhead_us);
+}
+
+TEST(DecodeChunks, CountsChunksHoldingAttendedColumns) {
+  EXPECT_EQ(decode_chunk_tokens(16), kDecodeChunkTokens);
+  EXPECT_EQ(decode_chunk_tokens(256), 256);
+  EXPECT_EQ(decode_chunks({}, 16), 0);
+  const std::int32_t one_chunk[] = {0, 5, 127};
+  EXPECT_EQ(decode_chunks(one_chunk, 16), 1);
+  // Chunk 1 ([128, 256)) holds no column: only chunks 0, 2 and 3 run.
+  const std::int32_t gap[] = {3, 256, 300, 383, 384};
+  EXPECT_EQ(decode_chunks(gap, 16), 3);
+  EXPECT_EQ(decode_chunks(gap, 512), 1);
+}
+
+/// Simulated time of one plain decode step of `batch` causal rows at
+/// context `ctx` (heads 4, head_size 32), split per decode_chunks or, with
+/// `split` false, one warp per (row, head) as before the split.
+double causal_decode_us(std::int64_t batch, std::int64_t ctx, bool split,
+                        const gpusim::DeviceSpec& dev) {
+  std::vector<std::int32_t> cols(static_cast<std::size_t>(ctx));
+  for (std::int64_t j = 0; j < ctx; ++j) {
+    cols[static_cast<std::size_t>(j)] = static_cast<std::int32_t>(j);
+  }
+  const std::vector<std::int64_t> valid(static_cast<std::size_t>(batch), ctx);
+  const std::vector<std::int64_t> chunks(
+      static_cast<std::size_t>(batch),
+      split ? decode_chunks(cols, kBlockTokens) : 1);
+  const std::vector<std::int64_t> rows(static_cast<std::size_t>(batch), 1);
+  return gpusim::estimate_time_us(
+      decode_verify_cost(4, 32, valid, chunks, rows, dev), dev);
+}
+
+TEST(DecodeCost, SplitKvFillsTheGpuAtLongContext) {
+  // One warp per (row, head) put a batch-1 4-head decode on one block of
+  // one SM; split per 128-token chunk it spreads over 16x the warps.
+  const auto dev = gpusim::a100();
+  const double unsplit = causal_decode_us(1, 2048, false, dev);
+  const double split = causal_decode_us(1, 2048, true, dev);
+  EXPECT_NEAR(unsplit, 52.2, 0.1);
+  EXPECT_LT(split * 5.0, unsplit);
+  // No (batch, ctx) cell gets slower; a one-chunk context is unchanged.
+  for (const std::int64_t batch : {1, 8, 64}) {
+    for (const std::int64_t ctx : {128, 256, 2048}) {
+      const double before = causal_decode_us(batch, ctx, false, dev);
+      const double after = causal_decode_us(batch, ctx, true, dev);
+      EXPECT_LE(after, before) << "batch " << batch << " ctx " << ctx;
+      if (ctx <= kDecodeChunkTokens) {
+        EXPECT_EQ(after, before) << "batch " << batch;
+      }
+    }
+  }
 }
 
 }  // namespace

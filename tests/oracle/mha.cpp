@@ -6,6 +6,7 @@
 #include "oracle/oracle.hpp"
 #include "stof/core/exp_f32.hpp"
 #include "stof/core/kernels.hpp"
+#include "stof/mha/decode.hpp"
 #include "stof/parallel/parallel_for.hpp"
 
 namespace stof::oracle {
@@ -312,68 +313,102 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     const PagedSeq& seq = seqs[static_cast<std::size_t>(s)];
     const std::int64_t bt = seq.block_tokens;
 
-    float m = -std::numeric_limits<float>::infinity();
-    float l = 0;
-    auto acc = arena.alloc_zeroed(d);
     auto w_buf = arena.alloc(bt);
     auto col_buf = arena.alloc(bt);  // local offsets of attended cols
 
-    // Stream the attended columns one KV page at a time with the exact
-    // per-block update order of the block-wise kernel: block row-max,
-    // max-merge, correction, ascending-column weight sum, then the PV
-    // accumulate over ascending columns.
-    std::size_t g = 0;
-    const std::size_t n_cols = seq.cols.size();
-    while (g < n_cols) {
-      const std::int64_t bj = seq.cols[g] / bt;
-      const half* k_blk = seq.k_blocks[static_cast<std::size_t>(bj)];
-      const half* v_blk = seq.v_blocks[static_cast<std::size_t>(bj)];
-      const std::int64_t col_lo = bj * bt;
+    // Stream attended columns [g, g_end) into (m, l, acc) one KV page at a
+    // time with the exact per-block update order of the block-wise kernel:
+    // block row-max, max-merge, correction, ascending-column weight sum,
+    // then the PV accumulate over ascending columns.
+    const auto stream = [&](std::size_t g, std::size_t g_end, float& m,
+                            float& l, std::span<float> acc) {
+      while (g < g_end) {
+        const std::int64_t bj = seq.cols[g] / bt;
+        const half* k_blk = seq.k_blocks[static_cast<std::size_t>(bj)];
+        const half* v_blk = seq.v_blocks[static_cast<std::size_t>(bj)];
+        const std::int64_t col_lo = bj * bt;
 
-      std::int64_t nb = 0;
-      for (; g < n_cols && seq.cols[g] < col_lo + bt; ++g, ++nb) {
-        col_buf[static_cast<std::size_t>(nb)] =
-            static_cast<float>(seq.cols[g] - col_lo);
-      }
-
-      float row_max = -std::numeric_limits<float>::infinity();
-      for (std::int64_t c = 0; c < nb; ++c) {
-        const auto local =
-            static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-        const half* k_row = k_blk + (local * heads + h) * d;
-        float dot = 0;
-        for (std::int64_t e = 0; e < d; ++e) {
-          dot += float(q.at(inst, 0, e)) * float(k_row[e]);
+        std::int64_t nb = 0;
+        for (; g < g_end && seq.cols[g] < col_lo + bt; ++g, ++nb) {
+          col_buf[static_cast<std::size_t>(nb)] =
+              static_cast<float>(seq.cols[g] - col_lo);
         }
-        w_buf[static_cast<std::size_t>(c)] = dot * scale;
-        row_max = std::max(row_max, dot * scale);
-      }
 
-      const float m_new = std::max(m, row_max);
-      const float correction =
-          (l == 0.0f) ? 0.0f : core::exp_f32(m - m_new);
-      for (std::int64_t c = 0; c < nb; ++c) {
-        w_buf[static_cast<std::size_t>(c)] -= m_new;
-      }
-      kt.exp_row(w_buf.data(), w_buf.data(), nb);
-      float block_sum = 0;
-      for (std::int64_t c = 0; c < nb; ++c) {
-        block_sum += w_buf[static_cast<std::size_t>(c)];
-      }
-      l = l * correction + block_sum;
-
-      for (std::int64_t e = 0; e < d; ++e) {
-        float pvs = 0;
+        float row_max = -std::numeric_limits<float>::infinity();
         for (std::int64_t c = 0; c < nb; ++c) {
           const auto local = static_cast<std::int64_t>(
               col_buf[static_cast<std::size_t>(c)]);
-          pvs += w_buf[static_cast<std::size_t>(c)] *
-                 float(v_blk[(local * heads + h) * d + e]);
+          const half* k_row = k_blk + (local * heads + h) * d;
+          float dot = 0;
+          for (std::int64_t e = 0; e < d; ++e) {
+            dot += float(q.at(inst, 0, e)) * float(k_row[e]);
+          }
+          w_buf[static_cast<std::size_t>(c)] = dot * scale;
+          row_max = std::max(row_max, dot * scale);
         }
-        acc[static_cast<std::size_t>(e)] =
-            acc[static_cast<std::size_t>(e)] * correction + pvs;
+
+        const float m_new = std::max(m, row_max);
+        const float correction =
+            (l == 0.0f) ? 0.0f : core::exp_f32(m - m_new);
+        for (std::int64_t c = 0; c < nb; ++c) {
+          w_buf[static_cast<std::size_t>(c)] -= m_new;
+        }
+        kt.exp_row(w_buf.data(), w_buf.data(), nb);
+        float block_sum = 0;
+        for (std::int64_t c = 0; c < nb; ++c) {
+          block_sum += w_buf[static_cast<std::size_t>(c)];
+        }
+        l = l * correction + block_sum;
+
+        for (std::int64_t e = 0; e < d; ++e) {
+          float pvs = 0;
+          for (std::int64_t c = 0; c < nb; ++c) {
+            const auto local = static_cast<std::int64_t>(
+                col_buf[static_cast<std::size_t>(c)]);
+            pvs += w_buf[static_cast<std::size_t>(c)] *
+                   float(v_blk[(local * heads + h) * d + e]);
+          }
+          acc[static_cast<std::size_t>(e)] =
+              acc[static_cast<std::size_t>(e)] * correction + pvs;
+        }
+        m = m_new;
       }
-      m = m_new;
+    };
+
+    // Split-KV: every chunk of decode_chunk_tokens(bt) positions holding an
+    // attended column streams from a fresh state; the states fold left in
+    // ascending chunk order, the first chunk streaming straight into the
+    // row's state (a one-chunk row never merges).
+    float m = -std::numeric_limits<float>::infinity();
+    float l = 0;
+    auto acc = arena.alloc_zeroed(d);
+    auto chunk_acc = arena.alloc(d);
+    const std::int64_t ct = mha::decode_chunk_tokens(bt);
+    const std::size_t n_cols = seq.cols.size();
+    std::size_t g = 0;
+    while (g < n_cols) {
+      const std::int64_t chunk_end = (seq.cols[g] / ct + 1) * ct;
+      std::size_t g_end = g;
+      while (g_end < n_cols && seq.cols[g_end] < chunk_end) ++g_end;
+      if (g == 0) {
+        stream(g, g_end, m, l, acc);
+      } else {
+        float cm = -std::numeric_limits<float>::infinity();
+        float cl = 0;
+        std::fill(chunk_acc.begin(), chunk_acc.end(), 0.0f);
+        stream(g, g_end, cm, cl, chunk_acc);
+        const float m_new = std::max(m, cm);
+        const float a = core::exp_f32(m - m_new);
+        const float b = core::exp_f32(cm - m_new);
+        l = l * a + cl * b;
+        for (std::int64_t e = 0; e < d; ++e) {
+          acc[static_cast<std::size_t>(e)] =
+              acc[static_cast<std::size_t>(e)] * a +
+              b * chunk_acc[static_cast<std::size_t>(e)];
+        }
+        m = m_new;
+      }
+      g = g_end;
     }
 
     const float inv = l == 0.0f ? 0.0f : 1.0f / l;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "oracle/oracle.hpp"
+#include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
@@ -212,43 +213,84 @@ TEST(TensorKvWidening, InPlaceKvWritesReachTheNextCall) {
       oracle::varlen_attention(dims, q, k, v, bsr, batch, params), vl_after));
 }
 
-TEST(DecodeScratchBitIdentity, MatchesOracle) {
-  // Paged decode: the library kernel reads FP32 pages, the oracle their
-  // halfs.  The odd context length leaves the last page part-filled.
-  constexpr std::int64_t kSeqs = 3, kHeads = 4, kD = 16, kCtx = 37, kBt = 16;
-  constexpr std::int64_t kBlocks = (kCtx + kBt - 1) / kBt;
-  const TensorH q = random_tensor(Shape{kSeqs * kHeads, 1, kD}, 51);
+/// Paged decode of one row per sequence, sequence s attending `cols[s]`
+/// over `ctx` cached positions: the library kernel reads FP32 pages, the
+/// oracle their halfs, and the two must agree bit for bit.
+void expect_paged_decode_matches_oracle(
+    std::int64_t ctx, const std::vector<std::vector<std::int32_t>>& cols) {
+  constexpr std::int64_t kHeads = 4, kD = 16, kBt = 16;
+  const auto n_seqs = static_cast<std::int64_t>(cols.size());
+  const std::int64_t blocks = (ctx + kBt - 1) / kBt;
+  const auto span_blocks = static_cast<std::size_t>(blocks);
+  const TensorH q = random_tensor(Shape{n_seqs * kHeads, 1, kD}, 51);
   // One (kBt, kHeads, kD) page per (sequence, block).
-  const TensorH kc = random_tensor(Shape{kSeqs * kBlocks, kBt * kHeads, kD},
-                                   52);
-  const TensorH vc = random_tensor(Shape{kSeqs * kBlocks, kBt * kHeads, kD},
-                                   53);
+  const TensorH kc =
+      random_tensor(Shape{n_seqs * blocks, kBt * kHeads, kD}, 52);
+  const TensorH vc =
+      random_tensor(Shape{n_seqs * blocks, kBt * kHeads, kD}, 53);
   std::vector<float> kf(kc.data().size()), vf(vc.data().size());
   packed::half_to_float(kc.data(), kf);
   packed::half_to_float(vc.data(), vf);
   std::vector<const half*> k_pages, v_pages;
   std::vector<const float*> kf_pages, vf_pages;
-  for (std::int64_t p = 0; p < kSeqs * kBlocks; ++p) {
+  for (std::int64_t p = 0; p < n_seqs * blocks; ++p) {
     k_pages.push_back(kc.data().data() + p * kBt * kHeads * kD);
     v_pages.push_back(vc.data().data() + p * kBt * kHeads * kD);
     kf_pages.push_back(kf.data() + p * kBt * kHeads * kD);
     vf_pages.push_back(vf.data() + p * kBt * kHeads * kD);
   }
-  const std::vector<std::int32_t> cols = {0, 3, 5, 11, 20, 36};
   std::vector<oracle::PagedSeq> half_seqs;
   std::vector<mha::PagedSeq> seqs;
-  for (std::int64_t s = 0; s < kSeqs; ++s) {
+  for (std::int64_t s = 0; s < n_seqs; ++s) {
+    const auto& c = cols[static_cast<std::size_t>(s)];
     half_seqs.push_back(oracle::PagedSeq{
-        kCtx, kBt, {k_pages.data() + s * kBlocks, kBlocks},
-        {v_pages.data() + s * kBlocks, kBlocks}, cols});
-    seqs.push_back(mha::PagedSeq{kCtx, kBt,
-                                 {kf_pages.data() + s * kBlocks, kBlocks},
-                                 {vf_pages.data() + s * kBlocks, kBlocks},
-                                 cols});
+        ctx, kBt, {k_pages.data() + s * blocks, span_blocks},
+        {v_pages.data() + s * blocks, span_blocks}, c});
+    seqs.push_back(mha::PagedSeq{
+        ctx, kBt, {kf_pages.data() + s * blocks, span_blocks},
+        {vf_pages.data() + s * blocks, span_blocks}, c});
   }
-  EXPECT_TRUE(
-      tensors_bit_equal(oracle::decode_attention_paged(kHeads, kD, half_seqs, q),
-                        mha::decode_attention_paged(kHeads, kD, seqs, q)));
+  const TensorH want =
+      oracle::decode_attention_paged(kHeads, kD, half_seqs, q);
+  for (const core::Isa isa : core::available_isas()) {
+    core::ScopedKernelIsa pin(isa);
+    EXPECT_TRUE(tensors_bit_equal(
+        want, mha::decode_attention_paged(kHeads, kD, seqs, q)))
+        << core::isa_name(isa);
+  }
+}
+
+TEST(DecodeScratchBitIdentity, MatchesOracle) {
+  // The odd context length leaves the last page part-filled.
+  const std::vector<std::int32_t> cols = {0, 3, 5, 11, 20, 36};
+  expect_paged_decode_matches_oracle(37, {cols, cols, cols});
+}
+
+TEST(DecodeScratchBitIdentity, SplitKvMergeMatchesOracle) {
+  // 421 positions: four 128-token chunks, the last page holding 5 rows.
+  // Sequence 0 leaves chunk 1 ([128, 256)) without an attended column and
+  // ends on the part-filled page; sequence 1 is dense causal; sequence 2
+  // attends one column per chunk, on chunk boundaries; sequence 3 stays
+  // inside chunk 0 and never merges.
+  std::vector<std::int32_t> gap = {0, 3, 5, 11, 127};
+  for (std::int32_t j = 256; j < 421; j += 7) gap.push_back(j);
+  gap.push_back(420);
+  std::vector<std::int32_t> dense(421);
+  for (std::int32_t j = 0; j < 421; ++j) dense[static_cast<std::size_t>(j)] = j;
+  const std::vector<std::int32_t> edges = {127, 128, 255, 256, 384};
+  const std::vector<std::int32_t> one_chunk = {1, 64, 100};
+  ASSERT_EQ(mha::decode_chunks(gap, 16), 3);
+  ASSERT_EQ(mha::decode_chunks(dense, 16), 4);
+  ASSERT_EQ(mha::decode_chunks(edges, 16), 4);
+  ASSERT_EQ(mha::decode_chunks(one_chunk, 16), 1);
+  // FP16 outputs hide most one-ulp FP32 differences between merge orders,
+  // so 16 sequences of each pattern give the comparison enough outputs to
+  // tell a wrong merge order from the oracle's.
+  std::vector<std::vector<std::int32_t>> cols;
+  for (int rep = 0; rep < 16; ++rep) {
+    cols.insert(cols.end(), {gap, dense, edges, one_chunk});
+  }
+  expect_paged_decode_matches_oracle(421, cols);
 }
 
 }  // namespace

@@ -838,6 +838,46 @@ TEST(SchedulerPlan, WholePrefillNeverGrantsPartialWindow) {
   EXPECT_EQ(h.pool.free_blocks(), 4);
 }
 
+TEST(ServeScheduling, SameTemplateArrivalsInOneStepPrefillItOnce) {
+  // Two requests naming one 40-token template arrive together and both fit
+  // one step's budget.  The second waits for the first's publish and
+  // adopts its pages instead of computing the template a second time; the
+  // digests equal a run with sharing off.
+  std::vector<Request> trace;
+  for (const SessionId id : {0, 1}) {
+    Request r{id, 52 + 8 * id, 4, static_cast<std::uint64_t>(500 + id),
+              masks::PatternKind::kCausal, 0.0};
+    r.template_seed = 91;
+    r.template_len = 40;
+    trace.push_back(r);
+  }
+  telemetry::ScopedTelemetry on(true);
+  std::map<SessionId, std::uint64_t> digests[2];
+  std::int64_t prefill_tokens[2] = {0, 0};
+  std::int64_t deferrals[2] = {0, 0};
+  for (const bool sharing : {false, true}) {
+    telemetry::global_registry().reset();
+    EngineConfig cfg = small_config(SchedulerMode::kContinuous, 16);
+    cfg.scheduler.prefix_sharing = sharing;
+    Engine engine(cfg);
+    replay(engine, trace);
+    for (const auto& r : trace) {
+      ASSERT_EQ(engine.session(r.id).phase, SessionPhase::kFinished);
+      digests[sharing][r.id] = engine.session(r.id).digest;
+    }
+    prefill_tokens[sharing] = engine.stats().prefill_tokens;
+    deferrals[sharing] = telemetry::global_registry().counter(
+        "serve.sched.prefix_deferrals");
+  }
+  telemetry::global_registry().reset();
+  EXPECT_EQ(prefill_tokens[0], 52 + 60);
+  EXPECT_EQ(prefill_tokens[1], 40 + (52 - 40) + (60 - 40))
+      << "the template was prefilled more than once";
+  EXPECT_EQ(deferrals[0], 0);
+  EXPECT_GE(deferrals[1], 1);
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
 TEST(ServeEngine, RejectsOversizedRequests) {
   Engine engine(small_config(SchedulerMode::kContinuous, 16));
   EXPECT_THROW(
